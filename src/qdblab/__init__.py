@@ -1,9 +1,10 @@
 """Finite-dimensional open quantum dynamics with detailed balance checks
 and energy-exchange fluctuation ratios."""
 
-from . import balance, cli, dynamics, errors, examples, fluctuation, matlin, states
+from . import balance, dynamics, errors, examples, fluctuation, matlin, states
 from .balance import TimeReversal, WeightedSpace, adjoint, check_qdb1, check_qdb2, inner
 from .dynamics import (
+    Dynamics,
     KrausChannel,
     LindbladGenerator,
     SuperOperator,

@@ -20,7 +20,6 @@ from .dynamics import (
     LindbladGenerator,
     SuperOperator,
     commutator_superop,
-    dual_superop,
     evolve,
     heisenberg_dual,
     lindblad_superop,
@@ -98,7 +97,8 @@ def decompose(space: WeightedSpace, dual_gen: SuperOperator):
 def _as_generator_pair(gen, h: HamiltonianSpec | None):
     """Normalize a generator argument to (schrodinger, heisenberg, hamiltonian)."""
     if isinstance(gen, LindbladGenerator):
-        return lindblad_superop(gen), dual_superop(gen), gen.hamiltonian
+        schro = lindblad_superop(gen)
+        return schro, heisenberg_dual(schro), gen.hamiltonian
     if isinstance(gen, SuperOperator):
         if h is None:
             raise ValueError("a Hamiltonian is required alongside a raw superoperator generator")
@@ -187,10 +187,6 @@ class TimeReversal:
         if a.shape != self.unitary.shape:
             raise DimensionMismatch(f"operand shape {a.shape} does not match dim {self.dim}")
         return self.unitary @ a.T @ dag(self.unitary)
-
-
-def time_reverse(t: TimeReversal, a: np.ndarray) -> np.ndarray:
-    return t.apply(a)
 
 
 def _matrix_units(d: int):

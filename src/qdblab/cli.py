@@ -22,15 +22,7 @@ from pathlib import Path
 import numpy as np
 
 from .balance import TimeReversal, WeightedSpace, check_qdb1, check_qdb2
-from .dynamics import (
-    KrausChannel,
-    LindbladGenerator,
-    SuperOperator,
-    evolve,
-    heisenberg_dual,
-    lindblad_superop,
-    superop_from_channel,
-)
+from .dynamics import Dynamics, KrausChannel, LindbladGenerator, heisenberg_dual
 from .errors import (
     ConfigError,
     DegenerateGround,
@@ -43,12 +35,10 @@ from .errors import (
     NotCompletelyPositive,
     NotCPTP,
     NotHermitian,
-    NotThermal,
     NotTracePreserving,
     ScheduleOutOfRange,
     SingularWeight,
     UnknownParameter,
-    ZeroPopulation,
 )
 from .examples import (
     ExampleAParams,
@@ -61,8 +51,7 @@ from .examples import (
     example_c_qdb_point,
 )
 from .fluctuation import classify, exchange_distribution, qfr_ratio
-from .states import DensityMatrix, HamiltonianSpec, gibbs, infer_beta
-from .matlin import dag, unvec
+from .states import HamiltonianSpec, gibbs
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -108,6 +97,11 @@ class RunConfig:
                 raise ConfigError(f"{name} must be nonempty")
             if any(b <= a for a, b in zip(grid, grid[1:])):
                 raise ConfigError(f"{name} must be strictly increasing")
+        if not all(0.0 <= s <= 1.0 for s in self.s_grid):
+            raise ConfigError("s-grid values must lie in [0, 1]")
+        for name, beta in (("beta-i", self.beta_i), ("beta-f", self.beta_f)):
+            if not math.isfinite(beta):
+                raise ConfigError(f"{name} must be finite")
         for name, tol in (
             ("tol-qdb", self.tol_qdb),
             ("tol-qfr", self.tol_qfr),
@@ -156,56 +150,6 @@ def _config_from_args(args) -> RunConfig:
 
 
 # ---------------------------------------------------------------------------
-# dynamics sources
-
-
-@dataclass
-class SemigroupSource:
-    label: str
-    h: HamiltonianSpec
-    generator: object  # LindbladGenerator or Schroedinger SuperOperator
-
-    kind = "semigroup"
-
-    def superop(self) -> SuperOperator:
-        if isinstance(self.generator, LindbladGenerator):
-            return lindblad_superop(self.generator)
-        return self.generator
-
-    def map_at(self, tau: float) -> SuperOperator:
-        return evolve(self.superop(), tau)
-
-
-@dataclass
-class ChannelFamilySource:
-    label: str
-    h: HamiltonianSpec
-    family: object  # callable tau -> KrausChannel
-
-    kind = "channel_family"
-
-    def map_at(self, tau: float) -> KrausChannel:
-        return self.family(tau)
-
-
-@dataclass
-class SingleMapSource:
-    label: str
-    h: HamiltonianSpec
-    channel: KrausChannel
-    tau: float
-
-    kind = "single_map"
-
-    def map_at(self, tau: float) -> KrausChannel:
-        return self.channel
-
-
-def _as_schro_superop(m) -> SuperOperator:
-    return superop_from_channel(m) if isinstance(m, KrausChannel) else m
-
-
-# ---------------------------------------------------------------------------
 # report pipeline
 
 
@@ -228,103 +172,61 @@ def fmt_float(x) -> str:
     return format(float(x), ".17g")
 
 
-def _classification_dict(source) -> dict:
-    if source.kind == "single_map":
-        s = superop_from_channel(source.channel)
-        w, v = np.linalg.eig(s.matrix)
-        near_one = np.abs(w - 1.0) < 1e-8
-        beta = None
-        if int(np.sum(near_one)) == 1:
-            col = v[:, int(np.argmax(near_one))]
-            mat = unvec(col, source.h.dim, source.h.dim)
-            mat = (mat + dag(mat)) / 2
-            tr = float(np.real(np.trace(mat)))
-            if abs(tr) > 1e-12:
-                try:
-                    beta = infer_beta(DensityMatrix(mat / tr), source.h)
-                except (NotThermal, ZeroPopulation, NotAState):
-                    beta = None
-        return {"kind": "single_map", "beta_f": _json_float(beta), "gamma_min": None}
-    if source.kind == "semigroup":
-        cls = classify(
-            source.generator if isinstance(source.generator, LindbladGenerator) else source.superop(),
-            source.h,
-        )
-    else:
-        cls = classify(source.family, source.h)
-    return {
-        "kind": cls.kind,
-        "beta_f": _json_float(cls.beta_f),
-        "gamma_min": _json_float(cls.gamma_min),
-    }
+def _balance_section(per_s: dict, tol: float) -> dict:
+    worst = max(per_s.values())
+    return {"passes": bool(worst < tol), "max_residual": worst, "per_s": per_s}
 
 
-def build_report(source, config: RunConfig, f_factor=None):
+def build_report(label: str, source: Dynamics, config: RunConfig, f_factor=None):
     """Rows and verdict for one dynamics source.
 
     Rows cover the tau grid with one entry per Bohr gap; the verdict
     aggregates classification, both balance checks (per point of the s
     grid) and the worst ratio-law deviation.
     """
-    classification = _classification_dict(source)
+    cls = classify(source.generator or source.family or source.channel, source.h)
+    classification = {
+        "kind": cls.kind,
+        "beta_f": _json_float(cls.beta_f),
+        "gamma_min": _json_float(cls.gamma_min),
+    }
     beta_raw = classification["beta_f"]
     beta_known = isinstance(beta_raw, float) and math.isfinite(beta_raw)
     beta_for_ratios = beta_raw if beta_known else config.beta_f
 
-    qdb1 = None
-    if source.kind == "semigroup" and beta_known:
-        sigma = gibbs(source.h, beta_raw)
-        try:
-            per_s = {}
-            for s_val in config.s_grid:
-                space = WeightedSpace(sigma=sigma, s=s_val)
-                rep = check_qdb1(space, source.generator, h=source.h, tol=config.tol_qdb)
-                per_s[fmt_float(s_val)] = rep.residual
-            worst = max(per_s.values())
-            qdb1 = {
-                "passes": bool(worst < config.tol_qdb),
-                "max_residual": worst,
-                "per_s": per_s,
-            }
-        except SingularWeight:
-            qdb1 = None
-
-    qdb2 = None
+    spaces = ()
     if beta_known:
         sigma = gibbs(source.h, beta_raw)
+        try:
+            spaces = tuple((fmt_float(s), WeightedSpace(sigma=sigma, s=s)) for s in config.s_grid)
+        except SingularWeight:
+            spaces = ()
+
+    qdb1 = None
+    if spaces and source.generator is not None:
+        per_s = {
+            key: check_qdb1(space, source.generator, h=source.h, tol=config.tol_qdb).residual
+            for key, space in spaces
+        }
+        qdb1 = _balance_section(per_s, config.tol_qdb)
+
+    qdb2 = None
+    qdb2_taus = tuple(t for t in source.taus(QDB2_TAUS) if math.isfinite(t))
+    if spaces and qdb2_taus:
         reversal = TimeReversal.conjugation(source.h.dim)
-        taus = (source.tau,) if source.kind == "single_map" else QDB2_TAUS
-        taus = tuple(t for t in taus if t is not None and math.isfinite(t))
-        if taus:
-            try:
-                per_s = {}
-                for s_val in config.s_grid:
-                    space = WeightedSpace(sigma=sigma, s=s_val)
-                    worst_tau = 0.0
-                    for tau in taus:
-                        heis = heisenberg_dual(_as_schro_superop(source.map_at(tau)))
-                        rep = check_qdb2(space, heis, reversal, tol=config.tol_qdb)
-                        worst_tau = max(worst_tau, rep.max_residual)
-                    per_s[fmt_float(s_val)] = worst_tau
-                worst = max(per_s.values())
-                qdb2 = {
-                    "passes": bool(worst < config.tol_qdb),
-                    "max_residual": worst,
-                    "per_s": per_s,
-                    "taus": list(taus),
-                }
-            except SingularWeight:
-                qdb2 = None
+        heis = [heisenberg_dual(source.map_at(tau)) for tau in qdb2_taus]
+        per_s = {
+            key: max(0.0, *(check_qdb2(space, g, reversal, tol=config.tol_qdb).max_residual for g in heis))
+            for key, space in spaces
+        }
+        qdb2 = {**_balance_section(per_s, config.tol_qdb), "taus": list(qdb2_taus)}
 
     header = ["tau", "E", "p_plus", "p_minus", "R", "predicted", "deviation"]
     if f_factor is not None:
         header.append("F_tau")
     rows = []
     qfr_max = None
-    taus = (source.tau,) if source.kind == "single_map" else config.tau_grid
-    for tau in taus:
-        if tau is None:
-            continue
+    for tau in source.taus(config.tau_grid):
         dist = exchange_distribution(
             source.map_at(tau), source.h, config.beta_i, beta_for_ratios, tau
         )
@@ -348,7 +250,7 @@ def build_report(source, config: RunConfig, f_factor=None):
 
     verdict = {
         "schema": 1,
-        "source": source.label,
+        "source": label,
         "classification": classification,
         "qdb1": qdb1,
         "qdb2": qdb2,
@@ -436,25 +338,26 @@ def load_model(path: Path):
         obj = json.loads(path.read_text(encoding="utf-8"))
     except (OSError, json.JSONDecodeError) as exc:
         raise ConfigError(f"cannot read model file {path}: {exc}") from exc
+    if not isinstance(obj, dict):
+        raise ConfigError(f"model file {path} must hold a JSON object")
     if obj.get("schema") != 1:
         raise ConfigError(f"unsupported model schema {obj.get('schema')!r}")
     kind = obj.get("kind")
-    label = f"check_{path.stem}"
     try:
         if kind == "lindblad":
             h = HamiltonianSpec.from_matrix(_pairs_to_complex(obj["hamiltonian"]))
             gen = LindbladGenerator.canonical(h, _pairs_to_complex(obj["kossakowski"]))
-            return SemigroupSource(label, h, gen)
+            return Dynamics.semigroup(h, gen)
         if kind == "kraus":
             h = HamiltonianSpec.from_matrix(_pairs_to_complex(obj["hamiltonian"]))
             ops = tuple(_pairs_to_complex(g) for g in obj["kraus_ops"])
             channel = KrausChannel(ops)
             tau = float(obj.get("tau", float("nan")))
-            return SingleMapSource(label, h, channel, tau)
+            return Dynamics.single_map(h, channel, tau)
         if kind == "bloch4":
             h = HamiltonianSpec.from_matrix(_pairs_to_complex(obj["hamiltonian"]))
             l4 = np.real(_pairs_to_complex(obj["generator"]))
-            return SemigroupSource(label, h, bloch4_to_superop(l4))
+            return Dynamics.semigroup(h, bloch4_to_superop(l4))
     except KeyError as exc:
         raise ConfigError(f"model file misses required field {exc}") from exc
     raise ConfigError(f"unknown model kind {kind!r}")
@@ -487,41 +390,51 @@ def _verdict_flag(section) -> str:
 
 
 def _example_source(args, config: RunConfig):
+    """Scenario ``args.name`` as a dynamics source, with scenario A's
+    correction factor (None for the others)."""
     name = args.name
+    try:
+        if name == "a":
+            builder = ExampleAParams.fixed_point if args.q_schedule == "fpt" else ExampleAParams.default
+            p = builder(args.omega, config.beta_f)
+        elif name == "b":
+            p = ExampleBParams(omega=args.omega, gamma=args.gamma, beta_f=config.beta_f)
+        else:
+            base = example_c_qdb_point(args.mu, args.eta, args.omega, config.beta_f)
+            # a sweep of scenario c sets the swept coefficient on the namespace
+            swept = {k: v for k, v in vars(args).items() if k in ("nu", "alpha", "chi", "zeta")}
+            p = dataclasses.replace(base, **{"nu": base.nu * args.nu_scale, **swept})
+        h = p.hamiltonian()
+    except ValueError as exc:
+        raise ConfigError(f"scenario {name}: {exc}") from exc
     if name == "a":
-        builder = ExampleAParams.fixed_point if args.q_schedule == "fpt" else ExampleAParams.default
-        p = builder(args.omega, config.beta_f)
         return (
-            ChannelFamilySource("example_a", p.hamiltonian(), lambda tau: example_a_channel(p, tau)),
+            Dynamics.channel_family(h, lambda tau: example_a_channel(p, tau)),
             lambda tau: example_a_f_factor(p, tau),
         )
     if name == "b":
-        pb = ExampleBParams(omega=args.omega, gamma=args.gamma, beta_f=config.beta_f)
-        gen = example_b_generator(pb)
+        gen = example_b_generator(p)
         if getattr(args, "save_model", None):
             save_model(gen, Path(args.save_model))
-        return SemigroupSource("example_b", pb.hamiltonian(), gen), None
-    if name == "c":
-        base = example_c_qdb_point(args.mu, args.eta, args.omega, config.beta_f)
-        params = dataclasses.replace(base, nu=base.nu * args.nu_scale)
-        sup = example_c_generator(params, cptp_tol=config.tol_cptp)
-        return SemigroupSource("example_c", params.hamiltonian(), sup), None
-    raise ConfigError(f"unknown example {name!r}")
+        return Dynamics.semigroup(h, gen), None
+    return Dynamics.semigroup(h, example_c_generator(p, cptp_tol=config.tol_cptp)), None
 
 
 def cmd_example(args, config: RunConfig) -> int:
     source, f_factor = _example_source(args, config)
-    header, rows, verdict = build_report(source, config, f_factor)
+    label = f"example_{args.name}"
+    header, rows, verdict = build_report(label, source, config, f_factor)
     verdict["example"] = args.name
-    _emit(source.label, header, rows, verdict, config)
+    _emit(label, header, rows, verdict, config)
     return EXIT_OK
 
 
 def cmd_check(args, config: RunConfig) -> int:
     source = load_model(args.model)
-    header, rows, verdict = build_report(source, config)
+    label = f"check_{Path(args.model).stem}"
+    header, rows, verdict = build_report(label, source, config)
     verdict["model"] = str(args.model)
-    _emit(source.label, header, rows, verdict, config)
+    _emit(label, header, rows, verdict, config)
     return EXIT_OK
 
 
@@ -535,33 +448,19 @@ _SWEEPABLE = {
 
 def _sweep_source(target: str, param: str, value: float, args, config: RunConfig):
     """Build the swept source; returns (source, config) with overrides applied."""
-    if target in ("a", "b", "c"):
-        allowed = _SWEEPABLE[target]
-    else:
-        allowed = _SWEEPABLE["model"]
+    allowed = _SWEEPABLE.get(target, _SWEEPABLE["model"])
     if param not in allowed:
         raise UnknownParameter(
             f"parameter {param!r} is not sweepable for {target!r}; choose from {allowed}"
         )
-    if param == "beta_i":
-        config = dataclasses.replace(config, beta_i=value)
-    ns = argparse.Namespace(**vars(args))
-    ns.name = target
-    if param in ("omega", "gamma", "mu", "eta"):
-        setattr(ns, param, value)
-    if param == "beta_f":
-        config = dataclasses.replace(config, beta_f=value)
-    if target in ("a", "b"):
-        source, _ = _example_source(ns, config)
-    elif target == "c":
-        base = example_c_qdb_point(ns.mu, ns.eta, ns.omega, config.beta_f)
-        params = dataclasses.replace(base, nu=base.nu * ns.nu_scale)
-        if param in ("nu", "alpha", "chi", "zeta"):
-            params = dataclasses.replace(params, **{param: value})
-        sup = example_c_generator(params, cptp_tol=config.tol_cptp)
-        source = SemigroupSource("example_c", params.hamiltonian(), sup)
+    ns = argparse.Namespace(**vars(args), name=target)
+    if param in ("beta_i", "beta_f"):
+        config = dataclasses.replace(config, **{param: value})
     else:
-        source = load_model(target)
+        setattr(ns, param, value)
+    if target not in ("a", "b", "c"):
+        return load_model(target), config
+    source, _ = _example_source(ns, config)
     return source, config
 
 
@@ -581,7 +480,7 @@ def cmd_sweep(args, config: RunConfig) -> int:
     rows = []
     for value in values:
         source, cfg = _sweep_source(args.target, args.parameter, float(value), args, config)
-        _, _, verdict = build_report(source, cfg)
+        _, _, verdict = build_report(args.target, source, cfg)
         q1, q2 = verdict["qdb1"], verdict["qdb2"]
         rows.append(
             [

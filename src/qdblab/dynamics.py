@@ -17,6 +17,7 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 
@@ -70,18 +71,6 @@ class SuperOperator:
         if x.shape != (d, d):
             raise DimensionMismatch(f"operand shape {x.shape} does not match dim {d}")
         return unvec(self.matrix @ vec(x), d, d)
-
-    def hermiticity_residual(self, rng_probe: int = 5) -> float:
-        """Worst deviation from Hermiticity preservation on a fixed probe set."""
-        d = self.dim
-        worst = 0.0
-        rng = np.random.default_rng(11)
-        for _ in range(rng_probe):
-            a = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
-            x = a + dag(a)
-            out = self.apply_matrix(x)
-            worst = max(worst, float(np.max(np.abs(out - dag(out)))))
-        return worst
 
 
 @dataclass(frozen=True)
@@ -249,7 +238,9 @@ def dual_superop(gen: LindbladGenerator) -> SuperOperator:
     """Heisenberg-picture generator matrix.
 
     Implements ``+i[H, .] + sum_kl C_kl (F_l^dag . F_k - {F_l^dag F_k, .}/2)``,
-    the trace dual of :func:`lindblad_superop`.
+    the trace dual of :func:`lindblad_superop`.  The library takes duals
+    with :func:`heisenberg_dual`; this literal transcription of the formula
+    is kept as the reference the tests compare that route against.
     """
     d = gen.dim
     eye = np.eye(d, dtype=complex)
@@ -268,12 +259,14 @@ def dual_superop(gen: LindbladGenerator) -> SuperOperator:
     return SuperOperator(m, HEISENBERG)
 
 
-def heisenberg_dual(s: SuperOperator) -> SuperOperator:
+def heisenberg_dual(s: SuperOperator | KrausChannel) -> SuperOperator:
     """Dual map under the trace pairing ``Tr[S[x] y] == Tr[x S#[y]]``.
 
-    Works for generators and for finite-time maps alike and toggles the
-    picture tag.
+    Works for generators and for finite-time maps alike, given as a
+    SuperOperator or a KrausChannel, and toggles the picture tag.
     """
+    if isinstance(s, KrausChannel):
+        s = superop_from_channel(s)
     k = matlin.transpose_superop(s.dim)
     flipped = HEISENBERG if s.picture == SCHRODINGER else SCHRODINGER
     return SuperOperator(k @ s.matrix.T @ k, flipped)
@@ -380,3 +373,50 @@ def apply(channel_or_superop, rho: DensityMatrix) -> DensityMatrix:
     else:
         raise TypeError(f"cannot apply object of type {type(channel_or_superop).__name__}")
     return DensityMatrix((out + dag(out)) / 2)
+
+
+@dataclass(frozen=True)
+class Dynamics:
+    """One dynamics to verify: a semigroup, a channel family or a single map.
+
+    Exactly one of ``generator`` (a Schroedinger-picture generator
+    superoperator), ``family`` (a callable ``tau -> KrausChannel``) and
+    ``channel`` (one Kraus map, taken at time ``tau``) is set; build a value
+    with :meth:`semigroup`, :meth:`channel_family` or :meth:`single_map`.
+    """
+
+    h: HamiltonianSpec
+    generator: SuperOperator | None
+    family: Callable[[float], KrausChannel] | None
+    channel: KrausChannel | None
+    tau: float | None
+
+    @classmethod
+    def semigroup(cls, h: HamiltonianSpec, generator: SuperOperator | LindbladGenerator) -> "Dynamics":
+        """Semigroup of a generator ``SuperOperator`` or of a
+        ``LindbladGenerator``, whose superoperator is built here, once."""
+        if isinstance(generator, LindbladGenerator):
+            generator = lindblad_superop(generator)
+        return cls(h, generator, None, None, None)
+
+    @classmethod
+    def channel_family(cls, h: HamiltonianSpec, family: Callable[[float], KrausChannel]) -> "Dynamics":
+        return cls(h, None, family, None, None)
+
+    @classmethod
+    def single_map(cls, h: HamiltonianSpec, channel: KrausChannel, tau: float) -> "Dynamics":
+        return cls(h, None, None, channel, tau)
+
+    def map_at(self, tau: float) -> SuperOperator | KrausChannel:
+        """Schroedinger map at ``tau``: ``exp(tau L)`` as a SuperOperator for
+        a semigroup, a KrausChannel otherwise."""
+        if self.generator is not None:
+            return evolve(self.generator, tau)
+        if self.family is not None:
+            return self.family(tau)
+        return self.channel
+
+    def taus(self, grid) -> tuple:
+        """The points of ``grid`` the dynamics is defined on; a single map
+        has only its own ``tau``."""
+        return tuple(grid) if self.channel is None else (self.tau,)

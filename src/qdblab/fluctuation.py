@@ -22,6 +22,7 @@ from .errors import (
     DimensionMismatch,
     InconclusiveHorizon,
     InternalCheckError,
+    NotAState,
     NotThermal,
     NotTracePreserving,
     ZeroPopulation,
@@ -236,8 +237,10 @@ def fpt_stationarity_identity(channel_or_superop, h: HamiltonianSpec, beta_f: fl
 class Classification:
     """Outcome of the thermalization probe.
 
-    ``kind`` is ``"fpt"``, ``"thermalizing"`` or ``"non_thermalizing"``;
-    ``beta_f`` and the asymptotic state are set when they exist.
+    ``kind`` is ``"fpt"``, ``"thermalizing"`` or ``"non_thermalizing"``,
+    or ``"single_map"`` for one Kraus map, which is probed only for a
+    thermal fixed point; ``beta_f`` and the asymptotic state are set when
+    they exist.
     """
 
     kind: str
@@ -251,8 +254,28 @@ class Classification:
 
 
 ZERO_EIG_ATOL = 1e-10
+UNIT_EIG_ATOL = 1e-8
 CONVERGENCE_ATOL = 1e-7
 FIXED_POINT_ATOL = 1e-8
+
+
+def _fixed_state(col: np.ndarray, h: HamiltonianSpec):
+    """State and inverse temperature of a fixed-point eigenvector.
+
+    Returns ``(None, None)`` when the eigenvector is traceless and a ``None``
+    temperature when the state is not thermal; an eigenvector that is no
+    state raises ``NotAState``.
+    """
+    mat = unvec(col, h.dim, h.dim)
+    mat = (mat + dag(mat)) / 2
+    tr = float(np.real(np.trace(mat)))
+    if abs(tr) < 1e-12:
+        return None, None
+    state = DensityMatrix(mat / tr)
+    try:
+        return state, infer_beta(state, h)
+    except (NotThermal, ZeroPopulation):
+        return state, None
 
 
 def _classify_semigroup(l_matrix: np.ndarray, h: HamiltonianSpec) -> Classification:
@@ -264,21 +287,24 @@ def _classify_semigroup(l_matrix: np.ndarray, h: HamiltonianSpec) -> Classificat
     if rest.size and float(np.max(np.real(rest))) >= -ZERO_EIG_ATOL:
         return Classification(kind="non_thermalizing")
     gamma_min = float(np.min(-np.real(rest))) if rest.size else None
-    d = h.dim
-    col = vecs[:, int(np.argmax(zero))]
-    mat = unvec(col, d, d)
-    mat = (mat + dag(mat)) / 2
-    tr = float(np.real(np.trace(mat)))
-    if abs(tr) < 1e-12:
-        return Classification(kind="non_thermalizing", gamma_min=gamma_min)
-    state = DensityMatrix(mat / tr)
-    try:
-        beta = infer_beta(state, h)
-    except (NotThermal, ZeroPopulation):
+    state, beta = _fixed_state(vecs[:, int(np.argmax(zero))], h)
+    if beta is None:
         return Classification(kind="non_thermalizing", asymptotic_state=state, gamma_min=gamma_min)
     # Semigroups with a spectral gap converge to their unique stationary
     # state, which is then a fixed point at every time.
     return Classification(kind="fpt", beta_f=beta, asymptotic_state=state, gamma_min=gamma_min)
+
+
+def _classify_single_map(channel: KrausChannel, h: HamiltonianSpec) -> Classification:
+    eigs, vecs = np.linalg.eig(superop_from_channel(channel).matrix)
+    one = np.abs(eigs - 1.0) < UNIT_EIG_ATOL
+    if int(np.sum(one)) != 1:
+        return Classification(kind="single_map")
+    try:
+        state, beta = _fixed_state(vecs[:, int(np.argmax(one))], h)
+    except NotAState:
+        return Classification(kind="single_map")
+    return Classification(kind="single_map", beta_f=beta, asymptotic_state=state)
 
 
 def _probe_states(d: int) -> list:
@@ -306,10 +332,14 @@ def classify(
     Semigroup inputs (a ``LindbladGenerator`` or a Schroedinger-picture
     generator ``SuperOperator``) are classified spectrally: a unique zero
     eigenvalue with every other eigenvalue strictly damped, plus a thermal
-    stationary state.  A callable ``tau -> map`` is probed on a fixed state
-    set up to ``tau_max``; failure to converge raises
+    stationary state.  A single ``KrausChannel`` is classified
+    ``single_map``, with ``beta_f`` set when the eigenvalue 1 is simple and
+    its eigenvector a thermal state.  A callable ``tau -> map`` is probed on
+    a fixed state set up to ``tau_max``; failure to converge raises
     ``InconclusiveHorizon``.
     """
+    if isinstance(source, KrausChannel):
+        return _classify_single_map(source, h)
     if isinstance(source, LindbladGenerator):
         return _classify_semigroup(lindblad_superop(source).matrix, h)
     if isinstance(source, SuperOperator):

@@ -14,7 +14,6 @@ from qdblab.balance import (
     decompose,
     inner,
     r_s_superop,
-    time_reverse,
 )
 from qdblab.dynamics import (
     HEISENBERG,
@@ -222,11 +221,6 @@ class TestTimeReversal:
         assert t.kind == "custom"
         with pytest.raises(ValueError):
             TimeReversal.custom(np.array([[1.0, 1.0], [0.0, 1.0]]))
-
-    def test_function_alias(self, rng):
-        t = TimeReversal.conjugation(2)
-        a = random_complex(rng, 2)
-        np.testing.assert_array_equal(time_reverse(t, a), t.apply(a))
 
 
 class TestQdb2:

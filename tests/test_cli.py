@@ -1,6 +1,13 @@
 import json
+import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
+
+import qdblab
 
 from qdblab.cli import (
     EXIT_CONFIG,
@@ -153,6 +160,28 @@ class TestCheckCommand:
         verdict = json.loads((tmp_path / "check_gad_verdict.json").read_text())
         assert verdict["classification"]["kind"] == "single_map"
         assert verdict["qdb1"] is None
+        # the fixed point holds the excited level with probability q(1); omega = 1
+        q1 = ExampleAParams.default(1.0, 1.0).q_schedule(1.0)
+        assert verdict["classification"]["beta_f"] == pytest.approx(math.log((1 - q1) / q1), rel=1e-12)
+
+    def test_identity_kraus_model_has_no_fixed_point_temperature(self, tmp_path):
+        model_path = tmp_path / "identity.json"
+        model_path.write_text(
+            json.dumps(
+                {
+                    "schema": 1,
+                    "kind": "kraus",
+                    "hamiltonian": [[[-0.5, 0], [0, 0]], [[0, 0], [0.5, 0]]],
+                    "kraus_ops": [[[[1, 0], [0, 0]], [[0, 0], [1, 0]]]],
+                    "tau": 1.0,
+                }
+            )
+        )
+        assert run(tmp_path, "check", str(model_path), *FAST) == EXIT_OK
+        verdict = json.loads((tmp_path / "check_identity_verdict.json").read_text())
+        assert verdict["classification"]["kind"] == "single_map"
+        assert verdict["classification"]["beta_f"] is None
+        assert verdict["qdb2"] is None
 
     def test_bloch4_model_loads(self, tmp_path):
         from qdblab.examples import example_c_bloch_matrix, example_c_qdb_point
@@ -230,9 +259,57 @@ class TestConfigValidation:
     def test_decreasing_grid_rejected(self, tmp_path):
         assert run(tmp_path, "example", "b", "--tau-grid", "2,1") == EXIT_CONFIG
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("example", "b", "--s-grid", "0,2"),
+            ("example", "b", "--beta-f", "inf"),
+            ("example", "b", "--beta-i", "nan"),
+            ("example", "b", "--gamma", "-1"),
+            ("example", "a", "--omega", "-1"),
+            ("sweep", "b", "--parameter", "gamma", "--range=-1:1:3"),
+            ("check", "LIST_MODEL"),
+        ],
+        ids=["s-outside-unit", "beta-f-inf", "beta-i-nan", "gamma-negative", "omega-negative",
+             "sweep-gamma-negative", "model-not-object"],
+    )
+    def test_out_of_range_input_exits_2(self, tmp_path, capsys, argv):
+        list_model = tmp_path / "list.json"
+        list_model.write_text(json.dumps([{"schema": 1, "kind": "lindblad"}]))
+        argv = [str(list_model) if a == "LIST_MODEL" else a for a in argv]
+        assert run(tmp_path, *argv) == EXIT_CONFIG
+        assert capsys.readouterr().err.startswith("ConfigError: ")
+
     def test_bad_tolerance_rejected(self, tmp_path):
         assert run(tmp_path, "example", "b", "--tol-qdb", "0") == EXIT_CONFIG
 
     def test_usage_error_exits_2(self, tmp_path, capsys):
         assert main(["example", "zzz"]) == EXIT_CONFIG
         capsys.readouterr()
+
+
+def test_example_b_builds_its_generator_once(tmp_path, monkeypatch):
+    from qdblab import dynamics
+
+    original = dynamics.lindblad_superop
+    calls = []
+
+    def counted(gen):
+        calls.append(gen)
+        return original(gen)
+
+    for name, module in list(sys.modules.items()):
+        if name.startswith("qdblab") and getattr(module, "lindblad_superop", None) is original:
+            monkeypatch.setattr(module, "lindblad_superop", counted)
+    assert run(tmp_path, "example", "b") == EXIT_OK
+    assert len(calls) == 1
+
+
+def test_module_entry_point_runs_without_warnings():
+    src = str(Path(qdblab.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    proc = subprocess.run(
+        [sys.executable, "-m", "qdblab.cli", "--help"], capture_output=True, text=True, env=env, timeout=60
+    )
+    assert proc.returncode == 0
+    assert proc.stderr == ""
