@@ -189,16 +189,6 @@ class TimeReversal:
         return self.unitary @ a.T @ dag(self.unitary)
 
 
-def _matrix_units(d: int):
-    units = []
-    for i in range(d):
-        for j in range(d):
-            m = np.zeros((d, d), dtype=complex)
-            m[i, j] = 1.0
-            units.append(m)
-    return units
-
-
 @dataclass(frozen=True)
 class Qdb2Report:
     max_residual: float
@@ -213,22 +203,21 @@ def check_qdb2(
 ) -> Qdb2Report:
     """Map-level detailed balance via time reversal.
 
-    Checks ``<<A^dag, G#[B]>> == <<T[B^dag], G#[T[A]]>>`` on the full
-    matrix-unit basis; linearity extends the identity to all operators.
+    Checks ``<<A^dag, G#[B]>> == <<T[B^dag], G#[T[A]]>>`` as the identity
+    ``K W G == ((Theta K)^dag W G Theta).T`` of superoperator matrices: with
+    the transpose permutation ``K``, column stacking gives ``vec(A^dag) ==
+    K conj(vec(A))`` and ``vec(T[A]) == Theta vec(A)`` for ``Theta = (conj(U)
+    (x) U) K``, so entry ``(a, b)`` holds both sides for the matrix units
+    ``e_a, e_b``.  The residual is the largest defect.
     """
     if map_heis.picture != HEISENBERG:
         raise ValueError("check_qdb2 expects a Heisenberg-picture map")
     if map_heis.dim != space.dim or t.dim != space.dim:
         raise DimensionMismatch("space, map and time reversal must share one dimension")
-    units = _matrix_units(space.dim)
-    g_of = [map_heis.apply_matrix(u) for u in units]
-    g_of_t = [map_heis.apply_matrix(t.apply(u)) for u in units]
-    worst = 0.0
-    for ia, a in enumerate(units):
-        for ib, b in enumerate(units):
-            lhs = inner(space, dag(a), g_of[ib])
-            rhs = inner(space, t.apply(dag(b)), g_of_t[ia])
-            worst = max(worst, abs(lhs - rhs))
+    k = matlin.transpose_superop(space.dim)
+    theta = kron(t.unitary.conj(), t.unitary) @ k
+    wg = space.weight @ map_heis.matrix
+    worst = float(np.max(np.abs(k @ wg - (dag(theta @ k) @ wg @ theta).T)))
     return Qdb2Report(max_residual=worst, passes=worst < tol)
 
 

@@ -99,6 +99,8 @@ class RunConfig:
                 raise ConfigError(f"{name} must be strictly increasing")
         if not all(0.0 <= s <= 1.0 for s in self.s_grid):
             raise ConfigError("s-grid values must lie in [0, 1]")
+        if not all(_is_tau(t) for t in self.tau_grid):
+            raise ConfigError("tau-grid values must be finite and nonnegative")
         for name, beta in (("beta-i", self.beta_i), ("beta-f", self.beta_f)):
             if not math.isfinite(beta):
                 raise ConfigError(f"{name} must be finite")
@@ -113,6 +115,11 @@ class RunConfig:
             raise ConfigError(f"format must be csv or json, got {self.fmt!r}")
         if self.beta_i < 0:
             raise ConfigError("beta-i must be nonnegative")
+
+
+def _is_tau(t) -> bool:
+    """A finite, nonnegative number (JSON booleans excluded)."""
+    return isinstance(t, (int, float)) and not isinstance(t, bool) and math.isfinite(t) and t >= 0
 
 
 def parse_grid(spec: str) -> tuple:
@@ -350,10 +357,13 @@ def load_model(path: Path):
             return Dynamics.semigroup(h, gen)
         if kind == "kraus":
             h = HamiltonianSpec.from_matrix(_pairs_to_complex(obj["hamiltonian"]))
-            ops = tuple(_pairs_to_complex(g) for g in obj["kraus_ops"])
-            channel = KrausChannel(ops)
-            tau = float(obj.get("tau", float("nan")))
-            return Dynamics.single_map(h, channel, tau)
+            if not isinstance(obj["kraus_ops"], list):
+                raise ConfigError("kraus_ops must be a list of matrices")
+            channel = KrausChannel(tuple(_pairs_to_complex(g) for g in obj["kraus_ops"]))
+            tau = obj.get("tau", math.nan)
+            if "tau" in obj and not _is_tau(tau):
+                raise ConfigError(f"tau must be a finite number >= 0, got {tau!r}")
+            return Dynamics.single_map(h, channel, float(tau))
         if kind == "bloch4":
             h = HamiltonianSpec.from_matrix(_pairs_to_complex(obj["hamiltonian"]))
             l4 = np.real(_pairs_to_complex(obj["generator"]))

@@ -157,13 +157,13 @@ class LindbladGenerator:
         lo = float(np.min(np.linalg.eigvalsh((c + dag(c)) / 2)))
         if lo < -PSD_ATOL:
             raise KossakowskiNotPSD(f"Kossakowski matrix has negative eigenvalue {lo:.3e}")
-        for k, fk in enumerate(basis):
-            if abs(np.trace(fk)) > BASIS_ATOL:
-                raise ValueError(f"dissipator basis matrix {k} is not traceless")
-            for l, fl in enumerate(basis):
-                g = complex(np.trace(dag(fk) @ fl))
-                if abs(g - (1.0 if k == l else 0.0)) > BASIS_ATOL:
-                    raise ValueError("dissipator basis is not orthonormal")
+        stack = np.array(basis)
+        traced = np.flatnonzero(np.abs(np.trace(stack, axis1=1, axis2=2)) > BASIS_ATOL)
+        if traced.size:
+            raise ValueError(f"dissipator basis matrix {traced[0]} is not traceless")
+        gram = np.einsum("kab,lab->kl", stack.conj(), stack)
+        if float(np.max(np.abs(gram - np.eye(n)))) > BASIS_ATOL:
+            raise ValueError("dissipator basis is not orthonormal")
 
     @property
     def dim(self) -> int:
@@ -289,22 +289,14 @@ def superop_from_channel(channel: KrausChannel) -> SuperOperator:
 
 
 def choi_matrix(s: SuperOperator) -> np.ndarray:
+    """``sum_ij |i><j| (x) S[|i><j|]``: block ``(i, j)`` holds the column
+    ``j d + i`` of ``S``, unvectorized, so the Choi matrix is a reshuffle."""
     d = s.dim
-    choi = np.zeros((d * d, d * d), dtype=complex)
-    for i in range(d):
-        for j in range(d):
-            unit = np.zeros((d, d), dtype=complex)
-            unit[i, j] = 1.0
-            choi[i * d : (i + 1) * d, j * d : (j + 1) * d] = s.apply_matrix(unit)
-    return choi
+    return s.matrix.reshape(d, d, d, d).transpose(3, 1, 2, 0).reshape(d * d, d * d)
 
 
 def _partial_trace_out(choi: np.ndarray, d: int) -> np.ndarray:
-    out = np.zeros((d, d), dtype=complex)
-    for i in range(d):
-        for j in range(d):
-            out[i, j] = np.trace(choi[i * d : (i + 1) * d, j * d : (j + 1) * d])
-    return out
+    return np.trace(choi.reshape(d, d, d, d), axis1=1, axis2=3)
 
 
 @dataclass(frozen=True)
@@ -318,7 +310,10 @@ class CptpReport:
 
 
 def is_cptp(s: SuperOperator) -> CptpReport:
-    """Report-style CPTP diagnostics of a Schroedinger-picture map."""
+    """Report-style CPTP diagnostics of a Schroedinger-picture map; a map
+    with non-finite entries gets infinite residuals."""
+    if not np.all(np.isfinite(s.matrix)):
+        return CptpReport(math.inf, math.inf, math.inf)
     d = s.dim
     choi = choi_matrix(s)
     herm_res = matlin.frobenius(choi - dag(choi))

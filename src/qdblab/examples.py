@@ -84,6 +84,8 @@ class ExampleAParams:
     def __post_init__(self):
         if self.omega <= 0 or self.beta_f < 0:
             raise ValueError("need omega > 0 and beta_f >= 0")
+        if self.q_inf == 0.0:
+            raise ValueError(f"thermal bias at beta_f omega = {self.beta_f * self.omega:g} rounds to 0")
         if abs(self.xi_schedule(0.0)) > 1e-12:
             raise ScheduleOutOfRange("xi schedule must vanish at tau = 0")
         if abs(self.xi_schedule(HORIZON_TAU) - 1.0) > 1e-10:
@@ -172,6 +174,10 @@ class ExampleBParams:
     def __post_init__(self):
         if self.omega <= 0 or self.gamma <= 0 or self.beta_f <= 0:
             raise ValueError("need omega > 0, gamma > 0 and beta_f > 0")
+        try:
+            math.expm1(self.beta_f * self.omega)
+        except OverflowError as exc:
+            raise ValueError(f"e^(beta_f omega) overflows at beta_f omega = {self.beta_f * self.omega:g}") from exc
 
     @property
     def n_bar(self) -> float:
@@ -277,7 +283,10 @@ class ExampleCParams:
 
 def example_c_qdb_point(mu: float, eta: float, omega: float, beta_f: float) -> ExampleCParams:
     """Parameters reproducing :func:`example_qdb_family` in Bloch coordinates."""
-    boltz = math.exp(beta_f * omega)
+    try:
+        boltz = math.exp(beta_f * omega)
+    except OverflowError as exc:
+        raise ValueError(f"e^(beta_f omega) overflows at beta_f omega = {beta_f * omega:g}") from exc
     return ExampleCParams(
         omega=omega,
         nu=eta + 0.25 * mu * (1.0 + boltz),

@@ -106,8 +106,4 @@ def unvec(v: np.ndarray, rows: int, cols: int) -> np.ndarray:
 
 def transpose_superop(d: int) -> np.ndarray:
     """Permutation matrix ``K`` with ``K @ vec(M) == vec(M.T)``."""
-    k = np.zeros((d * d, d * d), dtype=complex)
-    for i in range(d):
-        for j in range(d):
-            k[i * d + j, j * d + i] = 1.0
-    return k
+    return np.eye(d * d, dtype=complex)[np.arange(d * d).reshape(d, d).T.ravel()]

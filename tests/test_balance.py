@@ -241,6 +241,40 @@ class TestQdb2:
         report = check_qdb2(space, heis, TimeReversal.conjugation(2))
         assert report.passes and report.max_residual < 1e-10
 
+    @pytest.mark.parametrize(
+        "d, kind",
+        [(2, "conjugation"), (3, "conjugation"), (4, "conjugation"), (2, "spin_half"),
+         (2, "reflection"), (3, "reflection"), (4, "reflection")],
+    )
+    def test_matches_matrix_unit_definition(self, rng, d, kind):
+        # the identity checked on every pair of matrix units, literally
+        if kind == "conjugation":
+            t = TimeReversal.conjugation(d)
+        elif kind == "spin_half":
+            t = TimeReversal.spin_half()
+        else:
+            v = rng.normal(size=d)
+            t = TimeReversal.custom(np.eye(d) - 2 * np.outer(v, v) / (v @ v))
+        units = matrix_units(d)
+        sigma = random_density(rng, d)
+        maps = [
+            SuperOperator(random_complex(rng, d * d), HEISENBERG),
+            evolve(dual_superop(random_lindblad(rng, d)), 0.7),
+        ]
+        for s in (0.0, 0.3, 1.0):
+            space = WeightedSpace(sigma, s)
+            for g in maps:
+                literal = max(
+                    abs(
+                        inner(space, dag(a), g.apply_matrix(b))
+                        - inner(space, t.apply(dag(b)), g.apply_matrix(t.apply(a)))
+                    )
+                    for a in units
+                    for b in units
+                )
+                report = check_qdb2(space, g, t)
+                assert report.max_residual == pytest.approx(literal, rel=1e-12)
+
     def test_requires_heisenberg_picture(self, rng):
         gen = random_lindblad(rng, 2)
         space = WeightedSpace(random_density(rng, 2), 0.5)

@@ -269,16 +269,44 @@ class TestConfigValidation:
             ("example", "a", "--omega", "-1"),
             ("sweep", "b", "--parameter", "gamma", "--range=-1:1:3"),
             ("check", "LIST_MODEL"),
+            ("example", "b", "--tau-grid=-1,1"),
+            ("example", "b", "--tau-grid=1,inf"),
+            ("example", "b", "--tau-grid=0,nan"),
+            ("check", "KRAUS_TAU_NULL"),
+            ("check", "KRAUS_TAU_TEXT"),
+            ("check", "KRAUS_OPS_NUMBER"),
+            ("example", "a", "--beta-f", "40"),
+            ("example", "b", "--beta-f", "710"),
+            ("example", "c", "--beta-f", "710"),
         ],
         ids=["s-outside-unit", "beta-f-inf", "beta-i-nan", "gamma-negative", "omega-negative",
-             "sweep-gamma-negative", "model-not-object"],
+             "sweep-gamma-negative", "model-not-object", "tau-negative", "tau-inf", "tau-nan",
+             "kraus-tau-null", "kraus-tau-text", "kraus-ops-number", "a-bias-underflow",
+             "b-boltzmann-overflow", "c-boltzmann-overflow"],
     )
     def test_out_of_range_input_exits_2(self, tmp_path, capsys, argv):
-        list_model = tmp_path / "list.json"
-        list_model.write_text(json.dumps([{"schema": 1, "kind": "lindblad"}]))
-        argv = [str(list_model) if a == "LIST_MODEL" else a for a in argv]
+        kraus = {
+            "schema": 1,
+            "kind": "kraus",
+            "hamiltonian": [[[-0.5, 0], [0, 0]], [[0, 0], [0.5, 0]]],
+            "kraus_ops": [[[[1, 0], [0, 0]], [[0, 0], [1, 0]]]],
+        }
+        models = {
+            "LIST_MODEL": [{"schema": 1, "kind": "lindblad"}],
+            "KRAUS_TAU_NULL": {**kraus, "tau": None},
+            "KRAUS_TAU_TEXT": {**kraus, "tau": "abc"},
+            "KRAUS_OPS_NUMBER": {**kraus, "kraus_ops": 5},
+        }
+        for name, obj in models.items():
+            (tmp_path / f"{name}.json").write_text(json.dumps(obj))
+        argv = [str(tmp_path / f"{a}.json") if a in models else a for a in argv]
         assert run(tmp_path, *argv) == EXIT_CONFIG
         assert capsys.readouterr().err.startswith("ConfigError: ")
+
+    def test_scenario_c_at_low_temperature_is_not_cptp(self, tmp_path, capsys):
+        # e^(beta omega) is finite but the induced maps overflow to inf/nan
+        assert run(tmp_path, "example", "c", "--beta-f", "200") == EXIT_MODEL
+        assert capsys.readouterr().err.startswith("NotCPTP: ")
 
     def test_bad_tolerance_rejected(self, tmp_path):
         assert run(tmp_path, "example", "b", "--tol-qdb", "0") == EXIT_CONFIG

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from conftest import random_complex, random_density, random_hamiltonian, random_lindblad
+from conftest import level_unit, random_complex, random_density, random_hamiltonian, random_lindblad
 from qdblab import matlin
 from qdblab.dynamics import (
     HEISENBERG,
@@ -10,6 +10,7 @@ from qdblab.dynamics import (
     KrausChannel,
     LindbladGenerator,
     SuperOperator,
+    _partial_trace_out,
     apply,
     channel_from_superop,
     choi_matrix,
@@ -150,6 +151,14 @@ class TestCptp:
         assert abs(report.cp_residual - 1.0) < 1e-12
         assert report.tp_residual < 1e-12
 
+    def test_non_finite_map_has_infinite_residuals(self):
+        m = np.eye(4, dtype=complex)
+        m[0, 3] = np.nan
+        m[3, 0] = np.inf
+        report = is_cptp(SuperOperator(m, SCHRODINGER))
+        assert report == CptpReport(np.inf, np.inf, np.inf)
+        assert not report.passes()
+
     def test_report_fields_nonnegative(self, rng):
         report = is_cptp(evolve(lindblad_superop(random_lindblad(rng, 2)), 0.5))
         assert isinstance(report, CptpReport)
@@ -184,6 +193,22 @@ class TestChoiAndKraus:
             for j in range(2):
                 bell[i * 2 + i, j * 2 + j] = 1.0
         np.testing.assert_allclose(choi, bell, atol=1e-14)
+
+    @pytest.mark.parametrize("d", [2, 3, 4])
+    def test_choi_matches_matrix_unit_definition(self, rng, d):
+        s = SuperOperator(random_complex(rng, d * d), SCHRODINGER)
+        literal = sum(
+            kron(level_unit(d, i, j), s.apply_matrix(level_unit(d, i, j)))
+            for i in range(d)
+            for j in range(d)
+        )
+        np.testing.assert_array_equal(choi_matrix(s), literal)
+        blocks = [
+            [np.trace(literal[i * d : (i + 1) * d, j * d : (j + 1) * d]) for j in range(d)] for i in range(d)
+        ]
+        # the partial trace may sum each block's diagonal in another order
+        atol = d * np.finfo(float).eps * np.max(np.abs(literal))
+        np.testing.assert_allclose(_partial_trace_out(literal, d), blocks, rtol=0, atol=atol)
 
     def test_kraus_decomposition_roundtrip(self, rng):
         gen = random_lindblad(rng, 2)
@@ -227,6 +252,24 @@ class TestLindbladGeneratorValidation:
         c = np.array([[1.0, 0.5], [0.0, 1.0]])
         with pytest.raises(KossakowskiNotPSD):
             LindbladGenerator(h, np.pad(c, ((0, 1), (0, 1))), tuple(gell_mann_basis(2)[:3]))
+
+    def test_rejects_basis_with_trace(self, rng):
+        h = random_hamiltonian(rng, 2)
+        basis = list(gell_mann_basis(2)[:3])
+        basis[1] = np.diag([1.0, 0.0]).astype(complex)
+        with pytest.raises(ValueError, match="matrix 1 is not traceless"):
+            LindbladGenerator(h, np.eye(3), tuple(basis))
+
+    @pytest.mark.parametrize("defect", ["scaled", "oblique"])
+    def test_rejects_non_orthonormal_basis(self, rng, defect):
+        h = random_hamiltonian(rng, 2)
+        basis = list(gell_mann_basis(2)[:3])
+        if defect == "scaled":
+            basis[2] = 2 * basis[2]
+        else:
+            basis[2] = (basis[1] + basis[2]) / np.sqrt(2)
+        with pytest.raises(ValueError, match="not orthonormal"):
+            LindbladGenerator(h, np.eye(3), tuple(basis))
 
     def test_rejects_wrong_basis_size(self, rng):
         h = random_hamiltonian(rng, 2)
