@@ -10,6 +10,7 @@ so the adjoint of a superoperator ``O`` is ``W^-1 O^dag W``.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -59,11 +60,11 @@ class WeightedSpace:
         w, v = self._eigvals, self._eigvecs
         return (v * np.power(w, p)) @ dag(v)
 
-    @property
+    @cached_property
     def weight(self) -> np.ndarray:
         return kron(self.sigma_power(1.0 - self.s).T, self.sigma_power(self.s))
 
-    @property
+    @cached_property
     def weight_inv(self) -> np.ndarray:
         return kron(self.sigma_power(-(1.0 - self.s)).T, self.sigma_power(-self.s))
 
@@ -163,6 +164,10 @@ class TimeReversal:
             np.max(np.abs(uu - phase * np.eye(d)))
         ) > REVERSAL_ATOL:
             raise ValueError("time reversal would not square to the identity map")
+        # superoperator matrices of transposition (K) and of the reversal (Theta)
+        k = matlin.transpose_superop(d)
+        object.__setattr__(self, "_k", k)
+        object.__setattr__(self, "_theta", kron(u.conj(), u) @ k)
 
     @classmethod
     def conjugation(cls, dim: int = 2) -> "TimeReversal":
@@ -214,8 +219,7 @@ def check_qdb2(
         raise ValueError("check_qdb2 expects a Heisenberg-picture map")
     if map_heis.dim != space.dim or t.dim != space.dim:
         raise DimensionMismatch("space, map and time reversal must share one dimension")
-    k = matlin.transpose_superop(space.dim)
-    theta = kron(t.unitary.conj(), t.unitary) @ k
+    k, theta = t._k, t._theta
     wg = space.weight @ map_heis.matrix
     worst = float(np.max(np.abs(k @ wg - (dag(theta @ k) @ wg @ theta).T)))
     return Qdb2Report(max_residual=worst, passes=worst < tol)

@@ -220,8 +220,11 @@ def build_report(label: str, source: Dynamics, config: RunConfig, f_factor=None)
     qdb2 = None
     qdb2_taus = tuple(t for t in source.taus(QDB2_TAUS) if math.isfinite(t))
     if spaces and qdb2_taus:
-        reversal = TimeReversal.conjugation(source.h.dim)
-        heis = [heisenberg_dual(source.map_at(tau)) for tau in qdb2_taus]
+        # complex conjugation in H's eigenbasis V: the antiunitary V conj(V^dag .)
+        # has unitary part V V^T, which is I for a diagonal H
+        v = source.h.eigenvectors
+        reversal = TimeReversal(v @ v.T, "conjugation")
+        heis = [heisenberg_dual(g) for g in source.maps(qdb2_taus)]
         per_s = {
             key: max(0.0, *(check_qdb2(space, g, reversal, tol=config.tol_qdb).max_residual for g in heis))
             for key, space in spaces
@@ -233,10 +236,9 @@ def build_report(label: str, source: Dynamics, config: RunConfig, f_factor=None)
         header.append("F_tau")
     rows = []
     qfr_max = None
-    for tau in source.taus(config.tau_grid):
-        dist = exchange_distribution(
-            source.map_at(tau), source.h, config.beta_i, beta_for_ratios, tau
-        )
+    taus = source.taus(config.tau_grid)
+    for tau, g in zip(taus, source.maps(taus)):
+        dist = exchange_distribution(g, source.h, config.beta_i, beta_for_ratios, tau)
         ratios = {round(r.energy, 12): r for r in qfr_ratio(dist)}
         for gap in dist.gaps:
             rec = ratios.get(round(gap.energy, 12))

@@ -274,9 +274,18 @@ def heisenberg_dual(s: SuperOperator | KrausChannel) -> SuperOperator:
 
 def evolve(superop: SuperOperator, tau: float) -> SuperOperator:
     """Finite-time map ``exp(tau * L)`` of a generator superoperator."""
-    if tau < 0:
+    return evolve_grid(superop, (tau,))[0]
+
+
+def evolve_grid(superop: SuperOperator, taus) -> tuple:
+    """The maps ``exp(tau * L)`` for every ``tau`` of ``taus``, from one
+    stacked matrix exponential."""
+    taus = np.asarray(taus, dtype=float).reshape(-1)
+    if np.any(taus < 0):
         raise ValueError("tau must be nonnegative")
-    return SuperOperator(matlin.expm(tau * superop.matrix), superop.picture)
+    with np.errstate(over="ignore"):  # tau L may overflow; expm turns it to nan
+        stack = matlin.expm(taus[:, None, None] * superop.matrix)
+    return tuple(SuperOperator(m, superop.picture) for m in stack)
 
 
 def superop_from_channel(channel: KrausChannel) -> SuperOperator:
@@ -402,14 +411,15 @@ class Dynamics:
     def single_map(cls, h: HamiltonianSpec, channel: KrausChannel, tau: float) -> "Dynamics":
         return cls(h, None, None, channel, tau)
 
-    def map_at(self, tau: float) -> SuperOperator | KrausChannel:
-        """Schroedinger map at ``tau``: ``exp(tau L)`` as a SuperOperator for
-        a semigroup, a KrausChannel otherwise."""
+    def maps(self, taus) -> tuple:
+        """Schroedinger maps at every point of ``taus``: for a semigroup the
+        SuperOperators ``exp(tau L)`` from one stacked exponential, otherwise
+        KrausChannels."""
         if self.generator is not None:
-            return evolve(self.generator, tau)
+            return evolve_grid(self.generator, taus)
         if self.family is not None:
-            return self.family(tau)
-        return self.channel
+            return tuple(self.family(tau) for tau in taus)
+        return tuple(self.channel for _ in taus)
 
     def taus(self, grid) -> tuple:
         """The points of ``grid`` the dynamics is defined on; a single map

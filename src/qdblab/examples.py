@@ -30,7 +30,7 @@ from .dynamics import (
     KrausChannel,
     LindbladGenerator,
     SuperOperator,
-    evolve,
+    evolve_grid,
     is_cptp,
 )
 from .errors import DimensionMismatch, NotCPTP, ScheduleOutOfRange
@@ -340,8 +340,8 @@ def example_c_generator(
 ) -> SuperOperator:
     """Schroedinger-picture generator; the induced maps must verify as CPTP."""
     s = bloch4_to_superop(example_c_bloch_matrix(p))
-    for tau in check_taus:
-        report = is_cptp(evolve(s, tau))
+    for tau, g in zip(check_taus, evolve_grid(s, check_taus)):
+        report = is_cptp(g)
         if not report.passes(cptp_tol):
             raise NotCPTP(
                 f"induced map at tau={tau:g} fails CPTP: cp={report.cp_residual:.3e}, "

@@ -5,14 +5,19 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import qdblab
 
+from conftest import random_complex, thermal_circulation_qutrit
 from qdblab.cli import (
     EXIT_CONFIG,
+    EXIT_INTERNAL,
     EXIT_MODEL,
     EXIT_OK,
+    RunConfig,
+    build_report,
     fmt_float,
     load_model,
     main,
@@ -20,8 +25,10 @@ from qdblab.cli import (
     parse_range,
     save_model,
 )
+from qdblab.dynamics import Dynamics, SuperOperator, lindblad_superop
 from qdblab.errors import ConfigError
 from qdblab.examples import ExampleBParams, example_b_generator
+from qdblab.states import HamiltonianSpec
 
 FAST = ["--tau-grid", "0.3,1,3", "--s-grid", "0,0.5,1"]
 
@@ -213,6 +220,25 @@ class TestCheckCommand:
             load_model(path)
 
 
+@pytest.mark.parametrize(
+    "circulation, balanced", [(0.0, True), (0.4, False)], ids=["balanced", "circulating"]
+)
+def test_qdb2_reverses_time_in_the_energy_eigenbasis(rng, tmp_path, circulation, balanced):
+    # a qutrit model with a non-diagonal H: rotate a diagonal one by a random unitary q
+    gen, h = thermal_circulation_qutrit(rng, 1.0, circulation)
+    q, _ = np.linalg.qr(random_complex(rng, 3))
+    rot = np.kron(q.conj(), q)  # vec(q X q^dag) == rot @ vec(X)
+    source = Dynamics.semigroup(
+        HamiltonianSpec.from_matrix(q @ h.matrix @ q.conj().T),
+        SuperOperator(rot @ lindblad_superop(gen).matrix @ rot.conj().T),
+    )
+    config = RunConfig((0.3, 1.0, 3.0), (0.0, 0.5, 1.0), 2.0, 1.0, 1e-9, 1e-9, 1e-9, tmp_path, "csv")
+    _, _, verdict = build_report("rotated", source, config)
+    assert verdict["classification"]["kind"] == "fpt"
+    assert verdict["qdb1"]["passes"] is balanced
+    assert verdict["qdb2"]["passes"] is balanced
+
+
 class TestSweepCommand:
     def test_balance_residual_crosses_at_symmetric_point(self, tmp_path):
         # sweeping nu through alpha: the residual vanishes exactly there
@@ -304,9 +330,16 @@ class TestConfigValidation:
         assert capsys.readouterr().err.startswith("ConfigError: ")
 
     def test_scenario_c_at_low_temperature_is_not_cptp(self, tmp_path, capsys):
-        # e^(beta omega) is finite but the induced maps overflow to inf/nan
-        assert run(tmp_path, "example", "c", "--beta-f", "200") == EXIT_MODEL
+        # e^(beta omega) is finite but tau L overflows, so the map at tau = 10 is nan
+        assert run(tmp_path, "example", "c", "--beta-f", "709") == EXIT_MODEL
         assert capsys.readouterr().err.startswith("NotCPTP: ")
+
+    @pytest.mark.parametrize("name", ["b", "c"])
+    @pytest.mark.parametrize("tau", ["1e200", "1e308"])
+    def test_huge_tau_fails_a_check_without_traceback(self, tmp_path, capsys, name, tau):
+        # the maps overflow to nan: the rows fail their probability checks
+        assert run(tmp_path, "example", name, "--tau-grid", tau) in (EXIT_MODEL, EXIT_INTERNAL)
+        assert "Traceback" not in capsys.readouterr().err
 
     def test_bad_tolerance_rejected(self, tmp_path):
         assert run(tmp_path, "example", "b", "--tol-qdb", "0") == EXIT_CONFIG
@@ -333,11 +366,19 @@ def test_example_b_builds_its_generator_once(tmp_path, monkeypatch):
     assert len(calls) == 1
 
 
-def test_module_entry_point_runs_without_warnings():
+def _fresh_interpreter(*args):
+    """``python *args`` in a new process, with this checkout's ``src`` on the path."""
     src = str(Path(qdblab.__file__).resolve().parents[1])
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
-    proc = subprocess.run(
-        [sys.executable, "-m", "qdblab.cli", "--help"], capture_output=True, text=True, env=env, timeout=60
-    )
+    return subprocess.run([sys.executable, *args], capture_output=True, text=True, env=env, timeout=60)
+
+
+def test_module_entry_point_runs_without_warnings():
+    proc = _fresh_interpreter("-m", "qdblab.cli", "--help")
     assert proc.returncode == 0
     assert proc.stderr == ""
+
+
+def test_cli_import_leaves_scipy_out():
+    proc = _fresh_interpreter("-c", "import sys, qdblab.cli; sys.exit(int('scipy' in sys.modules))")
+    assert proc.returncode == 0, proc.stderr

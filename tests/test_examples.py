@@ -258,8 +258,9 @@ class TestScenarioC:
                 example_c_qdb_point(0.5, 0.3, 0.1, 1.0),
                 nu=example_c_qdb_point(0.5, 0.3, 0.1, 1.0).nu + 0.4,
             ),  # overdamped
+            example_c_qdb_point(0.5, 0.1, 1.0, 200.0),  # rates ~1e86: every map is finite
         ],
-        ids=["oscillatory", "overdamped"],
+        ids=["oscillatory", "overdamped", "frozen"],
     )
     def test_analytic_solution_matches_numerics(self, rng, params):
         regime = params.omega**2 - (params.alpha - params.nu) ** 2

@@ -1,11 +1,16 @@
+import dataclasses
+
 import numpy as np
 import pytest
+import scipy.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import random_complex, random_hermitian
+from conftest import random_complex, random_hermitian, random_lindblad
 from qdblab import matlin
+from qdblab.dynamics import lindblad_superop
 from qdblab.errors import DimensionMismatch, NotHermitian
+from qdblab.examples import example_c_generator, example_c_qdb_point
 
 
 class TestHermEig:
@@ -50,6 +55,8 @@ class TestHermEig:
 class TestExpm:
     def test_zero_gives_identity(self):
         np.testing.assert_array_equal(matlin.expm(np.zeros((2, 2))), np.eye(2))
+        stack = matlin.expm(np.zeros((3, 16, 16)))
+        np.testing.assert_array_equal(stack, np.broadcast_to(np.eye(16), (3, 16, 16)))
 
     def test_diagonal(self):
         out = matlin.expm(np.diag([np.log(2), np.log(3)]))
@@ -85,6 +92,57 @@ class TestExpm:
     def test_rejects_non_square(self):
         with pytest.raises(DimensionMismatch):
             matlin.expm(np.zeros((2, 3)))
+
+
+class TestExpmAgainstScipy:
+    """``scipy.linalg.expm`` is the oracle; scipy is a test dependency only."""
+
+    @staticmethod
+    def assert_close(out, oracle, norm):
+        # the exponential's condition number grows with the norm
+        tol = 50 * np.finfo(float).eps * max(1.0, norm)
+        assert np.max(np.abs(out - oracle)) <= tol * np.max(np.abs(oracle))
+
+    @pytest.mark.parametrize("n", [2, 3, 4, 16])
+    @pytest.mark.parametrize("norm", [0.0, 1e-3, 1.0, 5.0, 6.0, 50.0, 1e3])
+    def test_random_complex(self, rng, n, norm):
+        # 1-norms up to 5.37 take no squaring, larger ones up to 8
+        a = random_complex(rng, n)
+        a *= norm / np.abs(a).sum(axis=0).max()
+        self.assert_close(matlin.expm(a), scipy.linalg.expm(a), norm)
+
+    def test_stack_equals_its_slices(self, rng):
+        stack = np.array([random_complex(rng, 4) * c for c in (0.0, 0.1, 1.0, 10.0, 300.0)])
+        out = matlin.expm(stack)
+        for a, x in zip(stack, out):
+            np.testing.assert_array_equal(x, matlin.expm(a))
+            self.assert_close(x, scipy.linalg.expm(a), float(np.abs(a).sum(axis=0).max()))
+        assert matlin.expm(stack.reshape(5, 1, 4, 4)).shape == (5, 1, 4, 4)
+
+    @pytest.mark.parametrize("t", [-3.0, 0.5, 2.5, 40.0])
+    def test_jordan_block(self, t):
+        out = matlin.expm(np.array([[t, 1.0], [0.0, t]]))
+        np.testing.assert_allclose(out, np.exp(t) * np.array([[1.0, 1.0], [0.0, 1.0]]), rtol=1e-14, atol=0)
+
+    def test_critically_damped_scenario_c(self):
+        # omega^2 == (alpha - nu)^2: the transverse block has one double eigenvalue
+        base = example_c_qdb_point(0.5, 0.1, 0.25, 1.0)
+        p = dataclasses.replace(base, nu=base.alpha + base.omega)
+        assert p.omega**2 == (p.alpha - p.nu) ** 2
+        l = example_c_generator(p).matrix
+        taus = np.geomspace(0.01, 50.0, 12)
+        out = matlin.expm(taus[:, None, None] * l)
+        for tau, x in zip(taus, out):
+            self.assert_close(x, scipy.linalg.expm(tau * l), tau * float(np.abs(l).sum(axis=0).max()))
+
+    def test_huge_or_non_finite_input_does_not_raise(self, rng):
+        l = lindblad_superop(random_lindblad(rng, 2)).matrix
+        assert matlin.expm(1e200 * l).shape == (4, 4)
+        bad = np.array([[np.inf, 0.0], [0.0, 1.0]])
+        assert np.isnan(matlin.expm(bad)).all()
+        out = matlin.expm(np.array([bad, np.eye(2)]))
+        assert np.isnan(out[0]).all()
+        np.testing.assert_allclose(out[1], np.e * np.eye(2), rtol=1e-15)
 
 
 class TestKronVec:
