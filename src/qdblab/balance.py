@@ -164,10 +164,6 @@ class TimeReversal:
             np.max(np.abs(uu - phase * np.eye(d)))
         ) > REVERSAL_ATOL:
             raise ValueError("time reversal would not square to the identity map")
-        # superoperator matrices of transposition (K) and of the reversal (Theta)
-        k = matlin.transpose_superop(d)
-        object.__setattr__(self, "_k", k)
-        object.__setattr__(self, "_theta", kron(u.conj(), u) @ k)
 
     @classmethod
     def conjugation(cls, dim: int = 2) -> "TimeReversal":
@@ -186,6 +182,16 @@ class TimeReversal:
     @property
     def dim(self) -> int:
         return self.unitary.shape[0]
+
+    @cached_property
+    def transposition(self) -> np.ndarray:
+        """Superoperator matrix ``K`` of ``A -> A^T``."""
+        return matlin.transpose_superop(self.dim)
+
+    @cached_property
+    def theta(self) -> np.ndarray:
+        """Superoperator matrix ``(conj(U) (x) U) K`` of the reversal."""
+        return kron(self.unitary.conj(), self.unitary) @ self.transposition
 
     def apply(self, a: np.ndarray) -> np.ndarray:
         a = np.asarray(a, dtype=complex)
@@ -219,7 +225,7 @@ def check_qdb2(
         raise ValueError("check_qdb2 expects a Heisenberg-picture map")
     if map_heis.dim != space.dim or t.dim != space.dim:
         raise DimensionMismatch("space, map and time reversal must share one dimension")
-    k, theta = t._k, t._theta
+    k, theta = t.transposition, t.theta
     wg = space.weight @ map_heis.matrix
     worst = float(np.max(np.abs(k @ wg - (dag(theta @ k) @ wg @ theta).T)))
     return Qdb2Report(max_residual=worst, passes=worst < tol)

@@ -77,6 +77,17 @@ class TestExampleCommand:
         assert verdict["qdb2"]["passes"] is False
         assert verdict["qfr_max_deviation"] < 1e-9
 
+    def test_c_at_very_low_temperature_meets_the_population_floor(self, tmp_path):
+        # the maps are finite and CPTP, but the excited population e^-200 lies
+        # below the 1e-14 floor of infer_beta: the fixed point reads as the
+        # ground state (beta_f inf) and the ratio law as failed.  A log-domain
+        # inference would report beta_f 200 instead.
+        assert run(tmp_path, "example", "c", "--beta-f", "200", *FAST) == EXIT_OK
+        verdict = json.loads((tmp_path / "example_c_verdict.json").read_text())
+        assert verdict["classification"]["kind"] == "fpt"
+        assert verdict["classification"]["beta_f"] == "inf"
+        assert verdict["qfr_passes"] is False
+
     def test_a_rows_have_correction_column(self, tmp_path):
         assert run(tmp_path, "example", "a", *FAST) == EXIT_OK
         header = (tmp_path / "example_a_rows.csv").read_text().splitlines()[0]

@@ -8,9 +8,14 @@ from hypothesis import strategies as st
 
 from conftest import random_complex, random_hermitian, random_lindblad
 from qdblab import matlin
-from qdblab.dynamics import lindblad_superop
+from qdblab.dynamics import SCHRODINGER, SuperOperator, is_cptp, lindblad_superop
 from qdblab.errors import DimensionMismatch, NotHermitian
-from qdblab.examples import example_c_generator, example_c_qdb_point
+from qdblab.examples import (
+    bloch4_to_superop,
+    example_c_bloch_matrix,
+    example_c_generator,
+    example_c_qdb_point,
+)
 
 
 class TestHermEig:
@@ -122,7 +127,34 @@ class TestExpmAgainstScipy:
     @pytest.mark.parametrize("t", [-3.0, 0.5, 2.5, 40.0])
     def test_jordan_block(self, t):
         out = matlin.expm(np.array([[t, 1.0], [0.0, t]]))
-        np.testing.assert_allclose(out, np.exp(t) * np.array([[1.0, 1.0], [0.0, 1.0]]), rtol=1e-14, atol=0)
+        self.assert_close(out, np.exp(t) * np.array([[1.0, 1.0], [0.0, 1.0]]), abs(t) + 1.0)
+
+    @pytest.mark.parametrize("c", [1e2, 1e5, 1e8, 1e12])
+    @pytest.mark.parametrize("a, b", [(1.0, -1.0), (-0.5, -3.0), (2.0, 0.0)])
+    def test_non_normal_triangular_closed_form(self, a, b, c):
+        # ||A^k||^(1/k) stays near max(|a|, |b|) while ||A|| = c, so scaling by
+        # ||A|| would take up to 38 needless squarings and lose digits with each
+        out = matlin.expm(np.array([[a, c], [0.0, b]]))
+        closed = np.array([[np.exp(a), c * (np.exp(a) - np.exp(b)) / (a - b)], [0.0, np.exp(b)]])
+        np.testing.assert_allclose(out, closed, rtol=2e-14, atol=0)
+
+    def test_low_temperature_trace_preservation_is_no_worse_than_scipy(self):
+        # scenario C's rates grow like e^(beta_f omega); the roundoff of the trace
+        # row, which every squaring doubles, decides whether its maps pass the
+        # absolute CPTP tolerance, so it must stay at the oracle's level
+        taus = np.array([0.1, 1.0, 10.0])  # the check times of example_c_generator
+        ours, oracle = [], []
+        for beta_f in np.linspace(14.0, 20.0, 13):
+            p = example_c_qdb_point(0.5, 0.1, 1.0, beta_f)
+            l = bloch4_to_superop(example_c_bloch_matrix(p)).matrix
+            ours += list(matlin.expm(taus[:, None, None] * l))
+            oracle += [scipy.linalg.expm(tau * l) for tau in taus]
+
+        def geometric_mean_tp(maps):
+            tp = [is_cptp(SuperOperator(m, SCHRODINGER)).tp_residual for m in maps]
+            return np.exp(np.mean(np.log(np.maximum(tp, np.finfo(float).eps))))
+
+        assert geometric_mean_tp(ours) <= geometric_mean_tp(oracle)
 
     def test_critically_damped_scenario_c(self):
         # omega^2 == (alpha - nu)^2: the transverse block has one double eigenvalue
@@ -138,6 +170,9 @@ class TestExpmAgainstScipy:
     def test_huge_or_non_finite_input_does_not_raise(self, rng):
         l = lindblad_superop(random_lindblad(rng, 2)).matrix
         assert matlin.expm(1e200 * l).shape == (4, 4)
+        # nilpotent, so s = 0: A^6 = 0 is scaled back by 2^(6e), past the float range
+        n = np.array([[0.0, 1e100], [0.0, 0.0]])
+        np.testing.assert_allclose(matlin.expm(n), np.eye(2) + n, rtol=1e-15)
         bad = np.array([[np.inf, 0.0], [0.0, 1.0]])
         assert np.isnan(matlin.expm(bad)).all()
         out = matlin.expm(np.array([bad, np.eye(2)]))
