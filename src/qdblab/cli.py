@@ -50,7 +50,7 @@ from .examples import (
     example_c_generator,
     example_c_qdb_point,
 )
-from .fluctuation import classify, exchange_distribution, qfr_ratio
+from .fluctuation import classify, exchange_grid
 from .states import HamiltonianSpec, gibbs
 
 EXIT_OK = 0
@@ -217,14 +217,17 @@ def build_report(label: str, source: Dynamics, config: RunConfig, f_factor=None)
         }
         qdb1 = _balance_section(per_s, config.tol_qdb)
 
+    taus = source.taus(config.tau_grid)
+    qdb2_taus = tuple(t for t in source.taus(QDB2_TAUS) if math.isfinite(t)) if spaces else ()
+    maps = source.maps(taus + qdb2_taus)  # one stacked exponential for a semigroup
+
     qdb2 = None
-    qdb2_taus = tuple(t for t in source.taus(QDB2_TAUS) if math.isfinite(t))
-    if spaces and qdb2_taus:
+    if qdb2_taus:
         # complex conjugation in H's eigenbasis V: the antiunitary V conj(V^dag .)
         # has unitary part V V^T, which is I for a diagonal H
         v = source.h.eigenvectors
         reversal = TimeReversal(v @ v.T, "conjugation")
-        heis = [heisenberg_dual(g) for g in source.maps(qdb2_taus)]
+        heis = [heisenberg_dual(g) for g in maps[len(taus) :]]
         per_s = {
             key: max(0.0, *(check_qdb2(space, g, reversal, tol=config.tol_qdb).max_residual for g in heis))
             for key, space in spaces
@@ -234,28 +237,23 @@ def build_report(label: str, source: Dynamics, config: RunConfig, f_factor=None)
     header = ["tau", "E", "p_plus", "p_minus", "R", "predicted", "deviation"]
     if f_factor is not None:
         header.append("F_tau")
+    grid = exchange_grid(maps[: len(taus)], source.h, config.beta_i, beta_for_ratios, taus)
+    defined, ratio, predicted, deviation = grid.ratios()
+    predicted = predicted.tolist()
     rows = []
     qfr_max = None
-    taus = source.taus(config.tau_grid)
-    for tau, g in zip(taus, source.maps(taus)):
-        dist = exchange_distribution(g, source.h, config.beta_i, beta_for_ratios, tau)
-        ratios = {round(r.energy, 12): r for r in qfr_ratio(dist)}
-        for gap in dist.gaps:
-            rec = ratios.get(round(gap.energy, 12))
-            row = [
-                tau,
-                gap.energy,
-                gap.p_plus,
-                gap.p_minus,
-                rec.ratio if rec else None,
-                rec.predicted if rec else None,
-                rec.deviation if rec else None,
-            ]
-            if f_factor is not None:
-                row.append(f_factor(tau))
-            rows.append(row)
-            if rec is not None:
-                qfr_max = rec.deviation if qfr_max is None else max(qfr_max, rec.deviation)
+    per_tau = (a.tolist() for a in (grid.recorded, grid.p_plus, grid.p_minus, defined, ratio, deviation))
+    for tau, *records in zip(taus, *per_tau):
+        extra = [] if f_factor is None else [f_factor(tau)]
+        # each row carries the ratio of its own gap record
+        for energy, pred, kept, p_plus, p_minus, has_ratio, r, dev in zip(grid.energies, predicted, *records):
+            if not kept:
+                continue
+            if not has_ratio:
+                rows.append([tau, energy, p_plus, p_minus, None, None, None, *extra])
+                continue
+            rows.append([tau, energy, p_plus, p_minus, r, pred, dev, *extra])
+            qfr_max = dev if qfr_max is None else max(qfr_max, dev)
 
     verdict = {
         "schema": 1,

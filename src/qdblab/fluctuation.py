@@ -66,38 +66,101 @@ def transition_matrix(channel_or_superop, h: HamiltonianSpec, tau: float | None 
     """``p[m, n] = <n| Map[|m><m|] |n>`` over h's ascending eigenbasis.
 
     For a Kraus channel the equivalent route ``sum_j |<n|G_j|m>|^2`` is
-    evaluated as well and the two must agree.
+    evaluated as well and the two must agree; the probabilities must be
+    nonnegative and each row must sum to 1.
+    """
+    probs, checks, pending = _transition_stack((channel_or_superop,), h)
+    _raise_first(checks, pending)
+    return TransitionMatrix(tau=tau, probs=probs[0], energies=h.eigenvalues)
+
+
+def _map_error(g, d: int):
+    """The exception for a map of the wrong type, picture or dimension, or None."""
+    if isinstance(g, KrausChannel):
+        return None if g.dim == d else DimensionMismatch("channel dimension does not match the Hamiltonian")
+    if isinstance(g, SuperOperator):
+        if g.picture != SCHRODINGER:
+            return ValueError("transition probabilities need a Schroedinger-picture map")
+        if g.dim != d:
+            return DimensionMismatch("superoperator dimension does not match the Hamiltonian")
+        return None
+    return TypeError(f"unsupported map type {type(g).__name__}")
+
+
+def _kraus_superops(kraus: np.ndarray) -> np.ndarray:
+    """``sum_j conj(G_j) (x) G_j`` for every slice of a zero-padded Kraus stack
+    ``(t, j, d, d)``, summed over ``j`` in order as :func:`superop_from_channel` does."""
+    t, _, d, _ = kraus.shape
+    s = np.zeros((t, d * d, d * d), dtype=complex)
+    for g in kraus.transpose(1, 0, 2, 3):
+        s += (g.conj()[:, :, None, :, None] * g[:, None, :, None, :]).reshape(t, d * d, d * d)
+    return s
+
+
+def _transition_stack(maps, h: HamiltonianSpec):
+    """Transition probabilities ``probs[t, m, n]`` of a sequence of maps, with
+    the checks of :func:`transition_matrix` as masks over ``t``.
+
+    Returns ``(probs, checks, pending)``.  ``probs`` covers the maps before the
+    first one of the wrong type, picture or dimension, whose exception is
+    ``pending`` (None when every map fits).  ``checks`` lists ``(mask, error)``
+    pairs in the order one map is checked; ``error(t)`` is the exception for
+    map ``t``.
     """
     d = h.dim
+    maps = tuple(maps)
+    pending = None
+    for t, g in enumerate(maps):
+        pending = _map_error(g, d)
+        if pending is not None:
+            maps = maps[:t]
+            break
+    is_kraus = np.array([isinstance(g, KrausChannel) for g in maps], dtype=bool)
+    kraus = [g.kraus_ops for g in maps if isinstance(g, KrausChannel)]
+    s = np.empty((len(maps), d * d, d * d), dtype=complex)
+    if kraus:
+        ops = np.zeros((len(kraus), max(map(len, kraus)), d, d), dtype=complex)
+        for t, g in enumerate(kraus):
+            ops[t, : len(g)] = g
+        s[is_kraus] = _kraus_superops(ops)
+    if len(kraus) < len(maps):
+        s[~is_kraus] = [g.matrix for g in maps if not isinstance(g, KrausChannel)]
     v = h.eigenvectors
-    kraus_probs = None
-    if isinstance(channel_or_superop, KrausChannel):
-        if channel_or_superop.dim != d:
-            raise DimensionMismatch("channel dimension does not match the Hamiltonian")
-        kraus_probs = np.zeros((d, d))
-        for g in channel_or_superop.kraus_ops:
-            g_eig = dag(v) @ g @ v
-            kraus_probs += np.abs(g_eig.T) ** 2
-        s = superop_from_channel(channel_or_superop)
-    elif isinstance(channel_or_superop, SuperOperator):
-        if channel_or_superop.picture != SCHRODINGER:
-            raise ValueError("transition probabilities need a Schroedinger-picture map")
-        if channel_or_superop.dim != d:
-            raise DimensionMismatch("superoperator dimension does not match the Hamiltonian")
-        s = channel_or_superop
-    else:
-        raise TypeError(f"unsupported map type {type(channel_or_superop).__name__}")
-    probs = np.zeros((d, d))
-    for m in range(d):
-        out = s.apply_matrix(h.projector(m))
-        probs[m] = np.real(np.einsum("in,ij,jn->n", v.conj(), out, v))
-    if kraus_probs is not None:
-        gap = float(np.max(np.abs(kraus_probs - probs)))
-        if gap > ROUTE_AGREEMENT_ATOL:
-            raise InternalCheckError(
-                f"Kraus and superoperator transition routes disagree by {gap:.3e}"
-            )
-    return TransitionMatrix(tau=tau, probs=probs, energies=h.eigenvalues)
+    # column m of q is vec(|m><m|), so (q^dag S q)[n, m] = <n| S[|m><m|] |n>
+    q = (v.conj()[:, None, :] * v[None, :, :]).reshape(d * d, d)
+    probs = np.real(dag(q) @ s @ q).transpose(0, 2, 1)
+    route_gap = np.zeros(len(maps))
+    if kraus:
+        kraus_probs = (np.abs(dag(v) @ ops @ v) ** 2).sum(axis=1).transpose(0, 2, 1)
+        route_gap[is_kraus] = np.abs(kraus_probs - probs[is_kraus]).max(axis=(1, 2))
+    low = probs.min(axis=(1, 2))
+    rows = np.abs(probs.sum(axis=2) - 1.0).max(axis=1)
+    checks = [
+        (
+            route_gap > ROUTE_AGREEMENT_ATOL,
+            lambda t: InternalCheckError(
+                f"Kraus and superoperator transition routes disagree by {route_gap[t]:.3e}"
+            ),
+        ),
+        (low < -1e-12, lambda t: NotTracePreserving(f"negative transition probability {low[t]:.3e}")),
+        (
+            rows > STOCHASTIC_ATOL,
+            lambda t: NotTracePreserving(f"transition rows sum to 1 only within {rows[t]:.3e}"),
+        ),
+    ]
+    return probs, checks, pending
+
+
+def _raise_first(checks: list, pending=None) -> None:
+    """Raise the exception of the first map that fails a check, taking the
+    checks at that map in list order; then ``pending``, if any."""
+    masks = np.array([mask for mask, _ in checks])
+    failing = np.flatnonzero(masks.any(axis=0))
+    if failing.size:
+        t = int(failing[0])
+        raise checks[int(np.argmax(masks[:, t]))][1](t)
+    if pending is not None:
+        raise pending
 
 
 @dataclass(frozen=True)
@@ -133,25 +196,11 @@ class EnergyExchangeDistribution:
         raise KeyError(f"no gap at energy {energy}")
 
 
-def exchange_distribution(
-    channel_or_superop,
-    h: HamiltonianSpec,
-    beta_i: float,
-    beta_f: float,
-    tau: float,
-) -> EnergyExchangeDistribution:
-    """Energy-exchange statistics of a map applied to the ``beta_i`` thermal state.
-
-    Ordered level pairs are grouped by their gap ``E_n - E_m`` (within
-    ``1e-9 * max|E|``); degenerate gaps accumulate into one record.  For a
-    gap ``E >= 0``, ``p_plus`` weights forward transitions by initial
-    populations and ``p_minus`` the reversed ones.
-    """
-    if beta_i < 0:
-        raise ValueError("beta_i must be nonnegative")
-    tm = transition_matrix(channel_or_superop, h, tau)
+def _gap_clusters(h: HamiltonianSpec) -> list:
+    """Ordered level pairs ``(m, n)`` with ``E_n >= E_m``, grouped by their gap
+    (within ``1e-9 * max|E|``) into ``(energy, pairs)`` clusters of ascending
+    energy; the zero-gap cluster has energy exactly 0."""
     e = h.eigenvalues
-    p_init = populations(gibbs(h, beta_i), h)
     atol = GAP_GROUP_RTOL * float(np.max(np.abs(e))) if e.size else 0.0
     forward = []
     for m in range(h.dim):
@@ -160,7 +209,7 @@ def exchange_distribution(
             if gap >= -atol:
                 forward.append((max(gap, 0.0), m, n))
     forward.sort(key=lambda item: item[0])
-    records = []
+    clusters = []
     idx = 0
     while idx < len(forward):
         jdx = idx
@@ -171,14 +220,112 @@ def exchange_distribution(
             energy = 0.0
         else:
             energy = float(np.mean([item[0] for item in cluster]))
-        p_plus = float(sum(p_init[m] * tm.probs[m, n] for _, m, n in cluster))
-        p_minus = float(sum(p_init[n] * tm.probs[n, m] for _, m, n in cluster))
-        if max(p_plus, p_minus) >= PROBABILITY_FLOOR:
-            records.append(GapRecord(energy=energy, p_plus=p_plus, p_minus=p_minus))
+        clusters.append((energy, [(m, n) for _, m, n in cluster]))
         idx = jdx + 1
-    return EnergyExchangeDistribution(
-        tau=tau, gaps=tuple(records), beta_i=beta_i, beta_f=beta_f
-    )
+    return clusters
+
+
+@dataclass(frozen=True)
+class ExchangeGrid:
+    """Energy-exchange statistics of one map per time of ``taus``.
+
+    Row ``t`` of ``p_plus`` and ``p_minus`` belongs to ``taus[t]`` and column
+    ``c`` to the Bohr gap ``energies[c]``; ``recorded`` marks the gap records
+    of the distribution at each time, those with a probability of at least
+    ``PROBABILITY_FLOOR`` on either side.
+    """
+
+    taus: tuple
+    energies: tuple
+    p_plus: np.ndarray
+    p_minus: np.ndarray
+    recorded: np.ndarray
+    beta_i: float
+    beta_f: float
+
+    def distribution(self, t: int) -> EnergyExchangeDistribution:
+        gaps = tuple(
+            GapRecord(energy=energy, p_plus=p_plus, p_minus=p_minus)
+            for energy, p_plus, p_minus, kept in zip(
+                self.energies, self.p_plus[t].tolist(), self.p_minus[t].tolist(), self.recorded[t]
+            )
+            if kept
+        )
+        return EnergyExchangeDistribution(tau=self.taus[t], gaps=gaps, beta_i=self.beta_i, beta_f=self.beta_f)
+
+    def ratios(self) -> tuple:
+        """The ratio law of :func:`qfr_ratio` over the grid, as ``(defined,
+        ratio, predicted, deviation)``: ``defined[t, c]`` marks the records
+        that have a ratio, and ``predicted`` holds one value per gap."""
+        return _ratios(
+            self.energies, self.p_plus, self.p_minus, self.recorded, self.beta_i - self.beta_f, RATIO_FLOOR
+        )
+
+
+def exchange_grid(maps, h: HamiltonianSpec, beta_i: float, beta_f: float, taus) -> ExchangeGrid:
+    """Energy-exchange statistics of every map of ``maps`` (``maps[t]`` taken
+    at ``taus[t]``) applied to the ``beta_i`` thermal state.
+
+    Ordered level pairs are grouped by their gap ``E_n - E_m`` (within
+    ``1e-9 * max|E|``); degenerate gaps accumulate into one record.  For a
+    gap ``E >= 0``, ``p_plus`` weights forward transitions by initial
+    populations and ``p_minus`` the reversed ones.  The first map that fails
+    a check raises, with the checks at that map in the order of
+    :func:`exchange_distribution`: the transition checks, the Gibbs state,
+    then the records, which must sum to 1 and lie in [0, 1].
+    """
+    if beta_i < 0:
+        raise ValueError("beta_i must be nonnegative")
+    probs, checks, pending = _transition_stack(maps, h)
+    # the first map's transition checks come before the Gibbs state
+    if not len(probs) or any(mask[0] for mask, _ in checks):
+        _raise_first(checks, pending)
+    p_init = populations(gibbs(h, beta_i), h)
+    clusters = _gap_clusters(h)
+    energies = tuple(energy for energy, _ in clusters)
+    p_plus = np.zeros((len(probs), len(clusters)))
+    p_minus = np.zeros_like(p_plus)
+    for c, (_, pairs) in enumerate(clusters):
+        for m, n in pairs:
+            p_plus[:, c] += p_init[m] * probs[:, m, n]
+            p_minus[:, c] += p_init[n] * probs[:, n, m]
+    # max(p_plus, p_minus) as Python takes it: p_plus unless p_minus is larger
+    recorded = np.where(p_minus > p_plus, p_minus, p_plus) >= PROBABILITY_FLOOR
+    # summed record by record, in record order
+    released = recorded & (np.array(energies) > 0)
+    total = sum(np.where(recorded, p_plus, 0.0).T) + sum(np.where(released, p_minus, 0.0).T)
+
+    def outside(p):
+        return (p < -1e-12) | (p > 1.0 + 1e-12)
+
+    stray = recorded & (outside(p_plus) | outside(p_minus))
+
+    def stray_error(t):
+        c = int(np.argmax(stray[t]))
+        p = p_plus[t, c] if outside(p_plus[t, c]) else p_minus[t, c]
+        return InternalCheckError(f"probability {p:.12g} outside [0, 1]")
+
+    checks += [
+        (
+            np.abs(total - 1.0) > 1e-9,
+            lambda t: InternalCheckError(f"exchange probabilities sum to {total[t]:.12g}"),
+        ),
+        (stray.any(axis=1), stray_error),
+    ]
+    _raise_first(checks, pending)
+    return ExchangeGrid(tuple(taus), energies, p_plus, p_minus, recorded, beta_i, beta_f)
+
+
+def exchange_distribution(
+    channel_or_superop,
+    h: HamiltonianSpec,
+    beta_i: float,
+    beta_f: float,
+    tau: float,
+) -> EnergyExchangeDistribution:
+    """Energy-exchange statistics of one map applied to the ``beta_i`` thermal
+    state: :func:`exchange_grid` at the single time ``tau``."""
+    return exchange_grid((channel_or_superop,), h, beta_i, beta_f, (tau,)).distribution(0)
 
 
 @dataclass(frozen=True)
@@ -189,28 +336,39 @@ class RatioRecord:
     deviation: float
 
 
+def _ratios(energies, p_plus, p_minus, recorded, dbeta: float, ratio_floor: float) -> tuple:
+    """``P(+E)/P(-E)`` of the records whose release probability exceeds
+    ``ratio_floor``, against ``e^{dbeta E}``, computed once per gap and only
+    for the gaps that have a ratio."""
+    defined = recorded & ~(p_minus <= ratio_floor)
+    predicted = np.array(
+        [math.exp(dbeta * energy) if defined[:, c].any() else math.nan for c, energy in enumerate(energies)]
+    )
+    with np.errstate(all="ignore"):
+        ratio = p_plus / p_minus
+        deviation = np.abs(ratio / predicted - 1.0)
+    return defined, ratio, predicted, deviation
+
+
 def qfr_ratio(dist: EnergyExchangeDistribution, ratio_floor: float = RATIO_FLOOR) -> list:
     """Per-gap ratio ``P(+E)/P(-E)`` against the prediction ``e^{dbeta E}``.
 
     Gaps whose release probability sits below ``ratio_floor`` have an
     undefined ratio and are left out of the result.
     """
-    dbeta = dist.beta_i - dist.beta_f
-    out = []
-    for g in dist.gaps:
-        if g.p_minus <= ratio_floor:
-            continue
-        ratio = g.p_plus / g.p_minus
-        predicted = math.exp(dbeta * g.energy)
-        out.append(
-            RatioRecord(
-                energy=g.energy,
-                ratio=ratio,
-                predicted=predicted,
-                deviation=abs(ratio / predicted - 1.0),
-            )
+    energies = tuple(g.energy for g in dist.gaps)
+    p_plus = np.array([[g.p_plus for g in dist.gaps]])
+    p_minus = np.array([[g.p_minus for g in dist.gaps]])
+    defined, ratio, predicted, deviation = _ratios(
+        energies, p_plus, p_minus, np.ones(p_plus.shape, dtype=bool), dist.beta_i - dist.beta_f, ratio_floor
+    )
+    return [
+        RatioRecord(energy=energy, ratio=r, predicted=pred, deviation=dev)
+        for energy, ok, r, pred, dev in zip(
+            energies, defined[0], ratio[0].tolist(), predicted.tolist(), deviation[0].tolist()
         )
-    return out
+        if ok
+    ]
 
 
 def check_pairwise_condition(channel_or_superop, h: HamiltonianSpec, beta_f: float) -> float:

@@ -10,7 +10,7 @@ import pytest
 
 import qdblab
 
-from conftest import random_complex, thermal_circulation_qutrit
+from conftest import random_complex, random_lindblad, thermal_circulation_qutrit
 from qdblab.cli import (
     EXIT_CONFIG,
     EXIT_INTERNAL,
@@ -250,6 +250,42 @@ def test_qdb2_reverses_time_in_the_energy_eigenbasis(rng, tmp_path, circulation,
     assert verdict["qdb2"]["passes"] is balanced
 
 
+def _rows(path):
+    lines = path.read_text().splitlines()
+    header = lines[0].split(",")
+    return [dict(zip(header, line.split(","))) for line in lines[1:]]
+
+
+def test_rows_carry_the_ratio_of_their_own_gap(tmp_path):
+    # scaling H and the rates by 1e-13 and beta and tau by 1e13 leaves every
+    # probability and ratio unchanged, but puts the gap within 5e-13 of 0
+    assert run(tmp_path / "unit", "example", "b", "--tau-grid", "0.1,1") == EXIT_OK
+    assert run(
+        tmp_path / "scaled", "example", "b", "--omega", "1e-13", "--gamma", "1e-13",
+        "--beta-i", "2e13", "--beta-f", "1e13", "--tau-grid", "1e12,1e13",
+    ) == EXIT_OK
+    unit = _rows(tmp_path / "unit" / "example_b_rows.csv")
+    scaled = _rows(tmp_path / "scaled" / "example_b_rows.csv")
+    zero = [(u, s) for u, s in zip(unit, scaled) if u["E"] == "0"]
+    assert len(zero) == 2 and all(s["E"] == "0" for _, s in zero)
+    for u, s in zero:
+        for key in ("R", "predicted", "deviation"):
+            assert s[key] == u[key]
+
+
+def test_underflowing_prediction_reads_as_infinite_deviation(rng, tmp_path):
+    # a model without a thermal fixed point takes --beta-f for the ratio law;
+    # e^{(beta_i - 1000) E} underflows to 0 on the larger gaps
+    model_path = tmp_path / "generic.json"
+    save_model(random_lindblad(rng, 3), model_path)
+    assert run(tmp_path, "check", str(model_path), "--beta-f", "1000", *FAST) == EXIT_OK
+    verdict = json.loads((tmp_path / "check_generic_verdict.json").read_text())
+    assert verdict["classification"]["kind"] == "non_thermalizing"
+    assert verdict["qfr_max_deviation"] == "inf" and verdict["qfr_passes"] is False
+    rows = _rows(tmp_path / "check_generic_rows.csv")
+    assert any(row["predicted"] == "0" and row["deviation"] == "inf" for row in rows)
+
+
 class TestSweepCommand:
     def test_balance_residual_crosses_at_symmetric_point(self, tmp_path):
         # sweeping nu through alpha: the residual vanishes exactly there
@@ -351,6 +387,28 @@ class TestConfigValidation:
         # the maps overflow to nan: the rows fail their probability checks
         assert run(tmp_path, "example", name, "--tau-grid", tau) in (EXIT_MODEL, EXIT_INTERNAL)
         assert "Traceback" not in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "argv, code, first_line",
+        [
+            (("example", "b", "--tau-grid", "1e200"), EXIT_INTERNAL,
+             "InternalCheckError: exchange probabilities sum to 0"),
+            (("example", "b", "--tau-grid", "0.1,1e200"), EXIT_INTERNAL,
+             "InternalCheckError: exchange probabilities sum to 0"),
+            (("example", "c", "--tau-grid", "1e308"), EXIT_INTERNAL,
+             "InternalCheckError: exchange probabilities sum to 0"),
+            (("example", "b", "--gamma", "1e6"), EXIT_MODEL,
+             "NotTracePreserving: transition rows sum to 1 only within 1.100e-09"),
+            (("example", "c", "--beta-f", "16"), EXIT_MODEL,
+             "NotCPTP: induced map at tau=10 fails CPTP: cp=0.000e+00, tp=2.305e-09, herm=0.000e+00"),
+        ],
+        ids=["b-tau-1e200", "b-tau-0.1-and-1e200", "c-tau-1e308", "b-gamma-1e6", "c-beta-f-16"],
+    )
+    def test_failing_checks_keep_their_exit_code_and_message(self, tmp_path, capsys, argv, code, first_line):
+        # non-finite maps pass the transition checks (every comparison with nan
+        # is false) and leave no gap record, so the records sum to 0
+        assert run(tmp_path, *argv) == code
+        assert capsys.readouterr().err.splitlines()[0] == first_line
 
     def test_bad_tolerance_rejected(self, tmp_path):
         assert run(tmp_path, "example", "b", "--tol-qdb", "0") == EXIT_CONFIG

@@ -1,4 +1,5 @@
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -8,13 +9,20 @@ from conftest import (
     random_lindblad,
     thermal_circulation_qutrit,
 )
-from qdblab import matlin
+from qdblab import fluctuation, matlin
+from qdblab.cli import main
 from qdblab.dynamics import (
+    HEISENBERG,
+    SCHRODINGER,
     KrausChannel,
+    LindbladGenerator,
+    SuperOperator,
     evolve,
+    evolve_grid,
     lindblad_superop,
+    superop_from_channel,
 )
-from qdblab.errors import InconclusiveHorizon
+from qdblab.errors import DimensionMismatch, InconclusiveHorizon, InternalCheckError, NotTracePreserving
 from qdblab.examples import (
     ExampleAParams,
     ExampleBParams,
@@ -24,15 +32,19 @@ from qdblab.examples import (
     qubit_hamiltonian,
 )
 from qdblab.fluctuation import (
+    ROUTE_AGREEMENT_ATOL,
+    STOCHASTIC_ATOL,
     Classification,
     check_pairwise_condition,
     classify,
     default_tau_max,
     exchange_distribution,
+    exchange_grid,
     fpt_stationarity_identity,
     qfr_ratio,
     transition_matrix,
 )
+from qdblab.matlin import dag
 from qdblab.states import HamiltonianSpec, gibbs, populations
 
 
@@ -72,6 +84,17 @@ class TestTransitionMatrix:
                 tm = transition_matrix(evolve(l, tau), gen.hamiltonian, tau)
                 np.testing.assert_allclose(tm.probs.sum(axis=1), np.ones(d), atol=1e-9)
                 assert tm.probs.min() > -1e-12
+
+    @pytest.mark.parametrize(
+        "probs, message",
+        [
+            ([[1.1, -0.1], [0.0, 1.0]], "negative transition probability -1.000e-01"),
+            ([[0.5, 0.4], [0.0, 1.0]], "transition rows sum to 1 only within 1.000e-01"),
+        ],
+    )
+    def test_constructor_rejects_invalid_probabilities(self, probs, message):
+        with pytest.raises(NotTracePreserving, match=message):
+            fluctuation.TransitionMatrix(tau=None, probs=probs, energies=[0.0, 1.0])
 
 
 class TestExchangeDistribution:
@@ -127,6 +150,18 @@ class TestExchangeDistribution:
                 total = sum(g.p_plus for g in dist.gaps)
                 total += sum(g.p_minus for g in dist.gaps if g.energy > 0)
                 assert abs(total - 1.0) < 1e-9
+
+    @pytest.mark.parametrize(
+        "gaps, message",
+        [
+            (((0.0, 0.5, 0.5), (1.0, 0.2, 0.2)), "exchange probabilities sum to 0.9"),
+            (((0.0, 1.5, 1.5), (1.0, -0.25, -0.25)), r"probability 1.5 outside \[0, 1\]"),
+        ],
+    )
+    def test_constructor_rejects_invalid_records(self, gaps, message):
+        records = tuple(fluctuation.GapRecord(*gap) for gap in gaps)
+        with pytest.raises(InternalCheckError, match=message):
+            fluctuation.EnergyExchangeDistribution(tau=0.0, gaps=records, beta_i=1.0, beta_f=1.0)
 
 
 class TestQfrRatio:
@@ -274,3 +309,259 @@ class TestAsymptoticRatioLaw:
             )
             for rec in qfr_ratio(dist, ratio_floor=1e-12):
                 assert rec.deviation < 1e-6
+
+
+# The per-map loops that computed transition matrices, exchange records and
+# ratios before the grid code, kept as the literal reference it must match.
+
+
+def reference_transition_matrix(channel_or_superop, h):
+    d = h.dim
+    v = h.eigenvectors
+    kraus_probs = None
+    if isinstance(channel_or_superop, KrausChannel):
+        if channel_or_superop.dim != d:
+            raise DimensionMismatch("channel dimension does not match the Hamiltonian")
+        kraus_probs = np.zeros((d, d))
+        for g in channel_or_superop.kraus_ops:
+            g_eig = dag(v) @ g @ v
+            kraus_probs += np.abs(g_eig.T) ** 2
+        s = superop_from_channel(channel_or_superop)
+    elif isinstance(channel_or_superop, SuperOperator):
+        if channel_or_superop.picture != SCHRODINGER:
+            raise ValueError("transition probabilities need a Schroedinger-picture map")
+        if channel_or_superop.dim != d:
+            raise DimensionMismatch("superoperator dimension does not match the Hamiltonian")
+        s = channel_or_superop
+    else:
+        raise TypeError(f"unsupported map type {type(channel_or_superop).__name__}")
+    probs = np.zeros((d, d))
+    for m in range(d):
+        out = s.apply_matrix(h.projector(m))
+        probs[m] = np.real(np.einsum("in,ij,jn->n", v.conj(), out, v))
+    if kraus_probs is not None:
+        gap = float(np.max(np.abs(kraus_probs - probs)))
+        if gap > ROUTE_AGREEMENT_ATOL:
+            raise InternalCheckError(f"Kraus and superoperator transition routes disagree by {gap:.3e}")
+    if float(np.min(probs)) < -1e-12:
+        raise NotTracePreserving(f"negative transition probability {float(np.min(probs)):.3e}")
+    rows = probs.sum(axis=1)
+    if float(np.max(np.abs(rows - 1.0))) > STOCHASTIC_ATOL:
+        raise NotTracePreserving(
+            f"transition rows sum to 1 only within {float(np.max(np.abs(rows - 1.0))):.3e}"
+        )
+    return probs
+
+
+def reference_exchange_records(channel_or_superop, h, beta_i):
+    """``[(energy, p_plus, p_minus)]`` of one map."""
+    if beta_i < 0:
+        raise ValueError("beta_i must be nonnegative")
+    probs = reference_transition_matrix(channel_or_superop, h)
+    e = h.eigenvalues
+    p_init = populations(gibbs(h, beta_i), h)
+    atol = fluctuation.GAP_GROUP_RTOL * float(np.max(np.abs(e))) if e.size else 0.0
+    forward = []
+    for m in range(h.dim):
+        for n in range(h.dim):
+            gap = float(e[n] - e[m])
+            if gap >= -atol:
+                forward.append((max(gap, 0.0), m, n))
+    forward.sort(key=lambda item: item[0])
+    records = []
+    idx = 0
+    while idx < len(forward):
+        jdx = idx
+        while jdx + 1 < len(forward) and forward[jdx + 1][0] - forward[idx][0] <= atol:
+            jdx += 1
+        cluster = forward[idx : jdx + 1]
+        if cluster[0][0] <= atol:
+            energy = 0.0
+        else:
+            energy = float(np.mean([item[0] for item in cluster]))
+        p_plus = float(sum(p_init[m] * probs[m, n] for _, m, n in cluster))
+        p_minus = float(sum(p_init[n] * probs[n, m] for _, m, n in cluster))
+        if max(p_plus, p_minus) >= fluctuation.PROBABILITY_FLOOR:
+            records.append((energy, p_plus, p_minus))
+        idx = jdx + 1
+    total = sum(p_plus for _, p_plus, _ in records)
+    total += sum(p_minus for energy, _, p_minus in records if energy > 0)
+    if abs(total - 1.0) > 1e-9:
+        raise InternalCheckError(f"exchange probabilities sum to {total:.12g}")
+    for _, p_plus, p_minus in records:
+        for p in (p_plus, p_minus):
+            if p < -1e-12 or p > 1.0 + 1e-12:
+                raise InternalCheckError(f"probability {p:.12g} outside [0, 1]")
+    return records
+
+
+def reference_ratios(records, dbeta, ratio_floor=fluctuation.RATIO_FLOOR):
+    """``[(energy, ratio, predicted, deviation)]`` of the records with a ratio."""
+    out = []
+    for energy, p_plus, p_minus in records:
+        if p_minus <= ratio_floor:
+            continue
+        ratio = p_plus / p_minus
+        predicted = math.exp(dbeta * energy)
+        out.append((energy, ratio, predicted, abs(ratio / predicted - 1.0)))
+    return out
+
+
+def grid_records(grid, t):
+    return [(g.energy, g.p_plus, g.p_minus) for g in grid.distribution(t).gaps]
+
+
+def grid_ratios(grid, t):
+    defined, ratio, predicted, deviation = grid.ratios()
+    return [
+        (grid.energies[c], ratio[t, c], predicted[c], deviation[t, c])
+        for c in range(len(grid.energies))
+        if defined[t, c]
+    ]
+
+
+def diagonal_hamiltonian(rng, d, equally_spaced):
+    energies = np.arange(d, dtype=float) if equally_spaced else np.sort(rng.uniform(-1.0, 1.0, d))
+    return HamiltonianSpec.from_matrix(np.diag(energies).astype(complex))
+
+
+def random_channel(rng, d, count):
+    """A channel of ``count`` Kraus operators, the blocks of a random isometry."""
+    w, _ = np.linalg.qr(rng.normal(size=(count * d, d)) + 1j * rng.normal(size=(count * d, d)))
+    return KrausChannel(tuple(w[k * d : (k + 1) * d] for k in range(count)))
+
+
+TAUS = (0.0, 0.03, 0.4, 2.0, 30.0)
+
+
+class TestExchangeGridAgainstReference:
+    @pytest.mark.parametrize("equally_spaced", [False, True], ids=["generic", "degenerate-gaps"])
+    @pytest.mark.parametrize("d", [2, 3, 4])
+    def test_diagonal_semigroup_is_bitwise_equal(self, rng, d, equally_spaced):
+        h = diagonal_hamiltonian(rng, d, equally_spaced)
+        gen = LindbladGenerator.canonical(h, random_lindblad(rng, d).kossakowski)
+        maps = evolve_grid(lindblad_superop(gen), TAUS)
+        grid = exchange_grid(maps, h, 1.3, 0.7, TAUS)
+        assert grid.taus == TAUS
+        for t, g in enumerate(maps):
+            assert np.array_equal(transition_matrix(g, h).probs, reference_transition_matrix(g, h))
+            records = reference_exchange_records(g, h, 1.3)
+            assert grid_records(grid, t) == records
+            assert grid_ratios(grid, t) == reference_ratios(records, 1.3 - 0.7)
+
+    @pytest.mark.parametrize("equally_spaced", [False, True], ids=["generic", "degenerate-gaps"])
+    @pytest.mark.parametrize("d", [2, 3, 4])
+    def test_kraus_family_of_mixed_counts_is_bitwise_equal(self, rng, d, equally_spaced):
+        h = diagonal_hamiltonian(rng, d, equally_spaced)
+        family = [random_channel(rng, d, count) for count in (1, 3, 2, 4)]
+        for g in family:
+            stacked = fluctuation._kraus_superops(np.array([g.kraus_ops]))
+            assert np.array_equal(stacked, [superop_from_channel(g).matrix])
+        grid = exchange_grid(family, h, 0.8, 1.1, range(4))
+        for t, g in enumerate(family):
+            assert np.array_equal(transition_matrix(g, h).probs, reference_transition_matrix(g, h))
+            records = reference_exchange_records(g, h, 0.8)
+            assert grid_records(grid, t) == records
+            assert grid_ratios(grid, t) == reference_ratios(records, 0.8 - 1.1)
+
+    @pytest.mark.parametrize("d", [2, 3, 4])
+    def test_rotated_models_agree_to_roundoff(self, rng, d):
+        gen = random_lindblad(rng, d)  # a random complex eigenbasis
+        h = gen.hamiltonian
+        taus = TAUS[1:]
+        maps = (*evolve_grid(lindblad_superop(gen), taus), random_channel(rng, d, 3))
+        grid = exchange_grid(maps, h, 1.3, 0.7, (*taus, 1.0))
+        for t, g in enumerate(maps):
+            np.testing.assert_allclose(
+                transition_matrix(g, h).probs, reference_transition_matrix(g, h), rtol=1e-13, atol=1e-15
+            )
+            got, want = grid_records(grid, t), reference_exchange_records(g, h, 1.3)
+            assert [r[0] for r in got] == [r[0] for r in want]
+            np.testing.assert_allclose(np.array(got)[:, 1:], np.array(want)[:, 1:], rtol=1e-13, atol=0)
+
+    def test_route_disagreement_quotes_the_first_failing_tau(self, rng, monkeypatch):
+        # the two routes agree for any Kraus family, so skew the superoperator
+        # route at the second and third time; the second time's gap is quoted
+        h = diagonal_hamiltonian(rng, 2, False)
+        family = [random_channel(rng, 2, 2) for _ in range(3)]
+        exact = fluctuation._kraus_superops
+
+        def skewed(kraus):
+            s = exact(kraus)
+            s[1, 0, 0] += 3e-9
+            s[2, 0, 0] += 5e-8
+            return s
+
+        monkeypatch.setattr(fluctuation, "_kraus_superops", skewed)
+        message = r"^Kraus and superoperator transition routes disagree by 3\.000e-09$"
+        with pytest.raises(InternalCheckError, match=message):
+            exchange_grid(family, h, 1.0, 1.0, (0.1, 0.2, 0.3))
+
+
+def _failing_maps(h):
+    """Maps that pass every check and maps that fail one, by name."""
+    d = h.dim
+    good = evolve(lindblad_superop(LindbladGenerator.canonical(h, np.eye(d * d - 1) / 3)), 0.5)
+    eye = np.eye(d * d, dtype=complex)
+    return {
+        "good": good,
+        "nan": SuperOperator(np.full((d * d, d * d), np.nan)),
+        "negative": SuperOperator(2 * eye - good.matrix),
+        "rows": SuperOperator(1.5 * good.matrix),
+        # rows within STOCHASTIC_ATOL of 1, but a record above 1 + 1e-12
+        "excess": SuperOperator((1 + 5e-10) * eye),
+        "heisenberg": SuperOperator(good.matrix, HEISENBERG),
+        "dimension": SuperOperator(np.eye((d + 1) ** 2)),
+        "type": good.matrix,
+    }
+
+
+@pytest.mark.parametrize(
+    "names, beta_i",
+    [
+        (("good", "nan", "heisenberg"), 1.0),
+        (("good", "heisenberg", "nan"), 1.0),
+        (("good", "negative", "rows"), 1.0),
+        (("good", "rows", "dimension"), 1.0),
+        (("good", "good", "type"), 1.0),
+        (("dimension", "nan"), 1.0),
+        (("good", "nan", "nan"), 1.0),
+        (("good", "excess", "rows"), 1.0),
+        # at beta_i = inf the degenerate ground level has no Gibbs state, which
+        # the loop built after the first map's transition checks
+        (("rows", "good"), math.inf),
+        (("good", "rows"), math.inf),
+    ],
+    ids=lambda case: "-".join(case) if isinstance(case, tuple) else f"beta_i={case}",
+)
+def test_grid_raises_what_the_per_map_loop_raised_first(names, beta_i):
+    # the loop checked one map fully before the next; the grid must raise the
+    # same exception, with the same message, although it checks all maps at once
+    h = HamiltonianSpec.from_matrix(np.diag([0.0, 0.0 if math.isinf(beta_i) else 0.6, 1.5]).astype(complex))
+    maps = [_failing_maps(h)[name] for name in names]
+    with pytest.raises(Exception) as want:
+        for g in maps:
+            reference_exchange_records(g, h, beta_i)
+    with pytest.raises(want.type) as got:
+        exchange_grid(maps, h, beta_i, 1.0, range(len(maps)))
+    assert str(got.value) == str(want.value)
+
+
+def test_build_report_builds_two_gibbs_states_per_source(tmp_path, monkeypatch):
+    from qdblab import states
+
+    original = states.gibbs
+    calls = []
+
+    def counted(h, beta):
+        calls.append(beta)
+        return original(h, beta)
+
+    for name, module in list(sys.modules.items()):
+        if name.startswith("qdblab") and getattr(module, "gibbs", None) is original:
+            monkeypatch.setattr(module, "gibbs", counted)
+    sweep = ["sweep", "b", "--parameter", "gamma", "--range", "0.5:2:3"]
+    for argv, sources in ((["example", "a"], 1), (["example", "b"], 1), (["example", "c"], 1), (sweep, 3)):
+        calls.clear()
+        assert main([*argv, "--out", str(tmp_path)]) == 0
+        assert 0 < len(calls) <= 2 * sources
