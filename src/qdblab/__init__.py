@@ -16,14 +16,7 @@ from .dynamics import (
     lindblad_superop,
     superop_from_channel,
 )
-from .fluctuation import (
-    Classification,
-    EnergyExchangeDistribution,
-    classify,
-    exchange_distribution,
-    qfr_ratio,
-    transition_matrix,
-)
+from .fluctuation import Classification, classify, exchange_grid, transition_matrix
 from .states import BlochVector, DensityMatrix, HamiltonianSpec, gibbs, infer_beta, populations
 
 __version__ = "0.1.0"

@@ -15,22 +15,12 @@ from functools import cached_property
 import numpy as np
 
 from . import matlin
-from .dynamics import (
-    HEISENBERG,
-    SCHRODINGER,
-    LindbladGenerator,
-    SuperOperator,
-    commutator_superop,
-    evolve,
-    heisenberg_dual,
-    lindblad_superop,
-)
+from .dynamics import HEISENBERG, SCHRODINGER, SuperOperator, commutator_superop, evolve
 from .errors import DimensionMismatch, SingularWeight
 from .matlin import dag, kron
 from .states import SIGMA_Y, DensityMatrix, HamiltonianSpec
 
 FULL_RANK_FLOOR = 1e-12
-QDB_PASS_TOL = 1e-9
 REVERSAL_ATOL = 1e-12
 
 
@@ -95,48 +85,26 @@ def decompose(space: WeightedSpace, dual_gen: SuperOperator):
     return ham_part, dis_part
 
 
-def _as_generator_pair(gen, h: HamiltonianSpec | None):
-    """Normalize a generator argument to (schrodinger, heisenberg, hamiltonian)."""
-    if isinstance(gen, LindbladGenerator):
-        schro = lindblad_superop(gen)
-        return schro, heisenberg_dual(schro), gen.hamiltonian
-    if isinstance(gen, SuperOperator):
-        if h is None:
-            raise ValueError("a Hamiltonian is required alongside a raw superoperator generator")
-        if gen.picture == SCHRODINGER:
-            return gen, heisenberg_dual(gen), h
-        return heisenberg_dual(gen), gen, h
-    raise TypeError(f"unsupported generator type {type(gen).__name__}")
-
-
-@dataclass(frozen=True)
-class BalanceReport:
-    residual: float
-    passes: bool
-
-
-def check_qdb1(
-    space: WeightedSpace,
-    gen,
-    h: HamiltonianSpec | None = None,
-    tol: float = QDB_PASS_TOL,
-) -> BalanceReport:
-    """Generator-level detailed balance: ``L# - L#* == 2i [H, .]``.
+def check_qdb1(space: WeightedSpace, dual: SuperOperator, h: HamiltonianSpec) -> float:
+    """Generator-level detailed balance of a Heisenberg-picture generator
+    ``L#``: ``L# - L#* == 2i [H, .]``.
 
     The residual is the Frobenius norm of the defect relative to ``|L#|``.
     """
-    _, dual, ham = _as_generator_pair(gen, h)
+    if dual.picture != HEISENBERG:
+        raise ValueError("check_qdb1 expects a Heisenberg-picture generator")
     star = adjoint(space, dual)
-    defect = dual.matrix - star.matrix - 2j * commutator_superop(ham.matrix)
+    defect = dual.matrix - star.matrix - 2j * commutator_superop(h.matrix)
     den = matlin.frobenius(dual.matrix)
-    residual = matlin.frobenius(defect) / (den if den > 0 else 1.0)
-    return BalanceReport(residual=residual, passes=residual < tol)
+    return matlin.frobenius(defect) / (den if den > 0 else 1.0)
 
 
-def check_qdb1_invariance(space: WeightedSpace, gen, h: HamiltonianSpec | None = None) -> float:
-    """``|L[Sigma]|_F``; vanishes whenever the generator-level balance holds."""
-    schro, _, _ = _as_generator_pair(gen, h)
-    return matlin.frobenius(schro.apply_matrix(space.sigma.matrix))
+def check_qdb1_invariance(space: WeightedSpace, gen: SuperOperator) -> float:
+    """``|L[Sigma]|_F`` of a Schroedinger-picture generator; vanishes
+    whenever the generator-level balance holds."""
+    if gen.picture != SCHRODINGER:
+        raise ValueError("check_qdb1_invariance expects a Schroedinger-picture generator")
+    return matlin.frobenius(gen.apply_matrix(space.sigma.matrix))
 
 
 @dataclass(frozen=True)
@@ -148,7 +116,6 @@ class TimeReversal:
     """
 
     unitary: np.ndarray
-    kind: str
 
     def __post_init__(self):
         u = np.asarray(self.unitary, dtype=complex)
@@ -168,16 +135,12 @@ class TimeReversal:
     @classmethod
     def conjugation(cls, dim: int = 2) -> "TimeReversal":
         """Transposition in the chosen basis (spinless convention)."""
-        return cls(np.eye(dim, dtype=complex), "conjugation")
+        return cls(np.eye(dim, dtype=complex))
 
     @classmethod
     def spin_half(cls) -> "TimeReversal":
         """Spin-1/2 reversal, ``A -> sigma_y A^T sigma_y``."""
-        return cls(-1j * SIGMA_Y, "spin_half")
-
-    @classmethod
-    def custom(cls, theta_unitary: np.ndarray) -> "TimeReversal":
-        return cls(np.asarray(theta_unitary, dtype=complex), "custom")
+        return cls(-1j * SIGMA_Y)
 
     @property
     def dim(self) -> int:
@@ -200,18 +163,7 @@ class TimeReversal:
         return self.unitary @ a.T @ dag(self.unitary)
 
 
-@dataclass(frozen=True)
-class Qdb2Report:
-    max_residual: float
-    passes: bool
-
-
-def check_qdb2(
-    space: WeightedSpace,
-    map_heis: SuperOperator,
-    t: TimeReversal,
-    tol: float = QDB_PASS_TOL,
-) -> Qdb2Report:
+def check_qdb2(space: WeightedSpace, map_heis: SuperOperator, t: TimeReversal) -> float:
     """Map-level detailed balance via time reversal.
 
     Checks ``<<A^dag, G#[B]>> == <<T[B^dag], G#[T[A]]>>`` as the identity
@@ -227,8 +179,7 @@ def check_qdb2(
         raise DimensionMismatch("space, map and time reversal must share one dimension")
     k, theta = t.transposition, t.theta
     wg = space.weight @ map_heis.matrix
-    worst = float(np.max(np.abs(k @ wg - (dag(theta @ k) @ wg @ theta).T)))
-    return Qdb2Report(max_residual=worst, passes=worst < tol)
+    return float(np.max(np.abs(k @ wg - (dag(theta @ k) @ wg @ theta).T)))
 
 
 def r_s_superop(space: WeightedSpace) -> np.ndarray:
@@ -236,29 +187,20 @@ def r_s_superop(space: WeightedSpace) -> np.ndarray:
     return kron(space.sigma_power(2 * space.s - 1).T, space.sigma_power(1 - 2 * space.s))
 
 
-@dataclass(frozen=True)
-class SubspaceReport:
-    diagonal_leak: float
-    offdiagonal_leak: float
-    rs_commutation_residual: float
-    passes: bool
-
-
 def check_lemma_invariant_subspace(
-    space: WeightedSpace,
-    gen,
-    h: HamiltonianSpec | None = None,
-    taus=(0.1, 0.5, 1.0, 5.0),
-    tol: float = QDB_PASS_TOL,
-) -> SubspaceReport:
+    space: WeightedSpace, dual: SuperOperator, taus=(0.1, 0.5, 1.0, 5.0)
+) -> tuple:
     """Invariance of the populations sector and its orthocomplement.
 
     For the Heisenberg maps of a balanced generator, projectors onto
     Sigma's eigenbasis stay diagonal, off-diagonal units stay off-diagonal,
     and the maps commute with the similarity ``X -> Sigma^(1-2s) X
-    Sigma^(2s-1)``.
+    Sigma^(2s-1)``.  Takes a Heisenberg-picture generator and returns the
+    largest defects ``(diagonal_leak, offdiagonal_leak,
+    rs_commutation_residual)`` over ``taus``.
     """
-    _, dual, _ = _as_generator_pair(gen, h)
+    if dual.picture != HEISENBERG:
+        raise ValueError("check_lemma_invariant_subspace expects a Heisenberg-picture generator")
     d = space.dim
     basis_vecs = matlin.herm_eig(space.sigma.matrix, atol=1e-10)[1]
     rs = r_s_superop(space)
@@ -281,10 +223,4 @@ def check_lemma_invariant_subspace(
                 unit = basis_vecs[:, m : m + 1] @ dag(basis_vecs[:, n : n + 1])
                 out_eig = dag(basis_vecs) @ g.apply_matrix(unit) @ basis_vecs
                 off_leak = max(off_leak, float(np.max(np.abs(np.diag(out_eig)))))
-    worst = max(diag_leak, off_leak, comm_res)
-    return SubspaceReport(
-        diagonal_leak=diag_leak,
-        offdiagonal_leak=off_leak,
-        rs_commutation_residual=comm_res,
-        passes=worst < tol,
-    )
+    return diag_leak, off_leak, comm_res

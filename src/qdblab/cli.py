@@ -101,14 +101,11 @@ class RunConfig:
             raise ConfigError("s-grid values must lie in [0, 1]")
         if not all(_is_tau(t) for t in self.tau_grid):
             raise ConfigError("tau-grid values must be finite and nonnegative")
-        for name, beta in (("beta-i", self.beta_i), ("beta-f", self.beta_f)):
-            if not math.isfinite(beta):
+        tols = (("tol-qdb", self.tol_qdb), ("tol-qfr", self.tol_qfr), ("tol-cptp", self.tol_cptp))
+        for name, x in (("beta-i", self.beta_i), ("beta-f", self.beta_f), *tols):
+            if not math.isfinite(x):
                 raise ConfigError(f"{name} must be finite")
-        for name, tol in (
-            ("tol-qdb", self.tol_qdb),
-            ("tol-qfr", self.tol_qfr),
-            ("tol-cptp", self.tol_cptp),
-        ):
+        for name, tol in tols:
             if tol <= 0:
                 raise ConfigError(f"{name} must be positive")
         if self.fmt not in ("csv", "json"):
@@ -211,10 +208,8 @@ def build_report(label: str, source: Dynamics, config: RunConfig, f_factor=None)
 
     qdb1 = None
     if spaces and source.generator is not None:
-        per_s = {
-            key: check_qdb1(space, source.generator, h=source.h, tol=config.tol_qdb).residual
-            for key, space in spaces
-        }
+        dual = heisenberg_dual(source.generator)
+        per_s = {key: check_qdb1(space, dual, source.h) for key, space in spaces}
         qdb1 = _balance_section(per_s, config.tol_qdb)
 
     taus = source.taus(config.tau_grid)
@@ -226,12 +221,9 @@ def build_report(label: str, source: Dynamics, config: RunConfig, f_factor=None)
         # complex conjugation in H's eigenbasis V: the antiunitary V conj(V^dag .)
         # has unitary part V V^T, which is I for a diagonal H
         v = source.h.eigenvectors
-        reversal = TimeReversal(v @ v.T, "conjugation")
+        reversal = TimeReversal(v @ v.T)
         heis = [heisenberg_dual(g) for g in maps[len(taus) :]]
-        per_s = {
-            key: max(0.0, *(check_qdb2(space, g, reversal, tol=config.tol_qdb).max_residual for g in heis))
-            for key, space in spaces
-        }
+        per_s = {key: max(0.0, *(check_qdb2(space, g, reversal) for g in heis)) for key, space in spaces}
         qdb2 = {**_balance_section(per_s, config.tol_qdb), "taus": list(qdb2_taus)}
 
     header = ["tau", "E", "p_plus", "p_minus", "R", "predicted", "deviation"]

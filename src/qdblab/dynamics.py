@@ -308,21 +308,14 @@ def _partial_trace_out(choi: np.ndarray, d: int) -> np.ndarray:
     return np.trace(choi.reshape(d, d, d, d), axis1=1, axis2=3)
 
 
-@dataclass(frozen=True)
-class CptpReport:
-    cp_residual: float
-    tp_residual: float
-    hermiticity_residual: float
-
-    def passes(self, tol: float = 1e-9) -> bool:
-        return max(self.cp_residual, self.tp_residual, self.hermiticity_residual) < tol
-
-
-def is_cptp(s: SuperOperator) -> CptpReport:
-    """Report-style CPTP diagnostics of a Schroedinger-picture map; a map
-    with non-finite entries gets infinite residuals."""
+def is_cptp(s: SuperOperator) -> tuple:
+    """CPTP residuals ``(cp, tp, herm)`` of a Schroedinger-picture map: the
+    Choi matrix's most negative eigenvalue (0 if none), the defect of
+    ``Tr_out[Choi] == I`` and the Choi matrix's anti-Hermitian part, the
+    last two as Frobenius norms.  A map with non-finite entries gets
+    infinite residuals."""
     if not np.all(np.isfinite(s.matrix)):
-        return CptpReport(math.inf, math.inf, math.inf)
+        return math.inf, math.inf, math.inf
     d = s.dim
     choi = choi_matrix(s)
     herm_res = matlin.frobenius(choi - dag(choi))
@@ -330,7 +323,7 @@ def is_cptp(s: SuperOperator) -> CptpReport:
     lo = float(np.min(np.linalg.eigvalsh(sym)))
     cp_res = max(0.0, -lo)
     tp_res = matlin.frobenius(_partial_trace_out(choi, d) - np.eye(d))
-    return CptpReport(cp_residual=cp_res, tp_residual=tp_res, hermiticity_residual=herm_res)
+    return cp_res, tp_res, herm_res
 
 
 def channel_from_superop(s: SuperOperator, roundtrip_atol: float = 1e-9) -> KrausChannel:
@@ -339,11 +332,11 @@ def channel_from_superop(s: SuperOperator, roundtrip_atol: float = 1e-9) -> Krau
     Eigenvalues in ``(-1e-8, 0)`` are clamped to zero (warned above noise
     level); anything more negative raises ``NotCompletelyPositive``.
     """
-    report = is_cptp(s)
-    if report.cp_residual > CHOI_NEG_HARD:
-        raise NotCompletelyPositive(f"Choi minimum eigenvalue is {-report.cp_residual:.3e}")
-    if report.tp_residual > CHOI_NEG_HARD:
-        raise NotTracePreserving(f"trace-preservation residual is {report.tp_residual:.3e}")
+    cp, tp, _ = is_cptp(s)
+    if cp > CHOI_NEG_HARD:
+        raise NotCompletelyPositive(f"Choi minimum eigenvalue is {-cp:.3e}")
+    if tp > CHOI_NEG_HARD:
+        raise NotTracePreserving(f"trace-preservation residual is {tp:.3e}")
     d = s.dim
     choi = choi_matrix(s)
     choi = (choi + dag(choi)) / 2

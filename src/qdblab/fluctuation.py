@@ -37,32 +37,7 @@ STOCHASTIC_ATOL = 1e-9
 PROBABILITY_FLOOR = 1e-15  # below this both-sided, a gap record is roundoff
 
 
-@dataclass(frozen=True)
-class TransitionMatrix:
-    """Row-stochastic matrix of level-to-level transition probabilities."""
-
-    tau: float | None
-    probs: np.ndarray
-    energies: np.ndarray
-
-    def __post_init__(self):
-        p = np.asarray(self.probs, dtype=float)
-        object.__setattr__(self, "probs", p)
-        object.__setattr__(self, "energies", np.asarray(self.energies, dtype=float))
-        if float(np.min(p)) < -1e-12:
-            raise NotTracePreserving(f"negative transition probability {float(np.min(p)):.3e}")
-        rows = p.sum(axis=1)
-        if float(np.max(np.abs(rows - 1.0))) > STOCHASTIC_ATOL:
-            raise NotTracePreserving(
-                f"transition rows sum to 1 only within {float(np.max(np.abs(rows - 1.0))):.3e}"
-            )
-
-    @property
-    def dim(self) -> int:
-        return self.probs.shape[0]
-
-
-def transition_matrix(channel_or_superop, h: HamiltonianSpec, tau: float | None = None) -> TransitionMatrix:
+def transition_matrix(channel_or_superop, h: HamiltonianSpec) -> np.ndarray:
     """``p[m, n] = <n| Map[|m><m|] |n>`` over h's ascending eigenbasis.
 
     For a Kraus channel the equivalent route ``sum_j |<n|G_j|m>|^2`` is
@@ -71,7 +46,7 @@ def transition_matrix(channel_or_superop, h: HamiltonianSpec, tau: float | None 
     """
     probs, checks, pending = _transition_stack((channel_or_superop,), h)
     _raise_first(checks, pending)
-    return TransitionMatrix(tau=tau, probs=probs[0], energies=h.eigenvalues)
+    return probs[0]
 
 
 def _map_error(g, d: int):
@@ -163,39 +138,6 @@ def _raise_first(checks: list, pending=None) -> None:
         raise pending
 
 
-@dataclass(frozen=True)
-class GapRecord:
-    energy: float
-    p_plus: float
-    p_minus: float
-
-
-@dataclass(frozen=True)
-class EnergyExchangeDistribution:
-    """Probabilities of absorbing / releasing each Bohr gap at one time."""
-
-    tau: float
-    gaps: tuple
-    beta_i: float
-    beta_f: float
-
-    def __post_init__(self):
-        total = sum(g.p_plus for g in self.gaps)
-        total += sum(g.p_minus for g in self.gaps if g.energy > 0)
-        if abs(total - 1.0) > 1e-9:
-            raise InternalCheckError(f"exchange probabilities sum to {total:.12g}")
-        for g in self.gaps:
-            for p in (g.p_plus, g.p_minus):
-                if p < -1e-12 or p > 1.0 + 1e-12:
-                    raise InternalCheckError(f"probability {p:.12g} outside [0, 1]")
-
-    def gap(self, energy: float, atol: float = 1e-9) -> GapRecord:
-        for g in self.gaps:
-            if abs(g.energy - energy) <= atol:
-                return g
-        raise KeyError(f"no gap at energy {energy}")
-
-
 def _gap_clusters(h: HamiltonianSpec) -> list:
     """Ordered level pairs ``(m, n)`` with ``E_n >= E_m``, grouped by their gap
     (within ``1e-9 * max|E|``) into ``(energy, pairs)`` clusters of ascending
@@ -243,23 +185,29 @@ class ExchangeGrid:
     beta_i: float
     beta_f: float
 
-    def distribution(self, t: int) -> EnergyExchangeDistribution:
-        gaps = tuple(
-            GapRecord(energy=energy, p_plus=p_plus, p_minus=p_minus)
-            for energy, p_plus, p_minus, kept in zip(
-                self.energies, self.p_plus[t].tolist(), self.p_minus[t].tolist(), self.recorded[t]
-            )
-            if kept
-        )
-        return EnergyExchangeDistribution(tau=self.taus[t], gaps=gaps, beta_i=self.beta_i, beta_f=self.beta_f)
-
     def ratios(self) -> tuple:
-        """The ratio law of :func:`qfr_ratio` over the grid, as ``(defined,
-        ratio, predicted, deviation)``: ``defined[t, c]`` marks the records
-        that have a ratio, and ``predicted`` holds one value per gap."""
-        return _ratios(
-            self.energies, self.p_plus, self.p_minus, self.recorded, self.beta_i - self.beta_f, RATIO_FLOOR
+        """``P(+E)/P(-E)`` of the records whose release probability exceeds
+        ``RATIO_FLOOR``, against the prediction ``e^{(beta_i - beta_f) E}``,
+        as ``(defined, ratio, predicted, deviation)``: ``defined[t, c]`` marks
+        the records that have a ratio, and ``predicted`` holds one value per
+        gap, computed only for the gaps that have a ratio."""
+        defined = self.recorded & ~(self.p_minus <= RATIO_FLOOR)
+        dbeta = self.beta_i - self.beta_f
+        predicted = np.array(
+            [_exp(dbeta * energy) if defined[:, c].any() else math.nan for c, energy in enumerate(self.energies)]
         )
+        with np.errstate(all="ignore"):
+            ratio = self.p_plus / self.p_minus
+            deviation = np.abs(ratio / predicted - 1.0)
+        return defined, ratio, predicted, deviation
+
+
+def _exp(x: float) -> float:
+    """``math.exp``, with an overflow read as ``inf``."""
+    try:
+        return math.exp(x)
+    except OverflowError:
+        return math.inf
 
 
 def exchange_grid(maps, h: HamiltonianSpec, beta_i: float, beta_f: float, taus) -> ExchangeGrid:
@@ -270,9 +218,9 @@ def exchange_grid(maps, h: HamiltonianSpec, beta_i: float, beta_f: float, taus) 
     ``1e-9 * max|E|``); degenerate gaps accumulate into one record.  For a
     gap ``E >= 0``, ``p_plus`` weights forward transitions by initial
     populations and ``p_minus`` the reversed ones.  The first map that fails
-    a check raises, with the checks at that map in the order of
-    :func:`exchange_distribution`: the transition checks, the Gibbs state,
-    then the records, which must sum to 1 and lie in [0, 1].
+    a check raises, with the checks at that map in this order: the
+    transition checks of :func:`transition_matrix`, the Gibbs state, then
+    the records, which must sum to 1 and lie in [0, 1].
     """
     if beta_i < 0:
         raise ValueError("beta_i must be nonnegative")
@@ -316,79 +264,24 @@ def exchange_grid(maps, h: HamiltonianSpec, beta_i: float, beta_f: float, taus) 
     return ExchangeGrid(tuple(taus), energies, p_plus, p_minus, recorded, beta_i, beta_f)
 
 
-def exchange_distribution(
-    channel_or_superop,
-    h: HamiltonianSpec,
-    beta_i: float,
-    beta_f: float,
-    tau: float,
-) -> EnergyExchangeDistribution:
-    """Energy-exchange statistics of one map applied to the ``beta_i`` thermal
-    state: :func:`exchange_grid` at the single time ``tau``."""
-    return exchange_grid((channel_or_superop,), h, beta_i, beta_f, (tau,)).distribution(0)
-
-
-@dataclass(frozen=True)
-class RatioRecord:
-    energy: float
-    ratio: float
-    predicted: float
-    deviation: float
-
-
-def _ratios(energies, p_plus, p_minus, recorded, dbeta: float, ratio_floor: float) -> tuple:
-    """``P(+E)/P(-E)`` of the records whose release probability exceeds
-    ``ratio_floor``, against ``e^{dbeta E}``, computed once per gap and only
-    for the gaps that have a ratio."""
-    defined = recorded & ~(p_minus <= ratio_floor)
-    predicted = np.array(
-        [math.exp(dbeta * energy) if defined[:, c].any() else math.nan for c, energy in enumerate(energies)]
-    )
-    with np.errstate(all="ignore"):
-        ratio = p_plus / p_minus
-        deviation = np.abs(ratio / predicted - 1.0)
-    return defined, ratio, predicted, deviation
-
-
-def qfr_ratio(dist: EnergyExchangeDistribution, ratio_floor: float = RATIO_FLOOR) -> list:
-    """Per-gap ratio ``P(+E)/P(-E)`` against the prediction ``e^{dbeta E}``.
-
-    Gaps whose release probability sits below ``ratio_floor`` have an
-    undefined ratio and are left out of the result.
-    """
-    energies = tuple(g.energy for g in dist.gaps)
-    p_plus = np.array([[g.p_plus for g in dist.gaps]])
-    p_minus = np.array([[g.p_minus for g in dist.gaps]])
-    defined, ratio, predicted, deviation = _ratios(
-        energies, p_plus, p_minus, np.ones(p_plus.shape, dtype=bool), dist.beta_i - dist.beta_f, ratio_floor
-    )
-    return [
-        RatioRecord(energy=energy, ratio=r, predicted=pred, deviation=dev)
-        for energy, ok, r, pred, dev in zip(
-            energies, defined[0], ratio[0].tolist(), predicted.tolist(), deviation[0].tolist()
-        )
-        if ok
-    ]
-
-
 def check_pairwise_condition(channel_or_superop, h: HamiltonianSpec, beta_f: float) -> float:
     """Largest defect of ``e^{-b E_m} p(m->n) == e^{-b E_n} p(n->m)``."""
-    tm = transition_matrix(channel_or_superop, h)
+    probs = transition_matrix(channel_or_superop, h)
     e = h.eigenvalues
     worst = 0.0
     for m in range(h.dim):
         for n in range(m + 1, h.dim):
-            lhs = math.exp(-beta_f * e[m]) * tm.probs[m, n]
-            rhs = math.exp(-beta_f * e[n]) * tm.probs[n, m]
+            lhs = math.exp(-beta_f * e[m]) * probs[m, n]
+            rhs = math.exp(-beta_f * e[n]) * probs[n, m]
             worst = max(worst, abs(lhs - rhs))
     return worst
 
 
 def fpt_stationarity_identity(channel_or_superop, h: HamiltonianSpec, beta_f: float) -> float:
     """Largest defect of ``sum_n p_n(beta_f) p(n->m) == p_m(beta_f)``."""
-    tm = transition_matrix(channel_or_superop, h)
+    probs = transition_matrix(channel_or_superop, h)
     p_th = populations(gibbs(h, beta_f), h)
-    return float(np.max(np.abs(p_th @ tm.probs - p_th)))
+    return float(np.max(np.abs(p_th @ probs - p_th)))
 
 
 @dataclass(frozen=True)

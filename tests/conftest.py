@@ -1,9 +1,11 @@
 import os
+from collections import namedtuple
 
 import numpy as np
 import pytest
 
-from qdblab.dynamics import LindbladGenerator
+from qdblab.dynamics import LindbladGenerator, heisenberg_dual, lindblad_superop
+from qdblab.fluctuation import exchange_grid
 from qdblab.states import DensityMatrix, HamiltonianSpec
 
 SEED = int(os.environ.get("QDBLAB_SEED", "20260810"))
@@ -83,3 +85,38 @@ def thermal_circulation_qutrit(rng, beta_f, circulation=0.4):
         if i != j
     ]
     return LindbladGenerator.from_jump_operators(h, jumps), h
+
+
+def heisenberg_generator(gen: LindbladGenerator):
+    """The Heisenberg-picture generator that ``check_qdb1`` takes."""
+    return heisenberg_dual(lindblad_superop(gen))
+
+
+Gap = namedtuple("Gap", "energy p_plus p_minus")
+Ratio = namedtuple("Ratio", "energy ratio predicted deviation")
+
+
+def exchange_at(g, h, beta_i, beta_f, tau=0.0):
+    """Exchange statistics of the one map ``g``, taken at ``tau``."""
+    return exchange_grid((g,), h, beta_i, beta_f, (tau,))
+
+
+def gap_records(grid, t=0):
+    """The gap records of ``grid`` at its ``t``-th time."""
+    return [
+        Gap(energy, p_plus, p_minus)
+        for energy, p_plus, p_minus, kept in zip(
+            grid.energies, grid.p_plus[t].tolist(), grid.p_minus[t].tolist(), grid.recorded[t]
+        )
+        if kept
+    ]
+
+
+def ratio_records(grid, t=0):
+    """The ratio law at the records of ``grid``'s ``t``-th time that have a ratio."""
+    defined, ratio, predicted, deviation = grid.ratios()
+    return [
+        Ratio(grid.energies[c], ratio[t, c], predicted[c], deviation[t, c])
+        for c in range(len(grid.energies))
+        if defined[t, c]
+    ]

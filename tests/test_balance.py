@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from conftest import random_complex, random_density, random_hamiltonian, random_lindblad
+from conftest import heisenberg_generator, random_complex, random_density, random_hamiltonian, random_lindblad
 from qdblab import matlin
 from qdblab.balance import (
     TimeReversal,
@@ -139,37 +139,45 @@ class TestQdb1:
             mu, eta, beta = rng.uniform(0.1, 2), rng.uniform(0, 1), rng.uniform(0.2, 2)
             gen = example_qdb_family(mu, eta, 1.0, beta)
             space = WeightedSpace(gibbs(gen.hamiltonian, beta), s)
-            report = check_qdb1(space, gen)
-            assert report.passes and report.residual < 1e-10
+            assert check_qdb1(space, heisenberg_generator(gen), gen.hamiltonian) < 1e-10
 
     def test_generic_generator_fails_at_every_s(self, rng):
         gen = random_lindblad(rng, 3)
         sigma = gibbs(gen.hamiltonian, 0.8)
-        verdicts = []
         for s in S_GRID:
-            report = check_qdb1(WeightedSpace(sigma, s), gen)
-            verdicts.append(report.passes)
-            assert report.residual > 1e-3
-        assert verdicts == [False] * len(S_GRID)
+            assert check_qdb1(WeightedSpace(sigma, s), heisenberg_generator(gen), gen.hamiltonian) > 1e-3
 
     def test_s_grid_verdicts_identical_for_balanced_family(self, rng):
         for _ in range(5):
             mu, eta, beta = rng.uniform(0.1, 2), rng.uniform(0, 1), rng.uniform(0.2, 2)
             gen = example_qdb_family(mu, eta, 1.0, beta)
             sigma = gibbs(gen.hamiltonian, beta)
-            verdicts = {check_qdb1(WeightedSpace(sigma, s), gen).passes for s in S_GRID}
+            dual = heisenberg_generator(gen)
+            verdicts = {check_qdb1(WeightedSpace(sigma, s), dual, gen.hamiltonian) < 1e-9 for s in S_GRID}
             assert verdicts == {True}
 
     def test_invariance_of_reference_state(self):
         gen = example_qdb_family(0.4, 0.3, 1.0, 0.9)
         space = WeightedSpace(gibbs(gen.hamiltonian, 0.9), 0.5)
-        assert check_qdb1_invariance(space, gen) < 1e-10
+        assert check_qdb1_invariance(space, lindblad_superop(gen)) < 1e-10
 
     def test_unitary_generator_leaves_thermal_state_invariant(self, rng):
         h = random_hamiltonian(rng, 2)
         gen = LindbladGenerator.canonical(h, np.zeros((3, 3)))
         space = WeightedSpace(gibbs(h, 1.1), 0.5)
-        assert check_qdb1_invariance(space, gen) < 1e-13
+        assert check_qdb1_invariance(space, lindblad_superop(gen)) < 1e-13
+
+
+def test_checks_require_their_picture(rng):
+    gen = random_lindblad(rng, 2)
+    space = WeightedSpace(gibbs(gen.hamiltonian, 0.8), 0.5)
+    schro = lindblad_superop(gen)
+    with pytest.raises(ValueError):
+        check_qdb1(space, schro, gen.hamiltonian)
+    with pytest.raises(ValueError):
+        check_qdb1_invariance(space, heisenberg_generator(gen))
+    with pytest.raises(ValueError):
+        check_lemma_invariant_subspace(space, schro)
 
 
 class TestTimeReversal:
@@ -217,10 +225,9 @@ class TestTimeReversal:
 
     def test_custom_reversal_validated(self):
         phases = np.diag(np.exp(1j * np.array([0.3, -1.2])))
-        t = TimeReversal.custom(phases)
-        assert t.kind == "custom"
+        np.testing.assert_array_equal(TimeReversal(phases).unitary, phases)
         with pytest.raises(ValueError):
-            TimeReversal.custom(np.array([[1.0, 1.0], [0.0, 1.0]]))
+            TimeReversal(np.array([[1.0, 1.0], [0.0, 1.0]]))
 
 
 class TestQdb2:
@@ -230,16 +237,14 @@ class TestQdb2:
         # of the reversal identity legitimately differ
         space = WeightedSpace(gibbs(qubit_hamiltonian(1.0), 0.8), 0.5)
         ident = SuperOperator(np.eye(4), HEISENBERG)
-        report = check_qdb2(space, ident, TimeReversal.conjugation(2))
-        assert report.passes
+        assert check_qdb2(space, ident, TimeReversal.conjugation(2)) < 1e-9
 
     @pytest.mark.parametrize("s", S_GRID)
     def test_balanced_family_map_passes(self, s):
         gen = example_qdb_family(0.5, 0.1, 1.0, 1.0)
         space = WeightedSpace(gibbs(gen.hamiltonian, 1.0), s)
         heis = evolve(dual_superop(gen), 1.0)
-        report = check_qdb2(space, heis, TimeReversal.conjugation(2))
-        assert report.passes and report.max_residual < 1e-10
+        assert check_qdb2(space, heis, TimeReversal.conjugation(2)) < 1e-10
 
     @pytest.mark.parametrize(
         "d, kind",
@@ -254,7 +259,7 @@ class TestQdb2:
             t = TimeReversal.spin_half()
         else:
             v = rng.normal(size=d)
-            t = TimeReversal.custom(np.eye(d) - 2 * np.outer(v, v) / (v @ v))
+            t = TimeReversal(np.eye(d) - 2 * np.outer(v, v) / (v @ v))
         units = matrix_units(d)
         sigma = random_density(rng, d)
         maps = [
@@ -272,8 +277,7 @@ class TestQdb2:
                     for a in units
                     for b in units
                 )
-                report = check_qdb2(space, g, t)
-                assert report.max_residual == pytest.approx(literal, rel=1e-12)
+                assert check_qdb2(space, g, t) == pytest.approx(literal, rel=1e-12)
 
     def test_requires_heisenberg_picture(self, rng):
         gen = random_lindblad(rng, 2)
@@ -286,16 +290,18 @@ class TestInvariantSubspaces:
     def test_balanced_family(self):
         gen = example_qdb_family(0.8, 0.4, 1.0, 1.5)
         space = WeightedSpace(gibbs(gen.hamiltonian, 1.5), 0.25)
-        report = check_lemma_invariant_subspace(space, gen)
-        assert report.passes
-        assert report.rs_commutation_residual < 1e-10
+        diagonal_leak, offdiagonal_leak, rs_commutation = check_lemma_invariant_subspace(
+            space, heisenberg_generator(gen)
+        )
+        assert max(diagonal_leak, offdiagonal_leak, rs_commutation) < 1e-9
+        assert rs_commutation < 1e-10
 
     def test_pure_dephasing_freezes_populations(self):
         h = qubit_hamiltonian(1.0)
         gen = LindbladGenerator.from_jump_operators(h, [np.sqrt(0.7) * SIGMA_Z])
         space = WeightedSpace(gibbs(h, 0.5), 0.5)
-        report = check_lemma_invariant_subspace(space, gen)
-        assert report.passes and report.diagonal_leak < 1e-12
+        leaks = check_lemma_invariant_subspace(space, heisenberg_generator(gen))
+        assert max(leaks) < 1e-9 and leaks[0] < 1e-12
 
     def test_self_adjoint_part_satisfies_weighted_symmetry(self):
         # for K = (L# + L#*)/2 of a balanced generator:
@@ -335,7 +341,7 @@ class TestBalancedImpliesPairwise:
             mu, eta, beta = rng.uniform(0.1, 2), rng.uniform(0, 1), rng.uniform(0.2, 2)
             gen = example_qdb_family(mu, eta, 1.0, beta)
             space = WeightedSpace(gibbs(gen.hamiltonian, beta), 0.5)
-            assert check_qdb1(space, gen).passes
+            assert check_qdb1(space, heisenberg_generator(gen), gen.hamiltonian) < 1e-9
             l = lindblad_superop(gen)
             for tau in (0.1, 1.0, 10.0):
                 res = check_pairwise_condition(evolve(l, tau), gen.hamiltonian, beta)

@@ -286,6 +286,19 @@ def test_underflowing_prediction_reads_as_infinite_deviation(rng, tmp_path):
     assert any(row["predicted"] == "0" and row["deviation"] == "inf" for row in rows)
 
 
+def test_overflowing_prediction_reads_as_unit_deviation(rng, tmp_path):
+    # e^{(beta_i + 1000) E} overflows on every gap of at least 0.71: the
+    # prediction is inf, so the ratio misses it by a relative 1
+    model_path = tmp_path / "generic.json"
+    save_model(random_lindblad(rng, 3), model_path)
+    assert run(tmp_path, "check", str(model_path), "--beta-f=-1000", *FAST) == EXIT_OK
+    verdict = json.loads((tmp_path / "check_generic_verdict.json").read_text())
+    assert verdict["classification"]["kind"] == "non_thermalizing"
+    assert verdict["qfr_max_deviation"] == 1.0 and verdict["qfr_passes"] is False
+    rows = _rows(tmp_path / "check_generic_rows.csv")
+    assert any(row["predicted"] == "inf" and row["deviation"] == "1" for row in rows)
+
+
 class TestSweepCommand:
     def test_balance_residual_crosses_at_symmetric_point(self, tmp_path):
         # sweeping nu through alpha: the residual vanishes exactly there
@@ -351,11 +364,15 @@ class TestConfigValidation:
             ("example", "a", "--beta-f", "40"),
             ("example", "b", "--beta-f", "710"),
             ("example", "c", "--beta-f", "710"),
+            ("example", "b", "--tol-qdb", "nan"),
+            ("example", "c", "--tol-cptp", "nan"),
+            ("example", "b", "--tol-qfr", "inf"),
         ],
         ids=["s-outside-unit", "beta-f-inf", "beta-i-nan", "gamma-negative", "omega-negative",
              "sweep-gamma-negative", "model-not-object", "tau-negative", "tau-inf", "tau-nan",
              "kraus-tau-null", "kraus-tau-text", "kraus-ops-number", "a-bias-underflow",
-             "b-boltzmann-overflow", "c-boltzmann-overflow"],
+             "b-boltzmann-overflow", "c-boltzmann-overflow", "tol-qdb-nan", "tol-cptp-nan",
+             "tol-qfr-inf"],
     )
     def test_out_of_range_input_exits_2(self, tmp_path, capsys, argv):
         kraus = {

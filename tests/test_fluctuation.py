@@ -5,8 +5,11 @@ import numpy as np
 import pytest
 
 from conftest import (
+    exchange_at,
+    gap_records,
     random_hamiltonian,
     random_lindblad,
+    ratio_records,
     thermal_circulation_qutrit,
 )
 from qdblab import fluctuation, matlin
@@ -38,30 +41,32 @@ from qdblab.fluctuation import (
     check_pairwise_condition,
     classify,
     default_tau_max,
-    exchange_distribution,
     exchange_grid,
     fpt_stationarity_identity,
-    qfr_ratio,
     transition_matrix,
 )
 from qdblab.matlin import dag
 from qdblab.states import HamiltonianSpec, gibbs, populations
 
 
+def gap_at(grid, energy):
+    """The record of ``grid``'s first time at the gap ``energy``."""
+    return next(g for g in gap_records(grid) if abs(g.energy - energy) <= 1e-9)
+
+
 class TestTransitionMatrix:
     def test_identity_map(self):
         h = qubit_hamiltonian(1.0)
-        tm = transition_matrix(KrausChannel((np.eye(2),)), h)
-        np.testing.assert_allclose(tm.probs, np.eye(2), atol=1e-14)
+        np.testing.assert_allclose(transition_matrix(KrausChannel((np.eye(2),)), h), np.eye(2), atol=1e-14)
 
     def test_scenario_a_literal_probabilities(self):
         p = ExampleAParams.default(1.0, 1.0)
         h = qubit_hamiltonian(1.0)
         tau = 0.8
         q, xi = p.q_schedule(tau), p.xi_schedule(tau)
-        tm = transition_matrix(example_a_channel(p, tau), h, tau)
-        assert abs(tm.probs[0, 1] - xi * q) < 1e-13
-        assert abs(tm.probs[1, 0] - xi * (1 - q)) < 1e-13
+        probs = transition_matrix(example_a_channel(p, tau), h)
+        assert abs(probs[0, 1] - xi * q) < 1e-13
+        assert abs(probs[1, 0] - xi * (1 - q)) < 1e-13
 
     def test_scenario_b_closed_form_probabilities(self):
         # independent oracle: the populations relax exponentially toward
@@ -70,60 +75,46 @@ class TestTransitionMatrix:
         h = p.hamiltonian()
         l = lindblad_superop(example_b_generator(p))
         for tau in (0.2, 1.0, 4.0):
-            tm = transition_matrix(evolve(l, tau), h, tau)
+            probs = transition_matrix(evolve(l, tau), h)
             reach = 1.0 - math.exp(-p.gamma_bar * tau)
             p_th = populations(gibbs(h, p.beta_f), h)
-            assert abs(tm.probs[0, 1] - reach * p_th[1]) < 1e-12
-            assert abs(tm.probs[1, 0] - reach * p_th[0]) < 1e-12
+            assert abs(probs[0, 1] - reach * p_th[1]) < 1e-12
+            assert abs(probs[1, 0] - reach * p_th[0]) < 1e-12
 
     def test_rows_stochastic_for_random_semigroups(self, rng):
         for d in (2, 3):
             gen = random_lindblad(rng, d)
             l = lindblad_superop(gen)
             for tau in (0.1, 1.0, 10.0):
-                tm = transition_matrix(evolve(l, tau), gen.hamiltonian, tau)
-                np.testing.assert_allclose(tm.probs.sum(axis=1), np.ones(d), atol=1e-9)
-                assert tm.probs.min() > -1e-12
-
-    @pytest.mark.parametrize(
-        "probs, message",
-        [
-            ([[1.1, -0.1], [0.0, 1.0]], "negative transition probability -1.000e-01"),
-            ([[0.5, 0.4], [0.0, 1.0]], "transition rows sum to 1 only within 1.000e-01"),
-        ],
-    )
-    def test_constructor_rejects_invalid_probabilities(self, probs, message):
-        with pytest.raises(NotTracePreserving, match=message):
-            fluctuation.TransitionMatrix(tau=None, probs=probs, energies=[0.0, 1.0])
+                probs = transition_matrix(evolve(l, tau), gen.hamiltonian)
+                np.testing.assert_allclose(probs.sum(axis=1), np.ones(d), atol=1e-9)
+                assert probs.min() > -1e-12
 
 
 class TestExchangeDistribution:
     def test_zero_time_single_zero_gap(self, rng):
         gen = random_lindblad(rng, 2)
-        dist = exchange_distribution(
-            evolve(lindblad_superop(gen), 0.0), gen.hamiltonian, 1.5, 1.0, 0.0
-        )
-        assert len(dist.gaps) == 1
-        assert dist.gaps[0].energy == 0.0
-        assert abs(dist.gaps[0].p_plus - 1.0) < 1e-14
+        gaps = gap_records(exchange_at(evolve(lindblad_superop(gen), 0.0), gen.hamiltonian, 1.5, 1.0, 0.0))
+        assert len(gaps) == 1
+        assert gaps[0].energy == 0.0
+        assert abs(gaps[0].p_plus - 1.0) < 1e-14
 
     def test_qubit_bookkeeping(self):
         p = ExampleAParams.default(1.0, 1.0)
         h = qubit_hamiltonian(1.0)
         beta_i, tau = 2.0, 0.7
-        dist = exchange_distribution(example_a_channel(p, tau), h, beta_i, 1.0, tau)
-        tm = transition_matrix(example_a_channel(p, tau), h, tau)
+        gap = gap_at(exchange_at(example_a_channel(p, tau), h, beta_i, 1.0, tau), 1.0)
+        probs = transition_matrix(example_a_channel(p, tau), h)
         p_init = populations(gibbs(h, beta_i), h)
-        gap = dist.gap(1.0)
-        assert abs(gap.p_plus - p_init[0] * tm.probs[0, 1]) < 1e-14
-        assert abs(gap.p_minus - p_init[1] * tm.probs[1, 0]) < 1e-14
+        assert abs(gap.p_plus - p_init[0] * probs[0, 1]) < 1e-14
+        assert abs(gap.p_minus - p_init[1] * probs[1, 0]) < 1e-14
 
     def test_scenario_b_ratio_matches_prediction(self):
         # oracle: pairwise-balanced dynamics gives exactly e^{dbeta omega}
         p = ExampleBParams(omega=1.0, gamma=1.0, beta_f=1.0)
         l = lindblad_superop(example_b_generator(p))
-        dist = exchange_distribution(evolve(l, 1.0), p.hamiltonian(), 2.0, 1.0, 1.0)
-        rec = [r for r in qfr_ratio(dist) if abs(r.energy - 1.0) < 1e-9][0]
+        grid = exchange_at(evolve(l, 1.0), p.hamiltonian(), 2.0, 1.0, 1.0)
+        rec = [r for r in ratio_records(grid) if abs(r.energy - 1.0) < 1e-9][0]
         assert abs(rec.ratio - math.exp(1.0)) < 1e-12
         assert rec.deviation < 1e-12
 
@@ -132,53 +123,40 @@ class TestExchangeDistribution:
         h = HamiltonianSpec.from_matrix(np.diag([0.0, 1.0, 2.0]))
         gen = random_lindblad(rng, 3)
         gen = type(gen).canonical(h, gen.kossakowski)
-        dist = exchange_distribution(evolve(lindblad_superop(gen), 0.5), h, 1.0, 0.5, 0.5)
-        energies = [g.energy for g in dist.gaps]
+        grid = exchange_at(evolve(lindblad_superop(gen), 0.5), h, 1.0, 0.5, 0.5)
+        energies = [g.energy for g in gap_records(grid)]
         assert energies == [0.0, 1.0, 2.0]
-        tm = transition_matrix(evolve(lindblad_superop(gen), 0.5), h, 0.5)
+        probs = transition_matrix(evolve(lindblad_superop(gen), 0.5), h)
         p_init = populations(gibbs(h, 1.0), h)
-        expected = p_init[0] * tm.probs[0, 1] + p_init[1] * tm.probs[1, 2]
-        assert abs(dist.gap(1.0).p_plus - expected) < 1e-13
+        expected = p_init[0] * probs[0, 1] + p_init[1] * probs[1, 2]
+        assert abs(gap_at(grid, 1.0).p_plus - expected) < 1e-13
 
     def test_normalization_invariant(self, rng):
-        # enforced by the constructor; exercise it across random dynamics
+        # enforced by exchange_grid; exercise it across random dynamics
         for d in (2, 3):
             gen = random_lindblad(rng, d)
             l = lindblad_superop(gen)
             for tau in (0.05, 0.5, 5.0):
-                dist = exchange_distribution(evolve(l, tau), gen.hamiltonian, 1.2, 0.8, tau)
-                total = sum(g.p_plus for g in dist.gaps)
-                total += sum(g.p_minus for g in dist.gaps if g.energy > 0)
+                gaps = gap_records(exchange_at(evolve(l, tau), gen.hamiltonian, 1.2, 0.8, tau))
+                total = sum(g.p_plus for g in gaps)
+                total += sum(g.p_minus for g in gaps if g.energy > 0)
                 assert abs(total - 1.0) < 1e-9
-
-    @pytest.mark.parametrize(
-        "gaps, message",
-        [
-            (((0.0, 0.5, 0.5), (1.0, 0.2, 0.2)), "exchange probabilities sum to 0.9"),
-            (((0.0, 1.5, 1.5), (1.0, -0.25, -0.25)), r"probability 1.5 outside \[0, 1\]"),
-        ],
-    )
-    def test_constructor_rejects_invalid_records(self, gaps, message):
-        records = tuple(fluctuation.GapRecord(*gap) for gap in gaps)
-        with pytest.raises(InternalCheckError, match=message):
-            fluctuation.EnergyExchangeDistribution(tau=0.0, gaps=records, beta_i=1.0, beta_f=1.0)
 
 
 class TestQfrRatio:
     def test_equal_temperatures_give_unit_ratio(self):
         gen = example_qdb_family(0.5, 0.2, 1.0, 1.0)
         l = lindblad_superop(gen)
-        dist = exchange_distribution(evolve(l, 0.7), gen.hamiltonian, 1.0, 1.0, 0.7)
-        for rec in qfr_ratio(dist):
+        for rec in ratio_records(exchange_at(evolve(l, 0.7), gen.hamiltonian, 1.0, 1.0, 0.7)):
             assert abs(rec.ratio - 1.0) < 1e-12
 
     def test_vanishing_release_probability_flagged_undefined(self):
         # beta_i large enough freezes the excited level: no release events
         p = ExampleBParams(omega=1.0, gamma=1.0, beta_f=1.0)
         l = lindblad_superop(example_b_generator(p))
-        dist = exchange_distribution(evolve(l, 0.5), p.hamiltonian(), 60.0, 1.0, 0.5)
-        reported = {round(r.energy, 9) for r in qfr_ratio(dist)}
-        present = {round(g.energy, 9) for g in dist.gaps}
+        grid = exchange_at(evolve(l, 0.5), p.hamiltonian(), 60.0, 1.0, 0.5)
+        reported = {round(r.energy, 9) for r in ratio_records(grid)}
+        present = {round(g.energy, 9) for g in gap_records(grid)}
         assert 1.0 in present and 1.0 not in reported
 
     def test_ratio_time_independent_for_balanced_dynamics(self):
@@ -186,8 +164,8 @@ class TestQfrRatio:
         l = lindblad_superop(gen)
         ratios = []
         for tau in (0.2, 1.0, 7.0):
-            dist = exchange_distribution(evolve(l, tau), gen.hamiltonian, 1.7, 0.6, tau)
-            rec = [r for r in qfr_ratio(dist) if abs(r.energy - 1.0) < 1e-9][0]
+            grid = exchange_at(evolve(l, tau), gen.hamiltonian, 1.7, 0.6, tau)
+            rec = [r for r in ratio_records(grid) if abs(r.energy - 1.0) < 1e-9][0]
             ratios.append(rec.ratio)
         assert max(ratios) - min(ratios) < 1e-9
 
@@ -214,7 +192,7 @@ class TestPairwiseCondition:
             l = lindblad_superop(gen)
             for tau in (0.1, 1.0, 10.0):
                 gmap = evolve(l, tau)
-                assert check_qdb2(space, heisenberg_dual(gmap), reversal).passes
+                assert check_qdb2(space, heisenberg_dual(gmap), reversal) < 1e-9
                 assert check_pairwise_condition(gmap, h, beta) < 1e-10
 
     def test_thermalizing_map_asymptotically(self, rng):
@@ -304,11 +282,9 @@ class TestAsymptoticRatioLaw:
             cls = classify(gen, h)
             assert cls.kind == "fpt"
             tau_max = default_tau_max(cls)
-            dist = exchange_distribution(
-                evolve(lindblad_superop(gen), tau_max), h, beta_i, cls.beta_f, tau_max
-            )
-            for rec in qfr_ratio(dist, ratio_floor=1e-12):
-                assert rec.deviation < 1e-6
+            grid = exchange_at(evolve(lindblad_superop(gen), tau_max), h, beta_i, cls.beta_f, tau_max)
+            defined, _, _, deviation = grid.ratios()
+            assert np.all(deviation[defined & (grid.p_minus > 1e-12)] < 1e-6)
 
 
 # The per-map loops that computed transition matrices, exchange records and
@@ -395,29 +371,16 @@ def reference_exchange_records(channel_or_superop, h, beta_i):
     return records
 
 
-def reference_ratios(records, dbeta, ratio_floor=fluctuation.RATIO_FLOOR):
+def reference_ratios(records, dbeta):
     """``[(energy, ratio, predicted, deviation)]`` of the records with a ratio."""
     out = []
     for energy, p_plus, p_minus in records:
-        if p_minus <= ratio_floor:
+        if p_minus <= fluctuation.RATIO_FLOOR:
             continue
         ratio = p_plus / p_minus
         predicted = math.exp(dbeta * energy)
         out.append((energy, ratio, predicted, abs(ratio / predicted - 1.0)))
     return out
-
-
-def grid_records(grid, t):
-    return [(g.energy, g.p_plus, g.p_minus) for g in grid.distribution(t).gaps]
-
-
-def grid_ratios(grid, t):
-    defined, ratio, predicted, deviation = grid.ratios()
-    return [
-        (grid.energies[c], ratio[t, c], predicted[c], deviation[t, c])
-        for c in range(len(grid.energies))
-        if defined[t, c]
-    ]
 
 
 def diagonal_hamiltonian(rng, d, equally_spaced):
@@ -444,10 +407,10 @@ class TestExchangeGridAgainstReference:
         grid = exchange_grid(maps, h, 1.3, 0.7, TAUS)
         assert grid.taus == TAUS
         for t, g in enumerate(maps):
-            assert np.array_equal(transition_matrix(g, h).probs, reference_transition_matrix(g, h))
+            assert np.array_equal(transition_matrix(g, h), reference_transition_matrix(g, h))
             records = reference_exchange_records(g, h, 1.3)
-            assert grid_records(grid, t) == records
-            assert grid_ratios(grid, t) == reference_ratios(records, 1.3 - 0.7)
+            assert gap_records(grid, t) == records
+            assert ratio_records(grid, t) == reference_ratios(records, 1.3 - 0.7)
 
     @pytest.mark.parametrize("equally_spaced", [False, True], ids=["generic", "degenerate-gaps"])
     @pytest.mark.parametrize("d", [2, 3, 4])
@@ -459,10 +422,10 @@ class TestExchangeGridAgainstReference:
             assert np.array_equal(stacked, [superop_from_channel(g).matrix])
         grid = exchange_grid(family, h, 0.8, 1.1, range(4))
         for t, g in enumerate(family):
-            assert np.array_equal(transition_matrix(g, h).probs, reference_transition_matrix(g, h))
+            assert np.array_equal(transition_matrix(g, h), reference_transition_matrix(g, h))
             records = reference_exchange_records(g, h, 0.8)
-            assert grid_records(grid, t) == records
-            assert grid_ratios(grid, t) == reference_ratios(records, 0.8 - 1.1)
+            assert gap_records(grid, t) == records
+            assert ratio_records(grid, t) == reference_ratios(records, 0.8 - 1.1)
 
     @pytest.mark.parametrize("d", [2, 3, 4])
     def test_rotated_models_agree_to_roundoff(self, rng, d):
@@ -473,9 +436,9 @@ class TestExchangeGridAgainstReference:
         grid = exchange_grid(maps, h, 1.3, 0.7, (*taus, 1.0))
         for t, g in enumerate(maps):
             np.testing.assert_allclose(
-                transition_matrix(g, h).probs, reference_transition_matrix(g, h), rtol=1e-13, atol=1e-15
+                transition_matrix(g, h), reference_transition_matrix(g, h), rtol=1e-13, atol=1e-15
             )
-            got, want = grid_records(grid, t), reference_exchange_records(g, h, 1.3)
+            got, want = gap_records(grid, t), reference_exchange_records(g, h, 1.3)
             assert [r[0] for r in got] == [r[0] for r in want]
             np.testing.assert_allclose(np.array(got)[:, 1:], np.array(want)[:, 1:], rtol=1e-13, atol=0)
 
@@ -503,6 +466,13 @@ def _failing_maps(h):
     d = h.dim
     good = evolve(lindblad_superop(LindbladGenerator.canonical(h, np.eye(d * d - 1) / 3)), 0.5)
     eye = np.eye(d * d, dtype=complex)
+    units = np.arange(d) * (d + 1)  # vec(|m><m|) is the unit vector at m (d + 1)
+    classical = np.zeros((d * d, d * d), dtype=complex)
+    classical[np.ix_(units, units)] = np.eye(d)
+    negative_entry, short_row = classical.copy(), classical.copy()
+    # transitions from level 0 of (1.1, -0.1, 0), summing to 1, and of (0.5, 0.4, 0)
+    negative_entry[units[:2], 0] = (1.1, -0.1)
+    short_row[units[:2], 0] = (0.5, 0.4)
     return {
         "good": good,
         "nan": SuperOperator(np.full((d * d, d * d), np.nan)),
@@ -513,6 +483,8 @@ def _failing_maps(h):
         "heisenberg": SuperOperator(good.matrix, HEISENBERG),
         "dimension": SuperOperator(np.eye((d + 1) ** 2)),
         "type": good.matrix,
+        "negative-entry": SuperOperator(negative_entry),
+        "short-row": SuperOperator(short_row),
     }
 
 
@@ -527,6 +499,8 @@ def _failing_maps(h):
         (("dimension", "nan"), 1.0),
         (("good", "nan", "nan"), 1.0),
         (("good", "excess", "rows"), 1.0),
+        (("good", "negative-entry", "short-row"), 1.0),
+        (("short-row", "negative-entry"), 1.0),
         # at beta_i = inf the degenerate ground level has no Gibbs state, which
         # the loop built after the first map's transition checks
         (("rows", "good"), math.inf),

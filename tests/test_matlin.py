@@ -151,7 +151,7 @@ class TestExpmAgainstScipy:
             oracle += [scipy.linalg.expm(tau * l) for tau in taus]
 
         def geometric_mean_tp(maps):
-            tp = [is_cptp(SuperOperator(m, SCHRODINGER)).tp_residual for m in maps]
+            tp = [is_cptp(SuperOperator(m, SCHRODINGER))[1] for m in maps]
             return np.exp(np.mean(np.log(np.maximum(tp, np.finfo(float).eps))))
 
         assert geometric_mean_tp(ours) <= geometric_mean_tp(oracle)
