@@ -5,8 +5,8 @@ a report must regenerate them and say why.  Regenerate with
 
     PYTHONPATH=src python tests/test_golden_reports.py
 
-Exit codes, headers, the ``(tau, E)`` key of every row, classifications and
-pass flags must match exactly.  Floats must match to a relative 1e-13:
+Exit codes, headers, the key of every row (``(tau, E)``, or ``(parameter,
+value)`` for a sweep), classifications and pass flags must match exactly.  Floats must match to a relative 1e-13:
 BLAS builds differ in the last bits, so the files are not compared byte for
 byte.  An absolute 1e-15 admits entries that are zero up to roundoff (a
 residual or deviation of a few ulp), whose relative error means nothing.
@@ -14,7 +14,8 @@ residual or deviation of a few ulp), whose relative error means nothing.
 ``golden/davies3_circulating.json`` is the d = 3 Davies model with a cyclic
 current drawn first from ``numpy.random.default_rng(5)`` by
 ``perfbench/fixtures.py``: fixed-point thermalizing at beta 1 but failing
-both balance checks.
+both balance checks.  ``golden/scenario_a_tau1.json`` is scenario A's default
+channel at omega = 1, beta_f = 1 and tau = 1 as a ``kind: kraus`` model.
 """
 
 import json
@@ -28,7 +29,8 @@ from qdblab.cli import EXIT_OK, main
 
 GOLDEN = Path(__file__).parent / "golden"
 MODEL = GOLDEN / "davies3_circulating.json"
-KEYS = ("tau", "E")
+KRAUS_MODEL = GOLDEN / "scenario_a_tau1.json"
+KEYS = (("tau", "E"), ("parameter", "value"))
 
 CASES = {
     "example_a": (("example", "a"), EXIT_OK),
@@ -36,6 +38,9 @@ CASES = {
     "example_c": (("example", "c"), EXIT_OK),
     "example_b_json": (("example", "b", "--format", "json"), EXIT_OK),
     "check_davies3": (("check", str(MODEL)), EXIT_OK),
+    "example_a_fpt": (("example", "a", "--q-schedule", "fpt"), EXIT_OK),
+    "check_kraus_a": (("check", str(KRAUS_MODEL)), EXIT_OK),
+    "sweep_a_omega": (("sweep", "a", "--parameter", "omega", "--range", "0.8:1.6:4"), EXIT_OK),
 }
 
 
@@ -81,7 +86,8 @@ def _assert_close(got, want, where: str) -> None:
 def _assert_rows_match(got: dict, want: dict, where: str) -> None:
     assert got["columns"] == want["columns"], where
     assert len(got["rows"]) == len(want["rows"]), where
-    keyed = [want["columns"].index(key) for key in KEYS]
+    keys = next(k for k in KEYS if set(k) <= set(want["columns"]))
+    keyed = [want["columns"].index(key) for key in keys]
     for idx, (g, w) in enumerate(zip(got["rows"], want["rows"])):
         assert [g[k] for k in keyed] == [w[k] for k in keyed], f"{where} row {idx}"
         if isinstance(w[0], str):  # CSV cells
