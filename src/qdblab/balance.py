@@ -163,23 +163,24 @@ class TimeReversal:
         return self.unitary @ a.T @ dag(self.unitary)
 
 
-def check_qdb2(space: WeightedSpace, map_heis: SuperOperator, t: TimeReversal) -> float:
-    """Map-level detailed balance via time reversal.
+def check_qdb2(space: WeightedSpace, maps_heis: np.ndarray, t: TimeReversal) -> float:
+    """Map-level detailed balance via time reversal, for a Heisenberg-picture
+    map matrix or a stack ``(t, d^2, d^2)`` of them.
 
     Checks ``<<A^dag, G#[B]>> == <<T[B^dag], G#[T[A]]>>`` as the identity
     ``K W G == ((Theta K)^dag W G Theta).T`` of superoperator matrices: with
     the transpose permutation ``K``, column stacking gives ``vec(A^dag) ==
     K conj(vec(A))`` and ``vec(T[A]) == Theta vec(A)`` for ``Theta = (conj(U)
     (x) U) K``, so entry ``(a, b)`` holds both sides for the matrix units
-    ``e_a, e_b``.  The residual is the largest defect.
+    ``e_a, e_b``.  The residual is the largest defect over every map; a nan
+    defect makes it nan.
     """
-    if map_heis.picture != HEISENBERG:
-        raise ValueError("check_qdb2 expects a Heisenberg-picture map")
-    if map_heis.dim != space.dim or t.dim != space.dim:
+    d2 = space.dim**2
+    if maps_heis.shape[-2:] != (d2, d2) or t.dim != space.dim:
         raise DimensionMismatch("space, map and time reversal must share one dimension")
     k, theta = t.transposition, t.theta
-    wg = space.weight @ map_heis.matrix
-    return float(np.max(np.abs(k @ wg - (dag(theta @ k) @ wg @ theta).T)))
+    wg = space.weight @ maps_heis
+    return float(np.max(np.abs(k @ wg - (dag(theta @ k) @ wg @ theta).swapaxes(-1, -2))))
 
 
 def r_s_superop(space: WeightedSpace) -> np.ndarray:

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import json
 import math
 import sys
@@ -22,7 +23,7 @@ from pathlib import Path
 import numpy as np
 
 from .balance import TimeReversal, WeightedSpace, check_qdb1, check_qdb2
-from .dynamics import Dynamics, KrausChannel, LindbladGenerator, heisenberg_dual
+from .dynamics import Dynamics, KrausChannel, LindbladGenerator, heisenberg_dual, trace_dual
 from .errors import (
     ConfigError,
     DegenerateGround,
@@ -188,7 +189,7 @@ def build_report(label: str, source: Dynamics, config: RunConfig, f_factor=None)
     aggregates classification, both balance checks (per point of the s
     grid) and the worst ratio-law deviation.
     """
-    cls = classify(source.generator or source.family or source.channel, source.h)
+    cls = classify(source)
     classification = {
         "kind": cls.kind,
         "beta_f": _json_float(cls.beta_f),
@@ -214,7 +215,8 @@ def build_report(label: str, source: Dynamics, config: RunConfig, f_factor=None)
 
     taus = source.taus(config.tau_grid)
     qdb2_taus = tuple(t for t in source.taus(QDB2_TAUS) if math.isfinite(t)) if spaces else ()
-    maps = source.maps(taus + qdb2_taus)  # one stacked exponential for a semigroup
+    superops, kraus = source.maps(taus + qdb2_taus)  # one stacked exponential for a semigroup
+    n = len(taus)
 
     qdb2 = None
     if qdb2_taus:
@@ -222,14 +224,15 @@ def build_report(label: str, source: Dynamics, config: RunConfig, f_factor=None)
         # has unitary part V V^T, which is I for a diagonal H
         v = source.h.eigenvectors
         reversal = TimeReversal(v @ v.T)
-        heis = [heisenberg_dual(g) for g in maps[len(taus) :]]
-        per_s = {key: max(0.0, *(check_qdb2(space, g, reversal) for g in heis)) for key, space in spaces}
+        heis = trace_dual(superops[n:])
+        per_s = {key: check_qdb2(space, heis, reversal) for key, space in spaces}
         qdb2 = {**_balance_section(per_s, config.tol_qdb), "taus": list(qdb2_taus)}
 
     header = ["tau", "E", "p_plus", "p_minus", "R", "predicted", "deviation"]
     if f_factor is not None:
         header.append("F_tau")
-    grid = exchange_grid(maps[: len(taus)], source.h, config.beta_i, beta_for_ratios, taus)
+    maps = (superops[:n], None if kraus is None else kraus[:n])
+    grid = exchange_grid(maps, source.h, config.beta_i, beta_for_ratios, taus)
     defined, ratio, predicted, deviation = grid.ratios()
     predicted = predicted.tolist()
     rows = []
@@ -312,6 +315,8 @@ def _pairs_to_complex(data) -> np.ndarray:
         arr = np.asarray(data, dtype=float)
     except (ValueError, TypeError) as exc:
         raise ConfigError(f"malformed matrix entry: {exc}") from exc
+    if not np.all(np.isfinite(arr)):
+        raise ConfigError("matrix entries must be finite")
     if arr.ndim == 3 and arr.shape[2] == 2:
         return arr[..., 0] + 1j * arr[..., 1]
     if arr.ndim == 2:
@@ -411,7 +416,7 @@ def _example_source(args, config: RunConfig):
         raise ConfigError(f"scenario {name}: {exc}") from exc
     if name == "a":
         return (
-            Dynamics.channel_family(h, lambda tau: example_a_channel(p, tau)),
+            Dynamics.channel_family(h, lambda taus: example_a_channel(p, taus)),
             lambda tau: example_a_f_factor(p, tau),
         )
     if name == "b":
@@ -448,8 +453,9 @@ _SWEEPABLE = {
 }
 
 
-def _sweep_source(target: str, param: str, value: float, args, config: RunConfig):
-    """Build the swept source; returns (source, config) with overrides applied."""
+def _sweep_source(target: str, param: str, value: float, args, config: RunConfig, load):
+    """Build the swept source, a model file through ``load``; returns
+    (source, config) with overrides applied."""
     allowed = _SWEEPABLE.get(target, _SWEEPABLE["model"])
     if param not in allowed:
         raise UnknownParameter(
@@ -461,7 +467,7 @@ def _sweep_source(target: str, param: str, value: float, args, config: RunConfig
     else:
         setattr(ns, param, value)
     if target not in ("a", "b", "c"):
-        return load_model(target), config
+        return load(target), config
     source, _ = _example_source(ns, config)
     return source, config
 
@@ -480,8 +486,9 @@ def cmd_sweep(args, config: RunConfig) -> int:
         "qfr_max_deviation",
     ]
     rows = []
+    load = functools.cache(load_model)  # a model file is read and built once
     for value in values:
-        source, cfg = _sweep_source(args.target, args.parameter, float(value), args, config)
+        source, cfg = _sweep_source(args.target, args.parameter, float(value), args, config, load)
         _, _, verdict = build_report(args.target, source, cfg)
         q1, q2 = verdict["qdb1"], verdict["qdb2"]
         rows.append(

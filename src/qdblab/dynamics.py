@@ -40,6 +40,7 @@ PSD_ATOL = 1e-10
 BASIS_ATOL = 1e-12
 CHOI_NEG_HARD = 1e-8
 KRAUS_RANK_FLOOR = 1e-12
+ROUNDTRIP_ATOL = 1e-9
 
 
 @dataclass(frozen=True)
@@ -88,10 +89,7 @@ class KrausChannel:
             if g.ndim != 2 or g.shape != (d, d):
                 raise DimensionMismatch("all Kraus operators must be square with equal size")
         object.__setattr__(self, "kraus_ops", ops)
-        s = sum(dag(g) @ g for g in ops)
-        res = float(np.max(np.abs(s - np.eye(d))))
-        if res > TP_ATOL:
-            raise NotTracePreserving(f"sum G^dag G differs from identity by {res:.3e}")
+        _require_trace_preserving(np.array([ops]))
 
     @property
     def dim(self) -> int:
@@ -102,6 +100,16 @@ class KrausChannel:
         if x.shape != (self.dim, self.dim):
             raise DimensionMismatch(f"operand shape {x.shape} does not match dim {self.dim}")
         return sum(g @ x @ dag(g) for g in self.kraus_ops)
+
+
+def _require_trace_preserving(kraus: np.ndarray) -> None:
+    """Raise ``NotTracePreserving`` for the first slice of a Kraus stack
+    ``(t, j, d, d)`` whose ``sum_j G^dag G`` misses the identity."""
+    gram = (kraus.conj().swapaxes(-1, -2) @ kraus).sum(axis=1)
+    res = np.abs(gram - np.eye(kraus.shape[-1])).max(axis=(1, 2))
+    failing = np.flatnonzero(res > TP_ATOL)
+    if failing.size:
+        raise NotTracePreserving(f"sum G^dag G differs from identity by {res[failing[0]]:.3e}")
 
 
 def gell_mann_basis(d: int) -> list:
@@ -259,42 +267,51 @@ def dual_superop(gen: LindbladGenerator) -> SuperOperator:
     return SuperOperator(m, HEISENBERG)
 
 
-def heisenberg_dual(s: SuperOperator | KrausChannel) -> SuperOperator:
+def trace_dual(m: np.ndarray) -> np.ndarray:
+    """``K m^T K``, the trace dual, of a superoperator matrix or of each of a
+    stack ``(t, d^2, d^2)``; ``K`` is ``X -> X^T``, so this is a permutation."""
+    d = math.isqrt(m.shape[-1])
+    return m.reshape(-1, d, d, d, d).transpose(0, 4, 3, 2, 1).reshape(m.shape)
+
+
+def heisenberg_dual(s: SuperOperator) -> SuperOperator:
     """Dual map under the trace pairing ``Tr[S[x] y] == Tr[x S#[y]]``.
 
-    Works for generators and for finite-time maps alike, given as a
-    SuperOperator or a KrausChannel, and toggles the picture tag.
+    Works for generators and for finite-time maps alike and toggles the
+    picture tag.
     """
-    if isinstance(s, KrausChannel):
-        s = superop_from_channel(s)
-    k = matlin.transpose_superop(s.dim)
     flipped = HEISENBERG if s.picture == SCHRODINGER else SCHRODINGER
-    return SuperOperator(k @ s.matrix.T @ k, flipped)
+    return SuperOperator(trace_dual(s.matrix), flipped)
 
 
 def evolve(superop: SuperOperator, tau: float) -> SuperOperator:
     """Finite-time map ``exp(tau * L)`` of a generator superoperator."""
-    return evolve_grid(superop, (tau,))[0]
+    return SuperOperator(evolve_grid(superop, (tau,))[0], superop.picture)
 
 
-def evolve_grid(superop: SuperOperator, taus) -> tuple:
-    """The maps ``exp(tau * L)`` for every ``tau`` of ``taus``, from one
-    stacked matrix exponential."""
+def evolve_grid(superop: SuperOperator, taus) -> np.ndarray:
+    """The matrices of ``exp(tau * L)`` for every ``tau`` of ``taus``,
+    stacked ``(t, d^2, d^2)``, from one stacked matrix exponential."""
     taus = np.asarray(taus, dtype=float).reshape(-1)
     if np.any(taus < 0):
         raise ValueError("tau must be nonnegative")
     with np.errstate(over="ignore"):  # tau L may overflow; expm turns it to nan
-        stack = matlin.expm(taus[:, None, None] * superop.matrix)
-    return tuple(SuperOperator(m, superop.picture) for m in stack)
+        return matlin.expm(taus[:, None, None] * superop.matrix)
 
 
 def superop_from_channel(channel: KrausChannel) -> SuperOperator:
     """Column-stacking matrix ``sum_j conj(G_j) (x) G_j`` of a Kraus map."""
-    d = channel.dim
-    m = np.zeros((d * d, d * d), dtype=complex)
-    for g in channel.kraus_ops:
-        m += kron(g.conj(), g)
-    return SuperOperator(m, SCHRODINGER)
+    return SuperOperator(_kraus_superops(np.array([channel.kraus_ops]))[0], SCHRODINGER)
+
+
+def _kraus_superops(kraus: np.ndarray) -> np.ndarray:
+    """``sum_j conj(G_j) (x) G_j`` for every slice of a zero-padded Kraus stack
+    ``(t, j, d, d)``, summed over ``j`` in order."""
+    t, _, d, _ = kraus.shape
+    s = np.zeros((t, d * d, d * d), dtype=complex)
+    for g in kraus.transpose(1, 0, 2, 3):
+        s += (g.conj()[:, :, None, :, None] * g[:, None, :, None, :]).reshape(t, d * d, d * d)
+    return s
 
 
 def choi_matrix(s: SuperOperator) -> np.ndarray:
@@ -326,7 +343,7 @@ def is_cptp(s: SuperOperator) -> tuple:
     return cp_res, tp_res, herm_res
 
 
-def channel_from_superop(s: SuperOperator, roundtrip_atol: float = 1e-9) -> KrausChannel:
+def channel_from_superop(s: SuperOperator) -> KrausChannel:
     """Kraus family from the Choi eigendecomposition of a CPTP map.
 
     Eigenvalues in ``(-1e-8, 0)`` are clamped to zero (warned above noise
@@ -354,7 +371,7 @@ def channel_from_superop(s: SuperOperator, roundtrip_atol: float = 1e-9) -> Krau
     ]
     channel = KrausChannel(tuple(ops))
     residual = matlin.frobenius(superop_from_channel(channel).matrix - s.matrix)
-    if residual > roundtrip_atol:
+    if residual > ROUNDTRIP_ATOL:
         raise InternalCheckError(f"Kraus reconstruction misses the superoperator by {residual:.3e}")
     return channel
 
@@ -377,14 +394,15 @@ class Dynamics:
     """One dynamics to verify: a semigroup, a channel family or a single map.
 
     Exactly one of ``generator`` (a Schroedinger-picture generator
-    superoperator), ``family`` (a callable ``tau -> KrausChannel``) and
-    ``channel`` (one Kraus map, taken at time ``tau``) is set; build a value
-    with :meth:`semigroup`, :meth:`channel_family` or :meth:`single_map`.
+    superoperator), ``family`` (a callable ``taus -> (t, j, d, d)`` Kraus
+    stack, zero-padded) and ``channel`` (one Kraus map, taken at time
+    ``tau``) is set; build a value with :meth:`semigroup`,
+    :meth:`channel_family` or :meth:`single_map`.
     """
 
     h: HamiltonianSpec
     generator: SuperOperator | None
-    family: Callable[[float], KrausChannel] | None
+    family: Callable[[tuple], np.ndarray] | None
     channel: KrausChannel | None
     tau: float | None
 
@@ -394,25 +412,37 @@ class Dynamics:
         ``LindbladGenerator``, whose superoperator is built here, once."""
         if isinstance(generator, LindbladGenerator):
             generator = lindblad_superop(generator)
+        if generator.picture != SCHRODINGER:
+            raise ValueError("transition probabilities need a Schroedinger-picture map")
+        if generator.dim != h.dim:
+            raise DimensionMismatch("superoperator dimension does not match the Hamiltonian")
         return cls(h, generator, None, None, None)
 
     @classmethod
-    def channel_family(cls, h: HamiltonianSpec, family: Callable[[float], KrausChannel]) -> "Dynamics":
+    def channel_family(cls, h: HamiltonianSpec, family: Callable[[tuple], np.ndarray]) -> "Dynamics":
         return cls(h, None, family, None, None)
 
     @classmethod
     def single_map(cls, h: HamiltonianSpec, channel: KrausChannel, tau: float) -> "Dynamics":
+        if channel.dim != h.dim:
+            raise DimensionMismatch("channel dimension does not match the Hamiltonian")
         return cls(h, None, None, channel, tau)
 
     def maps(self, taus) -> tuple:
-        """Schroedinger maps at every point of ``taus``: for a semigroup the
-        SuperOperators ``exp(tau L)`` from one stacked exponential, otherwise
-        KrausChannels."""
+        """Schroedinger maps at every point of ``taus`` as the stack ``(t,
+        d^2, d^2)`` of their matrices and the zero-padded stack ``(t, j, d,
+        d)`` of their Kraus operators, None for a semigroup, whose maps come
+        from one stacked exponential."""
         if self.generator is not None:
-            return evolve_grid(self.generator, taus)
+            return evolve_grid(self.generator, taus), None
         if self.family is not None:
-            return tuple(self.family(tau) for tau in taus)
-        return tuple(self.channel for _ in taus)
+            kraus = np.asarray(self.family(taus), dtype=complex)
+            if kraus.shape[2:] != (self.h.dim,) * 2:
+                raise DimensionMismatch("channel dimension does not match the Hamiltonian")
+            _require_trace_preserving(kraus)
+        else:
+            kraus = np.repeat(np.array([self.channel.kraus_ops]), len(taus), axis=0)
+        return _kraus_superops(kraus), kraus
 
     def taus(self, grid) -> tuple:
         """The points of ``grid`` the dynamics is defined on; a single map

@@ -25,14 +25,7 @@ from typing import Callable
 
 import numpy as np
 
-from .dynamics import (
-    SCHRODINGER,
-    KrausChannel,
-    LindbladGenerator,
-    SuperOperator,
-    evolve_grid,
-    is_cptp,
-)
+from .dynamics import SCHRODINGER, LindbladGenerator, SuperOperator, evolve_grid, is_cptp
 from .errors import DimensionMismatch, NotCPTP, ScheduleOutOfRange
 from .matlin import dag, vec
 from .states import (
@@ -45,6 +38,7 @@ from .states import (
 )
 
 HORIZON_TAU = 1e12
+CPTP_CHECK_TAUS = (0.1, 1.0, 10.0)  # scenario C's maps checked for CPTP at these times
 
 # Energy lowering/raising in the ground-first storage basis.
 LOWERING = np.array([[0, 1], [0, 0]], dtype=complex)
@@ -56,6 +50,13 @@ def qubit_hamiltonian(omega: float) -> HamiltonianSpec:
     if omega <= 0:
         raise ValueError("omega must be positive")
     return HamiltonianSpec.from_matrix(np.diag([-omega / 2, omega / 2]).astype(complex))
+
+
+def _require_finite(params, names) -> None:
+    """Raise ``ValueError`` for the first field of ``names`` that is not a finite number."""
+    for name in names:
+        if not math.isfinite(getattr(params, name)):
+            raise ValueError(f"{name} must be finite, got {getattr(params, name)}")
 
 
 def thermal_bias(omega: float, beta_f: float) -> float:
@@ -82,6 +83,7 @@ class ExampleAParams:
     xi_schedule: Callable[[float], float]
 
     def __post_init__(self):
+        _require_finite(self, ("omega", "beta_f"))
         if self.omega <= 0 or self.beta_f < 0:
             raise ValueError("need omega > 0 and beta_f >= 0")
         if self.q_inf == 0.0:
@@ -125,25 +127,31 @@ class ExampleAParams:
         return qubit_hamiltonian(self.omega)
 
 
-def example_a_channel(p: ExampleAParams, tau: float) -> KrausChannel:
-    """Four-operator Kraus family at time ``tau``.
+def example_a_channel(p: ExampleAParams, taus) -> np.ndarray:
+    """Four-operator Kraus family at every time of ``taus``, stacked
+    ``(t, 4, 2, 2)``.
 
     Ground population evolves as ``d(tau) = (1 - xi) d(0) + (1 - q) xi``,
     the coherence scales by ``sqrt(1 - xi)``, and the level transition
     probabilities are ``p(ground -> excited) = xi q`` and
     ``p(excited -> ground) = xi (1 - q)``.
     """
-    q = float(p.q_schedule(tau))
-    xi = float(p.xi_schedule(tau))
-    if not (-1e-12 <= q <= 1 + 1e-12) or not (-1e-12 <= xi <= 1 + 1e-12):
-        raise ScheduleOutOfRange(f"schedules left [0, 1] at tau={tau:g}: q={q:g}, xi={xi:g}")
-    q = min(max(q, 0.0), 1.0)
-    xi = min(max(xi, 0.0), 1.0)
-    g1 = math.sqrt(1.0 - q) * np.diag([1.0, math.sqrt(1.0 - xi)]).astype(complex)
-    g2 = math.sqrt((1.0 - q) * xi) * LOWERING
-    g3 = math.sqrt(q) * np.diag([math.sqrt(1.0 - xi), 1.0]).astype(complex)
-    g4 = math.sqrt(q * xi) * RAISING
-    return KrausChannel((g1, g2, g3, g4))
+    q = np.array([float(p.q_schedule(tau)) for tau in taus])
+    xi = np.array([float(p.xi_schedule(tau)) for tau in taus])
+    inside = (-1e-12 <= q) & (q <= 1 + 1e-12) & (-1e-12 <= xi) & (xi <= 1 + 1e-12)
+    if not inside.all():
+        t = int(np.argmin(inside))
+        raise ScheduleOutOfRange(f"schedules left [0, 1] at tau={taus[t]:g}: q={q[t]:g}, xi={xi[t]:g}")
+    q = np.clip(q, 0.0, 1.0)
+    xi = np.clip(xi, 0.0, 1.0)
+    kraus = np.zeros((len(q), 4, 2, 2), dtype=complex)
+    kraus[:, 0, 0, 0] = np.sqrt(1.0 - q)
+    kraus[:, 0, 1, 1] = np.sqrt(1.0 - q) * np.sqrt(1.0 - xi)
+    kraus[:, 1, 0, 1] = np.sqrt((1.0 - q) * xi)
+    kraus[:, 2, 0, 0] = np.sqrt(q) * np.sqrt(1.0 - xi)
+    kraus[:, 2, 1, 1] = np.sqrt(q)
+    kraus[:, 3, 1, 0] = np.sqrt(q * xi)
+    return kraus
 
 
 def example_a_f_factor(p: ExampleAParams, tau: float) -> float:
@@ -172,7 +180,9 @@ class ExampleBParams:
     beta_f: float
 
     def __post_init__(self):
-        if self.omega <= 0 or self.gamma <= 0 or self.beta_f <= 0:
+        # beta_f = inf is the zero-temperature limit, with n_bar = 0
+        _require_finite(self, ("omega", "gamma"))
+        if not (self.omega > 0 and self.gamma > 0 and self.beta_f > 0):
             raise ValueError("need omega > 0, gamma > 0 and beta_f > 0")
         try:
             math.expm1(self.beta_f * self.omega)
@@ -260,6 +270,7 @@ class ExampleCParams:
     zeta: float
 
     def __post_init__(self):
+        _require_finite(self, ("omega", "nu", "alpha", "chi", "zeta"))
         if self.zeta <= 0:
             raise ValueError("zeta must be positive")
         if abs(self.chi / self.zeta) > 1.0 + 1e-12:
@@ -333,15 +344,12 @@ def superop_to_bloch4(s: SuperOperator) -> np.ndarray:
     return -0.25 * dag(_PAULI_STACK) @ s.matrix @ _PAULI_STACK
 
 
-def example_c_generator(
-    p: ExampleCParams,
-    check_taus=(0.1, 1.0, 10.0),
-    cptp_tol: float = 1e-9,
-) -> SuperOperator:
-    """Schroedinger-picture generator; the induced maps must verify as CPTP."""
+def example_c_generator(p: ExampleCParams, cptp_tol: float = 1e-9) -> SuperOperator:
+    """Schroedinger-picture generator; the induced maps at ``CPTP_CHECK_TAUS``
+    must verify as CPTP."""
     s = bloch4_to_superop(example_c_bloch_matrix(p))
-    for tau, g in zip(check_taus, evolve_grid(s, check_taus)):
-        cp, tp, herm = is_cptp(g)
+    for tau, g in zip(CPTP_CHECK_TAUS, evolve_grid(s, CPTP_CHECK_TAUS)):
+        cp, tp, herm = is_cptp(SuperOperator(g))
         if not max(cp, tp, herm) < cptp_tol:  # not >=, so that a nan tolerance fails
             raise NotCPTP(
                 f"induced map at tau={tau:g} fails CPTP: cp={cp:.3e}, tp={tp:.3e}, herm={herm:.3e}"

@@ -9,15 +9,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import matlin
-from .dynamics import (
-    SCHRODINGER,
-    KrausChannel,
-    LindbladGenerator,
-    SuperOperator,
-    apply,
-    lindblad_superop,
-    superop_from_channel,
-)
+from .dynamics import SCHRODINGER, Dynamics, KrausChannel, SuperOperator, superop_from_channel
 from .errors import (
     DimensionMismatch,
     InconclusiveHorizon,
@@ -37,77 +29,43 @@ STOCHASTIC_ATOL = 1e-9
 PROBABILITY_FLOOR = 1e-15  # below this both-sided, a gap record is roundoff
 
 
-def transition_matrix(channel_or_superop, h: HamiltonianSpec) -> np.ndarray:
-    """``p[m, n] = <n| Map[|m><m|] |n>`` over h's ascending eigenbasis.
+def transition_matrix(g, h: HamiltonianSpec) -> np.ndarray:
+    """``p[m, n] = <n| Map[|m><m|] |n>`` over h's ascending eigenbasis, for
+    one Kraus channel or Schroedinger-picture superoperator ``g``.
 
     For a Kraus channel the equivalent route ``sum_j |<n|G_j|m>|^2`` is
     evaluated as well and the two must agree; the probabilities must be
     nonnegative and each row must sum to 1.
     """
-    probs, checks, pending = _transition_stack((channel_or_superop,), h)
-    _raise_first(checks, pending)
+    if isinstance(g, KrausChannel):
+        superops, kraus = Dynamics.single_map(h, g, math.nan).maps((math.nan,))
+    elif isinstance(g, SuperOperator):
+        if g.picture != SCHRODINGER:
+            raise ValueError("transition probabilities need a Schroedinger-picture map")
+        if g.dim != h.dim:
+            raise DimensionMismatch("superoperator dimension does not match the Hamiltonian")
+        superops, kraus = g.matrix[None], None
+    else:
+        raise TypeError(f"unsupported map type {type(g).__name__}")
+    probs, checks = _transition_stack(superops, kraus, h)
+    _raise_first(checks)
     return probs[0]
 
 
-def _map_error(g, d: int):
-    """The exception for a map of the wrong type, picture or dimension, or None."""
-    if isinstance(g, KrausChannel):
-        return None if g.dim == d else DimensionMismatch("channel dimension does not match the Hamiltonian")
-    if isinstance(g, SuperOperator):
-        if g.picture != SCHRODINGER:
-            return ValueError("transition probabilities need a Schroedinger-picture map")
-        if g.dim != d:
-            return DimensionMismatch("superoperator dimension does not match the Hamiltonian")
-        return None
-    return TypeError(f"unsupported map type {type(g).__name__}")
-
-
-def _kraus_superops(kraus: np.ndarray) -> np.ndarray:
-    """``sum_j conj(G_j) (x) G_j`` for every slice of a zero-padded Kraus stack
-    ``(t, j, d, d)``, summed over ``j`` in order as :func:`superop_from_channel` does."""
-    t, _, d, _ = kraus.shape
-    s = np.zeros((t, d * d, d * d), dtype=complex)
-    for g in kraus.transpose(1, 0, 2, 3):
-        s += (g.conj()[:, :, None, :, None] * g[:, None, :, None, :]).reshape(t, d * d, d * d)
-    return s
-
-
-def _transition_stack(maps, h: HamiltonianSpec):
-    """Transition probabilities ``probs[t, m, n]`` of a sequence of maps, with
-    the checks of :func:`transition_matrix` as masks over ``t``.
-
-    Returns ``(probs, checks, pending)``.  ``probs`` covers the maps before the
-    first one of the wrong type, picture or dimension, whose exception is
-    ``pending`` (None when every map fits).  ``checks`` lists ``(mask, error)``
-    pairs in the order one map is checked; ``error(t)`` is the exception for
-    map ``t``.
-    """
+def _transition_stack(superops: np.ndarray, kraus, h: HamiltonianSpec):
+    """Transition probabilities ``probs[t, m, n]`` of the stacks of
+    :meth:`Dynamics.maps`, with the checks of :func:`transition_matrix` as
+    masks over ``t``: ``checks`` lists ``(mask, error)`` pairs in the order
+    one map is checked, and ``error(t)`` is the exception for map ``t``."""
     d = h.dim
-    maps = tuple(maps)
-    pending = None
-    for t, g in enumerate(maps):
-        pending = _map_error(g, d)
-        if pending is not None:
-            maps = maps[:t]
-            break
-    is_kraus = np.array([isinstance(g, KrausChannel) for g in maps], dtype=bool)
-    kraus = [g.kraus_ops for g in maps if isinstance(g, KrausChannel)]
-    s = np.empty((len(maps), d * d, d * d), dtype=complex)
-    if kraus:
-        ops = np.zeros((len(kraus), max(map(len, kraus)), d, d), dtype=complex)
-        for t, g in enumerate(kraus):
-            ops[t, : len(g)] = g
-        s[is_kraus] = _kraus_superops(ops)
-    if len(kraus) < len(maps):
-        s[~is_kraus] = [g.matrix for g in maps if not isinstance(g, KrausChannel)]
     v = h.eigenvectors
     # column m of q is vec(|m><m|), so (q^dag S q)[n, m] = <n| S[|m><m|] |n>
     q = (v.conj()[:, None, :] * v[None, :, :]).reshape(d * d, d)
-    probs = np.real(dag(q) @ s @ q).transpose(0, 2, 1)
-    route_gap = np.zeros(len(maps))
-    if kraus:
-        kraus_probs = (np.abs(dag(v) @ ops @ v) ** 2).sum(axis=1).transpose(0, 2, 1)
-        route_gap[is_kraus] = np.abs(kraus_probs - probs[is_kraus]).max(axis=(1, 2))
+    probs = np.real(dag(q) @ superops @ q).transpose(0, 2, 1)
+    route_gap = np.zeros(len(probs))
+    if kraus is not None:
+        kraus_probs = (np.abs(dag(v) @ kraus @ v) ** 2).sum(axis=1).transpose(0, 2, 1)
+        route_gap = np.abs(kraus_probs - probs).max(axis=(1, 2))
     low = probs.min(axis=(1, 2))
     rows = np.abs(probs.sum(axis=2) - 1.0).max(axis=1)
     checks = [
@@ -123,19 +81,17 @@ def _transition_stack(maps, h: HamiltonianSpec):
             lambda t: NotTracePreserving(f"transition rows sum to 1 only within {rows[t]:.3e}"),
         ),
     ]
-    return probs, checks, pending
+    return probs, checks
 
 
-def _raise_first(checks: list, pending=None) -> None:
+def _raise_first(checks: list) -> None:
     """Raise the exception of the first map that fails a check, taking the
-    checks at that map in list order; then ``pending``, if any."""
+    checks at that map in list order."""
     masks = np.array([mask for mask, _ in checks])
     failing = np.flatnonzero(masks.any(axis=0))
     if failing.size:
         t = int(failing[0])
         raise checks[int(np.argmax(masks[:, t]))][1](t)
-    if pending is not None:
-        raise pending
 
 
 def _gap_clusters(h: HamiltonianSpec) -> list:
@@ -211,8 +167,9 @@ def _exp(x: float) -> float:
 
 
 def exchange_grid(maps, h: HamiltonianSpec, beta_i: float, beta_f: float, taus) -> ExchangeGrid:
-    """Energy-exchange statistics of every map of ``maps`` (``maps[t]`` taken
-    at ``taus[t]``) applied to the ``beta_i`` thermal state.
+    """Energy-exchange statistics of the maps ``(superops, kraus)`` of
+    :meth:`Dynamics.maps` (map ``t`` taken at ``taus[t]``) applied to the
+    ``beta_i`` thermal state.
 
     Ordered level pairs are grouped by their gap ``E_n - E_m`` (within
     ``1e-9 * max|E|``); degenerate gaps accumulate into one record.  For a
@@ -224,10 +181,13 @@ def exchange_grid(maps, h: HamiltonianSpec, beta_i: float, beta_f: float, taus) 
     """
     if beta_i < 0:
         raise ValueError("beta_i must be nonnegative")
-    probs, checks, pending = _transition_stack(maps, h)
+    superops, kraus = maps
+    if superops.shape[1:] != (h.dim**2, h.dim**2):
+        raise DimensionMismatch("superoperator dimension does not match the Hamiltonian")
+    probs, checks = _transition_stack(superops, kraus, h)
     # the first map's transition checks come before the Gibbs state
-    if not len(probs) or any(mask[0] for mask, _ in checks):
-        _raise_first(checks, pending)
+    if len(probs) and any(mask[0] for mask, _ in checks):
+        _raise_first(checks)
     p_init = populations(gibbs(h, beta_i), h)
     clusters = _gap_clusters(h)
     energies = tuple(energy for energy, _ in clusters)
@@ -260,7 +220,7 @@ def exchange_grid(maps, h: HamiltonianSpec, beta_i: float, beta_f: float, taus) 
         ),
         (stray.any(axis=1), stray_error),
     ]
-    _raise_first(checks, pending)
+    _raise_first(checks)
     return ExchangeGrid(tuple(taus), energies, p_plus, p_minus, recorded, beta_i, beta_f)
 
 
@@ -308,6 +268,8 @@ ZERO_EIG_ATOL = 1e-10
 UNIT_EIG_ATOL = 1e-8
 CONVERGENCE_ATOL = 1e-7
 FIXED_POINT_ATOL = 1e-8
+TAU_MAX = 100.0  # probing horizon of a channel family
+FIXED_POINT_TAUS = tuple(np.geomspace(0.01, TAU_MAX, 9))
 
 
 def _fixed_state(col: np.ndarray, h: HamiltonianSpec):
@@ -372,59 +334,52 @@ def _probe_states(d: int) -> list:
     return probes
 
 
-def classify(
-    source,
-    h: HamiltonianSpec,
-    tau_grid=None,
-    tau_max: float = 100.0,
-) -> Classification:
+def _apply_kraus(ops: np.ndarray, rho: DensityMatrix) -> np.ndarray:
+    """``sum_j G_j rho G_j^dag`` as the state :func:`~qdblab.dynamics.apply` makes of it."""
+    out = sum(g @ rho.matrix @ dag(g) for g in ops)
+    return DensityMatrix((out + dag(out)) / 2).matrix
+
+
+def classify(source: Dynamics) -> Classification:
     """Classify a dynamics as fixed-point thermalizing, thermalizing, or neither.
 
-    Semigroup inputs (a ``LindbladGenerator`` or a Schroedinger-picture
-    generator ``SuperOperator``) are classified spectrally: a unique zero
-    eigenvalue with every other eigenvalue strictly damped, plus a thermal
-    stationary state.  A single ``KrausChannel`` is classified
-    ``single_map``, with ``beta_f`` set when the eigenvalue 1 is simple and
-    its eigenvector a thermal state.  A callable ``tau -> map`` is probed on
-    a fixed state set up to ``tau_max``; failure to converge raises
-    ``InconclusiveHorizon``.
+    A semigroup is classified spectrally: a unique zero eigenvalue with
+    every other eigenvalue strictly damped, plus a thermal stationary state.
+    A single map is classified ``single_map``, with ``beta_f`` set when the
+    eigenvalue 1 is simple and its eigenvector a thermal state.  A channel
+    family is probed on a fixed state set at ``TAU_MAX``, and its thermal
+    limit checked for a fixed point at ``FIXED_POINT_TAUS``; failure to
+    converge raises ``InconclusiveHorizon``.
     """
-    if isinstance(source, KrausChannel):
-        return _classify_single_map(source, h)
-    if isinstance(source, LindbladGenerator):
-        return _classify_semigroup(lindblad_superop(source).matrix, h)
-    if isinstance(source, SuperOperator):
-        if source.picture != SCHRODINGER:
-            raise ValueError("classification needs a Schroedinger-picture generator")
-        return _classify_semigroup(source.matrix, h)
-    if not callable(source):
-        raise TypeError(f"unsupported dynamics source {type(source).__name__}")
-    probes = _probe_states(h.dim)
-    finals = [apply(source(tau_max), p).matrix for p in probes]
+    h = source.h
+    if source.generator is not None:
+        return _classify_semigroup(source.generator.matrix, h)
+    if source.channel is not None:
+        return _classify_single_map(source.channel, h)
+    _, kraus = source.maps((TAU_MAX, *FIXED_POINT_TAUS))
+    finals = [_apply_kraus(kraus[0], p) for p in _probe_states(h.dim)]
     mean = sum(finals) / len(finals)
     mean = (mean + dag(mean)) / 2
     spread = max(matlin.trace_norm(f - mean) for f in finals)
     if spread > CONVERGENCE_ATOL:
         raise InconclusiveHorizon(
-            f"probe states are {spread:.3e} apart in trace norm at tau={tau_max:g}"
+            f"probe states are {spread:.3e} apart in trace norm at tau={TAU_MAX:g}"
         )
     state = DensityMatrix(mean / np.real(np.trace(mean)))
     try:
         beta = infer_beta(state, h)
     except (NotThermal, ZeroPopulation):
         return Classification(kind="non_thermalizing", asymptotic_state=state)
-    if tau_grid is None:
-        tau_grid = np.geomspace(0.01, tau_max, 9)
     fixed = all(
-        matlin.trace_norm(apply(source(tau), state).matrix - state.matrix) < FIXED_POINT_ATOL
-        for tau in tau_grid
+        matlin.trace_norm(_apply_kraus(ops, state) - state.matrix) < FIXED_POINT_ATOL for ops in kraus[1:]
     )
     kind = "fpt" if fixed else "thermalizing"
     return Classification(kind=kind, beta_f=beta, asymptotic_state=state)
 
 
-def default_tau_max(classification: Classification, fallback: float = 100.0) -> float:
-    """Probing horizon ``50 / gamma_min`` from the spectral gap when known."""
+def default_tau_max(classification: Classification) -> float:
+    """Probing horizon ``50 / gamma_min`` from the spectral gap when known,
+    else ``TAU_MAX``."""
     if classification.gamma_min and classification.gamma_min > 0:
         return 50.0 / classification.gamma_min
-    return fallback
+    return TAU_MAX

@@ -29,6 +29,8 @@ SIGMA_Z = np.array([[1, 0], [0, -1]], dtype=complex)
 
 STATE_ATOL = 1e-10
 DEGENERACY_ATOL = 1e-12
+THERMAL_OFFDIAG_ATOL = 1e-8
+BETA_AGREE_RTOL = 1e-6
 
 
 @dataclass(frozen=True)
@@ -146,17 +148,12 @@ def populations(rho: DensityMatrix, h: HamiltonianSpec) -> np.ndarray:
     return p
 
 
-def infer_beta(
-    rho: DensityMatrix,
-    h: HamiltonianSpec,
-    offdiag_atol: float = 1e-8,
-    agree_rtol: float = 1e-6,
-) -> float:
+def infer_beta(rho: DensityMatrix, h: HamiltonianSpec) -> float:
     """Inverse temperature of a thermal state, or raise ``NotThermal``.
 
-    The state must be diagonal in h's (nondegenerate) eigenbasis.  The
-    estimate comes from the largest-gap level pair; every other pair must
-    agree within ``agree_rtol`` (relative, with an absolute floor of the
+    The state must be diagonal in h's (nondegenerate) eigenbasis, within
+    ``THERMAL_OFFDIAG_ATOL``.  The estimate comes from the largest-gap level
+    pair; every other pair must agree within ``BETA_AGREE_RTOL`` (relative, with an absolute floor of the
     same size so beta = 0 is recognized).  Vanishing populations are
     accepted only for an effectively beta = inf profile, reported as
     ``math.inf``; any other vanishing population raises ``ZeroPopulation``.
@@ -168,7 +165,7 @@ def infer_beta(
     v = h.eigenvectors
     a = dag(v) @ rho.matrix @ v
     off = a - np.diag(np.diag(a))
-    if float(np.max(np.abs(off))) > offdiag_atol:
+    if float(np.max(np.abs(off))) > THERMAL_OFFDIAG_ATOL:
         raise NotThermal(f"state has off-diagonal weight {np.max(np.abs(off)):.3e} in the energy eigenbasis")
     p = np.real(np.diag(a))
     e = h.eigenvalues
@@ -181,7 +178,7 @@ def infer_beta(
     for m in range(h.dim):
         for n in range(m + 1, h.dim):
             b_mn = math.log(p[m] / p[n]) / (e[n] - e[m])
-            if abs(b_mn - beta_hat) > agree_rtol * scale:
+            if abs(b_mn - beta_hat) > BETA_AGREE_RTOL * scale:
                 raise NotThermal(
                     f"pairwise inverse temperatures disagree: {b_mn:.6g} vs {beta_hat:.6g}"
                 )

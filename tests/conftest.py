@@ -4,7 +4,8 @@ from collections import namedtuple
 import numpy as np
 import pytest
 
-from qdblab.dynamics import LindbladGenerator, heisenberg_dual, lindblad_superop
+from qdblab.dynamics import KrausChannel, LindbladGenerator, heisenberg_dual, lindblad_superop, superop_from_channel
+from qdblab.examples import example_a_channel
 from qdblab.fluctuation import exchange_grid
 from qdblab.states import DensityMatrix, HamiltonianSpec
 
@@ -96,9 +97,22 @@ Gap = namedtuple("Gap", "energy p_plus p_minus")
 Ratio = namedtuple("Ratio", "energy ratio predicted deviation")
 
 
+def a_channel(p, tau):
+    """Scenario A's channel at ``tau`` as one ``KrausChannel``."""
+    return KrausChannel(tuple(example_a_channel(p, (tau,))[0]))
+
+
+def one_map(g):
+    """The ``(superops, kraus)`` stacks of the one Kraus channel or
+    superoperator ``g``, as ``Dynamics.maps`` gives them."""
+    if isinstance(g, KrausChannel):
+        return superop_from_channel(g).matrix[None], np.array([g.kraus_ops])
+    return g.matrix[None], None
+
+
 def exchange_at(g, h, beta_i, beta_f, tau=0.0):
     """Exchange statistics of the one map ``g``, taken at ``tau``."""
-    return exchange_grid((g,), h, beta_i, beta_f, (tau,))
+    return exchange_grid(one_map(g), h, beta_i, beta_f, (tau,))
 
 
 def gap_records(grid, t=0):

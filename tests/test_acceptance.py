@@ -11,6 +11,7 @@ import math
 import numpy as np
 
 from conftest import (
+    a_channel,
     SEED,
     exchange_at,
     gap_records,
@@ -33,6 +34,7 @@ from qdblab.balance import (
 from qdblab.cli import main, save_model
 from qdblab.dynamics import (
     HEISENBERG,
+    Dynamics,
     SuperOperator,
     apply,
     dual_superop,
@@ -45,7 +47,6 @@ from qdblab.errors import NotCPTP
 from qdblab.examples import (
     ExampleAParams,
     ExampleBParams,
-    example_a_channel,
     example_a_f_factor,
     example_b_closed_form,
     example_b_generator,
@@ -79,7 +80,7 @@ def test_criterion_1_exact_ratio_law_scenario_a():
     h = qubit_hamiltonian(OMEGA)
     scale = math.exp((BETA_I - BETA_F) * OMEGA)
     for tau in TAU_GRID:
-        ratio = _ratio_at_gap(example_a_channel(p, tau), h, tau, OMEGA)
+        ratio = _ratio_at_gap(a_channel(p, tau), h, tau, OMEGA)
         assert abs(ratio / scale - example_a_f_factor(p, tau)) < 1e-10
     assert abs(example_a_f_factor(p, TAU_GRID[-1]) - 1.0) < 1e-6
     _report(1, "scenario-a ratio law with explicit correction factor")
@@ -95,8 +96,8 @@ def test_criterion_2_mixing_schedule_independence():
     )
     h = qubit_hamiltonian(OMEGA)
     for tau in TAU_GRID:
-        r1 = _ratio_at_gap(example_a_channel(p1, tau), h, tau, OMEGA)
-        r2 = _ratio_at_gap(example_a_channel(p2, tau), h, tau, OMEGA)
+        r1 = _ratio_at_gap(a_channel(p1, tau), h, tau, OMEGA)
+        r2 = _ratio_at_gap(a_channel(p2, tau), h, tau, OMEGA)
         assert abs(r1 - r2) < 1e-12
     _report(2, "scenario-a ratio independent of the mixing schedule")
 
@@ -116,7 +117,7 @@ def test_criterion_3_scenario_b_closed_form_balance_and_ratio(rng):
             num = apply(evolve(l, tau), rho0)
             ana = example_b_closed_form(p, rho0, tau)
             assert matlin.frobenius(num.matrix - ana.matrix) < 1e-9
-    cls = classify(gen, h)
+    cls = classify(Dynamics.semigroup(h, gen))
     assert cls.kind == "fpt"
     assert abs(cls.beta_f - BETA_F) < 1e-8
     sigma = gibbs(h, BETA_F)
@@ -158,7 +159,7 @@ def test_criterion_4_scenario_c_regimes_and_nonequivalence(rng):
     assert qdb1_max > 1e-3
     reversal = TimeReversal.conjugation(2)
     qdb2_residuals = [
-        check_qdb2(WeightedSpace(sigma, s), heisenberg_dual(evolve(sup, tau)), reversal)
+        check_qdb2(WeightedSpace(sigma, s), heisenberg_dual(evolve(sup, tau)).matrix, reversal)
         for s in S_GRID
         for tau in (0.1, 0.5, 1.0, 5.0)
     ]
@@ -206,7 +207,7 @@ def test_criterion_6_thermalizing_maps_asymptotic_ratio_law():
             except NotCPTP:
                 continue
             h = qubit_hamiltonian(OMEGA)
-        cls = classify(source, h)
+        cls = classify(Dynamics.semigroup(h, source))
         assert cls.is_thermalizing, "draw must satisfy the spectral criterion"
         tau_max = default_tau_max(cls)
         beta_i = rng.uniform(0.0, 1.8)
@@ -236,7 +237,7 @@ def test_criterion_7_fixed_point_qubit_maps_ratio_law_all_times():
         except NotCPTP:
             continue
         h = qubit_hamiltonian(OMEGA)
-        cls = classify(sup, h)
+        cls = classify(Dynamics.semigroup(h, sup))
         assert cls.kind == "fpt"
         assert abs(cls.beta_f - beta_f) < 1e-9
         beta_i = rng.uniform(0.0, 2.5)

@@ -24,7 +24,7 @@ from qdblab.dynamics import (
     evolve,
     lindblad_superop,
 )
-from qdblab.errors import SingularWeight
+from qdblab.errors import DimensionMismatch, SingularWeight
 from qdblab.examples import example_qdb_family, qubit_hamiltonian
 from qdblab.fluctuation import check_pairwise_condition
 from qdblab.matlin import dag, vec
@@ -237,14 +237,14 @@ class TestQdb2:
         # of the reversal identity legitimately differ
         space = WeightedSpace(gibbs(qubit_hamiltonian(1.0), 0.8), 0.5)
         ident = SuperOperator(np.eye(4), HEISENBERG)
-        assert check_qdb2(space, ident, TimeReversal.conjugation(2)) < 1e-9
+        assert check_qdb2(space, ident.matrix, TimeReversal.conjugation(2)) < 1e-9
 
     @pytest.mark.parametrize("s", S_GRID)
     def test_balanced_family_map_passes(self, s):
         gen = example_qdb_family(0.5, 0.1, 1.0, 1.0)
         space = WeightedSpace(gibbs(gen.hamiltonian, 1.0), s)
         heis = evolve(dual_superop(gen), 1.0)
-        assert check_qdb2(space, heis, TimeReversal.conjugation(2)) < 1e-10
+        assert check_qdb2(space, heis.matrix, TimeReversal.conjugation(2)) < 1e-10
 
     @pytest.mark.parametrize(
         "d, kind",
@@ -266,8 +266,10 @@ class TestQdb2:
             SuperOperator(random_complex(rng, d * d), HEISENBERG),
             evolve(dual_superop(random_lindblad(rng, d)), 0.7),
         ]
+        stack = np.array([g.matrix for g in maps])
         for s in (0.0, 0.3, 1.0):
             space = WeightedSpace(sigma, s)
+            residuals = []
             for g in maps:
                 literal = max(
                     abs(
@@ -277,13 +279,20 @@ class TestQdb2:
                     for a in units
                     for b in units
                 )
-                assert check_qdb2(space, g, t) == pytest.approx(literal, rel=1e-12)
+                residuals.append(check_qdb2(space, g.matrix, t))
+                assert residuals[-1] == pytest.approx(literal, rel=1e-12)
+            # a stack's residual is the largest of its maps'
+            assert check_qdb2(space, stack, t) == max(residuals)
 
-    def test_requires_heisenberg_picture(self, rng):
-        gen = random_lindblad(rng, 2)
+    def test_stack_keeps_a_nan_residual(self, rng):
         space = WeightedSpace(random_density(rng, 2), 0.5)
-        with pytest.raises(ValueError):
-            check_qdb2(space, evolve(lindblad_superop(gen), 1.0), TimeReversal.conjugation(2))
+        stack = np.array([np.eye(4), np.full((4, 4), np.nan), np.eye(4)], dtype=complex)
+        assert np.isnan(check_qdb2(space, stack, TimeReversal.conjugation(2)))
+
+    def test_rejects_a_stack_of_another_dimension(self, rng):
+        space = WeightedSpace(random_density(rng, 2), 0.5)
+        with pytest.raises(DimensionMismatch):
+            check_qdb2(space, np.zeros((3, 9, 9), dtype=complex), TimeReversal.conjugation(2))
 
 
 class TestInvariantSubspaces:

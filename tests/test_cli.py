@@ -158,10 +158,8 @@ class TestCheckCommand:
     def test_kraus_model_reports_single_map(self, tmp_path):
         from qdblab.examples import ExampleAParams, example_a_channel
 
-        channel = example_a_channel(ExampleAParams.default(1.0, 1.0), 1.0)
-        ops = [
-            [[[x.real, x.imag] for x in row] for row in g] for g in channel.kraus_ops
-        ]
+        kraus = example_a_channel(ExampleAParams.default(1.0, 1.0), (1.0,))[0]
+        ops = [[[[x.real, x.imag] for x in row] for row in g] for g in kraus]
         model_path = tmp_path / "gad.json"
         model_path.write_text(
             json.dumps(
@@ -367,12 +365,29 @@ class TestConfigValidation:
             ("example", "b", "--tol-qdb", "nan"),
             ("example", "c", "--tol-cptp", "nan"),
             ("example", "b", "--tol-qfr", "inf"),
+            ("check", "KRAUS_NAN"),
+            ("check", "BLOCH4_NAN"),
+            ("check", "LINDBLAD_H_NAN"),
+            ("check", "LINDBLAD_C_INF"),
+            ("example", "a", "--omega", "nan"),
+            ("example", "b", "--omega", "nan"),
+            ("example", "c", "--omega", "nan"),
+            ("example", "b", "--omega", "inf"),
+            ("example", "b", "--gamma", "nan"),
+            ("example", "b", "--gamma", "inf"),
+            ("example", "c", "--mu", "nan"),
+            ("example", "c", "--mu", "inf"),
+            ("example", "c", "--eta", "nan"),
+            ("example", "c", "--nu-scale", "nan"),
+            ("sweep", "b", "--parameter", "gamma", "--range", "nan:1:2"),
         ],
         ids=["s-outside-unit", "beta-f-inf", "beta-i-nan", "gamma-negative", "omega-negative",
              "sweep-gamma-negative", "model-not-object", "tau-negative", "tau-inf", "tau-nan",
              "kraus-tau-null", "kraus-tau-text", "kraus-ops-number", "a-bias-underflow",
              "b-boltzmann-overflow", "c-boltzmann-overflow", "tol-qdb-nan", "tol-cptp-nan",
-             "tol-qfr-inf"],
+             "tol-qfr-inf", "kraus-nan", "bloch4-nan", "lindblad-h-nan", "lindblad-c-inf", "a-omega-nan",
+             "b-omega-nan", "c-omega-nan", "b-omega-inf", "b-gamma-nan", "b-gamma-inf", "c-mu-nan", "c-mu-inf",
+             "c-eta-nan", "c-nu-scale-nan", "sweep-gamma-nan"],
     )
     def test_out_of_range_input_exits_2(self, tmp_path, capsys, argv):
         kraus = {
@@ -381,11 +396,23 @@ class TestConfigValidation:
             "hamiltonian": [[[-0.5, 0], [0, 0]], [[0, 0], [0.5, 0]]],
             "kraus_ops": [[[[1, 0], [0, 0]], [[0, 0], [1, 0]]]],
         }
+        lindblad = {
+            "schema": 1,
+            "kind": "lindblad",
+            "hamiltonian": [[-0.5, 0], [0, 0.5]],
+            "kossakowski": np.diag([0.0, 0.0, 1.0]).tolist(),
+        }
+        nan, inf = math.nan, math.inf
         models = {
             "LIST_MODEL": [{"schema": 1, "kind": "lindblad"}],
             "KRAUS_TAU_NULL": {**kraus, "tau": None},
             "KRAUS_TAU_TEXT": {**kraus, "tau": "abc"},
             "KRAUS_OPS_NUMBER": {**kraus, "kraus_ops": 5},
+            # json reads NaN and Infinity
+            "KRAUS_NAN": {**kraus, "kraus_ops": [[[[nan, 0], [0, 0]], [[0, 0], [1, 0]]]]},
+            "BLOCH4_NAN": {**kraus, "kind": "bloch4", "generator": [[nan] * 4] * 4},
+            "LINDBLAD_H_NAN": {**lindblad, "hamiltonian": [[nan, 0], [0, 0.5]]},
+            "LINDBLAD_C_INF": {**lindblad, "kossakowski": np.diag([0.0, 0.0, inf]).tolist()},
         }
         for name, obj in models.items():
             (tmp_path / f"{name}.json").write_text(json.dumps(obj))
@@ -433,6 +460,46 @@ class TestConfigValidation:
     def test_usage_error_exits_2(self, tmp_path, capsys):
         assert main(["example", "zzz"]) == EXIT_CONFIG
         capsys.readouterr()
+
+
+def test_model_sweep_loads_its_model_once(tmp_path, monkeypatch):
+    from qdblab import cli
+
+    model_path = tmp_path / "model_b.json"
+    save_model(example_b_generator(ExampleBParams(1.0, 1.0, 1.0)), model_path)
+    calls = []
+
+    def counted(path):
+        calls.append(path)
+        return load_model(path)
+
+    monkeypatch.setattr(cli, "load_model", counted)
+    argv = ("sweep", str(model_path), "--parameter", "beta_i", "--range", "0.5:2.5:3", *FAST)
+    assert run(tmp_path, *argv) == EXIT_OK
+    assert len((tmp_path / "sweep_model_b_beta_i.csv").read_text().splitlines()) == 4
+    assert len(calls) == 1
+
+
+def test_map_objects_do_not_grow_with_the_tau_grid(tmp_path, monkeypatch):
+    # the maps of a tau grid pass as stacked arrays, not as one object per tau
+    from qdblab import dynamics
+
+    built = []
+    for cls in (dynamics.KrausChannel, dynamics.SuperOperator):
+        original = cls.__post_init__
+
+        def counted(self, original=original):
+            built.append(type(self).__name__)
+            original(self)
+
+        monkeypatch.setattr(cls, "__post_init__", counted)
+    for name in ("a", "b"):
+        counts = []
+        for n in (40, 300):
+            built.clear()
+            assert run(tmp_path, "example", name, "--tau-grid", f"log:0.01:50:{n}") == EXIT_OK
+            counts.append(len(built))
+        assert counts[0] == counts[1], (name, counts)
 
 
 def test_example_b_builds_its_generator_once(tmp_path, monkeypatch):

@@ -4,16 +4,18 @@ import math
 import numpy as np
 import pytest
 
-from conftest import exchange_at, heisenberg_generator, ratio_records
+from conftest import a_channel, exchange_at, heisenberg_generator, ratio_records
 from qdblab import matlin
 from qdblab.balance import TimeReversal, WeightedSpace, check_qdb1, check_qdb2
-from qdblab.dynamics import apply, evolve, heisenberg_dual, is_cptp, lindblad_superop
-from qdblab.errors import NotCPTP, ScheduleOutOfRange
+from qdblab.dynamics import Dynamics, KrausChannel, apply, evolve, heisenberg_dual, is_cptp, lindblad_superop
+from qdblab.errors import NotCPTP, NotTracePreserving, ScheduleOutOfRange
 from qdblab.examples import (
     ExampleAParams,
     ExampleBParams,
     ExampleCParams,
     bloch4_to_superop,
+    LOWERING,
+    RAISING,
     example_a_channel,
     example_a_f_factor,
     example_a_ratio_oracle,
@@ -33,6 +35,21 @@ from qdblab.states import BlochVector, bloch_to_density, density_to_bloch, gibbs
 
 OMEGA, BETA_F, BETA_I = 1.0, 1.0, 2.0
 TAU_GRID = np.geomspace(0.01, 50.0, 12)
+
+
+def reference_example_a_channel(p, tau):
+    """Scenario A's channel at one time, built as before the stacked family."""
+    q = float(p.q_schedule(tau))
+    xi = float(p.xi_schedule(tau))
+    if not (-1e-12 <= q <= 1 + 1e-12) or not (-1e-12 <= xi <= 1 + 1e-12):
+        raise ScheduleOutOfRange(f"schedules left [0, 1] at tau={tau:g}: q={q:g}, xi={xi:g}")
+    q = min(max(q, 0.0), 1.0)
+    xi = min(max(xi, 0.0), 1.0)
+    g1 = math.sqrt(1.0 - q) * np.diag([1.0, math.sqrt(1.0 - xi)]).astype(complex)
+    g2 = math.sqrt((1.0 - q) * xi) * LOWERING
+    g3 = math.sqrt(q) * np.diag([math.sqrt(1.0 - xi), 1.0]).astype(complex)
+    g4 = math.sqrt(q * xi) * RAISING
+    return KrausChannel((g1, g2, g3, g4))
 
 
 class TestScenarioA:
@@ -56,9 +73,39 @@ class TestScenarioA:
                 xi_schedule=lambda t: 1 - math.exp(-t),
             )
 
+    @pytest.mark.parametrize("schedule", ["default", "fixed_point"])
+    def test_stack_is_bitwise_equal_to_the_per_tau_channels(self, schedule):
+        p = getattr(ExampleAParams, schedule)(OMEGA, BETA_F)
+        taus = (0.0, *np.geomspace(0.01, 50.0, 300))
+        stack = example_a_channel(p, taus)
+        assert stack.shape == (len(taus), 4, 2, 2)
+        for tau, ops in zip(taus, stack):
+            assert np.array_equal(ops, reference_example_a_channel(p, tau).kraus_ops)
+
+    def test_schedule_leaving_the_unit_interval_quotes_the_first_tau(self):
+        p = dataclasses.replace(self.p)
+        object.__setattr__(p, "q_schedule", lambda tau: 0.5 + 0.3 * tau)
+        with pytest.raises(ScheduleOutOfRange) as got:
+            example_a_channel(p, (0.5, 2.0, 3.0))
+        with pytest.raises(ScheduleOutOfRange) as want:
+            reference_example_a_channel(p, 2.0)
+        assert str(got.value) == str(want.value) == "schedules left [0, 1] at tau=2: q=1.1, xi=0.864665"
+
+    def test_family_stack_must_preserve_the_trace(self):
+        # the second time's operators are scaled off trace preservation
+        def family(taus):
+            stack = example_a_channel(self.p, taus)
+            stack[1] *= 1.1
+            stack[2] *= 1.2
+            return stack
+
+        source = Dynamics.channel_family(self.h, family)
+        with pytest.raises(NotTracePreserving, match=r"^sum G\^dag G differs from identity by 2\.100e-01$"):
+            source.maps((0.5, 1.0, 2.0))
+
     def test_start_is_identity_channel(self, rng):
         rho0 = bloch_to_density(BlochVector(0.2, -0.3, 0.4))
-        out = apply(example_a_channel(self.p, 0.0), rho0)
+        out = apply(a_channel(self.p, 0.0), rho0)
         np.testing.assert_allclose(out.matrix, rho0.matrix, atol=1e-14)
 
     def test_population_recursion(self, rng):
@@ -68,7 +115,7 @@ class TestScenarioA:
             r = rng.normal(size=3)
             r *= 0.9 / np.linalg.norm(r)
             rho0 = bloch_to_density(BlochVector(*r))
-            out = apply(example_a_channel(self.p, tau), rho0)
+            out = apply(a_channel(self.p, tau), rho0)
             d0 = rho0.matrix[0, 0].real
             assert abs(out.matrix[0, 0].real - ((1 - xi) * d0 + (1 - q) * xi)) < 1e-13
             assert abs(out.matrix[0, 1] - math.sqrt(1 - xi) * rho0.matrix[0, 1]) < 1e-13
@@ -84,13 +131,13 @@ class TestScenarioA:
         for _ in range(3):
             r = rng.normal(size=3)
             r *= rng.uniform(0, 1) / np.linalg.norm(r)
-            out = apply(example_a_channel(p, 2.0), bloch_to_density(BlochVector(*r)))
+            out = apply(a_channel(p, 2.0), bloch_to_density(BlochVector(*r)))
             np.testing.assert_allclose(np.diag(out.matrix).real, [0.7, 0.3], atol=1e-13)
 
     def test_ratio_dual_route(self):
         # exchange-statistics route against the closed-form factor
         for tau in TAU_GRID:
-            grid = exchange_at(example_a_channel(self.p, tau), self.h, BETA_I, BETA_F, tau)
+            grid = exchange_at(a_channel(self.p, tau), self.h, BETA_I, BETA_F, tau)
             rec = [r for r in ratio_records(grid) if abs(r.energy - OMEGA) < 1e-9][0]
             oracle = example_a_ratio_oracle(self.p, tau, OMEGA, BETA_I)
             assert abs(rec.ratio - oracle) < 1e-10
@@ -103,12 +150,12 @@ class TestScenarioA:
 
     def test_constant_bias_family_is_fpt(self):
         p_const = ExampleAParams.fixed_point(OMEGA, BETA_F)
-        cls = classify(lambda tau: example_a_channel(p_const, tau), self.h)
+        cls = classify(Dynamics.channel_family(self.h, lambda taus: example_a_channel(p_const, taus)))
         assert cls.kind == "fpt"
 
     def test_thermal_state_not_invariant_at_finite_time(self):
         sigma = gibbs(self.h, BETA_F)
-        moved = apply(example_a_channel(self.p, 1.0), sigma)
+        moved = apply(a_channel(self.p, 1.0), sigma)
         assert matlin.frobenius(moved.matrix - sigma.matrix) > 1e-3
 
 
@@ -158,7 +205,7 @@ class TestScenarioB:
         assert matlin.frobenius(out.matrix - gibbs(self.h, BETA_F).matrix) < 1e-8
 
     def test_classification(self):
-        cls = classify(example_b_generator(self.p), self.h)
+        cls = classify(Dynamics.semigroup(self.h, example_b_generator(self.p)))
         assert cls.kind == "fpt"
         assert abs(cls.beta_f - BETA_F) < 1e-8
 
@@ -233,7 +280,7 @@ class TestScenarioC:
         qdb2_max = max(
             check_qdb2(
                 WeightedSpace(sigma, s),
-                heisenberg_dual(evolve(sup, 1.0)),
+                heisenberg_dual(evolve(sup, 1.0)).matrix,
                 TimeReversal.conjugation(2),
             )
             for s in (0.0, 0.25, 0.5, 0.75, 1.0)
@@ -285,7 +332,7 @@ class TestScenarioC:
 
     def test_classification_fpt_with_thermal_fixed_point(self):
         sup = example_c_generator(self.perturbed)
-        cls = classify(sup, self.h)
+        cls = classify(Dynamics.semigroup(self.h, sup))
         assert cls.kind == "fpt"
         assert abs(cls.beta_f - BETA_F) < 1e-9
 
