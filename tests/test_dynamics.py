@@ -6,6 +6,7 @@ from qdblab import matlin
 from qdblab.dynamics import (
     HEISENBERG,
     SCHRODINGER,
+    Dynamics,
     KrausChannel,
     LindbladGenerator,
     SuperOperator,
@@ -21,6 +22,7 @@ from qdblab.dynamics import (
     is_cptp,
     lindblad_superop,
     superop_from_channel,
+    trace_dual,
 )
 from qdblab.errors import (
     DimensionMismatch,
@@ -29,7 +31,8 @@ from qdblab.errors import (
     NotTracePreserving,
 )
 from qdblab.matlin import dag, kron
-from qdblab.states import gibbs
+from qdblab.examples import qubit_hamiltonian
+from qdblab.states import SIGMA_X, gibbs
 
 
 @pytest.mark.parametrize("d", [2, 3, 4])
@@ -107,6 +110,14 @@ class TestDuality:
         hd = heisenberg_dual(lindblad_superop(gen))
         assert hd.picture == HEISENBERG
         assert matlin.frobenius(hd.matrix - dual_superop(gen).matrix) < 1e-12
+
+    @pytest.mark.parametrize("d", [2, 3, 4])
+    def test_trace_dual_is_the_transpose_between_permutations(self, rng, d):
+        # K m^T K with the permutation K, exact as a product too
+        k = matlin.transpose_superop(d)
+        stack = np.array([random_complex(rng, d * d) for _ in range(3)])
+        assert np.array_equal(trace_dual(stack), [k @ m.T @ k for m in stack])
+        assert np.array_equal(trace_dual(stack[0]), k @ stack[0].T @ k)
 
     def test_finite_time_duality(self, rng):
         gen = random_lindblad(rng, 2)
@@ -271,6 +282,29 @@ class TestLindbladGeneratorValidation:
         h = random_hamiltonian(rng, 2)
         with pytest.raises(DimensionMismatch):
             LindbladGenerator(h, np.eye(3), tuple(gell_mann_basis(2)[:2]))
+
+
+class TestDynamicsSources:
+    def test_semigroup_needs_a_schroedinger_generator_of_the_hamiltonian_dimension(self, rng):
+        gen = random_lindblad(rng, 2)
+        with pytest.raises(ValueError, match="Schroedinger-picture"):
+            Dynamics.semigroup(gen.hamiltonian, heisenberg_dual(lindblad_superop(gen)))
+        with pytest.raises(DimensionMismatch, match="superoperator dimension"):
+            Dynamics.semigroup(random_hamiltonian(rng, 3), gen)
+
+    def test_kraus_sources_need_the_hamiltonian_dimension(self, rng):
+        h = random_hamiltonian(rng, 3)
+        with pytest.raises(DimensionMismatch, match="channel dimension"):
+            Dynamics.single_map(h, KrausChannel((np.eye(2),)), 1.0)
+        family = Dynamics.channel_family(h, lambda taus: np.array([[np.eye(2)]] * len(taus)))
+        with pytest.raises(DimensionMismatch, match="channel dimension"):
+            family.maps((0.5, 1.0))
+
+    def test_single_map_repeats_its_channel(self, rng):
+        channel = KrausChannel((np.eye(2) / np.sqrt(2), SIGMA_X / np.sqrt(2)))
+        superops, kraus = Dynamics.single_map(qubit_hamiltonian(1.0), channel, 1.0).maps((1.0, 1.0))
+        assert np.array_equal(kraus, [channel.kraus_ops] * 2)
+        assert np.array_equal(superops, [superop_from_channel(channel).matrix] * 2)
 
 
 def test_superoperator_validates_shape():
