@@ -163,9 +163,9 @@ class TimeReversal:
         return self.unitary @ a.T @ dag(self.unitary)
 
 
-def check_qdb2(space: WeightedSpace, maps_heis: np.ndarray, t: TimeReversal) -> float:
+def check_qdb2(space: WeightedSpace, maps_heis: SuperOperator | np.ndarray, t: TimeReversal) -> float:
     """Map-level detailed balance via time reversal, for a Heisenberg-picture
-    map matrix or a stack ``(t, d^2, d^2)`` of them.
+    ``SuperOperator`` or a stack ``(t, d^2, d^2)`` of Heisenberg map matrices.
 
     Checks ``<<A^dag, G#[B]>> == <<T[B^dag], G#[T[A]]>>`` as the identity
     ``K W G == ((Theta K)^dag W G Theta).T`` of superoperator matrices: with
@@ -175,6 +175,10 @@ def check_qdb2(space: WeightedSpace, maps_heis: np.ndarray, t: TimeReversal) -> 
     ``e_a, e_b``.  The residual is the largest defect over every map; a nan
     defect makes it nan.
     """
+    if isinstance(maps_heis, SuperOperator):
+        if maps_heis.picture != HEISENBERG:
+            raise ValueError("check_qdb2 expects a Heisenberg-picture map")
+        maps_heis = maps_heis.matrix
     d2 = space.dim**2
     if maps_heis.shape[-2:] != (d2, d2) or t.dim != space.dim:
         raise DimensionMismatch("space, map and time reversal must share one dimension")

@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
-import functools
 import json
 import math
 import sys
@@ -347,13 +346,14 @@ def load_model(path: Path):
     if obj.get("schema") != 1:
         raise ConfigError(f"unsupported model schema {obj.get('schema')!r}")
     kind = obj.get("kind")
+    if kind not in ("lindblad", "kraus", "bloch4"):
+        raise ConfigError(f"unknown model kind {kind!r}")
     try:
+        h = HamiltonianSpec.from_matrix(_pairs_to_complex(obj["hamiltonian"]))
         if kind == "lindblad":
-            h = HamiltonianSpec.from_matrix(_pairs_to_complex(obj["hamiltonian"]))
             gen = LindbladGenerator.canonical(h, _pairs_to_complex(obj["kossakowski"]))
             return Dynamics.semigroup(h, gen)
         if kind == "kraus":
-            h = HamiltonianSpec.from_matrix(_pairs_to_complex(obj["hamiltonian"]))
             if not isinstance(obj["kraus_ops"], list):
                 raise ConfigError("kraus_ops must be a list of matrices")
             channel = KrausChannel(tuple(_pairs_to_complex(g) for g in obj["kraus_ops"]))
@@ -361,13 +361,9 @@ def load_model(path: Path):
             if "tau" in obj and not _is_tau(tau):
                 raise ConfigError(f"tau must be a finite number >= 0, got {tau!r}")
             return Dynamics.single_map(h, channel, float(tau))
-        if kind == "bloch4":
-            h = HamiltonianSpec.from_matrix(_pairs_to_complex(obj["hamiltonian"]))
-            l4 = np.real(_pairs_to_complex(obj["generator"]))
-            return Dynamics.semigroup(h, bloch4_to_superop(l4))
+        return Dynamics.semigroup(h, bloch4_to_superop(np.real(_pairs_to_complex(obj["generator"]))))
     except KeyError as exc:
         raise ConfigError(f"model file misses required field {exc}") from exc
-    raise ConfigError(f"unknown model kind {kind!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -453,21 +449,14 @@ _SWEEPABLE = {
 }
 
 
-def _sweep_source(target: str, param: str, value: float, args, config: RunConfig, load):
-    """Build the swept source, a model file through ``load``; returns
-    (source, config) with overrides applied."""
-    allowed = _SWEEPABLE.get(target, _SWEEPABLE["model"])
-    if param not in allowed:
-        raise UnknownParameter(
-            f"parameter {param!r} is not sweepable for {target!r}; choose from {allowed}"
-        )
+def _sweep_source(target: str, param: str, value: float, args, config: RunConfig):
+    """Build the swept source of scenario ``target``; returns (source,
+    config) with overrides applied."""
     ns = argparse.Namespace(**vars(args), name=target)
     if param in ("beta_i", "beta_f"):
         config = dataclasses.replace(config, **{param: value})
     else:
         setattr(ns, param, value)
-    if target not in ("a", "b", "c"):
-        return load(target), config
     source, _ = _example_source(ns, config)
     return source, config
 
@@ -485,10 +474,19 @@ def cmd_sweep(args, config: RunConfig) -> int:
         "qdb2_max_residual",
         "qfr_max_deviation",
     ]
+    allowed = _SWEEPABLE.get(args.target, _SWEEPABLE["model"])
+    if args.parameter not in allowed:
+        raise UnknownParameter(
+            f"parameter {args.parameter!r} is not sweepable for {args.target!r}; choose from {allowed}"
+        )
+    # a model file is read and built once; its sweep changes beta_i only
+    model = None if args.target in ("a", "b", "c") else load_model(args.target)
     rows = []
-    load = functools.cache(load_model)  # a model file is read and built once
     for value in values:
-        source, cfg = _sweep_source(args.target, args.parameter, float(value), args, config, load)
+        if model is None:
+            source, cfg = _sweep_source(args.target, args.parameter, float(value), args, config)
+        else:
+            source, cfg = model, dataclasses.replace(config, beta_i=float(value))
         _, _, verdict = build_report(args.target, source, cfg)
         q1, q2 = verdict["qdb1"], verdict["qdb2"]
         rows.append(
@@ -497,19 +495,13 @@ def cmd_sweep(args, config: RunConfig) -> int:
                 value,
                 verdict["classification"]["kind"],
                 verdict["classification"]["beta_f"],
-                None if q1 is None else q1["passes"],
-                None if q1 is None else q1["max_residual"],
-                None if q2 is None else q2["passes"],
-                None if q2 is None else q2["max_residual"],
+                *(None if q is None else q[key] for q in (q1, q2) for key in ("passes", "max_residual")),
                 verdict["qfr_max_deviation"],
             ]
         )
     target_tag = Path(args.target).stem if args.target.endswith(".json") else args.target
     path = config.out / f"sweep_{target_tag}_{args.parameter}.csv"
-    lines = [",".join(header)]
-    for row in rows:
-        lines.append(",".join(x if isinstance(x, str) else fmt_float(x) for x in row))
-    _write_text(path, "\n".join(lines) + "\n")
+    write_rows(path, header, rows, "csv")
     print(f"wrote {path} ({len(rows)} rows)")
     return EXIT_OK
 

@@ -314,6 +314,35 @@ def _kraus_superops(kraus: np.ndarray) -> np.ndarray:
     return s
 
 
+def _kraus_stacks(kraus: np.ndarray, h: HamiltonianSpec) -> tuple:
+    """The ``(superops, kraus)`` stacks of a zero-padded Kraus stack ``(t, j,
+    d, d)``, checked for h's dimension and for ``sum_j G^dag G == I``."""
+    if kraus.shape[2:] != (h.dim,) * 2:
+        raise DimensionMismatch("channel dimension does not match the Hamiltonian")
+    _require_trace_preserving(kraus)
+    return _kraus_superops(kraus), kraus
+
+
+def require_superop_dim(superops: np.ndarray, h: HamiltonianSpec) -> np.ndarray:
+    """``superops``, a map matrix or stack, once checked to act on h's operators."""
+    if superops.shape[-2:] != (h.dim**2,) * 2:
+        raise DimensionMismatch("superoperator dimension does not match the Hamiltonian")
+    return superops
+
+
+def map_stacks(g, h: HamiltonianSpec) -> tuple:
+    """The ``(superops, kraus)`` stacks of :meth:`Dynamics.maps`, one map deep,
+    of a Kraus channel or Schroedinger-picture superoperator ``g`` (``kraus``
+    None) on h's operators; raises for another type, picture or dimension."""
+    if isinstance(g, KrausChannel):
+        return _kraus_stacks(np.array([g.kraus_ops]), h)
+    if not isinstance(g, SuperOperator):
+        raise TypeError(f"unsupported map type {type(g).__name__}")
+    if g.picture != SCHRODINGER:
+        raise ValueError("transition probabilities need a Schroedinger-picture map")
+    return require_superop_dim(g.matrix[None], h), None
+
+
 def choi_matrix(s: SuperOperator) -> np.ndarray:
     """``sum_ij |i><j| (x) S[|i><j|]``: block ``(i, j)`` holds the column
     ``j d + i`` of ``S``, unvectorized, so the Choi matrix is a reshuffle."""
@@ -412,10 +441,7 @@ class Dynamics:
         ``LindbladGenerator``, whose superoperator is built here, once."""
         if isinstance(generator, LindbladGenerator):
             generator = lindblad_superop(generator)
-        if generator.picture != SCHRODINGER:
-            raise ValueError("transition probabilities need a Schroedinger-picture map")
-        if generator.dim != h.dim:
-            raise DimensionMismatch("superoperator dimension does not match the Hamiltonian")
+        map_stacks(generator, h)
         return cls(h, generator, None, None, None)
 
     @classmethod
@@ -424,8 +450,7 @@ class Dynamics:
 
     @classmethod
     def single_map(cls, h: HamiltonianSpec, channel: KrausChannel, tau: float) -> "Dynamics":
-        if channel.dim != h.dim:
-            raise DimensionMismatch("channel dimension does not match the Hamiltonian")
+        map_stacks(channel, h)
         return cls(h, None, None, channel, tau)
 
     def maps(self, taus) -> tuple:
@@ -436,12 +461,8 @@ class Dynamics:
         if self.generator is not None:
             return evolve_grid(self.generator, taus), None
         if self.family is not None:
-            kraus = np.asarray(self.family(taus), dtype=complex)
-            if kraus.shape[2:] != (self.h.dim,) * 2:
-                raise DimensionMismatch("channel dimension does not match the Hamiltonian")
-            _require_trace_preserving(kraus)
-        else:
-            kraus = np.repeat(np.array([self.channel.kraus_ops]), len(taus), axis=0)
+            return _kraus_stacks(np.asarray(self.family(taus), dtype=complex), self.h)
+        kraus = np.repeat(np.array([self.channel.kraus_ops]), len(taus), axis=0)
         return _kraus_superops(kraus), kraus
 
     def taus(self, grid) -> tuple:

@@ -9,9 +9,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import matlin
-from .dynamics import SCHRODINGER, Dynamics, KrausChannel, SuperOperator, superop_from_channel
+from .dynamics import Dynamics, KrausChannel, apply, map_stacks, require_superop_dim, superop_from_channel
 from .errors import (
-    DimensionMismatch,
     InconclusiveHorizon,
     InternalCheckError,
     NotAState,
@@ -37,17 +36,7 @@ def transition_matrix(g, h: HamiltonianSpec) -> np.ndarray:
     evaluated as well and the two must agree; the probabilities must be
     nonnegative and each row must sum to 1.
     """
-    if isinstance(g, KrausChannel):
-        superops, kraus = Dynamics.single_map(h, g, math.nan).maps((math.nan,))
-    elif isinstance(g, SuperOperator):
-        if g.picture != SCHRODINGER:
-            raise ValueError("transition probabilities need a Schroedinger-picture map")
-        if g.dim != h.dim:
-            raise DimensionMismatch("superoperator dimension does not match the Hamiltonian")
-        superops, kraus = g.matrix[None], None
-    else:
-        raise TypeError(f"unsupported map type {type(g).__name__}")
-    probs, checks = _transition_stack(superops, kraus, h)
+    probs, checks = _transition_stack(*map_stacks(g, h), h)
     _raise_first(checks)
     return probs[0]
 
@@ -182,9 +171,7 @@ def exchange_grid(maps, h: HamiltonianSpec, beta_i: float, beta_f: float, taus) 
     if beta_i < 0:
         raise ValueError("beta_i must be nonnegative")
     superops, kraus = maps
-    if superops.shape[1:] != (h.dim**2, h.dim**2):
-        raise DimensionMismatch("superoperator dimension does not match the Hamiltonian")
-    probs, checks = _transition_stack(superops, kraus, h)
+    probs, checks = _transition_stack(require_superop_dim(superops, h), kraus, h)
     # the first map's transition checks come before the Gibbs state
     if len(probs) and any(mask[0] for mask, _ in checks):
         _raise_first(checks)
@@ -334,12 +321,6 @@ def _probe_states(d: int) -> list:
     return probes
 
 
-def _apply_kraus(ops: np.ndarray, rho: DensityMatrix) -> np.ndarray:
-    """``sum_j G_j rho G_j^dag`` as the state :func:`~qdblab.dynamics.apply` makes of it."""
-    out = sum(g @ rho.matrix @ dag(g) for g in ops)
-    return DensityMatrix((out + dag(out)) / 2).matrix
-
-
 def classify(source: Dynamics) -> Classification:
     """Classify a dynamics as fixed-point thermalizing, thermalizing, or neither.
 
@@ -357,7 +338,8 @@ def classify(source: Dynamics) -> Classification:
     if source.channel is not None:
         return _classify_single_map(source.channel, h)
     _, kraus = source.maps((TAU_MAX, *FIXED_POINT_TAUS))
-    finals = [_apply_kraus(kraus[0], p) for p in _probe_states(h.dim)]
+    final = KrausChannel(tuple(kraus[0]))
+    finals = [apply(final, p).matrix for p in _probe_states(h.dim)]
     mean = sum(finals) / len(finals)
     mean = (mean + dag(mean)) / 2
     spread = max(matlin.trace_norm(f - mean) for f in finals)
@@ -371,7 +353,8 @@ def classify(source: Dynamics) -> Classification:
     except (NotThermal, ZeroPopulation):
         return Classification(kind="non_thermalizing", asymptotic_state=state)
     fixed = all(
-        matlin.trace_norm(_apply_kraus(ops, state) - state.matrix) < FIXED_POINT_ATOL for ops in kraus[1:]
+        matlin.trace_norm(apply(KrausChannel(tuple(ops)), state).matrix - state.matrix) < FIXED_POINT_ATOL
+        for ops in kraus[1:]
     )
     kind = "fpt" if fixed else "thermalizing"
     return Classification(kind=kind, beta_f=beta, asymptotic_state=state)

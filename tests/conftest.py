@@ -4,7 +4,7 @@ from collections import namedtuple
 import numpy as np
 import pytest
 
-from qdblab.dynamics import KrausChannel, LindbladGenerator, heisenberg_dual, lindblad_superop, superop_from_channel
+from qdblab.dynamics import KrausChannel, LindbladGenerator, heisenberg_dual, lindblad_superop, map_stacks
 from qdblab.examples import example_a_channel
 from qdblab.fluctuation import exchange_grid
 from qdblab.states import DensityMatrix, HamiltonianSpec
@@ -102,17 +102,9 @@ def a_channel(p, tau):
     return KrausChannel(tuple(example_a_channel(p, (tau,))[0]))
 
 
-def one_map(g):
-    """The ``(superops, kraus)`` stacks of the one Kraus channel or
-    superoperator ``g``, as ``Dynamics.maps`` gives them."""
-    if isinstance(g, KrausChannel):
-        return superop_from_channel(g).matrix[None], np.array([g.kraus_ops])
-    return g.matrix[None], None
-
-
 def exchange_at(g, h, beta_i, beta_f, tau=0.0):
     """Exchange statistics of the one map ``g``, taken at ``tau``."""
-    return exchange_grid(one_map(g), h, beta_i, beta_f, (tau,))
+    return exchange_grid(map_stacks(g, h), h, beta_i, beta_f, (tau,))
 
 
 def gap_records(grid, t=0):

@@ -159,7 +159,7 @@ def test_criterion_4_scenario_c_regimes_and_nonequivalence(rng):
     assert qdb1_max > 1e-3
     reversal = TimeReversal.conjugation(2)
     qdb2_residuals = [
-        check_qdb2(WeightedSpace(sigma, s), heisenberg_dual(evolve(sup, tau)).matrix, reversal)
+        check_qdb2(WeightedSpace(sigma, s), heisenberg_dual(evolve(sup, tau)), reversal)
         for s in S_GRID
         for tau in (0.1, 0.5, 1.0, 5.0)
     ]

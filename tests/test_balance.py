@@ -237,14 +237,14 @@ class TestQdb2:
         # of the reversal identity legitimately differ
         space = WeightedSpace(gibbs(qubit_hamiltonian(1.0), 0.8), 0.5)
         ident = SuperOperator(np.eye(4), HEISENBERG)
-        assert check_qdb2(space, ident.matrix, TimeReversal.conjugation(2)) < 1e-9
+        assert check_qdb2(space, ident, TimeReversal.conjugation(2)) < 1e-9
 
     @pytest.mark.parametrize("s", S_GRID)
     def test_balanced_family_map_passes(self, s):
         gen = example_qdb_family(0.5, 0.1, 1.0, 1.0)
         space = WeightedSpace(gibbs(gen.hamiltonian, 1.0), s)
         heis = evolve(dual_superop(gen), 1.0)
-        assert check_qdb2(space, heis.matrix, TimeReversal.conjugation(2)) < 1e-10
+        assert check_qdb2(space, heis, TimeReversal.conjugation(2)) < 1e-10
 
     @pytest.mark.parametrize(
         "d, kind",
@@ -279,10 +279,16 @@ class TestQdb2:
                     for a in units
                     for b in units
                 )
-                residuals.append(check_qdb2(space, g.matrix, t))
+                residuals.append(check_qdb2(space, g, t))
                 assert residuals[-1] == pytest.approx(literal, rel=1e-12)
             # a stack's residual is the largest of its maps'
             assert check_qdb2(space, stack, t) == max(residuals)
+
+    def test_requires_heisenberg_picture(self, rng):
+        gen = random_lindblad(rng, 2)
+        space = WeightedSpace(random_density(rng, 2), 0.5)
+        with pytest.raises(ValueError):
+            check_qdb2(space, evolve(lindblad_superop(gen), 1.0), TimeReversal.conjugation(2))
 
     def test_stack_keeps_a_nan_residual(self, rng):
         space = WeightedSpace(random_density(rng, 2), 0.5)

@@ -338,6 +338,14 @@ class TestSweepCommand:
         ) == EXIT_CONFIG
         assert "UnknownParameter" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "target, param", [("b", "zeta"), ("missing.json", "beta_i")], ids=["unknown-parameter", "missing-model"]
+    )
+    def test_empty_range_still_validates_its_target(self, tmp_path, capsys, target, param):
+        argv = ("sweep", str(tmp_path / target) if target.endswith(".json") else target)
+        assert run(tmp_path, *argv, "--parameter", param, "--range", "0:1:0") == EXIT_CONFIG
+        capsys.readouterr()
+
 
 class TestConfigValidation:
     def test_decreasing_grid_rejected(self, tmp_path):

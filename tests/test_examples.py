@@ -280,7 +280,7 @@ class TestScenarioC:
         qdb2_max = max(
             check_qdb2(
                 WeightedSpace(sigma, s),
-                heisenberg_dual(evolve(sup, 1.0)).matrix,
+                heisenberg_dual(evolve(sup, 1.0)),
                 TimeReversal.conjugation(2),
             )
             for s in (0.0, 0.25, 0.5, 0.75, 1.0)

@@ -193,7 +193,7 @@ class TestPairwiseCondition:
             l = lindblad_superop(gen)
             for tau in (0.1, 1.0, 10.0):
                 gmap = evolve(l, tau)
-                assert check_qdb2(space, heisenberg_dual(gmap).matrix, reversal) < 1e-9
+                assert check_qdb2(space, heisenberg_dual(gmap), reversal) < 1e-9
                 assert check_pairwise_condition(gmap, h, beta) < 1e-10
 
     def test_thermalizing_map_asymptotically(self, rng):
