@@ -10,7 +10,6 @@ from .dynamics import (
     SuperOperator,
     apply,
     channel_from_superop,
-    dual_superop,
     evolve,
     is_cptp,
     lindblad_superop,

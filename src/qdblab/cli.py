@@ -324,12 +324,13 @@ def _pairs_to_complex(data) -> np.ndarray:
 
 
 def save_model(gen: LindbladGenerator, path: Path) -> None:
-    """Serialize a canonical-basis Lindblad generator to JSON."""
+    """Serialize a Lindblad generator, with its operator basis, to JSON."""
     obj = {
         "schema": 1,
         "kind": "lindblad",
         "hamiltonian": _complex_to_pairs(gen.hamiltonian.matrix),
         "kossakowski": _complex_to_pairs(gen.kossakowski),
+        "basis": [_complex_to_pairs(f) for f in gen.basis],
     }
     _write_text(Path(path), json.dumps(obj, sort_keys=True, indent=2) + "\n")
 
@@ -351,8 +352,14 @@ def load_model(path: Path):
     try:
         h = HamiltonianSpec.from_matrix(_pairs_to_complex(obj["hamiltonian"]))
         if kind == "lindblad":
-            gen = LindbladGenerator.canonical(h, _pairs_to_complex(obj["kossakowski"]))
-            return Dynamics.semigroup(h, gen)
+            # a generator without jumps has a 0 x 0 Kossakowski matrix
+            c = np.zeros((0, 0)) if obj["kossakowski"] == [] else _pairs_to_complex(obj["kossakowski"])
+            if "basis" not in obj:  # the canonical basis
+                return Dynamics.semigroup(h, LindbladGenerator.canonical(h, c))
+            if not isinstance(obj["basis"], list):
+                raise ConfigError("basis must be a list of matrices")
+            basis = [_pairs_to_complex(f) for f in obj["basis"]]
+            return Dynamics.semigroup(h, LindbladGenerator(h, c, basis))
         if kind == "kraus":
             if not isinstance(obj["kraus_ops"], list):
                 raise ConfigError("kraus_ops must be a list of matrices")
@@ -364,6 +371,8 @@ def load_model(path: Path):
         return Dynamics.semigroup(h, bloch4_to_superop(np.real(_pairs_to_complex(obj["generator"]))))
     except KeyError as exc:
         raise ConfigError(f"model file misses required field {exc}") from exc
+    except ValueError as exc:
+        raise ConfigError(f"model file {path}: {exc}") from exc
 
 
 # ---------------------------------------------------------------------------
@@ -404,6 +413,8 @@ def _example_source(args, config: RunConfig):
             p = ExampleBParams(omega=args.omega, gamma=args.gamma, beta_f=config.beta_f)
         else:
             base = example_c_qdb_point(args.mu, args.eta, args.omega, config.beta_f)
+            if not math.isfinite(args.nu_scale):
+                raise ValueError(f"nu-scale must be finite, got {args.nu_scale}")
             # a sweep of scenario c sets the swept coefficient on the namespace
             swept = {k: v for k, v in vars(args).items() if k in ("nu", "alpha", "chi", "zeta")}
             p = dataclasses.replace(base, **{"nu": base.nu * args.nu_scale, **swept})

@@ -233,14 +233,22 @@ def example_b_closed_form(p: ExampleBParams, rho0: DensityMatrix, tau: float) ->
     return DensityMatrix(m)
 
 
+def _require_rates(mu: float, eta: float) -> None:
+    """Raise ``ValueError``, naming the rate, unless ``mu > 0`` and ``eta >= 0``,
+    both finite."""
+    if not (math.isfinite(mu) and mu > 0):
+        raise ValueError(f"mu must be finite and positive, got {mu}")
+    if not (math.isfinite(eta) and eta >= 0):
+        raise ValueError(f"eta must be finite and nonnegative, got {eta}")
+
+
 def example_qdb_family(mu: float, eta: float, omega: float, beta_f: float) -> LindbladGenerator:
     """Balanced qubit semigroup family: excitation rate ``mu``, decay rate
     ``mu e^{beta omega}`` and dephasing rate ``eta``.
 
     Reduces to the scenario-B generator for ``eta = 0, mu = gamma n_bar``.
     """
-    if mu <= 0 or eta < 0:
-        raise ValueError("need mu > 0 and eta >= 0")
+    _require_rates(mu, eta)
     jumps = [
         math.sqrt(mu * math.exp(beta_f * omega)) * LOWERING,
         math.sqrt(mu) * RAISING,
@@ -294,6 +302,7 @@ class ExampleCParams:
 
 def example_c_qdb_point(mu: float, eta: float, omega: float, beta_f: float) -> ExampleCParams:
     """Parameters reproducing :func:`example_qdb_family` in Bloch coordinates."""
+    _require_rates(mu, eta)
     try:
         boltz = math.exp(beta_f * omega)
     except OverflowError as exc:

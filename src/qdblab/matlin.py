@@ -53,7 +53,7 @@ def trace_norm(a: np.ndarray) -> float:
 
 def is_hermitian(a: np.ndarray, atol: float = HERMITICITY_ATOL) -> bool:
     a = np.asarray(a)
-    return bool(np.max(np.abs(a - dag(a))) <= atol)
+    return bool(np.max(np.abs(a - dag(a)), initial=0.0) <= atol)
 
 
 def _require_square(m: np.ndarray, who: str) -> None:

@@ -4,8 +4,19 @@ from collections import namedtuple
 import numpy as np
 import pytest
 
-from qdblab.dynamics import KrausChannel, LindbladGenerator, heisenberg_dual, lindblad_superop, map_stacks
+from qdblab.dynamics import (
+    HEISENBERG,
+    SCHRODINGER,
+    KrausChannel,
+    LindbladGenerator,
+    SuperOperator,
+    commutator_superop,
+    heisenberg_dual,
+    lindblad_superop,
+    map_stacks,
+)
 from qdblab.examples import example_a_channel
+from qdblab.matlin import dag, kron
 from qdblab.fluctuation import exchange_grid
 from qdblab.states import DensityMatrix, HamiltonianSpec
 
@@ -86,6 +97,56 @@ def thermal_circulation_qutrit(rng, beta_f, circulation=0.4):
         if i != j
     ]
     return LindbladGenerator.from_jump_operators(h, jumps), h
+
+
+def reference_lindblad_superop(gen: LindbladGenerator) -> SuperOperator:
+    """Schroedinger-picture generator matrix.
+
+    Implements ``-i[H, .] + sum_kl C_kl (F_k . F_l^dag - {F_l^dag F_k, .}/2)``
+    as a double loop over the basis: the literal reference for
+    :func:`qdblab.dynamics.lindblad_superop`.
+    """
+    d = gen.dim
+    eye = np.eye(d, dtype=complex)
+    m = -1j * commutator_superop(gen.hamiltonian.matrix)
+    c = gen.kossakowski
+    for k, fk in enumerate(gen.basis):
+        for l, fl in enumerate(gen.basis):
+            if abs(c[k, l]) == 0.0:
+                continue
+            fld_fk = dag(fl) @ fk
+            m += c[k, l] * (
+                kron(fl.conj(), fk)
+                - 0.5 * kron(eye, fld_fk)
+                - 0.5 * kron(fld_fk.T, eye)
+            )
+    return SuperOperator(m, SCHRODINGER)
+
+
+def dual_superop(gen: LindbladGenerator) -> SuperOperator:
+    """Heisenberg-picture generator matrix.
+
+    Implements ``+i[H, .] + sum_kl C_kl (F_l^dag . F_k - {F_l^dag F_k, .}/2)``,
+    the trace dual of :func:`qdblab.dynamics.lindblad_superop`.  The library
+    takes duals with :func:`qdblab.dynamics.heisenberg_dual`; this literal
+    transcription of the formula is the reference that route is checked
+    against.
+    """
+    d = gen.dim
+    eye = np.eye(d, dtype=complex)
+    m = 1j * commutator_superop(gen.hamiltonian.matrix)
+    c = gen.kossakowski
+    for k, fk in enumerate(gen.basis):
+        for l, fl in enumerate(gen.basis):
+            if abs(c[k, l]) == 0.0:
+                continue
+            fld_fk = dag(fl) @ fk
+            m += c[k, l] * (
+                kron(fk.T, dag(fl))
+                - 0.5 * kron(eye, fld_fk)
+                - 0.5 * kron(fld_fk.T, eye)
+            )
+    return SuperOperator(m, HEISENBERG)
 
 
 def heisenberg_generator(gen: LindbladGenerator):

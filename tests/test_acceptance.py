@@ -13,6 +13,7 @@ import numpy as np
 from conftest import (
     a_channel,
     SEED,
+    dual_superop,
     exchange_at,
     gap_records,
     heisenberg_generator,
@@ -37,7 +38,6 @@ from qdblab.dynamics import (
     Dynamics,
     SuperOperator,
     apply,
-    dual_superop,
     evolve,
     heisenberg_dual,
     is_cptp,

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from conftest import heisenberg_generator, random_complex, random_density, random_hamiltonian, random_lindblad
+from conftest import dual_superop, heisenberg_generator, random_complex, random_density, random_hamiltonian, random_lindblad
 from qdblab import matlin
 from qdblab.balance import (
     TimeReversal,
@@ -20,7 +20,6 @@ from qdblab.dynamics import (
     LindbladGenerator,
     SuperOperator,
     commutator_superop,
-    dual_superop,
     evolve,
     lindblad_superop,
 )

@@ -25,7 +25,7 @@ from qdblab.cli import (
     parse_range,
     save_model,
 )
-from qdblab.dynamics import Dynamics, SuperOperator, lindblad_superop
+from qdblab.dynamics import Dynamics, LindbladGenerator, SuperOperator, lindblad_superop
 from qdblab.errors import ConfigError
 from qdblab.examples import ExampleBParams, example_b_generator
 from qdblab.states import HamiltonianSpec
@@ -129,6 +129,53 @@ class TestCheckCommand:
         v2 = json.loads((tmp_path / "check_model_b_verdict.json").read_text())
         for key in ("classification", "qdb1", "qdb2", "qfr_max_deviation"):
             assert v1[key] == v2[key]
+
+    @pytest.mark.parametrize("n_jumps", [0, 2])
+    def test_jump_generator_roundtrip_is_bitwise(self, rng, tmp_path, n_jumps):
+        # jumps with a trace part: the file keeps the basis, so nothing is re-projected
+        h = thermal_circulation_qutrit(rng, 1.0)[1]
+        jumps = [random_complex(rng, 3), random_complex(rng, 3) + 0.7 * np.eye(3)][:n_jumps]
+        gen = LindbladGenerator.from_jump_operators(h, jumps)
+        save_model(gen, tmp_path / "jumps.json")
+        loaded = load_model(tmp_path / "jumps.json")
+        assert np.array_equal(loaded.generator.matrix, lindblad_superop(gen).matrix)
+
+    def test_model_without_basis_is_canonical(self, rng, tmp_path):
+        gen = random_lindblad(rng, 2)
+        save_model(gen, tmp_path / "canonical.json")
+        obj = json.loads((tmp_path / "canonical.json").read_text())
+        del obj["basis"]
+        (tmp_path / "canonical.json").write_text(json.dumps(obj))
+        loaded = load_model(tmp_path / "canonical.json")
+        assert np.array_equal(loaded.generator.matrix, lindblad_superop(gen).matrix)
+
+    @pytest.mark.parametrize(
+        "basis, code, message",
+        [
+            ("not a list", EXIT_CONFIG, "ConfigError: basis must be a list"),
+            ([[[1, 0, 0], [0, -1, 0], [0, 0, 0]]] * 2, EXIT_MODEL, "DimensionMismatch: dissipator basis"),
+            ([[[0, 1], [0, 0]]], EXIT_MODEL, "DimensionMismatch: Kossakowski matrix must be 1x1"),
+            ([[[0, 1], [0, 0]], [[1, 0], [0, 0]]], EXIT_CONFIG, "ConfigError: model file"),
+            ([[[0, 1], [0, 0]], 5], EXIT_CONFIG, "ConfigError: matrix must be"),
+        ],
+        ids=["not-a-list", "wrong-shape", "wrong-count", "traced", "not-a-matrix"],
+    )
+    def test_bad_basis_exits_without_traceback(self, tmp_path, capsys, basis, code, message):
+        save_model(example_b_generator(ExampleBParams(1.0, 1.0, 1.0)), tmp_path / "model.json")
+        obj = json.loads((tmp_path / "model.json").read_text())
+        obj["basis"] = basis
+        (tmp_path / "model.json").write_text(json.dumps(obj))
+        assert run(tmp_path, "check", str(tmp_path / "model.json")) == code
+        err = capsys.readouterr().err
+        assert err.startswith(message) and "Traceback" not in err
+
+    @pytest.mark.parametrize("beta_f", ["20", "21.5", "22", "23.5", "26", "27"])
+    def test_scenario_b_passes_both_balance_checks_at_low_temperature(self, tmp_path, beta_f):
+        # the small rate gamma n_bar stays a jump of its own: no cancellation
+        assert run(tmp_path, "example", "b", "--beta-f", beta_f, *FAST) == EXIT_OK
+        verdict = json.loads((tmp_path / "example_b_verdict.json").read_text())
+        assert verdict["qdb1"]["passes"] is True
+        assert verdict["qdb2"]["passes"] is True
 
     def test_indefinite_kossakowski_exits_3(self, tmp_path, capsys):
         model_path = tmp_path / "bad.json"
@@ -388,6 +435,8 @@ class TestConfigValidation:
             ("example", "c", "--eta", "nan"),
             ("example", "c", "--nu-scale", "nan"),
             ("sweep", "b", "--parameter", "gamma", "--range", "nan:1:2"),
+            ("example", "c", "--mu", "-1"),
+            ("example", "c", "--eta", "-0.5"),
         ],
         ids=["s-outside-unit", "beta-f-inf", "beta-i-nan", "gamma-negative", "omega-negative",
              "sweep-gamma-negative", "model-not-object", "tau-negative", "tau-inf", "tau-nan",
@@ -395,7 +444,7 @@ class TestConfigValidation:
              "b-boltzmann-overflow", "c-boltzmann-overflow", "tol-qdb-nan", "tol-cptp-nan",
              "tol-qfr-inf", "kraus-nan", "bloch4-nan", "lindblad-h-nan", "lindblad-c-inf", "a-omega-nan",
              "b-omega-nan", "c-omega-nan", "b-omega-inf", "b-gamma-nan", "b-gamma-inf", "c-mu-nan", "c-mu-inf",
-             "c-eta-nan", "c-nu-scale-nan", "sweep-gamma-nan"],
+             "c-eta-nan", "c-nu-scale-nan", "sweep-gamma-nan", "c-mu-negative", "c-eta-negative"],
     )
     def test_out_of_range_input_exits_2(self, tmp_path, capsys, argv):
         kraus = {
@@ -426,7 +475,12 @@ class TestConfigValidation:
             (tmp_path / f"{name}.json").write_text(json.dumps(obj))
         argv = [str(tmp_path / f"{a}.json") if a in models else a for a in argv]
         assert run(tmp_path, *argv) == EXIT_CONFIG
-        assert capsys.readouterr().err.startswith("ConfigError: ")
+        err = capsys.readouterr().err
+        assert err.startswith("ConfigError: ")
+        # scenario c's errors name the flag, not a derived coefficient
+        flag = next((a[2:] for a in argv if a in ("--mu", "--eta", "--nu-scale")), None)
+        if flag is not None:
+            assert err.startswith(f"ConfigError: scenario c: {flag} must be finite")
 
     def test_scenario_c_at_low_temperature_is_not_cptp(self, tmp_path, capsys):
         # e^(beta omega) is finite but tau L overflows, so the map at tau = 10 is nan
@@ -436,21 +490,21 @@ class TestConfigValidation:
     @pytest.mark.parametrize("name", ["b", "c"])
     @pytest.mark.parametrize("tau", ["1e200", "1e308"])
     def test_huge_tau_fails_a_check_without_traceback(self, tmp_path, capsys, name, tau):
-        # the maps overflow to nan: the rows fail their probability checks
-        assert run(tmp_path, "example", name, "--tau-grid", tau) in (EXIT_MODEL, EXIT_INTERNAL)
+        # the maps overflow to nan, and the rows fail their probability checks,
+        # except scenario b's at 1e200, whose squarings stay finite
+        codes = (EXIT_OK,) if (name, tau) == ("b", "1e200") else (EXIT_MODEL, EXIT_INTERNAL)
+        assert run(tmp_path, "example", name, "--tau-grid", tau) in codes
         assert "Traceback" not in capsys.readouterr().err
 
     @pytest.mark.parametrize(
         "argv, code, first_line",
         [
-            (("example", "b", "--tau-grid", "1e200"), EXIT_INTERNAL,
-             "InternalCheckError: exchange probabilities sum to 0"),
-            (("example", "b", "--tau-grid", "0.1,1e200"), EXIT_INTERNAL,
-             "InternalCheckError: exchange probabilities sum to 0"),
+            (("example", "b", "--tau-grid", "1e200"), EXIT_OK, None),
+            (("example", "b", "--tau-grid", "0.1,1e200"), EXIT_OK, None),
             (("example", "c", "--tau-grid", "1e308"), EXIT_INTERNAL,
              "InternalCheckError: exchange probabilities sum to 0"),
             (("example", "b", "--gamma", "1e6"), EXIT_MODEL,
-             "NotTracePreserving: transition rows sum to 1 only within 1.100e-09"),
+             "NotTracePreserving: transition rows sum to 1 only within 1.837e-09"),
             (("example", "c", "--beta-f", "16"), EXIT_MODEL,
              "NotCPTP: induced map at tau=10 fails CPTP: cp=0.000e+00, tp=2.305e-09, herm=0.000e+00"),
         ],
@@ -458,9 +512,17 @@ class TestConfigValidation:
     )
     def test_failing_checks_keep_their_exit_code_and_message(self, tmp_path, capsys, argv, code, first_line):
         # non-finite maps pass the transition checks (every comparison with nan
-        # is false) and leave no gap record, so the records sum to 0
+        # is false) and leave no gap record, so the records sum to 0; a run
+        # that passes (first_line None) writes nothing to stderr
         assert run(tmp_path, *argv) == code
-        assert capsys.readouterr().err.splitlines()[0] == first_line
+        assert next(iter(capsys.readouterr().err.splitlines()), None) == first_line
+
+    def test_huge_tau_rows_obey_the_ratio_law(self, tmp_path):
+        # the map at tau = 1e200 is the projection onto the Gibbs state at beta_f = 1
+        assert run(tmp_path, "example", "b", "--tau-grid", "0.1,1e200") == EXIT_OK
+        last = [r for r in _rows(tmp_path / "example_b_rows.csv") if float(r["tau"]) == 1e200 and r["E"] == "1"]
+        assert len(last) == 1
+        assert float(last[0]["R"]) == pytest.approx(math.e, rel=1e-15)
 
     def test_bad_tolerance_rejected(self, tmp_path):
         assert run(tmp_path, "example", "b", "--tol-qdb", "0") == EXIT_CONFIG

@@ -14,7 +14,9 @@ residual or deviation of a few ulp), whose relative error means nothing.
 ``golden/davies3_circulating.json`` is the d = 3 Davies model with a cyclic
 current drawn first from ``numpy.random.default_rng(5)`` by
 ``perfbench/fixtures.py``: fixed-point thermalizing at beta 1 but failing
-both balance checks.  ``golden/scenario_a_tau1.json`` is scenario A's default
+both balance checks.  It was written before model files carried a ``basis``,
+so it also covers a file that loads in the canonical Gell-Mann basis.
+``golden/scenario_a_tau1.json`` is scenario A's default
 channel at omega = 1, beta_f = 1 and tau = 1 as a ``kind: kraus`` model.
 """
 
