@@ -2,7 +2,7 @@
 and energy-exchange fluctuation ratios."""
 
 from . import balance, dynamics, errors, examples, fluctuation, matlin, states
-from .balance import TimeReversal, WeightedSpace, adjoint, check_qdb1, check_qdb2, inner
+from .balance import check_qdb1, check_qdb2
 from .dynamics import (
     Dynamics,
     KrausChannel,

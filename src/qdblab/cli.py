@@ -15,13 +15,14 @@ import argparse
 import dataclasses
 import json
 import math
+import os
 import sys
 from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
-from .balance import TimeReversal, WeightedSpace, check_qdb1, check_qdb2
+from .balance import check_qdb1, check_qdb2
 from .dynamics import Dynamics, KrausChannel, LindbladGenerator, heisenberg_dual, trace_dual
 from .errors import (
     ConfigError,
@@ -37,7 +38,6 @@ from .errors import (
     NotHermitian,
     NotTracePreserving,
     ScheduleOutOfRange,
-    SingularWeight,
     UnknownParameter,
 )
 from .examples import (
@@ -51,7 +51,7 @@ from .examples import (
     example_c_qdb_point,
 )
 from .fluctuation import classify, exchange_grid
-from .states import HamiltonianSpec, gibbs
+from .states import HamiltonianSpec
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -69,7 +69,6 @@ MODEL_ERRORS = (
     NotCPTP,
     ScheduleOutOfRange,
     DimensionMismatch,
-    SingularWeight,
     DegenerateGround,
     NoConvergence,
 )
@@ -176,9 +175,11 @@ def fmt_float(x) -> str:
     return format(float(x), ".17g")
 
 
-def _balance_section(per_s: dict, tol: float) -> dict:
+def _balance_section(residuals: np.ndarray, config: RunConfig) -> dict:
+    """The verdict section of one balance check's residuals over the s grid."""
+    per_s = dict(zip((fmt_float(s) for s in config.s_grid), residuals.tolist()))
     worst = max(per_s.values())
-    return {"passes": bool(worst < tol), "max_residual": worst, "per_s": per_s}
+    return {"passes": bool(worst < config.tol_qdb), "max_residual": worst, "per_s": per_s}
 
 
 def build_report(label: str, source: Dynamics, config: RunConfig, f_factor=None):
@@ -198,34 +199,21 @@ def build_report(label: str, source: Dynamics, config: RunConfig, f_factor=None)
     beta_known = isinstance(beta_raw, float) and math.isfinite(beta_raw)
     beta_for_ratios = beta_raw if beta_known else config.beta_f
 
-    spaces = ()
-    if beta_known:
-        sigma = gibbs(source.h, beta_raw)
-        try:
-            spaces = tuple((fmt_float(s), WeightedSpace(sigma=sigma, s=s)) for s in config.s_grid)
-        except SingularWeight:
-            spaces = ()
-
     qdb1 = None
-    if spaces and source.generator is not None:
-        dual = heisenberg_dual(source.generator)
-        per_s = {key: check_qdb1(space, dual, source.h) for key, space in spaces}
-        qdb1 = _balance_section(per_s, config.tol_qdb)
+    if beta_known and source.generator is not None:
+        per_s = check_qdb1(source.h, beta_raw, config.s_grid, heisenberg_dual(source.generator))
+        qdb1 = _balance_section(per_s, config)
 
     taus = source.taus(config.tau_grid)
-    qdb2_taus = tuple(t for t in source.taus(QDB2_TAUS) if math.isfinite(t)) if spaces else ()
+    qdb2_taus = tuple(t for t in source.taus(QDB2_TAUS) if math.isfinite(t)) if beta_known else ()
     superops, kraus = source.maps(taus + qdb2_taus)  # one stacked exponential for a semigroup
     n = len(taus)
 
     qdb2 = None
     if qdb2_taus:
-        # complex conjugation in H's eigenbasis V: the antiunitary V conj(V^dag .)
-        # has unitary part V V^T, which is I for a diagonal H
-        v = source.h.eigenvectors
-        reversal = TimeReversal(v @ v.T)
-        heis = trace_dual(superops[n:])
-        per_s = {key: check_qdb2(space, heis, reversal) for key, space in spaces}
-        qdb2 = {**_balance_section(per_s, config.tol_qdb), "taus": list(qdb2_taus)}
+        # time reversal is complex conjugation in H's eigenbasis
+        per_s = check_qdb2(source.h, beta_raw, config.s_grid, trace_dual(superops[n:]))
+        qdb2 = {**_balance_section(per_s, config), "taus": list(qdb2_taus)}
 
     header = ["tau", "E", "p_plus", "p_minus", "R", "predicted", "deviation"]
     if f_factor is not None:
@@ -579,7 +567,7 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def main(argv=None) -> int:
+def _run(argv) -> int:
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)
@@ -597,6 +585,20 @@ def main(argv=None) -> int:
     except (InternalCheckError, InconclusiveHorizon) as exc:
         print(f"{type(exc).__name__}: {exc}", file=sys.stderr)
         return EXIT_INTERNAL
+
+
+def main(argv=None) -> int:
+    """Run one command and return its exit code."""
+    try:
+        code = _run(argv)
+        sys.stdout.flush()  # a closed stdout shows here, not at exit
+        return code
+    except BrokenPipeError:
+        # every report is on disk before anything is printed, so a reader that
+        # closed stdout early misses only the summary or the help text; stdout
+        # goes to devnull so that the interpreter's last flush stays silent
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return EXIT_OK
 
 
 if __name__ == "__main__":

@@ -237,13 +237,11 @@ class Classification:
 
     ``kind`` is ``"fpt"``, ``"thermalizing"`` or ``"non_thermalizing"``,
     or ``"single_map"`` for one Kraus map, which is probed only for a
-    thermal fixed point; ``beta_f`` and the asymptotic state are set when
-    they exist.
+    thermal fixed point; ``beta_f`` is set when it exists.
     """
 
     kind: str
     beta_f: float | None = None
-    asymptotic_state: DensityMatrix | None = None
     gamma_min: float | None = None
 
     @property
@@ -259,23 +257,21 @@ TAU_MAX = 100.0  # probing horizon of a channel family
 FIXED_POINT_TAUS = tuple(np.geomspace(0.01, TAU_MAX, 9))
 
 
-def _fixed_state(col: np.ndarray, h: HamiltonianSpec):
-    """State and inverse temperature of a fixed-point eigenvector.
+def _fixed_beta(col: np.ndarray, h: HamiltonianSpec):
+    """Inverse temperature of a fixed-point eigenvector.
 
-    Returns ``(None, None)`` when the eigenvector is traceless and a ``None``
-    temperature when the state is not thermal; an eigenvector that is no
-    state raises ``NotAState``.
+    Returns ``None`` when the eigenvector is traceless or its state is not
+    thermal; an eigenvector that is no state raises ``NotAState``.
     """
     mat = unvec(col, h.dim, h.dim)
     mat = (mat + dag(mat)) / 2
     tr = float(np.real(np.trace(mat)))
     if abs(tr) < 1e-12:
-        return None, None
-    state = DensityMatrix(mat / tr)
+        return None
     try:
-        return state, infer_beta(state, h)
+        return infer_beta(DensityMatrix(mat / tr), h)
     except (NotThermal, ZeroPopulation):
-        return state, None
+        return None
 
 
 def _classify_semigroup(l_matrix: np.ndarray, h: HamiltonianSpec) -> Classification:
@@ -287,12 +283,12 @@ def _classify_semigroup(l_matrix: np.ndarray, h: HamiltonianSpec) -> Classificat
     if rest.size and float(np.max(np.real(rest))) >= -ZERO_EIG_ATOL:
         return Classification(kind="non_thermalizing")
     gamma_min = float(np.min(-np.real(rest))) if rest.size else None
-    state, beta = _fixed_state(vecs[:, int(np.argmax(zero))], h)
+    beta = _fixed_beta(vecs[:, int(np.argmax(zero))], h)
     if beta is None:
-        return Classification(kind="non_thermalizing", asymptotic_state=state, gamma_min=gamma_min)
+        return Classification(kind="non_thermalizing", gamma_min=gamma_min)
     # Semigroups with a spectral gap converge to their unique stationary
     # state, which is then a fixed point at every time.
-    return Classification(kind="fpt", beta_f=beta, asymptotic_state=state, gamma_min=gamma_min)
+    return Classification(kind="fpt", beta_f=beta, gamma_min=gamma_min)
 
 
 def _classify_single_map(channel: KrausChannel, h: HamiltonianSpec) -> Classification:
@@ -301,10 +297,10 @@ def _classify_single_map(channel: KrausChannel, h: HamiltonianSpec) -> Classific
     if int(np.sum(one)) != 1:
         return Classification(kind="single_map")
     try:
-        state, beta = _fixed_state(vecs[:, int(np.argmax(one))], h)
+        beta = _fixed_beta(vecs[:, int(np.argmax(one))], h)
     except NotAState:
         return Classification(kind="single_map")
-    return Classification(kind="single_map", beta_f=beta, asymptotic_state=state)
+    return Classification(kind="single_map", beta_f=beta)
 
 
 def _probe_states(d: int) -> list:
@@ -351,13 +347,13 @@ def classify(source: Dynamics) -> Classification:
     try:
         beta = infer_beta(state, h)
     except (NotThermal, ZeroPopulation):
-        return Classification(kind="non_thermalizing", asymptotic_state=state)
+        return Classification(kind="non_thermalizing")
     fixed = all(
         matlin.trace_norm(apply(KrausChannel(tuple(ops)), state).matrix - state.matrix) < FIXED_POINT_ATOL
         for ops in kraus[1:]
     )
     kind = "fpt" if fixed else "thermalizing"
-    return Classification(kind=kind, beta_f=beta, asymptotic_state=state)
+    return Classification(kind=kind, beta_f=beta)
 
 
 def default_tau_max(classification: Classification) -> float:

@@ -1,33 +1,42 @@
 import numpy as np
 import pytest
 
-from conftest import dual_superop, heisenberg_generator, random_complex, random_density, random_hamiltonian, random_lindblad
-from qdblab import matlin
-from qdblab.balance import (
+from conftest import (
     TimeReversal,
     WeightedSpace,
     adjoint,
     check_lemma_invariant_subspace,
-    check_qdb1,
     check_qdb1_invariance,
-    check_qdb2,
     decompose,
+    dual_superop,
+    heisenberg_generator,
     inner,
     r_s_superop,
+    random_complex,
+    random_density,
+    random_hamiltonian,
+    random_lindblad,
+    inverted_qubit,
+    thermal_circulation_qutrit,
 )
+from qdblab import matlin
+from qdblab.balance import check_qdb1, check_qdb2
 from qdblab.dynamics import (
     HEISENBERG,
     LindbladGenerator,
     SuperOperator,
     commutator_superop,
     evolve,
+    evolve_grid,
+    heisenberg_dual,
     lindblad_superop,
+    trace_dual,
 )
 from qdblab.errors import DimensionMismatch, SingularWeight
 from qdblab.examples import example_qdb_family, qubit_hamiltonian
 from qdblab.fluctuation import check_pairwise_condition
 from qdblab.matlin import dag, vec
-from qdblab.states import SIGMA_X, SIGMA_Y, SIGMA_Z, DensityMatrix, gibbs
+from qdblab.states import SIGMA_X, SIGMA_Y, SIGMA_Z, DensityMatrix, HamiltonianSpec, gibbs
 
 S_GRID = (0.0, 0.25, 0.5, 0.75, 1.0)
 
@@ -131,29 +140,73 @@ class TestDecompose:
         assert matlin.frobenius(ham_part.matrix + dis_part.matrix - dual.matrix) < 1e-13
 
 
+def reference_qdb1(space: WeightedSpace, dual: SuperOperator, h: HamiltonianSpec) -> float:
+    """``|L# - L#* - 2i [H, .]|_F / |L#|_F`` with the adjoint taken literally,
+    ``W^-1 L#^dag W`` for the weight of any full-rank Sigma."""
+    defect = dual.matrix - adjoint(space, dual).matrix - 2j * commutator_superop(h.matrix)
+    return matlin.frobenius(defect) / matlin.frobenius(dual.matrix)
+
+
+def eigenbasis_hamiltonian(rng, d, kind):
+    """A random spectrum in an eigenbasis that is the storage basis
+    (``conjugation``: the reversal is plain conjugation there), a real
+    Householder reflection (``reflection``), or a random unitary
+    (``rotated``)."""
+    if kind == "rotated":
+        return random_hamiltonian(rng, d)
+    energies = np.sort(rng.uniform(0.0, 2.0, size=d))
+    v = np.eye(d)
+    if kind == "reflection":
+        u = rng.normal(size=d)
+        v = v - 2 * np.outer(u, u) / (u @ u)
+    return HamiltonianSpec.from_matrix((v * energies) @ v.T)
+
+
 class TestQdb1:
     @pytest.mark.parametrize("s", S_GRID)
     def test_balanced_family_passes(self, rng, s):
         for _ in range(5):
             mu, eta, beta = rng.uniform(0.1, 2), rng.uniform(0, 1), rng.uniform(0.2, 2)
             gen = example_qdb_family(mu, eta, 1.0, beta)
-            space = WeightedSpace(gibbs(gen.hamiltonian, beta), s)
-            assert check_qdb1(space, heisenberg_generator(gen), gen.hamiltonian) < 1e-10
+            [residual] = check_qdb1(gen.hamiltonian, beta, (s,), heisenberg_generator(gen))
+            assert residual < 1e-10
 
     def test_generic_generator_fails_at_every_s(self, rng):
         gen = random_lindblad(rng, 3)
-        sigma = gibbs(gen.hamiltonian, 0.8)
-        for s in S_GRID:
-            assert check_qdb1(WeightedSpace(sigma, s), heisenberg_generator(gen), gen.hamiltonian) > 1e-3
+        assert np.all(check_qdb1(gen.hamiltonian, 0.8, S_GRID, heisenberg_generator(gen)) > 1e-3)
 
     def test_s_grid_verdicts_identical_for_balanced_family(self, rng):
         for _ in range(5):
             mu, eta, beta = rng.uniform(0.1, 2), rng.uniform(0, 1), rng.uniform(0.2, 2)
             gen = example_qdb_family(mu, eta, 1.0, beta)
-            sigma = gibbs(gen.hamiltonian, beta)
+            residuals = check_qdb1(gen.hamiltonian, beta, S_GRID, heisenberg_generator(gen))
+            assert set((residuals < 1e-9).tolist()) == {True}
+
+    @pytest.mark.parametrize("d", [2, 3, 4])
+    @pytest.mark.parametrize("kind", ["conjugation", "rotated"])
+    def test_matches_the_adjoint_formula(self, rng, d, kind):
+        # the reference's W^-1 amplifies roundoff by up to e^(beta dE), so
+        # beta dE stays below 4 here
+        for _ in range(3):
+            h = eigenbasis_hamiltonian(rng, d, kind)
+            n = d * d - 1
+            a = random_complex(rng, n)
+            gen = LindbladGenerator.canonical(h, a @ dag(a) / n)
+            beta = rng.uniform(0.2, 2.0)
             dual = heisenberg_generator(gen)
-            verdicts = {check_qdb1(WeightedSpace(sigma, s), dual, gen.hamiltonian) < 1e-9 for s in S_GRID}
-            assert verdicts == {True}
+            sigma = gibbs(h, beta)
+            want = [reference_qdb1(WeightedSpace(sigma, s), dual, h) for s in S_GRID]
+            np.testing.assert_allclose(check_qdb1(h, beta, S_GRID, dual), want, rtol=1e-10, atol=0)
+
+    def test_inverted_populations_pass(self):
+        # no Gibbs state exists for beta < 0, but the weight does
+        gen, beta = inverted_qubit()
+        assert np.all(check_qdb1(gen.hamiltonian, beta, S_GRID, heisenberg_generator(gen)) < 1e-12)
+        assert np.all(check_qdb1(gen.hamiltonian, -beta, S_GRID, heisenberg_generator(gen)) > 1e-2)
+
+    def test_rejects_a_generator_of_another_dimension(self, rng):
+        with pytest.raises(DimensionMismatch):
+            check_qdb1(random_hamiltonian(rng, 2), 0.5, S_GRID, heisenberg_generator(random_lindblad(rng, 3)))
 
     def test_invariance_of_reference_state(self):
         gen = example_qdb_family(0.4, 0.3, 1.0, 0.9)
@@ -172,11 +225,33 @@ def test_checks_require_their_picture(rng):
     space = WeightedSpace(gibbs(gen.hamiltonian, 0.8), 0.5)
     schro = lindblad_superop(gen)
     with pytest.raises(ValueError):
-        check_qdb1(space, schro, gen.hamiltonian)
+        check_qdb1(gen.hamiltonian, 0.8, S_GRID, schro)
     with pytest.raises(ValueError):
         check_qdb1_invariance(space, heisenberg_generator(gen))
     with pytest.raises(ValueError):
         check_lemma_invariant_subspace(space, schro)
+
+
+def test_rotated_model_keeps_the_residuals_of_the_unrotated_one(rng):
+    # the residuals are taken over H's eigenbasis units, so a change of the
+    # storage basis leaves them as they are
+    gen, h = thermal_circulation_qutrit(rng, 1.0)
+    q, _ = np.linalg.qr(random_complex(rng, 3))
+    rot = np.kron(q.conj(), q)  # vec(q X q^dag) == rot @ vec(X)
+    l = lindblad_superop(gen)
+    l_rot = SuperOperator(rot @ l.matrix @ dag(rot))
+    h_rot = HamiltonianSpec.from_matrix(q @ h.matrix @ dag(q))
+
+    def residuals(model_h, model_l):
+        maps = trace_dual(evolve_grid(model_l, (0.1, 0.5, 1.0, 5.0)))
+        dual = heisenberg_dual(model_l)
+        return check_qdb1(model_h, 1.0, S_GRID, dual), check_qdb2(model_h, 1.0, S_GRID, maps)
+
+    want1, want2 = residuals(h, l)
+    got1, got2 = residuals(h_rot, l_rot)
+    assert np.all(want1 > 1e-3) and np.all(want2 > 1e-4)
+    np.testing.assert_allclose(got1, want1, rtol=1e-12, atol=0)
+    np.testing.assert_allclose(got2, want2, rtol=1e-12, atol=0)
 
 
 class TestTimeReversal:
@@ -231,45 +306,39 @@ class TestTimeReversal:
 
 class TestQdb2:
     def test_identity_map_passes(self):
-        # reference state diagonal in the conjugation basis, as in every
-        # thermal workflow; for a generic complex reference the two sides
-        # of the reversal identity legitimately differ
-        space = WeightedSpace(gibbs(qubit_hamiltonian(1.0), 0.8), 0.5)
         ident = SuperOperator(np.eye(4), HEISENBERG)
-        assert check_qdb2(space, ident, TimeReversal.conjugation(2)) < 1e-9
+        assert np.all(check_qdb2(qubit_hamiltonian(1.0), 0.8, S_GRID, ident) < 1e-9)
 
     @pytest.mark.parametrize("s", S_GRID)
     def test_balanced_family_map_passes(self, s):
         gen = example_qdb_family(0.5, 0.1, 1.0, 1.0)
-        space = WeightedSpace(gibbs(gen.hamiltonian, 1.0), s)
         heis = evolve(dual_superop(gen), 1.0)
-        assert check_qdb2(space, heis, TimeReversal.conjugation(2)) < 1e-10
+        [residual] = check_qdb2(gen.hamiltonian, 1.0, (s,), heis)
+        assert residual < 1e-10
 
     @pytest.mark.parametrize(
         "d, kind",
-        [(2, "conjugation"), (3, "conjugation"), (4, "conjugation"), (2, "spin_half"),
-         (2, "reflection"), (3, "reflection"), (4, "reflection")],
+        [(2, "conjugation"), (3, "conjugation"), (4, "conjugation"), (2, "reflection"), (3, "reflection"),
+         (4, "reflection"), (2, "rotated"), (3, "rotated"), (4, "rotated")],
     )
     def test_matches_matrix_unit_definition(self, rng, d, kind):
-        # the identity checked on every pair of matrix units, literally
-        if kind == "conjugation":
-            t = TimeReversal.conjugation(d)
-        elif kind == "spin_half":
-            t = TimeReversal.spin_half()
-        else:
-            v = rng.normal(size=d)
-            t = TimeReversal(np.eye(d) - 2 * np.outer(v, v) / (v @ v))
-        units = matrix_units(d)
-        sigma = random_density(rng, d)
+        # the condition checked on every pair of H's eigenbasis units,
+        # literally, for the Gibbs state and complex conjugation in that basis
+        h = eigenbasis_hamiltonian(rng, d, kind)
+        v = h.eigenvectors
+        t = TimeReversal(v @ v.T)
+        units = [np.outer(v[:, i], v[:, j].conj()) for j in range(d) for i in range(d)]
+        beta = 0.7
+        sigma = gibbs(h, beta)
         maps = [
             SuperOperator(random_complex(rng, d * d), HEISENBERG),
             evolve(dual_superop(random_lindblad(rng, d)), 0.7),
         ]
-        stack = np.array([g.matrix for g in maps])
-        for s in (0.0, 0.3, 1.0):
+        s_grid = (0.0, 0.3, 1.0)
+        per_map = [check_qdb2(h, beta, s_grid, g) for g in maps]
+        for k, s in enumerate(s_grid):
             space = WeightedSpace(sigma, s)
-            residuals = []
-            for g in maps:
+            for g, residuals in zip(maps, per_map):
                 literal = max(
                     abs(
                         inner(space, dag(a), g.apply_matrix(b))
@@ -278,26 +347,29 @@ class TestQdb2:
                     for a in units
                     for b in units
                 )
-                residuals.append(check_qdb2(space, g, t))
-                assert residuals[-1] == pytest.approx(literal, rel=1e-12)
-            # a stack's residual is the largest of its maps'
-            assert check_qdb2(space, stack, t) == max(residuals)
+                assert residuals[k] == pytest.approx(literal, rel=1e-12)
+        # a stack's residual is the largest of its maps'
+        stack = np.array([g.matrix for g in maps])
+        np.testing.assert_allclose(check_qdb2(h, beta, s_grid, stack), np.maximum(*per_map), rtol=1e-14, atol=0)
 
     def test_requires_heisenberg_picture(self, rng):
         gen = random_lindblad(rng, 2)
-        space = WeightedSpace(random_density(rng, 2), 0.5)
         with pytest.raises(ValueError):
-            check_qdb2(space, evolve(lindblad_superop(gen), 1.0), TimeReversal.conjugation(2))
+            check_qdb2(gen.hamiltonian, 0.5, S_GRID, evolve(lindblad_superop(gen), 1.0))
 
     def test_stack_keeps_a_nan_residual(self, rng):
-        space = WeightedSpace(random_density(rng, 2), 0.5)
         stack = np.array([np.eye(4), np.full((4, 4), np.nan), np.eye(4)], dtype=complex)
-        assert np.isnan(check_qdb2(space, stack, TimeReversal.conjugation(2)))
+        assert np.all(np.isnan(check_qdb2(random_hamiltonian(rng, 2), 0.5, S_GRID, stack)))
 
     def test_rejects_a_stack_of_another_dimension(self, rng):
-        space = WeightedSpace(random_density(rng, 2), 0.5)
         with pytest.raises(DimensionMismatch):
-            check_qdb2(space, np.zeros((3, 9, 9), dtype=complex), TimeReversal.conjugation(2))
+            check_qdb2(random_hamiltonian(rng, 2), 0.5, S_GRID, np.zeros((3, 9, 9), dtype=complex))
+
+    def test_inverted_populations_pass(self):
+        gen, beta = inverted_qubit()
+        maps = evolve_grid(dual_superop(gen), (0.1, 0.5, 1.0, 5.0))
+        assert np.all(check_qdb2(gen.hamiltonian, beta, S_GRID, maps) < 1e-12)
+        assert np.all(check_qdb2(gen.hamiltonian, -beta, S_GRID, maps) > 1e-3)
 
 
 class TestInvariantSubspaces:
@@ -354,8 +426,8 @@ class TestBalancedImpliesPairwise:
         for _ in range(5):
             mu, eta, beta = rng.uniform(0.1, 2), rng.uniform(0, 1), rng.uniform(0.2, 2)
             gen = example_qdb_family(mu, eta, 1.0, beta)
-            space = WeightedSpace(gibbs(gen.hamiltonian, beta), 0.5)
-            assert check_qdb1(space, heisenberg_generator(gen), gen.hamiltonian) < 1e-9
+            [residual] = check_qdb1(gen.hamiltonian, beta, (0.5,), heisenberg_generator(gen))
+            assert residual < 1e-9
             l = lindblad_superop(gen)
             for tau in (0.1, 1.0, 10.0):
                 res = check_pairwise_condition(evolve(l, tau), gen.hamiltonian, beta)

@@ -10,7 +10,7 @@ import pytest
 
 import qdblab
 
-from conftest import random_complex, random_lindblad, thermal_circulation_qutrit
+from conftest import inverted_qubit, random_complex, random_lindblad, thermal_circulation_qutrit
 from qdblab.cli import (
     EXIT_CONFIG,
     EXIT_INTERNAL,
@@ -169,11 +169,22 @@ class TestCheckCommand:
         err = capsys.readouterr().err
         assert err.startswith(message) and "Traceback" not in err
 
-    @pytest.mark.parametrize("beta_f", ["20", "21.5", "22", "23.5", "26", "27"])
+    @pytest.mark.parametrize("beta_f", ["20", "21.5", "22", "23.5", "26", "27", "28", "30", "32"])
     def test_scenario_b_passes_both_balance_checks_at_low_temperature(self, tmp_path, beta_f):
-        # the small rate gamma n_bar stays a jump of its own: no cancellation
+        # the small rate gamma n_bar stays a jump of its own: no cancellation;
+        # from 28 the excited population is below 1e-12, and the checks take
+        # its logarithm, so no rank floor makes them n/a
         assert run(tmp_path, "example", "b", "--beta-f", beta_f, *FAST) == EXIT_OK
         verdict = json.loads((tmp_path / "example_b_verdict.json").read_text())
+        assert verdict["qdb1"]["passes"] is True
+        assert verdict["qdb2"]["passes"] is True
+
+    def test_inverted_populations_pass_both_balance_checks(self, tmp_path):
+        gen, beta_f = inverted_qubit()
+        save_model(gen, tmp_path / "inv.json")
+        assert run(tmp_path, "check", str(tmp_path / "inv.json"), *FAST) == EXIT_OK
+        verdict = json.loads((tmp_path / "check_inv_verdict.json").read_text())
+        assert verdict["classification"]["beta_f"] == pytest.approx(beta_f, rel=1e-12)
         assert verdict["qdb1"]["passes"] is True
         assert verdict["qdb2"]["passes"] is True
 
@@ -589,11 +600,14 @@ def test_example_b_builds_its_generator_once(tmp_path, monkeypatch):
     assert len(calls) == 1
 
 
-def _fresh_interpreter(*args):
-    """``python *args`` in a new process, with this checkout's ``src`` on the path."""
+def _fresh_interpreter(*args, stdout=subprocess.PIPE, **env):
+    """``python *args`` in a new process, with this checkout's ``src`` on the
+    path and ``env`` added to the environment."""
     src = str(Path(qdblab.__file__).resolve().parents[1])
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
-    return subprocess.run([sys.executable, *args], capture_output=True, text=True, env=env, timeout=60)
+    env = {**os.environ, **env, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    return subprocess.run(
+        [sys.executable, *args], stdout=stdout, stderr=subprocess.PIPE, text=True, env=env, timeout=60
+    )
 
 
 def test_module_entry_point_runs_without_warnings():
@@ -605,3 +619,28 @@ def test_module_entry_point_runs_without_warnings():
 def test_cli_import_leaves_scipy_out():
     proc = _fresh_interpreter("-c", "import sys, qdblab.cli; sys.exit(int('scipy' in sys.modules))")
     assert proc.returncode == 0, proc.stderr
+
+
+@pytest.mark.parametrize("unbuffered", ["", "1"], ids=["buffered", "unbuffered"])
+@pytest.mark.parametrize(
+    "argv, written",
+    [
+        (("sweep", "b", "--parameter", "gamma", "--range", "0.5:1:2"), ["sweep_b_gamma.csv"]),
+        (("example", "b"), ["example_b_rows.csv", "example_b_verdict.json"]),
+        (("--help",), []),
+    ],
+    ids=["sweep", "example", "help"],
+)
+def test_closed_stdout_ends_without_traceback(tmp_path, argv, written, unbuffered):
+    # stdout is a pipe whose read end is closed, as in ``qdblab ... | true``
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        proc = _fresh_interpreter(
+            "-m", "qdblab.cli", *argv, "--out", str(tmp_path), stdout=write_end, PYTHONUNBUFFERED=unbuffered
+        )
+    finally:
+        os.close(write_end)
+    assert proc.returncode == EXIT_OK
+    assert proc.stderr == ""
+    assert sorted(p.name for p in tmp_path.iterdir()) == written
