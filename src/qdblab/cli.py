@@ -119,23 +119,37 @@ def _is_tau(t) -> bool:
 
 
 def parse_grid(spec: str) -> tuple:
-    """Either ``log:LO:HI:N`` (log-spaced) or a comma-separated list."""
+    """Either ``log:LO:HI:N`` (log-spaced, finite positive bounds) or a
+    comma-separated list."""
     try:
         if spec.startswith("log:"):
             _, lo, hi, n = spec.split(":")
-            return tuple(float(x) for x in np.geomspace(float(lo), float(hi), int(n)))
+            lo, hi = _finite_bounds(lo, hi)
+            if min(lo, hi) <= 0:
+                raise ValueError("log bounds must be positive")
+            return tuple(float(x) for x in np.geomspace(lo, hi, int(n)))
         return tuple(float(x) for x in spec.split(",") if x.strip())
-    except (ValueError, TypeError) as exc:
+    except (ValueError, TypeError, MemoryError) as exc:
         raise ConfigError(f"cannot parse grid spec {spec!r}: {exc}") from exc
 
 
 def parse_range(spec: str) -> tuple:
-    """``START:STOP:COUNT``, linearly spaced; COUNT = 0 gives an empty range."""
+    """``START:STOP:COUNT``, linearly spaced between finite bounds; COUNT = 0
+    gives an empty range."""
     try:
         lo, hi, n = spec.split(":")
-        return tuple(float(x) for x in np.linspace(float(lo), float(hi), int(n)))
-    except (ValueError, TypeError) as exc:
+        return tuple(float(x) for x in np.linspace(*_finite_bounds(lo, hi), int(n)))
+    except (ValueError, TypeError, MemoryError) as exc:
         raise ConfigError(f"cannot parse range spec {spec!r}: {exc}") from exc
+
+
+def _finite_bounds(lo: str, hi: str) -> tuple:
+    """``(float(lo), float(hi))``, checked to be finite before numpy, which
+    warns on a non-finite bound, sees them."""
+    bounds = float(lo), float(hi)
+    if not all(map(math.isfinite, bounds)):
+        raise ValueError("bounds must be finite")
+    return bounds
 
 
 def _config_from_args(args) -> RunConfig:
@@ -406,7 +420,8 @@ def _example_source(args, config: RunConfig):
             # a sweep of scenario c sets the swept coefficient on the namespace
             swept = {k: v for k, v in vars(args).items() if k in ("nu", "alpha", "chi", "zeta")}
             p = dataclasses.replace(base, **{"nu": base.nu * args.nu_scale, **swept})
-        h = p.hamiltonian()
+        # scenario b takes H from its generator, which keeps H's one eigendecomposition
+        h = None if name == "b" else p.hamiltonian()
     except ValueError as exc:
         raise ConfigError(f"scenario {name}: {exc}") from exc
     if name == "a":
@@ -418,7 +433,7 @@ def _example_source(args, config: RunConfig):
         gen = example_b_generator(p)
         if getattr(args, "save_model", None):
             save_model(gen, Path(args.save_model))
-        return Dynamics.semigroup(h, gen), None
+        return Dynamics.semigroup(gen.hamiltonian, gen), None
     return Dynamics.semigroup(h, example_c_generator(p, cptp_tol=config.tol_cptp)), None
 
 

@@ -193,18 +193,21 @@ class LindbladGenerator:
 
         The traceless parts of the jumps are the basis, with ``C = I``, so no
         rate is rebuilt from a projection.  A jump's trace part is absorbed
-        into an effective Hamiltonian shift.
+        into an effective Hamiltonian shift; without one, ``hamiltonian`` is
+        kept with its eigendecomposition.
         """
         d = hamiltonian.dim
         jumps = _operator_stack(jump_ops, d, "jump operator")
         tr_parts = np.trace(jumps, axis1=1, axis2=2) / d
         traceless = jumps - tr_parts[:, None, None] * np.eye(d)
-        h_eff = np.array(hamiltonian.matrix, dtype=complex)
-        for tr_part, f in zip(tr_parts, traceless):
-            if abs(tr_part) > 0:
-                h_eff += (1j / 2) * (np.conj(tr_part) * f - tr_part * dag(f))
+        if np.any(tr_parts != 0):
+            h_eff = np.array(hamiltonian.matrix, dtype=complex)
+            for tr_part, f in zip(tr_parts, traceless):
+                if abs(tr_part) > 0:
+                    h_eff += (1j / 2) * (np.conj(tr_part) * f - tr_part * dag(f))
+            hamiltonian = HamiltonianSpec.from_matrix(h_eff)
         return cls(
-            hamiltonian=HamiltonianSpec.from_matrix(h_eff),
+            hamiltonian=hamiltonian,
             kossakowski=np.eye(len(jumps), dtype=complex),
             basis=traceless,
         )
@@ -387,19 +390,19 @@ def apply(channel_or_superop, rho: DensityMatrix) -> DensityMatrix:
 
 @dataclass(frozen=True)
 class Dynamics:
-    """One dynamics to verify: a semigroup, a channel family or a single map.
+    """One dynamics to verify: a semigroup or a Kraus channel family.
 
     Exactly one of ``generator`` (a Schroedinger-picture generator
-    superoperator), ``family`` (a callable ``taus -> (t, j, d, d)`` Kraus
-    stack, zero-padded) and ``channel`` (one Kraus map, taken at time
-    ``tau``) is set; build a value with :meth:`semigroup`,
-    :meth:`channel_family` or :meth:`single_map`.
+    superoperator) and ``family`` (a callable ``taus -> (t, j, d, d)`` Kraus
+    stack, zero-padded) is set.  A single map is a family at one time: its
+    ``tau`` is set, and its family repeats the map at every requested time.
+    Build a value with :meth:`semigroup`, :meth:`channel_family` or
+    :meth:`single_map`.
     """
 
     h: HamiltonianSpec
     generator: SuperOperator | None
     family: Callable[[tuple], np.ndarray] | None
-    channel: KrausChannel | None
     tau: float | None
 
     @classmethod
@@ -409,16 +412,16 @@ class Dynamics:
         if isinstance(generator, LindbladGenerator):
             generator = lindblad_superop(generator)
         map_stacks(generator, h)
-        return cls(h, generator, None, None, None)
+        return cls(h, generator, None, None)
 
     @classmethod
     def channel_family(cls, h: HamiltonianSpec, family: Callable[[tuple], np.ndarray]) -> "Dynamics":
-        return cls(h, None, family, None, None)
+        return cls(h, None, family, None)
 
     @classmethod
     def single_map(cls, h: HamiltonianSpec, channel: KrausChannel, tau: float) -> "Dynamics":
-        map_stacks(channel, h)
-        return cls(h, None, None, channel, tau)
+        _, kraus = map_stacks(channel, h)
+        return cls(h, None, lambda taus: np.repeat(kraus, len(taus), axis=0), tau)
 
     def maps(self, taus) -> tuple:
         """Schroedinger maps at every point of ``taus`` as the stack ``(t,
@@ -427,12 +430,9 @@ class Dynamics:
         from one stacked exponential."""
         if self.generator is not None:
             return evolve_grid(self.generator, taus), None
-        if self.family is not None:
-            return _kraus_stacks(np.asarray(self.family(taus), dtype=complex), self.h)
-        kraus = np.repeat(np.array([self.channel.kraus_ops]), len(taus), axis=0)
-        return _kraus_superops(kraus), kraus
+        return _kraus_stacks(np.asarray(self.family(taus), dtype=complex), self.h)
 
     def taus(self, grid) -> tuple:
         """The points of ``grid`` the dynamics is defined on; a single map
         has only its own ``tau``."""
-        return tuple(grid) if self.channel is None else (self.tau,)
+        return tuple(grid) if self.tau is None else (self.tau,)

@@ -49,10 +49,6 @@ class NotCPTP(QdblabError):
     pass
 
 
-class SingularWeight(QdblabError):
-    """Reference state is rank deficient; the weighted scalar product degenerates."""
-
-
 class ScheduleOutOfRange(QdblabError):
     pass
 

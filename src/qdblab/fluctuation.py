@@ -9,7 +9,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import matlin
-from .dynamics import Dynamics, KrausChannel, apply, map_stacks, require_superop_dim, superop_from_channel
+from .dynamics import Dynamics, KrausChannel, apply, require_superop_dim
 from .errors import (
     InconclusiveHorizon,
     InternalCheckError,
@@ -28,24 +28,12 @@ STOCHASTIC_ATOL = 1e-9
 PROBABILITY_FLOOR = 1e-15  # below this both-sided, a gap record is roundoff
 
 
-def transition_matrix(g, h: HamiltonianSpec) -> np.ndarray:
-    """``p[m, n] = <n| Map[|m><m|] |n>`` over h's ascending eigenbasis, for
-    one Kraus channel or Schroedinger-picture superoperator ``g``.
-
-    For a Kraus channel the equivalent route ``sum_j |<n|G_j|m>|^2`` is
-    evaluated as well and the two must agree; the probabilities must be
-    nonnegative and each row must sum to 1.
-    """
-    probs, checks = _transition_stack(*map_stacks(g, h), h)
-    _raise_first(checks)
-    return probs[0]
-
-
 def _transition_stack(superops: np.ndarray, kraus, h: HamiltonianSpec):
-    """Transition probabilities ``probs[t, m, n]`` of the stacks of
-    :meth:`Dynamics.maps`, with the checks of :func:`transition_matrix` as
-    masks over ``t``: ``checks`` lists ``(mask, error)`` pairs in the order
-    one map is checked, and ``error(t)`` is the exception for map ``t``."""
+    """Transition probabilities ``probs[t, m, n] = <n| Map_t[|m><m|] |n>`` in
+    h's eigenbasis of the stacks of :meth:`Dynamics.maps`, with their checks
+    as ``(mask, error)`` pairs over ``t`` in the order one map is checked
+    (``error(t)`` is map ``t``'s exception): the Kraus and superoperator
+    routes agree, and each row is a probability vector."""
     d = h.dim
     v = h.eigenvectors
     # column m of q is vec(|m><m|), so (q^dag S q)[n, m] = <n| S[|m><m|] |n>
@@ -165,7 +153,7 @@ def exchange_grid(maps, h: HamiltonianSpec, beta_i: float, beta_f: float, taus) 
     gap ``E >= 0``, ``p_plus`` weights forward transitions by initial
     populations and ``p_minus`` the reversed ones.  The first map that fails
     a check raises, with the checks at that map in this order: the
-    transition checks of :func:`transition_matrix`, the Gibbs state, then
+    transition checks of :func:`_transition_stack`, the Gibbs state, then
     the records, which must sum to 1 and lie in [0, 1].
     """
     if beta_i < 0:
@@ -211,26 +199,6 @@ def exchange_grid(maps, h: HamiltonianSpec, beta_i: float, beta_f: float, taus) 
     return ExchangeGrid(tuple(taus), energies, p_plus, p_minus, recorded, beta_i, beta_f)
 
 
-def check_pairwise_condition(channel_or_superop, h: HamiltonianSpec, beta_f: float) -> float:
-    """Largest defect of ``e^{-b E_m} p(m->n) == e^{-b E_n} p(n->m)``."""
-    probs = transition_matrix(channel_or_superop, h)
-    e = h.eigenvalues
-    worst = 0.0
-    for m in range(h.dim):
-        for n in range(m + 1, h.dim):
-            lhs = math.exp(-beta_f * e[m]) * probs[m, n]
-            rhs = math.exp(-beta_f * e[n]) * probs[n, m]
-            worst = max(worst, abs(lhs - rhs))
-    return worst
-
-
-def fpt_stationarity_identity(channel_or_superop, h: HamiltonianSpec, beta_f: float) -> float:
-    """Largest defect of ``sum_n p_n(beta_f) p(n->m) == p_m(beta_f)``."""
-    probs = transition_matrix(channel_or_superop, h)
-    p_th = populations(gibbs(h, beta_f), h)
-    return float(np.max(np.abs(p_th @ probs - p_th)))
-
-
 @dataclass(frozen=True)
 class Classification:
     """Outcome of the thermalization probe.
@@ -243,10 +211,6 @@ class Classification:
     kind: str
     beta_f: float | None = None
     gamma_min: float | None = None
-
-    @property
-    def is_thermalizing(self) -> bool:
-        return self.kind in ("fpt", "thermalizing")
 
 
 ZERO_EIG_ATOL = 1e-10
@@ -291,18 +255,6 @@ def _classify_semigroup(l_matrix: np.ndarray, h: HamiltonianSpec) -> Classificat
     return Classification(kind="fpt", beta_f=beta, gamma_min=gamma_min)
 
 
-def _classify_single_map(channel: KrausChannel, h: HamiltonianSpec) -> Classification:
-    eigs, vecs = np.linalg.eig(superop_from_channel(channel).matrix)
-    one = np.abs(eigs - 1.0) < UNIT_EIG_ATOL
-    if int(np.sum(one)) != 1:
-        return Classification(kind="single_map")
-    try:
-        beta = _fixed_beta(vecs[:, int(np.argmax(one))], h)
-    except NotAState:
-        return Classification(kind="single_map")
-    return Classification(kind="single_map", beta_f=beta)
-
-
 def _probe_states(d: int) -> list:
     probes = [DensityMatrix(np.eye(d, dtype=complex) / d)]
     for m in range(d):
@@ -331,8 +283,17 @@ def classify(source: Dynamics) -> Classification:
     h = source.h
     if source.generator is not None:
         return _classify_semigroup(source.generator.matrix, h)
-    if source.channel is not None:
-        return _classify_single_map(source.channel, h)
+    if source.tau is not None:
+        # one map: only its eigenvalue 1 is probed for a thermal fixed point
+        eigs, vecs = np.linalg.eig(source.maps((source.tau,))[0][0])
+        one = np.abs(eigs - 1.0) < UNIT_EIG_ATOL
+        if int(np.sum(one)) != 1:
+            return Classification(kind="single_map")
+        try:
+            beta = _fixed_beta(vecs[:, int(np.argmax(one))], h)
+        except NotAState:
+            return Classification(kind="single_map")
+        return Classification(kind="single_map", beta_f=beta)
     _, kraus = source.maps((TAU_MAX, *FIXED_POINT_TAUS))
     final = KrausChannel(tuple(kraus[0]))
     finals = [apply(final, p).matrix for p in _probe_states(h.dim)]
@@ -354,11 +315,3 @@ def classify(source: Dynamics) -> Classification:
     )
     kind = "fpt" if fixed else "thermalizing"
     return Classification(kind=kind, beta_f=beta)
-
-
-def default_tau_max(classification: Classification) -> float:
-    """Probing horizon ``50 / gamma_min`` from the spectral gap when known,
-    else ``TAU_MAX``."""
-    if classification.gamma_min and classification.gamma_min > 0:
-        return 50.0 / classification.gamma_min
-    return TAU_MAX

@@ -82,17 +82,6 @@ def herm_eig(m: np.ndarray, atol: float = HERMITICITY_ATOL):
     return w, v
 
 
-def herm_power(m: np.ndarray, p: float, atol: float = HERMITICITY_ATOL) -> np.ndarray:
-    """``m**p`` for Hermitian ``m`` via eigendecomposition.
-
-    Fractional or negative powers require strictly positive eigenvalues.
-    """
-    w, v = herm_eig(m, atol)
-    if (p != int(p) or p < 0) and float(np.min(w)) <= 0.0:
-        raise ValueError("herm_power: nonpositive eigenvalue with fractional/negative power")
-    return (v * np.power(w, p)) @ dag(v)
-
-
 def expm(m: np.ndarray) -> np.ndarray:
     """Matrix exponential of a matrix or of every slice of a stack ``(..., n, n)``.
 
@@ -184,7 +173,3 @@ def unvec(v: np.ndarray, rows: int, cols: int) -> np.ndarray:
         raise DimensionMismatch(f"unvec: {v.size} entries cannot fill a {rows}x{cols} matrix")
     return v.reshape((rows, cols), order="F")
 
-
-def transpose_superop(d: int) -> np.ndarray:
-    """Permutation matrix ``K`` with ``K @ vec(M) == vec(M.T)``."""
-    return np.eye(d * d, dtype=complex)[np.arange(d * d).reshape(d, d).T.ravel()]

@@ -1,9 +1,8 @@
-"""States and Hamiltonians: Gibbs states, level populations, the qubit
-Bloch parametrization, and inverse-temperature inference.
+"""States and Hamiltonians: Gibbs states, level populations and
+inverse-temperature inference, plus the standard Pauli matrices.
 
 Level indices always follow the Hamiltonian's ascending eigenvalue order,
-so index 0 is the ground level.  Bloch coordinates use the standard Pauli
-matrices in the storage basis.
+so index 0 is the ground level.
 """
 
 from __future__ import annotations
@@ -85,37 +84,6 @@ class DensityMatrix:
     @property
     def dim(self) -> int:
         return self.matrix.shape[0]
-
-
-@dataclass(frozen=True)
-class BlochVector:
-    rx: float
-    ry: float
-    rz: float
-
-    def __post_init__(self):
-        if self.norm() > 1.0 + STATE_ATOL:
-            raise NotAState(f"Bloch vector norm {self.norm():.12g} exceeds 1")
-
-    def norm(self) -> float:
-        return math.sqrt(self.rx**2 + self.ry**2 + self.rz**2)
-
-
-def bloch_to_density(r: BlochVector) -> DensityMatrix:
-    """``(I + r . sigma) / 2`` with the standard Pauli matrices."""
-    m = 0.5 * (np.eye(2, dtype=complex) + r.rx * SIGMA_X + r.ry * SIGMA_Y + r.rz * SIGMA_Z)
-    return DensityMatrix(m)
-
-
-def density_to_bloch(rho: DensityMatrix) -> BlochVector:
-    if rho.dim != 2:
-        raise DimensionMismatch("Bloch coordinates are defined for qubits only")
-    m = rho.matrix
-    return BlochVector(
-        rx=float(np.real(np.trace(m @ SIGMA_X))),
-        ry=float(np.real(np.trace(m @ SIGMA_Y))),
-        rz=float(np.real(np.trace(m @ SIGMA_Z))),
-    )
 
 
 def gibbs(h: HamiltonianSpec, beta: float) -> DensityMatrix:

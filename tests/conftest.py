@@ -1,3 +1,4 @@
+import math
 import os
 from collections import namedtuple
 from dataclasses import dataclass
@@ -18,12 +19,41 @@ from qdblab.dynamics import (
     heisenberg_dual,
     lindblad_superop,
     map_stacks,
+    superop_from_channel,
 )
-from qdblab.examples import example_a_channel
-from qdblab.errors import DimensionMismatch, SingularWeight
+from qdblab.examples import (
+    _PAULI_STACK,
+    LOWERING,
+    ExampleAParams,
+    ExampleBParams,
+    ExampleCParams,
+    RAISING,
+    _require_rates,
+    example_a_channel,
+    example_a_f_factor,
+    qubit_hamiltonian,
+)
+from qdblab.errors import DimensionMismatch, NotAState, QdblabError
 from qdblab.matlin import dag, kron
-from qdblab.fluctuation import exchange_grid
-from qdblab.states import SIGMA_Y, DensityMatrix, HamiltonianSpec
+from qdblab.fluctuation import (
+    TAU_MAX,
+    UNIT_EIG_ATOL,
+    Classification,
+    _fixed_beta,
+    _raise_first,
+    _transition_stack,
+    exchange_grid,
+)
+from qdblab.states import (
+    SIGMA_X,
+    SIGMA_Y,
+    SIGMA_Z,
+    STATE_ATOL,
+    DensityMatrix,
+    HamiltonianSpec,
+    gibbs,
+    populations,
+)
 
 SEED = int(os.environ.get("QDBLAB_SEED", "20260810"))
 
@@ -218,6 +248,10 @@ FULL_RANK_FLOOR = 1e-12
 REVERSAL_ATOL = 1e-12
 
 
+class SingularWeight(QdblabError):
+    """Reference state is rank deficient; the weighted scalar product degenerates."""
+
+
 @dataclass(frozen=True)
 class WeightedSpace:
     """Operator Hilbert space carrying the Sigma-weighted scalar product."""
@@ -375,3 +409,187 @@ def check_lemma_invariant_subspace(
                 out_eig = dag(basis_vecs) @ g.apply_matrix(unit) @ basis_vecs
                 off_leak = max(off_leak, float(np.max(np.abs(np.diag(out_eig)))))
     return diag_leak, off_leak, comm_res
+
+
+# ---------------------------------------------------------------------------
+# Definitions that only the tests use: the qubit Bloch parametrization, the
+# scenarios' closed forms, and the paper's statements "balance => pairwise
+# symmetry => ratio law" over one map's transition matrix.  The report path
+# never runs them; the tests check it against them.
+
+
+def transpose_superop(d: int) -> np.ndarray:
+    """Permutation matrix ``K`` with ``K @ vec(M) == vec(M.T)``."""
+    return np.eye(d * d, dtype=complex)[np.arange(d * d).reshape(d, d).T.ravel()]
+
+
+@dataclass(frozen=True)
+class BlochVector:
+    rx: float
+    ry: float
+    rz: float
+
+    def __post_init__(self):
+        if self.norm() > 1.0 + STATE_ATOL:
+            raise NotAState(f"Bloch vector norm {self.norm():.12g} exceeds 1")
+
+    def norm(self) -> float:
+        return math.sqrt(self.rx**2 + self.ry**2 + self.rz**2)
+
+
+def bloch_to_density(r: BlochVector) -> DensityMatrix:
+    """``(I + r . sigma) / 2`` with the standard Pauli matrices."""
+    m = 0.5 * (np.eye(2, dtype=complex) + r.rx * SIGMA_X + r.ry * SIGMA_Y + r.rz * SIGMA_Z)
+    return DensityMatrix(m)
+
+
+def density_to_bloch(rho: DensityMatrix) -> BlochVector:
+    if rho.dim != 2:
+        raise DimensionMismatch("Bloch coordinates are defined for qubits only")
+    m = rho.matrix
+    return BlochVector(
+        rx=float(np.real(np.trace(m @ SIGMA_X))),
+        ry=float(np.real(np.trace(m @ SIGMA_Y))),
+        rz=float(np.real(np.trace(m @ SIGMA_Z))),
+    )
+
+
+def example_a_ratio_oracle(p: ExampleAParams, tau: float, energy: float, beta_i: float) -> float:
+    """Closed-form exchange ratio ``F(tau) e^{(beta_i - beta_f) E}`` at the qubit gap."""
+    if abs(energy - p.omega) > 1e-9:
+        raise ValueError(f"the closed form holds at the qubit gap {p.omega:g}, got {energy:g}")
+    return example_a_f_factor(p, tau) * math.exp((beta_i - p.beta_f) * energy)
+
+
+def example_b_closed_form(p: ExampleBParams, rho0: DensityMatrix, tau: float) -> DensityMatrix:
+    """Analytic solution in the ground-first frame.
+
+    ``r_z(tau) = r_z(0) e^{-gbar tau} + tanh(beta omega / 2)(1 - e^{-gbar tau})``
+    and the coherence obeys ``rho_01(tau) = rho_01(0) e^{(i omega - gbar/2) tau}``.
+    """
+    if rho0.dim != 2:
+        raise DimensionMismatch("closed form is a qubit solution")
+    gbar = p.gamma_bar
+    decay = math.exp(-gbar * tau)
+    rz0 = float(np.real(rho0.matrix[0, 0] - rho0.matrix[1, 1]))
+    rz = rz0 * decay + math.tanh(p.beta_f * p.omega / 2.0) * (1.0 - decay)
+    c01 = rho0.matrix[0, 1] * np.exp((1j * p.omega - gbar / 2.0) * tau)
+    m = np.array(
+        [[(1.0 + rz) / 2.0, c01], [np.conj(c01), (1.0 - rz) / 2.0]], dtype=complex
+    )
+    return DensityMatrix(m)
+
+
+def example_qdb_family(mu: float, eta: float, omega: float, beta_f: float) -> LindbladGenerator:
+    """Balanced qubit semigroup family: excitation rate ``mu``, decay rate
+    ``mu e^{beta omega}`` and dephasing rate ``eta``.
+
+    Reduces to the scenario-B generator for ``eta = 0, mu = gamma n_bar``,
+    and :func:`qdblab.examples.example_c_qdb_point` gives it in Bloch
+    coordinates.
+    """
+    _require_rates(mu, eta)
+    jumps = [
+        math.sqrt(mu * math.exp(beta_f * omega)) * LOWERING,
+        math.sqrt(mu) * RAISING,
+    ]
+    if eta > 0:
+        jumps.append(math.sqrt(eta) * SIGMA_Z)
+    return LindbladGenerator.from_jump_operators(qubit_hamiltonian(omega), jumps)
+
+
+def superop_to_bloch4(s: SuperOperator) -> np.ndarray:
+    """Inverse of :func:`qdblab.examples.bloch4_to_superop` for qubit superoperators."""
+    if s.dim != 2:
+        raise DimensionMismatch("Bloch coordinates are defined for qubits only")
+    return -0.25 * dag(_PAULI_STACK) @ s.matrix @ _PAULI_STACK
+
+
+def k_plus(p: ExampleCParams) -> complex:
+    """Transverse mode ``k_+`` of scenario C's parameters ``p``."""
+    return -(p.alpha + p.nu) + 1j * np.sqrt(complex(p.omega**2 - (p.alpha - p.nu) ** 2))
+
+
+def k_minus(p: ExampleCParams) -> complex:
+    """Transverse mode ``k_-`` of scenario C's parameters ``p``."""
+    return -(p.alpha + p.nu) - 1j * np.sqrt(complex(p.omega**2 - (p.alpha - p.nu) ** 2))
+
+
+def example_c_solution(p: ExampleCParams, r0: BlochVector, tau: float) -> BlochVector:
+    """Analytic Bloch trajectory.
+
+    Transverse components combine ``e^{k_pm tau}`` modes with coefficients
+    fixed by the initial data; the longitudinal one relaxes at ``2 zeta``
+    toward ``-chi/zeta``.  The critically damped boundary
+    ``omega^2 == (alpha - nu)^2`` is excluded.
+    """
+    kp, km = k_plus(p), k_minus(p)
+    den = km - kp
+    if abs(den) < 1e-14:
+        raise ValueError("critically damped boundary is outside the closed form")
+    uxp = ((km + 2 * p.nu) * r0.rx - p.omega * r0.ry) / den
+    uxm = -((kp + 2 * p.nu) * r0.rx - p.omega * r0.ry) / den
+    uyp = ((km + 2 * p.alpha) * r0.ry + p.omega * r0.rx) / den
+    uym = -((kp + 2 * p.alpha) * r0.ry + p.omega * r0.rx) / den
+    ep, em = np.exp(kp * tau), np.exp(km * tau)
+    rx = uxp * ep + uxm * em
+    ry = uyp * ep + uym * em
+    decay = math.exp(-2.0 * p.zeta * tau)
+    rz = decay * r0.rz - (1.0 - decay) * p.chi / p.zeta
+    return BlochVector(rx=float(np.real(rx)), ry=float(np.real(ry)), rz=float(rz))
+
+
+def transition_matrix(g, h: HamiltonianSpec) -> np.ndarray:
+    """``p[m, n] = <n| Map[|m><m|] |n>`` over h's ascending eigenbasis, for
+    one Kraus channel or Schroedinger-picture superoperator ``g``.
+
+    For a Kraus channel the equivalent route ``sum_j |<n|G_j|m>|^2`` is
+    evaluated as well and the two must agree; the probabilities must be
+    nonnegative and each row must sum to 1.
+    """
+    probs, checks = _transition_stack(*map_stacks(g, h), h)
+    _raise_first(checks)
+    return probs[0]
+
+
+def check_pairwise_condition(channel_or_superop, h: HamiltonianSpec, beta_f: float) -> float:
+    """Largest defect of ``e^{-b E_m} p(m->n) == e^{-b E_n} p(n->m)``."""
+    probs = transition_matrix(channel_or_superop, h)
+    e = h.eigenvalues
+    worst = 0.0
+    for m in range(h.dim):
+        for n in range(m + 1, h.dim):
+            lhs = math.exp(-beta_f * e[m]) * probs[m, n]
+            rhs = math.exp(-beta_f * e[n]) * probs[n, m]
+            worst = max(worst, abs(lhs - rhs))
+    return worst
+
+
+def fpt_stationarity_identity(channel_or_superop, h: HamiltonianSpec, beta_f: float) -> float:
+    """Largest defect of ``sum_n p_n(beta_f) p(n->m) == p_m(beta_f)``."""
+    probs = transition_matrix(channel_or_superop, h)
+    p_th = populations(gibbs(h, beta_f), h)
+    return float(np.max(np.abs(p_th @ probs - p_th)))
+
+
+def default_tau_max(classification: Classification) -> float:
+    """Probing horizon ``50 / gamma_min`` from the spectral gap when known,
+    else ``TAU_MAX``."""
+    if classification.gamma_min and classification.gamma_min > 0:
+        return 50.0 / classification.gamma_min
+    return TAU_MAX
+
+
+def reference_classify_single_map(channel: KrausChannel, h: HamiltonianSpec) -> Classification:
+    """Classification of one Kraus map from its own superoperator: the
+    reference for the single-map branch of :func:`qdblab.fluctuation.classify`,
+    which takes the map from its one-point family."""
+    eigs, vecs = np.linalg.eig(superop_from_channel(channel).matrix)
+    one = np.abs(eigs - 1.0) < UNIT_EIG_ATOL
+    if int(np.sum(one)) != 1:
+        return Classification(kind="single_map")
+    try:
+        beta = _fixed_beta(vecs[:, int(np.argmax(one))], h)
+    except NotAState:
+        return Classification(kind="single_map")
+    return Classification(kind="single_map", beta_f=beta)

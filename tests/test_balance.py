@@ -2,13 +2,16 @@ import numpy as np
 import pytest
 
 from conftest import (
+    SingularWeight,
     TimeReversal,
     WeightedSpace,
     adjoint,
     check_lemma_invariant_subspace,
+    check_pairwise_condition,
     check_qdb1_invariance,
     decompose,
     dual_superop,
+    example_qdb_family,
     heisenberg_generator,
     inner,
     r_s_superop,
@@ -32,9 +35,8 @@ from qdblab.dynamics import (
     lindblad_superop,
     trace_dual,
 )
-from qdblab.errors import DimensionMismatch, SingularWeight
-from qdblab.examples import example_qdb_family, qubit_hamiltonian
-from qdblab.fluctuation import check_pairwise_condition
+from qdblab.errors import DimensionMismatch
+from qdblab.examples import qubit_hamiltonian
 from qdblab.matlin import dag, vec
 from qdblab.states import SIGMA_X, SIGMA_Y, SIGMA_Z, DensityMatrix, HamiltonianSpec, gibbs
 

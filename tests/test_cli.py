@@ -448,6 +448,16 @@ class TestConfigValidation:
             ("sweep", "b", "--parameter", "gamma", "--range", "nan:1:2"),
             ("example", "c", "--mu", "-1"),
             ("example", "c", "--eta", "-0.5"),
+            ("example", "b", "--beta-f", "1e-310"),
+            ("sweep", "b", "--parameter", "beta_f", "--range", "1e-310:1e-309:2"),
+            ("example", "b", "--beta-f", "1e-200", "--omega", "1e-200"),
+            ("example", "b", "--gamma", "1e306", "--beta-f", "1e-3"),
+            # a count that numpy cannot allocate fails at once, touching no memory
+            ("example", "b", "--tau-grid", "log:1:10:1000000000000000"),
+            ("sweep", "b", "--parameter", "gamma", "--range", "0:1:1000000000000000"),
+            ("example", "b", "--tau-grid", "log:-1:10:3"),
+            ("example", "b", "--tau-grid", "log:1:1e400:3"),
+            ("sweep", "b", "--parameter", "gamma", "--range", "0:inf:2"),
         ],
         ids=["s-outside-unit", "beta-f-inf", "beta-i-nan", "gamma-negative", "omega-negative",
              "sweep-gamma-negative", "model-not-object", "tau-negative", "tau-inf", "tau-nan",
@@ -455,7 +465,10 @@ class TestConfigValidation:
              "b-boltzmann-overflow", "c-boltzmann-overflow", "tol-qdb-nan", "tol-cptp-nan",
              "tol-qfr-inf", "kraus-nan", "bloch4-nan", "lindblad-h-nan", "lindblad-c-inf", "a-omega-nan",
              "b-omega-nan", "c-omega-nan", "b-omega-inf", "b-gamma-nan", "b-gamma-inf", "c-mu-nan", "c-mu-inf",
-             "c-eta-nan", "c-nu-scale-nan", "sweep-gamma-nan", "c-mu-negative", "c-eta-negative"],
+             "c-eta-nan", "c-nu-scale-nan", "sweep-gamma-nan", "c-mu-negative", "c-eta-negative",
+             "b-boltzmann-underflow", "sweep-b-boltzmann-underflow", "b-boltzmann-zero", "b-rate-overflow",
+             "tau-grid-count-huge", "sweep-count-huge", "tau-grid-log-negative", "tau-grid-log-inf",
+             "sweep-range-inf"],
     )
     def test_out_of_range_input_exits_2(self, tmp_path, capsys, argv):
         kraus = {
@@ -600,6 +613,26 @@ def test_example_b_builds_its_generator_once(tmp_path, monkeypatch):
     assert len(calls) == 1
 
 
+@pytest.mark.parametrize(
+    "argv, sources",
+    [(("example", "b"), 1), (("sweep", "b", "--parameter", "gamma", "--range", "0.5:1.5:3"), 3)],
+    ids=["example", "sweep"],
+)
+def test_scenario_b_takes_one_eigendecomposition_per_source(tmp_path, monkeypatch, argv, sources):
+    from qdblab import matlin
+
+    original = matlin.herm_eig
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(matlin, "herm_eig", counted)
+    assert run(tmp_path, *argv, *FAST) == EXIT_OK
+    assert len(calls) == sources
+
+
 def _fresh_interpreter(*args, stdout=subprocess.PIPE, **env):
     """``python *args`` in a new process, with this checkout's ``src`` on the
     path and ``env`` added to the environment."""
@@ -614,6 +647,12 @@ def test_module_entry_point_runs_without_warnings():
     proc = _fresh_interpreter("-m", "qdblab.cli", "--help")
     assert proc.returncode == 0
     assert proc.stderr == ""
+
+
+def test_package_import_imports_no_module():
+    proc = _fresh_interpreter("-c", "import sys, qdblab; print(*sorted(m for m in sys.modules if 'qdblab.' in m))")
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == []
 
 
 def test_cli_import_leaves_scipy_out():

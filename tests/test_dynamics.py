@@ -9,6 +9,7 @@ from conftest import (
     random_hamiltonian,
     random_lindblad,
     reference_lindblad_superop,
+    transpose_superop,
 )
 from qdblab import matlin
 from qdblab.dynamics import (
@@ -176,7 +177,7 @@ class TestDuality:
     @pytest.mark.parametrize("d", [2, 3, 4])
     def test_trace_dual_is_the_transpose_between_permutations(self, rng, d):
         # K m^T K with the permutation K, exact as a product too
-        k = matlin.transpose_superop(d)
+        k = transpose_superop(d)
         stack = np.array([random_complex(rng, d * d) for _ in range(3)])
         assert np.array_equal(trace_dual(stack), [k @ m.T @ k for m in stack])
         assert np.array_equal(trace_dual(stack[0]), k @ stack[0].T @ k)
@@ -218,7 +219,7 @@ class TestCptp:
             assert max(residuals) < 1e-9, residuals
 
     def test_transpose_map_fails(self):
-        transpose = SuperOperator(matlin.transpose_superop(2), SCHRODINGER)
+        transpose = SuperOperator(transpose_superop(2), SCHRODINGER)
         cp, tp, _ = is_cptp(transpose)
         assert abs(cp - 1.0) < 1e-12
         assert tp < 1e-12
@@ -297,7 +298,7 @@ class TestChoiAndKraus:
 
     def test_transpose_map_rejected(self):
         with pytest.raises(NotCompletelyPositive):
-            channel_from_superop(SuperOperator(matlin.transpose_superop(2), SCHRODINGER))
+            channel_from_superop(SuperOperator(transpose_superop(2), SCHRODINGER))
 
     def test_roundtrip_from_channel(self, rng):
         # channel -> superoperator -> channel -> superoperator is stable

@@ -4,7 +4,20 @@ import math
 import numpy as np
 import pytest
 
-from conftest import a_channel, exchange_at, heisenberg_generator, ratio_records
+from conftest import (
+    BlochVector,
+    a_channel,
+    bloch_to_density,
+    density_to_bloch,
+    example_a_ratio_oracle,
+    example_b_closed_form,
+    example_c_solution,
+    example_qdb_family,
+    exchange_at,
+    heisenberg_generator,
+    ratio_records,
+    superop_to_bloch4,
+)
 from qdblab import matlin
 from qdblab.balance import check_qdb1, check_qdb2
 from qdblab.dynamics import Dynamics, KrausChannel, apply, evolve, heisenberg_dual, is_cptp, lindblad_superop
@@ -18,20 +31,15 @@ from qdblab.examples import (
     RAISING,
     example_a_channel,
     example_a_f_factor,
-    example_a_ratio_oracle,
-    example_b_closed_form,
     example_b_generator,
     example_c_bloch_matrix,
     example_c_generator,
     example_c_qdb_point,
-    example_c_solution,
-    example_qdb_family,
     qubit_hamiltonian,
-    superop_to_bloch4,
     thermal_bias,
 )
 from qdblab.fluctuation import classify
-from qdblab.states import BlochVector, bloch_to_density, density_to_bloch, gibbs
+from qdblab.states import gibbs
 
 OMEGA, BETA_F, BETA_I = 1.0, 1.0, 2.0
 S_GRID = (0.0, 0.25, 0.5, 0.75, 1.0)
@@ -322,7 +330,7 @@ class TestScenarioC:
         assert abs(cls.beta_f - BETA_F) < 1e-9
 
     def test_pairwise_symmetry_and_stationarity_at_finite_times(self):
-        from qdblab.fluctuation import check_pairwise_condition, fpt_stationarity_identity
+        from conftest import check_pairwise_condition, fpt_stationarity_identity
 
         sup = example_c_generator(self.perturbed)
         for tau in (0.1, 1.0, 10.0):

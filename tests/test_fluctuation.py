@@ -6,12 +6,18 @@ import pytest
 
 from conftest import (
     a_channel,
+    check_pairwise_condition,
+    default_tau_max,
+    example_qdb_family,
     exchange_at,
+    fpt_stationarity_identity,
     gap_records,
     random_hamiltonian,
+    reference_classify_single_map,
     random_lindblad,
     ratio_records,
     thermal_circulation_qutrit,
+    transition_matrix,
 )
 from qdblab import dynamics, fluctuation, matlin
 from qdblab.cli import main
@@ -22,6 +28,7 @@ from qdblab.dynamics import (
     KrausChannel,
     LindbladGenerator,
     SuperOperator,
+    channel_from_superop,
     evolve,
     evolve_grid,
     lindblad_superop,
@@ -32,19 +39,14 @@ from qdblab.examples import (
     ExampleBParams,
     example_a_channel,
     example_b_generator,
-    example_qdb_family,
     qubit_hamiltonian,
 )
 from qdblab.fluctuation import (
     ROUTE_AGREEMENT_ATOL,
     STOCHASTIC_ATOL,
     Classification,
-    check_pairwise_condition,
     classify,
-    default_tau_max,
     exchange_grid,
-    fpt_stationarity_identity,
-    transition_matrix,
 )
 from qdblab.matlin import dag
 from qdblab.states import HamiltonianSpec, gibbs, populations
@@ -269,6 +271,47 @@ class TestClassify:
     def test_default_tau_max(self):
         assert default_tau_max(Classification(kind="fpt", gamma_min=0.5)) == 100.0
         assert default_tau_max(Classification(kind="thermalizing")) == 100.0
+
+    @pytest.mark.parametrize(
+        "name", ["a-0.5", "a-1", "a-5", "identity", "bit-flip", "davies-3", "davies-4"]
+    )
+    def test_single_map_matches_its_own_superoperator(self, name):
+        # a single map is a one-point family; classify must read it exactly as
+        # the map's own superoperator reads
+        h = qubit_hamiltonian(1.0)
+        if name.startswith("a-"):
+            channel = a_channel(ExampleAParams.default(1.0, 1.0), float(name[2:]))
+        elif name == "identity":
+            channel = KrausChannel((np.eye(2),))
+        elif name == "bit-flip":
+            channel = KrausChannel((np.sqrt(0.7) * np.eye(2), np.sqrt(0.3) * np.array([[0, 1], [1, 0]])))
+        else:
+            h, gen = davies_generator(np.random.default_rng(5), int(name[-1]), 1.0)
+            channel = channel_from_superop(evolve(lindblad_superop(gen), 1.0))
+        got = classify(Dynamics.single_map(h, channel, 1.0))
+        want = reference_classify_single_map(channel, h)
+        assert (got.kind, got.beta_f) == (want.kind, want.beta_f)
+        # scenario A's map at tau fixes a thermal state colder than beta_f = 1
+        if name.startswith("a-"):
+            assert got.beta_f > 1.0
+        if name.startswith("davies"):
+            assert abs(got.beta_f - 1.0) < 1e-8
+
+
+def davies_generator(rng, d, beta):
+    """A balanced Davies generator on a random spectrum: jumps ``sqrt(k_ij)
+    |i><j|`` between H's eigenstates with ``k_ij p_j == k_ji p_i``."""
+    energies = np.sort(rng.uniform(0.0, 2.0, size=d))
+    h = HamiltonianSpec.from_matrix(np.diag(energies).astype(complex))
+    p = np.exp(-beta * energies)
+    w = rng.uniform(0.5, 1.0, size=(d, d))
+    jumps = [
+        np.sqrt((w[i, j] + w[j, i]) / 2 / p[j]) * np.eye(d)[:, [i]] @ np.eye(d)[[j]]
+        for i in range(d)
+        for j in range(d)
+        if i != j
+    ]
+    return h, LindbladGenerator.from_jump_operators(h, jumps)
 
 
 class TestAsymptoticRatioLaw:

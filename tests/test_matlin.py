@@ -6,7 +6,7 @@ import scipy.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import random_complex, random_hermitian, random_lindblad
+from conftest import random_complex, random_hermitian, random_lindblad, transpose_superop
 from qdblab import matlin
 from qdblab.dynamics import SCHRODINGER, SuperOperator, is_cptp, lindblad_superop
 from qdblab.errors import DimensionMismatch, NotHermitian
@@ -210,7 +210,7 @@ class TestKronVec:
 
     def test_transpose_superop(self, rng):
         m = random_complex(rng, 3)
-        k = matlin.transpose_superop(3)
+        k = transpose_superop(3)
         np.testing.assert_allclose(k @ matlin.vec(m), matlin.vec(m.T), atol=1e-15)
         np.testing.assert_array_equal(k @ k, np.eye(9))
 
@@ -222,20 +222,6 @@ def test_expm_scaling_semigroup(s, t):
     lhs = matlin.expm((s + t) * m)
     rhs = matlin.expm(s * m) @ matlin.expm(t * m)
     assert matlin.frobenius(lhs - rhs) < 1e-10
-
-
-def test_herm_power_fractional(rng):
-    m = random_hermitian(rng, 3)
-    psd = m @ m + 0.1 * np.eye(3)
-    root = matlin.herm_power(psd, 0.5)
-    np.testing.assert_allclose(root @ root, psd, atol=1e-11)
-    inv = matlin.herm_power(psd, -1.0)
-    np.testing.assert_allclose(inv @ psd, np.eye(3), atol=1e-11)
-
-
-def test_herm_power_rejects_nonpositive():
-    with pytest.raises(ValueError):
-        matlin.herm_power(np.diag([1.0, -0.5]), 0.5)
 
 
 def test_trace_norm_hermitian(rng):

@@ -5,15 +5,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import random_density, random_hamiltonian
+from conftest import BlochVector, bloch_to_density, density_to_bloch, random_density, random_hamiltonian
 from qdblab import matlin
 from qdblab.errors import DegenerateGround, NotAState, NotThermal, ZeroPopulation
 from qdblab.states import (
-    BlochVector,
     DensityMatrix,
     HamiltonianSpec,
-    bloch_to_density,
-    density_to_bloch,
     gibbs,
     infer_beta,
     populations,
