@@ -40,7 +40,7 @@ def check_qdb1(h: HamiltonianSpec, beta: float, s_grid, dual: SuperOperator) -> 
     [H, .]`` for every ``s`` of ``s_grid``.
 
     Returns, per ``s``, the Frobenius norm of the defect relative to
-    ``|L#|``.
+    ``|L#|``; a defect past the float range reads inf.
     """
     if dual.picture != HEISENBERG:
         raise ValueError("check_qdb1 expects a Heisenberg-picture generator")
@@ -50,16 +50,25 @@ def check_qdb1(h: HamiltonianSpec, beta: float, s_grid, dual: SuperOperator) -> 
     l = dag(q) @ dual.matrix @ q
     e = h.eigenvalues
     commutator = (e[None, :] - e[:, None]).ravel()  # E_i - E_j at i + d j
-    star = l.T.conj() * np.exp(log_w[:, None, :] - log_w[:, :, None])
-    defect = l - star - 2j * np.diag(commutator)
+    ratio = log_w[:, None, :] - log_w[:, :, None]  # log(w_b / w_a) at [s, a, b]
+    lt = np.broadcast_to(l.T.conj(), ratio.shape)
+    big = ratio > np.log(np.finfo(float).max)
+    # where w_b / w_a overflows, conj(L_ba) w_b / w_a is taken from log|L_ba|,
+    # so that a zero rate gives 0; a defect past the float range reads inf
+    with np.errstate(over="ignore", invalid="ignore"):
+        star = lt * np.exp(np.where(big, 0.0, ratio))
+        mag = np.abs(lt[big])
+        log_mag = np.log(mag, out=np.full(mag.shape, -np.inf), where=mag > 0)
+        star[big] = np.exp(log_mag + 1j * np.angle(lt[big]) + ratio[big])
+        defect = np.linalg.norm(l - star - 2j * np.diag(commutator), axis=(-2, -1))
     den = frobenius(dual.matrix)
-    return np.linalg.norm(defect, axis=(-2, -1)) / (den if den > 0 else 1.0)
+    return defect / (den if den > 0 else 1.0)
 
 
-def check_qdb2(h: HamiltonianSpec, beta: float, s_grid, maps_heis: SuperOperator | np.ndarray) -> np.ndarray:
+def check_qdb2(h: HamiltonianSpec, beta: float, s_grid, maps_heis: np.ndarray) -> np.ndarray:
     """Map-level detailed balance via time reversal against the Gibbs state
-    of ``h`` at ``beta``, for a Heisenberg-picture ``SuperOperator`` or a
-    stack ``(t, d^2, d^2)`` of Heisenberg map matrices.
+    of ``h`` at ``beta``, for a stack ``(t, d^2, d^2)`` of Heisenberg map
+    matrices.
 
     The condition ``<<A^dag, G#[B]>> == <<T[B^dag], G#[T[A]]>>``, with ``T``
     complex conjugation in H's eigenbasis, holds on every pair of eigenbasis
@@ -67,10 +76,6 @@ def check_qdb2(h: HamiltonianSpec, beta: float, s_grid, maps_heis: SuperOperator
     ``s_grid``, the largest entry of ``|W G - (W G)^T|`` over every map; a
     nan entry makes it nan.
     """
-    if isinstance(maps_heis, SuperOperator):
-        if maps_heis.picture != HEISENBERG:
-            raise ValueError("check_qdb2 expects a Heisenberg-picture map")
-        maps_heis = maps_heis.matrix
     d2 = h.dim**2
     if maps_heis.shape[-2:] != (d2, d2):
         raise DimensionMismatch("the maps and the Hamiltonian must share one dimension")

@@ -33,7 +33,6 @@ from .errors import (
     KossakowskiNotPSD,
     NoConvergence,
     NotAState,
-    NotCompletelyPositive,
     NotCPTP,
     NotHermitian,
     NotTracePreserving,
@@ -65,7 +64,6 @@ MODEL_ERRORS = (
     NotHermitian,
     KossakowskiNotPSD,
     NotTracePreserving,
-    NotCompletelyPositive,
     NotCPTP,
     ScheduleOutOfRange,
     DimensionMismatch,

@@ -1,5 +1,7 @@
 """CPTP dynamics: Kraus channels, Lindblad generators, superoperator
-representations, Heisenberg duals, time evolution and CPTP verification.
+representations, Heisenberg duals, CPTP verification and ``Dynamics``, whose
+maps at a time grid come as stacks that every check, ``classify`` of a
+channel family too, reads; no map is evolved, applied or made Kraus alone.
 
 Superoperators are ``d^2 x d^2`` matrices acting on column-stacked
 operators.  The Choi matrix convention is
@@ -15,22 +17,15 @@ are covered by roundtrip tests.
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
 
 from . import matlin
-from .errors import (
-    DimensionMismatch,
-    InternalCheckError,
-    KossakowskiNotPSD,
-    NotCompletelyPositive,
-    NotTracePreserving,
-)
-from .matlin import dag, kron, unvec, vec
-from .states import DensityMatrix, HamiltonianSpec
+from .errors import DimensionMismatch, KossakowskiNotPSD, NotTracePreserving
+from .matlin import dag, kron
+from .states import HamiltonianSpec
 
 SCHRODINGER = "schrodinger"
 HEISENBERG = "heisenberg"
@@ -38,9 +33,6 @@ HEISENBERG = "heisenberg"
 TP_ATOL = 1e-10
 PSD_ATOL = 1e-10
 BASIS_ATOL = 1e-12
-CHOI_NEG_HARD = 1e-8
-KRAUS_RANK_FLOOR = 1e-12
-ROUNDTRIP_ATOL = 1e-9
 
 
 @dataclass(frozen=True)
@@ -65,14 +57,6 @@ class SuperOperator:
     def dim(self) -> int:
         return math.isqrt(self.matrix.shape[0])
 
-    def apply_matrix(self, x: np.ndarray) -> np.ndarray:
-        """Map a d x d operator through the superoperator."""
-        d = self.dim
-        x = np.asarray(x, dtype=complex)
-        if x.shape != (d, d):
-            raise DimensionMismatch(f"operand shape {x.shape} does not match dim {d}")
-        return unvec(self.matrix @ vec(x), d, d)
-
 
 @dataclass(frozen=True)
 class KrausChannel:
@@ -95,19 +79,13 @@ class KrausChannel:
     def dim(self) -> int:
         return self.kraus_ops[0].shape[0]
 
-    def apply_matrix(self, x: np.ndarray) -> np.ndarray:
-        x = np.asarray(x, dtype=complex)
-        if x.shape != (self.dim, self.dim):
-            raise DimensionMismatch(f"operand shape {x.shape} does not match dim {self.dim}")
-        return sum(g @ x @ dag(g) for g in self.kraus_ops)
-
 
 def _require_trace_preserving(kraus: np.ndarray) -> None:
     """Raise ``NotTracePreserving`` for the first slice of a Kraus stack
     ``(t, j, d, d)`` whose ``sum_j G^dag G`` misses the identity."""
     gram = (kraus.conj().swapaxes(-1, -2) @ kraus).sum(axis=1)
     res = np.abs(gram - np.eye(kraus.shape[-1])).max(axis=(1, 2))
-    failing = np.flatnonzero(res > TP_ATOL)
+    failing = np.flatnonzero(~(res <= TP_ATOL))  # a nan residual fails too
     if failing.size:
         raise NotTracePreserving(f"sum G^dag G differs from identity by {res[failing[0]]:.3e}")
 
@@ -254,11 +232,6 @@ def heisenberg_dual(s: SuperOperator) -> SuperOperator:
     return SuperOperator(trace_dual(s.matrix), flipped)
 
 
-def evolve(superop: SuperOperator, tau: float) -> SuperOperator:
-    """Finite-time map ``exp(tau * L)`` of a generator superoperator."""
-    return SuperOperator(evolve_grid(superop, (tau,))[0], superop.picture)
-
-
 def evolve_grid(superop: SuperOperator, taus) -> np.ndarray:
     """The matrices of ``exp(tau * L)`` for every ``tau`` of ``taus``,
     stacked ``(t, d^2, d^2)``, from one stacked matrix exponential."""
@@ -267,11 +240,6 @@ def evolve_grid(superop: SuperOperator, taus) -> np.ndarray:
         raise ValueError("tau must be nonnegative")
     with np.errstate(over="ignore"):  # tau L may overflow; expm turns it to nan
         return matlin.expm(taus[:, None, None] * superop.matrix)
-
-
-def superop_from_channel(channel: KrausChannel) -> SuperOperator:
-    """Column-stacking matrix ``sum_j conj(G_j) (x) G_j`` of a Kraus map."""
-    return SuperOperator(_kraus_superops(np.array([channel.kraus_ops]))[0], SCHRODINGER)
 
 
 def _kraus_superops(kraus: np.ndarray) -> np.ndarray:
@@ -340,52 +308,6 @@ def is_cptp(s: SuperOperator) -> tuple:
     cp_res = max(0.0, -lo)
     tp_res = matlin.frobenius(_partial_trace_out(choi, d) - np.eye(d))
     return cp_res, tp_res, herm_res
-
-
-def channel_from_superop(s: SuperOperator) -> KrausChannel:
-    """Kraus family from the Choi eigendecomposition of a CPTP map.
-
-    Eigenvalues in ``(-1e-8, 0)`` are clamped to zero (warned above noise
-    level); anything more negative raises ``NotCompletelyPositive``.
-    """
-    cp, tp, _ = is_cptp(s)
-    if cp > CHOI_NEG_HARD:
-        raise NotCompletelyPositive(f"Choi minimum eigenvalue is {-cp:.3e}")
-    if tp > CHOI_NEG_HARD:
-        raise NotTracePreserving(f"trace-preservation residual is {tp:.3e}")
-    d = s.dim
-    choi = choi_matrix(s)
-    choi = (choi + dag(choi)) / 2
-    w, v = matlin.herm_eig(choi)
-    if float(np.min(w)) < -1e-12:
-        warnings.warn(
-            f"clamping {int(np.sum(w < 0))} slightly negative Choi eigenvalues "
-            f"(min {float(np.min(w)):.3e})"
-        )
-    w = np.clip(w, 0.0, None)
-    ops = [
-        math.sqrt(float(w[a])) * v[:, a].reshape(d, d).T
-        for a in range(len(w))
-        if w[a] > KRAUS_RANK_FLOOR
-    ]
-    channel = KrausChannel(tuple(ops))
-    residual = matlin.frobenius(superop_from_channel(channel).matrix - s.matrix)
-    if residual > ROUNDTRIP_ATOL:
-        raise InternalCheckError(f"Kraus reconstruction misses the superoperator by {residual:.3e}")
-    return channel
-
-
-def apply(channel_or_superop, rho: DensityMatrix) -> DensityMatrix:
-    """Send a state through a channel or Schroedinger-picture superoperator."""
-    if isinstance(channel_or_superop, KrausChannel):
-        out = channel_or_superop.apply_matrix(rho.matrix)
-    elif isinstance(channel_or_superop, SuperOperator):
-        if channel_or_superop.picture != SCHRODINGER:
-            raise ValueError("cannot apply a Heisenberg-picture map to a state")
-        out = channel_or_superop.apply_matrix(rho.matrix)
-    else:
-        raise TypeError(f"cannot apply object of type {type(channel_or_superop).__name__}")
-    return DensityMatrix((out + dag(out)) / 2)
 
 
 @dataclass(frozen=True)

@@ -37,10 +37,6 @@ class KossakowskiNotPSD(QdblabError):
     pass
 
 
-class NotCompletelyPositive(QdblabError):
-    pass
-
-
 class NotTracePreserving(QdblabError):
     pass
 

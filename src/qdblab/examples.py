@@ -190,11 +190,6 @@ class ExampleBParams:
             return 0.0
         return 1.0 / math.expm1(self.beta_f * self.omega)
 
-    @property
-    def gamma_bar(self) -> float:
-        """Longitudinal relaxation rate ``gamma (2 n_bar + 1)``."""
-        return self.gamma * (2.0 * self.n_bar + 1.0)
-
     def hamiltonian(self) -> HamiltonianSpec:
         return qubit_hamiltonian(self.omega)
 

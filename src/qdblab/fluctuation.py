@@ -1,5 +1,10 @@
 """Level transition probabilities, energy-exchange statistics, the
-forward-forward ratio law, and thermalization classification."""
+forward-forward ratio law, and thermalization classification.
+
+``classify`` reads a channel family from the superoperator stack of one
+``Dynamics.maps`` call: its map at ``TAU_MAX`` against ``vec(sigma)
+vec(I)^dag``, with ``sigma`` its image of ``I/d``, and every map against
+``sigma``."""
 
 from __future__ import annotations
 
@@ -8,8 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import matlin
-from .dynamics import Dynamics, KrausChannel, apply, require_superop_dim
+from .dynamics import Dynamics, require_superop_dim
 from .errors import (
     InconclusiveHorizon,
     InternalCheckError,
@@ -18,7 +22,7 @@ from .errors import (
     NotTracePreserving,
     ZeroPopulation,
 )
-from .matlin import dag, unvec
+from .matlin import dag, unvec, vec
 from .states import DensityMatrix, HamiltonianSpec, gibbs, infer_beta, populations
 
 RATIO_FLOOR = 1e-13
@@ -38,7 +42,8 @@ def _transition_stack(superops: np.ndarray, kraus, h: HamiltonianSpec):
     v = h.eigenvectors
     # column m of q is vec(|m><m|), so (q^dag S q)[n, m] = <n| S[|m><m|] |n>
     q = (v.conj()[:, None, :] * v[None, :, :]).reshape(d * d, d)
-    probs = np.real(dag(q) @ superops @ q).transpose(0, 2, 1)
+    with np.errstate(invalid="ignore"):  # inf entries give nan, which the checks judge
+        probs = np.real(dag(q) @ superops @ q).transpose(0, 2, 1)
     route_gap = np.zeros(len(probs))
     if kraus is not None:
         kraus_probs = (np.abs(dag(v) @ kraus @ v) ** 2).sum(axis=1).transpose(0, 2, 1)
@@ -238,16 +243,21 @@ def _fixed_beta(col: np.ndarray, h: HamiltonianSpec):
         return None
 
 
+def _simple_eigenvector(m: np.ndarray, value: float, atol: float) -> tuple:
+    """The eigenvalues of ``m`` other than ``value`` (within ``atol``) and
+    the eigenvector of ``value``, None unless that eigenvalue is simple."""
+    eigs, vecs = np.linalg.eig(m)
+    near = np.abs(eigs - value) < atol
+    col = vecs[:, int(np.argmax(near))] if int(np.sum(near)) == 1 else None
+    return eigs[~near], col
+
+
 def _classify_semigroup(l_matrix: np.ndarray, h: HamiltonianSpec) -> Classification:
-    eigs, vecs = np.linalg.eig(l_matrix)
-    zero = np.abs(eigs) < ZERO_EIG_ATOL
-    if int(np.sum(zero)) != 1:
-        return Classification(kind="non_thermalizing")
-    rest = eigs[~zero]
-    if rest.size and float(np.max(np.real(rest))) >= -ZERO_EIG_ATOL:
+    rest, col = _simple_eigenvector(l_matrix, 0.0, ZERO_EIG_ATOL)
+    if col is None or (rest.size and float(np.max(np.real(rest))) >= -ZERO_EIG_ATOL):
         return Classification(kind="non_thermalizing")
     gamma_min = float(np.min(-np.real(rest))) if rest.size else None
-    beta = _fixed_beta(vecs[:, int(np.argmax(zero))], h)
+    beta = _fixed_beta(col, h)
     if beta is None:
         return Classification(kind="non_thermalizing", gamma_min=gamma_min)
     # Semigroups with a spectral gap converge to their unique stationary
@@ -255,18 +265,28 @@ def _classify_semigroup(l_matrix: np.ndarray, h: HamiltonianSpec) -> Classificat
     return Classification(kind="fpt", beta_f=beta, gamma_min=gamma_min)
 
 
-def _probe_states(d: int) -> list:
-    probes = [DensityMatrix(np.eye(d, dtype=complex) / d)]
-    for m in range(d):
-        mat = np.zeros((d, d), dtype=complex)
-        mat[m, m] = 1.0
-        probes.append(DensityMatrix(mat))
-    rng = np.random.default_rng(7)
-    for _ in range(3):
-        a = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
-        mat = a @ dag(a)
-        probes.append(DensityMatrix(mat / np.trace(mat)))
-    return probes
+def _classify_family(superops: np.ndarray, h: HamiltonianSpec) -> Classification:
+    """A channel family from its maps at ``TAU_MAX`` and ``FIXED_POINT_TAUS``,
+    stacked ``(t, d^2, d^2)``."""
+    d = h.dim
+    vec_eye = vec(np.eye(d))
+    sigma = superops[0] @ (vec_eye / d)
+    # The map sends a state rho to sigma + delta vec(rho), and
+    # |delta vec(rho)|_1 <= sqrt(d) |delta vec(rho)|_2 <= sqrt(d) |delta|_2.
+    delta = superops[0] - np.outer(sigma, vec_eye)
+    spread = math.sqrt(d) * float(np.linalg.norm(delta, 2))
+    if spread > CONVERGENCE_ATOL:
+        raise InconclusiveHorizon(
+            f"the map at tau={TAU_MAX:g} sends states up to {spread:.3e} in trace norm"
+            " from its image of I/d"
+        )
+    beta = _fixed_beta(sigma, h)
+    if beta is None:
+        return Classification(kind="non_thermalizing")
+    # the singular values of unvec(x) are those of its transpose x.reshape(d, d)
+    moved = (superops[1:] @ sigma - sigma).reshape(-1, d, d)
+    drift = float(np.max(np.linalg.svd(moved, compute_uv=False).sum(axis=1)))
+    return Classification(kind="fpt" if drift < FIXED_POINT_ATOL else "thermalizing", beta_f=beta)
 
 
 def classify(source: Dynamics) -> Classification:
@@ -276,42 +296,22 @@ def classify(source: Dynamics) -> Classification:
     every other eigenvalue strictly damped, plus a thermal stationary state.
     A single map is classified ``single_map``, with ``beta_f`` set when the
     eigenvalue 1 is simple and its eigenvector a thermal state.  A channel
-    family is probed on a fixed state set at ``TAU_MAX``, and its thermal
-    limit checked for a fixed point at ``FIXED_POINT_TAUS``; failure to
-    converge raises ``InconclusiveHorizon``.
+    family must have converged at ``TAU_MAX`` to its asymptotic map
+    ``vec(sigma) vec(I)^dag``, with ``sigma`` its image of ``I/d``, or
+    ``InconclusiveHorizon`` is raised; it is ``fpt`` when ``sigma`` is
+    thermal and, in trace norm, a fixed point at ``FIXED_POINT_TAUS``.
     """
     h = source.h
     if source.generator is not None:
         return _classify_semigroup(source.generator.matrix, h)
-    if source.tau is not None:
-        # one map: only its eigenvalue 1 is probed for a thermal fixed point
-        eigs, vecs = np.linalg.eig(source.maps((source.tau,))[0][0])
-        one = np.abs(eigs - 1.0) < UNIT_EIG_ATOL
-        if int(np.sum(one)) != 1:
-            return Classification(kind="single_map")
-        try:
-            beta = _fixed_beta(vecs[:, int(np.argmax(one))], h)
-        except NotAState:
-            return Classification(kind="single_map")
-        return Classification(kind="single_map", beta_f=beta)
-    _, kraus = source.maps((TAU_MAX, *FIXED_POINT_TAUS))
-    final = KrausChannel(tuple(kraus[0]))
-    finals = [apply(final, p).matrix for p in _probe_states(h.dim)]
-    mean = sum(finals) / len(finals)
-    mean = (mean + dag(mean)) / 2
-    spread = max(matlin.trace_norm(f - mean) for f in finals)
-    if spread > CONVERGENCE_ATOL:
-        raise InconclusiveHorizon(
-            f"probe states are {spread:.3e} apart in trace norm at tau={TAU_MAX:g}"
-        )
-    state = DensityMatrix(mean / np.real(np.trace(mean)))
+    if source.tau is None:
+        return _classify_family(source.maps((TAU_MAX, *FIXED_POINT_TAUS))[0], h)
+    # one map: only its eigenvalue 1 is probed for a thermal fixed point
+    _, col = _simple_eigenvector(source.maps((source.tau,))[0][0], 1.0, UNIT_EIG_ATOL)
+    if col is None:
+        return Classification(kind="single_map")
     try:
-        beta = infer_beta(state, h)
-    except (NotThermal, ZeroPopulation):
-        return Classification(kind="non_thermalizing")
-    fixed = all(
-        matlin.trace_norm(apply(KrausChannel(tuple(ops)), state).matrix - state.matrix) < FIXED_POINT_ATOL
-        for ops in kraus[1:]
-    )
-    kind = "fpt" if fixed else "thermalizing"
-    return Classification(kind=kind, beta_f=beta)
+        beta = _fixed_beta(col, h)
+    except NotAState:
+        beta = None
+    return Classification(kind="single_map", beta_f=beta)

@@ -46,11 +46,6 @@ def frobenius(a: np.ndarray) -> float:
     return float(np.linalg.norm(a))
 
 
-def trace_norm(a: np.ndarray) -> float:
-    """Sum of singular values."""
-    return float(np.sum(np.linalg.svd(np.asarray(a, dtype=complex), compute_uv=False)))
-
-
 def is_hermitian(a: np.ndarray, atol: float = HERMITICITY_ATOL) -> bool:
     a = np.asarray(a)
     return bool(np.max(np.abs(a - dag(a)), initial=0.0) <= atol)

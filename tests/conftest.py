@@ -1,5 +1,6 @@
 import math
 import os
+import warnings
 from collections import namedtuple
 from dataclasses import dataclass
 from functools import cached_property
@@ -14,12 +15,14 @@ from qdblab.dynamics import (
     KrausChannel,
     LindbladGenerator,
     SuperOperator,
+    _kraus_superops,
+    choi_matrix,
     commutator_superop,
-    evolve,
+    evolve_grid,
     heisenberg_dual,
+    is_cptp,
     lindblad_superop,
     map_stacks,
-    superop_from_channel,
 )
 from qdblab.examples import (
     _PAULI_STACK,
@@ -33,9 +36,13 @@ from qdblab.examples import (
     example_a_f_factor,
     qubit_hamiltonian,
 )
-from qdblab.errors import DimensionMismatch, NotAState, QdblabError
-from qdblab.matlin import dag, kron
+from qdblab.errors import DimensionMismatch, InconclusiveHorizon, InternalCheckError, NotAState, NotThermal
+from qdblab.errors import NotTracePreserving, QdblabError, ZeroPopulation
+from qdblab.matlin import dag, kron, unvec, vec
 from qdblab.fluctuation import (
+    CONVERGENCE_ATOL,
+    FIXED_POINT_ATOL,
+    FIXED_POINT_TAUS,
     TAU_MAX,
     UNIT_EIG_ATOL,
     Classification,
@@ -52,6 +59,7 @@ from qdblab.states import (
     DensityMatrix,
     HamiltonianSpec,
     gibbs,
+    infer_beta,
     populations,
 )
 
@@ -318,7 +326,7 @@ def check_qdb1_invariance(space: WeightedSpace, gen: SuperOperator) -> float:
     whenever the generator-level balance holds."""
     if gen.picture != SCHRODINGER:
         raise ValueError("check_qdb1_invariance expects a Schroedinger-picture generator")
-    return matlin.frobenius(gen.apply_matrix(space.sigma.matrix))
+    return matlin.frobenius(apply_matrix(gen, space.sigma.matrix))
 
 
 @dataclass(frozen=True)
@@ -397,7 +405,7 @@ def check_lemma_invariant_subspace(
         comm_res = max(comm_res, matlin.frobenius(g.matrix @ rs - rs @ g.matrix))
         for m in range(d):
             col = basis_vecs[:, m : m + 1]
-            out = g.apply_matrix(col @ dag(col))
+            out = apply_matrix(g, col @ dag(col))
             out_eig = dag(basis_vecs) @ out @ basis_vecs
             off = out_eig - np.diag(np.diag(out_eig))
             diag_leak = max(diag_leak, float(np.max(np.abs(off))))
@@ -406,7 +414,7 @@ def check_lemma_invariant_subspace(
                 if m == n:
                     continue
                 unit = basis_vecs[:, m : m + 1] @ dag(basis_vecs[:, n : n + 1])
-                out_eig = dag(basis_vecs) @ g.apply_matrix(unit) @ basis_vecs
+                out_eig = dag(basis_vecs) @ apply_matrix(g, unit) @ basis_vecs
                 off_leak = max(off_leak, float(np.max(np.abs(np.diag(out_eig)))))
     return diag_leak, off_leak, comm_res
 
@@ -469,7 +477,7 @@ def example_b_closed_form(p: ExampleBParams, rho0: DensityMatrix, tau: float) ->
     """
     if rho0.dim != 2:
         raise DimensionMismatch("closed form is a qubit solution")
-    gbar = p.gamma_bar
+    gbar = gamma_bar(p)
     decay = math.exp(-gbar * tau)
     rz0 = float(np.real(rho0.matrix[0, 0] - rho0.matrix[1, 1]))
     rz = rz0 * decay + math.tanh(p.beta_f * p.omega / 2.0) * (1.0 - decay)
@@ -478,6 +486,12 @@ def example_b_closed_form(p: ExampleBParams, rho0: DensityMatrix, tau: float) ->
         [[(1.0 + rz) / 2.0, c01], [np.conj(c01), (1.0 - rz) / 2.0]], dtype=complex
     )
     return DensityMatrix(m)
+
+
+def gamma_bar(p: ExampleBParams) -> float:
+    """Longitudinal relaxation rate ``gamma (2 n_bar + 1)`` of scenario B's
+    parameters ``p``."""
+    return p.gamma * (2.0 * p.n_bar + 1.0)
 
 
 def example_qdb_family(mu: float, eta: float, omega: float, beta_f: float) -> LindbladGenerator:
@@ -593,3 +607,128 @@ def reference_classify_single_map(channel: KrausChannel, h: HamiltonianSpec) -> 
     except NotAState:
         return Classification(kind="single_map")
     return Classification(kind="single_map", beta_f=beta)
+
+
+# ---------------------------------------------------------------------------
+# One map at a time; the package reads its maps from ``Dynamics.maps`` stacks.
+
+CHOI_NEG_HARD = 1e-8
+KRAUS_RANK_FLOOR = 1e-12
+ROUNDTRIP_ATOL = 1e-9
+
+
+class NotCompletelyPositive(QdblabError):
+    pass
+
+
+def trace_norm(a: np.ndarray) -> float:
+    """Sum of singular values."""
+    return float(np.sum(np.linalg.svd(np.asarray(a, dtype=complex), compute_uv=False)))
+
+
+def evolve(superop: SuperOperator, tau: float) -> SuperOperator:
+    """Finite-time map ``exp(tau * L)`` of a generator superoperator."""
+    return SuperOperator(evolve_grid(superop, (tau,))[0], superop.picture)
+
+
+def apply_matrix(g, x: np.ndarray) -> np.ndarray:
+    """Map a d x d operator through a Kraus channel or a superoperator."""
+    x = np.asarray(x, dtype=complex)
+    if x.shape != (g.dim, g.dim):
+        raise DimensionMismatch(f"operand shape {x.shape} does not match dim {g.dim}")
+    if isinstance(g, KrausChannel):
+        return sum(k @ x @ dag(k) for k in g.kraus_ops)
+    return unvec(g.matrix @ vec(x), g.dim, g.dim)
+
+
+def apply(channel_or_superop, rho: DensityMatrix) -> DensityMatrix:
+    """Send a state through a channel or Schroedinger-picture superoperator."""
+    if isinstance(channel_or_superop, KrausChannel):
+        out = apply_matrix(channel_or_superop, rho.matrix)
+    elif isinstance(channel_or_superop, SuperOperator):
+        if channel_or_superop.picture != SCHRODINGER:
+            raise ValueError("cannot apply a Heisenberg-picture map to a state")
+        out = apply_matrix(channel_or_superop, rho.matrix)
+    else:
+        raise TypeError(f"cannot apply object of type {type(channel_or_superop).__name__}")
+    return DensityMatrix((out + dag(out)) / 2)
+
+
+def superop_from_channel(channel: KrausChannel) -> SuperOperator:
+    """Column-stacking matrix ``sum_j conj(G_j) (x) G_j`` of a Kraus map."""
+    return SuperOperator(_kraus_superops(np.array([channel.kraus_ops]))[0], SCHRODINGER)
+
+
+def channel_from_superop(s: SuperOperator) -> KrausChannel:
+    """Kraus family from the Choi eigendecomposition of a CPTP map.
+
+    Eigenvalues in ``(-1e-8, 0)`` are clamped to zero (warned above noise
+    level); anything more negative raises ``NotCompletelyPositive``.
+    """
+    cp, tp, _ = is_cptp(s)
+    if cp > CHOI_NEG_HARD:
+        raise NotCompletelyPositive(f"Choi minimum eigenvalue is {-cp:.3e}")
+    if tp > CHOI_NEG_HARD:
+        raise NotTracePreserving(f"trace-preservation residual is {tp:.3e}")
+    d = s.dim
+    choi = choi_matrix(s)
+    choi = (choi + dag(choi)) / 2
+    w, v = matlin.herm_eig(choi)
+    if float(np.min(w)) < -1e-12:
+        warnings.warn(
+            f"clamping {int(np.sum(w < 0))} slightly negative Choi eigenvalues "
+            f"(min {float(np.min(w)):.3e})"
+        )
+    w = np.clip(w, 0.0, None)
+    ops = [
+        math.sqrt(float(w[a])) * v[:, a].reshape(d, d).T
+        for a in range(len(w))
+        if w[a] > KRAUS_RANK_FLOOR
+    ]
+    channel = KrausChannel(tuple(ops))
+    residual = matlin.frobenius(superop_from_channel(channel).matrix - s.matrix)
+    if residual > ROUNDTRIP_ATOL:
+        raise InternalCheckError(f"Kraus reconstruction misses the superoperator by {residual:.3e}")
+    return channel
+
+
+def _probe_states(d: int) -> list:
+    probes = [DensityMatrix(np.eye(d, dtype=complex) / d)]
+    for m in range(d):
+        mat = np.zeros((d, d), dtype=complex)
+        mat[m, m] = 1.0
+        probes.append(DensityMatrix(mat))
+    rng = np.random.default_rng(7)
+    for _ in range(3):
+        a = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
+        mat = a @ dag(a)
+        probes.append(DensityMatrix(mat / np.trace(mat)))
+    return probes
+
+
+def reference_classify_family(source) -> Classification:
+    """Classification of a channel family from eight probe states sent
+    through its Kraus maps: the reference for the family branch of
+    :func:`qdblab.fluctuation.classify`, which reads the superoperator stack."""
+    h = source.h
+    _, kraus = source.maps((TAU_MAX, *FIXED_POINT_TAUS))
+    final = KrausChannel(tuple(kraus[0]))
+    finals = [apply(final, p).matrix for p in _probe_states(h.dim)]
+    mean = sum(finals) / len(finals)
+    mean = (mean + dag(mean)) / 2
+    spread = max(trace_norm(f - mean) for f in finals)
+    if spread > CONVERGENCE_ATOL:
+        raise InconclusiveHorizon(
+            f"probe states are {spread:.3e} apart in trace norm at tau={TAU_MAX:g}"
+        )
+    state = DensityMatrix(mean / np.real(np.trace(mean)))
+    try:
+        beta = infer_beta(state, h)
+    except (NotThermal, ZeroPopulation):
+        return Classification(kind="non_thermalizing")
+    fixed = all(
+        trace_norm(apply(KrausChannel(tuple(ops)), state).matrix - state.matrix) < FIXED_POINT_ATOL
+        for ops in kraus[1:]
+    )
+    kind = "fpt" if fixed else "thermalizing"
+    return Classification(kind=kind, beta_f=beta)

@@ -13,6 +13,9 @@ import numpy as np
 from conftest import (
     a_channel,
     SEED,
+    apply,
+    apply_matrix,
+    evolve,
     BlochVector,
     TimeReversal,
     WeightedSpace,
@@ -42,8 +45,6 @@ from qdblab.dynamics import (
     HEISENBERG,
     Dynamics,
     SuperOperator,
-    apply,
-    evolve,
     heisenberg_dual,
     is_cptp,
     lindblad_superop,
@@ -266,8 +267,8 @@ def test_criterion_8_structural_invariants():
     for _ in range(100):
         sigma_m = random_density(rng, 2).matrix
         a = random_complex(rng, 2)
-        lhs = np.trace(g.apply_matrix(sigma_m) @ a)
-        rhs = np.trace(sigma_m @ gd.apply_matrix(a))
+        lhs = np.trace(apply_matrix(g, sigma_m) @ a)
+        rhs = np.trace(sigma_m @ apply_matrix(gd, a))
         assert abs(lhs - rhs) < 1e-10
     # adjoint defining relation on the full matrix-unit basis
     for d in (2, 3):
@@ -285,8 +286,8 @@ def test_criterion_8_structural_invariants():
             star = adjoint(space, op)
             for a in units:
                 for b in units:
-                    lhs = inner(space, a, op.apply_matrix(b))
-                    rhs = inner(space, star.apply_matrix(a), b)
+                    lhs = inner(space, a, apply_matrix(op, b))
+                    rhs = inner(space, apply_matrix(star, a), b)
                     assert abs(lhs - rhs) < 1e-10
     # time-reversal properties, each at 1e-12
     for reversal in (TimeReversal.conjugation(2), TimeReversal.spin_half()):

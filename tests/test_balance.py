@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -6,11 +8,13 @@ from conftest import (
     TimeReversal,
     WeightedSpace,
     adjoint,
+    apply_matrix,
     check_lemma_invariant_subspace,
     check_pairwise_condition,
     check_qdb1_invariance,
     decompose,
     dual_superop,
+    evolve,
     example_qdb_family,
     heisenberg_generator,
     inner,
@@ -29,14 +33,13 @@ from qdblab.dynamics import (
     LindbladGenerator,
     SuperOperator,
     commutator_superop,
-    evolve,
     evolve_grid,
     heisenberg_dual,
     lindblad_superop,
     trace_dual,
 )
 from qdblab.errors import DimensionMismatch
-from qdblab.examples import qubit_hamiltonian
+from qdblab.examples import LOWERING, RAISING, qubit_hamiltonian
 from qdblab.matlin import dag, vec
 from qdblab.states import SIGMA_X, SIGMA_Y, SIGMA_Z, DensityMatrix, HamiltonianSpec, gibbs
 
@@ -101,8 +104,8 @@ class TestAdjoint:
         star = adjoint(space, op)
         for a in matrix_units(2):
             for b in matrix_units(2):
-                lhs = inner(space, a, op.apply_matrix(b))
-                rhs = inner(space, star.apply_matrix(a), b)
+                lhs = inner(space, a, apply_matrix(op, b))
+                rhs = inner(space, apply_matrix(star, a), b)
                 assert abs(lhs - rhs) < 1e-10
 
     def test_double_adjoint_is_involution(self, rng):
@@ -206,6 +209,20 @@ class TestQdb1:
         assert np.all(check_qdb1(gen.hamiltonian, beta, S_GRID, heisenberg_generator(gen)) < 1e-12)
         assert np.all(check_qdb1(gen.hamiltonian, -beta, S_GRID, heisenberg_generator(gen)) > 1e-2)
 
+    def test_balanced_qubit_passes_where_the_weight_ratio_overflows(self, rng):
+        # at beta = 800 the weight ratio e^800 overflows; the adjoint takes it
+        # with the rate in logs, so a zero rate stays 0 and e^-500 gives e^300
+        h = qubit_hamiltonian(1.0)
+        gen = LindbladGenerator.from_jump_operators(h, [math.exp(150) * LOWERING, math.exp(-250) * RAISING])
+        dual = heisenberg_generator(gen)
+        assert np.all(check_qdb1(h, 800.0, S_GRID, dual) < 1e-12)
+        assert np.all(check_qdb1(h, 799.9, S_GRID, dual) > 1e-2)
+        # the defect at beta = 900 is e^400 times the rates, past the float range
+        assert np.all(check_qdb1(h, 900.0, S_GRID, dual) == np.inf)
+        circulating, h3 = thermal_circulation_qutrit(rng, beta_f=0.9)
+        for beta in (0.9, 800.0):
+            assert np.all(check_qdb1(h3, beta, S_GRID, heisenberg_generator(circulating)) > 1e-3)
+
     def test_rejects_a_generator_of_another_dimension(self, rng):
         with pytest.raises(DimensionMismatch):
             check_qdb1(random_hamiltonian(rng, 2), 0.5, S_GRID, heisenberg_generator(random_lindblad(rng, 3)))
@@ -308,14 +325,14 @@ class TestTimeReversal:
 
 class TestQdb2:
     def test_identity_map_passes(self):
-        ident = SuperOperator(np.eye(4), HEISENBERG)
+        ident = np.eye(4, dtype=complex)[None]
         assert np.all(check_qdb2(qubit_hamiltonian(1.0), 0.8, S_GRID, ident) < 1e-9)
 
     @pytest.mark.parametrize("s", S_GRID)
     def test_balanced_family_map_passes(self, s):
         gen = example_qdb_family(0.5, 0.1, 1.0, 1.0)
         heis = evolve(dual_superop(gen), 1.0)
-        [residual] = check_qdb2(gen.hamiltonian, 1.0, (s,), heis)
+        [residual] = check_qdb2(gen.hamiltonian, 1.0, (s,), heis.matrix[None])
         assert residual < 1e-10
 
     @pytest.mark.parametrize(
@@ -337,14 +354,14 @@ class TestQdb2:
             evolve(dual_superop(random_lindblad(rng, d)), 0.7),
         ]
         s_grid = (0.0, 0.3, 1.0)
-        per_map = [check_qdb2(h, beta, s_grid, g) for g in maps]
+        per_map = [check_qdb2(h, beta, s_grid, g.matrix[None]) for g in maps]
         for k, s in enumerate(s_grid):
             space = WeightedSpace(sigma, s)
             for g, residuals in zip(maps, per_map):
                 literal = max(
                     abs(
-                        inner(space, dag(a), g.apply_matrix(b))
-                        - inner(space, t.apply(dag(b)), g.apply_matrix(t.apply(a)))
+                        inner(space, dag(a), apply_matrix(g, b))
+                        - inner(space, t.apply(dag(b)), apply_matrix(g, t.apply(a)))
                     )
                     for a in units
                     for b in units
@@ -353,11 +370,6 @@ class TestQdb2:
         # a stack's residual is the largest of its maps'
         stack = np.array([g.matrix for g in maps])
         np.testing.assert_allclose(check_qdb2(h, beta, s_grid, stack), np.maximum(*per_map), rtol=1e-14, atol=0)
-
-    def test_requires_heisenberg_picture(self, rng):
-        gen = random_lindblad(rng, 2)
-        with pytest.raises(ValueError):
-            check_qdb2(gen.hamiltonian, 0.5, S_GRID, evolve(lindblad_superop(gen), 1.0))
 
     def test_stack_keeps_a_nan_residual(self, rng):
         stack = np.array([np.eye(4), np.full((4, 4), np.nan), np.eye(4)], dtype=complex)
@@ -402,10 +414,10 @@ class TestInvariantSubspaces:
         for m in range(2):
             for n in range(2):
                 lhs = np.exp(-beta * h.eigenvalues[m]) * (
-                    dag(h.eigenvectors[:, m]) @ dis.apply_matrix(h.projector(n)) @ h.eigenvectors[:, m]
+                    dag(h.eigenvectors[:, m]) @ apply_matrix(dis, h.projector(n)) @ h.eigenvectors[:, m]
                 )
                 rhs = np.exp(-beta * h.eigenvalues[n]) * (
-                    dag(h.eigenvectors[:, n]) @ dis.apply_matrix(h.projector(m)) @ h.eigenvectors[:, n]
+                    dag(h.eigenvectors[:, n]) @ apply_matrix(dis, h.projector(m)) @ h.eigenvectors[:, n]
                 )
                 assert abs(complex(lhs) - complex(rhs)) < 1e-10
 

@@ -531,8 +531,11 @@ class TestConfigValidation:
              "NotTracePreserving: transition rows sum to 1 only within 1.837e-09"),
             (("example", "c", "--beta-f", "16"), EXIT_MODEL,
              "NotCPTP: induced map at tau=10 fails CPTP: cp=0.000e+00, tp=2.305e-09, herm=0.000e+00"),
+            # some maps of the grid have inf entries; their transition probabilities are nan, without a warning
+            (("example", "b", "--beta-f", "1e-20"), EXIT_MODEL,
+             "NotTracePreserving: transition rows sum to 1 only within 8.886e+06"),
         ],
-        ids=["b-tau-1e200", "b-tau-0.1-and-1e200", "c-tau-1e308", "b-gamma-1e6", "c-beta-f-16"],
+        ids=["b-tau-1e200", "b-tau-0.1-and-1e200", "c-tau-1e308", "b-gamma-1e6", "c-beta-f-16", "b-beta-f-1e-20"],
     )
     def test_failing_checks_keep_their_exit_code_and_message(self, tmp_path, capsys, argv, code, first_line):
         # non-finite maps pass the transition checks (every comparison with nan

@@ -2,13 +2,19 @@ import numpy as np
 import pytest
 
 from conftest import (
+    NotCompletelyPositive,
+    apply,
+    apply_matrix,
+    channel_from_superop,
     dual_superop,
+    evolve,
     level_unit,
     random_complex,
     random_density,
     random_hamiltonian,
     random_lindblad,
     reference_lindblad_superop,
+    superop_from_channel,
     transpose_superop,
 )
 from qdblab import matlin
@@ -20,22 +26,17 @@ from qdblab.dynamics import (
     LindbladGenerator,
     SuperOperator,
     _partial_trace_out,
-    apply,
-    channel_from_superop,
     choi_matrix,
     commutator_superop,
-    evolve,
     gell_mann_basis,
     heisenberg_dual,
     is_cptp,
     lindblad_superop,
-    superop_from_channel,
     trace_dual,
 )
 from qdblab.errors import (
     DimensionMismatch,
     KossakowskiNotPSD,
-    NotCompletelyPositive,
     NotTracePreserving,
 )
 from qdblab.matlin import dag, kron
@@ -62,14 +63,14 @@ class TestLindbladSuperop:
         h = random_hamiltonian(rng, 3)
         gen = LindbladGenerator.canonical(h, np.zeros((8, 8)))
         l = lindblad_superop(gen)
-        assert matlin.frobenius(l.apply_matrix(gibbs(h, 0.7).matrix)) < 1e-12
+        assert matlin.frobenius(apply_matrix(l, gibbs(h, 0.7).matrix)) < 1e-12
 
     def test_annihilates_trace(self, rng):
         gen = random_lindblad(rng, 3)
         l = lindblad_superop(gen)
         for _ in range(5):
             x = random_complex(rng, 3)
-            assert abs(np.trace(l.apply_matrix(x))) < 1e-11
+            assert abs(np.trace(apply_matrix(l, x))) < 1e-11
 
     def test_matches_jump_operator_dissipator(self, rng):
         # independent oracle: assemble the vectorized dissipator directly
@@ -149,7 +150,7 @@ class TestDuality:
         for d in (2, 3):
             gen = random_lindblad(rng, d)
             ld = dual_superop(gen)
-            assert matlin.frobenius(ld.apply_matrix(np.eye(d))) < 1e-11
+            assert matlin.frobenius(apply_matrix(ld, np.eye(d))) < 1e-11
 
     def test_trace_pairing_on_random_pairs(self, rng):
         gen = random_lindblad(rng, 3)
@@ -158,8 +159,8 @@ class TestDuality:
         for _ in range(100):
             sigma = random_density(rng, 3).matrix
             a = random_complex(rng, 3)
-            lhs = np.trace(l.apply_matrix(sigma) @ a)
-            rhs = np.trace(sigma @ ld.apply_matrix(a))
+            lhs = np.trace(apply_matrix(l, sigma) @ a)
+            rhs = np.trace(sigma @ apply_matrix(ld, a))
             assert abs(lhs - rhs) < 1e-11
 
     def test_zero_dissipator_flips_commutator_sign(self, rng):
@@ -189,7 +190,7 @@ class TestDuality:
         for _ in range(20):
             sigma = random_density(rng, 2).matrix
             a = random_complex(rng, 2)
-            assert abs(np.trace(g.apply_matrix(sigma) @ a) - np.trace(sigma @ gd.apply_matrix(a))) < 1e-10
+            assert abs(np.trace(apply_matrix(g, sigma) @ a) - np.trace(sigma @ apply_matrix(gd, a))) < 1e-10
 
 
 class TestEvolve:
@@ -268,7 +269,7 @@ class TestChoiAndKraus:
     def test_choi_matches_matrix_unit_definition(self, rng, d):
         s = SuperOperator(random_complex(rng, d * d), SCHRODINGER)
         literal = sum(
-            kron(level_unit(d, i, j), s.apply_matrix(level_unit(d, i, j)))
+            kron(level_unit(d, i, j), apply_matrix(s, level_unit(d, i, j)))
             for i in range(d)
             for j in range(d)
         )

@@ -6,13 +6,18 @@ import pytest
 
 from conftest import (
     a_channel,
+    apply_matrix,
+    channel_from_superop,
     check_pairwise_condition,
     default_tau_max,
+    evolve,
     example_qdb_family,
     exchange_at,
     fpt_stationarity_identity,
+    gamma_bar,
     gap_records,
     random_hamiltonian,
+    reference_classify_family,
     reference_classify_single_map,
     random_lindblad,
     ratio_records,
@@ -28,8 +33,6 @@ from qdblab.dynamics import (
     KrausChannel,
     LindbladGenerator,
     SuperOperator,
-    channel_from_superop,
-    evolve,
     evolve_grid,
     lindblad_superop,
 )
@@ -79,7 +82,7 @@ class TestTransitionMatrix:
         l = lindblad_superop(example_b_generator(p))
         for tau in (0.2, 1.0, 4.0):
             probs = transition_matrix(evolve(l, tau), h)
-            reach = 1.0 - math.exp(-p.gamma_bar * tau)
+            reach = 1.0 - math.exp(-gamma_bar(p) * tau)
             p_th = populations(gibbs(h, p.beta_f), h)
             assert abs(probs[0, 1] - reach * p_th[1]) < 1e-12
             assert abs(probs[1, 0] - reach * p_th[0]) < 1e-12
@@ -184,7 +187,7 @@ class TestPairwiseCondition:
         # maps passing the time-reversal balance check (with a reversal
         # fixing the Hamiltonian) inherit the pairwise transition symmetry
         from qdblab.balance import check_qdb2
-        from qdblab.dynamics import heisenberg_dual
+        from qdblab.dynamics import trace_dual
 
         for _ in range(3):
             beta = rng.uniform(0.3, 1.5)
@@ -193,7 +196,7 @@ class TestPairwiseCondition:
             l = lindblad_superop(gen)
             for tau in (0.1, 1.0, 10.0):
                 gmap = evolve(l, tau)
-                [residual] = check_qdb2(h, beta, (0.25,), heisenberg_dual(gmap))
+                [residual] = check_qdb2(h, beta, (0.25,), trace_dual(gmap.matrix[None]))
                 assert residual < 1e-9
                 assert check_pairwise_condition(gmap, h, beta) < 1e-10
 
@@ -259,6 +262,82 @@ class TestClassify:
 
         with pytest.raises(InconclusiveHorizon):
             classify(Dynamics.channel_family(h, rotation_family))
+
+    def test_unitary_family_exits_4(self, tmp_path, monkeypatch, capsys):
+        from qdblab import cli
+
+        def rotation_family(p, taus):
+            return matlin.expm(-1j * np.array(taus)[:, None, None, None] * np.array([[0, 0.5], [0.5, 0]]))
+
+        monkeypatch.setattr(cli, "example_a_channel", rotation_family)
+        assert main(["example", "a", "--out", str(tmp_path)]) == 4
+        # a unitary map moves pure states; the bound sqrt(2) |U - vec(I/2) vec(I)^dag|_2 is sqrt(2)
+        message = (
+            "InconclusiveHorizon: the map at tau=100 sends states up to 1.414e+00 in trace norm from its image of I/d"
+        )
+        assert capsys.readouterr().err.splitlines() == [message]
+
+    @pytest.mark.parametrize("schedule", ["default", "fixed_point"])
+    @pytest.mark.parametrize("omega", [0.5, 1.0, 2.0])
+    @pytest.mark.parametrize("beta_f", [0.3, 1.0, 3.0])
+    def test_scenario_a_matches_the_probe_state_reference(self, schedule, omega, beta_f):
+        p = getattr(ExampleAParams, schedule)(omega, beta_f)
+        source = Dynamics.channel_family(qubit_hamiltonian(omega), lambda taus: example_a_channel(p, taus))
+        got, want = classify(source), reference_classify_family(source)
+        assert got.kind == want.kind == ("fpt" if schedule == "fixed_point" else "thermalizing")
+        assert got.beta_f == pytest.approx(want.beta_f, rel=1e-14, abs=0)
+
+    @pytest.mark.parametrize("d", [2, 3, 4])
+    @pytest.mark.parametrize("circulation", [False, True])
+    def test_kraus_family_of_a_semigroup_matches_the_references(self, rng, d, circulation):
+        # a semigroup's maps, made Kraus one time at a time, as a channel family
+        if circulation:
+            gen, h = thermal_circulation_qutrit(rng, 0.8)
+        else:
+            h, gen = davies_generator(rng, d, 0.8)
+        l = lindblad_superop(gen)
+
+        def family(taus):
+            kraus = np.zeros((len(taus), h.dim**2, h.dim, h.dim), dtype=complex)
+            for t, tau in enumerate(taus):
+                ops = channel_from_superop(evolve(l, tau)).kraus_ops
+                kraus[t, : len(ops)] = ops
+            return kraus
+
+        got = classify(Dynamics.channel_family(h, family))
+        want = reference_classify_family(Dynamics.channel_family(h, family))
+        semigroup = classify(Dynamics.semigroup(h, gen))
+        assert got.kind == want.kind == semigroup.kind == "fpt"
+        assert got.beta_f == pytest.approx(want.beta_f, rel=1e-14, abs=0)
+        assert got.beta_f == pytest.approx(0.8, rel=1e-9)
+
+    def test_family_is_read_from_one_map_stack(self, monkeypatch):
+        # one call of the family, and no Kraus channel or probe state per map
+        from qdblab import states
+
+        p = ExampleAParams.default(1.0, 1.0)
+        calls, built = [], []
+        for cls in (KrausChannel, states.DensityMatrix):
+            original = cls.__post_init__
+
+            def counted(self, original=original):
+                built.append(type(self).__name__)
+                original(self)
+
+            monkeypatch.setattr(cls, "__post_init__", counted)
+
+        def family(taus):
+            calls.append(taus)
+            return example_a_channel(p, taus)
+
+        assert classify(Dynamics.channel_family(qubit_hamiltonian(1.0), family)).kind == "thermalizing"
+        assert len(calls) == 1
+        assert built == ["DensityMatrix"]  # the thermal candidate, once
+
+    def test_non_finite_kraus_family_is_not_trace_preserving(self):
+        h = qubit_hamiltonian(1.0)
+        with pytest.raises(NotTracePreserving, match=r"by nan$"):
+            classify(Dynamics.channel_family(h, lambda taus: np.full((len(taus), 1, 2, 2), np.nan)))
 
     def test_pure_hamiltonian_semigroup_not_thermalizing(self, rng):
         from qdblab.dynamics import LindbladGenerator
@@ -364,7 +443,7 @@ def reference_transition_matrix(channel_or_superop, h):
         raise TypeError(f"unsupported map type {type(channel_or_superop).__name__}")
     probs = np.zeros((d, d))
     for m in range(d):
-        out = s.apply_matrix(h.projector(m))
+        out = apply_matrix(s, h.projector(m))
         probs[m] = np.real(np.einsum("in,ij,jn->n", v.conj(), out, v))
     if kraus_probs is not None:
         gap = float(np.max(np.abs(kraus_probs - probs)))

