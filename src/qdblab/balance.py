@@ -1,4 +1,5 @@
-"""Detailed balance checks against the Gibbs state of a Hamiltonian.
+"""Detailed balance checks against the Gibbs state of a Hamiltonian, on
+the Heisenberg maps (trace duals, formed only here) of Schroedinger maps.
 
 The scalar product is ``<<A, B>>_s = Tr[Sigma^(1-s) A^dag Sigma^s B]`` for
 the Gibbs state ``Sigma = e^{-beta H} / Tr[e^{-beta H}]`` and ``s`` in
@@ -13,12 +14,25 @@ formed and every finite ``beta``, negative too, has a weight.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
-from .dynamics import HEISENBERG, SuperOperator
-from .errors import DimensionMismatch
-from .matlin import dag, frobenius, kron
+from .dynamics import require_superop_dim
+from .matlin import dag, kron
 from .states import HamiltonianSpec
+
+
+def _trace_dual(m: np.ndarray) -> np.ndarray:
+    """``K m^T K``, the trace dual, of a map matrix or of each map of a stack
+    ``(t, d^2, d^2)``; ``K`` is ``X -> X^T``, so this is a permutation."""
+    d = math.isqrt(m.shape[-1])
+    return m.reshape(-1, d, d, d, d).transpose(0, 4, 3, 2, 1).reshape(m.shape)
+
+
+def _pow2_scaled(a: np.ndarray, k) -> np.ndarray:
+    """``2^k a``, exact short of under- or overflow; an inf entry stays inf."""
+    return np.ldexp(np.ascontiguousarray(a).view(float), k).view(complex)
 
 
 def _eigenframe(h: HamiltonianSpec, beta: float, s_grid) -> tuple:
@@ -34,20 +48,19 @@ def _eigenframe(h: HamiltonianSpec, beta: float, s_grid) -> tuple:
     return kron(v.conj(), v), log_w.reshape(len(s_grid), -1)
 
 
-def check_qdb1(h: HamiltonianSpec, beta: float, s_grid, dual: SuperOperator) -> np.ndarray:
-    """Generator-level detailed balance of a Heisenberg-picture generator
-    ``L#`` against the Gibbs state of ``h`` at ``beta``: ``L# - L#* == 2i
-    [H, .]`` for every ``s`` of ``s_grid``.
+def check_qdb1(h: HamiltonianSpec, beta: float, s_grid, generator: np.ndarray) -> np.ndarray:
+    """Generator-level detailed balance of the Heisenberg-picture generator
+    ``L#``, the trace dual of the Schroedinger-picture ``generator``,
+    against the Gibbs state of ``h`` at ``beta``: ``L# - L#* == 2i [H, .]``
+    for every ``s`` of ``s_grid``.
 
     Returns, per ``s``, the Frobenius norm of the defect relative to
-    ``|L#|``; a defect past the float range reads inf.
+    ``|L#|``, both scaled by one power of two, so that the units of H and L
+    do not matter; a defect past the float range reads inf.
     """
-    if dual.picture != HEISENBERG:
-        raise ValueError("check_qdb1 expects a Heisenberg-picture generator")
-    if dual.dim != h.dim:
-        raise DimensionMismatch(f"generator dim {dual.dim} != Hamiltonian dim {h.dim}")
+    dual = _trace_dual(require_superop_dim(generator, h))
     q, log_w = _eigenframe(h, beta, s_grid)
-    l = dag(q) @ dual.matrix @ q
+    l = dag(q) @ dual @ q
     e = h.eigenvalues
     commutator = (e[None, :] - e[:, None]).ravel()  # E_i - E_j at i + d j
     ratio = log_w[:, None, :] - log_w[:, :, None]  # log(w_b / w_a) at [s, a, b]
@@ -60,15 +73,18 @@ def check_qdb1(h: HamiltonianSpec, beta: float, s_grid, dual: SuperOperator) -> 
         mag = np.abs(lt[big])
         log_mag = np.log(mag, out=np.full(mag.shape, -np.inf), where=mag > 0)
         star[big] = np.exp(log_mag + 1j * np.angle(lt[big]) + ratio[big])
-        defect = np.linalg.norm(l - star - 2j * np.diag(commutator), axis=(-2, -1))
-    den = frobenius(dual.matrix)
+        # 2^k L# has its largest entry in [1/2, 1), so neither norm over- or
+        # underflows where the squares of the entries of L# would
+        k = -np.frexp(np.max(np.abs(dual), initial=0.0))[1]
+        defect = np.linalg.norm(_pow2_scaled(l - star - 2j * np.diag(commutator), k), axis=(-2, -1))
+    den = np.linalg.norm(_pow2_scaled(dual, k))
     return defect / (den if den > 0 else 1.0)
 
 
-def check_qdb2(h: HamiltonianSpec, beta: float, s_grid, maps_heis: np.ndarray) -> np.ndarray:
+def check_qdb2(h: HamiltonianSpec, beta: float, s_grid, maps: np.ndarray) -> np.ndarray:
     """Map-level detailed balance via time reversal against the Gibbs state
-    of ``h`` at ``beta``, for a stack ``(t, d^2, d^2)`` of Heisenberg map
-    matrices.
+    of ``h`` at ``beta``, for the Heisenberg maps ``G#``, the trace duals of
+    a stack ``maps`` ``(t, d^2, d^2)`` of Schroedinger map matrices.
 
     The condition ``<<A^dag, G#[B]>> == <<T[B^dag], G#[T[A]]>>``, with ``T``
     complex conjugation in H's eigenbasis, holds on every pair of eigenbasis
@@ -77,9 +93,7 @@ def check_qdb2(h: HamiltonianSpec, beta: float, s_grid, maps_heis: np.ndarray) -
     nan entry makes it nan.
     """
     d2 = h.dim**2
-    if maps_heis.shape[-2:] != (d2, d2):
-        raise DimensionMismatch("the maps and the Hamiltonian must share one dimension")
     q, log_w = _eigenframe(h, beta, s_grid)
-    g = (dag(q) @ maps_heis @ q).reshape(-1, d2, d2)
+    g = (dag(q) @ _trace_dual(require_superop_dim(maps, h)) @ q).reshape(-1, d2, d2)
     wg = np.exp(log_w)[:, None, :, None] * g
     return np.max(np.abs(wg - wg.swapaxes(-1, -2)), axis=(1, 2, 3))

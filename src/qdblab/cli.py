@@ -23,7 +23,7 @@ from pathlib import Path
 import numpy as np
 
 from .balance import check_qdb1, check_qdb2
-from .dynamics import Dynamics, KrausChannel, LindbladGenerator, heisenberg_dual, trace_dual
+from .dynamics import Dynamics, LindbladGenerator
 from .errors import (
     ConfigError,
     DegenerateGround,
@@ -213,7 +213,7 @@ def build_report(label: str, source: Dynamics, config: RunConfig, f_factor=None)
 
     qdb1 = None
     if beta_known and source.generator is not None:
-        per_s = check_qdb1(source.h, beta_raw, config.s_grid, heisenberg_dual(source.generator))
+        per_s = check_qdb1(source.h, beta_raw, config.s_grid, source.generator)
         qdb1 = _balance_section(per_s, config)
 
     taus = source.taus(config.tau_grid)
@@ -224,7 +224,7 @@ def build_report(label: str, source: Dynamics, config: RunConfig, f_factor=None)
     qdb2 = None
     if qdb2_taus:
         # time reversal is complex conjugation in H's eigenbasis
-        per_s = check_qdb2(source.h, beta_raw, config.s_grid, trace_dual(superops[n:]))
+        per_s = check_qdb2(source.h, beta_raw, config.s_grid, superops[n:])
         qdb2 = {**_balance_section(per_s, config), "taus": list(qdb2_taus)}
 
     header = ["tau", "E", "p_plus", "p_minus", "R", "predicted", "deviation"]
@@ -351,6 +351,8 @@ def load_model(path: Path):
         raise ConfigError(f"unknown model kind {kind!r}")
     try:
         h = HamiltonianSpec.from_matrix(_pairs_to_complex(obj["hamiltonian"]))
+        if h.dim < 2:
+            raise ConfigError(f"the Hamiltonian has {h.dim} level; a model needs at least 2")
         if kind == "lindblad":
             # a generator without jumps has a 0 x 0 Kossakowski matrix
             c = np.zeros((0, 0)) if obj["kossakowski"] == [] else _pairs_to_complex(obj["kossakowski"])
@@ -363,11 +365,13 @@ def load_model(path: Path):
         if kind == "kraus":
             if not isinstance(obj["kraus_ops"], list):
                 raise ConfigError("kraus_ops must be a list of matrices")
-            channel = KrausChannel(tuple(_pairs_to_complex(g) for g in obj["kraus_ops"]))
+            ops = [_pairs_to_complex(g) for g in obj["kraus_ops"]]
             tau = obj.get("tau", math.nan)
+            # the operators are checked before tau
+            source = Dynamics.single_map(h, ops, float(tau) if _is_tau(tau) else math.nan)
             if "tau" in obj and not _is_tau(tau):
                 raise ConfigError(f"tau must be a finite number >= 0, got {tau!r}")
-            return Dynamics.single_map(h, channel, float(tau))
+            return source
         return Dynamics.semigroup(h, bloch4_to_superop(np.real(_pairs_to_complex(obj["generator"]))))
     except KeyError as exc:
         raise ConfigError(f"model file misses required field {exc}") from exc

@@ -1,10 +1,12 @@
-"""CPTP dynamics: Kraus channels, Lindblad generators, superoperator
-representations, Heisenberg duals, CPTP verification and ``Dynamics``, whose
-maps at a time grid come as stacks that every check, ``classify`` of a
-channel family too, reads; no map is evolved, applied or made Kraus alone.
+"""CPTP dynamics: Lindblad generators, superoperator matrices, CPTP
+verification and ``Dynamics``, whose maps at a time grid come as stacks
+that every check, ``classify`` of a channel family too, reads; no map is
+evolved, applied or made Kraus alone.
 
-Superoperators are ``d^2 x d^2`` matrices acting on column-stacked
-operators.  The Choi matrix convention is
+A map is a plain Schroedinger-picture ``d^2 x d^2`` matrix acting on
+column-stacked operators, a Kraus family a zero-padded stack ``(t, j, d,
+d)``; the Heisenberg picture, the trace dual, is taken only inside
+``balance``.  The Choi matrix convention is
 
     Choi = sum_ij |i><j| (x) Map[|i><j|],
 
@@ -23,71 +25,13 @@ from typing import Callable
 import numpy as np
 
 from . import matlin
-from .errors import DimensionMismatch, KossakowskiNotPSD, NotTracePreserving
+from .errors import ConfigError, DimensionMismatch, KossakowskiNotPSD, NotTracePreserving
 from .matlin import dag, kron
 from .states import HamiltonianSpec
-
-SCHRODINGER = "schrodinger"
-HEISENBERG = "heisenberg"
 
 TP_ATOL = 1e-10
 PSD_ATOL = 1e-10
 BASIS_ATOL = 1e-12
-
-
-@dataclass(frozen=True)
-class SuperOperator:
-    """Matrix form of a linear map on operators (column-stacking layout)."""
-
-    matrix: np.ndarray
-    picture: str = SCHRODINGER
-
-    def __post_init__(self):
-        m = np.asarray(self.matrix, dtype=complex)
-        object.__setattr__(self, "matrix", m)
-        if m.ndim != 2 or m.shape[0] != m.shape[1]:
-            raise DimensionMismatch(f"superoperator must be square, got shape {m.shape}")
-        d = math.isqrt(m.shape[0])
-        if d * d != m.shape[0]:
-            raise DimensionMismatch(f"superoperator side {m.shape[0]} is not a perfect square")
-        if self.picture not in (SCHRODINGER, HEISENBERG):
-            raise ValueError(f"unknown picture {self.picture!r}")
-
-    @property
-    def dim(self) -> int:
-        return math.isqrt(self.matrix.shape[0])
-
-
-@dataclass(frozen=True)
-class KrausChannel:
-    """CPTP map given by a finite Kraus family."""
-
-    kraus_ops: tuple
-
-    def __post_init__(self):
-        ops = tuple(np.asarray(g, dtype=complex) for g in self.kraus_ops)
-        if not ops:
-            raise NotTracePreserving("empty Kraus family cannot preserve the trace")
-        d = ops[0].shape[0]
-        for g in ops:
-            if g.ndim != 2 or g.shape != (d, d):
-                raise DimensionMismatch("all Kraus operators must be square with equal size")
-        object.__setattr__(self, "kraus_ops", ops)
-        _require_trace_preserving(np.array([ops]))
-
-    @property
-    def dim(self) -> int:
-        return self.kraus_ops[0].shape[0]
-
-
-def _require_trace_preserving(kraus: np.ndarray) -> None:
-    """Raise ``NotTracePreserving`` for the first slice of a Kraus stack
-    ``(t, j, d, d)`` whose ``sum_j G^dag G`` misses the identity."""
-    gram = (kraus.conj().swapaxes(-1, -2) @ kraus).sum(axis=1)
-    res = np.abs(gram - np.eye(kraus.shape[-1])).max(axis=(1, 2))
-    failing = np.flatnonzero(~(res <= TP_ATOL))  # a nan residual fails too
-    if failing.size:
-        raise NotTracePreserving(f"sum G^dag G differs from identity by {res[failing[0]]:.3e}")
 
 
 def gell_mann_basis(d: int) -> list:
@@ -148,7 +92,8 @@ class LindbladGenerator:
             raise DimensionMismatch(f"Kossakowski matrix must be {n}x{n}, got {c.shape}")
         if not matlin.is_hermitian(c, PSD_ATOL):
             raise KossakowskiNotPSD("Kossakowski matrix is not Hermitian")
-        lo = float(np.min(np.linalg.eigvalsh((c + dag(c)) / 2), initial=0.0))
+        # halves first: the sum of two entries near the float range would overflow
+        lo = float(np.min(np.linalg.eigvalsh(c / 2 + dag(c) / 2), initial=0.0))
         if lo < -PSD_ATOL:
             raise KossakowskiNotPSD(f"Kossakowski matrix has negative eigenvalue {lo:.3e}")
         traced = np.flatnonzero(np.abs(np.trace(basis, axis1=1, axis2=2)) > BASIS_ATOL)
@@ -198,48 +143,32 @@ def commutator_superop(h_matrix: np.ndarray) -> np.ndarray:
     return kron(eye, h) - kron(h.T, eye)
 
 
-def lindblad_superop(gen: LindbladGenerator) -> SuperOperator:
+def lindblad_superop(gen: LindbladGenerator) -> np.ndarray:
     """Schroedinger-picture generator matrix.
 
     Implements ``-i[H, .] + sum_kl C_kl (F_k . F_l^dag - {F_l^dag F_k, .}/2)``
     as ``-i[H, .] + sum_l conj(F_l) (x) G_l - (I (x) A + A^T (x) I)/2`` with
-    ``G_l = sum_k C_kl F_k`` and ``A = sum_l F_l^dag G_l``.
+    ``G_l = sum_k C_kl F_k`` and ``A = sum_l F_l^dag G_l``.  An entry that
+    overflows reads inf or nan, which :meth:`Dynamics.semigroup` rejects.
     """
     d = gen.dim
     eye = np.eye(d, dtype=complex)
     f = gen.basis
-    g = np.einsum("kl,kab->lab", gen.kossakowski, f)
-    a = np.einsum("lba,lbc->ac", f.conj(), g)
-    jumps = np.einsum("lab,lce->acbe", f.conj(), g).reshape(d * d, d * d)
-    m = -1j * commutator_superop(gen.hamiltonian.matrix) + jumps - 0.5 * (kron(eye, a) + kron(a.T, eye))
-    return SuperOperator(m, SCHRODINGER)
+    with np.errstate(over="ignore", invalid="ignore"):
+        g = np.einsum("kl,kab->lab", gen.kossakowski, f)
+        a = np.einsum("lba,lbc->ac", f.conj(), g)
+        jumps = np.einsum("lab,lce->acbe", f.conj(), g).reshape(d * d, d * d)
+        return -1j * commutator_superop(gen.hamiltonian.matrix) + jumps - 0.5 * (kron(eye, a) + kron(a.T, eye))
 
 
-def trace_dual(m: np.ndarray) -> np.ndarray:
-    """``K m^T K``, the trace dual, of a superoperator matrix or of each of a
-    stack ``(t, d^2, d^2)``; ``K`` is ``X -> X^T``, so this is a permutation."""
-    d = math.isqrt(m.shape[-1])
-    return m.reshape(-1, d, d, d, d).transpose(0, 4, 3, 2, 1).reshape(m.shape)
-
-
-def heisenberg_dual(s: SuperOperator) -> SuperOperator:
-    """Dual map under the trace pairing ``Tr[S[x] y] == Tr[x S#[y]]``.
-
-    Works for generators and for finite-time maps alike and toggles the
-    picture tag.
-    """
-    flipped = HEISENBERG if s.picture == SCHRODINGER else SCHRODINGER
-    return SuperOperator(trace_dual(s.matrix), flipped)
-
-
-def evolve_grid(superop: SuperOperator, taus) -> np.ndarray:
+def evolve_grid(generator: np.ndarray, taus) -> np.ndarray:
     """The matrices of ``exp(tau * L)`` for every ``tau`` of ``taus``,
     stacked ``(t, d^2, d^2)``, from one stacked matrix exponential."""
     taus = np.asarray(taus, dtype=float).reshape(-1)
     if np.any(taus < 0):
         raise ValueError("tau must be nonnegative")
     with np.errstate(over="ignore"):  # tau L may overflow; expm turns it to nan
-        return matlin.expm(taus[:, None, None] * superop.matrix)
+        return matlin.expm(taus[:, None, None] * generator)
 
 
 def _kraus_superops(kraus: np.ndarray) -> np.ndarray:
@@ -254,10 +183,15 @@ def _kraus_superops(kraus: np.ndarray) -> np.ndarray:
 
 def _kraus_stacks(kraus: np.ndarray, h: HamiltonianSpec) -> tuple:
     """The ``(superops, kraus)`` stacks of a zero-padded Kraus stack ``(t, j,
-    d, d)``, checked for h's dimension and for ``sum_j G^dag G == I``."""
+    d, d)``, checked for ``sum_j G^dag G == I``, first failing slice first,
+    and then for h's dimension."""
+    gram = (kraus.conj().swapaxes(-1, -2) @ kraus).sum(axis=1)
+    res = np.abs(gram - np.eye(kraus.shape[-1])).max(axis=(1, 2))
+    failing = np.flatnonzero(~(res <= TP_ATOL))  # a nan residual fails too
+    if failing.size:
+        raise NotTracePreserving(f"sum G^dag G differs from identity by {res[failing[0]]:.3e}")
     if kraus.shape[2:] != (h.dim,) * 2:
         raise DimensionMismatch("channel dimension does not match the Hamiltonian")
-    _require_trace_preserving(kraus)
     return _kraus_superops(kraus), kraus
 
 
@@ -268,39 +202,26 @@ def require_superop_dim(superops: np.ndarray, h: HamiltonianSpec) -> np.ndarray:
     return superops
 
 
-def map_stacks(g, h: HamiltonianSpec) -> tuple:
-    """The ``(superops, kraus)`` stacks of :meth:`Dynamics.maps`, one map deep,
-    of a Kraus channel or Schroedinger-picture superoperator ``g`` (``kraus``
-    None) on h's operators; raises for another type, picture or dimension."""
-    if isinstance(g, KrausChannel):
-        return _kraus_stacks(np.array([g.kraus_ops]), h)
-    if not isinstance(g, SuperOperator):
-        raise TypeError(f"unsupported map type {type(g).__name__}")
-    if g.picture != SCHRODINGER:
-        raise ValueError("transition probabilities need a Schroedinger-picture map")
-    return require_superop_dim(g.matrix[None], h), None
-
-
-def choi_matrix(s: SuperOperator) -> np.ndarray:
+def choi_matrix(s: np.ndarray) -> np.ndarray:
     """``sum_ij |i><j| (x) S[|i><j|]``: block ``(i, j)`` holds the column
     ``j d + i`` of ``S``, unvectorized, so the Choi matrix is a reshuffle."""
-    d = s.dim
-    return s.matrix.reshape(d, d, d, d).transpose(3, 1, 2, 0).reshape(d * d, d * d)
+    d = math.isqrt(s.shape[0])
+    return s.reshape(d, d, d, d).transpose(3, 1, 2, 0).reshape(d * d, d * d)
 
 
 def _partial_trace_out(choi: np.ndarray, d: int) -> np.ndarray:
     return np.trace(choi.reshape(d, d, d, d), axis1=1, axis2=3)
 
 
-def is_cptp(s: SuperOperator) -> tuple:
+def is_cptp(s: np.ndarray) -> tuple:
     """CPTP residuals ``(cp, tp, herm)`` of a Schroedinger-picture map: the
     Choi matrix's most negative eigenvalue (0 if none), the defect of
     ``Tr_out[Choi] == I`` and the Choi matrix's anti-Hermitian part, the
     last two as Frobenius norms.  A map with non-finite entries gets
     infinite residuals."""
-    if not np.all(np.isfinite(s.matrix)):
+    if not np.all(np.isfinite(s)):
         return math.inf, math.inf, math.inf
-    d = s.dim
+    d = math.isqrt(s.shape[0])
     choi = choi_matrix(s)
     herm_res = matlin.frobenius(choi - dag(choi))
     sym = (choi + dag(choi)) / 2
@@ -314,26 +235,28 @@ def is_cptp(s: SuperOperator) -> tuple:
 class Dynamics:
     """One dynamics to verify: a semigroup or a Kraus channel family.
 
-    Exactly one of ``generator`` (a Schroedinger-picture generator
-    superoperator) and ``family`` (a callable ``taus -> (t, j, d, d)`` Kraus
-    stack, zero-padded) is set.  A single map is a family at one time: its
-    ``tau`` is set, and its family repeats the map at every requested time.
-    Build a value with :meth:`semigroup`, :meth:`channel_family` or
+    Exactly one of ``generator`` (the Schroedinger-picture generator matrix)
+    and ``family`` (a callable ``taus -> (t, j, d, d)`` Kraus stack,
+    zero-padded) is set.  A single map is a family at one time: its ``tau``
+    is set, and its family repeats the map at every requested time.  Build a
+    value with :meth:`semigroup`, :meth:`channel_family` or
     :meth:`single_map`.
     """
 
     h: HamiltonianSpec
-    generator: SuperOperator | None
+    generator: np.ndarray | None
     family: Callable[[tuple], np.ndarray] | None
     tau: float | None
 
     @classmethod
-    def semigroup(cls, h: HamiltonianSpec, generator: SuperOperator | LindbladGenerator) -> "Dynamics":
-        """Semigroup of a generator ``SuperOperator`` or of a
-        ``LindbladGenerator``, whose superoperator is built here, once."""
+    def semigroup(cls, h: HamiltonianSpec, generator: np.ndarray | LindbladGenerator) -> "Dynamics":
+        """Semigroup of a generator matrix or of a ``LindbladGenerator``,
+        whose matrix is built here, once; a generator with a non-finite
+        entry, one that overflowed, raises ``ConfigError``."""
         if isinstance(generator, LindbladGenerator):
             generator = lindblad_superop(generator)
-        map_stacks(generator, h)
+        if not np.all(np.isfinite(require_superop_dim(generator, h))):
+            raise ConfigError("the model overflows: its generator has a non-finite entry")
         return cls(h, generator, None, None)
 
     @classmethod
@@ -341,8 +264,14 @@ class Dynamics:
         return cls(h, None, family, None)
 
     @classmethod
-    def single_map(cls, h: HamiltonianSpec, channel: KrausChannel, tau: float) -> "Dynamics":
-        _, kraus = map_stacks(channel, h)
+    def single_map(cls, h: HamiltonianSpec, kraus_ops, tau: float) -> "Dynamics":
+        """The one map of the Kraus operators ``kraus_ops``, taken at ``tau``."""
+        ops = [np.asarray(g, dtype=complex) for g in kraus_ops]
+        if not ops:
+            raise NotTracePreserving("empty Kraus family cannot preserve the trace")
+        if any(g.ndim != 2 or g.shape != (len(ops[0]),) * 2 for g in ops):
+            raise DimensionMismatch("all Kraus operators must be square with equal size")
+        _, kraus = _kraus_stacks(np.array([ops]), h)
         return cls(h, None, lambda taus: np.repeat(kraus, len(taus), axis=0), tau)
 
     def maps(self, taus) -> tuple:

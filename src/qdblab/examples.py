@@ -26,7 +26,7 @@ from typing import Callable
 
 import numpy as np
 
-from .dynamics import SCHRODINGER, LindbladGenerator, SuperOperator, evolve_grid, is_cptp
+from .dynamics import LindbladGenerator, evolve_grid, is_cptp
 from .errors import DimensionMismatch, NotCPTP, ScheduleOutOfRange
 from .matlin import dag, vec
 from .states import SIGMA_X, SIGMA_Y, SIGMA_Z, HamiltonianSpec
@@ -277,25 +277,27 @@ _PAULI_STACK = np.column_stack(
 )
 
 
-def bloch4_to_superop(l4: np.ndarray) -> SuperOperator:
+def bloch4_to_superop(l4: np.ndarray) -> np.ndarray:
     """Density-matrix generator from a Bloch-coordinate generator.
 
     With ``vec(rho) = P b / 2`` for the Pauli column stack ``P`` and
     ``db/dtau = -2 LL b``, the vectorized generator is ``-P LL P^dag``
-    (``P^dag P = 2 I``).
+    (``P^dag P = 2 I``).  An entry that overflows reads inf or nan, which
+    ``Dynamics.semigroup`` rejects.
     """
     l4 = np.asarray(l4, dtype=complex)
     if l4.shape != (4, 4):
         raise DimensionMismatch(f"Bloch generator must be 4x4, got {l4.shape}")
-    return SuperOperator(-_PAULI_STACK @ l4 @ dag(_PAULI_STACK), SCHRODINGER)
+    with np.errstate(over="ignore", invalid="ignore"):
+        return -_PAULI_STACK @ l4 @ dag(_PAULI_STACK)
 
 
-def example_c_generator(p: ExampleCParams, cptp_tol: float = 1e-9) -> SuperOperator:
+def example_c_generator(p: ExampleCParams, cptp_tol: float = 1e-9) -> np.ndarray:
     """Schroedinger-picture generator; the induced maps at ``CPTP_CHECK_TAUS``
     must verify as CPTP."""
     s = bloch4_to_superop(example_c_bloch_matrix(p))
     for tau, g in zip(CPTP_CHECK_TAUS, evolve_grid(s, CPTP_CHECK_TAUS)):
-        cp, tp, herm = is_cptp(SuperOperator(g))
+        cp, tp, herm = is_cptp(g)
         if not max(cp, tp, herm) < cptp_tol:  # not >=, so that a nan tolerance fails
             raise NotCPTP(
                 f"induced map at tau={tau:g} fails CPTP: cp={cp:.3e}, tp={tp:.3e}, herm={herm:.3e}"

@@ -303,7 +303,7 @@ def classify(source: Dynamics) -> Classification:
     """
     h = source.h
     if source.generator is not None:
-        return _classify_semigroup(source.generator.matrix, h)
+        return _classify_semigroup(source.generator, h)
     if source.tau is None:
         return _classify_family(source.maps((TAU_MAX, *FIXED_POINT_TAUS))[0], h)
     # one map: only its eigenvalue 1 is probed for a thermal fixed point

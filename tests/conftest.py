@@ -10,19 +10,14 @@ import pytest
 
 from qdblab import matlin
 from qdblab.dynamics import (
-    HEISENBERG,
-    SCHRODINGER,
-    KrausChannel,
     LindbladGenerator,
-    SuperOperator,
+    _kraus_stacks,
     _kraus_superops,
     choi_matrix,
     commutator_superop,
     evolve_grid,
-    heisenberg_dual,
     is_cptp,
-    lindblad_superop,
-    map_stacks,
+    require_superop_dim,
 )
 from qdblab.examples import (
     _PAULI_STACK,
@@ -151,7 +146,7 @@ def inverted_qubit():
     return LindbladGenerator.from_jump_operators(h, [lower, np.sqrt(2) * lower.T]), -np.log(2.0)
 
 
-def reference_lindblad_superop(gen: LindbladGenerator) -> SuperOperator:
+def reference_lindblad_superop(gen: LindbladGenerator) -> np.ndarray:
     """Schroedinger-picture generator matrix.
 
     Implements ``-i[H, .] + sum_kl C_kl (F_k . F_l^dag - {F_l^dag F_k, .}/2)``
@@ -172,15 +167,15 @@ def reference_lindblad_superop(gen: LindbladGenerator) -> SuperOperator:
                 - 0.5 * kron(eye, fld_fk)
                 - 0.5 * kron(fld_fk.T, eye)
             )
-    return SuperOperator(m, SCHRODINGER)
+    return m
 
 
-def dual_superop(gen: LindbladGenerator) -> SuperOperator:
+def dual_superop(gen: LindbladGenerator) -> np.ndarray:
     """Heisenberg-picture generator matrix.
 
     Implements ``+i[H, .] + sum_kl C_kl (F_l^dag . F_k - {F_l^dag F_k, .}/2)``,
-    the trace dual of :func:`qdblab.dynamics.lindblad_superop`.  The library
-    takes duals with :func:`qdblab.dynamics.heisenberg_dual`; this literal
+    the trace dual of :func:`qdblab.dynamics.lindblad_superop`.  The balance
+    checks take duals with ``qdblab.balance._trace_dual``; this literal
     transcription of the formula is the reference that route is checked
     against.
     """
@@ -198,12 +193,7 @@ def dual_superop(gen: LindbladGenerator) -> SuperOperator:
                 - 0.5 * kron(eye, fld_fk)
                 - 0.5 * kron(fld_fk.T, eye)
             )
-    return SuperOperator(m, HEISENBERG)
-
-
-def heisenberg_generator(gen: LindbladGenerator):
-    """The Heisenberg-picture generator that ``check_qdb1`` takes."""
-    return heisenberg_dual(lindblad_superop(gen))
+    return m
 
 
 Gap = namedtuple("Gap", "energy p_plus p_minus")
@@ -211,13 +201,20 @@ Ratio = namedtuple("Ratio", "energy ratio predicted deviation")
 
 
 def a_channel(p, tau):
-    """Scenario A's channel at ``tau`` as one ``KrausChannel``."""
-    return KrausChannel(tuple(example_a_channel(p, (tau,))[0]))
+    """Scenario A's Kraus operators ``(4, 2, 2)`` at ``tau``."""
+    return example_a_channel(p, (tau,))[0]
+
+
+def stacks_of(g, h):
+    """The ``(superops, kraus)`` stacks of ``Dynamics.maps``, one map deep, of
+    Kraus operators ``(j, d, d)`` or a superoperator ``(d^2, d^2)`` ``g``."""
+    g = np.asarray(g, dtype=complex)
+    return _kraus_stacks(g[None], h) if g.ndim == 3 else (require_superop_dim(g[None], h), None)
 
 
 def exchange_at(g, h, beta_i, beta_f, tau=0.0):
     """Exchange statistics of the one map ``g``, taken at ``tau``."""
-    return exchange_grid(map_stacks(g, h), h, beta_i, beta_f, (tau,))
+    return exchange_grid(stacks_of(g, h), h, beta_i, beta_f, (tau,))
 
 
 def gap_records(grid, t=0):
@@ -305,27 +302,23 @@ def inner(space: WeightedSpace, a: np.ndarray, b: np.ndarray) -> complex:
     return complex(np.trace(space.sigma_power(1.0 - space.s) @ dag(a) @ space.sigma_power(space.s) @ b))
 
 
-def adjoint(space: WeightedSpace, op: SuperOperator) -> SuperOperator:
+def adjoint(space: WeightedSpace, op: np.ndarray) -> np.ndarray:
     """Adjoint ``O*`` with ``<<A, O[B]>> == <<O*[A], B>>``."""
-    if op.dim != space.dim:
-        raise DimensionMismatch(f"superoperator dim {op.dim} != space dim {space.dim}")
-    return SuperOperator(space.weight_inv @ dag(op.matrix) @ space.weight, op.picture)
+    if op.shape != (space.dim**2,) * 2:
+        raise DimensionMismatch(f"superoperator shape {op.shape} does not act on dim {space.dim}")
+    return space.weight_inv @ dag(op) @ space.weight
 
 
-def decompose(space: WeightedSpace, dual_gen: SuperOperator):
+def decompose(space: WeightedSpace, dual_gen: np.ndarray):
     """Split a Heisenberg generator into anti-self-adjoint and self-adjoint
     halves ``(L - L*)/2`` and ``(L + L*)/2``."""
     star = adjoint(space, dual_gen)
-    ham_part = SuperOperator((dual_gen.matrix - star.matrix) / 2, dual_gen.picture)
-    dis_part = SuperOperator((dual_gen.matrix + star.matrix) / 2, dual_gen.picture)
-    return ham_part, dis_part
+    return (dual_gen - star) / 2, (dual_gen + star) / 2
 
 
-def check_qdb1_invariance(space: WeightedSpace, gen: SuperOperator) -> float:
+def check_qdb1_invariance(space: WeightedSpace, gen: np.ndarray) -> float:
     """``|L[Sigma]|_F`` of a Schroedinger-picture generator; vanishes
     whenever the generator-level balance holds."""
-    if gen.picture != SCHRODINGER:
-        raise ValueError("check_qdb1_invariance expects a Schroedinger-picture generator")
     return matlin.frobenius(apply_matrix(gen, space.sigma.matrix))
 
 
@@ -380,9 +373,7 @@ def r_s_superop(space: WeightedSpace) -> np.ndarray:
     return kron(space.sigma_power(2 * space.s - 1).T, space.sigma_power(1 - 2 * space.s))
 
 
-def check_lemma_invariant_subspace(
-    space: WeightedSpace, dual: SuperOperator, taus=(0.1, 0.5, 1.0, 5.0)
-) -> tuple:
+def check_lemma_invariant_subspace(space: WeightedSpace, dual: np.ndarray, taus=(0.1, 0.5, 1.0, 5.0)) -> tuple:
     """Invariance of the populations sector and its orthocomplement.
 
     For the Heisenberg maps of a balanced generator, projectors onto
@@ -392,8 +383,6 @@ def check_lemma_invariant_subspace(
     largest defects ``(diagonal_leak, offdiagonal_leak,
     rs_commutation_residual)`` over ``taus``.
     """
-    if dual.picture != HEISENBERG:
-        raise ValueError("check_lemma_invariant_subspace expects a Heisenberg-picture generator")
     d = space.dim
     basis_vecs = matlin.herm_eig(space.sigma.matrix, atol=1e-10)[1]
     rs = r_s_superop(space)
@@ -402,7 +391,7 @@ def check_lemma_invariant_subspace(
     comm_res = 0.0
     for tau in taus:
         g = evolve(dual, tau)
-        comm_res = max(comm_res, matlin.frobenius(g.matrix @ rs - rs @ g.matrix))
+        comm_res = max(comm_res, matlin.frobenius(g @ rs - rs @ g))
         for m in range(d):
             col = basis_vecs[:, m : m + 1]
             out = apply_matrix(g, col @ dag(col))
@@ -512,11 +501,11 @@ def example_qdb_family(mu: float, eta: float, omega: float, beta_f: float) -> Li
     return LindbladGenerator.from_jump_operators(qubit_hamiltonian(omega), jumps)
 
 
-def superop_to_bloch4(s: SuperOperator) -> np.ndarray:
+def superop_to_bloch4(s: np.ndarray) -> np.ndarray:
     """Inverse of :func:`qdblab.examples.bloch4_to_superop` for qubit superoperators."""
-    if s.dim != 2:
+    if s.shape != (4, 4):
         raise DimensionMismatch("Bloch coordinates are defined for qubits only")
-    return -0.25 * dag(_PAULI_STACK) @ s.matrix @ _PAULI_STACK
+    return -0.25 * dag(_PAULI_STACK) @ s @ _PAULI_STACK
 
 
 def k_plus(p: ExampleCParams) -> complex:
@@ -555,13 +544,13 @@ def example_c_solution(p: ExampleCParams, r0: BlochVector, tau: float) -> BlochV
 
 def transition_matrix(g, h: HamiltonianSpec) -> np.ndarray:
     """``p[m, n] = <n| Map[|m><m|] |n>`` over h's ascending eigenbasis, for
-    one Kraus channel or Schroedinger-picture superoperator ``g``.
+    one map ``g``, Kraus operators or a Schroedinger-picture superoperator.
 
-    For a Kraus channel the equivalent route ``sum_j |<n|G_j|m>|^2`` is
+    For Kraus operators the equivalent route ``sum_j |<n|G_j|m>|^2`` is
     evaluated as well and the two must agree; the probabilities must be
     nonnegative and each row must sum to 1.
     """
-    probs, checks = _transition_stack(*map_stacks(g, h), h)
+    probs, checks = _transition_stack(*stacks_of(g, h), h)
     _raise_first(checks)
     return probs[0]
 
@@ -594,11 +583,11 @@ def default_tau_max(classification: Classification) -> float:
     return TAU_MAX
 
 
-def reference_classify_single_map(channel: KrausChannel, h: HamiltonianSpec) -> Classification:
+def reference_classify_single_map(kraus_ops, h: HamiltonianSpec) -> Classification:
     """Classification of one Kraus map from its own superoperator: the
     reference for the single-map branch of :func:`qdblab.fluctuation.classify`,
     which takes the map from its one-point family."""
-    eigs, vecs = np.linalg.eig(superop_from_channel(channel).matrix)
+    eigs, vecs = np.linalg.eig(superop_from_channel(kraus_ops))
     one = np.abs(eigs - 1.0) < UNIT_EIG_ATOL
     if int(np.sum(one)) != 1:
         return Classification(kind="single_map")
@@ -626,40 +615,34 @@ def trace_norm(a: np.ndarray) -> float:
     return float(np.sum(np.linalg.svd(np.asarray(a, dtype=complex), compute_uv=False)))
 
 
-def evolve(superop: SuperOperator, tau: float) -> SuperOperator:
+def evolve(generator: np.ndarray, tau: float) -> np.ndarray:
     """Finite-time map ``exp(tau * L)`` of a generator superoperator."""
-    return SuperOperator(evolve_grid(superop, (tau,))[0], superop.picture)
+    return evolve_grid(generator, (tau,))[0]
 
 
 def apply_matrix(g, x: np.ndarray) -> np.ndarray:
-    """Map a d x d operator through a Kraus channel or a superoperator."""
+    """Map a d x d operator through Kraus operators ``(j, d, d)`` or a
+    superoperator ``(d^2, d^2)``."""
     x = np.asarray(x, dtype=complex)
-    if x.shape != (g.dim, g.dim):
-        raise DimensionMismatch(f"operand shape {x.shape} does not match dim {g.dim}")
-    if isinstance(g, KrausChannel):
-        return sum(k @ x @ dag(k) for k in g.kraus_ops)
-    return unvec(g.matrix @ vec(x), g.dim, g.dim)
+    g = np.asarray(g, dtype=complex)
+    d = g.shape[-1] if g.ndim == 3 else math.isqrt(g.shape[0])
+    if x.shape != (d, d):
+        raise DimensionMismatch(f"operand shape {x.shape} does not match dim {d}")
+    return sum(k @ x @ dag(k) for k in g) if g.ndim == 3 else unvec(g @ vec(x), d, d)
 
 
-def apply(channel_or_superop, rho: DensityMatrix) -> DensityMatrix:
-    """Send a state through a channel or Schroedinger-picture superoperator."""
-    if isinstance(channel_or_superop, KrausChannel):
-        out = apply_matrix(channel_or_superop, rho.matrix)
-    elif isinstance(channel_or_superop, SuperOperator):
-        if channel_or_superop.picture != SCHRODINGER:
-            raise ValueError("cannot apply a Heisenberg-picture map to a state")
-        out = apply_matrix(channel_or_superop, rho.matrix)
-    else:
-        raise TypeError(f"cannot apply object of type {type(channel_or_superop).__name__}")
+def apply(g, rho: DensityMatrix) -> DensityMatrix:
+    """Send a state through Kraus operators or a Schroedinger-picture superoperator."""
+    out = apply_matrix(g, rho.matrix)
     return DensityMatrix((out + dag(out)) / 2)
 
 
-def superop_from_channel(channel: KrausChannel) -> SuperOperator:
+def superop_from_channel(kraus_ops) -> np.ndarray:
     """Column-stacking matrix ``sum_j conj(G_j) (x) G_j`` of a Kraus map."""
-    return SuperOperator(_kraus_superops(np.array([channel.kraus_ops]))[0], SCHRODINGER)
+    return _kraus_superops(np.array([kraus_ops], dtype=complex))[0]
 
 
-def channel_from_superop(s: SuperOperator) -> KrausChannel:
+def channel_from_superop(s: np.ndarray) -> np.ndarray:
     """Kraus family from the Choi eigendecomposition of a CPTP map.
 
     Eigenvalues in ``(-1e-8, 0)`` are clamped to zero (warned above noise
@@ -670,7 +653,7 @@ def channel_from_superop(s: SuperOperator) -> KrausChannel:
         raise NotCompletelyPositive(f"Choi minimum eigenvalue is {-cp:.3e}")
     if tp > CHOI_NEG_HARD:
         raise NotTracePreserving(f"trace-preservation residual is {tp:.3e}")
-    d = s.dim
+    d = math.isqrt(s.shape[0])
     choi = choi_matrix(s)
     choi = (choi + dag(choi)) / 2
     w, v = matlin.herm_eig(choi)
@@ -685,11 +668,10 @@ def channel_from_superop(s: SuperOperator) -> KrausChannel:
         for a in range(len(w))
         if w[a] > KRAUS_RANK_FLOOR
     ]
-    channel = KrausChannel(tuple(ops))
-    residual = matlin.frobenius(superop_from_channel(channel).matrix - s.matrix)
+    residual = matlin.frobenius(superop_from_channel(ops) - s)
     if residual > ROUNDTRIP_ATOL:
         raise InternalCheckError(f"Kraus reconstruction misses the superoperator by {residual:.3e}")
-    return channel
+    return np.array(ops)
 
 
 def _probe_states(d: int) -> list:
@@ -712,8 +694,7 @@ def reference_classify_family(source) -> Classification:
     :func:`qdblab.fluctuation.classify`, which reads the superoperator stack."""
     h = source.h
     _, kraus = source.maps((TAU_MAX, *FIXED_POINT_TAUS))
-    final = KrausChannel(tuple(kraus[0]))
-    finals = [apply(final, p).matrix for p in _probe_states(h.dim)]
+    finals = [apply(kraus[0], p).matrix for p in _probe_states(h.dim)]
     mean = sum(finals) / len(finals)
     mean = (mean + dag(mean)) / 2
     spread = max(trace_norm(f - mean) for f in finals)
@@ -727,7 +708,7 @@ def reference_classify_family(source) -> Classification:
     except (NotThermal, ZeroPopulation):
         return Classification(kind="non_thermalizing")
     fixed = all(
-        trace_norm(apply(KrausChannel(tuple(ops)), state).matrix - state.matrix) < FIXED_POINT_ATOL
+        trace_norm(apply(ops, state).matrix - state.matrix) < FIXED_POINT_ATOL
         for ops in kraus[1:]
     )
     kind = "fpt" if fixed else "thermalizing"

@@ -30,7 +30,6 @@ from conftest import (
     example_qdb_family,
     exchange_at,
     gap_records,
-    heisenberg_generator,
     inner,
     r_s_superop,
     random_complex,
@@ -41,14 +40,7 @@ from conftest import (
 from qdblab import matlin
 from qdblab.balance import check_qdb1, check_qdb2
 from qdblab.cli import main, save_model
-from qdblab.dynamics import (
-    HEISENBERG,
-    Dynamics,
-    SuperOperator,
-    heisenberg_dual,
-    is_cptp,
-    lindblad_superop,
-)
+from qdblab.dynamics import Dynamics, is_cptp, lindblad_superop
 from qdblab.errors import NotCPTP
 from qdblab.examples import (
     ExampleAParams,
@@ -123,7 +115,7 @@ def test_criterion_3_scenario_b_closed_form_balance_and_ratio(rng):
     cls = classify(Dynamics.semigroup(h, gen))
     assert cls.kind == "fpt"
     assert abs(cls.beta_f - BETA_F) < 1e-8
-    assert np.all(check_qdb1(h, BETA_F, S_GRID, heisenberg_generator(gen)) < 1e-10)
+    assert np.all(check_qdb1(h, BETA_F, S_GRID, lindblad_superop(gen)) < 1e-10)
     for tau in TAU_GRID:
         grid = exchange_at(evolve(l, tau), h, BETA_I, BETA_F, tau)
         recs = ratio_records(grid)
@@ -155,8 +147,8 @@ def test_criterion_4_scenario_c_regimes_and_nonequivalence(rng):
                 assert err < 1e-9
     # the anisotropic instance breaks both balance conditions, not the ratio law
     sup = example_c_generator(perturbed)
-    assert max(check_qdb1(h, BETA_F, S_GRID, heisenberg_dual(sup))) > 1e-3
-    maps = np.array([heisenberg_dual(evolve(sup, tau)).matrix for tau in (0.1, 0.5, 1.0, 5.0)])
+    assert max(check_qdb1(h, BETA_F, S_GRID, sup)) > 1e-3
+    maps = np.array([evolve(sup, tau) for tau in (0.1, 0.5, 1.0, 5.0)])
     assert not np.all(check_qdb2(h, BETA_F, S_GRID, maps) < 1e-9)
     for tau in TAU_GRID:
         for rec in ratio_records(exchange_at(evolve(sup, tau), h, BETA_I, BETA_F, tau)):
@@ -171,7 +163,7 @@ def test_criterion_5_balanced_family_pairwise_symmetry():
         eta = rng.uniform(0.0, 1.0)
         beta_f = rng.uniform(0.1, 3.0)
         gen = example_qdb_family(mu, eta, OMEGA, beta_f)
-        assert np.all(check_qdb1(gen.hamiltonian, beta_f, S_GRID, heisenberg_generator(gen)) < 1e-9)
+        assert np.all(check_qdb1(gen.hamiltonian, beta_f, S_GRID, lindblad_superop(gen)) < 1e-9)
         l = lindblad_superop(gen)
         for tau in (0.1, 1.0, 10.0):
             assert check_pairwise_condition(evolve(l, tau), gen.hamiltonian, beta_f) < 1e-10
@@ -199,12 +191,12 @@ def test_criterion_6_thermalizing_maps_asymptotic_ratio_law():
             except NotCPTP:
                 continue
             h = qubit_hamiltonian(OMEGA)
-        cls = classify(Dynamics.semigroup(h, source))
+        dynamics = Dynamics.semigroup(h, source)
+        cls = classify(dynamics)
         assert cls.kind in ("fpt", "thermalizing"), "draw must satisfy the spectral criterion"
         tau_max = default_tau_max(cls)
         beta_i = rng.uniform(0.0, 1.8)
-        l = source if isinstance(source, SuperOperator) else lindblad_superop(source)
-        grid = exchange_at(evolve(l, tau_max), h, beta_i, cls.beta_f, tau_max)
+        grid = exchange_at(evolve(dynamics.generator, tau_max), h, beta_i, cls.beta_f, tau_max)
         defined, _, _, deviation = grid.ratios()
         assert np.all(deviation[defined & (grid.p_minus > 1e-12)] < 1e-6)
         drawn += 1
@@ -275,7 +267,7 @@ def test_criterion_8_structural_invariants():
         space_sigma = random_density(rng, d)
         while min(np.linalg.eigvalsh(space_sigma.matrix)) < 1e-3:
             space_sigma = random_density(rng, d)
-        op = SuperOperator(random_complex(rng, d * d), HEISENBERG)
+        op = random_complex(rng, d * d)
         units = [
             np.outer(np.eye(d)[:, i], np.eye(d)[j])
             for i in range(d)
@@ -317,7 +309,7 @@ def test_criterion_8_structural_invariants():
             rs = r_s_superop(space)
             for tau in (0.1, 1.0, 10.0):
                 gmap = evolve(dual_superop(gen), tau)
-                assert matlin.frobenius(gmap.matrix @ rs - rs @ gmap.matrix) < 1e-10
+                assert matlin.frobenius(gmap @ rs - rs @ gmap) < 1e-10
     # exchange distributions stay normalized across the pools
     for gen, h3 in pools:
         h = h3 if h3 is not None else gen.hamiltonian

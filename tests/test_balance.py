@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -16,7 +17,6 @@ from conftest import (
     dual_superop,
     evolve,
     example_qdb_family,
-    heisenberg_generator,
     inner,
     r_s_superop,
     random_complex,
@@ -25,21 +25,13 @@ from conftest import (
     random_lindblad,
     inverted_qubit,
     thermal_circulation_qutrit,
+    transpose_superop,
 )
 from qdblab import matlin
 from qdblab.balance import check_qdb1, check_qdb2
-from qdblab.dynamics import (
-    HEISENBERG,
-    LindbladGenerator,
-    SuperOperator,
-    commutator_superop,
-    evolve_grid,
-    heisenberg_dual,
-    lindblad_superop,
-    trace_dual,
-)
+from qdblab.dynamics import LindbladGenerator, commutator_superop, evolve_grid, lindblad_superop
 from qdblab.errors import DimensionMismatch
-from qdblab.examples import LOWERING, RAISING, qubit_hamiltonian
+from qdblab.examples import LOWERING, RAISING, example_c_generator, example_c_qdb_point, qubit_hamiltonian
 from qdblab.matlin import dag, vec
 from qdblab.states import SIGMA_X, SIGMA_Y, SIGMA_Z, DensityMatrix, HamiltonianSpec, gibbs
 
@@ -86,21 +78,21 @@ class TestInner:
 class TestAdjoint:
     def test_identity_superop_self_adjoint(self, rng):
         space = WeightedSpace(random_density(rng, 2), 0.5)
-        ident = SuperOperator(np.eye(4), HEISENBERG)
-        assert matlin.frobenius(adjoint(space, ident).matrix - np.eye(4)) < 1e-12
+        ident = np.eye(4, dtype=complex)
+        assert matlin.frobenius(adjoint(space, ident) - np.eye(4)) < 1e-12
 
     def test_commutator_adjoint_flips_sign(self, rng):
         # for the thermal reference the Hamiltonian part is anti-self-adjoint
         h = random_hamiltonian(rng, 3)
         space = WeightedSpace(gibbs(h, 0.9), 0.5)
-        comm = SuperOperator(1j * commutator_superop(h.matrix), HEISENBERG)
+        comm = 1j * commutator_superop(h.matrix)
         star = adjoint(space, comm)
-        assert matlin.frobenius(star.matrix + comm.matrix) < 1e-10
+        assert matlin.frobenius(star + comm) < 1e-10
 
     @pytest.mark.parametrize("s", S_GRID)
     def test_defining_relation_exact_on_matrix_units(self, rng, s):
         space = WeightedSpace(random_density(rng, 2), s)
-        op = SuperOperator(random_complex(rng, 4), HEISENBERG)
+        op = random_complex(rng, 4)
         star = adjoint(space, op)
         for a in matrix_units(2):
             for b in matrix_units(2):
@@ -110,9 +102,9 @@ class TestAdjoint:
 
     def test_double_adjoint_is_involution(self, rng):
         space = WeightedSpace(random_density(rng, 3), 0.25)
-        op = SuperOperator(random_complex(rng, 9), HEISENBERG)
+        op = random_complex(rng, 9)
         twice = adjoint(space, adjoint(space, op))
-        assert matlin.frobenius(twice.matrix - op.matrix) < 1e-11
+        assert matlin.frobenius(twice - op) < 1e-11
 
     def test_singular_reference_rejected(self):
         with pytest.raises(SingularWeight):
@@ -125,31 +117,31 @@ class TestDecompose:
         space = WeightedSpace(gibbs(gen.hamiltonian, 1.2), 0.5)
         ham_part, dis_part = decompose(space, dual_superop(gen))
         expected = 1j * commutator_superop(gen.hamiltonian.matrix)
-        assert matlin.frobenius(ham_part.matrix - expected) < 1e-10
+        assert matlin.frobenius(ham_part - expected) < 1e-10
         # the two halves transform correctly under the adjoint
-        assert matlin.frobenius(adjoint(space, ham_part).matrix + ham_part.matrix) < 1e-10
-        assert matlin.frobenius(adjoint(space, dis_part).matrix - dis_part.matrix) < 1e-10
+        assert matlin.frobenius(adjoint(space, ham_part) + ham_part) < 1e-10
+        assert matlin.frobenius(adjoint(space, dis_part) - dis_part) < 1e-10
 
     def test_zero_dissipator_has_zero_self_adjoint_part(self, rng):
         h = random_hamiltonian(rng, 2)
         gen = LindbladGenerator.canonical(h, np.zeros((3, 3)))
         space = WeightedSpace(gibbs(h, 0.5), 0.5)
         _, dis_part = decompose(space, dual_superop(gen))
-        assert matlin.frobenius(dis_part.matrix) < 1e-11
+        assert matlin.frobenius(dis_part) < 1e-11
 
     def test_parts_reconstruct(self, rng):
         gen = random_lindblad(rng, 2)
         space = WeightedSpace(random_density(rng, 2), 0.75)
         dual = dual_superop(gen)
         ham_part, dis_part = decompose(space, dual)
-        assert matlin.frobenius(ham_part.matrix + dis_part.matrix - dual.matrix) < 1e-13
+        assert matlin.frobenius(ham_part + dis_part - dual) < 1e-13
 
 
-def reference_qdb1(space: WeightedSpace, dual: SuperOperator, h: HamiltonianSpec) -> float:
+def reference_qdb1(space: WeightedSpace, dual: np.ndarray, h: HamiltonianSpec) -> float:
     """``|L# - L#* - 2i [H, .]|_F / |L#|_F`` with the adjoint taken literally,
     ``W^-1 L#^dag W`` for the weight of any full-rank Sigma."""
-    defect = dual.matrix - adjoint(space, dual).matrix - 2j * commutator_superop(h.matrix)
-    return matlin.frobenius(defect) / matlin.frobenius(dual.matrix)
+    defect = dual - adjoint(space, dual) - 2j * commutator_superop(h.matrix)
+    return matlin.frobenius(defect) / matlin.frobenius(dual)
 
 
 def eigenbasis_hamiltonian(rng, d, kind):
@@ -173,18 +165,18 @@ class TestQdb1:
         for _ in range(5):
             mu, eta, beta = rng.uniform(0.1, 2), rng.uniform(0, 1), rng.uniform(0.2, 2)
             gen = example_qdb_family(mu, eta, 1.0, beta)
-            [residual] = check_qdb1(gen.hamiltonian, beta, (s,), heisenberg_generator(gen))
+            [residual] = check_qdb1(gen.hamiltonian, beta, (s,), lindblad_superop(gen))
             assert residual < 1e-10
 
     def test_generic_generator_fails_at_every_s(self, rng):
         gen = random_lindblad(rng, 3)
-        assert np.all(check_qdb1(gen.hamiltonian, 0.8, S_GRID, heisenberg_generator(gen)) > 1e-3)
+        assert np.all(check_qdb1(gen.hamiltonian, 0.8, S_GRID, lindblad_superop(gen)) > 1e-3)
 
     def test_s_grid_verdicts_identical_for_balanced_family(self, rng):
         for _ in range(5):
             mu, eta, beta = rng.uniform(0.1, 2), rng.uniform(0, 1), rng.uniform(0.2, 2)
             gen = example_qdb_family(mu, eta, 1.0, beta)
-            residuals = check_qdb1(gen.hamiltonian, beta, S_GRID, heisenberg_generator(gen))
+            residuals = check_qdb1(gen.hamiltonian, beta, S_GRID, lindblad_superop(gen))
             assert set((residuals < 1e-9).tolist()) == {True}
 
     @pytest.mark.parametrize("d", [2, 3, 4])
@@ -198,34 +190,49 @@ class TestQdb1:
             a = random_complex(rng, n)
             gen = LindbladGenerator.canonical(h, a @ dag(a) / n)
             beta = rng.uniform(0.2, 2.0)
-            dual = heisenberg_generator(gen)
             sigma = gibbs(h, beta)
-            want = [reference_qdb1(WeightedSpace(sigma, s), dual, h) for s in S_GRID]
-            np.testing.assert_allclose(check_qdb1(h, beta, S_GRID, dual), want, rtol=1e-10, atol=0)
+            want = [reference_qdb1(WeightedSpace(sigma, s), dual_superop(gen), h) for s in S_GRID]
+            np.testing.assert_allclose(check_qdb1(h, beta, S_GRID, lindblad_superop(gen)), want, rtol=1e-10, atol=0)
 
     def test_inverted_populations_pass(self):
         # no Gibbs state exists for beta < 0, but the weight does
         gen, beta = inverted_qubit()
-        assert np.all(check_qdb1(gen.hamiltonian, beta, S_GRID, heisenberg_generator(gen)) < 1e-12)
-        assert np.all(check_qdb1(gen.hamiltonian, -beta, S_GRID, heisenberg_generator(gen)) > 1e-2)
+        assert np.all(check_qdb1(gen.hamiltonian, beta, S_GRID, lindblad_superop(gen)) < 1e-12)
+        assert np.all(check_qdb1(gen.hamiltonian, -beta, S_GRID, lindblad_superop(gen)) > 1e-2)
 
     def test_balanced_qubit_passes_where_the_weight_ratio_overflows(self, rng):
         # at beta = 800 the weight ratio e^800 overflows; the adjoint takes it
         # with the rate in logs, so a zero rate stays 0 and e^-500 gives e^300
         h = qubit_hamiltonian(1.0)
         gen = LindbladGenerator.from_jump_operators(h, [math.exp(150) * LOWERING, math.exp(-250) * RAISING])
-        dual = heisenberg_generator(gen)
-        assert np.all(check_qdb1(h, 800.0, S_GRID, dual) < 1e-12)
-        assert np.all(check_qdb1(h, 799.9, S_GRID, dual) > 1e-2)
-        # the defect at beta = 900 is e^400 times the rates, past the float range
-        assert np.all(check_qdb1(h, 900.0, S_GRID, dual) == np.inf)
+        l = lindblad_superop(gen)
+        assert np.all(check_qdb1(h, 800.0, S_GRID, l) < 1e-12)
+        assert np.all(check_qdb1(h, 799.9, S_GRID, l) > 1e-2)
+        # at beta = 900 the defect is e^400 - e^300 against |L#| = sqrt(2.5) e^300,
+        # whose squares are past the float range; at 1300 its entry e^800 is
+        assert check_qdb1(h, 900.0, S_GRID, l) == pytest.approx([math.exp(100) / math.sqrt(2.5)] * 5, rel=1e-10)
+        assert np.all(check_qdb1(h, 1300.0, S_GRID, l) == np.inf)
         circulating, h3 = thermal_circulation_qutrit(rng, beta_f=0.9)
         for beta in (0.9, 800.0):
-            assert np.all(check_qdb1(h3, beta, S_GRID, heisenberg_generator(circulating)) > 1e-3)
+            assert np.all(check_qdb1(h3, beta, S_GRID, lindblad_superop(circulating)) > 1e-3)
+
+    @pytest.mark.parametrize("nu_scale", [1.0, 1.1])
+    def test_residuals_do_not_depend_on_the_units(self, nu_scale):
+        # H and L scaled by c = 2^k and beta by 1/c: the squares of the entries
+        # over- or underflow at |k| = 600, but the residuals stay bitwise equal
+        base = example_c_qdb_point(0.5, 0.1, 1.0, 1.0)
+        p = dataclasses.replace(base, nu=base.nu * nu_scale)
+        h, l = p.hamiltonian(), example_c_generator(p)
+        want = check_qdb1(h, 1.0, S_GRID, l)
+        assert want.max() > 1e-2 if nu_scale != 1.0 else want.max() < 1e-12
+        for k in (-600, -300, 300, 600):
+            c = 2.0**k
+            got = check_qdb1(HamiltonianSpec.from_matrix(c * h.matrix), 1.0 / c, S_GRID, c * l)
+            assert np.array_equal(got, want), k
 
     def test_rejects_a_generator_of_another_dimension(self, rng):
         with pytest.raises(DimensionMismatch):
-            check_qdb1(random_hamiltonian(rng, 2), 0.5, S_GRID, heisenberg_generator(random_lindblad(rng, 3)))
+            check_qdb1(random_hamiltonian(rng, 2), 0.5, S_GRID, lindblad_superop(random_lindblad(rng, 3)))
 
     def test_invariance_of_reference_state(self):
         gen = example_qdb_family(0.4, 0.3, 1.0, 0.9)
@@ -239,18 +246,6 @@ class TestQdb1:
         assert check_qdb1_invariance(space, lindblad_superop(gen)) < 1e-13
 
 
-def test_checks_require_their_picture(rng):
-    gen = random_lindblad(rng, 2)
-    space = WeightedSpace(gibbs(gen.hamiltonian, 0.8), 0.5)
-    schro = lindblad_superop(gen)
-    with pytest.raises(ValueError):
-        check_qdb1(gen.hamiltonian, 0.8, S_GRID, schro)
-    with pytest.raises(ValueError):
-        check_qdb1_invariance(space, heisenberg_generator(gen))
-    with pytest.raises(ValueError):
-        check_lemma_invariant_subspace(space, schro)
-
-
 def test_rotated_model_keeps_the_residuals_of_the_unrotated_one(rng):
     # the residuals are taken over H's eigenbasis units, so a change of the
     # storage basis leaves them as they are
@@ -258,13 +253,12 @@ def test_rotated_model_keeps_the_residuals_of_the_unrotated_one(rng):
     q, _ = np.linalg.qr(random_complex(rng, 3))
     rot = np.kron(q.conj(), q)  # vec(q X q^dag) == rot @ vec(X)
     l = lindblad_superop(gen)
-    l_rot = SuperOperator(rot @ l.matrix @ dag(rot))
+    l_rot = rot @ l @ dag(rot)
     h_rot = HamiltonianSpec.from_matrix(q @ h.matrix @ dag(q))
 
     def residuals(model_h, model_l):
-        maps = trace_dual(evolve_grid(model_l, (0.1, 0.5, 1.0, 5.0)))
-        dual = heisenberg_dual(model_l)
-        return check_qdb1(model_h, 1.0, S_GRID, dual), check_qdb2(model_h, 1.0, S_GRID, maps)
+        maps = evolve_grid(model_l, (0.1, 0.5, 1.0, 5.0))
+        return check_qdb1(model_h, 1.0, S_GRID, model_l), check_qdb2(model_h, 1.0, S_GRID, maps)
 
     want1, want2 = residuals(h, l)
     got1, got2 = residuals(h_rot, l_rot)
@@ -331,8 +325,7 @@ class TestQdb2:
     @pytest.mark.parametrize("s", S_GRID)
     def test_balanced_family_map_passes(self, s):
         gen = example_qdb_family(0.5, 0.1, 1.0, 1.0)
-        heis = evolve(dual_superop(gen), 1.0)
-        [residual] = check_qdb2(gen.hamiltonian, 1.0, (s,), heis.matrix[None])
+        [residual] = check_qdb2(gen.hamiltonian, 1.0, (s,), evolve(lindblad_superop(gen), 1.0)[None])
         assert residual < 1e-10
 
     @pytest.mark.parametrize(
@@ -349,15 +342,16 @@ class TestQdb2:
         units = [np.outer(v[:, i], v[:, j].conj()) for j in range(d) for i in range(d)]
         beta = 0.7
         sigma = gibbs(h, beta)
-        maps = [
-            SuperOperator(random_complex(rng, d * d), HEISENBERG),
-            evolve(dual_superop(random_lindblad(rng, d)), 0.7),
-        ]
+        # Schroedinger maps and their Heisenberg duals, the second from the literal formula
+        gen = random_lindblad(rng, d)
+        k_t = transpose_superop(d)
+        maps = [random_complex(rng, d * d), evolve(lindblad_superop(gen), 0.7)]
+        duals = [k_t @ maps[0].T @ k_t, evolve(dual_superop(gen), 0.7)]
         s_grid = (0.0, 0.3, 1.0)
-        per_map = [check_qdb2(h, beta, s_grid, g.matrix[None]) for g in maps]
+        per_map = [check_qdb2(h, beta, s_grid, g[None]) for g in maps]
         for k, s in enumerate(s_grid):
             space = WeightedSpace(sigma, s)
-            for g, residuals in zip(maps, per_map):
+            for g, residuals in zip(duals, per_map):
                 literal = max(
                     abs(
                         inner(space, dag(a), apply_matrix(g, b))
@@ -368,7 +362,7 @@ class TestQdb2:
                 )
                 assert residuals[k] == pytest.approx(literal, rel=1e-12)
         # a stack's residual is the largest of its maps'
-        stack = np.array([g.matrix for g in maps])
+        stack = np.array(maps)
         np.testing.assert_allclose(check_qdb2(h, beta, s_grid, stack), np.maximum(*per_map), rtol=1e-14, atol=0)
 
     def test_stack_keeps_a_nan_residual(self, rng):
@@ -381,7 +375,7 @@ class TestQdb2:
 
     def test_inverted_populations_pass(self):
         gen, beta = inverted_qubit()
-        maps = evolve_grid(dual_superop(gen), (0.1, 0.5, 1.0, 5.0))
+        maps = evolve_grid(lindblad_superop(gen), (0.1, 0.5, 1.0, 5.0))
         assert np.all(check_qdb2(gen.hamiltonian, beta, S_GRID, maps) < 1e-12)
         assert np.all(check_qdb2(gen.hamiltonian, -beta, S_GRID, maps) > 1e-3)
 
@@ -390,9 +384,7 @@ class TestInvariantSubspaces:
     def test_balanced_family(self):
         gen = example_qdb_family(0.8, 0.4, 1.0, 1.5)
         space = WeightedSpace(gibbs(gen.hamiltonian, 1.5), 0.25)
-        diagonal_leak, offdiagonal_leak, rs_commutation = check_lemma_invariant_subspace(
-            space, heisenberg_generator(gen)
-        )
+        diagonal_leak, offdiagonal_leak, rs_commutation = check_lemma_invariant_subspace(space, dual_superop(gen))
         assert max(diagonal_leak, offdiagonal_leak, rs_commutation) < 1e-9
         assert rs_commutation < 1e-10
 
@@ -400,7 +392,7 @@ class TestInvariantSubspaces:
         h = qubit_hamiltonian(1.0)
         gen = LindbladGenerator.from_jump_operators(h, [np.sqrt(0.7) * SIGMA_Z])
         space = WeightedSpace(gibbs(h, 0.5), 0.5)
-        leaks = check_lemma_invariant_subspace(space, heisenberg_generator(gen))
+        leaks = check_lemma_invariant_subspace(space, dual_superop(gen))
         assert max(leaks) < 1e-9 and leaks[0] < 1e-12
 
     def test_self_adjoint_part_satisfies_weighted_symmetry(self):
@@ -440,7 +432,7 @@ class TestBalancedImpliesPairwise:
         for _ in range(5):
             mu, eta, beta = rng.uniform(0.1, 2), rng.uniform(0, 1), rng.uniform(0.2, 2)
             gen = example_qdb_family(mu, eta, 1.0, beta)
-            [residual] = check_qdb1(gen.hamiltonian, beta, (0.5,), heisenberg_generator(gen))
+            [residual] = check_qdb1(gen.hamiltonian, beta, (0.5,), lindblad_superop(gen))
             assert residual < 1e-9
             l = lindblad_superop(gen)
             for tau in (0.1, 1.0, 10.0):

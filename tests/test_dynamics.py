@@ -18,27 +18,19 @@ from conftest import (
     transpose_superop,
 )
 from qdblab import matlin
+from qdblab.balance import _trace_dual
 from qdblab.dynamics import (
-    HEISENBERG,
-    SCHRODINGER,
     Dynamics,
-    KrausChannel,
     LindbladGenerator,
-    SuperOperator,
     _partial_trace_out,
     choi_matrix,
     commutator_superop,
     gell_mann_basis,
-    heisenberg_dual,
     is_cptp,
     lindblad_superop,
-    trace_dual,
+    require_superop_dim,
 )
-from qdblab.errors import (
-    DimensionMismatch,
-    KossakowskiNotPSD,
-    NotTracePreserving,
-)
+from qdblab.errors import ConfigError, DimensionMismatch, KossakowskiNotPSD, NotTracePreserving
 from qdblab.matlin import dag, kron
 from qdblab.examples import qubit_hamiltonian
 from qdblab.states import SIGMA_X, gibbs
@@ -87,7 +79,7 @@ class TestLindbladSuperop:
                 - 0.5 * kron(eye, jj)
                 - 0.5 * kron(jj.T, eye)
             )
-        assert matlin.frobenius(lindblad_superop(gen).matrix - expected) < 1e-11
+        assert matlin.frobenius(lindblad_superop(gen) - expected) < 1e-11
 
 
 def random_jumps(rng, d, n):
@@ -101,9 +93,9 @@ class TestBuilderAgainstReference:
 
     @staticmethod
     def assert_matches_references(gen):
-        l = lindblad_superop(gen).matrix
-        assert matlin.frobenius(l - reference_lindblad_superop(gen).matrix) < 1e-12
-        assert matlin.frobenius(trace_dual(l) - dual_superop(gen).matrix) < 1e-12
+        l = lindblad_superop(gen)
+        assert matlin.frobenius(l - reference_lindblad_superop(gen)) < 1e-12
+        assert matlin.frobenius(_trace_dual(l) - dual_superop(gen)) < 1e-12
 
     @pytest.mark.parametrize("d", [2, 3, 4])
     def test_canonical_generators(self, rng, d):
@@ -138,7 +130,7 @@ class TestBuilderAgainstReference:
         h = random_hamiltonian(rng, 3)
         gen = LindbladGenerator.from_jump_operators(h, [])
         assert gen.basis.shape == (0, 3, 3) and gen.kossakowski.shape == (0, 0)
-        assert np.array_equal(lindblad_superop(gen).matrix, -1j * commutator_superop(h.matrix))
+        assert np.array_equal(lindblad_superop(gen), -1j * commutator_superop(h.matrix))
 
     def test_rejects_a_jump_of_the_wrong_shape(self, rng):
         with pytest.raises(DimensionMismatch, match="jump operator"):
@@ -167,21 +159,15 @@ class TestDuality:
         h = random_hamiltonian(rng, 2)
         gen = LindbladGenerator.canonical(h, np.zeros((3, 3)))
         expected = 1j * commutator_superop(h.matrix)
-        assert matlin.frobenius(dual_superop(gen).matrix - expected) < 1e-13
-
-    def test_heisenberg_dual_matches_literal_dual(self, rng):
-        gen = random_lindblad(rng, 3)
-        hd = heisenberg_dual(lindblad_superop(gen))
-        assert hd.picture == HEISENBERG
-        assert matlin.frobenius(hd.matrix - dual_superop(gen).matrix) < 1e-12
+        assert matlin.frobenius(dual_superop(gen) - expected) < 1e-13
 
     @pytest.mark.parametrize("d", [2, 3, 4])
     def test_trace_dual_is_the_transpose_between_permutations(self, rng, d):
         # K m^T K with the permutation K, exact as a product too
         k = transpose_superop(d)
         stack = np.array([random_complex(rng, d * d) for _ in range(3)])
-        assert np.array_equal(trace_dual(stack), [k @ m.T @ k for m in stack])
-        assert np.array_equal(trace_dual(stack[0]), k @ stack[0].T @ k)
+        assert np.array_equal(_trace_dual(stack), [k @ m.T @ k for m in stack])
+        assert np.array_equal(_trace_dual(stack[0]), k @ stack[0].T @ k)
 
     def test_finite_time_duality(self, rng):
         gen = random_lindblad(rng, 2)
@@ -197,13 +183,13 @@ class TestEvolve:
     def test_zero_time_is_identity(self, rng):
         gen = random_lindblad(rng, 2)
         g = evolve(lindblad_superop(gen), 0.0)
-        np.testing.assert_array_equal(g.matrix, np.eye(4))
+        np.testing.assert_array_equal(g, np.eye(4))
 
     def test_semigroup_law(self, rng):
         gen = random_lindblad(rng, 3)
         l = lindblad_superop(gen)
-        lhs = evolve(l, 1.0).matrix
-        rhs = evolve(l, 0.3).matrix @ evolve(l, 0.7).matrix
+        lhs = evolve(l, 1.0)
+        rhs = evolve(l, 0.3) @ evolve(l, 0.7)
         assert matlin.frobenius(lhs - rhs) < 1e-10
 
     def test_rejects_negative_time(self, rng):
@@ -220,8 +206,7 @@ class TestCptp:
             assert max(residuals) < 1e-9, residuals
 
     def test_transpose_map_fails(self):
-        transpose = SuperOperator(transpose_superop(2), SCHRODINGER)
-        cp, tp, _ = is_cptp(transpose)
+        cp, tp, _ = is_cptp(transpose_superop(2))
         assert abs(cp - 1.0) < 1e-12
         assert tp < 1e-12
 
@@ -229,36 +214,32 @@ class TestCptp:
         m = np.eye(4, dtype=complex)
         m[0, 3] = np.nan
         m[3, 0] = np.inf
-        assert is_cptp(SuperOperator(m, SCHRODINGER)) == (np.inf, np.inf, np.inf)
+        assert is_cptp(m) == (np.inf, np.inf, np.inf)
 
     def test_residuals_nonnegative(self, rng):
         cp, tp, herm = is_cptp(evolve(lindblad_superop(random_lindblad(rng, 2)), 0.5))
         assert cp >= 0 and tp >= 0 and herm >= 0
 
 
-class TestKrausChannel:
-    def test_trace_preservation_enforced(self):
-        with pytest.raises(NotTracePreserving):
-            KrausChannel((np.diag([1.0, 0.8]),))
-
+class TestKrausOperators:
     def test_apply_identity_channel(self, rng):
         rho = random_density(rng, 2)
-        out = apply(KrausChannel((np.eye(2),)), rho)
+        out = apply(np.eye(2)[None], rho)
         np.testing.assert_allclose(out.matrix, rho.matrix, atol=1e-14)
 
     def test_dimension_mismatch(self, rng):
         with pytest.raises(DimensionMismatch):
-            apply(KrausChannel((np.eye(2),)), random_density(rng, 3))
+            apply(np.eye(2)[None], random_density(rng, 3))
 
 
 class TestChoiAndKraus:
     def test_identity_superop_single_kraus(self):
-        channel = channel_from_superop(SuperOperator(np.eye(4), SCHRODINGER))
-        assert len(channel.kraus_ops) == 1
-        np.testing.assert_allclose(channel.kraus_ops[0], np.eye(2), atol=1e-12)
+        kraus = channel_from_superop(np.eye(4, dtype=complex))
+        assert len(kraus) == 1
+        np.testing.assert_allclose(kraus[0], np.eye(2), atol=1e-12)
 
     def test_choi_of_identity_is_maximally_entangled(self):
-        choi = choi_matrix(SuperOperator(np.eye(4), SCHRODINGER))
+        choi = choi_matrix(np.eye(4, dtype=complex))
         bell = np.zeros((4, 4), dtype=complex)
         for i in range(2):
             for j in range(2):
@@ -267,7 +248,7 @@ class TestChoiAndKraus:
 
     @pytest.mark.parametrize("d", [2, 3, 4])
     def test_choi_matches_matrix_unit_definition(self, rng, d):
-        s = SuperOperator(random_complex(rng, d * d), SCHRODINGER)
+        s = random_complex(rng, d * d)
         literal = sum(
             kron(level_unit(d, i, j), apply_matrix(s, level_unit(d, i, j)))
             for i in range(d)
@@ -285,8 +266,7 @@ class TestChoiAndKraus:
         gen = random_lindblad(rng, 2)
         g = evolve(lindblad_superop(gen), 1.0)
         channel = channel_from_superop(g)
-        rebuilt = superop_from_channel(channel)
-        assert matlin.frobenius(rebuilt.matrix - g.matrix) < 1e-9
+        assert matlin.frobenius(superop_from_channel(channel) - g) < 1e-9
 
     def test_damped_qubit_map_has_four_kraus_operators(self):
         from qdblab.examples import ExampleBParams, example_b_generator
@@ -294,12 +274,12 @@ class TestChoiAndKraus:
         gen = example_b_generator(ExampleBParams(omega=1.0, gamma=1.0, beta_f=1.0))
         g = evolve(lindblad_superop(gen), 1.0)
         channel = channel_from_superop(g)
-        assert len(channel.kraus_ops) == 4
-        assert matlin.frobenius(superop_from_channel(channel).matrix - g.matrix) < 1e-9
+        assert len(channel) == 4
+        assert matlin.frobenius(superop_from_channel(channel) - g) < 1e-9
 
     def test_transpose_map_rejected(self):
         with pytest.raises(NotCompletelyPositive):
-            channel_from_superop(SuperOperator(transpose_superop(2), SCHRODINGER))
+            channel_from_superop(transpose_superop(2))
 
     def test_roundtrip_from_channel(self, rng):
         # channel -> superoperator -> channel -> superoperator is stable
@@ -309,7 +289,7 @@ class TestChoiAndKraus:
         s1 = superop_from_channel(ch1)
         ch2 = channel_from_superop(s1)
         s2 = superop_from_channel(ch2)
-        assert matlin.frobenius(s1.matrix - s2.matrix) < 1e-9
+        assert matlin.frobenius(s1 - s2) < 1e-9
 
 
 class TestLindbladGeneratorValidation:
@@ -340,37 +320,43 @@ class TestLindbladGeneratorValidation:
 class TestDynamicsSources:
     def test_semigroup_needs_a_schroedinger_generator_of_the_hamiltonian_dimension(self, rng):
         gen = random_lindblad(rng, 2)
-        with pytest.raises(ValueError, match="Schroedinger-picture"):
-            Dynamics.semigroup(gen.hamiltonian, heisenberg_dual(lindblad_superop(gen)))
         with pytest.raises(DimensionMismatch, match="superoperator dimension"):
             Dynamics.semigroup(random_hamiltonian(rng, 3), gen)
+        l = lindblad_superop(gen)
+        l[1, 2] = np.inf
+        with pytest.raises(ConfigError, match="the model overflows"):
+            Dynamics.semigroup(gen.hamiltonian, l)
+
+    def test_single_map_checks_its_operators(self, rng):
+        h = random_hamiltonian(rng, 2)
+        with pytest.raises(NotTracePreserving, match="empty"):
+            Dynamics.single_map(h, [], 1.0)
+        with pytest.raises(DimensionMismatch, match="square with equal size"):
+            Dynamics.single_map(h, [np.eye(2), np.eye(3)], 1.0)
+        with pytest.raises(NotTracePreserving, match="differs from identity"):
+            Dynamics.single_map(h, [np.diag([1.0, 0.8])], 1.0)
 
     def test_kraus_sources_need_the_hamiltonian_dimension(self, rng):
         h = random_hamiltonian(rng, 3)
         with pytest.raises(DimensionMismatch, match="channel dimension"):
-            Dynamics.single_map(h, KrausChannel((np.eye(2),)), 1.0)
+            Dynamics.single_map(h, [np.eye(2)], 1.0)
         family = Dynamics.channel_family(h, lambda taus: np.array([[np.eye(2)]] * len(taus)))
         with pytest.raises(DimensionMismatch, match="channel dimension"):
             family.maps((0.5, 1.0))
 
     def test_single_map_repeats_its_channel(self, rng):
-        channel = KrausChannel((np.eye(2) / np.sqrt(2), SIGMA_X / np.sqrt(2)))
-        superops, kraus = Dynamics.single_map(qubit_hamiltonian(1.0), channel, 1.0).maps((1.0, 1.0))
-        assert np.array_equal(kraus, [channel.kraus_ops] * 2)
-        assert np.array_equal(superops, [superop_from_channel(channel).matrix] * 2)
+        ops = [np.eye(2) / np.sqrt(2), SIGMA_X / np.sqrt(2)]
+        superops, kraus = Dynamics.single_map(qubit_hamiltonian(1.0), ops, 1.0).maps((1.0, 1.0))
+        assert np.array_equal(kraus, [ops] * 2)
+        assert np.array_equal(superops, [superop_from_channel(ops)] * 2)
 
 
 def test_superoperator_validates_shape():
-    with pytest.raises(DimensionMismatch):
-        SuperOperator(np.eye(5))
-    with pytest.raises(ValueError):
-        SuperOperator(np.eye(4), "wrong")
-
-
-def test_apply_rejects_heisenberg_picture(rng):
-    gen = random_lindblad(rng, 2)
-    with pytest.raises(ValueError):
-        apply(evolve(dual_superop(gen), 1.0), random_density(rng, 2))
+    # a map is a plain array; what reads one checks it against the Hamiltonian
+    h = qubit_hamiltonian(1.0)
+    for shape in ((5, 5), (4, 9), (3, 9, 9)):
+        with pytest.raises(DimensionMismatch, match="superoperator dimension"):
+            require_superop_dim(np.zeros(shape, dtype=complex), h)
 
 
 def test_evolved_states_stay_valid(rng):

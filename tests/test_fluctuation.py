@@ -26,16 +26,7 @@ from conftest import (
 )
 from qdblab import dynamics, fluctuation, matlin
 from qdblab.cli import main
-from qdblab.dynamics import (
-    HEISENBERG,
-    SCHRODINGER,
-    Dynamics,
-    KrausChannel,
-    LindbladGenerator,
-    SuperOperator,
-    evolve_grid,
-    lindblad_superop,
-)
+from qdblab.dynamics import Dynamics, LindbladGenerator, evolve_grid, lindblad_superop
 from qdblab.errors import DimensionMismatch, InconclusiveHorizon, InternalCheckError, NotTracePreserving
 from qdblab.examples import (
     ExampleAParams,
@@ -63,7 +54,7 @@ def gap_at(grid, energy):
 class TestTransitionMatrix:
     def test_identity_map(self):
         h = qubit_hamiltonian(1.0)
-        np.testing.assert_allclose(transition_matrix(KrausChannel((np.eye(2),)), h), np.eye(2), atol=1e-14)
+        np.testing.assert_allclose(transition_matrix(np.eye(2)[None], h), np.eye(2), atol=1e-14)
 
     def test_scenario_a_literal_probabilities(self):
         p = ExampleAParams.default(1.0, 1.0)
@@ -187,7 +178,6 @@ class TestPairwiseCondition:
         # maps passing the time-reversal balance check (with a reversal
         # fixing the Hamiltonian) inherit the pairwise transition symmetry
         from qdblab.balance import check_qdb2
-        from qdblab.dynamics import trace_dual
 
         for _ in range(3):
             beta = rng.uniform(0.3, 1.5)
@@ -196,7 +186,7 @@ class TestPairwiseCondition:
             l = lindblad_superop(gen)
             for tau in (0.1, 1.0, 10.0):
                 gmap = evolve(l, tau)
-                [residual] = check_qdb2(h, beta, (0.25,), trace_dual(gmap.matrix[None]))
+                [residual] = check_qdb2(h, beta, (0.25,), gmap[None])
                 assert residual < 1e-9
                 assert check_pairwise_condition(gmap, h, beta) < 1e-10
 
@@ -300,7 +290,7 @@ class TestClassify:
         def family(taus):
             kraus = np.zeros((len(taus), h.dim**2, h.dim, h.dim), dtype=complex)
             for t, tau in enumerate(taus):
-                ops = channel_from_superop(evolve(l, tau)).kraus_ops
+                ops = channel_from_superop(evolve(l, tau))
                 kraus[t, : len(ops)] = ops
             return kraus
 
@@ -312,19 +302,18 @@ class TestClassify:
         assert got.beta_f == pytest.approx(0.8, rel=1e-9)
 
     def test_family_is_read_from_one_map_stack(self, monkeypatch):
-        # one call of the family, and no Kraus channel or probe state per map
+        # one call of the family, and no probe state per map
         from qdblab import states
 
         p = ExampleAParams.default(1.0, 1.0)
         calls, built = [], []
-        for cls in (KrausChannel, states.DensityMatrix):
-            original = cls.__post_init__
+        original = states.DensityMatrix.__post_init__
 
-            def counted(self, original=original):
-                built.append(type(self).__name__)
-                original(self)
+        def counted(self):
+            built.append(type(self).__name__)
+            original(self)
 
-            monkeypatch.setattr(cls, "__post_init__", counted)
+        monkeypatch.setattr(states.DensityMatrix, "__post_init__", counted)
 
         def family(taus):
             calls.append(taus)
@@ -361,9 +350,9 @@ class TestClassify:
         if name.startswith("a-"):
             channel = a_channel(ExampleAParams.default(1.0, 1.0), float(name[2:]))
         elif name == "identity":
-            channel = KrausChannel((np.eye(2),))
+            channel = np.eye(2)[None]
         elif name == "bit-flip":
-            channel = KrausChannel((np.sqrt(0.7) * np.eye(2), np.sqrt(0.3) * np.array([[0, 1], [1, 0]])))
+            channel = np.array([np.sqrt(0.7) * np.eye(2), np.sqrt(0.3) * np.array([[0, 1], [1, 0]])])
         else:
             h, gen = davies_generator(np.random.default_rng(5), int(name[-1]), 1.0)
             channel = channel_from_superop(evolve(lindblad_superop(gen), 1.0))
@@ -412,35 +401,32 @@ class TestAsymptoticRatioLaw:
 # ratios before the grid code, kept as the literal reference it must match.
 
 
-def reference_superop_from_channel(channel):
-    """``sum_j conj(G_j) (x) G_j`` of one channel, summed with Kronecker products."""
-    d = channel.dim
+def reference_superop_from_channel(kraus_ops):
+    """``sum_j conj(G_j) (x) G_j`` of one Kraus map, summed with Kronecker products."""
+    d = kraus_ops.shape[-1]
     m = np.zeros((d * d, d * d), dtype=complex)
-    for g in channel.kraus_ops:
+    for g in kraus_ops:
         m += matlin.kron(g.conj(), g)
     return m
 
 
-def reference_transition_matrix(channel_or_superop, h):
+def reference_transition_matrix(g, h):
+    """Transition probabilities of one map, Kraus operators ``(j, d, d)`` or a
+    superoperator ``(d^2, d^2)``, level by level."""
     d = h.dim
     v = h.eigenvectors
     kraus_probs = None
-    if isinstance(channel_or_superop, KrausChannel):
-        if channel_or_superop.dim != d:
+    s = g
+    if g.ndim == 3:
+        if g.shape[-1] != d:
             raise DimensionMismatch("channel dimension does not match the Hamiltonian")
         kraus_probs = np.zeros((d, d))
-        for g in channel_or_superop.kraus_ops:
-            g_eig = dag(v) @ g @ v
+        for op in g:
+            g_eig = dag(v) @ op @ v
             kraus_probs += np.abs(g_eig.T) ** 2
-        s = SuperOperator(reference_superop_from_channel(channel_or_superop))
-    elif isinstance(channel_or_superop, SuperOperator):
-        if channel_or_superop.picture != SCHRODINGER:
-            raise ValueError("transition probabilities need a Schroedinger-picture map")
-        if channel_or_superop.dim != d:
-            raise DimensionMismatch("superoperator dimension does not match the Hamiltonian")
-        s = channel_or_superop
-    else:
-        raise TypeError(f"unsupported map type {type(channel_or_superop).__name__}")
+        s = reference_superop_from_channel(g)
+    elif g.shape != (d * d, d * d):
+        raise DimensionMismatch("superoperator dimension does not match the Hamiltonian")
     probs = np.zeros((d, d))
     for m in range(d):
         out = apply_matrix(s, h.projector(m))
@@ -459,11 +445,11 @@ def reference_transition_matrix(channel_or_superop, h):
     return probs
 
 
-def reference_exchange_records(channel_or_superop, h, beta_i):
+def reference_exchange_records(g, h, beta_i):
     """``[(energy, p_plus, p_minus)]`` of one map."""
     if beta_i < 0:
         raise ValueError("beta_i must be nonnegative")
-    probs = reference_transition_matrix(channel_or_superop, h)
+    probs = reference_transition_matrix(g, h)
     e = h.eigenvalues
     p_init = populations(gibbs(h, beta_i), h)
     atol = fluctuation.GAP_GROUP_RTOL * float(np.max(np.abs(e))) if e.size else 0.0
@@ -519,9 +505,9 @@ def diagonal_hamiltonian(rng, d, equally_spaced):
 
 
 def random_channel(rng, d, count):
-    """A channel of ``count`` Kraus operators, the blocks of a random isometry."""
+    """``count`` Kraus operators ``(count, d, d)``, the blocks of a random isometry."""
     w, _ = np.linalg.qr(rng.normal(size=(count * d, d)) + 1j * rng.normal(size=(count * d, d)))
-    return KrausChannel(tuple(w[k * d : (k + 1) * d] for k in range(count)))
+    return w.reshape(count, d, d)
 
 
 TAUS = (0.0, 0.03, 0.4, 2.0, 30.0)
@@ -537,8 +523,7 @@ class TestExchangeGridAgainstReference:
         assert maps[1] is None
         grid = exchange_grid(maps, h, 1.3, 0.7, TAUS)
         assert grid.taus == TAUS
-        for t, m in enumerate(maps[0]):
-            g = SuperOperator(m)
+        for t, g in enumerate(maps[0]):
             assert np.array_equal(transition_matrix(g, h), reference_transition_matrix(g, h))
             records = reference_exchange_records(g, h, 1.3)
             assert gap_records(grid, t) == records
@@ -551,7 +536,7 @@ class TestExchangeGridAgainstReference:
         family = [random_channel(rng, d, count) for count in (1, 3, 2, 4)]
         padded = np.zeros((len(family), 4, d, d), dtype=complex)
         for t, g in enumerate(family):
-            padded[t, : len(g.kraus_ops)] = g.kraus_ops
+            padded[t, : len(g)] = g
         superops, kraus = Dynamics.channel_family(h, lambda taus: padded).maps(range(4))
         assert np.array_equal(kraus, padded)
         assert np.array_equal(superops, [reference_superop_from_channel(g) for g in family])
@@ -572,7 +557,7 @@ class TestExchangeGridAgainstReference:
             exchange_grid(Dynamics.semigroup(h, gen).maps(taus), h, 1.3, 0.7, taus),
             exchange_grid(Dynamics.single_map(h, channel, 1.0).maps((1.0,)), h, 1.3, 0.7, (1.0,)),
         )
-        maps = [*(SuperOperator(m) for m in evolve_grid(lindblad_superop(gen), taus)), channel]
+        maps = [*evolve_grid(lindblad_superop(gen), taus), channel]
         records = [(grids[0], t) for t in range(len(taus))] + [(grids[1], 0)]
         for g, (grid, t) in zip(maps, records):
             np.testing.assert_allclose(
@@ -586,7 +571,7 @@ class TestExchangeGridAgainstReference:
         # the two routes agree for any Kraus family, so skew the superoperator
         # route at the second and third time; the second time's gap is quoted
         h = diagonal_hamiltonian(rng, 2, False)
-        family = np.array([random_channel(rng, 2, 2).kraus_ops for _ in range(3)])
+        family = np.array([random_channel(rng, 2, 2) for _ in range(3)])
         exact = dynamics._kraus_superops
 
         def skewed(kraus):
@@ -616,16 +601,14 @@ def _failing_maps(h):
     short_row[units[:2], 0] = (0.5, 0.4)
     return {
         "good": good,
-        "nan": SuperOperator(np.full((d * d, d * d), np.nan)),
-        "negative": SuperOperator(2 * eye - good.matrix),
-        "rows": SuperOperator(1.5 * good.matrix),
+        "nan": np.full((d * d, d * d), np.nan, dtype=complex),
+        "negative": 2 * eye - good,
+        "rows": 1.5 * good,
         # rows within STOCHASTIC_ATOL of 1, but a record above 1 + 1e-12
-        "excess": SuperOperator((1 + 5e-10) * eye),
-        "heisenberg": SuperOperator(good.matrix, HEISENBERG),
-        "dimension": SuperOperator(np.eye((d + 1) ** 2)),
-        "type": good.matrix,
-        "negative-entry": SuperOperator(negative_entry),
-        "short-row": SuperOperator(short_row),
+        "excess": (1 + 5e-10) * eye,
+        "dimension": np.eye((d + 1) ** 2, dtype=complex),
+        "negative-entry": negative_entry,
+        "short-row": short_row,
     }
 
 
@@ -657,19 +640,7 @@ def test_grid_raises_what_the_per_map_loop_raised_first(names, beta_i):
         for g in maps:
             reference_exchange_records(g, h, beta_i)
     with pytest.raises(want.type) as got:
-        exchange_grid((np.array([g.matrix for g in maps]), None), h, beta_i, 1.0, range(len(maps)))
-    assert str(got.value) == str(want.value)
-
-
-@pytest.mark.parametrize("name", ["heisenberg", "dimension", "type"])
-def test_one_map_of_the_wrong_picture_dimension_or_type(name):
-    # a stack has one type, picture and dimension; one map is checked for each
-    h = _failing_hamiltonian(1.0)
-    g = _failing_maps(h)[name]
-    with pytest.raises(Exception) as want:
-        reference_transition_matrix(g, h)
-    with pytest.raises(want.type) as got:
-        transition_matrix(g, h)
+        exchange_grid((np.array(maps), None), h, beta_i, 1.0, range(len(maps)))
     assert str(got.value) == str(want.value)
 
 
@@ -679,7 +650,7 @@ def test_grid_rejects_a_stack_of_another_dimension():
     with pytest.raises(DimensionMismatch) as want:
         reference_exchange_records(g, h, 1.0)
     with pytest.raises(DimensionMismatch) as got:
-        exchange_grid((np.array([g.matrix, g.matrix]), None), h, 1.0, 1.0, (0.5, 1.0))
+        exchange_grid((np.array([g, g]), None), h, 1.0, 1.0, (0.5, 1.0))
     assert str(got.value) == str(want.value)
 
 

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 from conftest import random_complex, random_hermitian, random_lindblad, trace_norm, transpose_superop
 from qdblab import matlin
-from qdblab.dynamics import SCHRODINGER, SuperOperator, is_cptp, lindblad_superop
+from qdblab.dynamics import is_cptp, lindblad_superop
 from qdblab.errors import DimensionMismatch, NotHermitian
 from qdblab.examples import (
     bloch4_to_superop,
@@ -146,12 +146,12 @@ class TestExpmAgainstScipy:
         ours, oracle = [], []
         for beta_f in np.linspace(14.0, 20.0, 13):
             p = example_c_qdb_point(0.5, 0.1, 1.0, beta_f)
-            l = bloch4_to_superop(example_c_bloch_matrix(p)).matrix
+            l = bloch4_to_superop(example_c_bloch_matrix(p))
             ours += list(matlin.expm(taus[:, None, None] * l))
             oracle += [scipy.linalg.expm(tau * l) for tau in taus]
 
         def geometric_mean_tp(maps):
-            tp = [is_cptp(SuperOperator(m, SCHRODINGER))[1] for m in maps]
+            tp = [is_cptp(m)[1] for m in maps]
             return np.exp(np.mean(np.log(np.maximum(tp, np.finfo(float).eps))))
 
         assert geometric_mean_tp(ours) <= geometric_mean_tp(oracle)
@@ -161,14 +161,14 @@ class TestExpmAgainstScipy:
         base = example_c_qdb_point(0.5, 0.1, 0.25, 1.0)
         p = dataclasses.replace(base, nu=base.alpha + base.omega)
         assert p.omega**2 == (p.alpha - p.nu) ** 2
-        l = example_c_generator(p).matrix
+        l = example_c_generator(p)
         taus = np.geomspace(0.01, 50.0, 12)
         out = matlin.expm(taus[:, None, None] * l)
         for tau, x in zip(taus, out):
             self.assert_close(x, scipy.linalg.expm(tau * l), tau * float(np.abs(l).sum(axis=0).max()))
 
     def test_huge_or_non_finite_input_does_not_raise(self, rng):
-        l = lindblad_superop(random_lindblad(rng, 2)).matrix
+        l = lindblad_superop(random_lindblad(rng, 2))
         assert matlin.expm(1e200 * l).shape == (4, 4)
         # nilpotent, so s = 0: A^6 = 0 is scaled back by 2^(6e), past the float range
         n = np.array([[0.0, 1e100], [0.0, 0.0]])

@@ -1,10 +1,12 @@
-"""Every definition under ``src/qdblab`` is used by the package itself.
+"""Every definition under ``src/qdblab`` is used by the package itself, and
+every name a module imports is read there.
 
 A top-level function, class or module constant, or a method, that nothing
 under ``src/qdblab`` refers to outside its own definition is code that only
 the tests run; it belongs in ``tests/conftest.py``.  References are matched
 by name: a bare name or an attribute of that name anywhere in the package
-counts, so this is a cheap lower bound on dead code, not a call graph.
+counts, so this is a cheap lower bound on dead code, not a call graph.  An
+imported name that its module never reads is what a deletion left behind.
 """
 
 import ast
@@ -56,3 +58,23 @@ def unreferenced() -> list:
 
 def test_every_definition_has_a_reference_in_the_package():
     assert unreferenced() == []
+
+
+def unread_imports() -> list:
+    """``module.name`` of every name that a module imports and never reads."""
+    unread = []
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text(), str(path))
+        read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
+        for node in ast.walk(tree):
+            if isinstance(node, (ast.Import, ast.ImportFrom)) and getattr(node, "module", None) != "__future__":
+                unread += [
+                    f"{path.stem}.{name}"
+                    for name in (alias.asname or alias.name.split(".")[0] for alias in node.names)
+                    if name not in read
+                ]
+    return unread
+
+
+def test_every_import_is_read():
+    assert unread_imports() == []
