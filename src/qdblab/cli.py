@@ -26,7 +26,6 @@ from .balance import check_qdb1, check_qdb2
 from .dynamics import Dynamics, LindbladGenerator
 from .errors import (
     ConfigError,
-    DegenerateGround,
     DimensionMismatch,
     InconclusiveHorizon,
     InternalCheckError,
@@ -49,7 +48,7 @@ from .examples import (
     example_c_generator,
     example_c_qdb_point,
 )
-from .fluctuation import classify, exchange_grid
+from .fluctuation import classify, exchange_grid, ratios
 from .states import HamiltonianSpec
 
 EXIT_OK = 0
@@ -67,7 +66,6 @@ MODEL_ERRORS = (
     NotCPTP,
     ScheduleOutOfRange,
     DimensionMismatch,
-    DegenerateGround,
     NoConvergence,
 )
 
@@ -201,19 +199,14 @@ def build_report(label: str, source: Dynamics, config: RunConfig, f_factor=None)
     aggregates classification, both balance checks (per point of the s
     grid) and the worst ratio-law deviation.
     """
-    cls = classify(source)
-    classification = {
-        "kind": cls.kind,
-        "beta_f": _json_float(cls.beta_f),
-        "gamma_min": _json_float(cls.gamma_min),
-    }
-    beta_raw = classification["beta_f"]
-    beta_known = isinstance(beta_raw, float) and math.isfinite(beta_raw)
-    beta_for_ratios = beta_raw if beta_known else config.beta_f
+    kind, beta_f, gamma_min = classify(source)
+    classification = {"kind": kind, "beta_f": _json_float(beta_f), "gamma_min": _json_float(gamma_min)}
+    beta_known = beta_f is not None and math.isfinite(beta_f)
+    beta_for_ratios = beta_f if beta_known else config.beta_f
 
     qdb1 = None
     if beta_known and source.generator is not None:
-        per_s = check_qdb1(source.h, beta_raw, config.s_grid, source.generator)
+        per_s = check_qdb1(source.h, beta_f, config.s_grid, source.generator)
         qdb1 = _balance_section(per_s, config)
 
     taus = source.taus(config.tau_grid)
@@ -224,23 +217,23 @@ def build_report(label: str, source: Dynamics, config: RunConfig, f_factor=None)
     qdb2 = None
     if qdb2_taus:
         # time reversal is complex conjugation in H's eigenbasis
-        per_s = check_qdb2(source.h, beta_raw, config.s_grid, superops[n:])
+        per_s = check_qdb2(source.h, beta_f, config.s_grid, superops[n:])
         qdb2 = {**_balance_section(per_s, config), "taus": list(qdb2_taus)}
 
     header = ["tau", "E", "p_plus", "p_minus", "R", "predicted", "deviation"]
     if f_factor is not None:
         header.append("F_tau")
     maps = (superops[:n], None if kraus is None else kraus[:n])
-    grid = exchange_grid(maps, source.h, config.beta_i, beta_for_ratios, taus)
-    defined, ratio, predicted, deviation = grid.ratios()
+    energies, p_plus, p_minus, recorded = exchange_grid(maps, source.h, config.beta_i)
+    defined, ratio, predicted, deviation = ratios(energies, p_plus, p_minus, recorded, config.beta_i - beta_for_ratios)
     predicted = predicted.tolist()
     rows = []
     qfr_max = None
-    per_tau = (a.tolist() for a in (grid.recorded, grid.p_plus, grid.p_minus, defined, ratio, deviation))
+    per_tau = (a.tolist() for a in (recorded, p_plus, p_minus, defined, ratio, deviation))
     for tau, *records in zip(taus, *per_tau):
         extra = [] if f_factor is None else [f_factor(tau)]
         # each row carries the ratio of its own gap record
-        for energy, pred, kept, p_plus, p_minus, has_ratio, r, dev in zip(grid.energies, predicted, *records):
+        for energy, pred, kept, p_plus, p_minus, has_ratio, r, dev in zip(energies, predicted, *records):
             if not kept:
                 continue
             if not has_ratio:
@@ -357,12 +350,13 @@ def load_model(path: Path):
             # a generator without jumps has a 0 x 0 Kossakowski matrix
             c = np.zeros((0, 0)) if obj["kossakowski"] == [] else _pairs_to_complex(obj["kossakowski"])
             if "basis" not in obj:  # the canonical basis
-                return Dynamics.semigroup(h, LindbladGenerator.canonical(h, c))
-            if not isinstance(obj["basis"], list):
+                source = Dynamics.semigroup(h, LindbladGenerator.canonical(h, c))
+            elif not isinstance(obj["basis"], list):
                 raise ConfigError("basis must be a list of matrices")
-            basis = [_pairs_to_complex(f) for f in obj["basis"]]
-            return Dynamics.semigroup(h, LindbladGenerator(h, c, basis))
-        if kind == "kraus":
+            else:
+                basis = [_pairs_to_complex(f) for f in obj["basis"]]
+                source = Dynamics.semigroup(h, LindbladGenerator(h, c, basis))
+        elif kind == "kraus":
             if not isinstance(obj["kraus_ops"], list):
                 raise ConfigError("kraus_ops must be a list of matrices")
             ops = [_pairs_to_complex(g) for g in obj["kraus_ops"]]
@@ -371,12 +365,16 @@ def load_model(path: Path):
             source = Dynamics.single_map(h, ops, float(tau) if _is_tau(tau) else math.nan)
             if "tau" in obj and not _is_tau(tau):
                 raise ConfigError(f"tau must be a finite number >= 0, got {tau!r}")
-            return source
-        return Dynamics.semigroup(h, bloch4_to_superop(np.real(_pairs_to_complex(obj["generator"]))))
+        else:
+            source = Dynamics.semigroup(h, bloch4_to_superop(np.real(_pairs_to_complex(obj["generator"]))))
     except KeyError as exc:
         raise ConfigError(f"model file misses required field {exc}") from exc
     except ValueError as exc:
         raise ConfigError(f"model file {path}: {exc}") from exc
+    # a lindblad generator of such an H overflows already; a Kraus map or bloch4 generator need not
+    if not math.isfinite(float(h.eigenvalues[-1]) - float(h.eigenvalues[0])):
+        raise ConfigError("the model overflows: the Hamiltonian's energy range is not finite")
+    return source
 
 
 # ---------------------------------------------------------------------------
@@ -424,6 +422,8 @@ def _example_source(args, config: RunConfig):
             p = dataclasses.replace(base, **{"nu": base.nu * args.nu_scale, **swept})
         # scenario b takes H from its generator, which keeps H's one eigendecomposition
         h = None if name == "b" else p.hamiltonian()
+        if name == "c":
+            return Dynamics.semigroup(h, example_c_generator(p, cptp_tol=config.tol_cptp)), None
     except ValueError as exc:
         raise ConfigError(f"scenario {name}: {exc}") from exc
     if name == "a":
@@ -431,15 +431,15 @@ def _example_source(args, config: RunConfig):
             Dynamics.channel_family(h, lambda taus: example_a_channel(p, taus)),
             lambda tau: example_a_f_factor(p, tau),
         )
-    if name == "b":
-        gen = example_b_generator(p)
-        if getattr(args, "save_model", None):
-            save_model(gen, Path(args.save_model))
-        return Dynamics.semigroup(gen.hamiltonian, gen), None
-    return Dynamics.semigroup(h, example_c_generator(p, cptp_tol=config.tol_cptp)), None
+    gen = example_b_generator(p)
+    if getattr(args, "save_model", None):
+        save_model(gen, Path(args.save_model))
+    return Dynamics.semigroup(gen.hamiltonian, gen), None
 
 
 def cmd_example(args, config: RunConfig) -> int:
+    if args.save_model and args.name != "b":
+        raise ConfigError(f"--save-model writes only scenario b, not scenario {args.name}")
     source, f_factor = _example_source(args, config)
     label = f"example_{args.name}"
     header, rows, verdict = build_report(label, source, config, f_factor)

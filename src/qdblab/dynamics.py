@@ -185,7 +185,8 @@ def _kraus_stacks(kraus: np.ndarray, h: HamiltonianSpec) -> tuple:
     """The ``(superops, kraus)`` stacks of a zero-padded Kraus stack ``(t, j,
     d, d)``, checked for ``sum_j G^dag G == I``, first failing slice first,
     and then for h's dimension."""
-    gram = (kraus.conj().swapaxes(-1, -2) @ kraus).sum(axis=1)
+    with np.errstate(over="ignore", invalid="ignore"):  # an inf or nan residual fails below
+        gram = (kraus.conj().swapaxes(-1, -2) @ kraus).sum(axis=1)
     res = np.abs(gram - np.eye(kraus.shape[-1])).max(axis=(1, 2))
     failing = np.flatnonzero(~(res <= TP_ATOL))  # a nan residual fails too
     if failing.size:

@@ -251,13 +251,10 @@ def example_c_qdb_point(mu: float, eta: float, omega: float, beta_f: float) -> E
         boltz = math.exp(beta_f * omega)
     except OverflowError as exc:
         raise ValueError(f"e^(beta_f omega) overflows at beta_f omega = {beta_f * omega:g}") from exc
-    return ExampleCParams(
-        omega=omega,
-        nu=eta + 0.25 * mu * (1.0 + boltz),
-        alpha=eta + 0.25 * mu * (1.0 + boltz),
-        chi=0.5 * mu * (1.0 - boltz),
-        zeta=0.5 * mu * (1.0 + boltz),
-    )
+    nu, chi, zeta = eta + 0.25 * mu * (1.0 + boltz), 0.5 * mu * (1.0 - boltz), 0.5 * mu * (1.0 + boltz)
+    if not all(map(math.isfinite, (nu, chi, zeta))):
+        raise ValueError(f"mu = {mu:g} overflows the rates at beta_f omega = {beta_f * omega:g}")
+    return ExampleCParams(omega=omega, nu=nu, alpha=nu, chi=chi, zeta=zeta)
 
 
 def example_c_bloch_matrix(p: ExampleCParams) -> np.ndarray:
@@ -293,9 +290,14 @@ def bloch4_to_superop(l4: np.ndarray) -> np.ndarray:
 
 
 def example_c_generator(p: ExampleCParams, cptp_tol: float = 1e-9) -> np.ndarray:
-    """Schroedinger-picture generator; the induced maps at ``CPTP_CHECK_TAUS``
-    must verify as CPTP."""
+    """Schroedinger-picture generator; a generator whose 1-norm is not finite
+    raises ``ValueError``, and the induced maps at ``CPTP_CHECK_TAUS`` must
+    verify as CPTP."""
     s = bloch4_to_superop(example_c_bloch_matrix(p))
+    with np.errstate(over="ignore"):
+        norm = np.abs(s).sum(axis=0).max()
+    if not np.isfinite(norm):  # also for a non-finite entry
+        raise ValueError("the generator overflows: its 1-norm is not finite")
     for tau, g in zip(CPTP_CHECK_TAUS, evolve_grid(s, CPTP_CHECK_TAUS)):
         cp, tp, herm = is_cptp(g)
         if not max(cp, tp, herm) < cptp_tol:  # not >=, so that a nan tolerance fails

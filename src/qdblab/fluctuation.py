@@ -1,7 +1,11 @@
 """Level transition probabilities, energy-exchange statistics, the
 forward-forward ratio law, and thermalization classification.
 
-``classify`` reads a channel family from the superoperator stack of one
+Results are plain values: ``exchange_grid`` returns the arrays of a map
+stack's exchange statistics, which ``ratios`` compares with the ratio law,
+and ``classify`` a ``(kind, beta_f, gamma_min)`` tuple.  The initial
+thermal state enters only through its level populations.  ``classify``
+reads a channel family from the superoperator stack of one
 ``Dynamics.maps`` call: its map at ``TAU_MAX`` against ``vec(sigma)
 vec(I)^dag``, with ``sigma`` its image of ``I/d``, and every map against
 ``sigma``."""
@@ -9,7 +13,6 @@ vec(I)^dag``, with ``sigma`` its image of ``I/d``, and every map against
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -23,7 +26,7 @@ from .errors import (
     ZeroPopulation,
 )
 from .matlin import dag, unvec, vec
-from .states import DensityMatrix, HamiltonianSpec, gibbs, infer_beta, populations
+from .states import HamiltonianSpec, infer_beta, thermal_populations
 
 RATIO_FLOOR = 1e-13
 GAP_GROUP_RTOL = 1e-9
@@ -99,45 +102,29 @@ def _gap_clusters(h: HamiltonianSpec) -> list:
         if cluster[0][0] <= atol:
             energy = 0.0
         else:
-            energy = float(np.mean([item[0] for item in cluster]))
+            # the mean of the gaps scaled by 2^-k, exact, so that their sum cannot overflow
+            k = len(cluster).bit_length()
+            energy = float(np.ldexp(np.mean(np.ldexp([item[0] for item in cluster], -k)), k))
         clusters.append((energy, [(m, n) for _, m, n in cluster]))
         idx = jdx + 1
     return clusters
 
 
-@dataclass(frozen=True)
-class ExchangeGrid:
-    """Energy-exchange statistics of one map per time of ``taus``.
-
-    Row ``t`` of ``p_plus`` and ``p_minus`` belongs to ``taus[t]`` and column
-    ``c`` to the Bohr gap ``energies[c]``; ``recorded`` marks the gap records
-    of the distribution at each time, those with a probability of at least
-    ``PROBABILITY_FLOOR`` on either side.
-    """
-
-    taus: tuple
-    energies: tuple
-    p_plus: np.ndarray
-    p_minus: np.ndarray
-    recorded: np.ndarray
-    beta_i: float
-    beta_f: float
-
-    def ratios(self) -> tuple:
-        """``P(+E)/P(-E)`` of the records whose release probability exceeds
-        ``RATIO_FLOOR``, against the prediction ``e^{(beta_i - beta_f) E}``,
-        as ``(defined, ratio, predicted, deviation)``: ``defined[t, c]`` marks
-        the records that have a ratio, and ``predicted`` holds one value per
-        gap, computed only for the gaps that have a ratio."""
-        defined = self.recorded & ~(self.p_minus <= RATIO_FLOOR)
-        dbeta = self.beta_i - self.beta_f
-        predicted = np.array(
-            [_exp(dbeta * energy) if defined[:, c].any() else math.nan for c, energy in enumerate(self.energies)]
-        )
-        with np.errstate(all="ignore"):
-            ratio = self.p_plus / self.p_minus
-            deviation = np.abs(ratio / predicted - 1.0)
-        return defined, ratio, predicted, deviation
+def ratios(energies: tuple, p_plus: np.ndarray, p_minus: np.ndarray, recorded: np.ndarray, dbeta: float) -> tuple:
+    """``P(+E)/P(-E)`` of the records of :func:`exchange_grid` whose release
+    probability exceeds ``RATIO_FLOOR``, against the prediction ``e^{dbeta
+    E}`` with ``dbeta = beta_i - beta_f``, as ``(defined, ratio, predicted,
+    deviation)``: ``defined[t, c]`` marks the records that have a ratio, and
+    ``predicted`` holds one value per gap, computed only for the gaps that
+    have a ratio."""
+    defined = recorded & ~(p_minus <= RATIO_FLOOR)
+    predicted = np.array(
+        [_exp(dbeta * energy) if defined[:, c].any() else math.nan for c, energy in enumerate(energies)]
+    )
+    with np.errstate(all="ignore"):
+        ratio = p_plus / p_minus
+        deviation = np.abs(ratio / predicted - 1.0)
+    return defined, ratio, predicted, deviation
 
 
 def _exp(x: float) -> float:
@@ -148,27 +135,27 @@ def _exp(x: float) -> float:
         return math.inf
 
 
-def exchange_grid(maps, h: HamiltonianSpec, beta_i: float, beta_f: float, taus) -> ExchangeGrid:
+def exchange_grid(maps, h: HamiltonianSpec, beta_i: float) -> tuple:
     """Energy-exchange statistics of the maps ``(superops, kraus)`` of
-    :meth:`Dynamics.maps` (map ``t`` taken at ``taus[t]``) applied to the
-    ``beta_i`` thermal state.
+    :meth:`Dynamics.maps` applied to the thermal state at a finite ``beta_i
+    >= 0``, as ``(energies, p_plus, p_minus, recorded)``.
 
     Ordered level pairs are grouped by their gap ``E_n - E_m`` (within
-    ``1e-9 * max|E|``); degenerate gaps accumulate into one record.  For a
-    gap ``E >= 0``, ``p_plus`` weights forward transitions by initial
-    populations and ``p_minus`` the reversed ones.  The first map that fails
-    a check raises, with the checks at that map in this order: the
-    transition checks of :func:`_transition_stack`, the Gibbs state, then
-    the records, which must sum to 1 and lie in [0, 1].
+    ``1e-9 * max|E|``); degenerate gaps accumulate into one record.  Row
+    ``t`` of ``p_plus`` and ``p_minus`` belongs to map ``t`` and column
+    ``c`` to the gap ``energies[c] >= 0``: ``p_plus`` weights forward
+    transitions by the thermal populations and ``p_minus`` the reversed
+    ones, and ``recorded`` marks the records with a probability of at least
+    ``PROBABILITY_FLOOR`` on either side.  The first map that fails a check
+    raises, with the checks at that map in this order: the transition
+    checks of :func:`_transition_stack`, then the records, which must sum to
+    1 and lie in [0, 1].
     """
-    if beta_i < 0:
-        raise ValueError("beta_i must be nonnegative")
+    if not 0 <= beta_i < math.inf:
+        raise ValueError("beta_i must be finite and nonnegative")
     superops, kraus = maps
     probs, checks = _transition_stack(require_superop_dim(superops, h), kraus, h)
-    # the first map's transition checks come before the Gibbs state
-    if len(probs) and any(mask[0] for mask, _ in checks):
-        _raise_first(checks)
-    p_init = populations(gibbs(h, beta_i), h)
+    p_init = thermal_populations(h, beta_i)
     clusters = _gap_clusters(h)
     energies = tuple(energy for energy, _ in clusters)
     p_plus = np.zeros((len(probs), len(clusters)))
@@ -201,21 +188,7 @@ def exchange_grid(maps, h: HamiltonianSpec, beta_i: float, beta_f: float, taus) 
         (stray.any(axis=1), stray_error),
     ]
     _raise_first(checks)
-    return ExchangeGrid(tuple(taus), energies, p_plus, p_minus, recorded, beta_i, beta_f)
-
-
-@dataclass(frozen=True)
-class Classification:
-    """Outcome of the thermalization probe.
-
-    ``kind`` is ``"fpt"``, ``"thermalizing"`` or ``"non_thermalizing"``,
-    or ``"single_map"`` for one Kraus map, which is probed only for a
-    thermal fixed point; ``beta_f`` is set when it exists.
-    """
-
-    kind: str
-    beta_f: float | None = None
-    gamma_min: float | None = None
+    return energies, p_plus, p_minus, recorded
 
 
 ZERO_EIG_ATOL = 1e-10
@@ -238,7 +211,7 @@ def _fixed_beta(col: np.ndarray, h: HamiltonianSpec):
     if abs(tr) < 1e-12:
         return None
     try:
-        return infer_beta(DensityMatrix(mat / tr), h)
+        return infer_beta(mat / tr, h)
     except (NotThermal, ZeroPopulation):
         return None
 
@@ -252,20 +225,18 @@ def _simple_eigenvector(m: np.ndarray, value: float, atol: float) -> tuple:
     return eigs[~near], col
 
 
-def _classify_semigroup(l_matrix: np.ndarray, h: HamiltonianSpec) -> Classification:
+def _classify_semigroup(l_matrix: np.ndarray, h: HamiltonianSpec) -> tuple:
     rest, col = _simple_eigenvector(l_matrix, 0.0, ZERO_EIG_ATOL)
     if col is None or (rest.size and float(np.max(np.real(rest))) >= -ZERO_EIG_ATOL):
-        return Classification(kind="non_thermalizing")
+        return "non_thermalizing", None, None
     gamma_min = float(np.min(-np.real(rest))) if rest.size else None
     beta = _fixed_beta(col, h)
-    if beta is None:
-        return Classification(kind="non_thermalizing", gamma_min=gamma_min)
     # Semigroups with a spectral gap converge to their unique stationary
     # state, which is then a fixed point at every time.
-    return Classification(kind="fpt", beta_f=beta, gamma_min=gamma_min)
+    return "non_thermalizing" if beta is None else "fpt", beta, gamma_min
 
 
-def _classify_family(superops: np.ndarray, h: HamiltonianSpec) -> Classification:
+def _classify_family(superops: np.ndarray, h: HamiltonianSpec) -> tuple:
     """A channel family from its maps at ``TAU_MAX`` and ``FIXED_POINT_TAUS``,
     stacked ``(t, d^2, d^2)``."""
     d = h.dim
@@ -282,15 +253,22 @@ def _classify_family(superops: np.ndarray, h: HamiltonianSpec) -> Classification
         )
     beta = _fixed_beta(sigma, h)
     if beta is None:
-        return Classification(kind="non_thermalizing")
+        return "non_thermalizing", None, None
     # the singular values of unvec(x) are those of its transpose x.reshape(d, d)
     moved = (superops[1:] @ sigma - sigma).reshape(-1, d, d)
     drift = float(np.max(np.linalg.svd(moved, compute_uv=False).sum(axis=1)))
-    return Classification(kind="fpt" if drift < FIXED_POINT_ATOL else "thermalizing", beta_f=beta)
+    return "fpt" if drift < FIXED_POINT_ATOL else "thermalizing", beta, None
 
 
-def classify(source: Dynamics) -> Classification:
-    """Classify a dynamics as fixed-point thermalizing, thermalizing, or neither.
+def classify(source: Dynamics) -> tuple:
+    """Classify a dynamics as fixed-point thermalizing, thermalizing, or
+    neither, as ``(kind, beta_f, gamma_min)``.
+
+    ``kind`` is ``"fpt"``, ``"thermalizing"`` or ``"non_thermalizing"``, or
+    ``"single_map"`` for one Kraus map, which is probed only for a thermal
+    fixed point; ``beta_f`` is the fixed point's inverse temperature and
+    ``gamma_min`` a semigroup's spectral gap, each None when it does not
+    exist.
 
     A semigroup is classified spectrally: a unique zero eigenvalue with
     every other eigenvalue strictly damped, plus a thermal stationary state.
@@ -308,10 +286,8 @@ def classify(source: Dynamics) -> Classification:
         return _classify_family(source.maps((TAU_MAX, *FIXED_POINT_TAUS))[0], h)
     # one map: only its eigenvalue 1 is probed for a thermal fixed point
     _, col = _simple_eigenvector(source.maps((source.tau,))[0][0], 1.0, UNIT_EIG_ATOL)
-    if col is None:
-        return Classification(kind="single_map")
     try:
-        beta = _fixed_beta(col, h)
+        beta = None if col is None else _fixed_beta(col, h)
     except NotAState:
         beta = None
-    return Classification(kind="single_map", beta_f=beta)
+    return "single_map", beta, None

@@ -47,8 +47,10 @@ def frobenius(a: np.ndarray) -> float:
 
 
 def is_hermitian(a: np.ndarray, atol: float = HERMITICITY_ATOL) -> bool:
+    """``max |a - a^dag| <= atol``, taken on halves so that entries near the
+    float range do not overflow."""
     a = np.asarray(a)
-    return bool(np.max(np.abs(a - dag(a)), initial=0.0) <= atol)
+    return bool(np.max(np.abs(a / 2 - dag(a) / 2), initial=0.0) <= atol / 2)
 
 
 def _require_square(m: np.ndarray, who: str) -> None:

@@ -40,23 +40,13 @@ from qdblab.fluctuation import (
     FIXED_POINT_TAUS,
     TAU_MAX,
     UNIT_EIG_ATOL,
-    Classification,
     _fixed_beta,
     _raise_first,
     _transition_stack,
     exchange_grid,
+    ratios,
 )
-from qdblab.states import (
-    SIGMA_X,
-    SIGMA_Y,
-    SIGMA_Z,
-    STATE_ATOL,
-    DensityMatrix,
-    HamiltonianSpec,
-    gibbs,
-    infer_beta,
-    populations,
-)
+from qdblab.states import SIGMA_X, SIGMA_Y, SIGMA_Z, STATE_ATOL, HamiltonianSpec, infer_beta, thermal_populations
 
 SEED = int(os.environ.get("QDBLAB_SEED", "20260810"))
 
@@ -75,10 +65,22 @@ def random_hermitian(rng, d, scale=1.0):
     return scale * (a + a.conj().T) / 2
 
 
-def random_density(rng, d) -> DensityMatrix:
+def random_density(rng, d) -> np.ndarray:
     a = random_complex(rng, d)
     m = a @ a.conj().T
-    return DensityMatrix(m / np.trace(m))
+    return m / np.trace(m)
+
+
+def level_projector(h: HamiltonianSpec, m: int) -> np.ndarray:
+    """Eigenprojector of h's m-th (ascending) level."""
+    return np.outer(h.eigenvectors[:, m], h.eigenvectors[:, m].conj())
+
+
+def gibbs(h: HamiltonianSpec, beta: float) -> np.ndarray:
+    """The thermal state ``V diag(p) V^dag`` of h's eigenvectors ``V`` and
+    thermal populations ``p``."""
+    v = h.eigenvectors
+    return (v * thermal_populations(h, beta)) @ dag(v)
 
 
 def random_hamiltonian(rng, d, spread=2.0) -> HamiltonianSpec:
@@ -212,28 +214,28 @@ def stacks_of(g, h):
     return _kraus_stacks(g[None], h) if g.ndim == 3 else (require_superop_dim(g[None], h), None)
 
 
-def exchange_at(g, h, beta_i, beta_f, tau=0.0):
-    """Exchange statistics of the one map ``g``, taken at ``tau``."""
-    return exchange_grid(stacks_of(g, h), h, beta_i, beta_f, (tau,))
+def exchange_at(g, h, beta_i):
+    """Exchange statistics ``(energies, p_plus, p_minus, recorded)`` of the one map ``g``."""
+    return exchange_grid(stacks_of(g, h), h, beta_i)
 
 
 def gap_records(grid, t=0):
-    """The gap records of ``grid`` at its ``t``-th time."""
+    """The gap records of the exchange statistics ``grid`` at map ``t``."""
+    energies, p_plus, p_minus, recorded = grid
     return [
-        Gap(energy, p_plus, p_minus)
-        for energy, p_plus, p_minus, kept in zip(
-            grid.energies, grid.p_plus[t].tolist(), grid.p_minus[t].tolist(), grid.recorded[t]
-        )
+        Gap(*record)
+        for *record, kept in zip(energies, p_plus[t].tolist(), p_minus[t].tolist(), recorded[t])
         if kept
     ]
 
 
-def ratio_records(grid, t=0):
-    """The ratio law at the records of ``grid``'s ``t``-th time that have a ratio."""
-    defined, ratio, predicted, deviation = grid.ratios()
+def ratio_records(grid, dbeta, t=0):
+    """The ratio law ``e^{dbeta E}`` at the records of map ``t`` of the
+    exchange statistics ``grid`` that have a ratio."""
+    defined, ratio, predicted, deviation = ratios(*grid, dbeta)
     return [
-        Ratio(grid.energies[c], ratio[t, c], predicted[c], deviation[t, c])
-        for c in range(len(grid.energies))
+        Ratio(energy, ratio[t, c], predicted[c], deviation[t, c])
+        for c, energy in enumerate(grid[0])
         if defined[t, c]
     ]
 
@@ -261,13 +263,13 @@ class SingularWeight(QdblabError):
 class WeightedSpace:
     """Operator Hilbert space carrying the Sigma-weighted scalar product."""
 
-    sigma: DensityMatrix
+    sigma: np.ndarray
     s: float = 0.5
 
     def __post_init__(self):
         if not 0.0 <= self.s <= 1.0:
             raise ValueError(f"s must lie in [0, 1], got {self.s}")
-        w, v = matlin.herm_eig(self.sigma.matrix, atol=1e-10)
+        w, v = matlin.herm_eig(self.sigma, atol=1e-10)
         if float(np.min(w)) <= FULL_RANK_FLOOR:
             raise SingularWeight(
                 f"reference state has eigenvalue {float(np.min(w)):.3e}, not full rank"
@@ -277,7 +279,7 @@ class WeightedSpace:
 
     @property
     def dim(self) -> int:
-        return self.sigma.dim
+        return len(self.sigma)
 
     def sigma_power(self, p: float) -> np.ndarray:
         w, v = self._eigvals, self._eigvecs
@@ -319,7 +321,7 @@ def decompose(space: WeightedSpace, dual_gen: np.ndarray):
 def check_qdb1_invariance(space: WeightedSpace, gen: np.ndarray) -> float:
     """``|L[Sigma]|_F`` of a Schroedinger-picture generator; vanishes
     whenever the generator-level balance holds."""
-    return matlin.frobenius(apply_matrix(gen, space.sigma.matrix))
+    return matlin.frobenius(apply_matrix(gen, space.sigma))
 
 
 @dataclass(frozen=True)
@@ -384,7 +386,7 @@ def check_lemma_invariant_subspace(space: WeightedSpace, dual: np.ndarray, taus=
     rs_commutation_residual)`` over ``taus``.
     """
     d = space.dim
-    basis_vecs = matlin.herm_eig(space.sigma.matrix, atol=1e-10)[1]
+    basis_vecs = matlin.herm_eig(space.sigma, atol=1e-10)[1]
     rs = r_s_superop(space)
     diag_leak = 0.0
     off_leak = 0.0
@@ -434,20 +436,18 @@ class BlochVector:
         return math.sqrt(self.rx**2 + self.ry**2 + self.rz**2)
 
 
-def bloch_to_density(r: BlochVector) -> DensityMatrix:
+def bloch_to_density(r: BlochVector) -> np.ndarray:
     """``(I + r . sigma) / 2`` with the standard Pauli matrices."""
-    m = 0.5 * (np.eye(2, dtype=complex) + r.rx * SIGMA_X + r.ry * SIGMA_Y + r.rz * SIGMA_Z)
-    return DensityMatrix(m)
+    return 0.5 * (np.eye(2, dtype=complex) + r.rx * SIGMA_X + r.ry * SIGMA_Y + r.rz * SIGMA_Z)
 
 
-def density_to_bloch(rho: DensityMatrix) -> BlochVector:
-    if rho.dim != 2:
+def density_to_bloch(rho: np.ndarray) -> BlochVector:
+    if rho.shape != (2, 2):
         raise DimensionMismatch("Bloch coordinates are defined for qubits only")
-    m = rho.matrix
     return BlochVector(
-        rx=float(np.real(np.trace(m @ SIGMA_X))),
-        ry=float(np.real(np.trace(m @ SIGMA_Y))),
-        rz=float(np.real(np.trace(m @ SIGMA_Z))),
+        rx=float(np.real(np.trace(rho @ SIGMA_X))),
+        ry=float(np.real(np.trace(rho @ SIGMA_Y))),
+        rz=float(np.real(np.trace(rho @ SIGMA_Z))),
     )
 
 
@@ -458,23 +458,20 @@ def example_a_ratio_oracle(p: ExampleAParams, tau: float, energy: float, beta_i:
     return example_a_f_factor(p, tau) * math.exp((beta_i - p.beta_f) * energy)
 
 
-def example_b_closed_form(p: ExampleBParams, rho0: DensityMatrix, tau: float) -> DensityMatrix:
+def example_b_closed_form(p: ExampleBParams, rho0: np.ndarray, tau: float) -> np.ndarray:
     """Analytic solution in the ground-first frame.
 
     ``r_z(tau) = r_z(0) e^{-gbar tau} + tanh(beta omega / 2)(1 - e^{-gbar tau})``
     and the coherence obeys ``rho_01(tau) = rho_01(0) e^{(i omega - gbar/2) tau}``.
     """
-    if rho0.dim != 2:
+    if rho0.shape != (2, 2):
         raise DimensionMismatch("closed form is a qubit solution")
     gbar = gamma_bar(p)
     decay = math.exp(-gbar * tau)
-    rz0 = float(np.real(rho0.matrix[0, 0] - rho0.matrix[1, 1]))
+    rz0 = float(np.real(rho0[0, 0] - rho0[1, 1]))
     rz = rz0 * decay + math.tanh(p.beta_f * p.omega / 2.0) * (1.0 - decay)
-    c01 = rho0.matrix[0, 1] * np.exp((1j * p.omega - gbar / 2.0) * tau)
-    m = np.array(
-        [[(1.0 + rz) / 2.0, c01], [np.conj(c01), (1.0 - rz) / 2.0]], dtype=complex
-    )
-    return DensityMatrix(m)
+    c01 = rho0[0, 1] * np.exp((1j * p.omega - gbar / 2.0) * tau)
+    return np.array([[(1.0 + rz) / 2.0, c01], [np.conj(c01), (1.0 - rz) / 2.0]], dtype=complex)
 
 
 def gamma_bar(p: ExampleBParams) -> float:
@@ -571,31 +568,30 @@ def check_pairwise_condition(channel_or_superop, h: HamiltonianSpec, beta_f: flo
 def fpt_stationarity_identity(channel_or_superop, h: HamiltonianSpec, beta_f: float) -> float:
     """Largest defect of ``sum_n p_n(beta_f) p(n->m) == p_m(beta_f)``."""
     probs = transition_matrix(channel_or_superop, h)
-    p_th = populations(gibbs(h, beta_f), h)
+    p_th = thermal_populations(h, beta_f)
     return float(np.max(np.abs(p_th @ probs - p_th)))
 
 
-def default_tau_max(classification: Classification) -> float:
+def default_tau_max(gamma_min) -> float:
     """Probing horizon ``50 / gamma_min`` from the spectral gap when known,
     else ``TAU_MAX``."""
-    if classification.gamma_min and classification.gamma_min > 0:
-        return 50.0 / classification.gamma_min
+    if gamma_min and gamma_min > 0:
+        return 50.0 / gamma_min
     return TAU_MAX
 
 
-def reference_classify_single_map(kraus_ops, h: HamiltonianSpec) -> Classification:
-    """Classification of one Kraus map from its own superoperator: the
+def reference_classify_single_map(kraus_ops, h: HamiltonianSpec) -> tuple:
+    """``(kind, beta_f)`` of one Kraus map from its own superoperator: the
     reference for the single-map branch of :func:`qdblab.fluctuation.classify`,
     which takes the map from its one-point family."""
     eigs, vecs = np.linalg.eig(superop_from_channel(kraus_ops))
     one = np.abs(eigs - 1.0) < UNIT_EIG_ATOL
     if int(np.sum(one)) != 1:
-        return Classification(kind="single_map")
+        return "single_map", None
     try:
-        beta = _fixed_beta(vecs[:, int(np.argmax(one))], h)
+        return "single_map", _fixed_beta(vecs[:, int(np.argmax(one))], h)
     except NotAState:
-        return Classification(kind="single_map")
-    return Classification(kind="single_map", beta_f=beta)
+        return "single_map", None
 
 
 # ---------------------------------------------------------------------------
@@ -631,10 +627,11 @@ def apply_matrix(g, x: np.ndarray) -> np.ndarray:
     return sum(k @ x @ dag(k) for k in g) if g.ndim == 3 else unvec(g @ vec(x), d, d)
 
 
-def apply(g, rho: DensityMatrix) -> DensityMatrix:
-    """Send a state through Kraus operators or a Schroedinger-picture superoperator."""
-    out = apply_matrix(g, rho.matrix)
-    return DensityMatrix((out + dag(out)) / 2)
+def apply(g, rho: np.ndarray) -> np.ndarray:
+    """Send a state through Kraus operators or a Schroedinger-picture
+    superoperator, and take the Hermitian part of the image."""
+    out = apply_matrix(g, rho)
+    return (out + dag(out)) / 2
 
 
 def superop_from_channel(kraus_ops) -> np.ndarray:
@@ -675,26 +672,22 @@ def channel_from_superop(s: np.ndarray) -> np.ndarray:
 
 
 def _probe_states(d: int) -> list:
-    probes = [DensityMatrix(np.eye(d, dtype=complex) / d)]
-    for m in range(d):
-        mat = np.zeros((d, d), dtype=complex)
-        mat[m, m] = 1.0
-        probes.append(DensityMatrix(mat))
+    probes = [np.eye(d, dtype=complex) / d, *map(np.diag, np.eye(d, dtype=complex))]
     rng = np.random.default_rng(7)
     for _ in range(3):
         a = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
         mat = a @ dag(a)
-        probes.append(DensityMatrix(mat / np.trace(mat)))
+        probes.append(mat / np.trace(mat))
     return probes
 
 
-def reference_classify_family(source) -> Classification:
-    """Classification of a channel family from eight probe states sent
+def reference_classify_family(source) -> tuple:
+    """``(kind, beta_f)`` of a channel family from eight probe states sent
     through its Kraus maps: the reference for the family branch of
     :func:`qdblab.fluctuation.classify`, which reads the superoperator stack."""
     h = source.h
     _, kraus = source.maps((TAU_MAX, *FIXED_POINT_TAUS))
-    finals = [apply(kraus[0], p).matrix for p in _probe_states(h.dim)]
+    finals = [apply(kraus[0], p) for p in _probe_states(h.dim)]
     mean = sum(finals) / len(finals)
     mean = (mean + dag(mean)) / 2
     spread = max(trace_norm(f - mean) for f in finals)
@@ -702,14 +695,10 @@ def reference_classify_family(source) -> Classification:
         raise InconclusiveHorizon(
             f"probe states are {spread:.3e} apart in trace norm at tau={TAU_MAX:g}"
         )
-    state = DensityMatrix(mean / np.real(np.trace(mean)))
+    state = mean / np.real(np.trace(mean))
     try:
         beta = infer_beta(state, h)
     except (NotThermal, ZeroPopulation):
-        return Classification(kind="non_thermalizing")
-    fixed = all(
-        trace_norm(apply(ops, state).matrix - state.matrix) < FIXED_POINT_ATOL
-        for ops in kraus[1:]
-    )
-    kind = "fpt" if fixed else "thermalizing"
-    return Classification(kind=kind, beta_f=beta)
+        return "non_thermalizing", None
+    fixed = all(trace_norm(apply(ops, state) - state) < FIXED_POINT_ATOL for ops in kraus[1:])
+    return "fpt" if fixed else "thermalizing", beta

@@ -30,6 +30,7 @@ from conftest import (
     example_qdb_family,
     exchange_at,
     gap_records,
+    gibbs,
     inner,
     r_s_superop,
     random_complex,
@@ -51,8 +52,7 @@ from qdblab.examples import (
     example_c_qdb_point,
     qubit_hamiltonian,
 )
-from qdblab.fluctuation import classify
-from qdblab.states import gibbs
+from qdblab.fluctuation import classify, ratios
 
 OMEGA, BETA_F, BETA_I = 1.0, 1.0, 2.0
 TAU_GRID = tuple(np.geomspace(0.01, 50.0, 40))
@@ -64,8 +64,8 @@ def _report(number: int, label: str):
 
 
 def _ratio_at_gap(map_at_tau, h, tau, energy, beta_i=BETA_I, beta_f=BETA_F):
-    grid = exchange_at(map_at_tau, h, beta_i, beta_f, tau)
-    recs = [r for r in ratio_records(grid) if abs(r.energy - energy) < 1e-9]
+    grid = exchange_at(map_at_tau, h, beta_i)
+    recs = [r for r in ratio_records(grid, beta_i - beta_f) if abs(r.energy - energy) < 1e-9]
     assert recs, f"no defined ratio at gap {energy} for tau={tau}"
     return recs[0].ratio
 
@@ -111,14 +111,14 @@ def test_criterion_3_scenario_b_closed_form_balance_and_ratio(rng):
         for tau in TAU_GRID:
             num = apply(evolve(l, tau), rho0)
             ana = example_b_closed_form(p, rho0, tau)
-            assert matlin.frobenius(num.matrix - ana.matrix) < 1e-9
-    cls = classify(Dynamics.semigroup(h, gen))
-    assert cls.kind == "fpt"
-    assert abs(cls.beta_f - BETA_F) < 1e-8
+            assert matlin.frobenius(num - ana) < 1e-9
+    kind, beta, gamma_min = classify(Dynamics.semigroup(h, gen))
+    assert kind == "fpt"
+    assert abs(beta - BETA_F) < 1e-8
     assert np.all(check_qdb1(h, BETA_F, S_GRID, lindblad_superop(gen)) < 1e-10)
     for tau in TAU_GRID:
-        grid = exchange_at(evolve(l, tau), h, BETA_I, BETA_F, tau)
-        recs = ratio_records(grid)
+        grid = exchange_at(evolve(l, tau), h, BETA_I)
+        recs = ratio_records(grid, BETA_I - BETA_F)
         assert len(recs) == len(gap_records(grid))
         for rec in recs:
             assert rec.deviation < 1e-9
@@ -151,7 +151,7 @@ def test_criterion_4_scenario_c_regimes_and_nonequivalence(rng):
     maps = np.array([evolve(sup, tau) for tau in (0.1, 0.5, 1.0, 5.0)])
     assert not np.all(check_qdb2(h, BETA_F, S_GRID, maps) < 1e-9)
     for tau in TAU_GRID:
-        for rec in ratio_records(exchange_at(evolve(sup, tau), h, BETA_I, BETA_F, tau)):
+        for rec in ratio_records(exchange_at(evolve(sup, tau), h, BETA_I), BETA_I - BETA_F):
             assert rec.deviation < 1e-9
     _report(4, "scenario-c analytic regimes; ratio law without detailed balance")
 
@@ -192,13 +192,13 @@ def test_criterion_6_thermalizing_maps_asymptotic_ratio_law():
                 continue
             h = qubit_hamiltonian(OMEGA)
         dynamics = Dynamics.semigroup(h, source)
-        cls = classify(dynamics)
-        assert cls.kind in ("fpt", "thermalizing"), "draw must satisfy the spectral criterion"
-        tau_max = default_tau_max(cls)
+        kind, beta, gamma_min = classify(dynamics)
+        assert kind in ("fpt", "thermalizing"), "draw must satisfy the spectral criterion"
+        tau_max = default_tau_max(gamma_min)
         beta_i = rng.uniform(0.0, 1.8)
-        grid = exchange_at(evolve(dynamics.generator, tau_max), h, beta_i, cls.beta_f, tau_max)
-        defined, _, _, deviation = grid.ratios()
-        assert np.all(deviation[defined & (grid.p_minus > 1e-12)] < 1e-6)
+        grid = exchange_at(evolve(dynamics.generator, tau_max), h, beta_i)
+        defined, _, _, deviation = ratios(*grid, beta_i - beta)
+        assert np.all(deviation[defined & (grid[2] > 1e-12)] < 1e-6)
         drawn += 1
     _report(6, "thermalizing dynamics obey the ratio law at the horizon")
 
@@ -221,12 +221,12 @@ def test_criterion_7_fixed_point_qubit_maps_ratio_law_all_times():
         except NotCPTP:
             continue
         h = qubit_hamiltonian(OMEGA)
-        cls = classify(Dynamics.semigroup(h, sup))
-        assert cls.kind == "fpt"
-        assert abs(cls.beta_f - beta_f) < 1e-9
+        kind, beta, gamma_min = classify(Dynamics.semigroup(h, sup))
+        assert kind == "fpt"
+        assert abs(beta - beta_f) < 1e-9
         beta_i = rng.uniform(0.0, 2.5)
         for tau in TAU_GRID:
-            for rec in ratio_records(exchange_at(evolve(sup, tau), h, beta_i, beta_f, tau)):
+            for rec in ratio_records(exchange_at(evolve(sup, tau), h, beta_i), beta_i - beta_f):
                 assert rec.deviation < 1e-9
         drawn += 1
     _report(7, "fixed-point thermalizing qubit maps obey the ratio law at all times")
@@ -257,7 +257,7 @@ def test_criterion_8_structural_invariants():
     g = evolve(lindblad_superop(gen), 0.9)
     gd = evolve(dual_superop(gen), 0.9)
     for _ in range(100):
-        sigma_m = random_density(rng, 2).matrix
+        sigma_m = random_density(rng, 2)
         a = random_complex(rng, 2)
         lhs = np.trace(apply_matrix(g, sigma_m) @ a)
         rhs = np.trace(sigma_m @ apply_matrix(gd, a))
@@ -265,7 +265,7 @@ def test_criterion_8_structural_invariants():
     # adjoint defining relation on the full matrix-unit basis
     for d in (2, 3):
         space_sigma = random_density(rng, d)
-        while min(np.linalg.eigvalsh(space_sigma.matrix)) < 1e-3:
+        while min(np.linalg.eigvalsh(space_sigma)) < 1e-3:
             space_sigma = random_density(rng, d)
         op = random_complex(rng, d * d)
         units = [
@@ -315,7 +315,7 @@ def test_criterion_8_structural_invariants():
         h = h3 if h3 is not None else gen.hamiltonian
         l = lindblad_superop(gen)
         for tau in (0.05, 0.5, 5.0):
-            gaps = gap_records(exchange_at(evolve(l, tau), h, 1.3, 0.7, tau))
+            gaps = gap_records(exchange_at(evolve(l, tau), h, 1.3))
             total = sum(rec.p_plus for rec in gaps)
             total += sum(rec.p_minus for rec in gaps if rec.energy > 0)
             assert abs(total - 1.0) < 1e-9

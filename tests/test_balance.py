@@ -17,6 +17,7 @@ from conftest import (
     dual_superop,
     evolve,
     example_qdb_family,
+    gibbs,
     inner,
     r_s_superop,
     random_complex,
@@ -24,6 +25,7 @@ from conftest import (
     random_hamiltonian,
     random_lindblad,
     inverted_qubit,
+    level_projector,
     thermal_circulation_qutrit,
     transpose_superop,
 )
@@ -33,7 +35,7 @@ from qdblab.dynamics import LindbladGenerator, commutator_superop, evolve_grid, 
 from qdblab.errors import DimensionMismatch
 from qdblab.examples import LOWERING, RAISING, example_c_generator, example_c_qdb_point, qubit_hamiltonian
 from qdblab.matlin import dag, vec
-from qdblab.states import SIGMA_X, SIGMA_Y, SIGMA_Z, DensityMatrix, HamiltonianSpec, gibbs
+from qdblab.states import SIGMA_X, SIGMA_Y, SIGMA_Z, HamiltonianSpec
 
 S_GRID = (0.0, 0.25, 0.5, 0.75, 1.0)
 
@@ -54,7 +56,7 @@ class TestInner:
         assert abs(inner(space, np.eye(3), np.eye(3)) - 1.0) < 1e-12
 
     def test_s_one_maximally_mixed_reduces_to_hilbert_schmidt(self, rng):
-        space = WeightedSpace(DensityMatrix(np.eye(3) / 3), 1.0)
+        space = WeightedSpace(np.eye(3) / 3, 1.0)
         a, b = random_complex(rng, 3), random_complex(rng, 3)
         assert abs(inner(space, a, b) - np.trace(dag(a) @ b) / 3) < 1e-12
 
@@ -108,7 +110,7 @@ class TestAdjoint:
 
     def test_singular_reference_rejected(self):
         with pytest.raises(SingularWeight):
-            WeightedSpace(DensityMatrix(np.diag([1.0, 0.0])), 0.5)
+            WeightedSpace(np.diag([1.0, 0.0]), 0.5)
 
 
 class TestDecompose:
@@ -279,7 +281,7 @@ class TestTimeReversal:
         h = qubit_hamiltonian(1.3)
         t = TimeReversal.conjugation(2)
         for m in range(2):
-            np.testing.assert_allclose(t.apply(h.projector(m)), h.projector(m), atol=1e-14)
+            np.testing.assert_allclose(t.apply(level_projector(h, m)), level_projector(h, m), atol=1e-14)
 
     @pytest.mark.parametrize(
         "reversal",
@@ -406,10 +408,10 @@ class TestInvariantSubspaces:
         for m in range(2):
             for n in range(2):
                 lhs = np.exp(-beta * h.eigenvalues[m]) * (
-                    dag(h.eigenvectors[:, m]) @ apply_matrix(dis, h.projector(n)) @ h.eigenvectors[:, m]
+                    dag(h.eigenvectors[:, m]) @ apply_matrix(dis, level_projector(h, n)) @ h.eigenvectors[:, m]
                 )
                 rhs = np.exp(-beta * h.eigenvalues[n]) * (
-                    dag(h.eigenvectors[:, n]) @ apply_matrix(dis, h.projector(m)) @ h.eigenvectors[:, n]
+                    dag(h.eigenvectors[:, n]) @ apply_matrix(dis, level_projector(h, m)) @ h.eigenvectors[:, n]
                 )
                 assert abs(complex(lhs) - complex(rhs)) < 1e-10
 

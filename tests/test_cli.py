@@ -482,6 +482,8 @@ class TestConfigValidation:
             ("example", "b", "--tau-grid", "log:-1:10:3"),
             ("example", "b", "--tau-grid", "log:1:1e400:3"),
             ("sweep", "b", "--parameter", "gamma", "--range", "0:inf:2"),
+            ("check", "KRAUS_H_RANGE"),
+            ("check", "KRAUS_H_RANGE", "--beta-i", "0"),
         ],
         ids=["s-outside-unit", "beta-f-inf", "beta-i-nan", "gamma-negative", "omega-negative",
              "sweep-gamma-negative", "model-not-object", "tau-negative", "tau-inf", "tau-nan",
@@ -493,7 +495,7 @@ class TestConfigValidation:
              "c-eta-nan", "c-nu-scale-nan", "sweep-gamma-nan", "c-mu-negative", "c-eta-negative",
              "b-boltzmann-underflow", "sweep-b-boltzmann-underflow", "b-boltzmann-zero", "b-rate-overflow",
              "tau-grid-count-huge", "sweep-count-huge", "tau-grid-log-negative", "tau-grid-log-inf",
-             "sweep-range-inf"],
+             "sweep-range-inf", "kraus-h-range", "kraus-h-range-beta-i-0"],
     )
     def test_out_of_range_input_exits_2(self, tmp_path, capsys, argv):
         kraus = {
@@ -525,6 +527,8 @@ class TestConfigValidation:
             "OVERFLOW_LINDBLAD_H": {**lindblad, "hamiltonian": [[1e308, 0], [0, -1e308]]},
             "OVERFLOW_BLOCH4": {**kraus, "kind": "bloch4", "generator": [[1e308] * 4] * 4},
             "OVERFLOW_LINDBLAD_C": {**lindblad, "kossakowski": np.diag([1e308] * 3).tolist()},
+            # finite energies whose range E_max - E_min overflows
+            "KRAUS_H_RANGE": {**kraus, "hamiltonian": [[-1e308, 0], [0, 1e308]]},
         }
         for name, obj in models.items():
             (tmp_path / f"{name}.json").write_text(json.dumps(obj))
@@ -540,6 +544,32 @@ class TestConfigValidation:
             assert err == "ConfigError: the Hamiltonian has 1 level; a model needs at least 2\n"
         if "OVERFLOW" in argv[-1]:
             assert err == "ConfigError: the model overflows: its generator has a non-finite entry\n"
+        if "KRAUS_H_RANGE" in argv[1]:
+            assert err == "ConfigError: the model overflows: the Hamiltonian's energy range is not finite\n"
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (("example", "c", "--eta", "1e308"), "scenario c: the generator overflows: its 1-norm is not finite"),
+            (("sweep", "c", "--parameter", "eta", "--range", "1e308:1e308:1"),
+             "scenario c: the generator overflows: its 1-norm is not finite"),
+            # finite entries, but the 1-norm overflows
+            (("sweep", "c", "--parameter", "nu", "--range", "1e308:1e308:1"),
+             "scenario c: the generator overflows: its 1-norm is not finite"),
+            (("example", "c", "--mu", "1e308"), "scenario c: mu = 1e+308 overflows the rates at beta_f omega = 1"),
+        ],
+        ids=["example-eta", "sweep-eta", "sweep-nu", "example-mu"],
+    )
+    def test_scenario_c_overflow_exits_2_before_its_cptp_check(self, tmp_path, capsys, argv, message):
+        assert run(tmp_path, *argv) == EXIT_CONFIG
+        assert capsys.readouterr().err == f"ConfigError: {message}\n"
+
+    @pytest.mark.parametrize("name", ["a", "c"])
+    def test_save_model_writes_only_scenario_b(self, tmp_path, capsys, name):
+        model = tmp_path / "model.json"
+        assert run(tmp_path / "reports", "example", name, "--save-model", str(model)) == EXIT_CONFIG
+        assert capsys.readouterr().err == f"ConfigError: --save-model writes only scenario b, not scenario {name}\n"
+        assert list(tmp_path.iterdir()) == []
 
     def test_scenario_c_at_low_temperature_is_not_cptp(self, tmp_path, capsys):
         # e^(beta omega) is finite but tau L overflows, so the map at tau = 10 is nan
@@ -569,13 +599,29 @@ class TestConfigValidation:
             # some maps of the grid have inf entries; their transition probabilities are nan, without a warning
             (("example", "b", "--beta-f", "1e-20"), EXIT_MODEL,
              "NotTracePreserving: transition rows sum to 1 only within 8.886e+06"),
+            # model entries near the float range fail their checks without a warning
+            (("check", "KRAUS_HUGE_OP"), EXIT_MODEL, "NotTracePreserving: sum G^dag G differs from identity by inf"),
+            (("check", "LINDBLAD_H_SKEW"), EXIT_MODEL, "NotHermitian: max |m - m^dag| entry exceeds 1e-12"),
+            # beta_i (E_1 - E_0) overflows, and the excited level's weight is 0
+            (("check", "KRAUS_H_1E303", "--beta-i", "1e6"), EXIT_OK, None),
         ],
-        ids=["b-tau-1e200", "b-tau-0.1-and-1e200", "c-tau-1e308", "b-gamma-1e6", "c-beta-f-16", "b-beta-f-1e-20"],
+        ids=["b-tau-1e200", "b-tau-0.1-and-1e200", "c-tau-1e308", "b-gamma-1e6", "c-beta-f-16", "b-beta-f-1e-20",
+             "kraus-huge-op", "lindblad-h-skew", "kraus-h-1e303"],
     )
     def test_failing_checks_keep_their_exit_code_and_message(self, tmp_path, capsys, argv, code, first_line):
         # non-finite maps pass the transition checks (every comparison with nan
         # is false) and leave no gap record, so the records sum to 0; a run
         # that passes (first_line None) writes nothing to stderr
+        kraus = {"schema": 1, "kind": "kraus", "hamiltonian": [[-0.5, 0], [0, 0.5]], "kraus_ops": [np.eye(2).tolist()]}
+        skew = [[0, 1e308], [-1e308, 0]]
+        models = {
+            "KRAUS_HUGE_OP": {**kraus, "kraus_ops": [[[1e200, 0], [0, 1]]]},
+            "LINDBLAD_H_SKEW": {"schema": 1, "kind": "lindblad", "hamiltonian": skew, "kossakowski": []},
+            "KRAUS_H_1E303": {**kraus, "hamiltonian": [[-1e303, 0], [0, 1e303]]},
+        }
+        for name, obj in models.items():
+            (tmp_path / f"{name}.json").write_text(json.dumps(obj))
+        argv = [str(tmp_path / f"{a}.json") if a in models else a for a in argv]
         assert run(tmp_path, *argv) == code
         assert next(iter(capsys.readouterr().err.splitlines()), None) == first_line
 

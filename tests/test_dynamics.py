@@ -8,6 +8,7 @@ from conftest import (
     channel_from_superop,
     dual_superop,
     evolve,
+    gibbs,
     level_unit,
     random_complex,
     random_density,
@@ -33,7 +34,7 @@ from qdblab.dynamics import (
 from qdblab.errors import ConfigError, DimensionMismatch, KossakowskiNotPSD, NotTracePreserving
 from qdblab.matlin import dag, kron
 from qdblab.examples import qubit_hamiltonian
-from qdblab.states import SIGMA_X, gibbs
+from qdblab.states import SIGMA_X
 
 
 @pytest.mark.parametrize("d", [2, 3, 4])
@@ -55,7 +56,7 @@ class TestLindbladSuperop:
         h = random_hamiltonian(rng, 3)
         gen = LindbladGenerator.canonical(h, np.zeros((8, 8)))
         l = lindblad_superop(gen)
-        assert matlin.frobenius(apply_matrix(l, gibbs(h, 0.7).matrix)) < 1e-12
+        assert matlin.frobenius(apply_matrix(l, gibbs(h, 0.7))) < 1e-12
 
     def test_annihilates_trace(self, rng):
         gen = random_lindblad(rng, 3)
@@ -149,7 +150,7 @@ class TestDuality:
         l = lindblad_superop(gen)
         ld = dual_superop(gen)
         for _ in range(100):
-            sigma = random_density(rng, 3).matrix
+            sigma = random_density(rng, 3)
             a = random_complex(rng, 3)
             lhs = np.trace(apply_matrix(l, sigma) @ a)
             rhs = np.trace(sigma @ apply_matrix(ld, a))
@@ -174,7 +175,7 @@ class TestDuality:
         g = evolve(lindblad_superop(gen), 0.8)
         gd = evolve(dual_superop(gen), 0.8)
         for _ in range(20):
-            sigma = random_density(rng, 2).matrix
+            sigma = random_density(rng, 2)
             a = random_complex(rng, 2)
             assert abs(np.trace(apply_matrix(g, sigma) @ a) - np.trace(sigma @ apply_matrix(gd, a))) < 1e-10
 
@@ -225,7 +226,7 @@ class TestKrausOperators:
     def test_apply_identity_channel(self, rng):
         rho = random_density(rng, 2)
         out = apply(np.eye(2)[None], rho)
-        np.testing.assert_allclose(out.matrix, rho.matrix, atol=1e-14)
+        np.testing.assert_allclose(out, rho, atol=1e-14)
 
     def test_dimension_mismatch(self, rng):
         with pytest.raises(DimensionMismatch):
@@ -364,5 +365,6 @@ def test_evolved_states_stay_valid(rng):
     l = lindblad_superop(gen)
     rho = random_density(rng, 3)
     for tau in (0.1, 1.0, 10.0):
-        out = apply(evolve(l, tau), rho)  # DensityMatrix constructor validates
-        assert abs(np.trace(out.matrix) - 1.0) < 1e-10
+        out = apply(evolve(l, tau), rho)
+        assert abs(np.trace(out) - 1.0) < 1e-10
+        assert min(np.linalg.eigvalsh(out)) > -1e-10

@@ -5,16 +5,19 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import BlochVector, bloch_to_density, density_to_bloch, random_density, random_hamiltonian
-from qdblab import matlin
-from qdblab.errors import DegenerateGround, NotAState, NotThermal, ZeroPopulation
-from qdblab.states import (
-    DensityMatrix,
-    HamiltonianSpec,
+from conftest import (
+    BlochVector,
+    bloch_to_density,
+    density_to_bloch,
     gibbs,
-    infer_beta,
-    populations,
+    level_projector,
+    random_density,
+    random_hamiltonian,
 )
+from qdblab import matlin
+from qdblab.errors import NotAState, NotThermal, ZeroPopulation
+from qdblab.fluctuation import exchange_grid
+from qdblab.states import HamiltonianSpec, infer_beta, thermal_populations
 
 QUBIT_H = HamiltonianSpec.from_matrix(np.diag([-0.5, 0.5]))
 
@@ -22,7 +25,7 @@ QUBIT_H = HamiltonianSpec.from_matrix(np.diag([-0.5, 0.5]))
 class TestHamiltonianSpec:
     def test_reconstruction_from_projectors(self, rng):
         h = random_hamiltonian(rng, 4)
-        rebuilt = sum(h.eigenvalues[m] * h.projector(m) for m in range(4))
+        rebuilt = sum(h.eigenvalues[m] * level_projector(h, m) for m in range(4))
         assert matlin.frobenius(rebuilt - h.matrix) < 1e-11
 
     def test_eigenbasis_orthonormal(self, rng):
@@ -31,76 +34,66 @@ class TestHamiltonianSpec:
         np.testing.assert_allclose(matlin.dag(v) @ v, np.eye(3), atol=1e-12)
 
     def test_nondegeneracy_probe(self):
-        assert QUBIT_H.is_nondegenerate()
-        assert not HamiltonianSpec.from_matrix(np.eye(2)).is_nondegenerate()
-
-
-class TestDensityMatrix:
-    def test_rejects_nonunit_trace(self):
-        with pytest.raises(NotAState):
-            DensityMatrix(np.eye(2))
-
-    def test_rejects_negative_eigenvalue(self):
-        with pytest.raises(NotAState):
-            DensityMatrix(np.diag([1.5, -0.5]))
-
-    def test_rejects_non_hermitian(self):
-        with pytest.raises(NotAState):
-            DensityMatrix(np.array([[0.5, 0.3], [0.0, 0.5]]))
+        # infer_beta probes the spectrum first: a split qubit passes, a degenerate one does not
+        assert abs(infer_beta(np.eye(2) / 2, QUBIT_H)) < 1e-12
+        with pytest.raises(NotThermal, match="^Hamiltonian spectrum is degenerate, beta inference undefined$"):
+            infer_beta(np.eye(2) / 2, HamiltonianSpec.from_matrix(np.eye(2)))
 
 
 class TestGibbs:
     def test_infinite_temperature(self):
-        np.testing.assert_allclose(gibbs(QUBIT_H, 0.0).matrix, np.eye(2) / 2, atol=1e-14)
+        np.testing.assert_allclose(thermal_populations(QUBIT_H, 0.0), [0.5, 0.5], atol=1e-14)
 
     def test_boltzmann_weights(self):
         # p1/p2 = e^{beta omega} = 4 for beta = ln 4, omega = 1
-        g = gibbs(QUBIT_H, math.log(4))
-        np.testing.assert_allclose(populations(g, QUBIT_H), [0.8, 0.2], atol=1e-14)
-
-    def test_zero_temperature_ground_projector(self):
-        np.testing.assert_allclose(gibbs(QUBIT_H, math.inf).matrix, np.diag([1.0, 0.0]), atol=1e-14)
-
-    def test_zero_temperature_rejects_degenerate_ground(self):
-        h = HamiltonianSpec.from_matrix(np.diag([0.0, 0.0, 1.0]))
-        with pytest.raises(DegenerateGround):
-            gibbs(h, math.inf)
+        np.testing.assert_allclose(thermal_populations(QUBIT_H, math.log(4)), [0.8, 0.2], atol=1e-14)
 
     def test_rejects_negative_beta(self):
-        with pytest.raises(ValueError):
-            gibbs(QUBIT_H, -0.1)
+        # the exchange statistics take a finite beta_i >= 0 only
+        maps = np.eye(4, dtype=complex)[None], None
+        for beta_i in (-0.1, math.inf, math.nan):
+            with pytest.raises(ValueError, match="^beta_i must be finite and nonnegative$"):
+                exchange_grid(maps, QUBIT_H, beta_i)
 
     @pytest.mark.parametrize("beta", [0.0, 0.5, 5.0, 49.0])
     def test_valid_state_and_commutes_with_h(self, rng, beta):
         h = random_hamiltonian(rng, 3)
-        g = gibbs(h, beta)  # constructor enforces the state invariants
-        comm = g.matrix @ h.matrix - h.matrix @ g.matrix
+        p = thermal_populations(h, beta)
+        assert p.min() >= 0 and abs(p.sum() - 1.0) < 1e-15
+        assert np.all(np.diff(p) <= 0)  # the ground level is the most populated
+        g = gibbs(h, beta)
+        comm = g @ h.matrix - h.matrix @ g
         assert matlin.frobenius(comm) < 1e-12
+
+    def test_overflowing_weights_read_zero(self):
+        # beta (E - E_0) = 2e309 overflows; its weight is 0, without a warning
+        h = HamiltonianSpec.from_matrix(np.diag([-1e303, 1e303]))
+        np.testing.assert_array_equal(thermal_populations(h, 1e6), [1.0, 0.0])
 
 
 class TestPopulations:
     def test_maximally_mixed_uniform(self, rng):
         h = random_hamiltonian(rng, 4)
-        rho = DensityMatrix(np.eye(4) / 4)
-        np.testing.assert_allclose(populations(rho, h), np.full(4, 0.25), atol=1e-13)
+        np.testing.assert_allclose(thermal_populations(h, 0.0), np.full(4, 0.25), atol=1e-15)
 
     def test_bloch_state_against_hand_expansion(self):
+        # r_z = 0.6 puts (0.8, 0.2) on the levels of H = diag(-1/2, 1/2): beta = ln 4
         rho = bloch_to_density(BlochVector(0.0, 0.0, 0.6))
-        np.testing.assert_allclose(populations(rho, QUBIT_H), [0.8, 0.2], atol=1e-14)
+        assert abs(infer_beta(rho, QUBIT_H) - math.log(4)) < 1e-14
 
     def test_sum_to_one(self, rng):
         h = random_hamiltonian(rng, 3)
-        p = populations(random_density(rng, 3), h)
-        assert abs(p.sum() - 1.0) < 1e-10
+        for beta in rng.uniform(0.0, 50.0, size=5):
+            assert abs(thermal_populations(h, beta).sum() - 1.0) < 1e-15
 
 
 class TestBloch:
     def test_origin_is_maximally_mixed(self):
-        np.testing.assert_allclose(bloch_to_density(BlochVector(0, 0, 0)).matrix, np.eye(2) / 2)
+        np.testing.assert_allclose(bloch_to_density(BlochVector(0, 0, 0)), np.eye(2) / 2)
 
     def test_x_axis_pure_state(self):
         plus = np.full((2, 2), 0.5, dtype=complex)
-        np.testing.assert_allclose(bloch_to_density(BlochVector(1, 0, 0)).matrix, plus)
+        np.testing.assert_allclose(bloch_to_density(BlochVector(1, 0, 0)), plus)
 
     def test_roundtrip(self, rng):
         for _ in range(20):
@@ -112,7 +105,7 @@ class TestBloch:
     def test_pauli_expectation_recovery(self, rng):
         rho = random_density(rng, 2)
         r = density_to_bloch(rho)
-        np.testing.assert_allclose(bloch_to_density(r).matrix, rho.matrix, atol=1e-12)
+        np.testing.assert_allclose(bloch_to_density(r), rho, atol=1e-12)
 
     def test_rejects_outside_ball(self):
         with pytest.raises(NotAState):
@@ -126,13 +119,13 @@ class TestInferBeta:
 
     def test_maximally_mixed_is_beta_zero(self, rng):
         h = random_hamiltonian(rng, 4)
-        assert abs(infer_beta(DensityMatrix(np.eye(4) / 4), h)) < 1e-12
+        assert abs(infer_beta(np.eye(4) / 4, h)) < 1e-12
 
     def test_rejects_inconsistent_populations(self):
         h = HamiltonianSpec.from_matrix(np.diag([0.0, 1.0, 2.0]))
         # pairwise estimates 2.079 vs 0 disagree
         with pytest.raises(NotThermal):
-            infer_beta(DensityMatrix(np.diag([0.8, 0.1, 0.1])), h)
+            infer_beta(np.diag([0.8, 0.1, 0.1]), h)
 
     def test_rejects_coherent_state(self):
         rho = bloch_to_density(BlochVector(0.8, 0.0, 0.0))
@@ -140,17 +133,22 @@ class TestInferBeta:
             infer_beta(rho, QUBIT_H)
 
     def test_ground_projector_reports_infinity(self):
-        assert infer_beta(gibbs(QUBIT_H, math.inf), QUBIT_H) == math.inf
+        assert infer_beta(np.diag([1.0, 0.0]), QUBIT_H) == math.inf
 
     def test_partial_zero_population_rejected(self):
         h = HamiltonianSpec.from_matrix(np.diag([0.0, 1.0, 2.0]))
         with pytest.raises(ZeroPopulation):
-            infer_beta(DensityMatrix(np.diag([0.5, 0.5, 0.0])), h)
+            infer_beta(np.diag([0.5, 0.5, 0.0]), h)
 
     def test_rejects_degenerate_spectrum(self):
         h = HamiltonianSpec.from_matrix(np.diag([0.0, 0.0, 1.0]))
         with pytest.raises(NotThermal):
-            infer_beta(DensityMatrix(np.eye(3) / 3), h)
+            infer_beta(np.eye(3) / 3, h)
+
+    def test_rejects_negative_eigenvalue(self):
+        # a matrix with a negative eigenvalue is no state, whatever its diagonal
+        with pytest.raises(NotAState, match=r"^state has negative eigenvalue -5\.000e-01$"):
+            infer_beta(np.diag([1.5, -0.5]), QUBIT_H)
 
 
 @settings(max_examples=30, deadline=None)
