@@ -23,7 +23,7 @@ from pathlib import Path
 import numpy as np
 
 from .balance import check_qdb1, check_qdb2
-from .dynamics import Dynamics, LindbladGenerator
+from .dynamics import Dynamics, LindbladGenerator, maps_of
 from .errors import (
     ConfigError,
     DimensionMismatch,
@@ -37,6 +37,7 @@ from .errors import (
     NotTracePreserving,
     ScheduleOutOfRange,
     UnknownParameter,
+    until_failure,
 )
 from .examples import (
     ExampleAParams,
@@ -167,14 +168,8 @@ def _config_from_args(args) -> RunConfig:
 
 
 def _json_float(x):
-    if x is None:
-        return None
-    x = float(x)
-    if math.isinf(x):
-        return "inf" if x > 0 else "-inf"
-    if math.isnan(x):
-        return "nan"
-    return x
+    """``float(x)``, with a non-finite value as the text ``inf``, ``-inf`` or ``nan``; None stays."""
+    return None if x is None else float(x) if math.isfinite(x) else str(float(x))
 
 
 def fmt_float(x) -> str:
@@ -185,84 +180,63 @@ def fmt_float(x) -> str:
     return format(float(x), ".17g")
 
 
-def _balance_section(residuals: np.ndarray, config: RunConfig) -> dict:
-    """The verdict section of one balance check's residuals over the s grid."""
-    per_s = dict(zip((fmt_float(s) for s in config.s_grid), residuals.tolist()))
-    worst = max(per_s.values())
-    return {"passes": bool(worst < config.tol_qdb), "max_residual": worst, "per_s": per_s}
+def _balance(check, sources: list, betas: list, operators: list, config: RunConfig) -> list:
+    """The verdict section of ``check`` over the s grid for each source with a
+    beta and an operator, else None, from one broadcast over those sources."""
+    picked = [i for i, (b, o) in enumerate(zip(betas, operators)) if b is not None and o is not None]
+    sections = [None] * len(betas)
+    if picked:
+        fields = ("matrix", "eigenvalues", "eigenvectors")  # one Hamiltonian, stacked over the sources
+        h = HamiltonianSpec(*(np.array([getattr(sources[i].h, f) for i in picked]) for f in fields))
+        residuals = check(h, [betas[i] for i in picked], config.s_grid, np.array([operators[i] for i in picked]))
+        keys = [fmt_float(s) for s in config.s_grid]
+        for i, r in zip(picked, residuals):
+            per_s = dict(zip(keys, r.tolist()))
+            worst = max(per_s.values())
+            sections[i] = {"passes": bool(worst < config.tol_qdb), "max_residual": worst, "per_s": per_s}
+    return sections
 
 
-def build_report(label: str, source: Dynamics, config: RunConfig, f_factor=None):
-    """Rows and verdict for one dynamics source.
+def analyse(sources: list, config: RunConfig) -> tuple:
+    """The stages that do not depend on beta_i, each stacked over ``sources``
+    (of one kind and dimension), in a source's order: classify, qdb1, the
+    maps on the tau grid and at the qdb2 times, and qdb2; ``(analyses,
+    failure)`` of :func:`until_failure`, each ``(source, sections, beta_f, taus, maps)``."""
+    classified, failure = classify(sources)
+    betas = [b if b is not None and math.isfinite(b) else None for _, b, _ in classified]
+    qdb1 = _balance(check_qdb1, sources, betas, [s.generator for s in sources], config)
+    taus = [s.taus(config.tau_grid) for s in sources]
+    qdb2_taus = [() if b is None else tuple(filter(math.isfinite, s.taus(QDB2_TAUS))) for s, b in zip(sources, betas)]
+    maps, map_failure = maps_of(sources, [t + t2 for t, t2 in zip(taus, qdb2_taus)])
+    # time reversal is complex conjugation in H's eigenbasis
+    qdb2 = [m[len(t) :] if t2 else None for t, t2, (m, _) in zip(taus, qdb2_taus, maps)]
+    qdb2 = _balance(check_qdb2, sources, betas, qdb2, config)
+    classification = [{"kind": k, "beta_f": _json_float(b), "gamma_min": _json_float(g)} for k, b, g in classified]
+    sections = [{"classification": c, "qdb1": q1, "qdb2": q2 and {**q2, "taus": list(t2)}}
+                for c, q1, q2, t2 in zip(classification, qdb1, qdb2, qdb2_taus)]
+    return list(zip(sources, sections, betas, taus, maps)), map_failure or failure
 
-    Rows cover the tau grid with one entry per Bohr gap; the verdict
-    aggregates classification, both balance checks (per point of the s
-    grid) and the worst ratio-law deviation.
-    """
-    kind, beta_f, gamma_min = classify(source)
-    classification = {"kind": kind, "beta_f": _json_float(beta_f), "gamma_min": _json_float(gamma_min)}
-    beta_known = beta_f is not None and math.isfinite(beta_f)
-    beta_for_ratios = beta_f if beta_known else config.beta_f
 
-    qdb1 = None
-    if beta_known and source.generator is not None:
-        per_s = check_qdb1(source.h, beta_f, config.s_grid, source.generator)
-        qdb1 = _balance_section(per_s, config)
-
-    taus = source.taus(config.tau_grid)
-    qdb2_taus = tuple(t for t in source.taus(QDB2_TAUS) if math.isfinite(t)) if beta_known else ()
-    superops, kraus = source.maps(taus + qdb2_taus)  # one stacked exponential for a semigroup
-    n = len(taus)
-
-    qdb2 = None
-    if qdb2_taus:
-        # time reversal is complex conjugation in H's eigenbasis
-        per_s = check_qdb2(source.h, beta_f, config.s_grid, superops[n:])
-        qdb2 = {**_balance_section(per_s, config), "taus": list(qdb2_taus)}
-
-    header = ["tau", "E", "p_plus", "p_minus", "R", "predicted", "deviation"]
-    if f_factor is not None:
-        header.append("F_tau")
-    maps = (superops[:n], None if kraus is None else kraus[:n])
-    energies, p_plus, p_minus, recorded = exchange_grid(maps, source.h, config.beta_i)
-    defined, ratio, predicted, deviation = ratios(energies, p_plus, p_minus, recorded, config.beta_i - beta_for_ratios)
-    predicted = predicted.tolist()
-    rows = []
-    qfr_max = None
-    per_tau = (a.tolist() for a in (recorded, p_plus, p_minus, defined, ratio, deviation))
-    for tau, *records in zip(taus, *per_tau):
-        extra = [] if f_factor is None else [f_factor(tau)]
-        # each row carries the ratio of its own gap record
-        for energy, pred, kept, p_plus, p_minus, has_ratio, r, dev in zip(energies, predicted, *records):
-            if not kept:
-                continue
-            if not has_ratio:
-                rows.append([tau, energy, p_plus, p_minus, None, None, None, *extra])
-                continue
-            rows.append([tau, energy, p_plus, p_minus, r, pred, dev, *extra])
-            qfr_max = dev if qfr_max is None else max(qfr_max, dev)
-
-    verdict = {
-        "schema": 1,
-        "source": label,
-        "classification": classification,
-        "qdb1": qdb1,
-        "qdb2": qdb2,
-        "qfr_max_deviation": _json_float(qfr_max),
-        "qfr_passes": None if qfr_max is None else bool(qfr_max < config.tol_qfr),
-        "config": {
-            "tau_grid": list(config.tau_grid),
-            "s_grid": list(config.s_grid),
-            "beta_i": config.beta_i,
-            "beta_f": config.beta_f,
-            "tolerances": {
-                "qdb_pass": config.tol_qdb,
-                "qfr_pass": config.tol_qfr,
-                "cptp": config.tol_cptp,
-            },
-        },
-    }
-    return header, rows, verdict
+def build_report(analysis: tuple, configs: list) -> list:
+    """The report of each point ``config`` of one analysed source, from one
+    exchange grid over the points' beta_i, as ``(verdict, records)``: the
+    sections of :func:`analyse` and the ratio law's, and the arrays the rows
+    are read from.  The first point that fails a check raises."""
+    source, sections, beta_f, taus, (superops, kraus) = analysis
+    n, beta_i = len(taus), np.array([c.beta_i for c in configs])
+    maps = superops[:n], None if kraus is None else kraus[:n]
+    energies, p_plus, p_minus, recorded = exchange_grid(maps, source.h, beta_i)
+    beta_for_ratios = np.array([c.beta_f for c in configs]) if beta_f is None else beta_f
+    defined, ratio, predicted, deviation = ratios(energies, p_plus, p_minus, recorded, beta_i - beta_for_ratios)
+    reports = []
+    for config, *records in zip(configs, predicted, recorded, p_plus, p_minus, defined, ratio, deviation):
+        devs = records[-1][records[-3]]  # the deviations of the records with a ratio, in row order
+        # their max() as a running max over the rows takes it: a nan counts only when it comes first
+        worst = None if not devs.size else devs[0] if math.isnan(devs[0]) else np.nanmax(devs)
+        passes = None if worst is None else bool(worst < config.tol_qfr)
+        verdict = {**sections, "qfr_max_deviation": _json_float(worst), "qfr_passes": passes}
+        reports.append((verdict, (taus, energies, *records)))
+    return reports
 
 
 # ---------------------------------------------------------------------------
@@ -381,26 +355,34 @@ def load_model(path: Path):
 # commands
 
 
-def _emit(source_label, header, rows, verdict, config: RunConfig) -> None:
-    suffix = "csv" if config.fmt == "csv" else "json"
-    rows_path = config.out / f"{source_label}_rows.{suffix}"
-    verdict_path = config.out / f"{source_label}_verdict.json"
+def _emit(label: str, source: Dynamics, config: RunConfig, f_factor=None, **extra) -> None:
+    """Write the rows and verdict, with ``extra`` entries, of one source: the
+    one-point case of :func:`analyse` and :func:`build_report`, a row per tau
+    and Bohr gap, with scenario A's ``f_factor`` at tau."""
+    analyses, failure = analyse([source], config)
+    if failure is not None:
+        raise failure
+    ((sections, (taus, energies, predicted, *per_tau)),) = build_report(analyses[0], [config])
+    header = "tau E p_plus p_minus R predicted deviation".split() + ([] if f_factor is None else ["F_tau"])
+    rows, predicted = [], predicted.tolist()
+    for tau, *cells in zip(taus, *(a.tolist() for a in per_tau)):
+        f_cell = [] if f_factor is None else [f_factor(tau)]
+        # each row carries the ratio of its own gap record
+        for energy, pred, kept, p_plus, p_minus, has_ratio, r, dev in zip(energies, predicted, *cells):
+            if kept:
+                ratio = (r, pred, dev) if has_ratio else (None, None, None)
+                rows.append([tau, energy, p_plus, p_minus, *ratio, *f_cell])
+    tolerances = {"qdb_pass": config.tol_qdb, "qfr_pass": config.tol_qfr, "cptp": config.tol_cptp}
+    grids = {"tau_grid": list(config.tau_grid), "s_grid": list(config.s_grid), "tolerances": tolerances}
+    run = {**grids, "beta_i": config.beta_i, "beta_f": config.beta_f}
+    verdict = {"schema": 1, "source": label, **sections, "config": run, **extra}
+    rows_path, verdict_path = config.out / f"{label}_rows.{config.fmt}", config.out / f"{label}_verdict.json"
     write_rows(rows_path, header, rows, config.fmt)
     write_verdict(verdict_path, verdict)
-    cls = verdict["classification"]
-    print(
-        f"{source_label}: classification={cls['kind']}"
-        f" qdb1={_verdict_flag(verdict['qdb1'])}"
-        f" qdb2={_verdict_flag(verdict['qdb2'])}"
-        f" qfr_max_deviation={verdict['qfr_max_deviation']}"
-    )
+    q1, q2 = ({None: "n/a", True: "pass", False: "fail"}[s and s["passes"]] for s in (verdict["qdb1"], verdict["qdb2"]))
+    kind, qfr = verdict["classification"]["kind"], verdict["qfr_max_deviation"]
+    print(f"{label}: classification={kind} qdb1={q1} qdb2={q2} qfr_max_deviation={qfr}")
     print(f"wrote {rows_path} and {verdict_path}")
-
-
-def _verdict_flag(section) -> str:
-    if section is None:
-        return "n/a"
-    return "pass" if section["passes"] else "fail"
 
 
 def _example_source(args, config: RunConfig):
@@ -427,10 +409,8 @@ def _example_source(args, config: RunConfig):
     except ValueError as exc:
         raise ConfigError(f"scenario {name}: {exc}") from exc
     if name == "a":
-        return (
-            Dynamics.channel_family(h, lambda taus: example_a_channel(p, taus)),
-            lambda tau: example_a_f_factor(p, tau),
-        )
+        family = Dynamics.channel_family(h, lambda taus: example_a_channel(p, taus))
+        return family, lambda tau: example_a_f_factor(p, tau)
     gen = example_b_generator(p)
     if getattr(args, "save_model", None):
         save_model(gen, Path(args.save_model))
@@ -441,19 +421,12 @@ def cmd_example(args, config: RunConfig) -> int:
     if args.save_model and args.name != "b":
         raise ConfigError(f"--save-model writes only scenario b, not scenario {args.name}")
     source, f_factor = _example_source(args, config)
-    label = f"example_{args.name}"
-    header, rows, verdict = build_report(label, source, config, f_factor)
-    verdict["example"] = args.name
-    _emit(label, header, rows, verdict, config)
+    _emit(f"example_{args.name}", source, config, f_factor, example=args.name)
     return EXIT_OK
 
 
 def cmd_check(args, config: RunConfig) -> int:
-    source = load_model(args.model)
-    label = f"check_{Path(args.model).stem}"
-    header, rows, verdict = build_report(label, source, config)
-    verdict["model"] = str(args.model)
-    _emit(label, header, rows, verdict, config)
+    _emit(f"check_{Path(args.model).stem}", load_model(args.model), config, model=str(args.model))
     return EXIT_OK
 
 
@@ -465,56 +438,49 @@ _SWEEPABLE = {
 }
 
 
-def _sweep_source(target: str, param: str, value: float, args, config: RunConfig):
-    """Build the swept source of scenario ``target``; returns (source,
-    config) with overrides applied."""
-    ns = argparse.Namespace(**vars(args), name=target)
-    if param in ("beta_i", "beta_f"):
-        config = dataclasses.replace(config, **{param: value})
-    else:
-        setattr(ns, param, value)
-    source, _ = _example_source(ns, config)
-    return source, config
+SWEEP_BLOCK = 32  # points stacked per pass, so that a sweep's memory does not grow with its range
 
 
 def cmd_sweep(args, config: RunConfig) -> int:
     values = parse_range(args.range)
-    header = [
-        "parameter",
-        "value",
-        "classification",
-        "beta_f",
-        "qdb1_passes",
-        "qdb1_max_residual",
-        "qdb2_passes",
-        "qdb2_max_residual",
-        "qfr_max_deviation",
-    ]
+    header = ["parameter", "value", "classification", "beta_f", "qdb1_passes", "qdb1_max_residual"]
+    header += ["qdb2_passes", "qdb2_max_residual", "qfr_max_deviation"]
     allowed = _SWEEPABLE.get(args.target, _SWEEPABLE["model"])
     if args.parameter not in allowed:
         raise UnknownParameter(
             f"parameter {args.parameter!r} is not sweepable for {args.target!r}; choose from {allowed}"
         )
-    # a model file is read and built once; its sweep changes beta_i only
-    model = None if args.target in ("a", "b", "c") else load_model(args.target)
-    rows = []
-    for value in values:
-        if model is None:
-            source, cfg = _sweep_source(args.target, args.parameter, float(value), args, config)
+    # a model file is read and built once, and so is a scenario whose sweep
+    # changes beta_i only; that source is analysed once, in the first block
+    shared = None if args.target in ("a", "b", "c") else load_model(args.target)
+
+    def point(value):
+        nonlocal shared
+        cfg = dataclasses.replace(config, **{args.parameter: value}) if args.parameter.startswith("beta") else config
+        # a scenario reads a swept beta from cfg, any other swept parameter from the namespace
+        ns = argparse.Namespace(**{**vars(args), "name": args.target, args.parameter: value})
+        source = shared if shared is not None else _example_source(ns, cfg)[0]
+        shared = source if args.parameter == "beta_i" else None
+        return source, cfg
+
+    analyses, stage_failure, rows = [], None, []
+    for start in range(0, len(values), SWEEP_BLOCK):
+        block = values[start : start + SWEEP_BLOCK]
+        # points are built up to the first that cannot be, whose error follows those of earlier points
+        points, failure = until_failure(point, block)
+        if shared is None or not analyses:
+            analyses, stage_failure = analyse([s for s, _ in points][: None if shared is None else 1], config)
+        if shared is not None and analyses:
+            groups = [(analyses[0], [cfg for _, cfg in points])]
         else:
-            source, cfg = model, dataclasses.replace(config, beta_i=float(value))
-        _, _, verdict = build_report(args.target, source, cfg)
-        q1, q2 = verdict["qdb1"], verdict["qdb2"]
-        rows.append(
-            [
-                args.parameter,
-                value,
-                verdict["classification"]["kind"],
-                verdict["classification"]["beta_f"],
-                *(None if q is None else q[key] for q in (q1, q2) for key in ("passes", "max_residual")),
-                verdict["qfr_max_deviation"],
-            ]
-        )
+            groups = [(a, [cfg]) for a, (_, cfg) in zip(analyses, points)]
+        reports = [report for a, cfgs in groups for report in build_report(a, cfgs)]
+        if stage_failure or failure:
+            raise stage_failure or failure
+        for value, (verdict, _) in zip(block, reports):
+            cls, sections = verdict["classification"], (verdict["qdb1"], verdict["qdb2"])
+            balance = [None if q is None else q[key] for q in sections for key in ("passes", "max_residual")]
+            rows.append([args.parameter, value, cls["kind"], cls["beta_f"], *balance, verdict["qfr_max_deviation"]])
     target_tag = Path(args.target).stem if args.target.endswith(".json") else args.target
     path = config.out / f"sweep_{target_tag}_{args.parameter}.csv"
     write_rows(path, header, rows, "csv")

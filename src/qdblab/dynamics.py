@@ -25,7 +25,7 @@ from typing import Callable
 import numpy as np
 
 from . import matlin
-from .errors import ConfigError, DimensionMismatch, KossakowskiNotPSD, NotTracePreserving
+from .errors import ConfigError, DimensionMismatch, KossakowskiNotPSD, NotTracePreserving, until_failure
 from .matlin import dag, kron
 from .states import HamiltonianSpec
 
@@ -163,12 +163,13 @@ def lindblad_superop(gen: LindbladGenerator) -> np.ndarray:
 
 def evolve_grid(generator: np.ndarray, taus) -> np.ndarray:
     """The matrices of ``exp(tau * L)`` for every ``tau`` of ``taus``,
-    stacked ``(t, d^2, d^2)``, from one stacked matrix exponential."""
-    taus = np.asarray(taus, dtype=float).reshape(-1)
+    stacked ``(t, d^2, d^2)``, from one stacked matrix exponential; a stack
+    ``(p, d^2, d^2)`` of generators takes a ``(p, t)`` grid of taus."""
+    taus = np.asarray(taus, dtype=float).reshape(np.shape(generator)[:-2] + (-1,))  # a row per generator
     if np.any(taus < 0):
         raise ValueError("tau must be nonnegative")
     with np.errstate(over="ignore"):  # tau L may overflow; expm turns it to nan
-        return matlin.expm(taus[:, None, None] * generator)
+        return matlin.expm(taus[..., None, None] * generator[..., None, :, :])
 
 
 def _kraus_superops(kraus: np.ndarray) -> np.ndarray:
@@ -253,11 +254,13 @@ class Dynamics:
     def semigroup(cls, h: HamiltonianSpec, generator: np.ndarray | LindbladGenerator) -> "Dynamics":
         """Semigroup of a generator matrix or of a ``LindbladGenerator``,
         whose matrix is built here, once; a generator with a non-finite
-        entry, one that overflowed, raises ``ConfigError``."""
+        entry or 1-norm, one that overflowed, raises ``ConfigError``."""
         if isinstance(generator, LindbladGenerator):
             generator = lindblad_superop(generator)
-        if not np.all(np.isfinite(require_superop_dim(generator, h))):
-            raise ConfigError("the model overflows: its generator has a non-finite entry")
+        with np.errstate(over="ignore"):  # finite entries whose sum overflows would give nan maps
+            if not np.isfinite(np.abs(require_superop_dim(generator, h)).sum(axis=0).max()):
+                what = "'s 1-norm is not finite" if np.all(np.isfinite(generator)) else " has a non-finite entry"
+                raise ConfigError(f"the model overflows: its generator{what}")
         return cls(h, generator, None, None)
 
     @classmethod
@@ -288,3 +291,16 @@ class Dynamics:
         """The points of ``grid`` the dynamics is defined on; a single map
         has only its own ``tau``."""
         return tuple(grid) if self.tau is None else (self.tau,)
+
+
+def maps_of(sources: list, taus: list) -> tuple:
+    """``source.maps(t)`` for each source and time tuple, as ``(maps, failure)``
+    of :func:`until_failure`; the semigroups, of one dimension, take one
+    exponential over (source, tau), each time tuple padded with 0."""
+    grids = [(s.generator, t) for s, t in zip(sources, taus) if s.generator is not None]
+    width = max((len(t) for _, t in grids), default=0)
+    padded = [t + (0,) * (width - len(t)) for _, t in grids]
+    stack = grids and iter(evolve_grid(np.array([g for g, _ in grids]), padded))
+    return until_failure(
+        lambda s, t: s.maps(t) if s.generator is None else (next(stack)[: len(t)], None), sources, taus
+    )

@@ -59,3 +59,15 @@ class ConfigError(QdblabError):
 
 class InternalCheckError(QdblabError):
     """A redundant internal cross-check failed; indicates a bug, not bad input."""
+
+
+def until_failure(fn, *iterables) -> tuple:
+    """``(list(map(fn, *iterables)), None)``, or the results before the first
+    call that raises a ``QdblabError``, with that error."""
+    results = []
+    for args in zip(*iterables):
+        try:
+            results.append(fn(*args))
+        except QdblabError as exc:
+            return results, exc
+    return results, None

@@ -30,7 +30,7 @@ BETA_AGREE_RTOL = 1e-6
 
 @dataclass(frozen=True)
 class HamiltonianSpec:
-    """Hermitian Hamiltonian with its ascending eigenstructure."""
+    """Hermitian Hamiltonian with its ascending eigenstructure, or a stack of them."""
 
     matrix: np.ndarray
     eigenvalues: np.ndarray
@@ -44,20 +44,20 @@ class HamiltonianSpec:
 
     @property
     def dim(self) -> int:
-        return self.matrix.shape[0]
+        return self.matrix.shape[-1]
 
 
-def thermal_populations(h: HamiltonianSpec, beta: float) -> np.ndarray:
+def thermal_populations(h: HamiltonianSpec, beta) -> np.ndarray:
     """Level populations ``e^{-beta E_m} / Z`` of the thermal state over h's
-    ascending levels, for a finite ``beta >= 0``.
+    ascending levels, for a finite ``beta >= 0`` or an array of them.
 
     Energies are shifted by the ground level before exponentiating, so a
     large beta stays finite; a weight whose exponent overflows is 0.
     """
     e = h.eigenvalues
     with np.errstate(over="ignore"):
-        weights = np.exp(-beta * (e - e[0]))
-    return weights / weights.sum()
+        weights = np.exp(-np.asarray(beta, dtype=float)[..., None] * (e - e[0]))
+    return weights / weights.sum(axis=-1, keepdims=True)
 
 
 def infer_beta(rho: np.ndarray, h: HamiltonianSpec) -> float:

@@ -43,6 +43,7 @@ from qdblab.fluctuation import (
     _fixed_beta,
     _raise_first,
     _transition_stack,
+    classify,
     exchange_grid,
     ratios,
 )
@@ -578,6 +579,15 @@ def default_tau_max(gamma_min) -> float:
     if gamma_min and gamma_min > 0:
         return 50.0 / gamma_min
     return TAU_MAX
+
+
+def classify_one(source) -> tuple:
+    """:func:`qdblab.fluctuation.classify` of one source: its ``(kind, beta_f,
+    gamma_min)``, or its exception raised."""
+    results, failure = classify([source])
+    if failure is not None:
+        raise failure
+    return results[0]
 
 
 def reference_classify_single_map(kraus_ops, h: HamiltonianSpec) -> tuple:

@@ -12,6 +12,7 @@ import numpy as np
 
 from conftest import (
     a_channel,
+    classify_one,
     SEED,
     apply,
     apply_matrix,
@@ -52,7 +53,7 @@ from qdblab.examples import (
     example_c_qdb_point,
     qubit_hamiltonian,
 )
-from qdblab.fluctuation import classify, ratios
+from qdblab.fluctuation import ratios
 
 OMEGA, BETA_F, BETA_I = 1.0, 1.0, 2.0
 TAU_GRID = tuple(np.geomspace(0.01, 50.0, 40))
@@ -112,7 +113,7 @@ def test_criterion_3_scenario_b_closed_form_balance_and_ratio(rng):
             num = apply(evolve(l, tau), rho0)
             ana = example_b_closed_form(p, rho0, tau)
             assert matlin.frobenius(num - ana) < 1e-9
-    kind, beta, gamma_min = classify(Dynamics.semigroup(h, gen))
+    kind, beta, gamma_min = classify_one(Dynamics.semigroup(h, gen))
     assert kind == "fpt"
     assert abs(beta - BETA_F) < 1e-8
     assert np.all(check_qdb1(h, BETA_F, S_GRID, lindblad_superop(gen)) < 1e-10)
@@ -192,7 +193,7 @@ def test_criterion_6_thermalizing_maps_asymptotic_ratio_law():
                 continue
             h = qubit_hamiltonian(OMEGA)
         dynamics = Dynamics.semigroup(h, source)
-        kind, beta, gamma_min = classify(dynamics)
+        kind, beta, gamma_min = classify_one(dynamics)
         assert kind in ("fpt", "thermalizing"), "draw must satisfy the spectral criterion"
         tau_max = default_tau_max(gamma_min)
         beta_i = rng.uniform(0.0, 1.8)
@@ -221,7 +222,7 @@ def test_criterion_7_fixed_point_qubit_maps_ratio_law_all_times():
         except NotCPTP:
             continue
         h = qubit_hamiltonian(OMEGA)
-        kind, beta, gamma_min = classify(Dynamics.semigroup(h, sup))
+        kind, beta, gamma_min = classify_one(Dynamics.semigroup(h, sup))
         assert kind == "fpt"
         assert abs(beta - beta_f) < 1e-9
         beta_i = rng.uniform(0.0, 2.5)

@@ -17,6 +17,7 @@ from qdblab.cli import (
     EXIT_MODEL,
     EXIT_OK,
     RunConfig,
+    analyse,
     build_report,
     fmt_float,
     load_model,
@@ -319,7 +320,9 @@ def test_qdb2_reverses_time_in_the_energy_eigenbasis(rng, tmp_path, circulation,
         rot @ lindblad_superop(gen) @ rot.conj().T,
     )
     config = RunConfig((0.3, 1.0, 3.0), (0.0, 0.5, 1.0), 2.0, 1.0, 1e-9, 1e-9, 1e-9, tmp_path, "csv")
-    _, _, verdict = build_report("rotated", source, config)
+    (analysis,), failure = analyse([source], config)
+    ((verdict, _),) = build_report(analysis, [config])
+    assert failure is None
     assert verdict["classification"]["kind"] == "fpt"
     assert verdict["qdb1"]["passes"] is balanced
     assert verdict["qdb2"]["passes"] is balanced
@@ -423,6 +426,23 @@ class TestSweepCommand:
         assert run(tmp_path, *argv, "--parameter", param, "--range", "0:1:0") == EXIT_CONFIG
         capsys.readouterr()
 
+    @pytest.mark.parametrize(
+        "values, code, message",
+        [
+            # point 0 fails its transition checks, a late stage, and point 1 cannot be built
+            ("1e-12:1e-310:2", EXIT_MODEL, "NotTracePreserving: transition rows sum to 1 only within 4.024e-07"),
+            ("1e-310:1e-12:2", EXIT_CONFIG,
+             "ConfigError: scenario b: n_bar = 1/(e^(beta_f omega) - 1) overflows at beta_f omega = 1e-310"),
+            # only the last of 40 points, in the second block, fails
+            ("3:1e-12:40", EXIT_MODEL, "NotTracePreserving: transition rows sum to 1 only within 4.024e-07"),
+        ],
+        ids=["late-check-first", "construction-first", "second-block"],
+    )
+    def test_the_first_failing_point_raises_whatever_its_stage(self, tmp_path, capsys, values, code, message):
+        assert run(tmp_path, "sweep", "b", "--parameter", "beta_f", "--range", values) == code
+        assert capsys.readouterr().err == message + "\n"
+        assert not (tmp_path / "sweep_b_beta_f.csv").exists()
+
 
 class TestConfigValidation:
     def test_decreasing_grid_rejected(self, tmp_path):
@@ -459,6 +479,7 @@ class TestConfigValidation:
             ("check", "OVERFLOW_LINDBLAD_H"),
             ("check", "OVERFLOW_BLOCH4"),
             ("check", "OVERFLOW_LINDBLAD_C"),
+            ("check", "BLOCH4_HUGE_NORM"),
             ("example", "a", "--omega", "nan"),
             ("example", "b", "--omega", "nan"),
             ("example", "c", "--omega", "nan"),
@@ -490,7 +511,8 @@ class TestConfigValidation:
              "kraus-tau-null", "kraus-tau-text", "kraus-ops-number", "a-bias-underflow",
              "b-boltzmann-overflow", "c-boltzmann-overflow", "tol-qdb-nan", "tol-cptp-nan",
              "tol-qfr-inf", "kraus-nan", "bloch4-nan", "lindblad-h-nan", "lindblad-c-inf", "one-level-lindblad",
-             "one-level-kraus", "overflow-lindblad-h", "overflow-bloch4", "overflow-lindblad-c", "a-omega-nan",
+             "one-level-kraus", "overflow-lindblad-h", "overflow-bloch4", "overflow-lindblad-c",
+             "bloch4-huge-norm", "a-omega-nan",
              "b-omega-nan", "c-omega-nan", "b-omega-inf", "b-gamma-nan", "b-gamma-inf", "c-mu-nan", "c-mu-inf",
              "c-eta-nan", "c-nu-scale-nan", "sweep-gamma-nan", "c-mu-negative", "c-eta-negative",
              "b-boltzmann-underflow", "sweep-b-boltzmann-underflow", "b-boltzmann-zero", "b-rate-overflow",
@@ -527,6 +549,8 @@ class TestConfigValidation:
             "OVERFLOW_LINDBLAD_H": {**lindblad, "hamiltonian": [[1e308, 0], [0, -1e308]]},
             "OVERFLOW_BLOCH4": {**kraus, "kind": "bloch4", "generator": [[1e308] * 4] * 4},
             "OVERFLOW_LINDBLAD_C": {**lindblad, "kossakowski": np.diag([1e308] * 3).tolist()},
+            # finite generator entries whose 1-norm overflows, so that its maps would be nan
+            "BLOCH4_HUGE_NORM": {**kraus, "kind": "bloch4", "generator": [[0] * 4, [0, 1e308, 0, 0], [0] * 4, [0] * 4]},
             # finite energies whose range E_max - E_min overflows
             "KRAUS_H_RANGE": {**kraus, "hamiltonian": [[-1e308, 0], [0, 1e308]]},
         }
@@ -544,6 +568,8 @@ class TestConfigValidation:
             assert err == "ConfigError: the Hamiltonian has 1 level; a model needs at least 2\n"
         if "OVERFLOW" in argv[-1]:
             assert err == "ConfigError: the model overflows: its generator has a non-finite entry\n"
+        if "HUGE_NORM" in argv[-1]:
+            assert err == "ConfigError: the model overflows: its generator's 1-norm is not finite\n"
         if "KRAUS_H_RANGE" in argv[1]:
             assert err == "ConfigError: the model overflows: the Hamiltonian's energy range is not finite\n"
 
@@ -693,6 +719,39 @@ def test_scenario_b_takes_one_eigendecomposition_per_source(tmp_path, monkeypatc
     monkeypatch.setattr(matlin, "herm_eig", counted)
     assert run(tmp_path, *argv, *FAST) == EXIT_OK
     assert len(calls) == sources
+
+
+@pytest.mark.parametrize(
+    "argv, calls",
+    [
+        (("sweep", str(Path(__file__).parent / "golden" / "davies3_circulating.json"), "--parameter", "beta_i",
+          "--range", "0.5:2.5:3"), {"expm": 1, "classify": 1, "check_qdb1": 1, "check_qdb2": 1, "exchange_grid": 1}),
+        (("sweep", "b", "--parameter", "gamma", "--range", "0.5:1.5:3"),
+         {"expm": 1, "classify": 1, "check_qdb1": 1, "check_qdb2": 1, "exchange_grid": 3}),
+    ],
+    ids=["model-beta-i", "b-gamma"],
+)
+def test_a_sweep_takes_each_stage_once_per_block(tmp_path, monkeypatch, argv, calls):
+    # a beta_i sweep builds and checks its one source once, with one exchange grid over
+    # its points; a sweep of sources stacks their exponentials, spectra and checks
+    from qdblab import balance, fluctuation, matlin
+
+    counts = dict.fromkeys(calls, 0)
+    for module in (matlin, fluctuation, balance):
+        for name in calls:
+            original = getattr(module, name, None)
+            if original is None:
+                continue
+
+            def counted(*args, _name=name, _original=original, **kwargs):
+                counts[_name] += 1
+                return _original(*args, **kwargs)
+
+            for mod_name, mod in list(sys.modules.items()):
+                if mod_name.startswith("qdblab") and getattr(mod, name, None) is original:
+                    monkeypatch.setattr(mod, name, counted)
+    assert run(tmp_path, *argv, *FAST) == EXIT_OK
+    assert counts == calls
 
 
 def _fresh_interpreter(*args, stdout=subprocess.PIPE, **env):

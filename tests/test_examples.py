@@ -9,6 +9,7 @@ from conftest import (
     a_channel,
     apply,
     bloch_to_density,
+    classify_one,
     density_to_bloch,
     evolve,
     example_a_ratio_oracle,
@@ -41,7 +42,6 @@ from qdblab.examples import (
     qubit_hamiltonian,
     thermal_bias,
 )
-from qdblab.fluctuation import classify
 
 OMEGA, BETA_F, BETA_I = 1.0, 1.0, 2.0
 S_GRID = (0.0, 0.25, 0.5, 0.75, 1.0)
@@ -161,7 +161,8 @@ class TestScenarioA:
 
     def test_constant_bias_family_is_fpt(self):
         p_const = ExampleAParams.fixed_point(OMEGA, BETA_F)
-        kind, beta, gamma_min = classify(Dynamics.channel_family(self.h, lambda taus: example_a_channel(p_const, taus)))
+        family = Dynamics.channel_family(self.h, lambda taus: example_a_channel(p_const, taus))
+        kind, beta, gamma_min = classify_one(family)
         assert kind == "fpt"
 
     def test_thermal_state_not_invariant_at_finite_time(self):
@@ -216,7 +217,7 @@ class TestScenarioB:
         assert matlin.frobenius(out - gibbs(self.h, BETA_F)) < 1e-8
 
     def test_classification(self):
-        kind, beta, gamma_min = classify(Dynamics.semigroup(self.h, example_b_generator(self.p)))
+        kind, beta, gamma_min = classify_one(Dynamics.semigroup(self.h, example_b_generator(self.p)))
         assert kind == "fpt"
         assert abs(beta - BETA_F) < 1e-8
 
@@ -327,7 +328,7 @@ class TestScenarioC:
 
     def test_classification_fpt_with_thermal_fixed_point(self):
         sup = example_c_generator(self.perturbed)
-        kind, beta, gamma_min = classify(Dynamics.semigroup(self.h, sup))
+        kind, beta, gamma_min = classify_one(Dynamics.semigroup(self.h, sup))
         assert kind == "fpt"
         assert abs(beta - BETA_F) < 1e-9
 

@@ -9,6 +9,7 @@ from conftest import (
     apply_matrix,
     channel_from_superop,
     check_pairwise_condition,
+    classify_one,
     default_tau_max,
     evolve,
     example_qdb_family,
@@ -39,7 +40,6 @@ from qdblab.examples import (
 from qdblab.fluctuation import (
     ROUTE_AGREEMENT_ATOL,
     STOCHASTIC_ATOL,
-    classify,
     exchange_grid,
     ratios,
 )
@@ -193,7 +193,7 @@ class TestPairwiseCondition:
 
     def test_thermalizing_map_asymptotically(self, rng):
         gen, h = thermal_circulation_qutrit(rng, beta_f=0.9)
-        kind, beta, gamma_min = classify(Dynamics.semigroup(h, gen))
+        kind, beta, gamma_min = classify_one(Dynamics.semigroup(h, gen))
         assert kind == "fpt" and abs(beta - 0.9) < 1e-8
         l = lindblad_superop(gen)
         # finite time: the cyclic current breaks the pairwise symmetry
@@ -222,7 +222,7 @@ class TestFptIdentity:
 class TestClassify:
     def test_balanced_semigroup_is_fpt(self):
         gen = example_qdb_family(0.7, 0.3, 1.0, 1.4)
-        kind, beta, gamma_min = classify(Dynamics.semigroup(gen.hamiltonian, gen))
+        kind, beta, gamma_min = classify_one(Dynamics.semigroup(gen.hamiltonian, gen))
         assert kind == "fpt"
         assert abs(beta - 1.4) < 1e-9
         assert gamma_min > 0
@@ -230,19 +230,19 @@ class TestClassify:
     def test_scenario_a_family_thermalizing_not_fpt(self):
         p = ExampleAParams.default(1.0, 1.0)
         h = qubit_hamiltonian(1.0)
-        kind, beta, gamma_min = classify(Dynamics.channel_family(h, lambda taus: example_a_channel(p, taus)))
+        kind, beta, gamma_min = classify_one(Dynamics.channel_family(h, lambda taus: example_a_channel(p, taus)))
         assert kind == "thermalizing"
         assert abs(beta - 1.0) < 1e-7
 
     def test_scenario_a_constant_bias_is_fpt(self):
         p = ExampleAParams.fixed_point(1.0, 1.0)
         h = qubit_hamiltonian(1.0)
-        kind, beta, gamma_min = classify(Dynamics.channel_family(h, lambda taus: example_a_channel(p, taus)))
+        kind, beta, gamma_min = classify_one(Dynamics.channel_family(h, lambda taus: example_a_channel(p, taus)))
         assert kind == "fpt"
 
     def test_generic_generator_not_thermal(self, rng):
         gen = random_lindblad(rng, 3)
-        kind, beta, gamma_min = classify(Dynamics.semigroup(gen.hamiltonian, gen))
+        kind, beta, gamma_min = classify_one(Dynamics.semigroup(gen.hamiltonian, gen))
         assert kind == "non_thermalizing"
 
     def test_unitary_family_raises_inconclusive(self):
@@ -252,7 +252,7 @@ class TestClassify:
             return matlin.expm(-1j * np.array(taus)[:, None, None, None] * np.array([[0, 0.5], [0.5, 0]]))
 
         with pytest.raises(InconclusiveHorizon):
-            classify(Dynamics.channel_family(h, rotation_family))
+            classify_one(Dynamics.channel_family(h, rotation_family))
 
     def test_unitary_family_exits_4(self, tmp_path, monkeypatch, capsys):
         from qdblab import cli
@@ -274,7 +274,7 @@ class TestClassify:
     def test_scenario_a_matches_the_probe_state_reference(self, schedule, omega, beta_f):
         p = getattr(ExampleAParams, schedule)(omega, beta_f)
         source = Dynamics.channel_family(qubit_hamiltonian(omega), lambda taus: example_a_channel(p, taus))
-        (kind, beta, _), (want_kind, want_beta) = classify(source), reference_classify_family(source)
+        (kind, beta, _), (want_kind, want_beta) = classify_one(source), reference_classify_family(source)
         assert kind == want_kind == ("fpt" if schedule == "fixed_point" else "thermalizing")
         assert beta == pytest.approx(want_beta, rel=1e-14, abs=0)
 
@@ -295,9 +295,9 @@ class TestClassify:
                 kraus[t, : len(ops)] = ops
             return kraus
 
-        kind, beta, _ = classify(Dynamics.channel_family(h, family))
+        kind, beta, _ = classify_one(Dynamics.channel_family(h, family))
         want_kind, want_beta = reference_classify_family(Dynamics.channel_family(h, family))
-        assert kind == want_kind == classify(Dynamics.semigroup(h, gen))[0] == "fpt"
+        assert kind == want_kind == classify_one(Dynamics.semigroup(h, gen))[0] == "fpt"
         assert beta == pytest.approx(want_beta, rel=1e-14, abs=0)
         assert beta == pytest.approx(0.8, rel=1e-9)
 
@@ -317,21 +317,21 @@ class TestClassify:
             calls.append(taus)
             return example_a_channel(p, taus)
 
-        assert classify(Dynamics.channel_family(qubit_hamiltonian(1.0), family))[0] == "thermalizing"
+        assert classify_one(Dynamics.channel_family(qubit_hamiltonian(1.0), family))[0] == "thermalizing"
         assert len(calls) == 1
         assert len(inferred) == 1  # the thermal candidate, once
 
     def test_non_finite_kraus_family_is_not_trace_preserving(self):
         h = qubit_hamiltonian(1.0)
         with pytest.raises(NotTracePreserving, match=r"by nan$"):
-            classify(Dynamics.channel_family(h, lambda taus: np.full((len(taus), 1, 2, 2), np.nan)))
+            classify_one(Dynamics.channel_family(h, lambda taus: np.full((len(taus), 1, 2, 2), np.nan)))
 
     def test_pure_hamiltonian_semigroup_not_thermalizing(self, rng):
         from qdblab.dynamics import LindbladGenerator
 
         h = random_hamiltonian(rng, 2)
         gen = LindbladGenerator.canonical(h, np.zeros((3, 3)))
-        kind, beta, gamma_min = classify(Dynamics.semigroup(h, gen))
+        kind, beta, gamma_min = classify_one(Dynamics.semigroup(h, gen))
         assert kind == "non_thermalizing"
 
     def test_default_tau_max(self):
@@ -354,7 +354,7 @@ class TestClassify:
         else:
             h, gen = davies_generator(np.random.default_rng(5), int(name[-1]), 1.0)
             channel = channel_from_superop(evolve(lindblad_superop(gen), 1.0))
-        kind, beta, gamma_min = classify(Dynamics.single_map(h, channel, 1.0))
+        kind, beta, gamma_min = classify_one(Dynamics.single_map(h, channel, 1.0))
         assert (kind, beta) == reference_classify_single_map(channel, h)
         assert gamma_min is None
         # scenario A's map at tau fixes a thermal state colder than beta_f = 1
@@ -387,7 +387,7 @@ class TestAsymptoticRatioLaw:
             beta_f = rng.uniform(0.3, 1.2)
             beta_i = rng.uniform(0.0, 1.8)
             gen, h = thermal_circulation_qutrit(rng, beta_f=beta_f)
-            kind, beta, gamma_min = classify(Dynamics.semigroup(h, gen))
+            kind, beta, gamma_min = classify_one(Dynamics.semigroup(h, gen))
             assert kind == "fpt"
             tau_max = default_tau_max(gamma_min)
             grid = exchange_at(evolve(lindblad_superop(gen), tau_max), h, beta_i)

@@ -43,6 +43,11 @@ CASES = {
     "example_a_fpt": (("example", "a", "--q-schedule", "fpt"), EXIT_OK),
     "check_kraus_a": (("check", str(KRAUS_MODEL)), EXIT_OK),
     "sweep_a_omega": (("sweep", "a", "--parameter", "omega", "--range", "0.8:1.6:4"), EXIT_OK),
+    "sweep_b_gamma": (("sweep", "b", "--parameter", "gamma", "--range", "0.5:2:4"), EXIT_OK),
+    # the middle point is scenario C's balanced nu = alpha, within roundoff
+    "sweep_c_nu": (("sweep", "c", "--parameter", "nu", "--range", "0.3647852285573807:0.7647852285573807:5"), EXIT_OK),
+    "sweep_b_beta_f": (("sweep", "b", "--parameter", "beta_f", "--range", "0.5:2:4"), EXIT_OK),
+    "sweep_davies3_beta_i": (("sweep", str(MODEL), "--parameter", "beta_i", "--range", "0.5:2.5:3"), EXIT_OK),
 }
 
 
