@@ -13,11 +13,12 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
+import itertools
 import json
 import math
 import os
 import sys
-from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -35,9 +36,9 @@ from .errors import (
     NotCPTP,
     NotHermitian,
     NotTracePreserving,
+    QdblabError,
     ScheduleOutOfRange,
     UnknownParameter,
-    until_failure,
 )
 from .examples import (
     ExampleAParams,
@@ -72,42 +73,33 @@ MODEL_ERRORS = (
 
 
 # ---------------------------------------------------------------------------
-# configuration
+# settings
 
 
-@dataclass(frozen=True)
-class RunConfig:
-    tau_grid: tuple
-    s_grid: tuple
-    beta_i: float
-    beta_f: float
-    tol_qdb: float
-    tol_qfr: float
-    tol_cptp: float
-    out: Path
-    fmt: str
-
-    def __post_init__(self):
-        for name, grid in (("tau-grid", self.tau_grid), ("s-grid", self.s_grid)):
-            if not grid:
-                raise ConfigError(f"{name} must be nonempty")
-            if any(b <= a for a, b in zip(grid, grid[1:])):
-                raise ConfigError(f"{name} must be strictly increasing")
-        if not all(0.0 <= s <= 1.0 for s in self.s_grid):
-            raise ConfigError("s-grid values must lie in [0, 1]")
-        if not all(_is_tau(t) for t in self.tau_grid):
-            raise ConfigError("tau-grid values must be finite and nonnegative")
-        tols = (("tol-qdb", self.tol_qdb), ("tol-qfr", self.tol_qfr), ("tol-cptp", self.tol_cptp))
-        for name, x in (("beta-i", self.beta_i), ("beta-f", self.beta_f), *tols):
-            if not math.isfinite(x):
-                raise ConfigError(f"{name} must be finite")
-        for name, tol in tols:
-            if tol <= 0:
-                raise ConfigError(f"{name} must be positive")
-        if self.fmt not in ("csv", "json"):
-            raise ConfigError(f"format must be csv or json, got {self.fmt!r}")
-        if self.beta_i < 0:
-            raise ConfigError("beta-i must be nonnegative")
+def check_settings(args: argparse.Namespace) -> argparse.Namespace:
+    """``args``, a run's parsed arguments (grids parsed, ``out`` a ``Path``),
+    once checked; the first setting out of range raises ``ConfigError``."""
+    for name, grid in (("tau-grid", args.tau_grid), ("s-grid", args.s_grid)):
+        if not grid:
+            raise ConfigError(f"{name} must be nonempty")
+        if any(b <= a for a, b in zip(grid, grid[1:])):
+            raise ConfigError(f"{name} must be strictly increasing")
+    if not all(0.0 <= s <= 1.0 for s in args.s_grid):
+        raise ConfigError("s-grid values must lie in [0, 1]")
+    if not all(_is_tau(t) for t in args.tau_grid):
+        raise ConfigError("tau-grid values must be finite and nonnegative")
+    tols = (("tol-qdb", args.tol_qdb), ("tol-qfr", args.tol_qfr), ("tol-cptp", args.tol_cptp))
+    for name, x in (("beta-i", args.beta_i), ("beta-f", args.beta_f), *tols):
+        if not math.isfinite(x):
+            raise ConfigError(f"{name} must be finite")
+    for name, tol in tols:
+        if tol <= 0:
+            raise ConfigError(f"{name} must be positive")
+    if args.format not in ("csv", "json"):
+        raise ConfigError(f"format must be csv or json, got {args.format!r}")
+    if args.beta_i < 0:
+        raise ConfigError("beta-i must be nonnegative")
+    return args
 
 
 def _is_tau(t) -> bool:
@@ -149,20 +141,6 @@ def _finite_bounds(lo: str, hi: str) -> tuple:
     return bounds
 
 
-def _config_from_args(args) -> RunConfig:
-    return RunConfig(
-        tau_grid=parse_grid(args.tau_grid),
-        s_grid=parse_grid(args.s_grid),
-        beta_i=args.beta_i,
-        beta_f=args.beta_f,
-        tol_qdb=args.tol_qdb,
-        tol_qfr=args.tol_qfr,
-        tol_cptp=args.tol_cptp,
-        out=Path(args.out),
-        fmt=args.format,
-    )
-
-
 # ---------------------------------------------------------------------------
 # report pipeline
 
@@ -180,7 +158,7 @@ def fmt_float(x) -> str:
     return format(float(x), ".17g")
 
 
-def _balance(check, sources: list, betas: list, operators: list, config: RunConfig) -> list:
+def _balance(check, sources: list, betas: list, operators: list, args) -> list:
     """The verdict section of ``check`` over the s grid for each source with a
     beta and an operator, else None, from one broadcast over those sources."""
     picked = [i for i, (b, o) in enumerate(zip(betas, operators)) if b is not None and o is not None]
@@ -188,55 +166,81 @@ def _balance(check, sources: list, betas: list, operators: list, config: RunConf
     if picked:
         fields = ("matrix", "eigenvalues", "eigenvectors")  # one Hamiltonian, stacked over the sources
         h = HamiltonianSpec(*(np.array([getattr(sources[i].h, f) for i in picked]) for f in fields))
-        residuals = check(h, [betas[i] for i in picked], config.s_grid, np.array([operators[i] for i in picked]))
-        keys = [fmt_float(s) for s in config.s_grid]
+        residuals = check(h, [betas[i] for i in picked], args.s_grid, np.array([operators[i] for i in picked]))
+        keys = [fmt_float(s) for s in args.s_grid]
         for i, r in zip(picked, residuals):
             per_s = dict(zip(keys, r.tolist()))
             worst = max(per_s.values())
-            sections[i] = {"passes": bool(worst < config.tol_qdb), "max_residual": worst, "per_s": per_s}
+            sections[i] = {"passes": bool(worst < args.tol_qdb), "max_residual": worst, "per_s": per_s}
     return sections
 
 
-def analyse(sources: list, config: RunConfig) -> tuple:
+def analyse(sources: list, args) -> list:
     """The stages that do not depend on beta_i, each stacked over ``sources``
     (of one kind and dimension), in a source's order: classify, qdb1, the
-    maps on the tau grid and at the qdb2 times, and qdb2; ``(analyses,
-    failure)`` of :func:`until_failure`, each ``(source, sections, beta_f, taus, maps)``."""
-    classified, failure = classify(sources)
+    maps on the tau grid and at the qdb2 times, and qdb2; an analysis
+    ``(source, sections, beta_f, taus, maps)`` per source.  A failing stage
+    raises, for whichever source fails it."""
+    classified = classify(sources)
     betas = [b if b is not None and math.isfinite(b) else None for _, b, _ in classified]
-    qdb1 = _balance(check_qdb1, sources, betas, [s.generator for s in sources], config)
-    taus = [s.taus(config.tau_grid) for s in sources]
+    qdb1 = _balance(check_qdb1, sources, betas, [s.generator for s in sources], args)
+    taus = [s.taus(args.tau_grid) for s in sources]
     qdb2_taus = [() if b is None else tuple(filter(math.isfinite, s.taus(QDB2_TAUS))) for s, b in zip(sources, betas)]
-    maps, map_failure = maps_of(sources, [t + t2 for t, t2 in zip(taus, qdb2_taus)])
+    maps = maps_of(sources, [t + t2 for t, t2 in zip(taus, qdb2_taus)])
     # time reversal is complex conjugation in H's eigenbasis
     qdb2 = [m[len(t) :] if t2 else None for t, t2, (m, _) in zip(taus, qdb2_taus, maps)]
-    qdb2 = _balance(check_qdb2, sources, betas, qdb2, config)
+    qdb2 = _balance(check_qdb2, sources, betas, qdb2, args)
     classification = [{"kind": k, "beta_f": _json_float(b), "gamma_min": _json_float(g)} for k, b, g in classified]
     sections = [{"classification": c, "qdb1": q1, "qdb2": q2 and {**q2, "taus": list(t2)}}
                 for c, q1, q2, t2 in zip(classification, qdb1, qdb2, qdb2_taus)]
-    return list(zip(sources, sections, betas, taus, maps)), map_failure or failure
+    return list(zip(sources, sections, betas, taus, maps))
 
 
-def build_report(analysis: tuple, configs: list) -> list:
-    """The report of each point ``config`` of one analysed source, from one
-    exchange grid over the points' beta_i, as ``(verdict, records)``: the
+def build_report(analysis: tuple, points: list) -> list:
+    """The report of each point's arguments ``points`` of one analysed source,
+    from one exchange grid over the points' beta_i, as ``(verdict, records)``: the
     sections of :func:`analyse` and the ratio law's, and the arrays the rows
     are read from.  The first point that fails a check raises."""
     source, sections, beta_f, taus, (superops, kraus) = analysis
-    n, beta_i = len(taus), np.array([c.beta_i for c in configs])
+    n, beta_i = len(taus), np.array([p.beta_i for p in points])
     maps = superops[:n], None if kraus is None else kraus[:n]
     energies, p_plus, p_minus, recorded = exchange_grid(maps, source.h, beta_i)
-    beta_for_ratios = np.array([c.beta_f for c in configs]) if beta_f is None else beta_f
+    beta_for_ratios = np.array([p.beta_f for p in points]) if beta_f is None else beta_f
     defined, ratio, predicted, deviation = ratios(energies, p_plus, p_minus, recorded, beta_i - beta_for_ratios)
     reports = []
-    for config, *records in zip(configs, predicted, recorded, p_plus, p_minus, defined, ratio, deviation):
+    for args, *records in zip(points, predicted, recorded, p_plus, p_minus, defined, ratio, deviation):
         devs = records[-1][records[-3]]  # the deviations of the records with a ratio, in row order
         # their max() as a running max over the rows takes it: a nan counts only when it comes first
         worst = None if not devs.size else devs[0] if math.isnan(devs[0]) else np.nanmax(devs)
-        passes = None if worst is None else bool(worst < config.tol_qfr)
+        passes = None if worst is None else bool(worst < args.tol_qfr)
         verdict = {**sections, "qfr_max_deviation": _json_float(worst), "qfr_passes": passes}
         reports.append((verdict, (taus, energies, *records)))
     return reports
+
+
+def run_points(point, values, analysed: dict) -> list:
+    """The reports of :func:`build_report` of the points ``point(value)`` of
+    ``values``, each a ``(source, args)`` pair, all with the same grids and
+    tolerances.  :func:`analyse` is stacked over the distinct sources that
+    ``analysed``, analyses by source id, lacks; it then holds those of these
+    points' sources only.  Each run of points of one source shares one
+    exchange grid.  When a point raises a ``QdblabError``, whatever its
+    stage, the points run again one at a time, so that the first failing
+    point raises its first failing error."""
+    try:
+        points = [point(value) for value in values]
+        sources = {id(source): source for source, _ in points}
+        fresh = [source for key, source in sources.items() if key not in analysed]
+        if fresh:
+            analysed.update((id(a[0]), a) for a in analyse(fresh, points[0][1]))
+        for key in analysed.keys() - sources.keys():
+            del analysed[key]
+        runs = itertools.groupby(points, key=lambda p: id(p[0]))
+        return [report for key, run in runs for report in build_report(analysed[key], [args for _, args in run])]
+    except QdblabError:
+        if len(values) == 1:
+            raise
+        return [report for value in values for report in run_points(point, (value,), analysed)]
 
 
 # ---------------------------------------------------------------------------
@@ -355,14 +359,11 @@ def load_model(path: Path):
 # commands
 
 
-def _emit(label: str, source: Dynamics, config: RunConfig, f_factor=None, **extra) -> None:
+def _emit(label: str, source: Dynamics, args, f_factor=None, **extra) -> None:
     """Write the rows and verdict, with ``extra`` entries, of one source: the
-    one-point case of :func:`analyse` and :func:`build_report`, a row per tau
-    and Bohr gap, with scenario A's ``f_factor`` at tau."""
-    analyses, failure = analyse([source], config)
-    if failure is not None:
-        raise failure
-    ((sections, (taus, energies, predicted, *per_tau)),) = build_report(analyses[0], [config])
+    one-point case of :func:`run_points`, a row per tau and Bohr gap, with
+    scenario A's ``f_factor`` at tau."""
+    ((sections, (taus, energies, predicted, *per_tau)),) = run_points(lambda a: (source, a), (args,), {})
     header = "tau E p_plus p_minus R predicted deviation".split() + ([] if f_factor is None else ["F_tau"])
     rows, predicted = [], predicted.tolist()
     for tau, *cells in zip(taus, *(a.tolist() for a in per_tau)):
@@ -372,12 +373,12 @@ def _emit(label: str, source: Dynamics, config: RunConfig, f_factor=None, **extr
             if kept:
                 ratio = (r, pred, dev) if has_ratio else (None, None, None)
                 rows.append([tau, energy, p_plus, p_minus, *ratio, *f_cell])
-    tolerances = {"qdb_pass": config.tol_qdb, "qfr_pass": config.tol_qfr, "cptp": config.tol_cptp}
-    grids = {"tau_grid": list(config.tau_grid), "s_grid": list(config.s_grid), "tolerances": tolerances}
-    run = {**grids, "beta_i": config.beta_i, "beta_f": config.beta_f}
+    tolerances = {"qdb_pass": args.tol_qdb, "qfr_pass": args.tol_qfr, "cptp": args.tol_cptp}
+    grids = {"tau_grid": list(args.tau_grid), "s_grid": list(args.s_grid), "tolerances": tolerances}
+    run = {**grids, "beta_i": args.beta_i, "beta_f": args.beta_f}
     verdict = {"schema": 1, "source": label, **sections, "config": run, **extra}
-    rows_path, verdict_path = config.out / f"{label}_rows.{config.fmt}", config.out / f"{label}_verdict.json"
-    write_rows(rows_path, header, rows, config.fmt)
+    rows_path, verdict_path = args.out / f"{label}_rows.{args.format}", args.out / f"{label}_verdict.json"
+    write_rows(rows_path, header, rows, args.format)
     write_verdict(verdict_path, verdict)
     q1, q2 = ({None: "n/a", True: "pass", False: "fail"}[s and s["passes"]] for s in (verdict["qdb1"], verdict["qdb2"]))
     kind, qfr = verdict["classification"]["kind"], verdict["qfr_max_deviation"]
@@ -385,18 +386,18 @@ def _emit(label: str, source: Dynamics, config: RunConfig, f_factor=None, **extr
     print(f"wrote {rows_path} and {verdict_path}")
 
 
-def _example_source(args, config: RunConfig):
+def _example_source(args):
     """Scenario ``args.name`` as a dynamics source, with scenario A's
     correction factor (None for the others)."""
     name = args.name
     try:
         if name == "a":
             builder = ExampleAParams.fixed_point if args.q_schedule == "fpt" else ExampleAParams.default
-            p = builder(args.omega, config.beta_f)
+            p = builder(args.omega, args.beta_f)
         elif name == "b":
-            p = ExampleBParams(omega=args.omega, gamma=args.gamma, beta_f=config.beta_f)
+            p = ExampleBParams(omega=args.omega, gamma=args.gamma, beta_f=args.beta_f)
         else:
-            base = example_c_qdb_point(args.mu, args.eta, args.omega, config.beta_f)
+            base = example_c_qdb_point(args.mu, args.eta, args.omega, args.beta_f)
             if not math.isfinite(args.nu_scale):
                 raise ValueError(f"nu-scale must be finite, got {args.nu_scale}")
             # a sweep of scenario c sets the swept coefficient on the namespace
@@ -405,7 +406,7 @@ def _example_source(args, config: RunConfig):
         # scenario b takes H from its generator, which keeps H's one eigendecomposition
         h = None if name == "b" else p.hamiltonian()
         if name == "c":
-            return Dynamics.semigroup(h, example_c_generator(p, cptp_tol=config.tol_cptp)), None
+            return Dynamics.semigroup(h, example_c_generator(p, cptp_tol=args.tol_cptp)), None
     except ValueError as exc:
         raise ConfigError(f"scenario {name}: {exc}") from exc
     if name == "a":
@@ -417,16 +418,16 @@ def _example_source(args, config: RunConfig):
     return Dynamics.semigroup(gen.hamiltonian, gen), None
 
 
-def cmd_example(args, config: RunConfig) -> int:
+def cmd_example(args) -> int:
     if args.save_model and args.name != "b":
         raise ConfigError(f"--save-model writes only scenario b, not scenario {args.name}")
-    source, f_factor = _example_source(args, config)
-    _emit(f"example_{args.name}", source, config, f_factor, example=args.name)
+    source, f_factor = _example_source(args)
+    _emit(f"example_{args.name}", source, args, f_factor, example=args.name)
     return EXIT_OK
 
 
-def cmd_check(args, config: RunConfig) -> int:
-    _emit(f"check_{Path(args.model).stem}", load_model(args.model), config, model=str(args.model))
+def cmd_check(args) -> int:
+    _emit(f"check_{Path(args.model).stem}", load_model(args.model), args, model=str(args.model))
     return EXIT_OK
 
 
@@ -441,7 +442,7 @@ _SWEEPABLE = {
 SWEEP_BLOCK = 32  # points stacked per pass, so that a sweep's memory does not grow with its range
 
 
-def cmd_sweep(args, config: RunConfig) -> int:
+def cmd_sweep(args) -> int:
     values = parse_range(args.range)
     header = ["parameter", "value", "classification", "beta_f", "qdb1_passes", "qdb1_max_residual"]
     header += ["qdb2_passes", "qdb2_max_residual", "qfr_max_deviation"]
@@ -450,39 +451,27 @@ def cmd_sweep(args, config: RunConfig) -> int:
         raise UnknownParameter(
             f"parameter {args.parameter!r} is not sweepable for {args.target!r}; choose from {allowed}"
         )
-    # a model file is read and built once, and so is a scenario whose sweep
-    # changes beta_i only; that source is analysed once, in the first block
-    shared = None if args.target in ("a", "b", "c") else load_model(args.target)
+    model = None if args.target in ("a", "b", "c") else load_model(args.target)
+    built = {}  # the last point's source, by every setting but beta_i, on which no source depends
 
     def point(value):
-        nonlocal shared
-        cfg = dataclasses.replace(config, **{args.parameter: value}) if args.parameter.startswith("beta") else config
-        # a scenario reads a swept beta from cfg, any other swept parameter from the namespace
-        ns = argparse.Namespace(**{**vars(args), "name": args.target, args.parameter: value})
-        source = shared if shared is not None else _example_source(ns, cfg)[0]
-        shared = source if args.parameter == "beta_i" else None
-        return source, cfg
+        # a scenario reads the swept parameter from its own copy of the arguments
+        ns = check_settings(argparse.Namespace(**{**vars(args), "name": args.target, args.parameter: value}))
+        key = repr({**vars(ns), "beta_i": None})
+        if key not in built:
+            built.clear()
+            built[key] = model or _example_source(ns)[0]
+        return built[key], ns
 
-    analyses, stage_failure, rows = [], None, []
+    analysed, rows = {}, []
     for start in range(0, len(values), SWEEP_BLOCK):
         block = values[start : start + SWEEP_BLOCK]
-        # points are built up to the first that cannot be, whose error follows those of earlier points
-        points, failure = until_failure(point, block)
-        if shared is None or not analyses:
-            analyses, stage_failure = analyse([s for s, _ in points][: None if shared is None else 1], config)
-        if shared is not None and analyses:
-            groups = [(analyses[0], [cfg for _, cfg in points])]
-        else:
-            groups = [(a, [cfg]) for a, (_, cfg) in zip(analyses, points)]
-        reports = [report for a, cfgs in groups for report in build_report(a, cfgs)]
-        if stage_failure or failure:
-            raise stage_failure or failure
-        for value, (verdict, _) in zip(block, reports):
+        for value, (verdict, _) in zip(block, run_points(point, block, analysed)):
             cls, sections = verdict["classification"], (verdict["qdb1"], verdict["qdb2"])
             balance = [None if q is None else q[key] for q in sections for key in ("passes", "max_residual")]
             rows.append([args.parameter, value, cls["kind"], cls["beta_f"], *balance, verdict["qfr_max_deviation"]])
-    target_tag = Path(args.target).stem if args.target.endswith(".json") else args.target
-    path = config.out / f"sweep_{target_tag}_{args.parameter}.csv"
+    target_tag = args.target if model is None else Path(args.target).stem
+    path = args.out / f"sweep_{target_tag}_{args.parameter}.csv"
     write_rows(path, header, rows, "csv")
     print(f"wrote {path} ({len(rows)} rows)")
     return EXIT_OK
@@ -500,7 +489,7 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--tol-qdb", type=float, default=1e-9)
     parser.add_argument("--tol-qfr", type=float, default=1e-9)
     parser.add_argument("--tol-cptp", type=float, default=1e-9)
-    parser.add_argument("--out", default="reports")
+    parser.add_argument("--out", type=Path, default="reports")
     parser.add_argument("--format", choices=("csv", "json"), default="csv")
 
 
@@ -523,6 +512,7 @@ def _add_example_params(parser: argparse.ArgumentParser) -> None:
     )
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="qdblab")
     sub = parser.add_subparsers(dest="command", required=True)
@@ -551,14 +541,13 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _run(argv) -> int:
-    parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _build_parser().parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
     try:
-        config = _config_from_args(args)
-        return args.func(args, config)
+        args.tau_grid, args.s_grid = parse_grid(args.tau_grid), parse_grid(args.s_grid)
+        return args.func(check_settings(args))
     except (ConfigError, UnknownParameter) as exc:
         print(f"{type(exc).__name__}: {exc}", file=sys.stderr)
         return EXIT_CONFIG

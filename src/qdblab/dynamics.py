@@ -25,7 +25,7 @@ from typing import Callable
 import numpy as np
 
 from . import matlin
-from .errors import ConfigError, DimensionMismatch, KossakowskiNotPSD, NotTracePreserving, until_failure
+from .errors import ConfigError, DimensionMismatch, KossakowskiNotPSD, NotTracePreserving
 from .matlin import dag, kron
 from .states import HamiltonianSpec
 
@@ -293,14 +293,12 @@ class Dynamics:
         return tuple(grid) if self.tau is None else (self.tau,)
 
 
-def maps_of(sources: list, taus: list) -> tuple:
-    """``source.maps(t)`` for each source and time tuple, as ``(maps, failure)``
-    of :func:`until_failure`; the semigroups, of one dimension, take one
-    exponential over (source, tau), each time tuple padded with 0."""
+def maps_of(sources: list, taus: list) -> list:
+    """``source.maps(t)`` for each source and time tuple, in order; the
+    semigroups, of one dimension, take one exponential over (source, tau),
+    each time tuple padded with 0."""
     grids = [(s.generator, t) for s, t in zip(sources, taus) if s.generator is not None]
     width = max((len(t) for _, t in grids), default=0)
     padded = [t + (0,) * (width - len(t)) for _, t in grids]
     stack = grids and iter(evolve_grid(np.array([g for g, _ in grids]), padded))
-    return until_failure(
-        lambda s, t: s.maps(t) if s.generator is None else (next(stack)[: len(t)], None), sources, taus
-    )
+    return [s.maps(t) if s.generator is None else (next(stack)[: len(t)], None) for s, t in zip(sources, taus)]

@@ -24,7 +24,6 @@ from .errors import (
     NotThermal,
     NotTracePreserving,
     ZeroPopulation,
-    until_failure,
 )
 from .matlin import dag, unvec, vec
 from .states import HamiltonianSpec, infer_beta, thermal_populations
@@ -255,11 +254,10 @@ def _classify_family(superops: np.ndarray, h: HamiltonianSpec) -> tuple:
     return "fpt" if drift < FIXED_POINT_ATOL else "thermalizing", beta, None
 
 
-def classify(sources: list) -> tuple:
-    """Classify each dynamics of ``sources`` as fixed-point thermalizing,
-    thermalizing, or neither, as ``(kind, beta_f, gamma_min)``, in the
-    ``(results, failure)`` of :func:`until_failure`; the semigroups, of one
-    dimension, share one batched eigendecomposition.
+def classify(sources: list) -> list:
+    """Classify each dynamics of ``sources``, in order, as fixed-point
+    thermalizing, thermalizing, or neither, as ``(kind, beta_f, gamma_min)``;
+    the semigroups, of one dimension, share one batched eigendecomposition.
 
     ``kind`` is ``"fpt"``, ``"thermalizing"`` or ``"non_thermalizing"``, or
     ``"single_map"`` for one Kraus map, which is probed only for a thermal
@@ -291,4 +289,4 @@ def classify(sources: list) -> tuple:
         except NotAState:
             return "single_map", None, None
 
-    return until_failure(one, sources)
+    return [one(s) for s in sources]

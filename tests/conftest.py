@@ -583,11 +583,8 @@ def default_tau_max(gamma_min) -> float:
 
 def classify_one(source) -> tuple:
     """:func:`qdblab.fluctuation.classify` of one source: its ``(kind, beta_f,
-    gamma_min)``, or its exception raised."""
-    results, failure = classify([source])
-    if failure is not None:
-        raise failure
-    return results[0]
+    gamma_min)``."""
+    return classify([source])[0]
 
 
 def reference_classify_single_map(kraus_ops, h: HamiltonianSpec) -> tuple:

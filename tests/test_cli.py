@@ -1,3 +1,4 @@
+import argparse
 import json
 import math
 import os
@@ -16,7 +17,6 @@ from qdblab.cli import (
     EXIT_INTERNAL,
     EXIT_MODEL,
     EXIT_OK,
-    RunConfig,
     analyse,
     build_report,
     fmt_float,
@@ -319,10 +319,12 @@ def test_qdb2_reverses_time_in_the_energy_eigenbasis(rng, tmp_path, circulation,
         HamiltonianSpec.from_matrix(q @ h.matrix @ q.conj().T),
         rot @ lindblad_superop(gen) @ rot.conj().T,
     )
-    config = RunConfig((0.3, 1.0, 3.0), (0.0, 0.5, 1.0), 2.0, 1.0, 1e-9, 1e-9, 1e-9, tmp_path, "csv")
-    (analysis,), failure = analyse([source], config)
-    ((verdict, _),) = build_report(analysis, [config])
-    assert failure is None
+    args = argparse.Namespace(
+        tau_grid=(0.3, 1.0, 3.0), s_grid=(0.0, 0.5, 1.0), beta_i=2.0, beta_f=1.0,
+        tol_qdb=1e-9, tol_qfr=1e-9, tol_cptp=1e-9, out=tmp_path, format="csv",
+    )
+    (analysis,) = analyse([source], args)
+    ((verdict, _),) = build_report(analysis, [args])
     assert verdict["classification"]["kind"] == "fpt"
     assert verdict["qdb1"]["passes"] is balanced
     assert verdict["qdb2"]["passes"] is balanced
@@ -427,21 +429,38 @@ class TestSweepCommand:
         capsys.readouterr()
 
     @pytest.mark.parametrize(
-        "values, code, message",
+        "parameter, values, code, message",
         [
             # point 0 fails its transition checks, a late stage, and point 1 cannot be built
-            ("1e-12:1e-310:2", EXIT_MODEL, "NotTracePreserving: transition rows sum to 1 only within 4.024e-07"),
-            ("1e-310:1e-12:2", EXIT_CONFIG,
+            ("beta_f", "1e-12:1e-310:2", EXIT_MODEL,
+             "NotTracePreserving: transition rows sum to 1 only within 4.024e-07"),
+            ("beta_f", "1e-310:1e-12:2", EXIT_CONFIG,
              "ConfigError: scenario b: n_bar = 1/(e^(beta_f omega) - 1) overflows at beta_f omega = 1e-310"),
             # only the last of 40 points, in the second block, fails
-            ("3:1e-12:40", EXIT_MODEL, "NotTracePreserving: transition rows sum to 1 only within 4.024e-07"),
+            ("beta_f", "3:1e-12:40", EXIT_MODEL,
+             "NotTracePreserving: transition rows sum to 1 only within 4.024e-07"),
+            # each point's arguments are checked as a run's are
+            ("beta_i", "-1:1:3", EXIT_CONFIG, "ConfigError: beta-i must be nonnegative"),
+            # the third point fails after two valid ones
+            ("beta_i", "1:-1:3", EXIT_CONFIG, "ConfigError: beta-i must be nonnegative"),
         ],
-        ids=["late-check-first", "construction-first", "second-block"],
+        ids=["late-check-first", "construction-first", "second-block", "settings-first", "settings-third"],
     )
-    def test_the_first_failing_point_raises_whatever_its_stage(self, tmp_path, capsys, values, code, message):
-        assert run(tmp_path, "sweep", "b", "--parameter", "beta_f", "--range", values) == code
+    def test_the_first_failing_point_raises_whatever_its_stage(
+        self, tmp_path, capsys, parameter, values, code, message
+    ):
+        assert run(tmp_path, "sweep", "b", "--parameter", parameter, f"--range={values}") == code
         assert capsys.readouterr().err == message + "\n"
-        assert not (tmp_path / "sweep_b_beta_f.csv").exists()
+        assert not (tmp_path / f"sweep_b_{parameter}.csv").exists()
+
+    def test_a_model_file_of_any_name_writes_its_csv_by_stem(self, tmp_path):
+        model = tmp_path / "m" / "davies3"
+        model.parent.mkdir()
+        model.write_text((Path(__file__).parent / "golden" / "davies3_circulating.json").read_text())
+        out = tmp_path / "out"
+        argv = ("sweep", str(model), "--parameter", "beta_i", "--range", "0.5:1:2", *FAST)
+        assert run(out, *argv) == EXIT_OK
+        assert [p.name for p in out.iterdir()] == ["sweep_davies3_beta_i.csv"]
 
 
 class TestConfigValidation:
@@ -728,8 +747,13 @@ def test_scenario_b_takes_one_eigendecomposition_per_source(tmp_path, monkeypatc
           "--range", "0.5:2.5:3"), {"expm": 1, "classify": 1, "check_qdb1": 1, "check_qdb2": 1, "exchange_grid": 1}),
         (("sweep", "b", "--parameter", "gamma", "--range", "0.5:1.5:3"),
          {"expm": 1, "classify": 1, "check_qdb1": 1, "check_qdb2": 1, "exchange_grid": 3}),
+        (("sweep", "b", "--parameter", "beta_i", "--range", "0.5:2.5:3"),
+         {"expm": 1, "classify": 1, "check_qdb1": 1, "check_qdb2": 1, "exchange_grid": 1}),
+        # 40 points span two blocks, which share the one analysis of their source
+        (("sweep", str(Path(__file__).parent / "golden" / "davies3_circulating.json"), "--parameter", "beta_i",
+          "--range", "0.5:2.5:40"), {"expm": 1, "classify": 1, "check_qdb1": 1, "check_qdb2": 1, "exchange_grid": 2}),
     ],
-    ids=["model-beta-i", "b-gamma"],
+    ids=["model-beta-i", "b-gamma", "b-beta-i", "model-beta-i-two-blocks"],
 )
 def test_a_sweep_takes_each_stage_once_per_block(tmp_path, monkeypatch, argv, calls):
     # a beta_i sweep builds and checks its one source once, with one exchange grid over
