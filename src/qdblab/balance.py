@@ -19,6 +19,7 @@ import math
 import numpy as np
 
 from .dynamics import require_superop_dim
+from .matlin import frobenius
 from .states import HamiltonianSpec
 
 
@@ -79,8 +80,7 @@ def check_qdb1(h: HamiltonianSpec, beta, s_grid, generator: np.ndarray) -> np.nd
         k = -np.frexp(np.max(np.abs(dual), axis=(-2, -1), initial=0.0))[1][..., None, None]
         diag = 2j * (np.eye(commutator.shape[-1]) * commutator)
         defect = np.linalg.norm(_pow2_scaled(l[..., None, :, :] - star - diag, k[..., None, :, :]), axis=(-2, -1))
-    scaled = _pow2_scaled(dual, k).reshape(-1, *dual.shape[-2:])
-    den = np.array([np.linalg.norm(m) for m in scaled]).reshape(k.shape[:-2] + (1,))
+    den = frobenius(_pow2_scaled(dual, k))[..., None]
     return defect / np.where(den > 0, den, 1.0)
 
 

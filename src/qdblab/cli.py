@@ -13,12 +13,11 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
-import functools
-import itertools
 import json
 import math
 import os
 import sys
+from functools import cache, partial
 from pathlib import Path
 
 import numpy as np
@@ -146,8 +145,8 @@ def _finite_bounds(lo: str, hi: str) -> tuple:
 
 
 def _json_float(x):
-    """``float(x)``, with a non-finite value as the text ``inf``, ``-inf`` or ``nan``; None stays."""
-    return None if x is None else float(x) if math.isfinite(x) else str(float(x))
+    """``float(x)``, with a non-finite value as the text ``inf``, ``-inf`` or ``nan``; None and bools stay."""
+    return x if x is None or type(x) is bool else float(x) if math.isfinite(x) else str(float(x))
 
 
 def fmt_float(x) -> str:
@@ -158,14 +157,18 @@ def fmt_float(x) -> str:
     return format(float(x), ".17g")
 
 
+def _stacked_h(sources: list) -> HamiltonianSpec:
+    """One Hamiltonian, stacked over the sources (the fields of each, in order)."""
+    return HamiltonianSpec(*map(np.array, zip(*(vars(s.h).values() for s in sources))))
+
+
 def _balance(check, sources: list, betas: list, operators: list, args) -> list:
     """The verdict section of ``check`` over the s grid for each source with a
     beta and an operator, else None, from one broadcast over those sources."""
     picked = [i for i, (b, o) in enumerate(zip(betas, operators)) if b is not None and o is not None]
     sections = [None] * len(betas)
     if picked:
-        fields = ("matrix", "eigenvalues", "eigenvectors")  # one Hamiltonian, stacked over the sources
-        h = HamiltonianSpec(*(np.array([getattr(sources[i].h, f) for i in picked]) for f in fields))
+        h = _stacked_h([sources[i] for i in picked])
         residuals = check(h, [betas[i] for i in picked], args.s_grid, np.array([operators[i] for i in picked]))
         keys = [fmt_float(s) for s in args.s_grid]
         for i, r in zip(picked, residuals):
@@ -196,51 +199,58 @@ def analyse(sources: list, args) -> list:
     return list(zip(sources, sections, betas, taus, maps))
 
 
-def build_report(analysis: tuple, points: list) -> list:
-    """The report of each point's arguments ``points`` of one analysed source,
-    from one exchange grid over the points' beta_i, as ``(verdict, records)``: the
-    sections of :func:`analyse` and the ratio law's, and the arrays the rows
-    are read from.  The first point that fails a check raises."""
-    source, sections, beta_f, taus, (superops, kraus) = analysis
-    n, beta_i = len(taus), np.array([p.beta_i for p in points])
-    maps = superops[:n], None if kraus is None else kraus[:n]
-    energies, p_plus, p_minus, recorded = exchange_grid(maps, source.h, beta_i)
-    beta_for_ratios = np.array([p.beta_f for p in points]) if beta_f is None else beta_f
-    defined, ratio, predicted, deviation = ratios(energies, p_plus, p_minus, recorded, beta_i - beta_for_ratios)
+def build_report(analyses: list, points: list) -> list:
+    """The report of each point's arguments ``points``, with its source's
+    analysis of :func:`analyse` in ``analyses``, from one exchange grid over
+    the points, as ``(verdict, records)``: the sections of :func:`analyse`
+    and the ratio law's, and the arrays the rows are read from.  The points
+    share a dimension and their gap clusters' pairs; a source that every
+    point shares gives its maps once.  The first point that fails a check
+    raises."""
+    picked = analyses[:1] if all(a is analyses[0] for a in analyses) else analyses
+    sources, _, _, grids, maps = zip(*picked)
+    n = len(grids[0])
+    kraus = None if maps[0][1] is None else np.array([k[:n] for _, k in maps])
+    beta_i = np.array([p.beta_i for p in points])
+    grid = exchange_grid((np.array([m[:n] for m, _ in maps]), kraus), _stacked_h(sources), beta_i)
+    beta_f = np.array([p.beta_f if a[2] is None else a[2] for a, p in zip(analyses, points)])
+    defined, ratio, predicted, deviation = ratios(*grid, beta_i - beta_f)
+    energies, p_plus, p_minus, recorded = np.broadcast_to(grid[0], predicted.shape), *grid[1:]
     reports = []
-    for args, *records in zip(points, predicted, recorded, p_plus, p_minus, defined, ratio, deviation):
+    for (_, sections, _, taus, _), args, *records in zip(
+        analyses, points, energies, predicted, recorded, p_plus, p_minus, defined, ratio, deviation
+    ):
         devs = records[-1][records[-3]]  # the deviations of the records with a ratio, in row order
         # their max() as a running max over the rows takes it: a nan counts only when it comes first
         worst = None if not devs.size else devs[0] if math.isnan(devs[0]) else np.nanmax(devs)
         passes = None if worst is None else bool(worst < args.tol_qfr)
         verdict = {**sections, "qfr_max_deviation": _json_float(worst), "qfr_passes": passes}
-        reports.append((verdict, (taus, energies, *records)))
+        reports.append((verdict, (taus, *records)))
     return reports
 
 
-def run_points(point, values, analysed: dict) -> list:
-    """The reports of :func:`build_report` of the points ``point(value)`` of
-    ``values``, each a ``(source, args)`` pair, all with the same grids and
-    tolerances.  :func:`analyse` is stacked over the distinct sources that
-    ``analysed``, analyses by source id, lacks; it then holds those of these
-    points' sources only.  Each run of points of one source shares one
-    exchange grid.  When a point raises a ``QdblabError``, whatever its
-    stage, the points run again one at a time, so that the first failing
-    point raises its first failing error."""
+def run_points(build, values, analysed: dict) -> list:
+    """The reports of :func:`build_report` of the points ``build(values)``,
+    each a ``(source, args)`` pair, all with the same grids and tolerances,
+    from one exchange grid.  :func:`analyse` is stacked over the distinct
+    sources that ``analysed``, analyses by source id, lacks; it then holds
+    those of these points' sources only.  When building or reporting the
+    points raises a ``QdblabError``, whatever its stage, the points run
+    again one at a time, so that the first failing point raises its first
+    failing error."""
     try:
-        points = [point(value) for value in values]
+        points = build(values)
         sources = {id(source): source for source, _ in points}
         fresh = [source for key, source in sources.items() if key not in analysed]
         if fresh:
             analysed.update((id(a[0]), a) for a in analyse(fresh, points[0][1]))
         for key in analysed.keys() - sources.keys():
             del analysed[key]
-        runs = itertools.groupby(points, key=lambda p: id(p[0]))
-        return [report for key, run in runs for report in build_report(analysed[key], [args for _, args in run])]
+        return build_report([analysed[id(source)] for source, _ in points], [args for _, args in points])
     except QdblabError:
         if len(values) == 1:
             raise
-        return [report for value in values for report in run_points(point, (value,), analysed)]
+        return [report for value in values for report in run_points(build, (value,), analysed)]
 
 
 # ---------------------------------------------------------------------------
@@ -363,9 +373,9 @@ def _emit(label: str, source: Dynamics, args, f_factor=None, **extra) -> None:
     """Write the rows and verdict, with ``extra`` entries, of one source: the
     one-point case of :func:`run_points`, a row per tau and Bohr gap, with
     scenario A's ``f_factor`` at tau."""
-    ((sections, (taus, energies, predicted, *per_tau)),) = run_points(lambda a: (source, a), (args,), {})
+    ((sections, (taus, energies, predicted, *per_tau)),) = run_points(lambda _: [(source, args)], (args,), {})
     header = "tau E p_plus p_minus R predicted deviation".split() + ([] if f_factor is None else ["F_tau"])
-    rows, predicted = [], predicted.tolist()
+    rows, energies, predicted = [], energies.tolist(), predicted.tolist()
     for tau, *cells in zip(taus, *(a.tolist() for a in per_tau)):
         f_cell = [] if f_factor is None else [f_factor(tau)]
         # each row carries the ratio of its own gap record
@@ -386,42 +396,51 @@ def _emit(label: str, source: Dynamics, args, f_factor=None, **extra) -> None:
     print(f"wrote {rows_path} and {verdict_path}")
 
 
-def _example_source(args):
-    """Scenario ``args.name`` as a dynamics source, with scenario A's
-    correction factor (None for the others)."""
-    name = args.name
+def _example_params(args):
+    """The parameters of scenario ``args.name``; an invalid one raises ``ValueError``."""
+    if args.name == "a":
+        builder = ExampleAParams.fixed_point if args.q_schedule == "fpt" else ExampleAParams.default
+        return builder(args.omega, args.beta_f)
+    if args.name == "b":
+        return ExampleBParams(omega=args.omega, gamma=args.gamma, beta_f=args.beta_f)
+    base = example_c_qdb_point(args.mu, args.eta, args.omega, args.beta_f)
+    if not math.isfinite(args.nu_scale):
+        raise ValueError(f"nu-scale must be finite, got {args.nu_scale}")
+    # a sweep of scenario c sets the swept coefficient on the namespace
+    swept = {k: v for k, v in vars(args).items() if k in ("nu", "alpha", "chi", "zeta")}
+    return dataclasses.replace(base, **{"nu": base.nu * args.nu_scale, **swept})
+
+
+def _example_sources(spaces: list) -> list:
+    """Scenario ``name`` of each namespace of ``spaces``, all of one scenario,
+    as a dynamics source with scenario A's correction factor (None for the
+    others); scenario C's generators are built and checked as one stack."""
+    name = spaces[0].name
     try:
-        if name == "a":
-            builder = ExampleAParams.fixed_point if args.q_schedule == "fpt" else ExampleAParams.default
-            p = builder(args.omega, args.beta_f)
-        elif name == "b":
-            p = ExampleBParams(omega=args.omega, gamma=args.gamma, beta_f=args.beta_f)
-        else:
-            base = example_c_qdb_point(args.mu, args.eta, args.omega, args.beta_f)
-            if not math.isfinite(args.nu_scale):
-                raise ValueError(f"nu-scale must be finite, got {args.nu_scale}")
-            # a sweep of scenario c sets the swept coefficient on the namespace
-            swept = {k: v for k, v in vars(args).items() if k in ("nu", "alpha", "chi", "zeta")}
-            p = dataclasses.replace(base, **{"nu": base.nu * args.nu_scale, **swept})
+        params = [_example_params(args) for args in spaces]
         # scenario b takes H from its generator, which keeps H's one eigendecomposition
-        h = None if name == "b" else p.hamiltonian()
+        hs = [None if name == "b" else p.hamiltonian() for p in params]
         if name == "c":
-            return Dynamics.semigroup(h, example_c_generator(p, cptp_tol=args.tol_cptp)), None
+            gens = example_c_generator(params, cptp_tol=spaces[0].tol_cptp)
+            return [(Dynamics.semigroup(h, gen), None) for h, gen in zip(hs, gens)]
     except ValueError as exc:
         raise ConfigError(f"scenario {name}: {exc}") from exc
     if name == "a":
-        family = Dynamics.channel_family(h, lambda taus: example_a_channel(p, taus))
-        return family, lambda tau: example_a_f_factor(p, tau)
-    gen = example_b_generator(p)
-    if getattr(args, "save_model", None):
-        save_model(gen, Path(args.save_model))
-    return Dynamics.semigroup(gen.hamiltonian, gen), None
+        return [(Dynamics.channel_family(h, partial(example_a_channel, p)), partial(example_a_f_factor, p))
+                for p, h in zip(params, hs)]
+    sources = []
+    for args, p in zip(spaces, params):
+        gen = example_b_generator(p)
+        if getattr(args, "save_model", None):
+            save_model(gen, Path(args.save_model))
+        sources.append((Dynamics.semigroup(gen.hamiltonian, gen), None))
+    return sources
 
 
 def cmd_example(args) -> int:
     if args.save_model and args.name != "b":
         raise ConfigError(f"--save-model writes only scenario b, not scenario {args.name}")
-    source, f_factor = _example_source(args)
+    ((source, f_factor),) = _example_sources([args])
     _emit(f"example_{args.name}", source, args, f_factor, example=args.name)
     return EXIT_OK
 
@@ -452,27 +471,30 @@ def cmd_sweep(args) -> int:
             f"parameter {args.parameter!r} is not sweepable for {args.target!r}; choose from {allowed}"
         )
     model = None if args.target in ("a", "b", "c") else load_model(args.target)
-    built = {}  # the last point's source, by every setting but beta_i, on which no source depends
+    built = {}  # the last block's sources by the swept value, on which they depend unless it is beta_i
 
-    def point(value):
+    def build(values):
         # a scenario reads the swept parameter from its own copy of the arguments
-        ns = check_settings(argparse.Namespace(**{**vars(args), "name": args.target, args.parameter: value}))
-        key = repr({**vars(ns), "beta_i": None})
-        if key not in built:
-            built.clear()
-            built[key] = model or _example_source(ns)[0]
-        return built[key], ns
+        spaces = [check_settings(argparse.Namespace(**{**vars(args), "name": args.target, args.parameter: v}))
+                  for v in values]
+        keys = [None if args.parameter == "beta_i" else v for v in values]
+        fresh = {key: ns for key, ns in zip(keys, spaces) if key not in built}
+        if fresh:
+            built.update(zip(fresh, [model] if model else (s for s, _ in _example_sources([*fresh.values()]))))
+        for key in built.keys() - set(keys):
+            del built[key]
+        return [(built[key], ns) for key, ns in zip(keys, spaces)]
 
     analysed, rows = {}, []
     for start in range(0, len(values), SWEEP_BLOCK):
         block = values[start : start + SWEEP_BLOCK]
-        for value, (verdict, _) in zip(block, run_points(point, block, analysed)):
+        for value, (verdict, _) in zip(block, run_points(build, block, analysed)):
             cls, sections = verdict["classification"], (verdict["qdb1"], verdict["qdb2"])
             balance = [None if q is None else q[key] for q in sections for key in ("passes", "max_residual")]
             rows.append([args.parameter, value, cls["kind"], cls["beta_f"], *balance, verdict["qfr_max_deviation"]])
     target_tag = args.target if model is None else Path(args.target).stem
-    path = args.out / f"sweep_{target_tag}_{args.parameter}.csv"
-    write_rows(path, header, rows, "csv")
+    path = args.out / f"sweep_{target_tag}_{args.parameter}.{args.format}"
+    write_rows(path, header, rows, args.format)
     print(f"wrote {path} ({len(rows)} rows)")
     return EXIT_OK
 
@@ -512,7 +534,7 @@ def _add_example_params(parser: argparse.ArgumentParser) -> None:
     )
 
 
-@functools.cache
+@cache
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="qdblab")
     sub = parser.add_subparsers(dest="command", required=True)

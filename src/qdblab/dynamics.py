@@ -205,32 +205,32 @@ def require_superop_dim(superops: np.ndarray, h: HamiltonianSpec) -> np.ndarray:
 
 
 def choi_matrix(s: np.ndarray) -> np.ndarray:
-    """``sum_ij |i><j| (x) S[|i><j|]``: block ``(i, j)`` holds the column
-    ``j d + i`` of ``S``, unvectorized, so the Choi matrix is a reshuffle."""
-    d = math.isqrt(s.shape[0])
-    return s.reshape(d, d, d, d).transpose(3, 1, 2, 0).reshape(d * d, d * d)
+    """``sum_ij |i><j| (x) S[|i><j|]`` of a map or of every map of a stack:
+    block ``(i, j)`` holds the column ``j d + i`` of ``S``, unvectorized, so
+    the Choi matrix is a reshuffle."""
+    d = math.isqrt(s.shape[-1])
+    return s.reshape(s.shape[:-2] + (d,) * 4).swapaxes(-4, -1).reshape(s.shape)
 
 
 def _partial_trace_out(choi: np.ndarray, d: int) -> np.ndarray:
-    return np.trace(choi.reshape(d, d, d, d), axis1=1, axis2=3)
+    return np.trace(choi.reshape(choi.shape[:-2] + (d,) * 4), axis1=-3, axis2=-1)
 
 
 def is_cptp(s: np.ndarray) -> tuple:
-    """CPTP residuals ``(cp, tp, herm)`` of a Schroedinger-picture map: the
+    """CPTP residuals ``(cp, tp, herm)`` of a Schroedinger-picture map, as
+    floats, or of every map of a stack ``(..., d^2, d^2)``, as arrays: the
     Choi matrix's most negative eigenvalue (0 if none), the defect of
     ``Tr_out[Choi] == I`` and the Choi matrix's anti-Hermitian part, the
-    last two as Frobenius norms.  A map with non-finite entries gets
-    infinite residuals."""
-    if not np.all(np.isfinite(s)):
-        return math.inf, math.inf, math.inf
-    d = math.isqrt(s.shape[0])
-    choi = choi_matrix(s)
-    herm_res = matlin.frobenius(choi - dag(choi))
-    sym = (choi + dag(choi)) / 2
-    lo = float(np.min(np.linalg.eigvalsh(sym)))
-    cp_res = max(0.0, -lo)
-    tp_res = matlin.frobenius(_partial_trace_out(choi, d) - np.eye(d))
-    return cp_res, tp_res, herm_res
+    last two as Frobenius norms, from one stacked ``eigvalsh``.  A map with
+    non-finite entries gets infinite residuals."""
+    finite = np.isfinite(s).all(axis=(-2, -1))
+    choi = choi_matrix(np.where(finite[..., None, None], s, 0.0))
+    d = math.isqrt(s.shape[-1])
+    adj = choi.conj().swapaxes(-1, -2)
+    lo = np.linalg.eigvalsh((choi + adj) / 2).min(axis=-1)
+    tp = matlin.frobenius(_partial_trace_out(choi, d) - np.eye(d))
+    residuals = np.where(lo < 0, -lo, 0.0), tp, matlin.frobenius(choi - adj)
+    return tuple(np.where(finite, r, math.inf)[()] for r in residuals)  # [()] makes a 0-d array a float
 
 
 @dataclass(frozen=True)

@@ -275,7 +275,8 @@ _PAULI_STACK = np.column_stack(
 
 
 def bloch4_to_superop(l4: np.ndarray) -> np.ndarray:
-    """Density-matrix generator from a Bloch-coordinate generator.
+    """Density-matrix generator from a Bloch-coordinate generator, or a
+    stack ``(p, 4, 4)`` of them from a stack of Bloch generators.
 
     With ``vec(rho) = P b / 2`` for the Pauli column stack ``P`` and
     ``db/dtau = -2 LL b``, the vectorized generator is ``-P LL P^dag``
@@ -283,26 +284,32 @@ def bloch4_to_superop(l4: np.ndarray) -> np.ndarray:
     ``Dynamics.semigroup`` rejects.
     """
     l4 = np.asarray(l4, dtype=complex)
-    if l4.shape != (4, 4):
+    if l4.shape[-2:] != (4, 4):
         raise DimensionMismatch(f"Bloch generator must be 4x4, got {l4.shape}")
     with np.errstate(over="ignore", invalid="ignore"):
         return -_PAULI_STACK @ l4 @ dag(_PAULI_STACK)
 
 
-def example_c_generator(p: ExampleCParams, cptp_tol: float = 1e-9) -> np.ndarray:
-    """Schroedinger-picture generator; a generator whose 1-norm is not finite
-    raises ``ValueError``, and the induced maps at ``CPTP_CHECK_TAUS`` must
-    verify as CPTP."""
-    s = bloch4_to_superop(example_c_bloch_matrix(p))
+def example_c_generator(p, cptp_tol: float = 1e-9) -> np.ndarray:
+    """Schroedinger-picture generator of the parameters ``p``, or the stack
+    ``(n, 4, 4)`` of those of a sequence of them, from one stacked check: the
+    first point whose generator's 1-norm is not finite raises ``ValueError``,
+    and whose induced maps at ``CPTP_CHECK_TAUS``, from one exponential over
+    (point, tau), do not all verify as CPTP raises ``NotCPTP`` for the first
+    failing tau."""
+    params = [p] if isinstance(p, ExampleCParams) else p
+    s = bloch4_to_superop(np.array([example_c_bloch_matrix(q) for q in params]))
     with np.errstate(over="ignore"):
-        norm = np.abs(s).sum(axis=0).max()
-    if not np.isfinite(norm):  # also for a non-finite entry
-        raise ValueError("the generator overflows: its 1-norm is not finite")
-    for tau, g in zip(CPTP_CHECK_TAUS, evolve_grid(s, CPTP_CHECK_TAUS)):
-        cp, tp, herm = is_cptp(g)
-        if not max(cp, tp, herm) < cptp_tol:  # not >=, so that a nan tolerance fails
-            raise NotCPTP(
-                f"induced map at tau={tau:g} fails CPTP: cp={cp:.3e}, tp={tp:.3e}, herm={herm:.3e}"
-            )
-    return s
-
+        overflows = ~np.isfinite(np.abs(s).sum(axis=1).max(axis=1))  # also for a non-finite entry
+    # an overflowing generator raises before its maps are judged, so it is not exponentiated
+    residuals = is_cptp(evolve_grid(np.where(overflows[:, None, None], 0.0, s), [CPTP_CHECK_TAUS] * len(s)))
+    failing = ~(np.max(residuals, axis=0) < cptp_tol)  # not >=, so that a nan tolerance fails
+    for k in np.flatnonzero(overflows | failing.any(axis=1))[:1]:
+        if overflows[k]:
+            raise ValueError("the generator overflows: its 1-norm is not finite")
+        t = np.argmax(failing[k])
+        cp, tp, herm = (r[k, t] for r in residuals)
+        raise NotCPTP(
+            f"induced map at tau={CPTP_CHECK_TAUS[t]:g} fails CPTP: cp={cp:.3e}, tp={tp:.3e}, herm={herm:.3e}"
+        )
+    return s if params is p else s[0]

@@ -36,34 +36,34 @@ PROBABILITY_FLOOR = 1e-15  # below this both-sided, a gap record is roundoff
 
 
 def _transition_stack(superops: np.ndarray, kraus, h: HamiltonianSpec):
-    """Transition probabilities ``probs[t, m, n] = <n| Map_t[|m><m|] |n>`` in
-    h's eigenbasis of the stacks of :meth:`Dynamics.maps`, with their checks
-    as ``(mask, error)`` pairs over ``t`` in the order one map is checked
-    (``error(*i)`` is the exception of map ``t = i[-1]``): the Kraus and
-    superoperator routes agree, and each row is a probability vector."""
+    """Transition probabilities ``probs[..., t, m, n] = <n| Map_t[|m><m|]
+    |n>`` in h's eigenbasis of the stacks of :meth:`Dynamics.maps`, or of
+    stacks ``(p, t, ...)`` of them with h's eigenvectors stacked ``(p, d,
+    d)``, with their checks as ``(mask, error)`` pairs over ``(..., t)`` in
+    the order one map is checked: the Kraus and superoperator routes agree,
+    and each row is a probability vector."""
     d = h.dim
-    v = h.eigenvectors
+    v = h.eigenvectors[..., None, :, :]  # one eigenframe for every map
     # column m of q is vec(|m><m|), so (q^dag S q)[n, m] = <n| S[|m><m|] |n>
-    q = (v.conj()[:, None, :] * v[None, :, :]).reshape(d * d, d)
+    q = (v.conj()[..., :, None, :] * v[..., None, :, :]).reshape(v.shape[:-2] + (d * d, d))
     with np.errstate(invalid="ignore"):  # inf entries give nan, which the checks judge
-        probs = np.real(dag(q) @ superops @ q).transpose(0, 2, 1)
-    route_gap = np.zeros(len(probs))
+        probs = np.real(q.conj().swapaxes(-1, -2) @ superops @ q).swapaxes(-1, -2)
+    route_gap = np.zeros(probs.shape[:-2])
     if kraus is not None:
-        kraus_probs = (np.abs(dag(v) @ kraus @ v) ** 2).sum(axis=1).transpose(0, 2, 1)
-        route_gap = np.abs(kraus_probs - probs).max(axis=(1, 2))
-    low = probs.min(axis=(1, 2))
-    rows = np.abs(probs.sum(axis=2) - 1.0).max(axis=1)
+        v = v[..., None, :, :]  # and for every Kraus operator
+        kraus_probs = (np.abs(v.conj().swapaxes(-1, -2) @ kraus @ v) ** 2).sum(axis=-3).swapaxes(-1, -2)
+        route_gap = np.abs(kraus_probs - probs).max(axis=(-2, -1))
+    low = probs.min(axis=(-2, -1))
+    rows = np.abs(probs.sum(axis=-1) - 1.0).max(axis=-1)
     checks = [
         (
             route_gap > ROUTE_AGREEMENT_ATOL,
-            lambda *i: InternalCheckError(
-                f"Kraus and superoperator transition routes disagree by {route_gap[i[-1]]:.3e}"
-            ),
+            lambda *i: InternalCheckError(f"Kraus and superoperator transition routes disagree by {route_gap[i]:.3e}"),
         ),
-        (low < -1e-12, lambda *i: NotTracePreserving(f"negative transition probability {low[i[-1]]:.3e}")),
+        (low < -1e-12, lambda *i: NotTracePreserving(f"negative transition probability {low[i]:.3e}")),
         (
             rows > STOCHASTIC_ATOL,
-            lambda *i: NotTracePreserving(f"transition rows sum to 1 only within {rows[i[-1]]:.3e}"),
+            lambda *i: NotTracePreserving(f"transition rows sum to 1 only within {rows[i]:.3e}"),
         ),
     ]
     return probs, checks
@@ -71,49 +71,53 @@ def _transition_stack(superops: np.ndarray, kraus, h: HamiltonianSpec):
 
 def _raise_first(checks: list) -> None:
     """Raise the exception of the first map that fails a check, taking the
-    checks at that map in list order; masks over ``(point, t)`` broadcast
-    with those over ``t`` and are taken point by point."""
+    checks at that map in list order.  The masks broadcast over ``(...,
+    t)``, and ``error(*i)`` gets the map's index ``i`` in its own mask."""
     if any(mask.any() for mask, _ in checks):
         masks = np.array(np.broadcast_arrays(*(mask for mask, _ in checks)))
-        i = tuple(int(j) for j in np.argwhere(masks.any(axis=0))[0])
-        raise checks[int(np.argmax(masks[(slice(None), *i)]))][1](*i)
+        i = np.argwhere(masks.any(axis=0))[0]
+        mask, error = checks[int(np.argmax(masks[(slice(None), *i)]))]
+        # a mask's axes of length 1 broadcast, so their index is 0
+        raise error(*np.minimum(i[i.size - mask.ndim :], np.array(mask.shape) - 1))
 
 
-def _gap_clusters(h: HamiltonianSpec) -> list:
-    """Ordered level pairs ``(m, n)`` with ``E_n >= E_m``, grouped by their gap
-    (within ``1e-9 * max|E|``) into ``(energy, pairs)`` clusters of ascending
-    energy; the zero-gap cluster has energy exactly 0."""
-    e = h.eigenvalues
+def _gap_clusters(e: np.ndarray) -> tuple:
+    """Ordered level pairs ``(m, n)`` with ``E_n >= E_m`` of the ascending
+    levels ``e``, grouped by their gap (within ``1e-9 * max|E|``) into
+    clusters of ascending energy, as ``(energies, pairs)``, a list of each;
+    the zero-gap cluster has energy exactly 0."""
+    d = len(e)
     atol = GAP_GROUP_RTOL * float(np.max(np.abs(e))) if e.size else 0.0
     # ascending gaps, equal ones in (m, n) order; a cluster runs while its gaps stay within atol of its first
-    gaps = ((float(e[n] - e[m]), m, n) for m in range(h.dim) for n in range(h.dim))
+    gaps = ((float(e[n] - e[m]), m, n) for m in range(d) for n in range(d))
     groups = []
     for item in sorted((max(gap, 0.0), m, n) for gap, m, n in gaps if gap >= -atol):
         if groups and item[0] - groups[-1][0][0] <= atol:
             groups[-1].append(item)
         else:
             groups.append([item])
-    clusters = []
+    energies = []
     for group in groups:
         # the mean of the gaps scaled by 2^-k, exact, so that their sum cannot overflow
         k = len(group).bit_length()
-        energy = 0.0 if group[0][0] <= atol else float(np.ldexp(np.mean(np.ldexp([g for g, _, _ in group], -k)), k))
-        clusters.append((energy, [(m, n) for _, m, n in group]))
-    return clusters
+        scaled = [g for g, _, _ in group]
+        energies.append(0.0 if group[0][0] <= atol else float(np.ldexp(np.mean(np.ldexp(scaled, -k)), k)))
+    return energies, [[(m, n) for _, m, n in group] for group in groups]
 
 
-def ratios(energies: tuple, p_plus: np.ndarray, p_minus: np.ndarray, recorded: np.ndarray, dbeta) -> tuple:
+def ratios(energies: np.ndarray, p_plus: np.ndarray, p_minus: np.ndarray, recorded: np.ndarray, dbeta) -> tuple:
     """``P(+E)/P(-E)`` of the records of :func:`exchange_grid` whose release
     probability exceeds ``RATIO_FLOOR``, against the prediction ``e^{dbeta
     E}`` with ``dbeta = beta_i - beta_f``, as ``(defined, ratio, predicted,
     deviation)``: ``defined[..., t, c]`` marks the records that have a ratio,
     and ``predicted`` holds one value per gap (and point of an array
-    ``dbeta``), computed only for the gaps that have a ratio."""
+    ``dbeta`` or of stacked ``energies``), computed only for the gaps that
+    have a ratio."""
     defined = recorded & ~(p_minus <= RATIO_FLOOR)
-    dbeta = np.asarray(dbeta, dtype=float)
-    predicted = np.full(defined.shape[:-2] + (len(energies),), math.nan)
+    predicted = np.full(defined.shape[:-2] + defined.shape[-1:], math.nan)
+    energies, dbeta = np.broadcast_arrays(energies, np.asarray(dbeta, dtype=float)[..., None])
     for i in zip(*np.nonzero(defined.any(axis=-2))):
-        predicted[i] = _exp(dbeta[i[:-1]] * energies[i[-1]])
+        predicted[i] = _exp(dbeta[i] * energies[i])
     with np.errstate(all="ignore"):
         ratio = p_plus / p_minus
         deviation = np.abs(ratio / predicted[..., None, :] - 1.0)
@@ -136,14 +140,18 @@ def exchange_grid(maps, h: HamiltonianSpec, beta_i) -> tuple:
     Ordered level pairs are grouped by their gap ``E_n - E_m`` (within
     ``1e-9 * max|E|``); degenerate gaps accumulate into one record.  Row
     ``t`` of ``p_plus`` and ``p_minus`` belongs to map ``t`` and column
-    ``c`` to the gap ``energies[c] >= 0``: ``p_plus`` weights forward
+    ``c`` to the gap ``energies[..., c] >= 0``: ``p_plus`` weights forward
     transitions by the thermal populations and ``p_minus`` the reversed
     ones, and ``recorded`` marks the records with a probability of at least
-    ``PROBABILITY_FLOOR`` on either side; an array ``beta_i`` leads their
-    shape.  The first point, and in it the first map, that fails a check
-    raises, with the checks at that map in this order: the transition checks
-    of :func:`_transition_stack`, then the records, which must sum to 1 and
-    lie in [0, 1].
+    ``PROBABILITY_FLOOR`` on either side.  Points lead every shape: stacks
+    ``(p, t, ...)`` of maps, h's eigenvalues and eigenvectors stacked ``(p,
+    d)`` and ``(p, d, d)`` and an array ``beta_i`` broadcast together, so
+    that maps shared by every point are given, and judged, once.  The points'
+    levels must share their gap clusters' pairs, else ``ValueError``.  The
+    first point, and in it the first map, that fails a check raises, with
+    the checks at that map in this order: the transition checks of
+    :func:`_transition_stack`, then the records, which must sum to 1 and lie
+    in [0, 1].
     """
     beta_i = np.asarray(beta_i, dtype=float)
     if not np.all((0 <= beta_i) & (beta_i < math.inf)):
@@ -151,18 +159,21 @@ def exchange_grid(maps, h: HamiltonianSpec, beta_i) -> tuple:
     superops, kraus = maps
     probs, checks = _transition_stack(require_superop_dim(superops, h), kraus, h)
     p_init = thermal_populations(h, beta_i)[..., None, :]  # [..., t, m]
-    clusters = _gap_clusters(h)
-    energies = tuple(energy for energy, _ in clusters)
-    p_plus = np.zeros(beta_i.shape + (len(probs), len(clusters)))
+    e = h.eigenvalues
+    energies, clusters = zip(*map(_gap_clusters, e.reshape(-1, h.dim)))  # per level set
+    if clusters.count(clusters[0]) < len(clusters):
+        raise ValueError("the level sets differ in their gap clusters")
+    energies, clusters = np.reshape(energies, e.shape[:-1] + (-1,)), clusters[0]
+    p_plus = np.zeros(np.broadcast_shapes(p_init.shape[:-1], probs.shape[:-2]) + (len(clusters),))
     p_minus = np.zeros_like(p_plus)
-    for c, (_, pairs) in enumerate(clusters):
+    for c, pairs in enumerate(clusters):
         for m, n in pairs:
-            p_plus[..., c] += p_init[..., m] * probs[:, m, n]
-            p_minus[..., c] += p_init[..., n] * probs[:, n, m]
+            p_plus[..., c] += p_init[..., m] * probs[..., m, n]
+            p_minus[..., c] += p_init[..., n] * probs[..., n, m]
     # max(p_plus, p_minus) as Python takes it: p_plus unless p_minus is larger
     recorded = np.where(p_minus > p_plus, p_minus, p_plus) >= PROBABILITY_FLOOR
     # summed record by record, in record order
-    released = recorded & (np.array(energies) > 0)
+    released = recorded & (energies[..., None, :] > 0)
     total = (sum(np.where(recorded, p_plus, 0.0).T) + sum(np.where(released, p_minus, 0.0).T)).T
 
     def outside(p):
@@ -230,34 +241,37 @@ def _classify_semigroup(eigs: np.ndarray, vecs: np.ndarray, h: HamiltonianSpec) 
     return "non_thermalizing" if beta is None else "fpt", beta, gamma_min
 
 
-def _classify_family(superops: np.ndarray, h: HamiltonianSpec) -> tuple:
-    """A channel family from its maps at ``TAU_MAX`` and ``FIXED_POINT_TAUS``,
-    stacked ``(t, d^2, d^2)``."""
-    d = h.dim
+def _classify_families(families: list):
+    """The kinds of channel families, yielded in order, from their maps at
+    ``TAU_MAX`` and ``FIXED_POINT_TAUS``, one ``maps`` call each, with one
+    SVD over the families for the 2-norms and one over (family, t) for the
+    drifts; a failing family raises when its turn comes."""
+    superops = np.array([s.maps((TAU_MAX, *FIXED_POINT_TAUS))[0] for s in families])
+    d = families[0].h.dim
     vec_eye = vec(np.eye(d))
-    sigma = superops[0] @ (vec_eye / d)
+    sigma = superops[:, 0] @ (vec_eye / d)
     # The map sends a state rho to sigma + delta vec(rho), and
     # |delta vec(rho)|_1 <= sqrt(d) |delta vec(rho)|_2 <= sqrt(d) |delta|_2.
-    delta = superops[0] - np.outer(sigma, vec_eye)
-    spread = math.sqrt(d) * float(np.linalg.norm(delta, 2))
-    if spread > CONVERGENCE_ATOL:
-        raise InconclusiveHorizon(
-            f"the map at tau={TAU_MAX:g} sends states up to {spread:.3e} in trace norm"
-            " from its image of I/d"
-        )
-    beta = _fixed_beta(sigma, h)
-    if beta is None:
-        return "non_thermalizing", None, None
+    spreads = math.sqrt(d) * np.linalg.svd(superops[:, 0] - sigma[:, :, None] * vec_eye, compute_uv=False).max(axis=1)
     # the singular values of unvec(x) are those of its transpose x.reshape(d, d)
-    moved = (superops[1:] @ sigma - sigma).reshape(-1, d, d)
-    drift = float(np.max(np.linalg.svd(moved, compute_uv=False).sum(axis=1)))
-    return "fpt" if drift < FIXED_POINT_ATOL else "thermalizing", beta, None
+    moved = (superops[:, 1:] @ sigma[:, None, :, None] - sigma[:, None, :, None]).reshape(len(families), -1, d, d)
+    drifts = np.linalg.svd(moved, compute_uv=False).sum(axis=2).max(axis=1)
+    for spread, image, drift, source in zip(spreads, sigma, drifts, families):
+        if spread > CONVERGENCE_ATOL:
+            raise InconclusiveHorizon(
+                f"the map at tau={TAU_MAX:g} sends states up to {spread:.3e} in trace norm"
+                " from its image of I/d"
+            )
+        beta = _fixed_beta(image, source.h)
+        yield ("non_thermalizing", None, None) if beta is None else (
+            "fpt" if drift < FIXED_POINT_ATOL else "thermalizing", beta, None)
 
 
 def classify(sources: list) -> list:
     """Classify each dynamics of ``sources``, in order, as fixed-point
     thermalizing, thermalizing, or neither, as ``(kind, beta_f, gamma_min)``;
-    the semigroups, of one dimension, share one batched eigendecomposition.
+    the semigroups, of one dimension, share one batched eigendecomposition,
+    and the channel families, of one dimension, one pass over their maps.
 
     ``kind`` is ``"fpt"``, ``"thermalizing"`` or ``"non_thermalizing"``, or
     ``"single_map"`` for one Kraus map, which is probed only for a thermal
@@ -276,12 +290,13 @@ def classify(sources: list) -> list:
     """
     generators = [s.generator for s in sources if s.generator is not None]
     spectra = zip(*np.linalg.eig(np.array(generators))) if generators else None
+    families = _classify_families([s for s in sources if s.generator is None and s.tau is None])
 
     def one(source):
         if source.generator is not None:
             return _classify_semigroup(*next(spectra), source.h)
         if source.tau is None:
-            return _classify_family(source.maps((TAU_MAX, *FIXED_POINT_TAUS))[0], source.h)
+            return next(families)
         # one map: only its eigenvalue 1 is probed for a thermal fixed point
         _, col = _simple_eigenvector(*np.linalg.eig(source.maps((source.tau,))[0][0]), 1.0, UNIT_EIG_ATOL)
         try:

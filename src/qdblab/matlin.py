@@ -41,9 +41,13 @@ def dag(a: np.ndarray) -> np.ndarray:
     return np.asarray(a).conj().T
 
 
-def frobenius(a: np.ndarray) -> float:
-    """Frobenius norm."""
-    return float(np.linalg.norm(a))
+def frobenius(a: np.ndarray):
+    """Frobenius norm of a matrix, or of every slice of a stack
+    ``(..., m, n)``; each sum of squares is one dot product of the real and
+    one of the imaginary parts in row-major order, so a slice's norm is the
+    one ``np.linalg.norm`` takes of its C-ordered copy."""
+    x = np.ascontiguousarray(a).reshape(np.shape(a)[:-2] + (1, -1))
+    return np.sqrt(sum(y @ y.swapaxes(-1, -2) for y in (x.real, x.imag))[..., 0, 0])
 
 
 def is_hermitian(a: np.ndarray, atol: float = HERMITICITY_ATOL) -> bool:
@@ -154,8 +158,10 @@ def _ldexp(a: np.ndarray, k: np.ndarray) -> np.ndarray:
 
 
 def kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Kronecker product."""
-    return np.kron(np.asarray(a, dtype=complex), np.asarray(b, dtype=complex))
+    """Kronecker product of two matrices, as one broadcast product: each
+    entry is the single product ``np.kron`` takes."""
+    a, b = np.asarray(a, dtype=complex), np.asarray(b)  # b is promoted to complex in the product
+    return (a[:, None, :, None] * b[:, None]).reshape(len(a) * len(b), -1)
 
 
 def vec(m: np.ndarray) -> np.ndarray:

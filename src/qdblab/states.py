@@ -49,14 +49,15 @@ class HamiltonianSpec:
 
 def thermal_populations(h: HamiltonianSpec, beta) -> np.ndarray:
     """Level populations ``e^{-beta E_m} / Z`` of the thermal state over h's
-    ascending levels, for a finite ``beta >= 0`` or an array of them.
+    ascending levels, for a finite ``beta >= 0`` or an array of them, which
+    broadcasts with a stack of h's eigenvalues.
 
     Energies are shifted by the ground level before exponentiating, so a
     large beta stays finite; a weight whose exponent overflows is 0.
     """
     e = h.eigenvalues
     with np.errstate(over="ignore"):
-        weights = np.exp(-np.asarray(beta, dtype=float)[..., None] * (e - e[0]))
+        weights = np.exp(-np.asarray(beta, dtype=float)[..., None] * (e - e[..., :1]))
     return weights / weights.sum(axis=-1, keepdims=True)
 
 

@@ -324,7 +324,7 @@ def test_qdb2_reverses_time_in_the_energy_eigenbasis(rng, tmp_path, circulation,
         tol_qdb=1e-9, tol_qfr=1e-9, tol_cptp=1e-9, out=tmp_path, format="csv",
     )
     (analysis,) = analyse([source], args)
-    ((verdict, _),) = build_report(analysis, [args])
+    ((verdict, _),) = build_report([analysis], [args])
     assert verdict["classification"]["kind"] == "fpt"
     assert verdict["qdb1"]["passes"] is balanced
     assert verdict["qdb2"]["passes"] is balanced
@@ -429,29 +429,45 @@ class TestSweepCommand:
         capsys.readouterr()
 
     @pytest.mark.parametrize(
-        "parameter, values, code, message",
+        "target, parameter, values, code, message",
         [
             # point 0 fails its transition checks, a late stage, and point 1 cannot be built
-            ("beta_f", "1e-12:1e-310:2", EXIT_MODEL,
+            ("b", "beta_f", "1e-12:1e-310:2", EXIT_MODEL,
              "NotTracePreserving: transition rows sum to 1 only within 4.024e-07"),
-            ("beta_f", "1e-310:1e-12:2", EXIT_CONFIG,
+            ("b", "beta_f", "1e-310:1e-12:2", EXIT_CONFIG,
              "ConfigError: scenario b: n_bar = 1/(e^(beta_f omega) - 1) overflows at beta_f omega = 1e-310"),
             # only the last of 40 points, in the second block, fails
-            ("beta_f", "3:1e-12:40", EXIT_MODEL,
+            ("b", "beta_f", "3:1e-12:40", EXIT_MODEL,
              "NotTracePreserving: transition rows sum to 1 only within 4.024e-07"),
             # each point's arguments are checked as a run's are
-            ("beta_i", "-1:1:3", EXIT_CONFIG, "ConfigError: beta-i must be nonnegative"),
+            ("b", "beta_i", "-1:1:3", EXIT_CONFIG, "ConfigError: beta-i must be nonnegative"),
             # the third point fails after two valid ones
-            ("beta_i", "1:-1:3", EXIT_CONFIG, "ConfigError: beta-i must be nonnegative"),
+            ("b", "beta_i", "1:-1:3", EXIT_CONFIG, "ConfigError: beta-i must be nonnegative"),
+            # points 3 and 4 fail the stacked CPTP check, point 3 with the smaller defect
+            ("c", "nu", "0.9:0.1:5", EXIT_MODEL,
+             "NotCPTP: induced map at tau=0.1 fails CPTP: cp=3.140e-03, tp=0.000e+00, herm=2.023e-17"),
         ],
-        ids=["late-check-first", "construction-first", "second-block", "settings-first", "settings-third"],
+        ids=["late-check-first", "construction-first", "second-block", "settings-first", "settings-third",
+             "c-nu-mid-block"],
     )
     def test_the_first_failing_point_raises_whatever_its_stage(
-        self, tmp_path, capsys, parameter, values, code, message
+        self, tmp_path, capsys, target, parameter, values, code, message
     ):
-        assert run(tmp_path, "sweep", "b", "--parameter", parameter, f"--range={values}") == code
+        assert run(tmp_path, "sweep", target, "--parameter", parameter, f"--range={values}") == code
         assert capsys.readouterr().err == message + "\n"
-        assert not (tmp_path / f"sweep_b_{parameter}.csv").exists()
+        assert not (tmp_path / f"sweep_{target}_{parameter}.csv").exists()
+
+    def test_json_format_writes_json_with_boolean_flags(self, tmp_path):
+        argv = ("sweep", "b", "--parameter", "gamma", "--range", "0.5:1:2", *FAST)
+        assert run(tmp_path, *argv, "--format", "json") == EXIT_OK
+        assert [p.name for p in tmp_path.iterdir()] == ["sweep_b_gamma.json"]
+        report = json.loads((tmp_path / "sweep_b_gamma.json").read_text())
+        assert [row[4] for row in report["rows"]] == [True, True]  # qdb1_passes, not 1.0
+        # the same cells as the CSV of the same sweep
+        assert run(tmp_path, *argv) == EXIT_OK
+        csv = [line.split(",") for line in (tmp_path / "sweep_b_gamma.csv").read_text().splitlines()]
+        assert [report["columns"], *([fmt_float(x) if not isinstance(x, str) else x for x in row]
+                                     for row in report["rows"])] == csv
 
     def test_a_model_file_of_any_name_writes_its_csv_by_stem(self, tmp_path):
         model = tmp_path / "m" / "davies3"
@@ -746,18 +762,24 @@ def test_scenario_b_takes_one_eigendecomposition_per_source(tmp_path, monkeypatc
         (("sweep", str(Path(__file__).parent / "golden" / "davies3_circulating.json"), "--parameter", "beta_i",
           "--range", "0.5:2.5:3"), {"expm": 1, "classify": 1, "check_qdb1": 1, "check_qdb2": 1, "exchange_grid": 1}),
         (("sweep", "b", "--parameter", "gamma", "--range", "0.5:1.5:3"),
-         {"expm": 1, "classify": 1, "check_qdb1": 1, "check_qdb2": 1, "exchange_grid": 3}),
+         {"expm": 1, "classify": 1, "check_qdb1": 1, "check_qdb2": 1, "exchange_grid": 1}),
         (("sweep", "b", "--parameter", "beta_i", "--range", "0.5:2.5:3"),
          {"expm": 1, "classify": 1, "check_qdb1": 1, "check_qdb2": 1, "exchange_grid": 1}),
         # 40 points span two blocks, which share the one analysis of their source
         (("sweep", str(Path(__file__).parent / "golden" / "davies3_circulating.json"), "--parameter", "beta_i",
           "--range", "0.5:2.5:40"), {"expm": 1, "classify": 1, "check_qdb1": 1, "check_qdb2": 1, "exchange_grid": 2}),
+        # the generators' CPTP check is one exponential over (point, tau), the maps another
+        (("sweep", "c", "--parameter", "nu", "--range", "0.5:0.9:3"),
+         {"expm": 2, "classify": 1, "check_qdb1": 1, "check_qdb2": 1, "exchange_grid": 1}),
+        # channel families: no generator, so no exponential and no qdb1
+        (("sweep", "a", "--parameter", "omega", "--range", "0.5:1.5:3"),
+         {"expm": 0, "classify": 1, "check_qdb1": 0, "check_qdb2": 1, "exchange_grid": 1}),
     ],
-    ids=["model-beta-i", "b-gamma", "b-beta-i", "model-beta-i-two-blocks"],
+    ids=["model-beta-i", "b-gamma", "b-beta-i", "model-beta-i-two-blocks", "c-nu", "a-omega"],
 )
 def test_a_sweep_takes_each_stage_once_per_block(tmp_path, monkeypatch, argv, calls):
-    # a beta_i sweep builds and checks its one source once, with one exchange grid over
-    # its points; a sweep of sources stacks their exponentials, spectra and checks
+    # a beta_i sweep builds and checks its one source once; a sweep of sources stacks
+    # their exponentials, spectra and checks; every block takes one exchange grid
     from qdblab import balance, fluctuation, matlin
 
     counts = dict.fromkeys(calls, 0)

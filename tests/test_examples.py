@@ -24,11 +24,12 @@ from conftest import (
 )
 from qdblab import matlin
 from qdblab.balance import check_qdb1, check_qdb2
-from qdblab.dynamics import Dynamics, is_cptp, lindblad_superop
+from qdblab.dynamics import Dynamics, choi_matrix, evolve_grid, is_cptp, lindblad_superop
 from qdblab.errors import NotCPTP, NotTracePreserving, ScheduleOutOfRange
 from qdblab.examples import (
     ExampleAParams,
     ExampleBParams,
+    CPTP_CHECK_TAUS,
     ExampleCParams,
     bloch4_to_superop,
     LOWERING,
@@ -344,6 +345,39 @@ class TestScenarioC:
         bad = ExampleCParams(omega=1.0, nu=0.05, alpha=0.05, chi=-0.45, zeta=1.0)
         with pytest.raises(NotCPTP):
             example_c_generator(bad)
+
+    def test_stacked_generators_and_cptp_residuals_are_the_per_point_ones(self):
+        params = [dataclasses.replace(self.base, nu=nu) for nu in np.linspace(0.35, 0.9, 6)]
+        stacked = example_c_generator(params)
+        assert np.array_equal(stacked, [example_c_generator(p) for p in params])
+        maps = evolve_grid(stacked, np.broadcast_to(CPTP_CHECK_TAUS, (6, 3)))
+        residuals = is_cptp(maps)
+        assert all(r.shape == (6, 3) for r in residuals)
+        for k, t in np.ndindex(6, 3):
+            # the residuals of one map, as numpy's own norms and eigvalsh take them
+            choi = choi_matrix(maps[k, t])
+            want = (
+                max(0.0, -float(np.min(np.linalg.eigvalsh((choi + choi.conj().T) / 2)))),
+                float(np.linalg.norm(np.trace(choi.reshape(2, 2, 2, 2), axis1=1, axis2=3) - np.eye(2))),
+                float(np.linalg.norm(choi - choi.conj().T)),
+            )
+            assert is_cptp(maps[k, t]) == want == tuple(r[k, t] for r in residuals)
+
+    @pytest.mark.parametrize(
+        "first, error",
+        [(3, NotCPTP), (1, ValueError)],
+        ids=["cp-defect", "overflow"],
+    )
+    def test_a_stack_raises_its_first_failing_point(self, first, error):
+        # points 3 and 4 are not CP at tau = 0.1; in the second case point 1 overflows first
+        params = [dataclasses.replace(self.base, nu=nu) for nu in np.linspace(0.9, 0.1, 5)]
+        if error is ValueError:
+            params[1] = dataclasses.replace(self.base, nu=1e308, alpha=1e308)
+        with pytest.raises(error) as want:
+            example_c_generator(params[first])
+        with pytest.raises(error) as got:
+            example_c_generator(params)
+        assert str(got.value) == str(want.value)
 
     def test_parameter_validation(self):
         with pytest.raises(ValueError):

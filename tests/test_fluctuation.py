@@ -661,7 +661,80 @@ def test_build_report_takes_thermal_populations_once_per_source(tmp_path, monkey
         if name.startswith("qdblab") and getattr(module, "thermal_populations", None) is original:
             monkeypatch.setattr(module, "thermal_populations", counted)
     sweep = ["sweep", "b", "--parameter", "gamma", "--range", "0.5:2:3"]
-    for argv, sources in ((["example", "a"], 1), (["example", "b"], 1), (["example", "c"], 1), (sweep, 3)):
+    # a block of a sweep takes the populations of all its points at once
+    for argv, sources in ((["example", "a"], 1), (["example", "b"], 1), (["example", "c"], 1), (sweep, 1)):
         calls.clear()
         assert main([*argv, "--out", str(tmp_path)]) == 0
         assert len(calls) == sources
+
+
+def _davies(rng, energies, beta=1.0):
+    """A level-jump generator over the levels ``energies``, with random rates
+    in detailed balance at ``beta``, and its Hamiltonian."""
+    d = len(energies)
+    jumps = []
+    for m in range(d):
+        for n in range(m + 1, d):
+            down = rng.uniform(0.2, 1.0)
+            for src, dst, rate in ((n, m, down), (m, n, down * math.exp(-beta * (energies[n] - energies[m])))):
+                jump = np.zeros((d, d), dtype=complex)
+                jump[dst, src] = math.sqrt(rate)
+                jumps.append(jump)
+    h = HamiltonianSpec.from_matrix(np.diag(energies).astype(complex))
+    return h, LindbladGenerator.from_jump_operators(h, jumps)
+
+
+def _points(case, rng):
+    """Six points of one kind, as ``(maps, h)`` pairs."""
+    if case == "b":
+        gens = [example_b_generator(ExampleBParams(omega, 1.0, 1.0)) for omega in np.linspace(0.5, 2.0, 6)]
+        return [(Dynamics.semigroup(g.hamiltonian, g).maps(TAUS), g.hamiltonian) for g in gens]
+    if case == "a":
+        params = [ExampleAParams.default(omega, 1.0) for omega in np.linspace(0.5, 2.0, 6)]
+        return [(Dynamics.channel_family(p.hamiltonian(), lambda taus, p=p: example_a_channel(p, taus)).maps(TAUS),
+                 p.hamiltonian()) for p in params]
+    energies = {"davies3": [-0.7, 0.1, 1.3], "davies4": [-1.0, -0.2, 0.5, 1.6]}[case]
+    models = [_davies(rng, energies) for _ in range(6)]
+    return [(Dynamics.semigroup(h, g).maps(TAUS), h) for h, g in models]
+
+
+def _stack(points):
+    maps, hs = zip(*points)
+    kraus = None if maps[0][1] is None else np.array([k for _, k in maps])
+    fields = ("matrix", "eigenvalues", "eigenvectors")
+    h = HamiltonianSpec(*(np.array([getattr(h, f) for h in hs]) for f in fields))
+    return (np.array([s for s, _ in maps]), kraus), h
+
+
+BETA_IS = np.linspace(0.2, 3.0, 6)
+
+
+@pytest.mark.parametrize("case", ["b", "a", "davies3", "davies4"])
+def test_a_grid_over_points_is_bitwise_the_per_point_grids(rng, case):
+    points = _points(case, rng)
+    stacked = exchange_grid(*_stack(points), BETA_IS)
+    assert stacked[1].shape == (6, len(TAUS), len(stacked[0][0]))
+    for k, ((maps, h), beta_i) in enumerate(zip(points, BETA_IS)):
+        for got, want in zip(stacked, exchange_grid(maps, h, beta_i)):
+            assert np.array_equal(got[k], want)
+
+
+@pytest.mark.parametrize("shared", [True, False], ids=["given-once", "repeated"])
+def test_one_source_along_the_point_axis_is_bitwise_the_per_point_grids(rng, shared):
+    ((maps, h),) = _points("davies3", rng)[:1]
+    grid = exchange_grid(maps, h, BETA_IS) if shared else exchange_grid(*_stack([(maps, h)] * 6), BETA_IS)
+    for k, beta_i in enumerate(BETA_IS):
+        for got, want in zip(grid, exchange_grid(maps, h, beta_i)):
+            assert np.array_equal(np.broadcast_to(got, (6, *want.shape))[k], want)
+
+
+@pytest.mark.parametrize(
+    "levels",
+    [([0.0, 1.0, 3.0], [0.0, 2.0, 3.0]), ([0.0, 0.5, 1.0], [0.0, 0.0, 1.0])],
+    ids=["gap-order", "degenerate"],
+)
+def test_points_with_other_gap_clusters_are_rejected(levels):
+    hs = [HamiltonianSpec.from_matrix(np.diag(e).astype(complex)) for e in levels]
+    points = [((np.eye(9, dtype=complex)[None], None), h) for h in hs]
+    with pytest.raises(ValueError, match="^the level sets differ in their gap clusters$"):
+        exchange_grid(*_stack(points), 1.0)

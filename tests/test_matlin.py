@@ -188,6 +188,26 @@ class TestKronVec:
         out = matlin.kron(np.diag([1.0, 2.0]), np.diag([3.0, 4.0]))
         np.testing.assert_allclose(out, np.diag([3.0, 4.0, 6.0, 8.0]))
 
+    @pytest.mark.parametrize("shape", [(4, 4), (3, 2, 2), (2, 3, 16, 16)])
+    @pytest.mark.parametrize("part", ["complex", "real"])
+    def test_frobenius_of_a_stack_is_bitwise_numpy_norm_per_slice(self, rng, shape, part):
+        scales = 10.0 ** rng.uniform(-17, 3, size=shape[:-2] + (1, 1))
+        a = (rng.normal(size=shape) + 1j * rng.normal(size=shape)) * scales
+        a = a if part == "complex" else a.real  # a strided view
+        want = [np.linalg.norm(np.ascontiguousarray(m)) for m in a.reshape(-1, *shape[-2:])]
+        assert np.array_equal(matlin.frobenius(a), np.reshape(want, shape[:-2]))
+
+    @pytest.mark.parametrize(
+        "shapes", [((2, 2), (2, 2)), ((3, 3), (2, 2)), ((4, 4), (4, 4)), ((1, 1), (3, 3)), ((2, 3), (3, 1))],
+        ids=["d2", "d3-d2", "d4", "1x1", "2x3-3x1"],
+    )
+    @pytest.mark.parametrize("dtype", [float, complex])
+    def test_kron_is_bitwise_numpy_kron(self, rng, shapes, dtype):
+        a, b = (rng.normal(size=s) + (1j * rng.normal(size=s) if dtype is complex else 0) for s in shapes)
+        out = matlin.kron(a, b)
+        assert out.dtype == complex
+        assert np.array_equal(out, np.kron(a, b))
+
     def test_vec_is_column_stacking(self):
         m = np.array([[1, 3], [2, 4]])
         np.testing.assert_array_equal(matlin.vec(m), [1, 2, 3, 4])
