@@ -23,7 +23,7 @@ from pathlib import Path
 import numpy as np
 
 from .balance import check_qdb1, check_qdb2
-from .dynamics import Dynamics, LindbladGenerator, maps_of
+from .dynamics import Dynamics, LindbladGenerator, gkls_defects, maps_of
 from .errors import (
     ConfigError,
     DimensionMismatch,
@@ -180,10 +180,18 @@ def _balance(check, sources: list, betas: list, operators: list, args) -> list:
 
 def analyse(sources: list, args) -> list:
     """The stages that do not depend on beta_i, each stacked over ``sources``
-    (of one kind and dimension), in a source's order: classify, qdb1, the
-    maps on the tau grid and at the qdb2 times, and qdb2; an analysis
-    ``(source, sections, beta_f, taus, maps)`` per source.  A failing stage
-    raises, for whichever source fails it."""
+    (of one kind and dimension), in a source's order: the GKLS test of the
+    semigroups' generators, classify, qdb1, the maps on the tau grid and at
+    the qdb2 times, and qdb2; an analysis ``(source, sections, beta_f, taus,
+    maps)`` per source.  A failing stage raises, for whichever source fails
+    it."""
+    generators = [s.generator for s in sources if s.generator is not None]
+    if generators:
+        cp, tp = gkls_defects(np.array(generators))
+        for k in np.flatnonzero(~(np.maximum(cp, tp) < args.tol_cptp))[:1]:  # a nan defect fails too
+            raise NotCPTP(
+                f"the generator is not of GKLS form: cp={cp[k]:.3e}, tp={tp[k]:.3e} relative to its 1-norm"
+            )
     classified = classify(sources)
     betas = [b if b is not None and math.isfinite(b) else None for _, b, _ in classified]
     qdb1 = _balance(check_qdb1, sources, betas, [s.generator for s in sources], args)
@@ -354,7 +362,10 @@ def load_model(path: Path):
             if "tau" in obj and not _is_tau(tau):
                 raise ConfigError(f"tau must be a finite number >= 0, got {tau!r}")
         else:
-            source = Dynamics.semigroup(h, bloch4_to_superop(np.real(_pairs_to_complex(obj["generator"]))))
+            l4 = _pairs_to_complex(obj["generator"])
+            if np.any(l4.imag):
+                raise ConfigError("generator must be real: an entry has a nonzero imaginary part")
+            source = Dynamics.semigroup(h, bloch4_to_superop(l4.real))
     except KeyError as exc:
         raise ConfigError(f"model file misses required field {exc}") from exc
     except ValueError as exc:
@@ -414,15 +425,14 @@ def _example_params(args):
 def _example_sources(spaces: list) -> list:
     """Scenario ``name`` of each namespace of ``spaces``, all of one scenario,
     as a dynamics source with scenario A's correction factor (None for the
-    others); scenario C's generators are built and checked as one stack."""
+    others); scenario C's generators are built as one stack."""
     name = spaces[0].name
     try:
         params = [_example_params(args) for args in spaces]
         # scenario b takes H from its generator, which keeps H's one eigendecomposition
         hs = [None if name == "b" else p.hamiltonian() for p in params]
         if name == "c":
-            gens = example_c_generator(params, cptp_tol=spaces[0].tol_cptp)
-            return [(Dynamics.semigroup(h, gen), None) for h, gen in zip(hs, gens)]
+            return [(Dynamics.semigroup(h, gen), None) for h, gen in zip(hs, example_c_generator(params))]
     except ValueError as exc:
         raise ConfigError(f"scenario {name}: {exc}") from exc
     if name == "a":

@@ -1,7 +1,7 @@
-"""CPTP dynamics: Lindblad generators, superoperator matrices, CPTP
-verification and ``Dynamics``, whose maps at a time grid come as stacks
-that every check, ``classify`` of a channel family too, reads; no map is
-evolved, applied or made Kraus alone.
+"""CPTP dynamics: Lindblad generators, superoperator matrices, the GKLS
+test of generators and ``Dynamics``, whose maps at a time grid come as
+stacks that every check, ``classify`` of a channel family too, reads; no
+map is evolved, applied or made Kraus alone.
 
 A map is a plain Schroedinger-picture ``d^2 x d^2`` matrix acting on
 column-stacked operators, a Kraus family a zero-padded stack ``(t, j, d,
@@ -10,10 +10,11 @@ d)``; the Heisenberg picture, the trace dual, is taken only inside
 
     Choi = sum_ij |i><j| (x) Map[|i><j|],
 
-so complete positivity is positivity of the Choi matrix and trace
-preservation is ``Tr_out[Choi] == I`` (partial trace over the second
-factor).  Both conventions interlock with the column-stacking ``vec`` and
-are covered by roundtrip tests.
+so complete positivity of a map is positivity of its Choi matrix, and the
+maps of a Hermiticity-preserving generator are completely positive exactly
+when its Choi matrix is positive orthogonally to ``vec(I)``, the maximally
+entangled vector.  Both conventions interlock with the column-stacking
+``vec`` and are covered by roundtrip tests.
 """
 
 from __future__ import annotations
@@ -212,25 +213,22 @@ def choi_matrix(s: np.ndarray) -> np.ndarray:
     return s.reshape(s.shape[:-2] + (d,) * 4).swapaxes(-4, -1).reshape(s.shape)
 
 
-def _partial_trace_out(choi: np.ndarray, d: int) -> np.ndarray:
-    return np.trace(choi.reshape(choi.shape[:-2] + (d,) * 4), axis1=-3, axis2=-1)
-
-
-def is_cptp(s: np.ndarray) -> tuple:
-    """CPTP residuals ``(cp, tp, herm)`` of a Schroedinger-picture map, as
-    floats, or of every map of a stack ``(..., d^2, d^2)``, as arrays: the
-    Choi matrix's most negative eigenvalue (0 if none), the defect of
-    ``Tr_out[Choi] == I`` and the Choi matrix's anti-Hermitian part, the
-    last two as Frobenius norms, from one stacked ``eigvalsh``.  A map with
-    non-finite entries gets infinite residuals."""
-    finite = np.isfinite(s).all(axis=(-2, -1))
-    choi = choi_matrix(np.where(finite[..., None, None], s, 0.0))
-    d = math.isqrt(s.shape[-1])
-    adj = choi.conj().swapaxes(-1, -2)
-    lo = np.linalg.eigvalsh((choi + adj) / 2).min(axis=-1)
-    tp = matlin.frobenius(_partial_trace_out(choi, d) - np.eye(d))
-    residuals = np.where(lo < 0, -lo, 0.0), tp, matlin.frobenius(choi - adj)
-    return tuple(np.where(finite, r, math.inf)[()] for r in residuals)  # [()] makes a 0-d array a float
+def gkls_defects(generators: np.ndarray) -> tuple:
+    """The defects ``(cp, tp)`` of every generator of a stack ``(p, d^2,
+    d^2)`` from the GKLS form, each relative to the generator's 1-norm, as
+    arrays, from one stacked ``eigvalsh``: the most negative eigenvalue of
+    its Choi matrix projected orthogonally to ``vec(I)`` (0 if none), and
+    the Euclidean norm of ``vec(I)^dag L``.  A Hermiticity-preserving
+    generator generates CPTP maps exactly when both are 0 (Lindblad 1976;
+    Wolf & Cirac 2008)."""
+    d = math.isqrt(generators.shape[-1])
+    norms = np.abs(generators).sum(axis=-2).max(axis=-1)
+    scaled = generators / np.where(norms > 0, norms, 1.0)[:, None, None]
+    trace = np.eye(d).reshape(-1)  # vec(I)
+    proj = np.eye(d * d) - np.outer(trace, trace) / d
+    choi = choi_matrix(scaled)
+    lo = np.linalg.eigvalsh(proj @ (choi + choi.conj().swapaxes(-1, -2)) @ proj / 2).min(axis=-1)
+    return np.maximum(-lo, 0.0), np.linalg.norm(trace @ scaled, axis=-1)
 
 
 @dataclass(frozen=True)

@@ -16,6 +16,8 @@ test oracles and live with the tests.
 * Scenario C: a four-dimensional Bloch-coordinate generator family that is
   fixed-point thermalizing for any admissible parameters but balanced only
   on a one-parameter slice, separating the ratio law from detailed balance.
+  It is completely positive only where its transverse damping is large
+  enough against its longitudinal damping.
 """
 
 from __future__ import annotations
@@ -26,13 +28,12 @@ from typing import Callable
 
 import numpy as np
 
-from .dynamics import LindbladGenerator, evolve_grid, is_cptp
-from .errors import DimensionMismatch, NotCPTP, ScheduleOutOfRange
+from .dynamics import LindbladGenerator
+from .errors import DimensionMismatch, ScheduleOutOfRange
 from .matlin import dag, vec
 from .states import SIGMA_X, SIGMA_Y, SIGMA_Z, HamiltonianSpec
 
 HORIZON_TAU = 1e12
-CPTP_CHECK_TAUS = (0.1, 1.0, 10.0)  # scenario C's maps checked for CPTP at these times
 
 # Energy lowering/raising in the ground-first storage basis.
 LOWERING = np.array([[0, 1], [0, 0]], dtype=complex)
@@ -290,26 +291,13 @@ def bloch4_to_superop(l4: np.ndarray) -> np.ndarray:
         return -_PAULI_STACK @ l4 @ dag(_PAULI_STACK)
 
 
-def example_c_generator(p, cptp_tol: float = 1e-9) -> np.ndarray:
+def example_c_generator(p) -> np.ndarray:
     """Schroedinger-picture generator of the parameters ``p``, or the stack
-    ``(n, 4, 4)`` of those of a sequence of them, from one stacked check: the
-    first point whose generator's 1-norm is not finite raises ``ValueError``,
-    and whose induced maps at ``CPTP_CHECK_TAUS``, from one exponential over
-    (point, tau), do not all verify as CPTP raises ``NotCPTP`` for the first
-    failing tau."""
+    ``(n, 4, 4)`` of those of a sequence of them; a generator whose 1-norm
+    is not finite raises ``ValueError``."""
     params = [p] if isinstance(p, ExampleCParams) else p
     s = bloch4_to_superop(np.array([example_c_bloch_matrix(q) for q in params]))
     with np.errstate(over="ignore"):
-        overflows = ~np.isfinite(np.abs(s).sum(axis=1).max(axis=1))  # also for a non-finite entry
-    # an overflowing generator raises before its maps are judged, so it is not exponentiated
-    residuals = is_cptp(evolve_grid(np.where(overflows[:, None, None], 0.0, s), [CPTP_CHECK_TAUS] * len(s)))
-    failing = ~(np.max(residuals, axis=0) < cptp_tol)  # not >=, so that a nan tolerance fails
-    for k in np.flatnonzero(overflows | failing.any(axis=1))[:1]:
-        if overflows[k]:
+        if not np.isfinite(np.abs(s).sum(axis=1).max()):  # also for a non-finite entry
             raise ValueError("the generator overflows: its 1-norm is not finite")
-        t = np.argmax(failing[k])
-        cp, tp, herm = (r[k, t] for r in residuals)
-        raise NotCPTP(
-            f"induced map at tau={CPTP_CHECK_TAUS[t]:g} fails CPTP: cp={cp:.3e}, tp={tp:.3e}, herm={herm:.3e}"
-        )
     return s if params is p else s[0]

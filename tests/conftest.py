@@ -16,7 +16,6 @@ from qdblab.dynamics import (
     choi_matrix,
     commutator_superop,
     evolve_grid,
-    is_cptp,
     require_superop_dim,
 )
 from qdblab.examples import (
@@ -644,6 +643,28 @@ def apply(g, rho: np.ndarray) -> np.ndarray:
 def superop_from_channel(kraus_ops) -> np.ndarray:
     """Column-stacking matrix ``sum_j conj(G_j) (x) G_j`` of a Kraus map."""
     return _kraus_superops(np.array([kraus_ops], dtype=complex))[0]
+
+
+def _partial_trace_out(choi: np.ndarray, d: int) -> np.ndarray:
+    return np.trace(choi.reshape(choi.shape[:-2] + (d,) * 4), axis1=-3, axis2=-1)
+
+
+def is_cptp(s: np.ndarray) -> tuple:
+    """CPTP residuals ``(cp, tp, herm)`` of a Schroedinger-picture map, as
+    floats, or of every map of a stack ``(..., d^2, d^2)``, as arrays: the
+    Choi matrix's most negative eigenvalue (0 if none), the defect of
+    ``Tr_out[Choi] == I`` (partial trace over the second factor) and the Choi
+    matrix's anti-Hermitian part, the last two as Frobenius norms, from one
+    stacked ``eigvalsh``.  A map with non-finite entries gets infinite
+    residuals.  The map-level oracle of :func:`qdblab.dynamics.gkls_defects`."""
+    finite = np.isfinite(s).all(axis=(-2, -1))
+    choi = choi_matrix(np.where(finite[..., None, None], s, 0.0))
+    d = math.isqrt(s.shape[-1])
+    adj = choi.conj().swapaxes(-1, -2)
+    lo = np.linalg.eigvalsh((choi + adj) / 2).min(axis=-1)
+    tp = matlin.frobenius(_partial_trace_out(choi, d) - np.eye(d))
+    residuals = np.where(lo < 0, -lo, 0.0), tp, matlin.frobenius(choi - adj)
+    return tuple(np.where(finite, r, math.inf)[()] for r in residuals)  # [()] makes a 0-d array a float
 
 
 def channel_from_superop(s: np.ndarray) -> np.ndarray:

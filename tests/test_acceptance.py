@@ -33,6 +33,7 @@ from conftest import (
     gap_records,
     gibbs,
     inner,
+    is_cptp,
     r_s_superop,
     random_complex,
     random_density,
@@ -42,8 +43,7 @@ from conftest import (
 from qdblab import matlin
 from qdblab.balance import check_qdb1, check_qdb2
 from qdblab.cli import main, save_model
-from qdblab.dynamics import Dynamics, is_cptp, lindblad_superop
-from qdblab.errors import NotCPTP
+from qdblab.dynamics import Dynamics, gkls_defects, lindblad_superop
 from qdblab.examples import (
     ExampleAParams,
     ExampleBParams,
@@ -187,9 +187,8 @@ def test_criterion_6_thermalizing_maps_asymptotic_ratio_law():
                 nu=base.nu * (1 + rng.uniform(-0.1, 0.3)),
                 alpha=base.alpha * (1 + rng.uniform(-0.1, 0.3)),
             )
-            try:
-                source = example_c_generator(params)
-            except NotCPTP:
+            source = example_c_generator(params)
+            if max(r[0] for r in gkls_defects(source[None])) >= 1e-9:  # not CP: the CLI exits 3
                 continue
             h = qubit_hamiltonian(OMEGA)
         dynamics = Dynamics.semigroup(h, source)
@@ -217,9 +216,8 @@ def test_criterion_7_fixed_point_qubit_maps_ratio_law_all_times():
             nu=base.nu * (1 + rng.uniform(-0.15, 0.3)),
             alpha=base.alpha * (1 + rng.uniform(-0.15, 0.3)),
         )
-        try:
-            sup = example_c_generator(params)
-        except NotCPTP:
+        sup = example_c_generator(params)
+        if max(r[0] for r in gkls_defects(sup[None])) >= 1e-9:  # not CP: the CLI exits 3
             continue
         h = qubit_hamiltonian(OMEGA)
         kind, beta, gamma_min = classify_one(Dynamics.semigroup(h, sup))

@@ -79,11 +79,11 @@ class TestExampleCommand:
         assert verdict["qfr_max_deviation"] < 1e-9
 
     def test_c_at_very_low_temperature_meets_the_population_floor(self, tmp_path):
-        # the maps are finite and CPTP, but the excited population e^-200 lies
-        # below the 1e-14 floor of infer_beta: the fixed point reads as the
-        # ground state (beta_f inf) and the ratio law as failed.  A log-domain
-        # inference would report beta_f 200 instead.
-        assert run(tmp_path, "example", "c", "--beta-f", "200", *FAST) == EXIT_OK
+        # at nu-scale 1 the generator is CP, but the excited population e^-200
+        # lies below the 1e-14 floor of infer_beta: the fixed point reads as
+        # the ground state (beta_f inf) and the ratio law as failed.  A
+        # log-domain inference would report beta_f 200 instead.
+        assert run(tmp_path, "example", "c", "--beta-f", "200", "--nu-scale", "1", *FAST) == EXIT_OK
         verdict = json.loads((tmp_path / "example_c_verdict.json").read_text())
         assert verdict["classification"]["kind"] == "fpt"
         assert verdict["classification"]["beta_f"] == "inf"
@@ -297,6 +297,18 @@ class TestCheckCommand:
         assert verdict["classification"]["kind"] == "fpt"
         assert verdict["qdb1"]["passes"] is True
 
+    def test_complex_bloch4_generator_exits_2(self, tmp_path, capsys):
+        # the Bloch generator is real, so an imaginary part is an error, not dropped
+        generator = [[[x, 0.0] for x in row] for row in np.diag([0.0, 0.5, 0.5, 1.0]).tolist()]
+        generator[1][1] = [0.5, 3.0]
+        model_path = tmp_path / "complex.json"
+        model_path.write_text(json.dumps(
+            {"schema": 1, "kind": "bloch4", "hamiltonian": [[-0.5, 0], [0, 0.5]], "generator": generator}
+        ))
+        assert run(tmp_path, "check", str(model_path), *FAST) == EXIT_CONFIG
+        assert capsys.readouterr().err == "ConfigError: generator must be real: an entry has a nonzero imaginary part\n"
+        assert [p.name for p in tmp_path.iterdir()] == ["complex.json"]
+
     def test_missing_file_exits_2(self, tmp_path):
         assert run(tmp_path, "check", str(tmp_path / "missing.json")) == EXIT_CONFIG
 
@@ -443,9 +455,9 @@ class TestSweepCommand:
             ("b", "beta_i", "-1:1:3", EXIT_CONFIG, "ConfigError: beta-i must be nonnegative"),
             # the third point fails after two valid ones
             ("b", "beta_i", "1:-1:3", EXIT_CONFIG, "ConfigError: beta-i must be nonnegative"),
-            # points 3 and 4 fail the stacked CPTP check, point 3 with the smaller defect
+            # points 3 and 4 fail the stacked GKLS test, point 3 with the smaller defect
             ("c", "nu", "0.9:0.1:5", EXIT_MODEL,
-             "NotCPTP: induced map at tau=0.1 fails CPTP: cp=3.140e-03, tp=0.000e+00, herm=2.023e-17"),
+             "NotCPTP: the generator is not of GKLS form: cp=2.383e-02, tp=0.000e+00 relative to its 1-norm"),
         ],
         ids=["late-check-first", "construction-first", "second-block", "settings-first", "settings-third",
              "c-nu-mid-block"],
@@ -633,9 +645,33 @@ class TestConfigValidation:
         assert list(tmp_path.iterdir()) == []
 
     def test_scenario_c_at_low_temperature_is_not_cptp(self, tmp_path, capsys):
-        # e^(beta omega) is finite but tau L overflows, so the map at tau = 10 is nan
+        # e^(beta omega) and the generator's 1-norm, 8.2e307, are finite; the generator's CP defect is 3.1e-4 of that
         assert run(tmp_path, "example", "c", "--beta-f", "709") == EXIT_MODEL
         assert capsys.readouterr().err.startswith("NotCPTP: ")
+
+    @pytest.mark.parametrize(
+        "argv, cp",
+        [
+            (("check", "SLOW_DEPHASING"), "4.900e-01"),
+            (("example", "c", "--beta-f", "8"), "1.451e-04"),
+            (("example", "c", "--beta-f", "5", "--nu-scale", "3"), "1.028e-01"),
+            (("example", "c", "--nu-scale", "0.62"), "5.378e-03"),
+            (("sweep", "c", "--parameter", "nu", "--range", "0.35:0.36:2"), "5.439e-03"),
+        ],
+        ids=["bloch4-t2-above-2t1", "c-beta-f-8", "c-beta-f-5-nu-scale-3", "c-nu-scale-0.62", "c-nu-sweep"],
+    )
+    def test_a_generator_that_is_not_cp_exits_3(self, tmp_path, capsys, argv, cp):
+        # only the generator shows the defect: these maps look CPTP once they have relaxed
+        model = tmp_path / "SLOW_DEPHASING.json"
+        generator = [[0, 0, 0, 0], [0, 0.01, -0.5, 0], [0, 0.5, 0.01, 0], [0, 0, 0, 1]]  # T2 > 2 T1
+        model.write_text(json.dumps({"schema": 1, "kind": "bloch4", "hamiltonian": [[-0.5, 0], [0, 0.5]],
+                                     "generator": generator}))
+        argv = [str(model) if a == "SLOW_DEPHASING" else a for a in argv]
+        assert run(tmp_path / "out", *argv) == EXIT_MODEL
+        assert capsys.readouterr().err == (
+            f"NotCPTP: the generator is not of GKLS form: cp={cp}, tp=0.000e+00 relative to its 1-norm\n"
+        )
+        assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("name", ["b", "c"])
     @pytest.mark.parametrize("tau", ["1e200", "1e308"])
@@ -655,8 +691,9 @@ class TestConfigValidation:
              "InternalCheckError: exchange probabilities sum to 0"),
             (("example", "b", "--gamma", "1e6"), EXIT_MODEL,
              "NotTracePreserving: transition rows sum to 1 only within 1.837e-09"),
+            # its maps' trace defect is roundoff, but its generator is not CP
             (("example", "c", "--beta-f", "16"), EXIT_MODEL,
-             "NotCPTP: induced map at tau=10 fails CPTP: cp=0.000e+00, tp=2.305e-09, herm=0.000e+00"),
+             "NotCPTP: the generator is not of GKLS form: cp=3.122e-04, tp=0.000e+00 relative to its 1-norm"),
             # some maps of the grid have inf entries; their transition probabilities are nan, without a warning
             (("example", "b", "--beta-f", "1e-20"), EXIT_MODEL,
              "NotTracePreserving: transition rows sum to 1 only within 8.886e+06"),
@@ -760,30 +797,34 @@ def test_scenario_b_takes_one_eigendecomposition_per_source(tmp_path, monkeypatc
     "argv, calls",
     [
         (("sweep", str(Path(__file__).parent / "golden" / "davies3_circulating.json"), "--parameter", "beta_i",
-          "--range", "0.5:2.5:3"), {"expm": 1, "classify": 1, "check_qdb1": 1, "check_qdb2": 1, "exchange_grid": 1}),
+          "--range", "0.5:2.5:3"),
+         {"gkls_defects": 1, "expm": 1, "classify": 1, "check_qdb1": 1, "check_qdb2": 1, "exchange_grid": 1}),
         (("sweep", "b", "--parameter", "gamma", "--range", "0.5:1.5:3"),
-         {"expm": 1, "classify": 1, "check_qdb1": 1, "check_qdb2": 1, "exchange_grid": 1}),
+         {"gkls_defects": 1, "expm": 1, "classify": 1, "check_qdb1": 1, "check_qdb2": 1, "exchange_grid": 1}),
         (("sweep", "b", "--parameter", "beta_i", "--range", "0.5:2.5:3"),
-         {"expm": 1, "classify": 1, "check_qdb1": 1, "check_qdb2": 1, "exchange_grid": 1}),
+         {"gkls_defects": 1, "expm": 1, "classify": 1, "check_qdb1": 1, "check_qdb2": 1, "exchange_grid": 1}),
         # 40 points span two blocks, which share the one analysis of their source
         (("sweep", str(Path(__file__).parent / "golden" / "davies3_circulating.json"), "--parameter", "beta_i",
-          "--range", "0.5:2.5:40"), {"expm": 1, "classify": 1, "check_qdb1": 1, "check_qdb2": 1, "exchange_grid": 2}),
-        # the generators' CPTP check is one exponential over (point, tau), the maps another
+          "--range", "0.5:2.5:40"),
+         {"gkls_defects": 1, "expm": 1, "classify": 1, "check_qdb1": 1, "check_qdb2": 1, "exchange_grid": 2}),
         (("sweep", "c", "--parameter", "nu", "--range", "0.5:0.9:3"),
-         {"expm": 2, "classify": 1, "check_qdb1": 1, "check_qdb2": 1, "exchange_grid": 1}),
-        # channel families: no generator, so no exponential and no qdb1
+         {"gkls_defects": 1, "expm": 1, "classify": 1, "check_qdb1": 1, "check_qdb2": 1, "exchange_grid": 1}),
+        # 40 sources in two blocks: each block analyses its own
+        (("sweep", "c", "--parameter", "nu", "--range", "0.5:0.9:40"),
+         {"gkls_defects": 2, "expm": 2, "classify": 2, "check_qdb1": 2, "check_qdb2": 2, "exchange_grid": 2}),
+        # channel families: no generator, so no GKLS test, no exponential and no qdb1
         (("sweep", "a", "--parameter", "omega", "--range", "0.5:1.5:3"),
-         {"expm": 0, "classify": 1, "check_qdb1": 0, "check_qdb2": 1, "exchange_grid": 1}),
+         {"gkls_defects": 0, "expm": 0, "classify": 1, "check_qdb1": 0, "check_qdb2": 1, "exchange_grid": 1}),
     ],
-    ids=["model-beta-i", "b-gamma", "b-beta-i", "model-beta-i-two-blocks", "c-nu", "a-omega"],
+    ids=["model-beta-i", "b-gamma", "b-beta-i", "model-beta-i-two-blocks", "c-nu", "c-nu-two-blocks", "a-omega"],
 )
 def test_a_sweep_takes_each_stage_once_per_block(tmp_path, monkeypatch, argv, calls):
     # a beta_i sweep builds and checks its one source once; a sweep of sources stacks
-    # their exponentials, spectra and checks; every block takes one exchange grid
-    from qdblab import balance, fluctuation, matlin
+    # their GKLS tests, exponentials, spectra and checks; every block takes one exchange grid
+    from qdblab import balance, dynamics, fluctuation, matlin
 
     counts = dict.fromkeys(calls, 0)
-    for module in (matlin, fluctuation, balance):
+    for module in (matlin, dynamics, fluctuation, balance):
         for name in calls:
             original = getattr(module, name, None)
             if original is None:

@@ -1,14 +1,18 @@
+import math
+
 import numpy as np
 import pytest
 
 from conftest import (
     NotCompletelyPositive,
+    _partial_trace_out,
     apply,
     apply_matrix,
     channel_from_superop,
     dual_superop,
     evolve,
     gibbs,
+    is_cptp,
     level_unit,
     random_complex,
     random_density,
@@ -23,17 +27,16 @@ from qdblab.balance import _trace_dual
 from qdblab.dynamics import (
     Dynamics,
     LindbladGenerator,
-    _partial_trace_out,
     choi_matrix,
     commutator_superop,
     gell_mann_basis,
-    is_cptp,
+    gkls_defects,
     lindblad_superop,
     require_superop_dim,
 )
 from qdblab.errors import ConfigError, DimensionMismatch, KossakowskiNotPSD, NotTracePreserving
-from qdblab.matlin import dag, kron
-from qdblab.examples import qubit_hamiltonian
+from qdblab.matlin import dag, kron, unvec
+from qdblab.examples import bloch4_to_superop, qubit_hamiltonian
 from qdblab.states import SIGMA_X
 
 
@@ -220,6 +223,67 @@ class TestCptp:
     def test_residuals_nonnegative(self, rng):
         cp, tp, herm = is_cptp(evolve(lindblad_superop(random_lindblad(rng, 2)), 0.5))
         assert cp >= 0 and tp >= 0 and herm >= 0
+
+
+# T2 > 2 T1: transverse damping far below half the longitudinal one
+SLOW_DEPHASING_BLOCH4 = np.array([[0, 0, 0, 0], [0, 0.01, -0.5, 0], [0, 0.5, 0.01, 0], [0, 0, 0, 1.0]])
+
+
+def reference_gkls_defects(generator: np.ndarray) -> tuple:
+    """``(cp, tp)`` of one generator, with the Choi matrix restricted to an
+    orthonormal basis of the complement of ``vec(I)`` from a QR
+    decomposition, and the trace defect as the norm of ``Tr L(E_ij)`` over
+    the matrix units."""
+    d = math.isqrt(generator.shape[0])
+    norm = np.linalg.norm(generator, 1) or 1.0  # L = 0 has no defect
+    q, _ = np.linalg.qr(np.column_stack([np.eye(d).reshape(-1), np.eye(d * d)[:, 1:]]))
+    choi = choi_matrix(generator / norm)
+    lo = np.linalg.eigvalsh(q[:, 1:].conj().T @ ((choi + choi.conj().T) / 2) @ q[:, 1:]).min()
+    traces = [np.trace(unvec(generator[:, k], d, d)) for k in range(d * d)]
+    return max(-lo, 0.0), np.linalg.norm(traces) / norm
+
+
+class TestGklsDefects:
+    @pytest.mark.parametrize("d", [2, 3, 4])
+    def test_generated_semigroups_pass_at_roundoff(self, rng, d):
+        generators = np.array([lindblad_superop(random_lindblad(rng, d, rate)) for rate in (1e-3, 1.0, 1e3)])
+        cp, tp = gkls_defects(generators)
+        assert np.all(cp < 1e-15) and np.all(tp < 1e-15), (cp, tp)
+
+    @pytest.mark.parametrize(
+        "generator, want",
+        [
+            (np.zeros((4, 4)), (0.0, 0.0)),
+            # the transposition is positive but not completely positive; its 1-norm with -I is 2
+            (transpose_superop(2) - np.eye(4), (0.5, 0.0)),
+            # decay of every operator, the trace too: vec(I)^dag L = -vec(I)
+            (-np.eye(9), (0.0, math.sqrt(3))),
+            (bloch4_to_superop(SLOW_DEPHASING_BLOCH4), (0.49, 0.0)),
+        ],
+        ids=["zero", "transposition", "trace-decay", "slow-dephasing-bloch4"],
+    )
+    def test_defects_of_known_generators(self, generator, want):
+        got = [float(r[0]) for r in gkls_defects(np.asarray(generator, dtype=complex)[None])]
+        np.testing.assert_allclose(got, want, rtol=1e-14, atol=1e-15)
+        np.testing.assert_allclose(got, reference_gkls_defects(generator), rtol=1e-13, atol=1e-15)
+
+    def test_stacked_defects_are_the_reference_ones(self, rng):
+        generators = np.array([lindblad_superop(random_lindblad(rng, 2)), bloch4_to_superop(rng.normal(size=(4, 4)))])
+        for generator, *defects in zip(generators, *gkls_defects(generators)):
+            np.testing.assert_allclose(defects, reference_gkls_defects(generator), rtol=1e-12, atol=1e-15)
+
+    @pytest.mark.parametrize("scale", [1e-9, 1.0, 1e6])
+    def test_verdicts_do_not_depend_on_the_units(self, rng, scale):
+        generators = np.array([
+            lindblad_superop(random_lindblad(rng, 2)),
+            bloch4_to_superop(SLOW_DEPHASING_BLOCH4),
+            transpose_superop(2) - np.eye(4),
+            -np.eye(4),
+        ])
+        cp, tp = gkls_defects(generators)
+        scaled = gkls_defects(scale * generators)
+        assert (np.maximum(*scaled) < 1e-9).tolist() == (np.maximum(cp, tp) < 1e-9).tolist() == [True] + [False] * 3
+        np.testing.assert_allclose(scaled, (cp, tp), rtol=1e-14, atol=1e-16)
 
 
 class TestKrausOperators:

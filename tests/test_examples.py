@@ -1,3 +1,4 @@
+import argparse
 import dataclasses
 import math
 
@@ -19,17 +20,18 @@ from conftest import (
     exchange_at,
     gamma_bar,
     gibbs,
+    is_cptp,
     ratio_records,
     superop_to_bloch4,
 )
 from qdblab import matlin
 from qdblab.balance import check_qdb1, check_qdb2
-from qdblab.dynamics import Dynamics, choi_matrix, evolve_grid, is_cptp, lindblad_superop
+from qdblab.cli import analyse
+from qdblab.dynamics import Dynamics, evolve_grid, gkls_defects, lindblad_superop
 from qdblab.errors import NotCPTP, NotTracePreserving, ScheduleOutOfRange
 from qdblab.examples import (
     ExampleAParams,
     ExampleBParams,
-    CPTP_CHECK_TAUS,
     ExampleCParams,
     bloch4_to_superop,
     LOWERING,
@@ -45,6 +47,8 @@ from qdblab.examples import (
 )
 
 OMEGA, BETA_F, BETA_I = 1.0, 1.0, 2.0
+# the settings that cli.analyse reads, at their defaults but for short grids
+ANALYSE_ARGS = argparse.Namespace(tau_grid=(0.5,), s_grid=(0.0, 0.5), tol_qdb=1e-9, tol_cptp=1e-9)
 S_GRID = (0.0, 0.25, 0.5, 0.75, 1.0)
 TAU_GRID = np.geomspace(0.01, 50.0, 12)
 
@@ -342,26 +346,24 @@ class TestScenarioC:
             assert fpt_stationarity_identity(evolve(sup, tau), self.h, BETA_F) < 1e-9
 
     def test_cp_violation_rejected(self):
+        # transverse damping nu far below half the longitudinal zeta (T2 > 2 T1)
         bad = ExampleCParams(omega=1.0, nu=0.05, alpha=0.05, chi=-0.45, zeta=1.0)
+        cp, tp = gkls_defects(example_c_generator(bad)[None])
+        assert cp[0] > 1e-2 and tp[0] < 1e-15
         with pytest.raises(NotCPTP):
-            example_c_generator(bad)
+            analyse([Dynamics.semigroup(self.h, example_c_generator(bad))], ANALYSE_ARGS)
 
     def test_stacked_generators_and_cptp_residuals_are_the_per_point_ones(self):
+        # nu = 0.35 lies below the CP boundary near 0.364 (nu-scale 0.645), the other points above it
         params = [dataclasses.replace(self.base, nu=nu) for nu in np.linspace(0.35, 0.9, 6)]
         stacked = example_c_generator(params)
         assert np.array_equal(stacked, [example_c_generator(p) for p in params])
-        maps = evolve_grid(stacked, np.broadcast_to(CPTP_CHECK_TAUS, (6, 3)))
-        residuals = is_cptp(maps)
-        assert all(r.shape == (6, 3) for r in residuals)
-        for k, t in np.ndindex(6, 3):
-            # the residuals of one map, as numpy's own norms and eigvalsh take them
-            choi = choi_matrix(maps[k, t])
-            want = (
-                max(0.0, -float(np.min(np.linalg.eigvalsh((choi + choi.conj().T) / 2)))),
-                float(np.linalg.norm(np.trace(choi.reshape(2, 2, 2, 2), axis1=1, axis2=3) - np.eye(2))),
-                float(np.linalg.norm(choi - choi.conj().T)),
-            )
-            assert is_cptp(maps[k, t]) == want == tuple(r[k, t] for r in residuals)
+        defects = gkls_defects(stacked)
+        assert all(r.shape == (6,) for r in defects)
+        for k, generator in enumerate(stacked):
+            assert tuple(r[0] for r in gkls_defects(generator[None])) == tuple(r[k] for r in defects)
+        assert (defects[0] > 1e-9).tolist() == [True] + [False] * 5
+        assert np.all(defects[1] < 1e-15)
 
     @pytest.mark.parametrize(
         "first, error",
@@ -369,15 +371,43 @@ class TestScenarioC:
         ids=["cp-defect", "overflow"],
     )
     def test_a_stack_raises_its_first_failing_point(self, first, error):
-        # points 3 and 4 are not CP at tau = 0.1; in the second case point 1 overflows first
+        # points 3 and 4 are not CP; in the second case point 1 overflows first, when it is built
         params = [dataclasses.replace(self.base, nu=nu) for nu in np.linspace(0.9, 0.1, 5)]
         if error is ValueError:
             params[1] = dataclasses.replace(self.base, nu=1e308, alpha=1e308)
+
+        def build_and_analyse(params):
+            return analyse([Dynamics.semigroup(self.h, g) for g in example_c_generator(params)], ANALYSE_ARGS)
+
         with pytest.raises(error) as want:
-            example_c_generator(params[first])
+            build_and_analyse(params[first : first + 1])
         with pytest.raises(error) as got:
-            example_c_generator(params)
+            build_and_analyse(params)
         assert str(got.value) == str(want.value)
+
+    @pytest.mark.parametrize(
+        "beta_f, nu_scale, defective",
+        [(7.0, 1.1, False), (7.3, 1.1, False), (7.5, 1.1, True), (8.0, 1.1, True), (16.0, 1.1, True),
+         (1.0, 0.7, False), (1.0, 0.65, False), (1.0, 0.64, True), (1.0, 0.6, True)],
+    )
+    def test_the_generator_test_agrees_with_the_maps_at_small_times(self, beta_f, nu_scale, defective):
+        # the boundaries lie near beta_f 7.38 at nu-scale 1.1 and near nu-scale 0.645 at beta_f 1;
+        # to first order in tau, the Choi matrix of exp(tau L) off vec(I) is tau times that of L
+        base = example_c_qdb_point(0.5, 0.1, OMEGA, beta_f)
+        generator = example_c_generator(dataclasses.replace(base, nu=base.nu * nu_scale))
+        norm = np.linalg.norm(generator, 1)
+        (defect,), (tp,) = gkls_defects(generator[None])
+        assert bool(defect > 1e-9) is defective and tp < 1e-15
+        for scaled_tau in (1e-4, 1e-2):
+            map_cp, map_tp, _ = is_cptp(evolve_grid(generator, [scaled_tau / norm])[0])
+            assert map_tp < 1e-14
+            if not defective:
+                assert defect < 1e-15 and map_cp < 1e-15
+                continue
+            # the second-order term is at most about 0.045 (tau |L|_1)^2 at these points
+            assert abs(map_cp - scaled_tau * defect) < 0.1 * scaled_tau**2
+            if scaled_tau == 1e-4:
+                assert map_cp == pytest.approx(scaled_tau * defect, rel=1e-2)
 
     def test_parameter_validation(self):
         with pytest.raises(ValueError):

@@ -6,9 +6,9 @@ import scipy.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import random_complex, random_hermitian, random_lindblad, trace_norm, transpose_superop
+from conftest import is_cptp, random_complex, random_hermitian, random_lindblad, trace_norm, transpose_superop
 from qdblab import matlin
-from qdblab.dynamics import is_cptp, lindblad_superop
+from qdblab.dynamics import lindblad_superop
 from qdblab.errors import DimensionMismatch, NotHermitian
 from qdblab.examples import (
     bloch4_to_superop,
