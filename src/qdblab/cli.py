@@ -49,7 +49,7 @@ from .examples import (
     example_c_generator,
     example_c_qdb_point,
 )
-from .fluctuation import classify, exchange_grid, ratios
+from .fluctuation import FIXED_POINT_TAUS, TAU_MAX, classify, exchange_grid, ratios
 from .states import HamiltonianSpec
 
 EXIT_OK = 0
@@ -180,11 +180,13 @@ def _balance(check, sources: list, betas: list, operators: list, args) -> list:
 
 def analyse(sources: list, args) -> list:
     """The stages that do not depend on beta_i, each stacked over ``sources``
-    (of one kind and dimension), in a source's order: the GKLS test of the
-    semigroups' generators, classify, qdb1, the maps on the tau grid and at
-    the qdb2 times, and qdb2; an analysis ``(source, sections, beta_f, taus,
-    maps)`` per source.  A failing stage raises, for whichever source fails
-    it."""
+    (of one kind and dimension, and single maps of one tau), in a source's
+    order: the GKLS test of the semigroups' generators; the maps at
+    classify's probe times, on the tau grid and at the finite qdb2 times, of
+    one time tuple and from one :func:`maps_of` call; classify; qdb1; and
+    qdb2; an analysis ``(source, sections, beta_f, taus, maps)`` per source,
+    with its maps on the tau grid.  A failing stage raises, for whichever
+    source fails it."""
     generators = [s.generator for s in sources if s.generator is not None]
     if generators:
         cp, tp = gkls_defects(np.array(generators))
@@ -192,19 +194,20 @@ def analyse(sources: list, args) -> list:
             raise NotCPTP(
                 f"the generator is not of GKLS form: cp={cp[k]:.3e}, tp={tp[k]:.3e} relative to its 1-norm"
             )
-    classified = classify(sources)
+    probes = () if generators else sources[0].taus((TAU_MAX, *FIXED_POINT_TAUS))
+    taus, qdb2_taus = sources[0].taus(args.tau_grid), tuple(filter(math.isfinite, sources[0].taus(QDB2_TAUS)))
+    maps = maps_of(sources, probes + taus + qdb2_taus)
+    p, n = len(probes), len(probes) + len(taus)
+    classified = classify(sources, np.array([m[:p] for m, _ in maps]))
     betas = [b if b is not None and math.isfinite(b) else None for _, b, _ in classified]
     qdb1 = _balance(check_qdb1, sources, betas, [s.generator for s in sources], args)
-    taus = [s.taus(args.tau_grid) for s in sources]
-    qdb2_taus = [() if b is None else tuple(filter(math.isfinite, s.taus(QDB2_TAUS))) for s, b in zip(sources, betas)]
-    maps = maps_of(sources, [t + t2 for t, t2 in zip(taus, qdb2_taus)])
     # time reversal is complex conjugation in H's eigenbasis
-    qdb2 = [m[len(t) :] if t2 else None for t, t2, (m, _) in zip(taus, qdb2_taus, maps)]
-    qdb2 = _balance(check_qdb2, sources, betas, qdb2, args)
+    qdb2 = _balance(check_qdb2, sources, betas, [m[n:] if qdb2_taus else None for m, _ in maps], args)
     classification = [{"kind": k, "beta_f": _json_float(b), "gamma_min": _json_float(g)} for k, b, g in classified]
-    sections = [{"classification": c, "qdb1": q1, "qdb2": q2 and {**q2, "taus": list(t2)}}
-                for c, q1, q2, t2 in zip(classification, qdb1, qdb2, qdb2_taus)]
-    return list(zip(sources, sections, betas, taus, maps))
+    sections = [{"classification": c, "qdb1": q1, "qdb2": q2 and {**q2, "taus": list(qdb2_taus)}}
+                for c, q1, q2 in zip(classification, qdb1, qdb2)]
+    maps = [(m[p:n], k if k is None else k[p:n]) for m, k in maps]
+    return list(zip(sources, sections, betas, [taus] * len(sources), maps))
 
 
 def build_report(analyses: list, points: list) -> list:
@@ -216,11 +219,10 @@ def build_report(analyses: list, points: list) -> list:
     point shares gives its maps once.  The first point that fails a check
     raises."""
     picked = analyses[:1] if all(a is analyses[0] for a in analyses) else analyses
-    sources, _, _, grids, maps = zip(*picked)
-    n = len(grids[0])
-    kraus = None if maps[0][1] is None else np.array([k[:n] for _, k in maps])
+    sources, _, _, _, maps = zip(*picked)
+    kraus = None if maps[0][1] is None else np.array([k for _, k in maps])
     beta_i = np.array([p.beta_i for p in points])
-    grid = exchange_grid((np.array([m[:n] for m, _ in maps]), kraus), _stacked_h(sources), beta_i)
+    grid = exchange_grid((np.array([m for m, _ in maps]), kraus), _stacked_h(sources), beta_i)
     beta_f = np.array([p.beta_f if a[2] is None else a[2] for a, p in zip(analyses, points)])
     defined, ratio, predicted, deviation = ratios(*grid, beta_i - beta_f)
     energies, p_plus, p_minus, recorded = np.broadcast_to(grid[0], predicted.shape), *grid[1:]

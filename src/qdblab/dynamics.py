@@ -1,7 +1,7 @@
 """CPTP dynamics: Lindblad generators, superoperator matrices, the GKLS
-test of generators and ``Dynamics``, whose maps at a time grid come as
-stacks that every check, ``classify`` of a channel family too, reads; no
-map is evolved, applied or made Kraus alone.
+test of generators and ``Dynamics``, whose maps at one time tuple come, from
+``maps_of``, as stacks that every check, ``classify`` of a channel family
+too, reads; no map is evolved, applied or made Kraus alone.
 
 A map is a plain Schroedinger-picture ``d^2 x d^2`` matrix acting on
 column-stacked operators, a Kraus family a zero-padded stack ``(t, j, d,
@@ -91,11 +91,13 @@ class LindbladGenerator:
         n = len(basis)
         if c.shape != (n, n):
             raise DimensionMismatch(f"Kossakowski matrix must be {n}x{n}, got {c.shape}")
-        if not matlin.is_hermitian(c, PSD_ATOL):
+        # C's roundoff scales with it: PSD_ATOL max(1, max|C|), taken on halves, which cannot overflow
+        atol = 2 * PSD_ATOL * float(np.max(np.abs(c / 2), initial=0.5))
+        if not matlin.is_hermitian(c, atol):
             raise KossakowskiNotPSD("Kossakowski matrix is not Hermitian")
         # halves first: the sum of two entries near the float range would overflow
         lo = float(np.min(np.linalg.eigvalsh(c / 2 + dag(c) / 2), initial=0.0))
-        if lo < -PSD_ATOL:
+        if lo < -atol:
             raise KossakowskiNotPSD(f"Kossakowski matrix has negative eigenvalue {lo:.3e}")
         traced = np.flatnonzero(np.abs(np.trace(basis, axis1=1, axis2=2)) > BASIS_ATOL)
         if traced.size:
@@ -165,12 +167,12 @@ def lindblad_superop(gen: LindbladGenerator) -> np.ndarray:
 def evolve_grid(generator: np.ndarray, taus) -> np.ndarray:
     """The matrices of ``exp(tau * L)`` for every ``tau`` of ``taus``,
     stacked ``(t, d^2, d^2)``, from one stacked matrix exponential; a stack
-    ``(p, d^2, d^2)`` of generators takes a ``(p, t)`` grid of taus."""
-    taus = np.asarray(taus, dtype=float).reshape(np.shape(generator)[:-2] + (-1,))  # a row per generator
+    ``(p, d^2, d^2)`` of generators gives ``(p, t, d^2, d^2)``."""
+    taus = np.asarray(taus, dtype=float)
     if np.any(taus < 0):
         raise ValueError("tau must be nonnegative")
     with np.errstate(over="ignore"):  # tau L may overflow; expm turns it to nan
-        return matlin.expm(taus[..., None, None] * generator[..., None, :, :])
+        return matlin.expm(taus[:, None, None] * generator[..., None, :, :])
 
 
 def _kraus_superops(kraus: np.ndarray) -> np.ndarray:
@@ -276,27 +278,19 @@ class Dynamics:
         _, kraus = _kraus_stacks(np.array([ops]), h)
         return cls(h, None, lambda taus: np.repeat(kraus, len(taus), axis=0), tau)
 
-    def maps(self, taus) -> tuple:
-        """Schroedinger maps at every point of ``taus`` as the stack ``(t,
-        d^2, d^2)`` of their matrices and the zero-padded stack ``(t, j, d,
-        d)`` of their Kraus operators, None for a semigroup, whose maps come
-        from one stacked exponential."""
-        if self.generator is not None:
-            return evolve_grid(self.generator, taus), None
-        return _kraus_stacks(np.asarray(self.family(taus), dtype=complex), self.h)
-
     def taus(self, grid) -> tuple:
         """The points of ``grid`` the dynamics is defined on; a single map
         has only its own ``tau``."""
         return tuple(grid) if self.tau is None else (self.tau,)
 
 
-def maps_of(sources: list, taus: list) -> list:
-    """``source.maps(t)`` for each source and time tuple, in order; the
-    semigroups, of one dimension, take one exponential over (source, tau),
-    each time tuple padded with 0."""
-    grids = [(s.generator, t) for s, t in zip(sources, taus) if s.generator is not None]
-    width = max((len(t) for _, t in grids), default=0)
-    padded = [t + (0,) * (width - len(t)) for _, t in grids]
-    stack = grids and iter(evolve_grid(np.array([g for g, _ in grids]), padded))
-    return [s.maps(t) if s.generator is None else (next(stack)[: len(t)], None) for s, t in zip(sources, taus)]
+def maps_of(sources: list, taus: tuple) -> list:
+    """The maps of each source, of one kind and dimension, at every time of
+    ``taus``, in order: the stack ``(t, d^2, d^2)`` of their matrices and the
+    zero-padded stack ``(t, j, d, d)`` of their Kraus operators, None for a
+    semigroup.  The semigroups take one exponential over (source, tau); each
+    channel family is built and checked once, the first failing source and
+    slice first."""
+    if sources[0].generator is not None:
+        return [(m, None) for m in evolve_grid(np.array([s.generator for s in sources]), taus)]
+    return [_kraus_stacks(np.asarray(s.family(taus), dtype=complex), s.h) for s in sources]

@@ -5,10 +5,10 @@ Results are plain values: ``exchange_grid`` returns the arrays of a map
 stack's exchange statistics, which ``ratios`` compares with the ratio law,
 and ``classify`` a ``(kind, beta_f, gamma_min)`` tuple per source.  The
 initial thermal state enters only through its level populations.  ``classify``
-reads a channel family from the superoperator stack of one
-``Dynamics.maps`` call: its map at ``TAU_MAX`` against ``vec(sigma)
-vec(I)^dag``, with ``sigma`` its image of ``I/d``, and every map against
-``sigma``."""
+reads a channel family from its probe maps, a superoperator stack that the
+caller takes with the rest of its maps: its map at ``TAU_MAX`` against
+``vec(sigma) vec(I)^dag``, with ``sigma`` its image of ``I/d``, and every
+map against ``sigma``."""
 
 from __future__ import annotations
 
@@ -37,7 +37,7 @@ PROBABILITY_FLOOR = 1e-15  # below this both-sided, a gap record is roundoff
 
 def _transition_stack(superops: np.ndarray, kraus, h: HamiltonianSpec):
     """Transition probabilities ``probs[..., t, m, n] = <n| Map_t[|m><m|]
-    |n>`` in h's eigenbasis of the stacks of :meth:`Dynamics.maps`, or of
+    |n>`` in h's eigenbasis of the stacks of :func:`maps_of`, or of
     stacks ``(p, t, ...)`` of them with h's eigenvectors stacked ``(p, d,
     d)``, with their checks as ``(mask, error)`` pairs over ``(..., t)`` in
     the order one map is checked: the Kraus and superoperator routes agree,
@@ -134,7 +134,7 @@ def _exp(x: float) -> float:
 
 def exchange_grid(maps, h: HamiltonianSpec, beta_i) -> tuple:
     """Energy-exchange statistics of the maps ``(superops, kraus)`` of
-    :meth:`Dynamics.maps` applied to the thermal state at a finite ``beta_i
+    :func:`maps_of` applied to the thermal state at a finite ``beta_i
     >= 0``, as ``(energies, p_plus, p_minus, recorded)``.
 
     Ordered level pairs are grouped by their gap ``E_n - E_m`` (within
@@ -241,12 +241,20 @@ def _classify_semigroup(eigs: np.ndarray, vecs: np.ndarray, h: HamiltonianSpec) 
     return "non_thermalizing" if beta is None else "fpt", beta, gamma_min
 
 
-def _classify_families(families: list):
-    """The kinds of channel families, yielded in order, from their maps at
-    ``TAU_MAX`` and ``FIXED_POINT_TAUS``, one ``maps`` call each, with one
-    SVD over the families for the 2-norms and one over (family, t) for the
-    drifts; a failing family raises when its turn comes."""
-    superops = np.array([s.maps((TAU_MAX, *FIXED_POINT_TAUS))[0] for s in families])
+def _classify_single_map(eigs: np.ndarray, vecs: np.ndarray, h: HamiltonianSpec) -> tuple:
+    # only the map's eigenvalue 1 is probed for a thermal fixed point
+    _, col = _simple_eigenvector(eigs, vecs, 1.0, UNIT_EIG_ATOL)
+    try:
+        return "single_map", None if col is None else _fixed_beta(col, h), None
+    except NotAState:
+        return "single_map", None, None
+
+
+def _classify_families(superops: np.ndarray, families: list):
+    """The kinds of channel families, yielded in order, from their maps
+    ``superops`` ``(k, t, d^2, d^2)`` at ``TAU_MAX`` and ``FIXED_POINT_TAUS``,
+    with one SVD over the families for the 2-norms and one over (family, t)
+    for the drifts; a failing family raises when its turn comes."""
     d = families[0].h.dim
     vec_eye = vec(np.eye(d))
     sigma = superops[:, 0] @ (vec_eye / d)
@@ -267,11 +275,15 @@ def _classify_families(families: list):
             "fpt" if drift < FIXED_POINT_ATOL else "thermalizing", beta, None)
 
 
-def classify(sources: list) -> list:
-    """Classify each dynamics of ``sources``, in order, as fixed-point
-    thermalizing, thermalizing, or neither, as ``(kind, beta_f, gamma_min)``;
-    the semigroups, of one dimension, share one batched eigendecomposition,
-    and the channel families, of one dimension, one pass over their maps.
+def classify(sources: list, probes: np.ndarray) -> list:
+    """Classify each dynamics of ``sources``, of one kind and dimension, in
+    order, as fixed-point thermalizing, thermalizing, or neither, as ``(kind,
+    beta_f, gamma_min)``, from ``probes``, each source's maps at its probe
+    times as one superoperator stack ``(k, t, d^2, d^2)``: a channel family's
+    at ``TAU_MAX`` and then ``FIXED_POINT_TAUS``, a single map's at its own
+    ``tau``; a semigroup has none.  The semigroups share one batched
+    eigendecomposition of their generators, the single maps one of their
+    maps, and the channel families one pass over their maps.
 
     ``kind`` is ``"fpt"``, ``"thermalizing"`` or ``"non_thermalizing"``, or
     ``"single_map"`` for one Kraus map, which is probed only for a thermal
@@ -288,20 +300,9 @@ def classify(sources: list) -> list:
     ``InconclusiveHorizon`` is raised; it is ``fpt`` when ``sigma`` is
     thermal and, in trace norm, a fixed point at ``FIXED_POINT_TAUS``.
     """
-    generators = [s.generator for s in sources if s.generator is not None]
-    spectra = zip(*np.linalg.eig(np.array(generators))) if generators else None
-    families = _classify_families([s for s in sources if s.generator is None and s.tau is None])
-
-    def one(source):
-        if source.generator is not None:
-            return _classify_semigroup(*next(spectra), source.h)
-        if source.tau is None:
-            return next(families)
-        # one map: only its eigenvalue 1 is probed for a thermal fixed point
-        _, col = _simple_eigenvector(*np.linalg.eig(source.maps((source.tau,))[0][0]), 1.0, UNIT_EIG_ATOL)
-        try:
-            return "single_map", None if col is None else _fixed_beta(col, source.h), None
-        except NotAState:
-            return "single_map", None, None
-
-    return [one(s) for s in sources]
+    semigroups = sources[0].generator is not None
+    if not semigroups and sources[0].tau is None:
+        return list(_classify_families(probes, sources))
+    spectra = np.linalg.eig(np.array([s.generator for s in sources]) if semigroups else probes[:, 0])
+    classify_one = _classify_semigroup if semigroups else _classify_single_map
+    return [classify_one(eigs, vecs, s.h) for eigs, vecs, s in zip(*spectra, sources)]

@@ -16,6 +16,7 @@ from qdblab.dynamics import (
     choi_matrix,
     commutator_superop,
     evolve_grid,
+    maps_of,
     require_superop_dim,
 )
 from qdblab.examples import (
@@ -582,8 +583,12 @@ def default_tau_max(gamma_min) -> float:
 
 def classify_one(source) -> tuple:
     """:func:`qdblab.fluctuation.classify` of one source: its ``(kind, beta_f,
-    gamma_min)``."""
-    return classify([source])[0]
+    gamma_min)``, from the probe maps that ``cli.analyse`` takes for it, none
+    for a semigroup."""
+    if source.generator is not None:
+        return classify([source], None)[0]
+    ((superops, _),) = maps_of([source], source.taus((TAU_MAX, *FIXED_POINT_TAUS)))
+    return classify([source], superops[None])[0]
 
 
 def reference_classify_single_map(kraus_ops, h: HamiltonianSpec) -> tuple:
@@ -714,7 +719,7 @@ def reference_classify_family(source) -> tuple:
     through its Kraus maps: the reference for the family branch of
     :func:`qdblab.fluctuation.classify`, which reads the superoperator stack."""
     h = source.h
-    _, kraus = source.maps((TAU_MAX, *FIXED_POINT_TAUS))
+    ((_, kraus),) = maps_of([source], (TAU_MAX, *FIXED_POINT_TAUS))
     finals = [apply(kraus[0], p) for p in _probe_states(h.dim)]
     mean = sum(finals) / len(finals)
     mean = (mean + dag(mean)) / 2

@@ -378,6 +378,28 @@ def test_underflowing_prediction_reads_as_infinite_deviation(rng, tmp_path):
     assert any(row["predicted"] == "0" and row["deviation"] == "inf" for row in rows)
 
 
+@pytest.mark.parametrize("rate", [1.0, 1e10, 1e12])
+def test_kossakowski_bounds_scale_with_the_rates(tmp_path, capsys, rate):
+    # C = rate A A^dag / 3 as computed, rate A first: its roundoff asymmetry grows with the rates
+    rng = np.random.default_rng(3)
+    h = rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3))
+    a = rng.normal(size=(8, 8)) + 1j * rng.normal(size=(8, 8))
+    c = (rate * a) @ a.conj().T / 3
+    w, v = np.linalg.eigh(c)
+    w[0] = -1e-6 * np.abs(c).max()
+    for name, koss in (("model", c), ("negative", (v * w) @ v.conj().T)):
+        h_pairs, c_pairs = (np.stack([m.real, m.imag], axis=-1).tolist() for m in (h + h.conj().T, koss))
+        obj = {"schema": 1, "kind": "lindblad", "hamiltonian": h_pairs, "kossakowski": c_pairs}
+        (tmp_path / f"{name}.json").write_text(json.dumps(obj))
+    assert run(tmp_path, "check", str(tmp_path / "model.json"), "--tau-grid", "log:1e-12:5e-10:5") == EXIT_OK
+    assert capsys.readouterr().err == ""
+    # on the default grid the absolute transition-row bound still fails at large rates (ROADMAP item 3)
+    assert run(tmp_path, "check", str(tmp_path / "model.json")) == (EXIT_OK if rate == 1 else EXIT_MODEL)
+    assert capsys.readouterr().err.startswith("" if rate == 1 else "NotTracePreserving: transition rows sum to 1")
+    assert run(tmp_path, "check", str(tmp_path / "negative.json")) == EXIT_MODEL
+    assert capsys.readouterr().err.startswith("KossakowskiNotPSD: Kossakowski matrix has negative eigenvalue")
+
+
 def test_overflowing_prediction_reads_as_unit_deviation(rng, tmp_path):
     # e^{(beta_i + 1000) E} overflows on every gap of at least 0.71: the
     # prediction is inf, so the ratio misses it by a relative 1
@@ -793,30 +815,38 @@ def test_scenario_b_takes_one_eigendecomposition_per_source(tmp_path, monkeypatc
     assert len(calls) == sources
 
 
+_SEMIGROUP_BLOCK = {"gkls_defects": 1, "expm": 1, "classify": 1, "check_qdb1": 1, "check_qdb2": 1, "exchange_grid": 1,
+                    "_kraus_stacks": 0}
+# channel families: no generator, so no GKLS test, no exponential and no qdb1
+_FAMILY_BLOCK = {"gkls_defects": 0, "expm": 0, "classify": 1, "check_qdb1": 0, "check_qdb2": 1, "exchange_grid": 1,
+                 "_kraus_stacks": 1}
+
+
 @pytest.mark.parametrize(
     "argv, calls",
     [
         (("sweep", str(Path(__file__).parent / "golden" / "davies3_circulating.json"), "--parameter", "beta_i",
-          "--range", "0.5:2.5:3"),
-         {"gkls_defects": 1, "expm": 1, "classify": 1, "check_qdb1": 1, "check_qdb2": 1, "exchange_grid": 1}),
-        (("sweep", "b", "--parameter", "gamma", "--range", "0.5:1.5:3"),
-         {"gkls_defects": 1, "expm": 1, "classify": 1, "check_qdb1": 1, "check_qdb2": 1, "exchange_grid": 1}),
-        (("sweep", "b", "--parameter", "beta_i", "--range", "0.5:2.5:3"),
-         {"gkls_defects": 1, "expm": 1, "classify": 1, "check_qdb1": 1, "check_qdb2": 1, "exchange_grid": 1}),
+          "--range", "0.5:2.5:3"), _SEMIGROUP_BLOCK),
+        (("sweep", "b", "--parameter", "gamma", "--range", "0.5:1.5:3"), _SEMIGROUP_BLOCK),
+        (("sweep", "b", "--parameter", "beta_i", "--range", "0.5:2.5:3"), _SEMIGROUP_BLOCK),
         # 40 points span two blocks, which share the one analysis of their source
         (("sweep", str(Path(__file__).parent / "golden" / "davies3_circulating.json"), "--parameter", "beta_i",
-          "--range", "0.5:2.5:40"),
-         {"gkls_defects": 1, "expm": 1, "classify": 1, "check_qdb1": 1, "check_qdb2": 1, "exchange_grid": 2}),
-        (("sweep", "c", "--parameter", "nu", "--range", "0.5:0.9:3"),
-         {"gkls_defects": 1, "expm": 1, "classify": 1, "check_qdb1": 1, "check_qdb2": 1, "exchange_grid": 1}),
+          "--range", "0.5:2.5:40"), {**_SEMIGROUP_BLOCK, "exchange_grid": 2}),
+        (("sweep", "c", "--parameter", "nu", "--range", "0.5:0.9:3"), _SEMIGROUP_BLOCK),
         # 40 sources in two blocks: each block analyses its own
         (("sweep", "c", "--parameter", "nu", "--range", "0.5:0.9:40"),
-         {"gkls_defects": 2, "expm": 2, "classify": 2, "check_qdb1": 2, "check_qdb2": 2, "exchange_grid": 2}),
-        # channel families: no generator, so no GKLS test, no exponential and no qdb1
-        (("sweep", "a", "--parameter", "omega", "--range", "0.5:1.5:3"),
-         {"gkls_defects": 0, "expm": 0, "classify": 1, "check_qdb1": 0, "check_qdb2": 1, "exchange_grid": 1}),
+         {stage: 2 * n for stage, n in _SEMIGROUP_BLOCK.items()}),
+        # each family's Kraus stack is built and checked once, at the probe, grid and qdb2 times together
+        (("sweep", "a", "--parameter", "omega", "--range", "0.5:1.5:3"), {**_FAMILY_BLOCK, "_kraus_stacks": 3}),
+        (("sweep", "a", "--parameter", "beta_i", "--range", "0:3:3"), _FAMILY_BLOCK),
+        # one family shared by two blocks is analysed once
+        (("sweep", "a", "--parameter", "beta_i", "--range", "0:3:40"), {**_FAMILY_BLOCK, "exchange_grid": 2}),
+        # a single map's stack is built once when the model loads and once for its maps
+        (("check", str(Path(__file__).parent / "golden" / "scenario_a_tau1.json")),
+         {**_FAMILY_BLOCK, "_kraus_stacks": 2}),
     ],
-    ids=["model-beta-i", "b-gamma", "b-beta-i", "model-beta-i-two-blocks", "c-nu", "c-nu-two-blocks", "a-omega"],
+    ids=["model-beta-i", "b-gamma", "b-beta-i", "model-beta-i-two-blocks", "c-nu", "c-nu-two-blocks", "a-omega",
+         "a-beta-i", "a-beta-i-two-blocks", "check-kraus"],
 )
 def test_a_sweep_takes_each_stage_once_per_block(tmp_path, monkeypatch, argv, calls):
     # a beta_i sweep builds and checks its one source once; a sweep of sources stacks

@@ -1,4 +1,5 @@
 import math
+from functools import partial
 
 import numpy as np
 import pytest
@@ -24,19 +25,25 @@ from conftest import (
 )
 from qdblab import matlin
 from qdblab.balance import _trace_dual
+from qdblab.cli import QDB2_TAUS
 from qdblab.dynamics import (
+    PSD_ATOL,
     Dynamics,
     LindbladGenerator,
+    _kraus_stacks,
     choi_matrix,
     commutator_superop,
+    evolve_grid,
     gell_mann_basis,
     gkls_defects,
     lindblad_superop,
+    maps_of,
     require_superop_dim,
 )
 from qdblab.errors import ConfigError, DimensionMismatch, KossakowskiNotPSD, NotTracePreserving
 from qdblab.matlin import dag, kron, unvec
-from qdblab.examples import bloch4_to_superop, qubit_hamiltonian
+from qdblab.examples import ExampleAParams, bloch4_to_superop, example_a_channel, qubit_hamiltonian
+from qdblab.fluctuation import FIXED_POINT_TAUS, TAU_MAX
 from qdblab.states import SIGMA_X
 
 
@@ -369,6 +376,21 @@ class TestLindbladGeneratorValidation:
         with pytest.raises(KossakowskiNotPSD):
             LindbladGenerator(h, np.pad(c, ((0, 1), (0, 1))), tuple(gell_mann_basis(2)[:3]))
 
+    @pytest.mark.parametrize("scale", [1.0, 1e12])
+    def test_bounds_scale_with_the_kossakowski_matrix(self, rng, scale):
+        # PSD_ATOL max(1, max|C|): 1e-10 at unit scale, as before, and 100 at max|C| = 1e12
+        h = random_hamiltonian(rng, 2)
+        bound = PSD_ATOL * scale
+        skew = np.zeros((3, 3), dtype=complex)
+        skew[0, 1] = 0.9 * bound
+        LindbladGenerator.canonical(h, scale * np.eye(3) + skew)
+        with pytest.raises(KossakowskiNotPSD, match="not Hermitian"):
+            LindbladGenerator.canonical(h, scale * np.eye(3) + skew / 0.45)
+        LindbladGenerator.canonical(h, np.diag([scale, 1.0, -0.9 * bound]))
+        with pytest.raises(KossakowskiNotPSD, match="negative eigenvalue"):
+            LindbladGenerator.canonical(h, np.diag([scale, 1.0, -1.1 * bound]))
+        random_lindblad(rng, 3, scale)
+
     def test_rejects_basis_with_trace(self, rng):
         h = random_hamiltonian(rng, 2)
         basis = list(gell_mann_basis(2)[:3])
@@ -407,13 +429,48 @@ class TestDynamicsSources:
             Dynamics.single_map(h, [np.eye(2)], 1.0)
         family = Dynamics.channel_family(h, lambda taus: np.array([[np.eye(2)]] * len(taus)))
         with pytest.raises(DimensionMismatch, match="channel dimension"):
-            family.maps((0.5, 1.0))
+            maps_of([family], (0.5, 1.0))
 
     def test_single_map_repeats_its_channel(self, rng):
         ops = [np.eye(2) / np.sqrt(2), SIGMA_X / np.sqrt(2)]
-        superops, kraus = Dynamics.single_map(qubit_hamiltonian(1.0), ops, 1.0).maps((1.0, 1.0))
+        ((superops, kraus),) = maps_of([Dynamics.single_map(qubit_hamiltonian(1.0), ops, 1.0)], (1.0, 1.0))
         assert np.array_equal(kraus, [ops] * 2)
         assert np.array_equal(superops, [superop_from_channel(ops)] * 2)
+
+
+# classify's probe times, a tau grid and the qdb2 times, which cli.analyse takes as one tuple
+TIME_PARTS = ((TAU_MAX, *FIXED_POINT_TAUS), (0.01, 0.3, 2.0, 50.0), QDB2_TAUS)
+
+
+class TestMapsOf:
+    # each slice of one maps_of call over a block is the map of the source's own stack at its time
+
+    @pytest.mark.parametrize("d", [2, 3, 4])
+    def test_semigroups_slice_their_own_exponentials(self, rng, d):
+        sources = [Dynamics.semigroup(g.hamiltonian, g) for g in (random_lindblad(rng, d) for _ in range(3))]
+        for (superops, kraus), source in zip(maps_of(sources, sum(TIME_PARTS, ())), sources):
+            assert kraus is None
+            assert np.array_equal(superops, np.concatenate([evolve_grid(source.generator, t) for t in TIME_PARTS]))
+
+    def test_channel_families_slice_their_own_stacks(self):
+        params = [ExampleAParams.default(0.5, 1.0), ExampleAParams.default(2.0, 3.0)]
+        params.append(ExampleAParams.fixed_point(1.0, 0.3))
+        sources = [Dynamics.channel_family(p.hamiltonian(), partial(example_a_channel, p)) for p in params]
+        for (superops, kraus), p, source in zip(maps_of(sources, sum(TIME_PARTS, ())), params, sources):
+            own = [_kraus_stacks(np.asarray(example_a_channel(p, t), dtype=complex), source.h) for t in TIME_PARTS]
+            assert np.array_equal(superops, np.concatenate([m for m, _ in own]))
+            assert np.array_equal(kraus, np.concatenate([k for _, k in own]))
+
+    def test_single_map_slices_its_own_stack(self, rng):
+        h, l = random_hamiltonian(rng, 3), lindblad_superop(random_lindblad(rng, 3))
+        ops = channel_from_superop(evolve(l, 1.0))
+        source = Dynamics.single_map(h, ops, 1.0)
+        taus = sum((source.taus(t) for t in TIME_PARTS), ())
+        assert taus == (1.0,) * 3
+        ((superops, kraus),) = maps_of([source], taus)
+        own_superops, own_kraus = _kraus_stacks(np.array([ops]), h)
+        assert np.array_equal(superops, np.repeat(own_superops, 3, axis=0))
+        assert np.array_equal(kraus, np.repeat(own_kraus, 3, axis=0))
 
 
 def test_superoperator_validates_shape():

@@ -27,7 +27,7 @@ from conftest import (
 from qdblab import matlin
 from qdblab.balance import check_qdb1, check_qdb2
 from qdblab.cli import analyse
-from qdblab.dynamics import Dynamics, evolve_grid, gkls_defects, lindblad_superop
+from qdblab.dynamics import Dynamics, evolve_grid, gkls_defects, lindblad_superop, maps_of
 from qdblab.errors import NotCPTP, NotTracePreserving, ScheduleOutOfRange
 from qdblab.examples import (
     ExampleAParams,
@@ -117,7 +117,7 @@ class TestScenarioA:
 
         source = Dynamics.channel_family(self.h, family)
         with pytest.raises(NotTracePreserving, match=r"^sum G\^dag G differs from identity by 2\.100e-01$"):
-            source.maps((0.5, 1.0, 2.0))
+            maps_of([source], (0.5, 1.0, 2.0))
 
     def test_start_is_identity_channel(self, rng):
         rho0 = bloch_to_density(BlochVector(0.2, -0.3, 0.4))

@@ -1,5 +1,6 @@
 import math
 import sys
+from functools import partial
 
 import numpy as np
 import pytest
@@ -28,7 +29,7 @@ from conftest import (
 )
 from qdblab import dynamics, fluctuation, matlin
 from qdblab.cli import main
-from qdblab.dynamics import Dynamics, LindbladGenerator, evolve_grid, lindblad_superop
+from qdblab.dynamics import Dynamics, LindbladGenerator, evolve_grid, lindblad_superop, maps_of
 from qdblab.errors import DimensionMismatch, InconclusiveHorizon, InternalCheckError, NotTracePreserving
 from qdblab.examples import (
     ExampleAParams,
@@ -517,7 +518,7 @@ class TestExchangeGridAgainstReference:
     def test_diagonal_semigroup_is_bitwise_equal(self, rng, d, equally_spaced):
         h = diagonal_hamiltonian(rng, d, equally_spaced)
         gen = LindbladGenerator.canonical(h, random_lindblad(rng, d).kossakowski)
-        maps = Dynamics.semigroup(h, gen).maps(TAUS)
+        (maps,) = maps_of([Dynamics.semigroup(h, gen)], TAUS)
         assert maps[1] is None
         grid = exchange_grid(maps, h, 1.3)
         assert all(len(a) == len(TAUS) for a in grid[1:])
@@ -535,7 +536,7 @@ class TestExchangeGridAgainstReference:
         padded = np.zeros((len(family), 4, d, d), dtype=complex)
         for t, g in enumerate(family):
             padded[t, : len(g)] = g
-        superops, kraus = Dynamics.channel_family(h, lambda taus: padded).maps(range(4))
+        ((superops, kraus),) = maps_of([Dynamics.channel_family(h, lambda taus: padded)], range(4))
         assert np.array_equal(kraus, padded)
         assert np.array_equal(superops, [reference_superop_from_channel(g) for g in family])
         grid = exchange_grid((superops, kraus), h, 0.8)
@@ -552,8 +553,8 @@ class TestExchangeGridAgainstReference:
         taus = TAUS[1:]
         channel = random_channel(rng, d, 3)
         grids = (
-            exchange_grid(Dynamics.semigroup(h, gen).maps(taus), h, 1.3),
-            exchange_grid(Dynamics.single_map(h, channel, 1.0).maps((1.0,)), h, 1.3),
+            exchange_grid(*maps_of([Dynamics.semigroup(h, gen)], taus), h, 1.3),
+            exchange_grid(*maps_of([Dynamics.single_map(h, channel, 1.0)], (1.0,)), h, 1.3),
         )
         maps = [*evolve_grid(lindblad_superop(gen), taus), channel]
         records = [(grids[0], t) for t in range(len(taus))] + [(grids[1], 0)]
@@ -579,7 +580,7 @@ class TestExchangeGridAgainstReference:
             return s
 
         monkeypatch.setattr(dynamics, "_kraus_superops", skewed)
-        maps = Dynamics.channel_family(h, lambda taus: family).maps((0.1, 0.2, 0.3))
+        (maps,) = maps_of([Dynamics.channel_family(h, lambda taus: family)], (0.1, 0.2, 0.3))
         message = r"^Kraus and superoperator transition routes disagree by 3\.000e-09$"
         with pytest.raises(InternalCheckError, match=message):
             exchange_grid(maps, h, 1.0)
@@ -688,14 +689,14 @@ def _points(case, rng):
     """Six points of one kind, as ``(maps, h)`` pairs."""
     if case == "b":
         gens = [example_b_generator(ExampleBParams(omega, 1.0, 1.0)) for omega in np.linspace(0.5, 2.0, 6)]
-        return [(Dynamics.semigroup(g.hamiltonian, g).maps(TAUS), g.hamiltonian) for g in gens]
-    if case == "a":
+        sources = [Dynamics.semigroup(g.hamiltonian, g) for g in gens]
+    elif case == "a":
         params = [ExampleAParams.default(omega, 1.0) for omega in np.linspace(0.5, 2.0, 6)]
-        return [(Dynamics.channel_family(p.hamiltonian(), lambda taus, p=p: example_a_channel(p, taus)).maps(TAUS),
-                 p.hamiltonian()) for p in params]
-    energies = {"davies3": [-0.7, 0.1, 1.3], "davies4": [-1.0, -0.2, 0.5, 1.6]}[case]
-    models = [_davies(rng, energies) for _ in range(6)]
-    return [(Dynamics.semigroup(h, g).maps(TAUS), h) for h, g in models]
+        sources = [Dynamics.channel_family(p.hamiltonian(), partial(example_a_channel, p)) for p in params]
+    else:
+        energies = {"davies3": [-0.7, 0.1, 1.3], "davies4": [-1.0, -0.2, 0.5, 1.6]}[case]
+        sources = [Dynamics.semigroup(h, g) for h, g in (_davies(rng, energies) for _ in range(6))]
+    return [(maps, s.h) for maps, s in zip(maps_of(sources, TAUS), sources)]
 
 
 def _stack(points):
