@@ -39,7 +39,10 @@ CASES = {
     "example_b": (("example", "b"), EXIT_OK),
     "example_c": (("example", "c"), EXIT_OK),
     "example_b_json": (("example", "b", "--format", "json"), EXIT_OK),
+    # p_minus underflows to 0 at the large gap, so half the rows have null ratio cells
+    "example_b_null_json": (("example", "b", "--beta-i", "800", "--format", "json"), EXIT_OK),
     "check_davies3": (("check", str(MODEL)), EXIT_OK),
+    "check_davies3_json": (("check", str(MODEL), "--format", "json"), EXIT_OK),
     "example_a_fpt": (("example", "a", "--q-schedule", "fpt"), EXIT_OK),
     "check_kraus_a": (("check", str(KRAUS_MODEL)), EXIT_OK),
     "sweep_a_omega": (("sweep", "a", "--parameter", "omega", "--range", "0.8:1.6:4"), EXIT_OK),
