@@ -2,8 +2,9 @@
 
 Runs the built-in scenarios, verifies user-supplied models (JSON), sweeps a
 named parameter, and writes machine-readable reports.  Reports are
-byte-deterministic for a fixed configuration: floats are printed with 17
-significant digits and rows are ordered by (tau, gap).
+byte-deterministic for a fixed configuration: CSV floats are printed with 17
+significant digits, JSON floats as their shortest round-trip ``repr``, and
+rows are ordered by (tau, gap).
 
 Exit codes: 0 success, 2 usage or configuration error, 3 model invariant
 violation, 4 internal consistency failure.
@@ -272,19 +273,38 @@ def _write_text(path: Path, text: str) -> None:
     path.write_text(text, encoding="utf-8")
 
 
-def write_rows(path: Path, header, rows, fmt: str) -> None:
+def write_rows(path: Path, header, columns, fmt: str) -> None:
+    """Write a table of ``columns``, one per name of a nonempty ``header``,
+    as CSV or as the JSON ``{"columns", "rows", "schema": 1}`` that
+    ``json.dumps(..., sort_keys=True, indent=2)`` writes.  A column is a list
+    or array of cells, or a tuple ``(values, index)`` whose cells are
+    ``values[index]`` with a blank (None) cell at index -1.  A column of
+    finite floats is formatted at C level, as ``%.17g`` in CSV and as
+    ``repr`` in JSON; any other column cell by cell, as :func:`fmt_float` or
+    :func:`_json_float` reads it."""
+    cells = [_cells(column, fmt) for column in columns]
     if fmt == "csv":
-        lines = [",".join(header)]
-        for row in rows:
-            lines.append(",".join(fmt_float(x) if not isinstance(x, str) else x for x in row))
-        _write_text(path, "\n".join(lines) + "\n")
+        _write_text(path, "\n".join([",".join(header), *map(",".join, zip(*cells))]) + "\n")
+        return
+    names = ",\n    ".join(map(json.dumps, header))
+    rows = "\n    ],\n    [\n      ".join(map(",\n      ".join, zip(*cells)))
+    rows = "[\n    [\n      " + rows + "\n    ]\n  ]" if rows else "[]"
+    _write_text(path, f'{{\n  "columns": [\n    {names}\n  ],\n  "rows": {rows},\n  "schema": 1\n}}\n')
+
+
+def _cells(column, fmt: str) -> list:
+    """The text of each cell of one column of :func:`write_rows`."""
+    values, index = column if isinstance(column, tuple) else (column, None)
+    values = values.tolist() if isinstance(values, np.ndarray) else list(values)
+    if set(map(type, values)) <= {float} and all(map(math.isfinite, values)):
+        text = list(map("%.17g".__mod__ if fmt == "csv" else float.__repr__, values))
+    elif fmt == "csv":
+        text = [x if isinstance(x, str) else fmt_float(x) for x in values]
     else:
-        payload = {
-            "schema": 1,
-            "columns": list(header),
-            "rows": [[_json_float(x) if not isinstance(x, str) else x for x in row] for row in rows],
-        }
-        _write_text(path, json.dumps(payload, sort_keys=True, indent=2) + "\n")
+        text = [json.dumps(x if isinstance(x, str) else _json_float(x)) for x in values]
+    if index is None:
+        return text
+    return np.array([*text, "" if fmt == "csv" else "null"], dtype=object)[index].tolist()
 
 
 def write_verdict(path: Path, verdict: dict) -> None:
@@ -386,22 +406,24 @@ def _emit(label: str, source: Dynamics, args, f_factor=None, **extra) -> None:
     """Write the rows and verdict, with ``extra`` entries, of one source: the
     one-point case of :func:`run_points`, a row per tau and Bohr gap, with
     scenario A's ``f_factor`` at tau."""
-    ((sections, (taus, energies, predicted, *per_tau)),) = run_points(lambda _: [(source, args)], (args,), {})
+    ((sections, (taus, energies, predicted, recorded, p_plus, p_minus, defined, ratio, deviation)),) = run_points(
+        lambda _: [(source, args)], (args,), {}
+    )
     header = "tau E p_plus p_minus R predicted deviation".split() + ([] if f_factor is None else ["F_tau"])
-    rows, energies, predicted = [], energies.tolist(), predicted.tolist()
-    for tau, *cells in zip(taus, *(a.tolist() for a in per_tau)):
-        f_cell = [] if f_factor is None else [f_factor(tau)]
-        # each row carries the ratio of its own gap record
-        for energy, pred, kept, p_plus, p_minus, has_ratio, r, dev in zip(energies, predicted, *cells):
-            if kept:
-                ratio = (r, pred, dev) if has_ratio else (None, None, None)
-                rows.append([tau, energy, p_plus, p_minus, *ratio, *f_cell])
+    t, g = np.nonzero(recorded)  # the kept records, in (tau, gap) order
+    # each row carries the ratio of its own gap record, and blank cells (index -1) where it has none
+    has = defined[t, g]
+    k = np.where(has, np.cumsum(has) - 1, -1)
+    columns = [(taus, t), (energies, g), p_plus[t, g], p_minus[t, g],
+               (ratio[t, g][has], k), (predicted, np.where(has, g, -1)), (deviation[t, g][has], k)]
+    if f_factor is not None:
+        columns.append(([f_factor(tau) for tau in taus], t))
     tolerances = {"qdb_pass": args.tol_qdb, "qfr_pass": args.tol_qfr, "cptp": args.tol_cptp}
     grids = {"tau_grid": list(args.tau_grid), "s_grid": list(args.s_grid), "tolerances": tolerances}
     run = {**grids, "beta_i": args.beta_i, "beta_f": args.beta_f}
     verdict = {"schema": 1, "source": label, **sections, "config": run, **extra}
     rows_path, verdict_path = args.out / f"{label}_rows.{args.format}", args.out / f"{label}_verdict.json"
-    write_rows(rows_path, header, rows, args.format)
+    write_rows(rows_path, header, columns, args.format)
     write_verdict(verdict_path, verdict)
     q1, q2 = ({None: "n/a", True: "pass", False: "fail"}[s and s["passes"]] for s in (verdict["qdb1"], verdict["qdb2"]))
     kind, qfr = verdict["classification"]["kind"], verdict["qfr_max_deviation"]
@@ -497,17 +519,17 @@ def cmd_sweep(args) -> int:
             del built[key]
         return [(built[key], ns) for key, ns in zip(keys, spaces)]
 
-    analysed, rows = {}, []
+    analysed, verdicts = {}, []
     for start in range(0, len(values), SWEEP_BLOCK):
-        block = values[start : start + SWEEP_BLOCK]
-        for value, (verdict, _) in zip(block, run_points(build, block, analysed)):
-            cls, sections = verdict["classification"], (verdict["qdb1"], verdict["qdb2"])
-            balance = [None if q is None else q[key] for q in sections for key in ("passes", "max_residual")]
-            rows.append([args.parameter, value, cls["kind"], cls["beta_f"], *balance, verdict["qfr_max_deviation"]])
+        verdicts += [verdict for verdict, _ in run_points(build, values[start : start + SWEEP_BLOCK], analysed)]
+    cls = [verdict["classification"] for verdict in verdicts]
+    balance = [[v[q] and v[q][key] for v in verdicts] for q in ("qdb1", "qdb2") for key in ("passes", "max_residual")]
+    columns = [[args.parameter] * len(values), list(values), [c["kind"] for c in cls], [c["beta_f"] for c in cls],
+               *balance, [verdict["qfr_max_deviation"] for verdict in verdicts]]
     target_tag = args.target if model is None else Path(args.target).stem
     path = args.out / f"sweep_{target_tag}_{args.parameter}.{args.format}"
-    write_rows(path, header, rows, args.format)
-    print(f"wrote {path} ({len(rows)} rows)")
+    write_rows(path, header, columns, args.format)
+    print(f"wrote {path} ({len(values)} rows)")
     return EXIT_OK
 
 

@@ -1,3 +1,4 @@
+import json
 import math
 import os
 import warnings
@@ -735,3 +736,49 @@ def reference_classify_family(source) -> tuple:
         return "non_thermalizing", None
     fixed = all(trace_norm(apply(ops, state) - state) < FIXED_POINT_ATOL for ops in kraus[1:])
     return "fpt" if fixed else "thermalizing", beta
+
+
+# ---------------------------------------------------------------------------
+# Report rows written cell by cell: the reference for ``cli.write_rows``,
+# which formats whole columns, and for the column selection of ``cli._emit``.
+
+
+def _csv_cell(x) -> str:
+    if isinstance(x, str):
+        return x
+    if x is None:
+        return ""
+    if isinstance(x, bool):
+        return "true" if x else "false"
+    return format(float(x), ".17g")
+
+
+def _json_cell(x):
+    if isinstance(x, str) or x is None or type(x) is bool:
+        return x
+    return float(x) if math.isfinite(x) else str(float(x))
+
+
+def reference_rows_text(header, rows, fmt: str) -> str:
+    """The text of a rows file, one cell at a time: CSV cells as ``%.17g``,
+    blank for None and ``true``/``false`` for bools; JSON as ``json.dumps``
+    of the payload, a non-finite float as its text."""
+    if fmt == "csv":
+        return "\n".join([",".join(header), *(",".join(map(_csv_cell, row)) for row in rows)]) + "\n"
+    payload = {"schema": 1, "columns": list(header), "rows": [list(map(_json_cell, row)) for row in rows]}
+    return json.dumps(payload, sort_keys=True, indent=2) + "\n"
+
+
+def reference_emit_rows(taus, energies, predicted, recorded, p_plus, p_minus, defined, ratio, deviation,
+                        f_factor=None) -> list:
+    """The rows of ``cli._emit`` for one report's records, a row per kept
+    record in (tau, gap) order, with blank ratio cells where the record has
+    no ratio and scenario A's ``f_factor`` at tau."""
+    rows, energies, predicted = [], energies.tolist(), predicted.tolist()
+    per_tau = (recorded, p_plus, p_minus, defined, ratio, deviation)
+    for tau, *cells in zip(taus, *(a.tolist() for a in per_tau)):
+        f_cell = [] if f_factor is None else [f_factor(tau)]
+        for energy, pred, kept, plus, minus, has_ratio, r, dev in zip(energies, predicted, *cells):
+            if kept:
+                rows.append([tau, energy, plus, minus, *((r, pred, dev) if has_ratio else [None] * 3), *f_cell])
+    return rows

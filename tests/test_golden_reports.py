@@ -10,6 +10,9 @@ value)`` for a sweep), classifications and pass flags must match exactly.  Float
 BLAS builds differ in the last bits, so the files are not compared byte for
 byte.  An absolute 1e-15 admits entries that are zero up to roundoff (a
 residual or deviation of a few ulp), whose relative error means nothing.
+The layout is pinned apart from the values: each written JSON file is the
+canonical ``json.dumps(..., sort_keys=True, indent=2)`` of its parse, and
+each CSV float cell reads as ``format(x, ".17g")``.
 
 ``golden/davies3_circulating.json`` is the d = 3 Davies model with a cyclic
 current drawn first from ``numpy.random.default_rng(5)`` by
@@ -105,6 +108,20 @@ def _assert_rows_match(got: dict, want: dict, where: str) -> None:
         _assert_close(g, w, f"{where} row {idx}")
 
 
+def _assert_layout(path: Path) -> None:
+    """The file's text is as the writer lays it out, whatever the BLAS build:
+    JSON as ``json.dumps(..., sort_keys=True, indent=2)`` of its own parse, and
+    each CSV float cell with 17 significant digits."""
+    text = path.read_text()
+    if path.suffix == ".json":
+        assert text == json.dumps(json.loads(text), sort_keys=True, indent=2) + "\n", path.name
+        return
+    for line in text.splitlines()[1:]:
+        for cell in line.split(","):
+            if isinstance(_cell(cell), float):
+                assert cell == format(float(cell), ".17g"), f"{path.name}: {cell!r}"
+
+
 @pytest.mark.parametrize("name", sorted(CASES))
 def test_report_matches_golden(tmp_path, name):
     _, code = CASES[name]
@@ -114,6 +131,7 @@ def test_report_matches_golden(tmp_path, name):
     assert written == sorted(p.name for p in expected.iterdir())
     for file_name in written:
         got, want = tmp_path / file_name, expected / file_name
+        _assert_layout(got)
         if file_name.endswith("_verdict.json"):
             _assert_close(json.loads(got.read_text()), json.loads(want.read_text()), file_name)
         elif file_name.endswith(".csv"):
