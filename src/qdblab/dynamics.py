@@ -166,13 +166,14 @@ def lindblad_superop(gen: LindbladGenerator) -> np.ndarray:
 
 def evolve_grid(generator: np.ndarray, taus) -> np.ndarray:
     """The matrices of ``exp(tau * L)`` for every ``tau`` of ``taus``,
-    stacked ``(t, d^2, d^2)``, from one stacked matrix exponential; a stack
-    ``(p, d^2, d^2)`` of generators gives ``(p, t, d^2, d^2)``."""
+    stacked ``(t, d^2, d^2)``, from one matrix exponential over the grid,
+    which analyses L once; a stack ``(p, d^2, d^2)`` of generators gives
+    ``(p, t, d^2, d^2)``; a ``tau`` whose ``tau L`` overflows gives a nan
+    slice."""
     taus = np.asarray(taus, dtype=float)
     if np.any(taus < 0):
         raise ValueError("tau must be nonnegative")
-    with np.errstate(over="ignore"):  # tau L may overflow; expm turns it to nan
-        return matlin.expm(taus[:, None, None] * generator[..., None, :, :])
+    return matlin.expm(generator, taus)
 
 
 def _kraus_superops(kraus: np.ndarray) -> np.ndarray:

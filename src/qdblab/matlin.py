@@ -1,8 +1,9 @@
 """Dense complex linear-algebra kernel.
 
 Everything else in the package runs through the primitives below: Hermitian
-eigendecompositions, matrix exponentials, Kronecker products and
-column-stacking vectorization.  Conventions:
+eigendecompositions, the exponentials ``exp(tau L)`` of generators over a grid
+of ``tau`` (each generator analysed once, each ``tau`` by its own scaling),
+Kronecker products and column-stacking vectorization.  Conventions:
 
 * ``vec`` stacks columns, so ``vec(X @ Y @ Z) == kron(Z.T, X) @ vec(Y)``
   holds exactly;
@@ -83,65 +84,84 @@ def herm_eig(m: np.ndarray, atol: float = HERMITICITY_ATOL):
     return w, v
 
 
-def expm(m: np.ndarray) -> np.ndarray:
-    """Matrix exponential of a matrix or of every slice of a stack ``(..., n, n)``.
+def expm(generators: np.ndarray, taus) -> np.ndarray:
+    """``exp(tau L)`` for every ``tau`` of the 1-D grid ``taus`` and every
+    generator ``L`` of a matrix or stack ``(..., n, n)``, stacked ``(..., t,
+    n, n)``.
 
     Scaling and squaring with the degree-13 Pade approximant (Higham 2005),
-    with the scaling of Al-Mohy & Higham 2009: each slice ``A`` is scaled by
-    its own power of two ``2^-s``, with ``s`` taken from the exact 1-norms
-    ``||A^k||^(1/k)`` of ``A^6 ... A^10`` rather than from ``||A||``, which
-    overscales non-normal matrices, plus the squarings that the backward
-    error bound built on ``|A|^27`` asks for.  Each slice is squared ``s``
-    times, so slices of small norm take no squarings.  A slice with a
-    non-finite entry or 1-norm comes back all nan, and an approximant or
-    squarings that overflow give inf or nan entries; neither raises or warns.
+    with the scaling of Al-Mohy & Higham 2009.  Both scale with ``tau``, so
+    each generator is analysed once: with ``e`` the exponent of ``||L||_1``
+    and ``B = 2^-e L``, it takes the exact 1-norms ``||B^k||^(1/k)`` of ``B^6
+    ... B^10`` (rather than ``||B||``, which overscales non-normal matrices),
+    the backward error bound built on ``|B|^27`` and the powers ``B^2, B^4,
+    B^6``.  Each ``tau`` then takes its squaring count ``s`` from ``log2
+    tau``, its slice ``A = c B`` with ``c = tau 2^(e - s)`` and ``A^2k = c^2k
+    B^2k``; only the approximant's three products and one solve, and its
+    ``s`` squarings, run per slice, so slices of small ``tau ||L||`` take no
+    squarings.  Every slice is the one a one-``tau`` or one-generator call
+    gives, bit for bit.
+    A slice whose ``tau ||L||_1`` is not finite comes back all nan, and an
+    approximant or squarings that overflow give inf or nan entries; neither
+    raises or warns.
     """
-    m = np.asarray(m, dtype=complex)
-    if m.ndim < 2 or m.shape[-1] != m.shape[-2]:
-        raise DimensionMismatch(f"expm: expected square matrices, got shape {m.shape}")
-    n = m.shape[-1]
-    a = m.reshape(-1, n, n)
+    l = np.asarray(generators, dtype=complex)
+    taus = np.asarray(taus, dtype=float)
+    if l.ndim < 2 or l.shape[-1] != l.shape[-2] or taus.ndim != 1:
+        raise DimensionMismatch(f"expm: expected square matrices and a 1-D grid, got shapes {l.shape}, {taus.shape}")
+    n = l.shape[-1]
+    g = l.reshape(-1, n, n)
     b = _PADE13
     eye = np.eye(n)
     with np.errstate(over="ignore", under="ignore", invalid="ignore", divide="ignore"):
-        norm = _norm1(a)
-        finite = np.isfinite(norm)
-        if not finite.all():
-            a = np.where(finite[:, None, None], a, 0.0)
-            norm = np.where(finite, norm, 0.0)
-        # a0 = 2^-e A has 1-norm at most 1, so none of its powers overflows
-        e = np.maximum(np.frexp(norm)[1], 0)
-        a0 = _ldexp(a, -e)
-        a2 = a0 @ a0
-        a4 = a2 @ a2
-        a6 = a4 @ a2
-        d6, d8, d10 = _norm1(np.stack([a6, a4 @ a4, a4 @ a6])) ** np.array([[1 / 6], [1 / 8], [1 / 10]])
+        norm = _norm1(g)
+        finite = np.isfinite(taus * norm[:, None])
+        if not finite.all():  # a generator with a non-finite entry is analysed as 0
+            ok = np.isfinite(norm)
+            g, norm = np.where(ok[:, None, None], g, 0.0), np.where(ok, norm, 0.0)
+        # once per generator: B = 2^-e L has 1-norm in [1/2, 1), so none of its
+        # powers overflows
+        e = np.frexp(norm)[1]
+        b1 = _scale(g, 1.0, -e)
+        b2 = b1 @ b1
+        b4 = b2 @ b2
+        b6 = b4 @ b2
+        d6, d8, d10 = _norm1(np.stack([b6, b4 @ b4, b4 @ b6])) ** np.array([[1 / 6], [1 / 8], [1 / 10]])
         eta = np.minimum(np.maximum(d6, d8), np.maximum(d8, d10))
-        s = np.maximum(e + np.ceil(np.log2(eta / _THETA_13)), 0.0)
-        # add squarings until the backward-error bound |c_27| || |2^-s A|^27 || /
-        # ||2^-s A|| is at most u; q = || |a0|^27 ||, the largest entry of the
-        # row 1^T |a0|^27 as |a0| >= 0, and excess is log2 of the bound over u
-        p = np.abs(a0)
+        # q = || |B|^27 ||, the largest entry of the row 1^T |B|^27 as |B| >= 0
+        p = np.abs(b1)
         p2 = p @ p
         p4 = p2 @ p2
         p8 = p4 @ p4
-        q = (np.ones((len(a), 1, n)) @ p @ p2 @ p8 @ (p8 @ p8)).max(axis=(1, 2), initial=0.0)
-        excess = 26 * (e - s) + np.log2(q / np.ldexp(norm, -e)) - _LOG2_C27_INV - _LOG2_U
-        s = (s + np.where(q > 0, np.maximum(np.ceil(excess / 26), 0.0), 0.0)).astype(int)
-        k = e - s
-        a, a2, a4, a6 = (_ldexp(x, j * k) for j, x in ((1, a0), (2, a2), (4, a4), (6, a6)))
+        q = (np.ones((len(g), 1, n)) @ p @ p2 @ p8 @ (p8 @ p8)).max(axis=(1, 2), initial=0.0)
+        # per tau = m 2^j with 1 <= |m| < 2, so that tau L = m 2^(j + e) B
+        m, j = np.frexp(np.where(finite, taus, 0.0))
+        m, j = 2.0 * m, j - 1 + e[:, None]
+        log2m = np.log2(np.abs(m))
+        s = np.maximum(j + np.ceil(log2m + np.log2(eta / _THETA_13)[:, None]), 0.0)
+        # add squarings until the backward-error bound |c_27| || |2^-s tau L|^27 ||
+        # / ||2^-s tau L|| is at most u; excess is log2 of the bound over u
+        excess = 26 * (j - s) + 26 * log2m + np.log2(q / np.ldexp(norm, -e))[:, None] - _LOG2_C27_INV - _LOG2_U
+        s = (s + np.where(q[:, None] > 0, np.maximum(np.ceil(excess / 26), 0.0), 0.0)).astype(int)
+        # per slice: A^i = m^i 2^(i (j - s)) B^i
+        a, a2, a4, a6 = (_scale(x[:, None], m**i, i * (j - s)) for i, x in ((1, b1), (2, b2), (4, b4), (6, b6)))
         u = a @ (a6 @ (b[13] * a6 + b[11] * a4 + b[9] * a2) + b[7] * a6 + b[5] * a4 + b[3] * a2 + b[1] * eye)
         v = a6 @ (b[12] * a6 + b[10] * a4 + b[8] * a2) + b[6] * a6 + b[4] * a4 + b[2] * a2 + b[0] * eye
         # r_13 = (V - U)^-1 (V + U) = I + 2 (V - U)^-1 U.  In the second form
         # the rounding of the solve scales with U, which vanishes on a left null
         # vector of A (the trace row of a Lindblad generator), so the error
         # along that vector, which every squaring doubles, stays small
-        x = eye + 2.0 * np.linalg.solve(v - u, u)
+        v -= u
+        x = np.linalg.solve(v, u).reshape(-1, n, n)
+        x *= 2.0
+        x += eye
+        s = s.reshape(-1)
         for step in range(1, int(s.max(initial=0)) + 1):
             todo = s >= step
-            x[todo] = x[todo] @ x[todo]
-    x[~finite] = np.nan
-    return x.reshape(m.shape)
+            y = x[todo]
+            x[todo] = y @ y
+    x[~finite.reshape(-1)] = np.nan
+    return x.reshape(l.shape[:-2] + taus.shape + (n, n))
 
 
 def _norm1(a: np.ndarray) -> np.ndarray:
@@ -149,12 +169,15 @@ def _norm1(a: np.ndarray) -> np.ndarray:
     return np.abs(a).sum(axis=-2).max(axis=-1, initial=0.0)
 
 
-def _ldexp(a: np.ndarray, k: np.ndarray) -> np.ndarray:
-    """``2^k a`` for every slice of a complex stack, exact short of under- or
-    overflow, and 0 for a 0 entry whatever ``k``."""
-    if np.all((k >= -1074) & (k <= 1023)):  # 2^k is a finite nonzero double
-        return a * np.ldexp(1.0, k)[:, None, None]
-    return np.ldexp(np.ascontiguousarray(a).view(float), k[:, None, None]).view(complex)
+def _scale(a: np.ndarray, m, k) -> np.ndarray:
+    """``m 2^k a`` for every slice of a complex stack ``a`` ``(..., n, n)``,
+    with ``m`` (``|m| < 2^7``) and the integer ``k`` broadcast over its
+    leading axes; exact for ``|m| = 1`` short of under- or overflow, and 0
+    for a 0 entry whatever ``k``."""
+    m, k = np.asarray(m)[..., None, None], np.asarray(k)[..., None, None]
+    if np.all((k >= -1074) & (k <= 1016)):  # m 2^k is a finite double
+        return a * np.ldexp(m, k)
+    return np.ldexp(np.ascontiguousarray(a * m).view(float), k).view(complex)
 
 
 def kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:

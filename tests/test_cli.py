@@ -467,12 +467,12 @@ class TestSweepCommand:
         [
             # point 0 fails its transition checks, a late stage, and point 1 cannot be built
             ("b", "beta_f", "1e-12:1e-310:2", EXIT_MODEL,
-             "NotTracePreserving: transition rows sum to 1 only within 4.024e-07"),
+             "NotTracePreserving: transition rows sum to 1 only within 2.310e-07"),
             ("b", "beta_f", "1e-310:1e-12:2", EXIT_CONFIG,
              "ConfigError: scenario b: n_bar = 1/(e^(beta_f omega) - 1) overflows at beta_f omega = 1e-310"),
             # only the last of 40 points, in the second block, fails
             ("b", "beta_f", "3:1e-12:40", EXIT_MODEL,
-             "NotTracePreserving: transition rows sum to 1 only within 4.024e-07"),
+             "NotTracePreserving: transition rows sum to 1 only within 2.310e-07"),
             # each point's arguments are checked as a run's are
             ("b", "beta_i", "-1:1:3", EXIT_CONFIG, "ConfigError: beta-i must be nonnegative"),
             # the third point fails after two valid ones
@@ -712,7 +712,7 @@ class TestConfigValidation:
             (("example", "c", "--tau-grid", "1e308"), EXIT_INTERNAL,
              "InternalCheckError: exchange probabilities sum to 0"),
             (("example", "b", "--gamma", "1e6"), EXIT_MODEL,
-             "NotTracePreserving: transition rows sum to 1 only within 1.837e-09"),
+             "NotTracePreserving: transition rows sum to 1 only within 1.250e-09"),
             # its maps' trace defect is roundoff, but its generator is not CP
             (("example", "c", "--beta-f", "16"), EXIT_MODEL,
              "NotCPTP: the generator is not of GKLS form: cp=3.122e-04, tp=0.000e+00 relative to its 1-norm"),

@@ -250,7 +250,7 @@ class TestClassify:
         h = qubit_hamiltonian(1.0)
 
         def rotation_family(taus):
-            return matlin.expm(-1j * np.array(taus)[:, None, None, None] * np.array([[0, 0.5], [0.5, 0]]))
+            return matlin.expm(-1j * np.array([[0, 0.5], [0.5, 0]]), taus)[:, None]
 
         with pytest.raises(InconclusiveHorizon):
             classify_one(Dynamics.channel_family(h, rotation_family))
@@ -259,7 +259,7 @@ class TestClassify:
         from qdblab import cli
 
         def rotation_family(p, taus):
-            return matlin.expm(-1j * np.array(taus)[:, None, None, None] * np.array([[0, 0.5], [0.5, 0]]))
+            return matlin.expm(-1j * np.array([[0, 0.5], [0.5, 0]]), taus)[:, None]
 
         monkeypatch.setattr(cli, "example_a_channel", rotation_family)
         assert main(["example", "a", "--out", str(tmp_path)]) == 4

@@ -1,4 +1,5 @@
 import dataclasses
+import functools
 
 import numpy as np
 import pytest
@@ -8,14 +9,18 @@ from hypothesis import strategies as st
 
 from conftest import is_cptp, random_complex, random_hermitian, random_lindblad, trace_norm, transpose_superop
 from qdblab import matlin
-from qdblab.dynamics import lindblad_superop
+from qdblab.cli import QDB2_TAUS
+from qdblab.dynamics import LindbladGenerator, lindblad_superop
 from qdblab.errors import DimensionMismatch, NotHermitian
 from qdblab.examples import (
+    ExampleBParams,
     bloch4_to_superop,
+    example_b_generator,
     example_c_bloch_matrix,
     example_c_generator,
     example_c_qdb_point,
 )
+from qdblab.states import HamiltonianSpec
 
 
 class TestHermEig:
@@ -59,30 +64,30 @@ class TestHermEig:
 
 class TestExpm:
     def test_zero_gives_identity(self):
-        np.testing.assert_array_equal(matlin.expm(np.zeros((2, 2))), np.eye(2))
-        stack = matlin.expm(np.zeros((3, 16, 16)))
+        np.testing.assert_array_equal(matlin.expm(np.zeros((2, 2)), (1.0,))[0], np.eye(2))
+        stack = matlin.expm(np.zeros((3, 16, 16)), (1.0,))[:, 0]
         np.testing.assert_array_equal(stack, np.broadcast_to(np.eye(16), (3, 16, 16)))
 
     def test_diagonal(self):
-        out = matlin.expm(np.diag([np.log(2), np.log(3)]))
+        out = matlin.expm(np.diag([np.log(2), np.log(3)]), (1.0,))[0]
         np.testing.assert_allclose(out, np.diag([2.0, 3.0]), atol=1e-13)
 
     def test_rotation_closed_form(self):
         theta = np.pi / 2
-        out = matlin.expm(np.array([[0, -theta], [theta, 0]]))
+        out = matlin.expm(np.array([[0, -theta], [theta, 0]]), (1.0,))[0]
         np.testing.assert_allclose(out, [[0, -1], [1, 0]], atol=1e-14)
 
     def test_inverse_property(self, rng):
         for _ in range(5):
             m = random_complex(rng, 3)
             m *= 5.0 / max(matlin.frobenius(m), 5.0)
-            prod = matlin.expm(m) @ matlin.expm(-m)
+            prod = matlin.expm(m, (1.0,))[0] @ matlin.expm(-m, (1.0,))[0]
             assert matlin.frobenius(prod - np.eye(3)) < 1e-10
 
     def test_semigroup_property(self, rng):
         m = random_complex(rng, 4)
-        lhs = matlin.expm(1.0 * m)
-        rhs = matlin.expm(0.3 * m) @ matlin.expm(0.7 * m)
+        lhs = matlin.expm(1.0 * m, (1.0,))[0]
+        rhs = matlin.expm(0.3 * m, (1.0,))[0] @ matlin.expm(0.7 * m, (1.0,))[0]
         assert matlin.frobenius(lhs - rhs) < 1e-10
 
     def test_agrees_with_eigendecomposition_for_normal_input(self, rng):
@@ -91,12 +96,14 @@ class TestExpm:
         z = rng.normal(size=4) + 1j * rng.normal(size=4)
         m = (q * z) @ matlin.dag(q)
         oracle = (q * np.exp(z)) @ matlin.dag(q)
-        out = matlin.expm(m)
+        out = matlin.expm(m, (1.0,))[0]
         assert matlin.frobenius(out - oracle) < 1e-11 * matlin.frobenius(oracle)
 
     def test_rejects_non_square(self):
         with pytest.raises(DimensionMismatch):
-            matlin.expm(np.zeros((2, 3)))
+            matlin.expm(np.zeros((2, 3)), (1.0,))
+        with pytest.raises(DimensionMismatch):
+            matlin.expm(np.zeros((2, 2)), [[1.0]])
 
 
 class TestExpmAgainstScipy:
@@ -114,19 +121,19 @@ class TestExpmAgainstScipy:
         # 1-norms up to 5.37 take no squaring, larger ones up to 8
         a = random_complex(rng, n)
         a *= norm / np.abs(a).sum(axis=0).max()
-        self.assert_close(matlin.expm(a), scipy.linalg.expm(a), norm)
+        self.assert_close(matlin.expm(a, (1.0,))[0], scipy.linalg.expm(a), norm)
 
     def test_stack_equals_its_slices(self, rng):
         stack = np.array([random_complex(rng, 4) * c for c in (0.0, 0.1, 1.0, 10.0, 300.0)])
-        out = matlin.expm(stack)
+        out = matlin.expm(stack, (1.0,))[:, 0]
         for a, x in zip(stack, out):
-            np.testing.assert_array_equal(x, matlin.expm(a))
+            np.testing.assert_array_equal(x, matlin.expm(a, (1.0,))[0])
             self.assert_close(x, scipy.linalg.expm(a), float(np.abs(a).sum(axis=0).max()))
-        assert matlin.expm(stack.reshape(5, 1, 4, 4)).shape == (5, 1, 4, 4)
+        assert matlin.expm(stack.reshape(5, 1, 4, 4), (1.0,)).shape == (5, 1, 1, 4, 4)
 
     @pytest.mark.parametrize("t", [-3.0, 0.5, 2.5, 40.0])
     def test_jordan_block(self, t):
-        out = matlin.expm(np.array([[t, 1.0], [0.0, t]]))
+        out = matlin.expm(np.array([[t, 1.0], [0.0, t]]), (1.0,))[0]
         self.assert_close(out, np.exp(t) * np.array([[1.0, 1.0], [0.0, 1.0]]), abs(t) + 1.0)
 
     @pytest.mark.parametrize("c", [1e2, 1e5, 1e8, 1e12])
@@ -134,7 +141,7 @@ class TestExpmAgainstScipy:
     def test_non_normal_triangular_closed_form(self, a, b, c):
         # ||A^k||^(1/k) stays near max(|a|, |b|) while ||A|| = c, so scaling by
         # ||A|| would take up to 38 needless squarings and lose digits with each
-        out = matlin.expm(np.array([[a, c], [0.0, b]]))
+        out = matlin.expm(np.array([[a, c], [0.0, b]]), (1.0,))[0]
         closed = np.array([[np.exp(a), c * (np.exp(a) - np.exp(b)) / (a - b)], [0.0, np.exp(b)]])
         np.testing.assert_allclose(out, closed, rtol=2e-14, atol=0)
 
@@ -147,7 +154,7 @@ class TestExpmAgainstScipy:
         for beta_f in np.linspace(14.0, 20.0, 13):
             p = example_c_qdb_point(0.5, 0.1, 1.0, beta_f)
             l = bloch4_to_superop(example_c_bloch_matrix(p))
-            ours += list(matlin.expm(taus[:, None, None] * l))
+            ours += list(matlin.expm(l, taus))
             oracle += [scipy.linalg.expm(tau * l) for tau in taus]
 
         def geometric_mean_tp(maps):
@@ -163,21 +170,103 @@ class TestExpmAgainstScipy:
         assert p.omega**2 == (p.alpha - p.nu) ** 2
         l = example_c_generator(p)
         taus = np.geomspace(0.01, 50.0, 12)
-        out = matlin.expm(taus[:, None, None] * l)
+        out = matlin.expm(l, taus)
         for tau, x in zip(taus, out):
             self.assert_close(x, scipy.linalg.expm(tau * l), tau * float(np.abs(l).sum(axis=0).max()))
 
     def test_huge_or_non_finite_input_does_not_raise(self, rng):
         l = lindblad_superop(random_lindblad(rng, 2))
-        assert matlin.expm(1e200 * l).shape == (4, 4)
+        assert matlin.expm(l, (1e200,)).shape == (1, 4, 4)
         # nilpotent, so s = 0: A^6 = 0 is scaled back by 2^(6e), past the float range
         n = np.array([[0.0, 1e100], [0.0, 0.0]])
-        np.testing.assert_allclose(matlin.expm(n), np.eye(2) + n, rtol=1e-15)
+        np.testing.assert_allclose(matlin.expm(n, (1.0,))[0], np.eye(2) + n, rtol=1e-15)
         bad = np.array([[np.inf, 0.0], [0.0, 1.0]])
-        assert np.isnan(matlin.expm(bad)).all()
-        out = matlin.expm(np.array([bad, np.eye(2)]))
+        assert np.isnan(matlin.expm(bad, (1.0,))).all()
+        out = matlin.expm(np.array([bad, np.eye(2)]), (1.0,))[:, 0]
         assert np.isnan(out[0]).all()
         np.testing.assert_allclose(out[1], np.e * np.eye(2), rtol=1e-15)
+
+
+def davies_superop(d: int, circulating: bool) -> np.ndarray:
+    """The generator of a Davies-type level-jump model at beta 1, as the
+    benchmark's fixtures build it: Boltzmann-balanced rates between every
+    level pair, plus a cyclic current around all levels if circulating."""
+    rng = np.random.default_rng(d)
+    energies = np.concatenate([[0.0], np.cumsum(rng.uniform(0.4, 1.2, d - 1))])
+    pops = np.exp(-(energies - energies[0]))
+    pops /= pops.sum()
+    rates = np.zeros((d, d))  # rates[m, n] is the rate of m -> n
+    for m in range(d):
+        for n in range(m + 1, d):
+            rates[n, m] = rng.uniform(0.2, 1.0)
+            rates[m, n] = rates[n, m] * np.exp(energies[m] - energies[n])
+    if circulating:
+        for level in range(d):
+            rates[level, (level + 1) % d] += 0.3 * pops.min() / pops[level]
+    jumps = [np.sqrt(rates[m, n]) * np.eye(d)[:, [n]] @ np.eye(d)[[m]] for m in range(d) for n in range(d) if m != n]
+    h = HamiltonianSpec.from_matrix(np.diag(energies).astype(complex))
+    return lindblad_superop(LindbladGenerator.from_jump_operators(h, jumps))
+
+
+def _critically_damped_c() -> np.ndarray:
+    base = example_c_qdb_point(0.5, 0.1, 0.25, 1.0)
+    return example_c_generator(dataclasses.replace(base, nu=base.alpha + base.omega))
+
+
+GENERATORS = {
+    **{f"davies{d}-{'circulating' if c else 'balanced'}": functools.partial(davies_superop, d, c)
+       for d, c in ((2, False), (3, False), (3, True), (4, False), (4, True))},
+    "b": lambda: lindblad_superop(example_b_generator(ExampleBParams(1.0, 1.0, 1.0))),
+    "b-cold-slow": lambda: lindblad_superop(example_b_generator(ExampleBParams(1.0, 0.05, 5.0))),
+    "c": lambda: example_c_generator(example_c_qdb_point(0.5, 0.1, 1.0, 1.0)),
+    "c-critically-damped": _critically_damped_c,
+    "c-off-balance": lambda: example_c_generator(dataclasses.replace(example_c_qdb_point(0.5, 0.1, 1.0, 1.0), nu=0.8)),
+}
+# tau = 0, a log grid over six decades and the qdb2 times
+GRID = np.concatenate([[0.0], np.geomspace(1e-3, 1e3, 31), QDB2_TAUS])
+
+
+class TestExpmOnAGrid:
+    """One analysis per generator serves every tau: each slice meets the
+    scipy bound of ``TestExpmAgainstScipy`` and is the slice a one-tau call
+    or a one-generator call gives, bit for bit."""
+
+    @pytest.mark.parametrize("name", GENERATORS)
+    def test_every_slice_meets_the_oracle_bound_and_equals_its_one_tau_call(self, name):
+        l = GENERATORS[name]()
+        out = matlin.expm(l, GRID)
+        assert out.shape == (len(GRID),) + l.shape
+        norm = float(np.abs(l).sum(axis=0).max())
+        for tau, x in zip(GRID, out):
+            TestExpmAgainstScipy.assert_close(x, scipy.linalg.expm(tau * l), tau * norm)
+            assert np.array_equal(x, matlin.expm(l, (tau,))[0])
+
+    @pytest.mark.parametrize("d", [2, 3, 4])
+    def test_a_generator_stack_equals_each_generator_alone(self, d):
+        stack = np.array([l for l in (f() for f in GENERATORS.values()) if len(l) == d * d])
+        assert len(stack) >= 2
+        out = matlin.expm(stack, GRID)
+        assert out.shape == (len(stack), len(GRID), d * d, d * d)
+        for l, x in zip(stack, out):
+            assert np.array_equal(x, matlin.expm(l, GRID))
+        assert np.array_equal(matlin.expm(stack.reshape(-1, 1, d * d, d * d), GRID)[:, 0], out)
+
+    def test_tau_zero_gives_exactly_the_identity(self):
+        for f in GENERATORS.values():
+            l = f()
+            assert np.array_equal(matlin.expm(l, (0.0, 1.0))[0], np.eye(len(l)))
+
+    @pytest.mark.parametrize("name", ["davies3-circulating", "b", "c"])
+    def test_an_overflowing_slice_is_nan_and_leaves_the_others(self, name):
+        # tau ||L||_1 overflows at 1e308 for these 1-norms above 2
+        l = GENERATORS[name]()
+        assert np.abs(l).sum(axis=0).max() > 2
+        taus = np.insert(GRID, 5, 1e308)
+        with np.errstate(all="raise"):
+            out = matlin.expm(l, taus)
+        assert np.isnan(out[5]).all()
+        assert np.array_equal(np.delete(out, 5, axis=0), matlin.expm(l, GRID))
+        assert np.isnan(matlin.expm(l, (np.inf, 1.0))[0]).all()
 
 
 class TestKronVec:
@@ -239,8 +328,8 @@ class TestKronVec:
 @given(s=st.floats(0.0, 2.0), t=st.floats(0.0, 2.0))
 def test_expm_scaling_semigroup(s, t):
     m = np.array([[0.1, -0.8], [0.8, -0.4]], dtype=complex)
-    lhs = matlin.expm((s + t) * m)
-    rhs = matlin.expm(s * m) @ matlin.expm(t * m)
+    lhs, x, y = matlin.expm(m, (s + t, s, t))
+    rhs = x @ y
     assert matlin.frobenius(lhs - rhs) < 1e-10
 
 
