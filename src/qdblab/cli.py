@@ -95,8 +95,6 @@ def check_settings(args: argparse.Namespace) -> argparse.Namespace:
     for name, tol in tols:
         if tol <= 0:
             raise ConfigError(f"{name} must be positive")
-    if args.format not in ("csv", "json"):
-        raise ConfigError(f"format must be csv or json, got {args.format!r}")
     if args.beta_i < 0:
         raise ConfigError("beta-i must be nonnegative")
     return args
@@ -124,10 +122,15 @@ def parse_grid(spec: str) -> tuple:
 
 def parse_range(spec: str) -> tuple:
     """``START:STOP:COUNT``, linearly spaced between finite bounds; COUNT = 0
-    gives an empty range."""
+    gives an empty range.  A range with a point that is not finite, as a
+    step that overflows gives, raises ``ConfigError``."""
     try:
         lo, hi, n = spec.split(":")
-        return tuple(float(x) for x in np.linspace(*_finite_bounds(lo, hi), int(n)))
+        with np.errstate(over="ignore", invalid="ignore"):
+            values = tuple(float(x) for x in np.linspace(*_finite_bounds(lo, hi), int(n)))
+        if not all(map(math.isfinite, values)):
+            raise ValueError("its points must be finite")
+        return values
     except (ValueError, TypeError, MemoryError) as exc:
         raise ConfigError(f"cannot parse range spec {spec!r}: {exc}") from exc
 
@@ -211,25 +214,27 @@ def analyse(sources: list, args) -> list:
     return list(zip(sources, sections, betas, [taus] * len(sources), maps))
 
 
-def build_report(analyses: list, points: list) -> list:
-    """The report of each point's arguments ``points``, with its source's
-    analysis of :func:`analyse` in ``analyses``, from one exchange grid over
-    the points, as ``(verdict, records)``: the sections of :func:`analyse`
-    and the ratio law's, and the arrays the rows are read from.  The points
-    share a dimension and their gap clusters' pairs; a source that every
-    point shares gives its maps once.  The first point that fails a check
+def build_report(analyses: list, args, beta_i, beta_f) -> list:
+    """The report of each point, with its source's analysis of
+    :func:`analyse` in ``analyses``, from one exchange grid over the points,
+    as ``(verdict, records)``: the sections of :func:`analyse` and the ratio
+    law's, and the arrays the rows are read from.  ``beta_i`` and ``beta_f``
+    are a number that every point shares or a sequence of one per point;
+    ``beta_f`` counts where the analysis infers none.  The points share a
+    dimension and their gap clusters' pairs; a source that every point
+    shares gives its maps once.  The first point that fails a check
     raises."""
     picked = analyses[:1] if all(a is analyses[0] for a in analyses) else analyses
     sources, _, _, _, maps = zip(*picked)
     kraus = None if maps[0][1] is None else np.array([k for _, k in maps])
-    beta_i = np.array([p.beta_i for p in points])
+    beta_i = np.full(len(analyses), beta_i)
     grid = exchange_grid((np.array([m for m, _ in maps]), kraus), _stacked_h(sources), beta_i)
-    beta_f = np.array([p.beta_f if a[2] is None else a[2] for a, p in zip(analyses, points)])
+    beta_f = np.array([b if a[2] is None else a[2] for a, b in zip(analyses, np.full(len(analyses), beta_f))])
     defined, ratio, predicted, deviation = ratios(*grid, beta_i - beta_f)
     energies, p_plus, p_minus, recorded = np.broadcast_to(grid[0], predicted.shape), *grid[1:]
     reports = []
-    for (_, sections, _, taus, _), args, *records in zip(
-        analyses, points, energies, predicted, recorded, p_plus, p_minus, defined, ratio, deviation
+    for (_, sections, _, taus, _), *records in zip(
+        analyses, energies, predicted, recorded, p_plus, p_minus, defined, ratio, deviation
     ):
         devs = records[-1][records[-3]]  # the deviations of the records with a ratio, in row order
         # their max() as a running max over the rows takes it: a nan counts only when it comes first
@@ -238,30 +243,6 @@ def build_report(analyses: list, points: list) -> list:
         verdict = {**sections, "qfr_max_deviation": _json_float(worst), "qfr_passes": passes}
         reports.append((verdict, (taus, *records)))
     return reports
-
-
-def run_points(build, values, analysed: dict) -> list:
-    """The reports of :func:`build_report` of the points ``build(values)``,
-    each a ``(source, args)`` pair, all with the same grids and tolerances,
-    from one exchange grid.  :func:`analyse` is stacked over the distinct
-    sources that ``analysed``, analyses by source id, lacks; it then holds
-    those of these points' sources only.  When building or reporting the
-    points raises a ``QdblabError``, whatever its stage, the points run
-    again one at a time, so that the first failing point raises its first
-    failing error."""
-    try:
-        points = build(values)
-        sources = {id(source): source for source, _ in points}
-        fresh = [source for key, source in sources.items() if key not in analysed]
-        if fresh:
-            analysed.update((id(a[0]), a) for a in analyse(fresh, points[0][1]))
-        for key in analysed.keys() - sources.keys():
-            del analysed[key]
-        return build_report([analysed[id(source)] for source, _ in points], [args for _, args in points])
-    except QdblabError:
-        if len(values) == 1:
-            raise
-        return [report for value in values for report in run_points(build, (value,), analysed)]
 
 
 # ---------------------------------------------------------------------------
@@ -403,11 +384,10 @@ def load_model(path: Path):
 
 
 def _emit(label: str, source: Dynamics, args, f_factor=None, **extra) -> None:
-    """Write the rows and verdict, with ``extra`` entries, of one source: the
-    one-point case of :func:`run_points`, a row per tau and Bohr gap, with
-    scenario A's ``f_factor`` at tau."""
-    ((sections, (taus, energies, predicted, recorded, p_plus, p_minus, defined, ratio, deviation)),) = run_points(
-        lambda _: [(source, args)], (args,), {}
+    """Write the rows and verdict, with ``extra`` entries, of one source: a
+    row per tau and Bohr gap, with scenario A's ``f_factor`` at tau."""
+    ((sections, (taus, energies, predicted, recorded, p_plus, p_minus, defined, ratio, deviation)),) = build_report(
+        analyse([source], args), args, args.beta_i, args.beta_f
     )
     header = "tau E p_plus p_minus R predicted deviation".split() + ([] if f_factor is None else ["F_tau"])
     t, g = np.nonzero(recorded)  # the kept records, in (tau, gap) order
@@ -431,50 +411,43 @@ def _emit(label: str, source: Dynamics, args, f_factor=None, **extra) -> None:
     print(f"wrote {rows_path} and {verdict_path}")
 
 
-def _example_params(args):
-    """The parameters of scenario ``args.name``; an invalid one raises ``ValueError``."""
-    if args.name == "a":
-        builder = ExampleAParams.fixed_point if args.q_schedule == "fpt" else ExampleAParams.default
-        return builder(args.omega, args.beta_f)
-    if args.name == "b":
-        return ExampleBParams(omega=args.omega, gamma=args.gamma, beta_f=args.beta_f)
-    base = example_c_qdb_point(args.mu, args.eta, args.omega, args.beta_f)
-    if not math.isfinite(args.nu_scale):
-        raise ValueError(f"nu-scale must be finite, got {args.nu_scale}")
-    # a sweep of scenario c sets the swept coefficient on the namespace
-    swept = {k: v for k, v in vars(args).items() if k in ("nu", "alpha", "chi", "zeta")}
-    return dataclasses.replace(base, **{"nu": base.nu * args.nu_scale, **swept})
-
-
-def _example_sources(spaces: list) -> list:
-    """Scenario ``name`` of each namespace of ``spaces``, all of one scenario,
-    as a dynamics source with scenario A's correction factor (None for the
-    others); scenario C's generators are built as one stack."""
-    name = spaces[0].name
+def _example_sources(name: str, args, points: list) -> list:
+    """Scenario ``name`` of the flags ``args`` at each point of ``points``, a
+    dict of the parameters that the point sets in place of the flags, as a
+    dynamics source with scenario A's correction factor (None for the
+    others); scenario C's generators are built as one stack.  An invalid
+    parameter raises ``ConfigError``."""
     try:
-        params = [_example_params(args) for args in spaces]
-        # scenario b takes H from its generator, which keeps H's one eigendecomposition
-        hs = [None if name == "b" else p.hamiltonian() for p in params]
-        if name == "c":
-            return [(Dynamics.semigroup(h, gen), None) for h, gen in zip(hs, example_c_generator(params))]
+        if name == "a":
+            builder = ExampleAParams.fixed_point if args.q_schedule == "fpt" else ExampleAParams.default
+            params = [builder(**{"omega": args.omega, "beta_f": args.beta_f, **p}) for p in points]
+            return [(Dynamics.channel_family(p.hamiltonian(), partial(example_a_channel, p)),
+                     partial(example_a_f_factor, p)) for p in params]
+        if name == "b":
+            flags = {"omega": args.omega, "gamma": args.gamma, "beta_f": args.beta_f}
+            gens = [example_b_generator(ExampleBParams(**{**flags, **p})) for p in points]
+            if getattr(args, "save_model", None):  # an example's one generator
+                save_model(gens[0], Path(args.save_model))
+            # H is the generator's, which keeps H's one eigendecomposition
+            return [(Dynamics.semigroup(gen.hamiltonian, gen), None) for gen in gens]
+        flags, params = {"mu": args.mu, "eta": args.eta, "omega": args.omega, "beta_f": args.beta_f}, []
+        for p in points:
+            base = example_c_qdb_point(**{k: p.get(k, v) for k, v in flags.items()})
+            if not math.isfinite(args.nu_scale):
+                raise ValueError(f"nu-scale must be finite, got {args.nu_scale}")
+            # a swept coefficient takes the place of the balanced point's
+            swept = {k: p[k] for k in p.keys() - flags}
+            params.append(dataclasses.replace(base, **{"nu": base.nu * args.nu_scale, **swept}))
+        hs = [p.hamiltonian() for p in params]
+        return [(Dynamics.semigroup(h, gen), None) for h, gen in zip(hs, example_c_generator(params))]
     except ValueError as exc:
         raise ConfigError(f"scenario {name}: {exc}") from exc
-    if name == "a":
-        return [(Dynamics.channel_family(h, partial(example_a_channel, p)), partial(example_a_f_factor, p))
-                for p, h in zip(params, hs)]
-    sources = []
-    for args, p in zip(spaces, params):
-        gen = example_b_generator(p)
-        if getattr(args, "save_model", None):
-            save_model(gen, Path(args.save_model))
-        sources.append((Dynamics.semigroup(gen.hamiltonian, gen), None))
-    return sources
 
 
 def cmd_example(args) -> int:
     if args.save_model and args.name != "b":
         raise ConfigError(f"--save-model writes only scenario b, not scenario {args.name}")
-    ((source, f_factor),) = _example_sources([args])
+    ((source, f_factor),) = _example_sources(args.name, args, [{}])
     _emit(f"example_{args.name}", source, args, f_factor, example=args.name)
     return EXIT_OK
 
@@ -505,23 +478,33 @@ def cmd_sweep(args) -> int:
             f"parameter {args.parameter!r} is not sweepable for {args.target!r}; choose from {allowed}"
         )
     model = None if args.target in ("a", "b", "c") else load_model(args.target)
-    built = {}  # the last block's sources by the swept value, on which they depend unless it is beta_i
+    shared = []  # a beta_i sweep's one analysis, of the source that all its points share
 
-    def build(values):
-        # a scenario reads the swept parameter from its own copy of the arguments
-        spaces = [check_settings(argparse.Namespace(**{**vars(args), "name": args.target, args.parameter: v}))
-                  for v in values]
-        keys = [None if args.parameter == "beta_i" else v for v in values]
-        fresh = {key: ns for key, ns in zip(keys, spaces) if key not in built}
-        if fresh:
-            built.update(zip(fresh, [model] if model else (s for s, _ in _example_sources([*fresh.values()]))))
-        for key in built.keys() - set(keys):
-            del built[key]
-        return [(built[key], ns) for key, ns in zip(keys, spaces)]
+    def block(values: tuple) -> list:
+        """The verdicts of the points ``values``, from one exchange grid.
+        When a point raises a ``QdblabError``, whatever its stage, the points
+        run again one at a time, so that the first failing point raises its
+        first failing check."""
+        try:
+            if args.parameter != "beta_i":
+                sources = _example_sources(args.target, args, [{args.parameter: v} for v in values])
+                analyses = analyse([source for source, _ in sources], args)
+            elif min(values) < 0:  # the one setting that a point changes and _run has not checked
+                raise ConfigError("beta-i must be nonnegative")
+            else:
+                if not shared:
+                    shared.extend(analyse([model or _example_sources(args.target, args, [{}])[0][0]], args))
+                analyses = shared * len(values)
+            # a swept beta_i or beta_f takes its value per point
+            betas = {"beta_i": args.beta_i, "beta_f": args.beta_f, args.parameter: values}
+            return [verdict for verdict, _ in build_report(analyses, args, betas["beta_i"], betas["beta_f"])]
+        except QdblabError:
+            if len(values) == 1:
+                raise
+            return [verdict for value in values for verdict in block((value,))]
 
-    analysed, verdicts = {}, []
-    for start in range(0, len(values), SWEEP_BLOCK):
-        verdicts += [verdict for verdict, _ in run_points(build, values[start : start + SWEEP_BLOCK], analysed)]
+    verdicts = [verdict for start in range(0, len(values), SWEEP_BLOCK)
+                for verdict in block(values[start : start + SWEEP_BLOCK])]
     cls = [verdict["classification"] for verdict in verdicts]
     balance = [[v[q] and v[q][key] for v in verdicts] for q in ("qdb1", "qdb2") for key in ("passes", "max_residual")]
     columns = [[args.parameter] * len(values), list(values), [c["kind"] for c in cls], [c["beta_f"] for c in cls],

@@ -336,7 +336,7 @@ def test_qdb2_reverses_time_in_the_energy_eigenbasis(rng, tmp_path, circulation,
         tol_qdb=1e-9, tol_qfr=1e-9, tol_cptp=1e-9, out=tmp_path, format="csv",
     )
     (analysis,) = analyse([source], args)
-    ((verdict, _),) = build_report([analysis], [args])
+    ((verdict, _),) = build_report([analysis], args, args.beta_i, args.beta_f)
     assert verdict["classification"]["kind"] == "fpt"
     assert verdict["qdb1"]["passes"] is balanced
     assert verdict["qdb2"]["passes"] is balanced
@@ -491,6 +491,46 @@ class TestSweepCommand:
         assert capsys.readouterr().err == message + "\n"
         assert not (tmp_path / f"sweep_{target}_{parameter}.csv").exists()
 
+    @pytest.mark.parametrize(
+        "target, parameter, values",
+        [
+            ("b", "gamma", "0.5:2:40"),
+            ("b", "gamma", "2:2:3"),
+            ("a", "beta_i", "0:3:40"),
+            ("c", "nu", "0.5:0.9:40"),
+            (str(Path(__file__).parent / "golden" / "davies3_circulating.json"), "beta_i", "0.5:2.5:40"),
+        ],
+        ids=["b-gamma-two-blocks", "b-gamma-repeated", "a-beta-i", "c-nu", "model-beta-i"],
+    )
+    def test_a_sweep_writes_the_bytes_of_its_points_run_one_at_a_time(
+        self, tmp_path, capsys, target, parameter, values
+    ):
+        name = f"sweep_{Path(target).stem}_{parameter}.csv"
+        assert run(tmp_path / "sweep", "sweep", target, "--parameter", parameter, f"--range={values}") == EXIT_OK
+        lines = []
+        for v in parse_range(values):
+            argv = ("sweep", target, "--parameter", parameter, f"--range={v!r}:{v!r}:1")
+            assert run(tmp_path / "point", *argv) == EXIT_OK
+            header, row = (tmp_path / "point" / name).read_bytes().splitlines(keepends=True)
+            lines += [header, row] if not lines else [row]
+        assert (tmp_path / "sweep" / name).read_bytes() == b"".join(lines)
+        capsys.readouterr()
+
+    @pytest.mark.parametrize("parameter", ["beta_i", "gamma"])
+    def test_a_sweep_checks_its_settings_once(self, tmp_path, monkeypatch, parameter):
+        from qdblab import cli
+
+        original, calls = cli.check_settings, []
+
+        def counted(args):
+            calls.append(args)
+            return original(args)
+
+        monkeypatch.setattr(cli, "check_settings", counted)
+        assert run(tmp_path, "sweep", "b", "--parameter", parameter, "--range", "0.5:2:40", *FAST) == EXIT_OK
+        assert len((tmp_path / f"sweep_b_{parameter}.csv").read_text().splitlines()) == 41
+        assert len(calls) == 1
+
     def test_json_format_writes_json_with_boolean_flags(self, tmp_path):
         argv = ("sweep", "b", "--parameter", "gamma", "--range", "0.5:1:2", *FAST)
         assert run(tmp_path, *argv, "--format", "json") == EXIT_OK
@@ -574,6 +614,10 @@ class TestConfigValidation:
             ("sweep", "b", "--parameter", "gamma", "--range", "0:inf:2"),
             ("check", "KRAUS_H_RANGE"),
             ("check", "KRAUS_H_RANGE", "--beta-i", "0"),
+            # finite bounds whose step overflows: numpy's linspace gives nan and inf points
+            ("sweep", "b", "--parameter", "beta_i", "--range=-1e308:1e308:3"),
+            ("sweep", "b", "--parameter", "beta_f", "--range=-1e308:1e308:3"),
+            ("sweep", "b", "--parameter", "omega", "--range=-1e308:1e308:3"),
         ],
         ids=["s-outside-unit", "beta-f-inf", "beta-i-nan", "gamma-negative", "omega-negative",
              "sweep-gamma-negative", "model-not-object", "tau-negative", "tau-inf", "tau-nan",
@@ -586,7 +630,8 @@ class TestConfigValidation:
              "c-eta-nan", "c-nu-scale-nan", "sweep-gamma-nan", "c-mu-negative", "c-eta-negative",
              "b-boltzmann-underflow", "sweep-b-boltzmann-underflow", "b-boltzmann-zero", "b-rate-overflow",
              "tau-grid-count-huge", "sweep-count-huge", "tau-grid-log-negative", "tau-grid-log-inf",
-             "sweep-range-inf", "kraus-h-range", "kraus-h-range-beta-i-0"],
+             "sweep-range-inf", "kraus-h-range", "kraus-h-range-beta-i-0", "sweep-beta-i-step-overflow",
+             "sweep-beta-f-step-overflow", "sweep-omega-step-overflow"],
     )
     def test_out_of_range_input_exits_2(self, tmp_path, capsys, argv):
         kraus = {
@@ -641,6 +686,8 @@ class TestConfigValidation:
             assert err == "ConfigError: the model overflows: its generator's 1-norm is not finite\n"
         if "KRAUS_H_RANGE" in argv[1]:
             assert err == "ConfigError: the model overflows: the Hamiltonian's energy range is not finite\n"
+        if "--range=-1e308:1e308:3" in argv:
+            assert err == "ConfigError: cannot parse range spec '-1e308:1e308:3': its points must be finite\n"
 
     @pytest.mark.parametrize(
         "argv, message",
@@ -758,6 +805,10 @@ class TestConfigValidation:
     def test_usage_error_exits_2(self, tmp_path, capsys):
         assert main(["example", "zzz"]) == EXIT_CONFIG
         capsys.readouterr()
+        # argparse's choices reject a format, before any report is written
+        assert run(tmp_path, "example", "b", "--format", "xml") == EXIT_CONFIG
+        assert "invalid choice: 'xml'" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
 
 
 def test_model_sweep_loads_its_model_once(tmp_path, monkeypatch):

@@ -84,7 +84,8 @@ def _emit_text(directory: Path, fmt: str, taus, records, f_factor=None) -> str:
                 "qfr_max_deviation": None, "qfr_passes": None}
     args = argparse.Namespace(tau_grid=tuple(taus), s_grid=(0.5,), tol_qdb=1e-9, tol_qfr=1e-9, tol_cptp=1e-9,
                               beta_i=2.0, beta_f=1.0, out=directory, format=fmt)
-    with mock.patch.object(cli, "run_points", return_value=[(sections, (tuple(taus), *records))]):
+    with mock.patch.object(cli, "analyse", return_value=[None]), \
+            mock.patch.object(cli, "build_report", return_value=[(sections, (tuple(taus), *records))]):
         cli._emit("report", None, args, f_factor)
     return (directory / f"report_rows.{fmt}").read_text()
 
