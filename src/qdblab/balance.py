@@ -19,7 +19,7 @@ import math
 import numpy as np
 
 from .dynamics import require_superop_dim
-from .matlin import frobenius
+from .matlin import frobenius, kron
 from .states import HamiltonianSpec
 
 
@@ -45,7 +45,7 @@ def _eigenframe(h: HamiltonianSpec, beta, s_grid) -> tuple:
     log_p = x - (top + np.log(np.sum(np.exp(x - top), axis=-1, keepdims=True)))
     s = np.asarray(s_grid, dtype=float)[:, None, None]
     log_w = (1.0 - s) * log_p[..., None, :, None] + s * log_p[..., None, None, :]  # [s, j, i]
-    q = (v.conj()[..., :, None, :, None] * v[..., None, :, None, :]).reshape(*e.shape[:-1], h.dim**2, h.dim**2)
+    q = kron(v.conj(), v)
     return q, log_w.reshape(*log_w.shape[:-2], h.dim**2)
 
 

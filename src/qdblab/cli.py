@@ -24,7 +24,7 @@ from pathlib import Path
 import numpy as np
 
 from .balance import check_qdb1, check_qdb2
-from .dynamics import Dynamics, LindbladGenerator, gkls_defects, maps_of
+from .dynamics import Dynamics, LindbladGenerator, gkls_defects, lindblad_superop, maps_of
 from .errors import (
     ConfigError,
     DimensionMismatch,
@@ -49,6 +49,7 @@ from .examples import (
     example_b_generator,
     example_c_generator,
     example_c_qdb_point,
+    qubit_hamiltonian,
 )
 from .fluctuation import FIXED_POINT_TAUS, TAU_MAX, classify, exchange_grid, ratios
 from .states import HamiltonianSpec
@@ -161,19 +162,14 @@ def fmt_float(x) -> str:
     return format(float(x), ".17g")
 
 
-def _stacked_h(sources: list) -> HamiltonianSpec:
-    """One Hamiltonian, stacked over the sources (the fields of each, in order)."""
-    return HamiltonianSpec(*map(np.array, zip(*(vars(s.h).values() for s in sources))))
-
-
-def _balance(check, sources: list, betas: list, operators: list, args) -> list:
-    """The verdict section of ``check`` over the s grid for each source with a
-    beta and an operator, else None, from one broadcast over those sources."""
+def _balance(check, h: HamiltonianSpec, betas: list, operators: list, args) -> list:
+    """The verdict section of ``check`` over the s grid for each source, of
+    h's stack, with a beta and an operator, else None, from one broadcast
+    over those sources."""
     picked = [i for i, (b, o) in enumerate(zip(betas, operators)) if b is not None and o is not None]
     sections = [None] * len(betas)
     if picked:
-        h = _stacked_h([sources[i] for i in picked])
-        residuals = check(h, [betas[i] for i in picked], args.s_grid, np.array([operators[i] for i in picked]))
+        residuals = check(h[picked], [betas[i] for i in picked], args.s_grid, np.array([operators[i] for i in picked]))
         keys = [fmt_float(s) for s in args.s_grid]
         for i, r in zip(picked, residuals):
             per_s = dict(zip(keys, r.tolist()))
@@ -182,15 +178,16 @@ def _balance(check, sources: list, betas: list, operators: list, args) -> list:
     return sections
 
 
-def analyse(sources: list, args) -> list:
+def analyse(sources: list, args) -> tuple:
     """The stages that do not depend on beta_i, each stacked over ``sources``
     (of one kind and dimension, and single maps of one tau), in a source's
     order: the GKLS test of the semigroups' generators; the maps at
     classify's probe times, on the tau grid and at the finite qdb2 times, of
     one time tuple and from one :func:`maps_of` call; classify; qdb1; and
-    qdb2; an analysis ``(source, sections, beta_f, taus, maps)`` per source,
-    with its maps on the tau grid.  A failing stage raises, for whichever
-    source fails it."""
+    qdb2; one analysis ``(sections, betas, taus, maps, h)`` of them all,
+    with a list of each source's sections and beta_f, the stacks of their
+    maps on the tau grid and their Hamiltonians' stack.  A failing stage
+    raises, for whichever source fails it."""
     generators = [s.generator for s in sources if s.generator is not None]
     if generators:
         cp, tp = gkls_defects(np.array(generators))
@@ -200,41 +197,38 @@ def analyse(sources: list, args) -> list:
             )
     probes = () if generators else sources[0].taus((TAU_MAX, *FIXED_POINT_TAUS))
     taus, qdb2_taus = sources[0].taus(args.tau_grid), tuple(filter(math.isfinite, sources[0].taus(QDB2_TAUS)))
-    maps = maps_of(sources, probes + taus + qdb2_taus)
-    p, n = len(probes), len(probes) + len(taus)
-    classified = classify(sources, np.array([m[:p] for m, _ in maps]))
+    superops, kraus = maps_of(sources, probes + taus + qdb2_taus)
+    p, n, h = len(probes), len(probes) + len(taus), HamiltonianSpec.stack([s.h for s in sources])
+    classified = classify(sources, superops[:, :p], h)
     betas = [b if b is not None and math.isfinite(b) else None for _, b, _ in classified]
-    qdb1 = _balance(check_qdb1, sources, betas, [s.generator for s in sources], args)
+    qdb1 = _balance(check_qdb1, h, betas, [s.generator for s in sources], args)
     # time reversal is complex conjugation in H's eigenbasis
-    qdb2 = _balance(check_qdb2, sources, betas, [m[n:] if qdb2_taus else None for m, _ in maps], args)
+    qdb2 = _balance(check_qdb2, h, betas, superops[:, n:] if qdb2_taus else [None] * len(sources), args)
     classification = [{"kind": k, "beta_f": _json_float(b), "gamma_min": _json_float(g)} for k, b, g in classified]
     sections = [{"classification": c, "qdb1": q1, "qdb2": q2 and {**q2, "taus": list(qdb2_taus)}}
                 for c, q1, q2 in zip(classification, qdb1, qdb2)]
-    maps = [(m[p:n], k if k is None else k[p:n]) for m, k in maps]
-    return list(zip(sources, sections, betas, [taus] * len(sources), maps))
+    return sections, betas, taus, (superops[:, p:n], kraus if kraus is None else kraus[:, p:n]), h
 
 
-def build_report(analyses: list, args, beta_i, beta_f) -> list:
-    """The report of each point, with its source's analysis of
-    :func:`analyse` in ``analyses``, from one exchange grid over the points,
-    as ``(verdict, records)``: the sections of :func:`analyse` and the ratio
-    law's, and the arrays the rows are read from.  ``beta_i`` and ``beta_f``
-    are a number that every point shares or a sequence of one per point;
-    ``beta_f`` counts where the analysis infers none.  The points share a
-    dimension and their gap clusters' pairs; a source that every point
-    shares gives its maps once.  The first point that fails a check
-    raises."""
-    picked = analyses[:1] if all(a is analyses[0] for a in analyses) else analyses
-    sources, _, _, _, maps = zip(*picked)
-    kraus = None if maps[0][1] is None else np.array([k for _, k in maps])
-    beta_i = np.full(len(analyses), beta_i)
-    grid = exchange_grid((np.array([m for m, _ in maps]), kraus), _stacked_h(sources), beta_i)
-    beta_f = np.array([b if a[2] is None else a[2] for a, b in zip(analyses, np.full(len(analyses), beta_f))])
-    defined, ratio, predicted, deviation = ratios(*grid, beta_i - beta_f)
+def build_report(analysis: tuple, args, beta_i, beta_f) -> list:
+    """The report of each point of the analysis of :func:`analyse`, from
+    one exchange grid over the points, as ``(verdict, records)``: the
+    sections of :func:`analyse` and the ratio law's, and the arrays the rows
+    are read from.  The points are the analysis's sources, or, for one
+    source, the points of ``beta_i`` and ``beta_f``, a number that every
+    point shares or an array of one per point; ``beta_f`` counts where the
+    analysis infers none.  The points share a dimension and their gap
+    clusters' pairs; a source that every point shares gives its maps once.
+    The first point that fails a check raises."""
+    sections, betas, taus, maps, h = analysis
+    beta_i, beta_f, inferred = np.broadcast_arrays(beta_i, beta_f, [math.nan if b is None else b for b in betas])
+    grid = exchange_grid(maps, h, beta_i)
+    defined, ratio, predicted, deviation = ratios(*grid, beta_i - np.where(np.isnan(inferred), beta_f, inferred))
     energies, p_plus, p_minus, recorded = np.broadcast_to(grid[0], predicted.shape), *grid[1:]
     reports = []
-    for (_, sections, _, taus, _), *records in zip(
-        analyses, energies, predicted, recorded, p_plus, p_minus, defined, ratio, deviation
+    for sections, *records in zip(
+        sections * (len(beta_i) // len(sections)), energies, predicted, recorded, p_plus, p_minus, defined, ratio,
+        deviation,
     ):
         devs = records[-1][records[-3]]  # the deviations of the records with a ratio, in row order
         # their max() as a running max over the rows takes it: a nan counts only when it comes first
@@ -415,21 +409,22 @@ def _example_sources(name: str, args, points: list) -> list:
     """Scenario ``name`` of the flags ``args`` at each point of ``points``, a
     dict of the parameters that the point sets in place of the flags, as a
     dynamics source with scenario A's correction factor (None for the
-    others); scenario C's generators are built as one stack.  An invalid
-    parameter raises ``ConfigError``."""
+    others); the points' Hamiltonians, and scenarios B's and C's generators,
+    are built as one stack.  An invalid parameter raises ``ConfigError``."""
     try:
         if name == "a":
             builder = ExampleAParams.fixed_point if args.q_schedule == "fpt" else ExampleAParams.default
             params = [builder(**{"omega": args.omega, "beta_f": args.beta_f, **p}) for p in points]
-            return [(Dynamics.channel_family(p.hamiltonian(), partial(example_a_channel, p)),
-                     partial(example_a_f_factor, p)) for p in params]
+            return [(Dynamics.channel_family(h, partial(example_a_channel, p)), partial(example_a_f_factor, p))
+                    for p, h in zip(params, qubit_hamiltonian([p.omega for p in params]))]
         if name == "b":
             flags = {"omega": args.omega, "gamma": args.gamma, "beta_f": args.beta_f}
-            gens = [example_b_generator(ExampleBParams(**{**flags, **p})) for p in points]
+            params = [ExampleBParams(**{**flags, **p}) for p in points]
             if getattr(args, "save_model", None):  # an example's one generator
-                save_model(gens[0], Path(args.save_model))
+                save_model(example_b_generator(params[0]), Path(args.save_model))
             # H is the generator's, which keeps H's one eigendecomposition
-            return [(Dynamics.semigroup(gen.hamiltonian, gen), None) for gen in gens]
+            gen = example_b_generator(params)
+            return [(Dynamics.semigroup(h, l), None) for l, h in zip(lindblad_superop(gen), gen.hamiltonian)]
         flags, params = {"mu": args.mu, "eta": args.eta, "omega": args.omega, "beta_f": args.beta_f}, []
         for p in points:
             base = example_c_qdb_point(**{k: p.get(k, v) for k, v in flags.items()})
@@ -438,8 +433,8 @@ def _example_sources(name: str, args, points: list) -> list:
             # a swept coefficient takes the place of the balanced point's
             swept = {k: p[k] for k in p.keys() - flags}
             params.append(dataclasses.replace(base, **{"nu": base.nu * args.nu_scale, **swept}))
-        hs = [p.hamiltonian() for p in params]
-        return [(Dynamics.semigroup(h, gen), None) for h, gen in zip(hs, example_c_generator(params))]
+        hs = qubit_hamiltonian([p.omega for p in params])
+        return [(Dynamics.semigroup(h, l), None) for l, h in zip(example_c_generator(params), hs)]
     except ValueError as exc:
         raise ConfigError(f"scenario {name}: {exc}") from exc
 
@@ -488,16 +483,16 @@ def cmd_sweep(args) -> int:
         try:
             if args.parameter != "beta_i":
                 sources = _example_sources(args.target, args, [{args.parameter: v} for v in values])
-                analyses = analyse([source for source, _ in sources], args)
+                analysis = analyse([source for source, _ in sources], args)
             elif min(values) < 0:  # the one setting that a point changes and _run has not checked
                 raise ConfigError("beta-i must be nonnegative")
             else:
                 if not shared:
-                    shared.extend(analyse([model or _example_sources(args.target, args, [{}])[0][0]], args))
-                analyses = shared * len(values)
+                    shared.append(analyse([model or _example_sources(args.target, args, [{}])[0][0]], args))
+                analysis = shared[0]
             # a swept beta_i or beta_f takes its value per point
             betas = {"beta_i": args.beta_i, "beta_f": args.beta_f, args.parameter: values}
-            return [verdict for verdict, _ in build_report(analyses, args, betas["beta_i"], betas["beta_f"])]
+            return [verdict for verdict, _ in build_report(analysis, args, betas["beta_i"], betas["beta_f"])]
         except QdblabError:
             if len(values) == 1:
                 raise

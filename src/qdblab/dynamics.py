@@ -61,22 +61,31 @@ def gell_mann_basis(d: int) -> list:
 
 
 def _operator_stack(ops, d: int, what: str) -> np.ndarray:
-    """The matrices of ``ops`` as a stack ``(k, d, d)``, also for no matrices;
-    raises ``DimensionMismatch`` unless each is d x d."""
-    ops = [np.asarray(f, dtype=complex) for f in ops]
-    if any(f.shape != (d, d) for f in ops):
+    """The matrices of ``ops``, a sequence of them or a stack ``(..., k, d,
+    d)`` of such sequences, as a stack, also for no matrices; raises
+    ``DimensionMismatch`` unless each is d x d."""
+    try:
+        ops = np.array(ops, dtype=complex)
+    except ValueError:  # matrices of different shapes
+        ops = np.zeros(1)
+    ops = ops.reshape(0, d, d) if ops.shape == (0,) else ops
+    if ops.ndim < 3 or ops.shape[-2:] != (d, d):
         raise DimensionMismatch(f"{what} shape does not match the Hamiltonian")
-    return np.array(ops).reshape(len(ops), d, d)
+    return ops
 
 
 @dataclass(frozen=True)
 class LindbladGenerator:
-    """Hamiltonian plus Kossakowski matrix over traceless operators.
+    """Hamiltonian plus Kossakowski matrix over traceless operators, or a
+    stack of them.
 
     ``basis`` is a stack ``(k, d, d)`` of traceless operators ``F_k`` and
     ``kossakowski`` the k x k positive semidefinite matrix ``C`` that weights
     them; the identity direction never enters the dissipator.  The operators
-    need not be orthonormal, nor ``d^2 - 1`` in number.
+    need not be orthonormal, nor ``d^2 - 1`` in number.  A stack of
+    generators has a stacked ``hamiltonian`` and ``basis`` ``(p, k, d, d)``,
+    and ``C`` ``(p, k, k)`` or one C for all; each C is judged on its own
+    scale, and the first that fails raises.
     """
 
     hamiltonian: HamiltonianSpec
@@ -88,20 +97,20 @@ class LindbladGenerator:
         object.__setattr__(self, "kossakowski", c)
         basis = _operator_stack(self.basis, self.dim, "dissipator basis matrix")
         object.__setattr__(self, "basis", basis)
-        n = len(basis)
-        if c.shape != (n, n):
+        n = basis.shape[-3]
+        if c.shape[-2:] != (n, n):
             raise DimensionMismatch(f"Kossakowski matrix must be {n}x{n}, got {c.shape}")
         # C's roundoff scales with it: PSD_ATOL max(1, max|C|), taken on halves, which cannot overflow
-        atol = 2 * PSD_ATOL * float(np.max(np.abs(c / 2), initial=0.5))
+        atol = 2 * PSD_ATOL * np.max(np.abs(c / 2), axis=(-2, -1), initial=0.5)
         if not matlin.is_hermitian(c, atol):
             raise KossakowskiNotPSD("Kossakowski matrix is not Hermitian")
         # halves first: the sum of two entries near the float range would overflow
-        lo = float(np.min(np.linalg.eigvalsh(c / 2 + dag(c) / 2), initial=0.0))
-        if lo < -atol:
-            raise KossakowskiNotPSD(f"Kossakowski matrix has negative eigenvalue {lo:.3e}")
-        traced = np.flatnonzero(np.abs(np.trace(basis, axis1=1, axis2=2)) > BASIS_ATOL)
+        lo = np.min(np.linalg.eigvalsh(c / 2 + dag(c) / 2), axis=-1, initial=0.0)
+        for x in lo[lo < -atol][:1]:
+            raise KossakowskiNotPSD(f"Kossakowski matrix has negative eigenvalue {x:.3e}")
+        traced = np.flatnonzero(np.abs(np.trace(basis, axis1=-2, axis2=-1)) > BASIS_ATOL)
         if traced.size:
-            raise ValueError(f"dissipator basis matrix {traced[0]} is not traceless")
+            raise ValueError(f"dissipator basis matrix {traced[0] % n} is not traceless")
 
     @property
     def dim(self) -> int:
@@ -115,7 +124,9 @@ class LindbladGenerator:
 
     @classmethod
     def from_jump_operators(cls, hamiltonian: HamiltonianSpec, jump_ops) -> "LindbladGenerator":
-        """Generator with dissipator ``sum_j (L_j . L_j^dag - {L_j^dag L_j, .}/2)``.
+        """Generator with dissipator ``sum_j (L_j . L_j^dag - {L_j^dag L_j, .}/2)``,
+        or the stack of them of a stacked ``hamiltonian`` and jumps ``(p, j,
+        d, d)``.
 
         The traceless parts of the jumps are the basis, with ``C = I``, so no
         rate is rebuilt from a projection.  A jump's trace part is absorbed
@@ -124,26 +135,12 @@ class LindbladGenerator:
         """
         d = hamiltonian.dim
         jumps = _operator_stack(jump_ops, d, "jump operator")
-        tr_parts = np.trace(jumps, axis1=1, axis2=2) / d
-        traceless = jumps - tr_parts[:, None, None] * np.eye(d)
-        if np.any(tr_parts != 0):
-            h_eff = np.array(hamiltonian.matrix, dtype=complex)
-            for tr_part, f in zip(tr_parts, traceless):
-                if abs(tr_part) > 0:
-                    h_eff += (1j / 2) * (np.conj(tr_part) * f - tr_part * dag(f))
-            hamiltonian = HamiltonianSpec.from_matrix(h_eff)
-        return cls(
-            hamiltonian=hamiltonian,
-            kossakowski=np.eye(len(jumps), dtype=complex),
-            basis=traceless,
-        )
-
-
-def commutator_superop(h_matrix: np.ndarray) -> np.ndarray:
-    """Matrix of ``X -> [H, X]``."""
-    h = np.asarray(h_matrix, dtype=complex)
-    eye = np.eye(h.shape[0], dtype=complex)
-    return kron(eye, h) - kron(h.T, eye)
+        tr_parts = np.trace(jumps, axis1=-2, axis2=-1)[..., None, None] / d
+        traceless = jumps - tr_parts * np.eye(d)
+        if np.any(tr_parts != 0):  # each jump's shift added in turn
+            shifts = (1j / 2) * (np.conj(tr_parts) * traceless - tr_parts * dag(traceless))
+            hamiltonian = HamiltonianSpec.from_matrix(sum(np.moveaxis(shifts, -3, 0), hamiltonian.matrix))
+        return cls(hamiltonian, np.eye(jumps.shape[-3], dtype=complex), traceless)
 
 
 def lindblad_superop(gen: LindbladGenerator) -> np.ndarray:
@@ -151,52 +148,39 @@ def lindblad_superop(gen: LindbladGenerator) -> np.ndarray:
 
     Implements ``-i[H, .] + sum_kl C_kl (F_k . F_l^dag - {F_l^dag F_k, .}/2)``
     as ``-i[H, .] + sum_l conj(F_l) (x) G_l - (I (x) A + A^T (x) I)/2`` with
-    ``G_l = sum_k C_kl F_k`` and ``A = sum_l F_l^dag G_l``.  An entry that
-    overflows reads inf or nan, which :meth:`Dynamics.semigroup` rejects.
+    ``G_l = sum_k C_kl F_k`` and ``A = sum_l F_l^dag G_l``; a stack of
+    generators gives the stack ``(p, d^2, d^2)`` of their matrices.  An entry
+    that overflows reads inf or nan, which :meth:`Dynamics.semigroup` rejects.
     """
-    d = gen.dim
+    d, h, f = gen.dim, gen.hamiltonian.matrix, gen.basis
     eye = np.eye(d, dtype=complex)
-    f = gen.basis
     with np.errstate(over="ignore", invalid="ignore"):
-        g = np.einsum("kl,kab->lab", gen.kossakowski, f)
-        a = np.einsum("lba,lbc->ac", f.conj(), g)
-        jumps = np.einsum("lab,lce->acbe", f.conj(), g).reshape(d * d, d * d)
-        return -1j * commutator_superop(gen.hamiltonian.matrix) + jumps - 0.5 * (kron(eye, a) + kron(a.T, eye))
-
-
-def evolve_grid(generator: np.ndarray, taus) -> np.ndarray:
-    """The matrices of ``exp(tau * L)`` for every ``tau`` of ``taus``,
-    stacked ``(t, d^2, d^2)``, from one matrix exponential over the grid,
-    which analyses L once; a stack ``(p, d^2, d^2)`` of generators gives
-    ``(p, t, d^2, d^2)``; a ``tau`` whose ``tau L`` overflows gives a nan
-    slice."""
-    taus = np.asarray(taus, dtype=float)
-    if np.any(taus < 0):
-        raise ValueError("tau must be nonnegative")
-    return matlin.expm(generator, taus)
+        g = np.einsum("...kl,...kab->...lab", gen.kossakowski, f)
+        a = np.einsum("...lba,...lbc->...ac", f.conj(), g)
+        jumps = np.einsum("...lab,...lce->...acbe", f.conj(), g).reshape(*g.shape[:-3], d * d, d * d)
+        # kron(I, H) - kron(H^T, I) is X -> [H, X]
+        return -1j * (kron(eye, h) - kron(h.swapaxes(-1, -2), eye)) + jumps - 0.5 * (
+            kron(eye, a) + kron(a.swapaxes(-1, -2), eye)
+        )
 
 
 def _kraus_superops(kraus: np.ndarray) -> np.ndarray:
     """``sum_j conj(G_j) (x) G_j`` for every slice of a zero-padded Kraus stack
-    ``(t, j, d, d)``, summed over ``j`` in order."""
-    t, _, d, _ = kraus.shape
-    s = np.zeros((t, d * d, d * d), dtype=complex)
-    for g in kraus.transpose(1, 0, 2, 3):
-        s += (g.conj()[:, :, None, :, None] * g[:, None, :, None, :]).reshape(t, d * d, d * d)
-    return s
+    ``(..., t, j, d, d)``, summed over ``j`` in order from 0."""
+    return kron(kraus.conj(), kraus).sum(axis=-3, initial=0.0)
 
 
 def _kraus_stacks(kraus: np.ndarray, h: HamiltonianSpec) -> tuple:
-    """The ``(superops, kraus)`` stacks of a zero-padded Kraus stack ``(t, j,
-    d, d)``, checked for ``sum_j G^dag G == I``, first failing slice first,
-    and then for h's dimension."""
+    """The ``(superops, kraus)`` stacks of a zero-padded Kraus stack ``(...,
+    t, j, d, d)``, checked for ``sum_j G^dag G == I``, first failing slice
+    first, and then for h's dimension."""
     with np.errstate(over="ignore", invalid="ignore"):  # an inf or nan residual fails below
-        gram = (kraus.conj().swapaxes(-1, -2) @ kraus).sum(axis=1)
-    res = np.abs(gram - np.eye(kraus.shape[-1])).max(axis=(1, 2))
+        gram = np.einsum("...jai,...jak->...ik", kraus.conj(), kraus)
+    res = np.abs(gram - np.eye(kraus.shape[-1])).max(axis=(-2, -1)).reshape(-1)
     failing = np.flatnonzero(~(res <= TP_ATOL))  # a nan residual fails too
     if failing.size:
         raise NotTracePreserving(f"sum G^dag G differs from identity by {res[failing[0]]:.3e}")
-    if kraus.shape[2:] != (h.dim,) * 2:
+    if kraus.shape[-2:] != (h.dim,) * 2:
         raise DimensionMismatch("channel dimension does not match the Hamiltonian")
     return _kraus_superops(kraus), kraus
 
@@ -285,13 +269,14 @@ class Dynamics:
         return tuple(grid) if self.tau is None else (self.tau,)
 
 
-def maps_of(sources: list, taus: tuple) -> list:
-    """The maps of each source, of one kind and dimension, at every time of
-    ``taus``, in order: the stack ``(t, d^2, d^2)`` of their matrices and the
-    zero-padded stack ``(t, j, d, d)`` of their Kraus operators, None for a
-    semigroup.  The semigroups take one exponential over (source, tau); each
-    channel family is built and checked once, the first failing source and
-    slice first."""
+def maps_of(sources: list, taus: tuple) -> tuple:
+    """The maps of the sources, of one kind and dimension, at every time of
+    ``taus``, stacked over the sources in order: the stack ``(k, t, d^2,
+    d^2)`` of their matrices and the zero-padded stack ``(k, t, j, d, d)`` of
+    their Kraus operators, None for semigroups.  The semigroups take one
+    exponential over (source, tau); the channel families, of one Kraus
+    count, are each built once and checked as one stack, the first failing
+    source and slice first."""
     if sources[0].generator is not None:
-        return [(m, None) for m in evolve_grid(np.array([s.generator for s in sources]), taus)]
-    return [_kraus_stacks(np.asarray(s.family(taus), dtype=complex), s.h) for s in sources]
+        return matlin.expm(np.array([s.generator for s in sources]), taus), None
+    return _kraus_stacks(np.array([s.family(taus) for s in sources], dtype=complex), sources[0].h)

@@ -21,14 +21,6 @@ class NotAState(QdblabError):
     """Matrix is not a valid density matrix (or Bloch vector leaves the ball)."""
 
 
-class NotThermal(QdblabError):
-    """State has no consistent inverse temperature for the given Hamiltonian."""
-
-
-class ZeroPopulation(QdblabError):
-    pass
-
-
 class KossakowskiNotPSD(QdblabError):
     pass
 

@@ -40,11 +40,13 @@ LOWERING = np.array([[0, 1], [0, 0]], dtype=complex)
 RAISING = np.array([[0, 0], [1, 0]], dtype=complex)
 
 
-def qubit_hamiltonian(omega: float) -> HamiltonianSpec:
-    """``diag(-omega/2, +omega/2)``: ground level first."""
-    if omega <= 0:
+def qubit_hamiltonian(omega) -> HamiltonianSpec:
+    """``diag(-omega/2, +omega/2)``: ground level first for ``omega > 0``; the
+    stack of them for an array of ``omega``."""
+    omega = np.asarray(omega, float)
+    if (omega <= 0).any():
         raise ValueError("omega must be positive")
-    return HamiltonianSpec.from_matrix(np.diag([-omega / 2, omega / 2]).astype(complex))
+    return HamiltonianSpec.from_matrix(np.diag([-0.5, 0.5]) * omega[..., None, None])
 
 
 def _require_finite(params, names) -> None:
@@ -118,9 +120,6 @@ class ExampleAParams:
             xi_schedule=lambda tau: 1.0 - math.exp(-tau),
         )
 
-    def hamiltonian(self) -> HamiltonianSpec:
-        return qubit_hamiltonian(self.omega)
-
 
 def example_a_channel(p: ExampleAParams, taus) -> np.ndarray:
     """Four-operator Kraus family at every time of ``taus``, stacked
@@ -191,17 +190,17 @@ class ExampleBParams:
             return 0.0
         return 1.0 / math.expm1(self.beta_f * self.omega)
 
-    def hamiltonian(self) -> HamiltonianSpec:
-        return qubit_hamiltonian(self.omega)
 
-
-def example_b_generator(p: ExampleBParams) -> LindbladGenerator:
-    """Decay at ``gamma (n_bar + 1)`` and excitation at ``gamma n_bar``."""
-    jumps = [
-        math.sqrt(p.gamma * (p.n_bar + 1.0)) * LOWERING,
-        math.sqrt(p.gamma * p.n_bar) * RAISING,
-    ]
-    return LindbladGenerator.from_jump_operators(p.hamiltonian(), jumps)
+def example_b_generator(p) -> LindbladGenerator:
+    """Decay at ``gamma (n_bar + 1)`` and excitation at ``gamma n_bar``: the
+    generator of the parameters ``p``, or one generator stacked over a
+    sequence of them, with one eigendecomposition of their Hamiltonians."""
+    params = [p] if isinstance(p, ExampleBParams) else p
+    omega, gamma, n_bar = np.array([(q.omega, q.gamma, q.n_bar) for q in params]).T
+    jumps = np.sqrt([gamma * (n_bar + 1.0), gamma * n_bar]).T[..., None, None] * np.array([LOWERING, RAISING])
+    if params is not p:  # one generator
+        omega, jumps = omega[0], jumps[0]
+    return LindbladGenerator.from_jump_operators(qubit_hamiltonian(omega), jumps)
 
 
 def _require_rates(mu: float, eta: float) -> None:
@@ -238,9 +237,6 @@ class ExampleCParams:
             raise ValueError("zeta must be positive")
         if abs(self.chi / self.zeta) > 1.0 + 1e-12:
             raise ValueError("asymptotic Bloch vector would leave the ball")
-
-    def hamiltonian(self) -> HamiltonianSpec:
-        return qubit_hamiltonian(self.omega)
 
 
 def example_c_qdb_point(mu: float, eta: float, omega: float, beta_f: float) -> ExampleCParams:

@@ -17,16 +17,9 @@ import math
 import numpy as np
 
 from .dynamics import require_superop_dim
-from .errors import (
-    InconclusiveHorizon,
-    InternalCheckError,
-    NotAState,
-    NotThermal,
-    NotTracePreserving,
-    ZeroPopulation,
-)
+from .errors import DimensionMismatch, InconclusiveHorizon, InternalCheckError, NotAState, NotTracePreserving
 from .matlin import dag, unvec, vec
-from .states import HamiltonianSpec, infer_beta, thermal_populations
+from .states import STATE_ATOL, HamiltonianSpec, infer_beta, thermal_populations
 
 RATIO_FLOOR = 1e-13
 GAP_GROUP_RTOL = 1e-9
@@ -40,8 +33,8 @@ def _transition_stack(superops: np.ndarray, kraus, h: HamiltonianSpec):
     |n>`` in h's eigenbasis of the stacks of :func:`maps_of`, or of
     stacks ``(p, t, ...)`` of them with h's eigenvectors stacked ``(p, d,
     d)``, with their checks as ``(mask, error)`` pairs over ``(..., t)`` in
-    the order one map is checked: the Kraus and superoperator routes agree,
-    and each row is a probability vector."""
+    the order one map is checked: its entries are finite, the Kraus and
+    superoperator routes agree, and each row is a probability vector."""
     d = h.dim
     v = h.eigenvectors[..., None, :, :]  # one eigenframe for every map
     # column m of q is vec(|m><m|), so (q^dag S q)[n, m] = <n| S[|m><m|] |n>
@@ -56,6 +49,7 @@ def _transition_stack(superops: np.ndarray, kraus, h: HamiltonianSpec):
     low = probs.min(axis=(-2, -1))
     rows = np.abs(probs.sum(axis=-1) - 1.0).max(axis=-1)
     checks = [
+        (~np.isfinite(superops).all(axis=(-2, -1)), lambda *i: InternalCheckError("a map has a non-finite entry")),
         (
             route_gap > ROUTE_AGREEMENT_ATOL,
             lambda *i: InternalCheckError(f"Kraus and superoperator transition routes disagree by {route_gap[i]:.3e}"),
@@ -82,27 +76,38 @@ def _raise_first(checks: list) -> None:
 
 
 def _gap_clusters(e: np.ndarray) -> tuple:
-    """Ordered level pairs ``(m, n)`` with ``E_n >= E_m`` of the ascending
-    levels ``e``, grouped by their gap (within ``1e-9 * max|E|``) into
-    clusters of ascending energy, as ``(energies, pairs)``, a list of each;
-    the zero-gap cluster has energy exactly 0."""
-    d = len(e)
-    atol = GAP_GROUP_RTOL * float(np.max(np.abs(e))) if e.size else 0.0
-    # ascending gaps, equal ones in (m, n) order; a cluster runs while its gaps stay within atol of its first
-    gaps = ((float(e[n] - e[m]), m, n) for m in range(d) for n in range(d))
-    groups = []
-    for item in sorted((max(gap, 0.0), m, n) for gap, m, n in gaps if gap >= -atol):
-        if groups and item[0] - groups[-1][0][0] <= atol:
-            groups[-1].append(item)
-        else:
-            groups.append([item])
-    energies = []
-    for group in groups:
+    """Ordered level pairs ``(m, n)`` with ``E_n >= E_m`` of a stack ``(p,
+    d)`` of ascending levels, grouped by their gap (within ``1e-9 * max|E|``
+    of each level set) into clusters of ascending energy, as ``(energies,
+    pairs)``: the energies ``(p, c)`` of each set's clusters, and a list of
+    each cluster's pairs, which every set must share, else
+    ``DimensionMismatch``; the zero-gap cluster has energy exactly 0."""
+    p, d = e.shape
+    atol = GAP_GROUP_RTOL * np.abs(e).max(axis=1)
+    gaps = (e[:, None, :] - e[:, :, None]).reshape(p, -1)  # gaps[:, m d + n] = E_n - E_m
+    # ascending gaps that reach -atol, equal ones in (m, n) order, then nan for the others
+    g = np.where(gaps >= -atol[:, None], np.maximum(gaps, 0.0), math.nan)
+    order = np.argsort(g, axis=1, kind="stable")
+    g = g[np.arange(p)[:, None], order]
+    # a cluster runs while its gaps stay within atol of its first, in every level set alike
+    counts = (g >= 0).sum(axis=1).tolist()
+    n = counts[0]
+    rows, columns, starts = order[:, :n].tolist(), g.T.tolist(), [0]
+    shared = counts.count(n) == rows.count(rows[0]) == p
+    for k in range(1, n):
+        new = {x - first > tol for x, first, tol in zip(columns[k], columns[starts[-1]], atol.tolist())}
+        shared &= len(new) == 1
+        if True in new:
+            starts.append(k)
+    if not shared:
+        raise DimensionMismatch("the level sets differ in their gap clusters")
+    bounds = list(zip(starts, starts[1:] + [n]))
+    energies = np.zeros((p, len(bounds)))
+    for c, (a, b) in enumerate(bounds[1:], 1):
         # the mean of the gaps scaled by 2^-k, exact, so that their sum cannot overflow
-        k = len(group).bit_length()
-        scaled = [g for g, _, _ in group]
-        energies.append(0.0 if group[0][0] <= atol else float(np.ldexp(np.mean(np.ldexp(scaled, -k)), k)))
-    return energies, [[(m, n) for _, m, n in group] for group in groups]
+        k = (b - a).bit_length()
+        energies[:, c] = np.ldexp(np.ldexp(g[:, a:b], -k).sum(axis=1) / (b - a), k)
+    return energies, [[divmod(x, d) for x in rows[0][a:b]] for a, b in bounds]
 
 
 def ratios(energies: np.ndarray, p_plus: np.ndarray, p_minus: np.ndarray, recorded: np.ndarray, dbeta) -> tuple:
@@ -147,8 +152,8 @@ def exchange_grid(maps, h: HamiltonianSpec, beta_i) -> tuple:
     ``(p, t, ...)`` of maps, h's eigenvalues and eigenvectors stacked ``(p,
     d)`` and ``(p, d, d)`` and an array ``beta_i`` broadcast together, so
     that maps shared by every point are given, and judged, once.  The points'
-    levels must share their gap clusters' pairs, else ``ValueError``.  The
-    first point, and in it the first map, that fails a check raises, with
+    levels must share their gap clusters' pairs, else ``DimensionMismatch``.
+    The first point, and in it the first map, that fails a check raises, with
     the checks at that map in this order: the transition checks of
     :func:`_transition_stack`, then the records, which must sum to 1 and lie
     in [0, 1].
@@ -160,10 +165,8 @@ def exchange_grid(maps, h: HamiltonianSpec, beta_i) -> tuple:
     probs, checks = _transition_stack(require_superop_dim(superops, h), kraus, h)
     p_init = thermal_populations(h, beta_i)[..., None, :]  # [..., t, m]
     e = h.eigenvalues
-    energies, clusters = zip(*map(_gap_clusters, e.reshape(-1, h.dim)))  # per level set
-    if clusters.count(clusters[0]) < len(clusters):
-        raise ValueError("the level sets differ in their gap clusters")
-    energies, clusters = np.reshape(energies, e.shape[:-1] + (-1,)), clusters[0]
+    energies, clusters = _gap_clusters(e.reshape(-1, h.dim))
+    energies = energies.reshape(e.shape[:-1] + (-1,))
     p_plus = np.zeros(np.broadcast_shapes(p_init.shape[:-1], probs.shape[:-2]) + (len(clusters),))
     p_minus = np.zeros_like(p_plus)
     for c, pairs in enumerate(clusters):
@@ -205,85 +208,17 @@ TAU_MAX = 100.0  # probing horizon of a channel family
 FIXED_POINT_TAUS = tuple(np.geomspace(0.01, TAU_MAX, 9))
 
 
-def _fixed_beta(col: np.ndarray, h: HamiltonianSpec):
-    """Inverse temperature of a fixed-point eigenvector.
-
-    Returns ``None`` when the eigenvector is traceless or its state is not
-    thermal; an eigenvector that is no state raises ``NotAState``.
-    """
-    mat = unvec(col, h.dim, h.dim)
-    mat = (mat + dag(mat)) / 2
-    tr = float(np.real(np.trace(mat)))
-    if abs(tr) < 1e-12:
-        return None
-    try:
-        return infer_beta(mat / tr, h)
-    except (NotThermal, ZeroPopulation):
-        return None
-
-
-def _simple_eigenvector(eigs: np.ndarray, vecs: np.ndarray, value: float, atol: float) -> tuple:
-    """The eigenvalues other than ``value`` (within ``atol``) and the
-    eigenvector column of ``value``, None unless that eigenvalue is simple."""
-    near = np.abs(eigs - value) < atol
-    col = vecs[:, int(np.argmax(near))] if int(np.sum(near)) == 1 else None
-    return eigs[~near], col
-
-
-def _classify_semigroup(eigs: np.ndarray, vecs: np.ndarray, h: HamiltonianSpec) -> tuple:
-    rest, col = _simple_eigenvector(eigs, vecs, 0.0, ZERO_EIG_ATOL)
-    if col is None or (rest.size and float(np.max(np.real(rest))) >= -ZERO_EIG_ATOL):
-        return "non_thermalizing", None, None
-    gamma_min = float(np.min(-np.real(rest))) if rest.size else None
-    beta = _fixed_beta(col, h)
-    # Semigroups with a spectral gap converge to their unique stationary
-    # state, which is then a fixed point at every time.
-    return "non_thermalizing" if beta is None else "fpt", beta, gamma_min
-
-
-def _classify_single_map(eigs: np.ndarray, vecs: np.ndarray, h: HamiltonianSpec) -> tuple:
-    # only the map's eigenvalue 1 is probed for a thermal fixed point
-    _, col = _simple_eigenvector(eigs, vecs, 1.0, UNIT_EIG_ATOL)
-    try:
-        return "single_map", None if col is None else _fixed_beta(col, h), None
-    except NotAState:
-        return "single_map", None, None
-
-
-def _classify_families(superops: np.ndarray, families: list):
-    """The kinds of channel families, yielded in order, from their maps
-    ``superops`` ``(k, t, d^2, d^2)`` at ``TAU_MAX`` and ``FIXED_POINT_TAUS``,
-    with one SVD over the families for the 2-norms and one over (family, t)
-    for the drifts; a failing family raises when its turn comes."""
-    d = families[0].h.dim
-    vec_eye = vec(np.eye(d))
-    sigma = superops[:, 0] @ (vec_eye / d)
-    # The map sends a state rho to sigma + delta vec(rho), and
-    # |delta vec(rho)|_1 <= sqrt(d) |delta vec(rho)|_2 <= sqrt(d) |delta|_2.
-    spreads = math.sqrt(d) * np.linalg.svd(superops[:, 0] - sigma[:, :, None] * vec_eye, compute_uv=False).max(axis=1)
-    # the singular values of unvec(x) are those of its transpose x.reshape(d, d)
-    moved = (superops[:, 1:] @ sigma[:, None, :, None] - sigma[:, None, :, None]).reshape(len(families), -1, d, d)
-    drifts = np.linalg.svd(moved, compute_uv=False).sum(axis=2).max(axis=1)
-    for spread, image, drift, source in zip(spreads, sigma, drifts, families):
-        if spread > CONVERGENCE_ATOL:
-            raise InconclusiveHorizon(
-                f"the map at tau={TAU_MAX:g} sends states up to {spread:.3e} in trace norm"
-                " from its image of I/d"
-            )
-        beta = _fixed_beta(image, source.h)
-        yield ("non_thermalizing", None, None) if beta is None else (
-            "fpt" if drift < FIXED_POINT_ATOL else "thermalizing", beta, None)
-
-
-def classify(sources: list, probes: np.ndarray) -> list:
+def classify(sources: list, probes: np.ndarray, h: HamiltonianSpec) -> list:
     """Classify each dynamics of ``sources``, of one kind and dimension, in
     order, as fixed-point thermalizing, thermalizing, or neither, as ``(kind,
-    beta_f, gamma_min)``, from ``probes``, each source's maps at its probe
-    times as one superoperator stack ``(k, t, d^2, d^2)``: a channel family's
-    at ``TAU_MAX`` and then ``FIXED_POINT_TAUS``, a single map's at its own
-    ``tau``; a semigroup has none.  The semigroups share one batched
-    eigendecomposition of their generators, the single maps one of their
-    maps, and the channel families one pass over their maps.
+    beta_f, gamma_min)``, from h, their Hamiltonians stacked, and
+    ``probes``, each source's maps at its probe times as one superoperator
+    stack ``(k, t, d^2, d^2)``: a channel family's at ``TAU_MAX`` and then
+    ``FIXED_POINT_TAUS``, a single map's at its own ``tau``; a semigroup has
+    none.  The semigroups share one batched eigendecomposition of their
+    generators, the single maps one of their maps, and the channel families
+    one pass over their maps; every kind then takes its fixed points'
+    inverse temperatures in one pass.
 
     ``kind`` is ``"fpt"``, ``"thermalizing"`` or ``"non_thermalizing"``, or
     ``"single_map"`` for one Kraus map, which is probed only for a thermal
@@ -294,15 +229,52 @@ def classify(sources: list, probes: np.ndarray) -> list:
     A semigroup is classified spectrally: a unique zero eigenvalue with
     every other eigenvalue strictly damped, plus a thermal stationary state.
     A single map is classified ``single_map``, with ``beta_f`` set when the
-    eigenvalue 1 is simple and its eigenvector a thermal state.  A channel
-    family must have converged at ``TAU_MAX`` to its asymptotic map
-    ``vec(sigma) vec(I)^dag``, with ``sigma`` its image of ``I/d``, or
-    ``InconclusiveHorizon`` is raised; it is ``fpt`` when ``sigma`` is
-    thermal and, in trace norm, a fixed point at ``FIXED_POINT_TAUS``.
+    eigenvalue 1 is simple and its eigenvector a thermal state, and none
+    when that eigenvector is no state, which roundoff alone can make it; a
+    semigroup's or a family's fixed point that is no state raises
+    ``NotAState``.  A channel family must have converged at ``TAU_MAX`` to
+    its asymptotic map ``vec(sigma) vec(I)^dag``, with ``sigma`` its image
+    of ``I/d``, or ``InconclusiveHorizon`` is raised; it is ``fpt`` when
+    ``sigma`` is thermal and, in trace norm, a fixed point at
+    ``FIXED_POINT_TAUS``.
     """
-    semigroups = sources[0].generator is not None
+    d, k, semigroups = h.dim, len(sources), sources[0].generator is not None
+    gaps = [None] * k
     if not semigroups and sources[0].tau is None:
-        return list(_classify_families(probes, sources))
-    spectra = np.linalg.eig(np.array([s.generator for s in sources]) if semigroups else probes[:, 0])
-    classify_one = _classify_semigroup if semigroups else _classify_single_map
-    return [classify_one(eigs, vecs, s.h) for eigs, vecs, s in zip(*spectra, sources)]
+        vec_eye = vec(np.eye(d))
+        fixed = probes[:, 0] @ (vec_eye / d)
+        # The map sends a state rho to fixed + delta vec(rho), and
+        # |delta vec(rho)|_1 <= sqrt(d) |delta vec(rho)|_2 <= sqrt(d) |delta|_2.
+        spreads = math.sqrt(d) * np.linalg.svd(probes[:, 0] - fixed[:, :, None] * vec_eye, compute_uv=False).max(axis=1)
+        for spread in spreads[spreads > CONVERGENCE_ATOL][:1]:
+            raise InconclusiveHorizon(
+                f"the map at tau={TAU_MAX:g} sends states up to {spread:.3e} in trace norm from its image of I/d"
+            )
+        # the singular values of unvec(x) are those of its transpose x.reshape(d, d)
+        moved = (probes[:, 1:] @ fixed[:, None, :, None] - fixed[:, None, :, None]).reshape(k, -1, d, d)
+        drifts = np.linalg.svd(moved, compute_uv=False).sum(axis=2).max(axis=1)
+        kinds, picked = ["fpt" if x < FIXED_POINT_ATOL else "thermalizing" for x in drifts.tolist()], np.ones(k, bool)
+    else:
+        eigs, vecs = np.linalg.eig(np.array([s.generator for s in sources]) if semigroups else probes[:, 0])
+        # a simple eigenvalue 0 of a generator, or 1 of a map, and its eigenvector
+        near = np.abs(eigs - (0.0 if semigroups else 1.0)) < (ZERO_EIG_ATOL if semigroups else UNIT_EIG_ATOL)
+        picked = near.sum(axis=1) == 1
+        fixed = vecs[np.arange(k), :, near.argmax(axis=1)]
+        kinds = ["fpt" if semigroups else "single_map"] * k
+        if semigroups:  # every other eigenvalue strictly damped; the gap is the slowest rate
+            top = np.where(near, -math.inf, eigs.real).max(axis=1)
+            picked &= ~(top >= -ZERO_EIG_ATOL)
+            gaps = [-g if ok and g > -math.inf else None for ok, g in zip(picked, top.tolist())]
+    # the fixed points as Hermitian unit-trace states; one that is not picked is left unscaled, its beta dropped
+    mat = unvec(fixed, d, d)
+    mat = (mat + dag(mat)) / 2
+    tr = mat.trace(axis1=1, axis2=2).real
+    picked &= ~(np.abs(tr) < 1e-12)
+    betas, low = infer_beta(mat / np.where(picked, tr, 1.0)[:, None, None], h)
+    if kinds[0] != "single_map":  # a single map's fixed point that is no state only has no beta
+        for x in low[picked & (low < -STATE_ATOL)][:1]:
+            raise NotAState(f"state has negative eigenvalue {x:.3e}")
+    # Semigroups with a spectral gap converge to their unique stationary
+    # state, which is then a fixed point at every time.
+    return [(kind, b, g) if ok and b == b else (kind if kind == "single_map" else "non_thermalizing", None, g)
+            for kind, b, g, ok in zip(kinds, betas.tolist(), gaps, picked)]

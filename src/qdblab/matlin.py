@@ -38,8 +38,8 @@ _LOG2_U = -53.0
 
 
 def dag(a: np.ndarray) -> np.ndarray:
-    """Conjugate transpose."""
-    return np.asarray(a).conj().T
+    """Conjugate transpose of a matrix, or of every matrix of a stack."""
+    return np.asarray(a).conj().swapaxes(-1, -2)
 
 
 def frobenius(a: np.ndarray):
@@ -51,37 +51,34 @@ def frobenius(a: np.ndarray):
     return np.sqrt(sum(y @ y.swapaxes(-1, -2) for y in (x.real, x.imag))[..., 0, 0])
 
 
-def is_hermitian(a: np.ndarray, atol: float = HERMITICITY_ATOL) -> bool:
-    """``max |a - a^dag| <= atol``, taken on halves so that entries near the
-    float range do not overflow."""
+def is_hermitian(a: np.ndarray, atol=HERMITICITY_ATOL) -> bool:
+    """``max |a - a^dag| <= atol`` for a matrix, or for every matrix of a
+    stack with an ``atol`` that broadcasts over it, taken on halves so that
+    entries near the float range do not overflow."""
     a = np.asarray(a)
-    return bool(np.max(np.abs(a / 2 - dag(a) / 2), initial=0.0) <= atol / 2)
-
-
-def _require_square(m: np.ndarray, who: str) -> None:
-    if m.ndim != 2 or m.shape[0] != m.shape[1]:
-        raise DimensionMismatch(f"{who}: expected a square matrix, got shape {m.shape}")
+    return bool((np.abs(a / 2 - dag(a) / 2) <= np.asarray(atol)[..., None, None] / 2).all())
 
 
 def herm_eig(m: np.ndarray, atol: float = HERMITICITY_ATOL):
-    """Eigendecomposition of a Hermitian matrix.
+    """Eigendecomposition of a Hermitian matrix, or of every matrix of a
+    stack ``(..., n, n)``, each slice the one its own call gives.
 
     Returns ``(w, v)`` with ascending eigenvalues ``w`` and orthonormal
     eigenvector columns ``v`` satisfying ``m @ v == v @ diag(w)``.
     """
     m = np.asarray(m, dtype=complex)
-    _require_square(m, "herm_eig")
+    if m.ndim < 2 or m.shape[-1] != m.shape[-2]:
+        raise DimensionMismatch(f"herm_eig: expected a square matrix, got shape {m.shape}")
     if not is_hermitian(m, atol):
         raise NotHermitian(f"max |m - m^dag| entry exceeds {atol:g}")
     try:
         w, v = np.linalg.eigh(m)
     except np.linalg.LinAlgError as exc:  # pragma: no cover, LAPACK rarely stalls
         raise NoConvergence(str(exc)) from exc
-    v = np.array(v, dtype=complex)
-    for k in range(v.shape[1]):
-        pivot = v[int(np.argmax(np.abs(v[:, k]))), k]
-        v[:, k] *= np.conj(pivot) / abs(pivot)
-    return w, v
+    # each column times the phase that makes its first largest-magnitude entry real and positive; the
+    # hypot of the strided parts is the one abs() takes of each scalar, which numpy's vectorized abs need not be
+    pivot = np.take_along_axis(v, np.abs(v).argmax(axis=-2)[..., None, :], axis=-2)
+    return w, v * (np.conj(pivot) / np.hypot(pivot.real, pivot.imag))
 
 
 def expm(generators: np.ndarray, taus) -> np.ndarray:
@@ -181,10 +178,12 @@ def _scale(a: np.ndarray, m, k) -> np.ndarray:
 
 
 def kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Kronecker product of two matrices, as one broadcast product: each
-    entry is the single product ``np.kron`` takes."""
+    """Kronecker product of two matrices, or of the matrices of stacks that
+    broadcast over their leading axes, as one broadcast product: each entry
+    is the single product ``np.kron`` takes."""
     a, b = np.asarray(a, dtype=complex), np.asarray(b)  # b is promoted to complex in the product
-    return (a[:, None, :, None] * b[:, None]).reshape(len(a) * len(b), -1)
+    out = a[..., :, None, :, None] * b[..., None, :, None, :]
+    return out.reshape(*out.shape[:-4], a.shape[-2] * b.shape[-2], -1)
 
 
 def vec(m: np.ndarray) -> np.ndarray:
@@ -193,9 +192,9 @@ def vec(m: np.ndarray) -> np.ndarray:
 
 
 def unvec(v: np.ndarray, rows: int, cols: int) -> np.ndarray:
-    """Inverse of :func:`vec`."""
+    """Inverse of :func:`vec`, for a vector or every vector of a stack."""
     v = np.asarray(v, dtype=complex)
-    if v.size != rows * cols:
+    if v.shape[-1] != rows * cols:
         raise DimensionMismatch(f"unvec: {v.size} entries cannot fill a {rows}x{cols} matrix")
-    return v.reshape((rows, cols), order="F")
+    return v.reshape(*v.shape[:-1], cols, rows).swapaxes(-1, -2)
 

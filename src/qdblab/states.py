@@ -15,7 +15,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import matlin
-from .errors import NotAState, NotThermal, ZeroPopulation
 from .matlin import dag
 
 SIGMA_X = np.array([[0, 1], [1, 0]], dtype=complex)
@@ -30,7 +29,9 @@ BETA_AGREE_RTOL = 1e-6
 
 @dataclass(frozen=True)
 class HamiltonianSpec:
-    """Hermitian Hamiltonian with its ascending eigenstructure, or a stack of them."""
+    """Hermitian Hamiltonian with its ascending eigenstructure, or a stack of
+    them: indexing a stack gives the spec of its points, so iterating it
+    gives each point's."""
 
     matrix: np.ndarray
     eigenvalues: np.ndarray
@@ -38,9 +39,18 @@ class HamiltonianSpec:
 
     @classmethod
     def from_matrix(cls, matrix: np.ndarray) -> "HamiltonianSpec":
+        """The spec of a matrix, or the stacked spec of a stack ``(..., d, d)``."""
         matrix = np.asarray(matrix, dtype=complex)
         w, v = matlin.herm_eig(matrix)
         return cls(matrix=matrix, eigenvalues=w, eigenvectors=v)
+
+    @classmethod
+    def stack(cls, hs) -> "HamiltonianSpec":
+        """One spec stacked over the specs ``hs`` (the fields of each, in order)."""
+        return cls(*map(np.array, zip(*(vars(h).values() for h in hs))))
+
+    def __getitem__(self, index) -> "HamiltonianSpec":
+        return HamiltonianSpec(self.matrix[index], self.eigenvalues[index], self.eigenvectors[index])
 
     @property
     def dim(self) -> int:
@@ -61,41 +71,36 @@ def thermal_populations(h: HamiltonianSpec, beta) -> np.ndarray:
     return weights / weights.sum(axis=-1, keepdims=True)
 
 
-def infer_beta(rho: np.ndarray, h: HamiltonianSpec) -> float:
-    """Inverse temperature of a thermal state, or raise ``NotThermal``.
+def infer_beta(rho: np.ndarray, h: HamiltonianSpec) -> tuple:
+    """Inverse temperatures of the thermal states of a stack ``rho`` ``(k, d,
+    d)``, each in the eigenbasis of its point of h's stack ``(k, ...)``, as
+    ``(beta, low)``: an array of them, nan for a state that is not thermal,
+    and each state's lowest eigenvalue.
 
-    ``rho`` is a Hermitian unit-trace matrix; one with a negative eigenvalue
-    (below ``-STATE_ATOL``) is no state and raises ``NotAState``.  The state
-    must be diagonal in h's (nondegenerate) eigenbasis, within
+    Each ``rho`` is a Hermitian unit-trace matrix; one whose lowest
+    eigenvalue is below ``-STATE_ATOL`` is no state, and not thermal.
+    A thermal state is diagonal in its (nondegenerate) eigenbasis, within
     ``THERMAL_OFFDIAG_ATOL``.  The estimate comes from the largest-gap level
-    pair; every other pair must agree within ``BETA_AGREE_RTOL`` (relative, with an absolute floor of the
-    same size so beta = 0 is recognized).  Vanishing populations are
-    accepted only for an effectively beta = inf profile, reported as
-    ``math.inf``; any other vanishing population raises ``ZeroPopulation``.
+    pair; every other pair must agree within ``BETA_AGREE_RTOL`` (relative,
+    with an absolute floor of the same size so beta = 0 is recognized).
+    Vanishing populations are accepted only for an effectively beta = inf
+    profile, reported as ``inf``.
     """
-    lo = float(np.min(np.linalg.eigvalsh(rho)))
-    if lo < -STATE_ATOL:
-        raise NotAState(f"state has negative eigenvalue {lo:.3e}")
-    e = h.eigenvalues
-    if float(np.min(np.diff(e), initial=math.inf)) <= DEGENERACY_ATOL:
-        raise NotThermal("Hamiltonian spectrum is degenerate, beta inference undefined")
-    v = h.eigenvectors
+    low = np.linalg.eigvalsh(rho)[:, 0]
+    e, v = h.eigenvalues, h.eigenvectors
+    gaps = e[:, 1:] - e[:, :-1]  # of adjacent levels
     a = dag(v) @ rho @ v
-    off = a - np.diag(np.diag(a))
-    if float(np.max(np.abs(off))) > THERMAL_OFFDIAG_ATOL:
-        raise NotThermal(f"state has off-diagonal weight {np.max(np.abs(off)):.3e} in the energy eigenbasis")
-    p = np.real(np.diag(a))
-    if float(np.min(p)) < 1e-14:
-        if p[0] >= 1.0 - 1e-10 and bool(np.all(p[1:] < 1e-14)):
-            return math.inf
-        raise ZeroPopulation("a level population vanishes but the profile is not the ground projector")
-    beta_hat = math.log(p[0] / p[-1]) / (e[-1] - e[0])
-    scale = max(1.0, abs(beta_hat))
-    for m in range(h.dim):
-        for n in range(m + 1, h.dim):
-            b_mn = math.log(p[m] / p[n]) / (e[n] - e[m])
-            if abs(b_mn - beta_hat) > BETA_AGREE_RTOL * scale:
-                raise NotThermal(
-                    f"pairwise inverse temperatures disagree: {b_mn:.6g} vs {beta_hat:.6g}"
-                )
-    return beta_hat
+    p = a.diagonal(axis1=1, axis2=2).real
+    # no state, degenerate levels, or off-diagonal weight; a nan passes each test
+    bad = (low < -STATE_ATOL) | (gaps.min(axis=1, initial=math.inf) <= DEGENERACY_ATOL)
+    bad |= np.abs(a - a * np.eye(h.dim)).max(axis=(1, 2)) > THERMAL_OFFDIAG_ATOL
+    beta = np.where(~bad & (p[:, 0] >= 1.0 - 1e-10) & (p[:, 1:].max(axis=1, initial=0.0) < 1e-14), math.inf, math.nan)
+    ok = ~(bad | (p.min(axis=1) < 1e-14))
+    p, e, gaps = p[ok], e[ok], gaps[ok]
+    # math.log, whose last bit numpy's log need not match, for the estimate that is reported
+    b = (np.array([math.log(x) for x in p[:, 0] / p[:, -1]]) / (e[:, -1] - e[:, 0]))[:, None]
+    # each adjacent pair's log(p_m / p_n) / (E_n - E_m) against the estimate, multiplied out; as the levels
+    # ascend, the gaps and logs of a pair are the sums of its adjacent pairs', so every pair agrees when these do
+    far = np.abs(np.log(p[:, :-1] / p[:, 1:]) - b * gaps) > BETA_AGREE_RTOL * np.maximum(np.abs(b), 1.0) * gaps
+    beta[ok] = np.where(far.any(axis=1), math.nan, b[:, 0])
+    return beta, low

@@ -15,8 +15,6 @@ from qdblab.dynamics import (
     _kraus_stacks,
     _kraus_superops,
     choi_matrix,
-    commutator_superop,
-    evolve_grid,
     maps_of,
     require_superop_dim,
 )
@@ -32,23 +30,34 @@ from qdblab.examples import (
     example_a_f_factor,
     qubit_hamiltonian,
 )
-from qdblab.errors import DimensionMismatch, InconclusiveHorizon, InternalCheckError, NotAState, NotThermal
-from qdblab.errors import NotTracePreserving, QdblabError, ZeroPopulation
+from qdblab.errors import DimensionMismatch, InconclusiveHorizon, InternalCheckError, NotAState
+from qdblab.errors import NotTracePreserving, QdblabError
 from qdblab.matlin import dag, kron, unvec, vec
 from qdblab.fluctuation import (
     CONVERGENCE_ATOL,
     FIXED_POINT_ATOL,
     FIXED_POINT_TAUS,
+    GAP_GROUP_RTOL,
     TAU_MAX,
     UNIT_EIG_ATOL,
-    _fixed_beta,
+    ZERO_EIG_ATOL,
     _raise_first,
     _transition_stack,
     classify,
     exchange_grid,
     ratios,
 )
-from qdblab.states import SIGMA_X, SIGMA_Y, SIGMA_Z, STATE_ATOL, HamiltonianSpec, infer_beta, thermal_populations
+from qdblab.states import (
+    BETA_AGREE_RTOL,
+    DEGENERACY_ATOL,
+    SIGMA_X,
+    SIGMA_Y,
+    SIGMA_Z,
+    STATE_ATOL,
+    THERMAL_OFFDIAG_ATOL,
+    HamiltonianSpec,
+    thermal_populations,
+)
 
 SEED = int(os.environ.get("QDBLAB_SEED", "20260810"))
 
@@ -150,6 +159,13 @@ def inverted_qubit():
     return LindbladGenerator.from_jump_operators(h, [lower, np.sqrt(2) * lower.T]), -np.log(2.0)
 
 
+def commutator_superop(h_matrix: np.ndarray) -> np.ndarray:
+    """Matrix of ``X -> [H, X]``, or the stack of those of a stack of H."""
+    h = np.asarray(h_matrix, dtype=complex)
+    eye = np.eye(h.shape[-1], dtype=complex)
+    return kron(eye, h) - kron(h.swapaxes(-1, -2), eye)
+
+
 def reference_lindblad_superop(gen: LindbladGenerator) -> np.ndarray:
     """Schroedinger-picture generator matrix.
 
@@ -207,6 +223,13 @@ Ratio = namedtuple("Ratio", "energy ratio predicted deviation")
 def a_channel(p, tau):
     """Scenario A's Kraus operators ``(4, 2, 2)`` at ``tau``."""
     return example_a_channel(p, (tau,))[0]
+
+
+def per_source(maps) -> list:
+    """The ``(superops, kraus)`` stacks of each source of the block stacks
+    ``maps`` of :func:`qdblab.dynamics.maps_of`."""
+    superops, kraus = maps
+    return list(zip(superops, [None] * len(superops) if kraus is None else kraus))
 
 
 def stacks_of(g, h):
@@ -586,10 +609,10 @@ def classify_one(source) -> tuple:
     """:func:`qdblab.fluctuation.classify` of one source: its ``(kind, beta_f,
     gamma_min)``, from the probe maps that ``cli.analyse`` takes for it, none
     for a semigroup."""
+    h = HamiltonianSpec.stack([source.h])
     if source.generator is not None:
-        return classify([source], None)[0]
-    ((superops, _),) = maps_of([source], source.taus((TAU_MAX, *FIXED_POINT_TAUS)))
-    return classify([source], superops[None])[0]
+        return classify([source], None, h)[0]
+    return classify([source], maps_of([source], source.taus((TAU_MAX, *FIXED_POINT_TAUS)))[0], h)[0]
 
 
 def reference_classify_single_map(kraus_ops, h: HamiltonianSpec) -> tuple:
@@ -601,7 +624,7 @@ def reference_classify_single_map(kraus_ops, h: HamiltonianSpec) -> tuple:
     if int(np.sum(one)) != 1:
         return "single_map", None
     try:
-        return "single_map", _fixed_beta(vecs[:, int(np.argmax(one))], h)
+        return "single_map", reference_fixed_beta(vecs[:, int(np.argmax(one))], h)
     except NotAState:
         return "single_map", None
 
@@ -621,6 +644,18 @@ class NotCompletelyPositive(QdblabError):
 def trace_norm(a: np.ndarray) -> float:
     """Sum of singular values."""
     return float(np.sum(np.linalg.svd(np.asarray(a, dtype=complex), compute_uv=False)))
+
+
+def evolve_grid(generator: np.ndarray, taus) -> np.ndarray:
+    """The matrices of ``exp(tau * L)`` for every ``tau`` of ``taus``,
+    stacked ``(t, d^2, d^2)``, from one matrix exponential over the grid,
+    which analyses L once; a stack ``(p, d^2, d^2)`` of generators gives
+    ``(p, t, d^2, d^2)``; a ``tau`` whose ``tau L`` overflows gives a nan
+    slice."""
+    taus = np.asarray(taus, dtype=float)
+    if np.any(taus < 0):
+        raise ValueError("tau must be nonnegative")
+    return matlin.expm(generator, taus)
 
 
 def evolve(generator: np.ndarray, tau: float) -> np.ndarray:
@@ -720,7 +755,7 @@ def reference_classify_family(source) -> tuple:
     through its Kraus maps: the reference for the family branch of
     :func:`qdblab.fluctuation.classify`, which reads the superoperator stack."""
     h = source.h
-    ((_, kraus),) = maps_of([source], (TAU_MAX, *FIXED_POINT_TAUS))
+    _, (kraus,) = maps_of([source], (TAU_MAX, *FIXED_POINT_TAUS))
     finals = [apply(kraus[0], p) for p in _probe_states(h.dim)]
     mean = sum(finals) / len(finals)
     mean = (mean + dag(mean)) / 2
@@ -731,7 +766,7 @@ def reference_classify_family(source) -> tuple:
         )
     state = mean / np.real(np.trace(mean))
     try:
-        beta = infer_beta(state, h)
+        beta = reference_infer_beta(state, h)
     except (NotThermal, ZeroPopulation):
         return "non_thermalizing", None
     fixed = all(trace_norm(apply(ops, state) - state) < FIXED_POINT_ATOL for ops in kraus[1:])
@@ -782,3 +817,140 @@ def reference_emit_rows(taus, energies, predicted, recorded, p_plus, p_minus, de
             if kept:
                 rows.append([tau, energy, plus, minus, *((r, pred, dev) if has_ratio else [None] * 3), *f_cell])
     return rows
+
+
+# ---------------------------------------------------------------------------
+# Classify, one source at a time: the bitwise reference for
+# ``fluctuation.classify``, which takes every step over a stack of sources.
+
+
+class NotThermal(QdblabError):
+    """State has no consistent inverse temperature for the given Hamiltonian."""
+
+
+class ZeroPopulation(QdblabError):
+    pass
+
+
+def reference_infer_beta(rho: np.ndarray, h: HamiltonianSpec) -> float:
+    """Inverse temperature of one thermal state, or raise ``NotThermal``
+    (``ZeroPopulation`` for a vanishing population that is no ground
+    projector, ``NotAState`` for a negative eigenvalue): the per-state
+    reference for :func:`qdblab.states.infer_beta`."""
+    lo = float(np.min(np.linalg.eigvalsh(rho)))
+    if lo < -STATE_ATOL:
+        raise NotAState(f"state has negative eigenvalue {lo:.3e}")
+    e = h.eigenvalues
+    if float(np.min(np.diff(e), initial=math.inf)) <= DEGENERACY_ATOL:
+        raise NotThermal("Hamiltonian spectrum is degenerate, beta inference undefined")
+    v = h.eigenvectors
+    a = dag(v) @ rho @ v
+    off = a - np.diag(np.diag(a))
+    if float(np.max(np.abs(off))) > THERMAL_OFFDIAG_ATOL:
+        raise NotThermal(f"state has off-diagonal weight {np.max(np.abs(off)):.3e} in the energy eigenbasis")
+    p = np.real(np.diag(a))
+    if float(np.min(p)) < 1e-14:
+        if p[0] >= 1.0 - 1e-10 and bool(np.all(p[1:] < 1e-14)):
+            return math.inf
+        raise ZeroPopulation("a level population vanishes but the profile is not the ground projector")
+    beta_hat = math.log(p[0] / p[-1]) / (e[-1] - e[0])
+    scale = max(1.0, abs(beta_hat))
+    for m in range(h.dim):
+        for n in range(m + 1, h.dim):
+            b_mn = math.log(p[m] / p[n]) / (e[n] - e[m])
+            if abs(b_mn - beta_hat) > BETA_AGREE_RTOL * scale:
+                raise NotThermal(f"pairwise inverse temperatures disagree: {b_mn:.6g} vs {beta_hat:.6g}")
+    return beta_hat
+
+
+def reference_fixed_beta(col: np.ndarray, h: HamiltonianSpec):
+    """Inverse temperature of one fixed-point vector, None when it is
+    traceless or its state is not thermal; one that is no state raises
+    ``NotAState``."""
+    mat = unvec(col, h.dim, h.dim)
+    mat = (mat + dag(mat)) / 2
+    tr = float(np.real(np.trace(mat)))
+    if abs(tr) < 1e-12:
+        return None
+    try:
+        return reference_infer_beta(mat / tr, h)
+    except (NotThermal, ZeroPopulation):
+        return None
+
+
+def _reference_simple_eigenvector(eigs, vecs, value: float, atol: float) -> tuple:
+    near = np.abs(eigs - value) < atol
+    col = vecs[:, int(np.argmax(near))] if int(np.sum(near)) == 1 else None
+    return eigs[~near], col
+
+
+def reference_classify(sources: list, probes) -> list:
+    """``(kind, beta_f, gamma_min)`` of each source, one source at a time,
+    from the same batched spectra and probe maps as
+    :func:`qdblab.fluctuation.classify`."""
+    if sources[0].generator is None and sources[0].tau is None:
+        out = []
+        for superops, source in zip(probes, sources):
+            d = source.h.dim
+            vec_eye = vec(np.eye(d))
+            sigma = superops[0] @ (vec_eye / d)
+            spread = math.sqrt(d) * np.linalg.svd(superops[0] - sigma[:, None] * vec_eye, compute_uv=False).max()
+            if spread > CONVERGENCE_ATOL:
+                raise InconclusiveHorizon(f"spread {spread:.3e}")
+            moved = (superops[1:] @ sigma[:, None] - sigma[:, None]).reshape(-1, d, d)
+            drift = np.linalg.svd(moved, compute_uv=False).sum(axis=1).max()
+            beta = reference_fixed_beta(sigma, source.h)
+            out.append(("non_thermalizing", None, None) if beta is None else (
+                "fpt" if drift < FIXED_POINT_ATOL else "thermalizing", beta, None))
+        return out
+    if sources[0].generator is None:
+        out = []
+        for eigs, vecs, s in zip(*np.linalg.eig(probes[:, 0]), sources):
+            _, col = _reference_simple_eigenvector(eigs, vecs, 1.0, UNIT_EIG_ATOL)
+            try:
+                out.append(("single_map", None if col is None else reference_fixed_beta(col, s.h), None))
+            except NotAState:
+                out.append(("single_map", None, None))
+        return out
+    out = []
+    for eigs, vecs, s in zip(*np.linalg.eig(np.array([s.generator for s in sources])), sources):
+        rest, col = _reference_simple_eigenvector(eigs, vecs, 0.0, ZERO_EIG_ATOL)
+        if col is None or (rest.size and float(np.max(np.real(rest))) >= -ZERO_EIG_ATOL):
+            out.append(("non_thermalizing", None, None))
+            continue
+        gamma_min = float(np.min(-np.real(rest))) if rest.size else None
+        beta = reference_fixed_beta(col, s.h)
+        out.append(("non_thermalizing" if beta is None else "fpt", beta, gamma_min))
+    return out
+
+
+def reference_herm_eig(m: np.ndarray) -> tuple:
+    """Eigendecomposition of one Hermitian matrix, each eigenvector column
+    rotated, one at a time, so that its first largest-magnitude entry is real
+    and positive: the per-matrix reference for :func:`qdblab.matlin.herm_eig`."""
+    w, v = np.linalg.eigh(np.asarray(m, dtype=complex))
+    v = np.array(v, dtype=complex)
+    for k in range(v.shape[1]):
+        pivot = v[int(np.argmax(np.abs(v[:, k]))), k]
+        v[:, k] *= np.conj(pivot) / abs(pivot)
+    return w, v
+
+
+def reference_gap_clusters(e: np.ndarray) -> tuple:
+    """``(energies, pairs)`` of one level set's gap clusters, grouped one
+    pair at a time: the per-set reference for ``fluctuation._gap_clusters``."""
+    d = len(e)
+    atol = GAP_GROUP_RTOL * float(np.max(np.abs(e))) if e.size else 0.0
+    gaps = ((float(e[n] - e[m]), m, n) for m in range(d) for n in range(d))
+    groups = []
+    for item in sorted((max(gap, 0.0), m, n) for gap, m, n in gaps if gap >= -atol):
+        if groups and item[0] - groups[-1][0][0] <= atol:
+            groups[-1].append(item)
+        else:
+            groups.append([item])
+    energies = []
+    for group in groups:
+        k = len(group).bit_length()
+        scaled = [g for g, _, _ in group]
+        energies.append(0.0 if group[0][0] <= atol else float(np.ldexp(np.mean(np.ldexp(scaled, -k)), k)))
+    return energies, [[(m, n) for _, m, n in group] for group in groups]

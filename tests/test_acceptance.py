@@ -100,7 +100,7 @@ def test_criterion_2_mixing_schedule_independence():
 
 def test_criterion_3_scenario_b_closed_form_balance_and_ratio(rng):
     p = ExampleBParams(omega=OMEGA, gamma=1.0, beta_f=BETA_F)
-    h = p.hamiltonian()
+    h = qubit_hamiltonian(p.omega)
     gen = example_b_generator(p)
     l = lindblad_superop(gen)
     initial = [

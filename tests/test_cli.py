@@ -335,8 +335,7 @@ def test_qdb2_reverses_time_in_the_energy_eigenbasis(rng, tmp_path, circulation,
         tau_grid=(0.3, 1.0, 3.0), s_grid=(0.0, 0.5, 1.0), beta_i=2.0, beta_f=1.0,
         tol_qdb=1e-9, tol_qfr=1e-9, tol_cptp=1e-9, out=tmp_path, format="csv",
     )
-    (analysis,) = analyse([source], args)
-    ((verdict, _),) = build_report([analysis], args, args.beta_i, args.beta_f)
+    ((verdict, _),) = build_report(analyse([source], args), args, args.beta_i, args.beta_f)
     assert verdict["classification"]["kind"] == "fpt"
     assert verdict["qdb1"]["passes"] is balanced
     assert verdict["qdb2"]["passes"] is balanced
@@ -499,8 +498,14 @@ class TestSweepCommand:
             ("a", "beta_i", "0:3:40"),
             ("c", "nu", "0.5:0.9:40"),
             (str(Path(__file__).parent / "golden" / "davies3_circulating.json"), "beta_i", "0.5:2.5:40"),
+            # stacked Hamiltonians, Kraus stacks, classify and gap clusters against one point at a time
+            ("a", "omega", "0.5:2:40"),
+            ("b", "beta_f", "0.5:2:40"),
+            # omega = 5e-324 halves to a degenerate H, whose gap clusters no other point of the block shares
+            ("c", "omega", "5e-324:1:3"),
         ],
-        ids=["b-gamma-two-blocks", "b-gamma-repeated", "a-beta-i", "c-nu", "model-beta-i"],
+        ids=["b-gamma-two-blocks", "b-gamma-repeated", "a-beta-i", "c-nu", "model-beta-i", "a-omega", "b-beta-f",
+             "c-omega-degenerate-point"],
     )
     def test_a_sweep_writes_the_bytes_of_its_points_run_one_at_a_time(
         self, tmp_path, capsys, target, parameter, values
@@ -618,6 +623,10 @@ class TestConfigValidation:
             ("sweep", "b", "--parameter", "beta_i", "--range=-1e308:1e308:3"),
             ("sweep", "b", "--parameter", "beta_f", "--range=-1e308:1e308:3"),
             ("sweep", "b", "--parameter", "omega", "--range=-1e308:1e308:3"),
+            # scenario c's parameters leave omega to its Hamiltonian, which must be positive
+            ("example", "c", "--omega", "-1"),
+            ("example", "c", "--omega", "0"),
+            ("sweep", "c", "--parameter", "omega", "--range=-1:1:3"),
         ],
         ids=["s-outside-unit", "beta-f-inf", "beta-i-nan", "gamma-negative", "omega-negative",
              "sweep-gamma-negative", "model-not-object", "tau-negative", "tau-inf", "tau-nan",
@@ -631,7 +640,8 @@ class TestConfigValidation:
              "b-boltzmann-underflow", "sweep-b-boltzmann-underflow", "b-boltzmann-zero", "b-rate-overflow",
              "tau-grid-count-huge", "sweep-count-huge", "tau-grid-log-negative", "tau-grid-log-inf",
              "sweep-range-inf", "kraus-h-range", "kraus-h-range-beta-i-0", "sweep-beta-i-step-overflow",
-             "sweep-beta-f-step-overflow", "sweep-omega-step-overflow"],
+             "sweep-beta-f-step-overflow", "sweep-omega-step-overflow", "c-omega-negative", "c-omega-zero",
+             "sweep-c-omega-through-zero"],
     )
     def test_out_of_range_input_exits_2(self, tmp_path, capsys, argv):
         kraus = {
@@ -688,6 +698,8 @@ class TestConfigValidation:
             assert err == "ConfigError: the model overflows: the Hamiltonian's energy range is not finite\n"
         if "--range=-1e308:1e308:3" in argv:
             assert err == "ConfigError: cannot parse range spec '-1e308:1e308:3': its points must be finite\n"
+        if argv[1] == "c" and "omega" in argv:
+            assert err == "ConfigError: scenario c: omega must be positive\n"
 
     @pytest.mark.parametrize(
         "argv, message",
@@ -756,8 +768,9 @@ class TestConfigValidation:
         [
             (("example", "b", "--tau-grid", "1e200"), EXIT_OK, None),
             (("example", "b", "--tau-grid", "0.1,1e200"), EXIT_OK, None),
+            # the map at 1e308 overflows to nan, which the first check at each map rejects
             (("example", "c", "--tau-grid", "1e308"), EXIT_INTERNAL,
-             "InternalCheckError: exchange probabilities sum to 0"),
+             "InternalCheckError: a map has a non-finite entry"),
             (("example", "b", "--gamma", "1e6"), EXIT_MODEL,
              "NotTracePreserving: transition rows sum to 1 only within 1.250e-09"),
             # its maps' trace defect is roundoff, but its generator is not CP
@@ -847,11 +860,16 @@ def test_example_b_builds_its_generator_once(tmp_path, monkeypatch):
 
 
 @pytest.mark.parametrize(
-    "argv, sources",
-    [(("example", "b"), 1), (("sweep", "b", "--parameter", "gamma", "--range", "0.5:1.5:3"), 3)],
-    ids=["example", "sweep"],
+    "argv, blocks",
+    [
+        (("example", "b"), 1),
+        (("sweep", "b", "--parameter", "gamma", "--range", "0.5:1.5:3"), 1),
+        (("sweep", "b", "--parameter", "omega", "--range", "0.5:1.5:40"), 2),
+    ],
+    ids=["example", "sweep", "sweep-two-blocks"],
 )
-def test_scenario_b_takes_one_eigendecomposition_per_source(tmp_path, monkeypatch, argv, sources):
+def test_scenario_b_takes_one_eigendecomposition_per_source(tmp_path, monkeypatch, argv, blocks):
+    # a block's Hamiltonians are one stack, so its sources share one eigendecomposition
     from qdblab import matlin
 
     original = matlin.herm_eig
@@ -863,7 +881,7 @@ def test_scenario_b_takes_one_eigendecomposition_per_source(tmp_path, monkeypatc
 
     monkeypatch.setattr(matlin, "herm_eig", counted)
     assert run(tmp_path, *argv, *FAST) == EXIT_OK
-    assert len(calls) == sources
+    assert len(calls) == blocks
 
 
 _SEMIGROUP_BLOCK = {"gkls_defects": 1, "expm": 1, "classify": 1, "check_qdb1": 1, "check_qdb2": 1, "exchange_grid": 1,
@@ -887,8 +905,8 @@ _FAMILY_BLOCK = {"gkls_defects": 0, "expm": 0, "classify": 1, "check_qdb1": 0, "
         # 40 sources in two blocks: each block analyses its own
         (("sweep", "c", "--parameter", "nu", "--range", "0.5:0.9:40"),
          {stage: 2 * n for stage, n in _SEMIGROUP_BLOCK.items()}),
-        # each family's Kraus stack is built and checked once, at the probe, grid and qdb2 times together
-        (("sweep", "a", "--parameter", "omega", "--range", "0.5:1.5:3"), {**_FAMILY_BLOCK, "_kraus_stacks": 3}),
+        # the block's families are built once each, at the probe, grid and qdb2 times together, and checked as one stack
+        (("sweep", "a", "--parameter", "omega", "--range", "0.5:1.5:3"), _FAMILY_BLOCK),
         (("sweep", "a", "--parameter", "beta_i", "--range", "0:3:3"), _FAMILY_BLOCK),
         # one family shared by two blocks is analysed once
         (("sweep", "a", "--parameter", "beta_i", "--range", "0:3:40"), {**_FAMILY_BLOCK, "exchange_grid": 2}),

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from conftest import (
+    evolve_grid,
     BlochVector,
     a_channel,
     apply,
@@ -27,7 +28,7 @@ from conftest import (
 from qdblab import matlin
 from qdblab.balance import check_qdb1, check_qdb2
 from qdblab.cli import analyse
-from qdblab.dynamics import Dynamics, evolve_grid, gkls_defects, lindblad_superop, maps_of
+from qdblab.dynamics import Dynamics, gkls_defects, lindblad_superop, maps_of
 from qdblab.errors import NotCPTP, NotTracePreserving, ScheduleOutOfRange
 from qdblab.examples import (
     ExampleAParams,
@@ -179,7 +180,7 @@ class TestScenarioA:
 class TestScenarioB:
     def setup_method(self):
         self.p = ExampleBParams(omega=OMEGA, gamma=1.0, beta_f=BETA_F)
-        self.h = self.p.hamiltonian()
+        self.h = qubit_hamiltonian(self.p.omega)
         self.l = lindblad_superop(example_b_generator(self.p))
 
     def test_derived_rates(self):

@@ -6,6 +6,8 @@ import numpy as np
 import pytest
 
 from conftest import (
+    evolve_grid,
+    per_source,
     a_channel,
     apply_matrix,
     channel_from_superop,
@@ -29,7 +31,7 @@ from conftest import (
 )
 from qdblab import dynamics, fluctuation, matlin
 from qdblab.cli import main
-from qdblab.dynamics import Dynamics, LindbladGenerator, evolve_grid, lindblad_superop, maps_of
+from qdblab.dynamics import Dynamics, LindbladGenerator, lindblad_superop, maps_of
 from qdblab.errors import DimensionMismatch, InconclusiveHorizon, InternalCheckError, NotTracePreserving
 from qdblab.examples import (
     ExampleAParams,
@@ -71,7 +73,7 @@ class TestTransitionMatrix:
         # independent oracle: the populations relax exponentially toward
         # the thermal values, so p(g->e) = (1 - e^{-gbar tau}) p_e(beta)
         p = ExampleBParams(omega=1.0, gamma=1.0, beta_f=1.0)
-        h = p.hamiltonian()
+        h = qubit_hamiltonian(p.omega)
         l = lindblad_superop(example_b_generator(p))
         for tau in (0.2, 1.0, 4.0):
             probs = transition_matrix(evolve(l, tau), h)
@@ -112,7 +114,7 @@ class TestExchangeDistribution:
         # oracle: pairwise-balanced dynamics gives exactly e^{dbeta omega}
         p = ExampleBParams(omega=1.0, gamma=1.0, beta_f=1.0)
         l = lindblad_superop(example_b_generator(p))
-        grid = exchange_at(evolve(l, 1.0), p.hamiltonian(), 2.0)
+        grid = exchange_at(evolve(l, 1.0), qubit_hamiltonian(p.omega), 2.0)
         rec = [r for r in ratio_records(grid, 2.0 - 1.0) if abs(r.energy - 1.0) < 1e-9][0]
         assert abs(rec.ratio - math.exp(1.0)) < 1e-12
         assert rec.deviation < 1e-12
@@ -153,7 +155,7 @@ class TestQfrRatio:
         # beta_i large enough freezes the excited level: no release events
         p = ExampleBParams(omega=1.0, gamma=1.0, beta_f=1.0)
         l = lindblad_superop(example_b_generator(p))
-        grid = exchange_at(evolve(l, 0.5), p.hamiltonian(), 60.0)
+        grid = exchange_at(evolve(l, 0.5), qubit_hamiltonian(p.omega), 60.0)
         reported = {round(r.energy, 9) for r in ratio_records(grid, 60.0 - 1.0)}
         present = {round(g.energy, 9) for g in gap_records(grid)}
         assert 1.0 in present and 1.0 not in reported
@@ -207,7 +209,7 @@ class TestFptIdentity:
     def test_scenario_b_holds(self):
         p = ExampleBParams(omega=1.0, gamma=1.0, beta_f=1.0)
         l = lindblad_superop(example_b_generator(p))
-        assert fpt_stationarity_identity(evolve(l, 1.0), p.hamiltonian(), 1.0) < 1e-12
+        assert fpt_stationarity_identity(evolve(l, 1.0), qubit_hamiltonian(p.omega), 1.0) < 1e-12
 
     def test_scenario_a_defect_quantified(self):
         # oracle: the defect equals xi_tau * (q_inf - q_tau) exactly
@@ -320,7 +322,7 @@ class TestClassify:
 
         assert classify_one(Dynamics.channel_family(qubit_hamiltonian(1.0), family))[0] == "thermalizing"
         assert len(calls) == 1
-        assert len(inferred) == 1  # the thermal candidate, once
+        assert [rho.shape for rho in inferred] == [(1, 2, 2)]  # the thermal candidate, once, as a stack of one
 
     def test_non_finite_kraus_family_is_not_trace_preserving(self):
         h = qubit_hamiltonian(1.0)
@@ -426,6 +428,8 @@ def reference_transition_matrix(g, h):
         s = reference_superop_from_channel(g)
     elif g.shape != (d * d, d * d):
         raise DimensionMismatch("superoperator dimension does not match the Hamiltonian")
+    if not np.isfinite(s).all():
+        raise InternalCheckError("a map has a non-finite entry")
     probs = np.zeros((d, d))
     for m in range(d):
         out = apply_matrix(s, level_projector(h, m))
@@ -518,7 +522,7 @@ class TestExchangeGridAgainstReference:
     def test_diagonal_semigroup_is_bitwise_equal(self, rng, d, equally_spaced):
         h = diagonal_hamiltonian(rng, d, equally_spaced)
         gen = LindbladGenerator.canonical(h, random_lindblad(rng, d).kossakowski)
-        (maps,) = maps_of([Dynamics.semigroup(h, gen)], TAUS)
+        (maps,) = per_source(maps_of([Dynamics.semigroup(h, gen)], TAUS))
         assert maps[1] is None
         grid = exchange_grid(maps, h, 1.3)
         assert all(len(a) == len(TAUS) for a in grid[1:])
@@ -536,7 +540,7 @@ class TestExchangeGridAgainstReference:
         padded = np.zeros((len(family), 4, d, d), dtype=complex)
         for t, g in enumerate(family):
             padded[t, : len(g)] = g
-        ((superops, kraus),) = maps_of([Dynamics.channel_family(h, lambda taus: padded)], range(4))
+        (superops,), (kraus,) = maps_of([Dynamics.channel_family(h, lambda taus: padded)], range(4))
         assert np.array_equal(kraus, padded)
         assert np.array_equal(superops, [reference_superop_from_channel(g) for g in family])
         grid = exchange_grid((superops, kraus), h, 0.8)
@@ -553,8 +557,8 @@ class TestExchangeGridAgainstReference:
         taus = TAUS[1:]
         channel = random_channel(rng, d, 3)
         grids = (
-            exchange_grid(*maps_of([Dynamics.semigroup(h, gen)], taus), h, 1.3),
-            exchange_grid(*maps_of([Dynamics.single_map(h, channel, 1.0)], (1.0,)), h, 1.3),
+            exchange_grid(*per_source(maps_of([Dynamics.semigroup(h, gen)], taus)), h, 1.3),
+            exchange_grid(*per_source(maps_of([Dynamics.single_map(h, channel, 1.0)], (1.0,))), h, 1.3),
         )
         maps = [*evolve_grid(lindblad_superop(gen), taus), channel]
         records = [(grids[0], t) for t in range(len(taus))] + [(grids[1], 0)]
@@ -575,12 +579,12 @@ class TestExchangeGridAgainstReference:
 
         def skewed(kraus):
             s = exact(kraus)
-            s[1, 0, 0] += 3e-9
-            s[2, 0, 0] += 5e-8
+            s[..., 1, 0, 0] += 3e-9
+            s[..., 2, 0, 0] += 5e-8
             return s
 
         monkeypatch.setattr(dynamics, "_kraus_superops", skewed)
-        (maps,) = maps_of([Dynamics.channel_family(h, lambda taus: family)], (0.1, 0.2, 0.3))
+        (maps,) = per_source(maps_of([Dynamics.channel_family(h, lambda taus: family)], (0.1, 0.2, 0.3)))
         message = r"^Kraus and superoperator transition routes disagree by 3\.000e-09$"
         with pytest.raises(InternalCheckError, match=message):
             exchange_grid(maps, h, 1.0)
@@ -692,11 +696,11 @@ def _points(case, rng):
         sources = [Dynamics.semigroup(g.hamiltonian, g) for g in gens]
     elif case == "a":
         params = [ExampleAParams.default(omega, 1.0) for omega in np.linspace(0.5, 2.0, 6)]
-        sources = [Dynamics.channel_family(p.hamiltonian(), partial(example_a_channel, p)) for p in params]
+        sources = [Dynamics.channel_family(qubit_hamiltonian(p.omega), partial(example_a_channel, p)) for p in params]
     else:
         energies = {"davies3": [-0.7, 0.1, 1.3], "davies4": [-1.0, -0.2, 0.5, 1.6]}[case]
         sources = [Dynamics.semigroup(h, g) for h, g in (_davies(rng, energies) for _ in range(6))]
-    return [(maps, s.h) for maps, s in zip(maps_of(sources, TAUS), sources)]
+    return [(maps, s.h) for maps, s in zip(per_source(maps_of(sources, TAUS)), sources)]
 
 
 def _stack(points):
@@ -735,7 +739,8 @@ def test_one_source_along_the_point_axis_is_bitwise_the_per_point_grids(rng, sha
     ids=["gap-order", "degenerate"],
 )
 def test_points_with_other_gap_clusters_are_rejected(levels):
+    # as a package error, so that a sweep block of such points replays them one at a time
     hs = [HamiltonianSpec.from_matrix(np.diag(e).astype(complex)) for e in levels]
     points = [((np.eye(9, dtype=complex)[None], None), h) for h in hs]
-    with pytest.raises(ValueError, match="^the level sets differ in their gap clusters$"):
+    with pytest.raises(DimensionMismatch, match="^the level sets differ in their gap clusters$"):
         exchange_grid(*_stack(points), 1.0)
