@@ -182,12 +182,12 @@ def analyse(sources: list, args) -> tuple:
     """The stages that do not depend on beta_i, each stacked over ``sources``
     (of one kind and dimension, and single maps of one tau), in a source's
     order: the GKLS test of the semigroups' generators; the maps at
-    classify's probe times, on the tau grid and at the finite qdb2 times, of
-    one time tuple and from one :func:`maps_of` call; classify; qdb1; and
-    qdb2; one analysis ``(sections, betas, taus, maps, h)`` of them all,
-    with a list of each source's sections and beta_f, the stacks of their
-    maps on the tau grid and their Hamiltonians' stack.  A failing stage
-    raises, for whichever source fails it."""
+    classify's probe times and at the finite qdb2 times, with the level
+    transitions on the tau grid, from one :func:`maps_of` call; classify;
+    qdb1; and qdb2; one analysis ``(sections, betas, taus, transitions, h)``
+    of them all, with a list of each source's sections and beta_f, the
+    stacks of their transitions on the tau grid and their Hamiltonians'
+    stack.  A failing stage raises, for whichever source fails it."""
     generators = [s.generator for s in sources if s.generator is not None]
     if generators:
         cp, tp = gkls_defects(np.array(generators))
@@ -197,17 +197,17 @@ def analyse(sources: list, args) -> tuple:
             )
     probes = () if generators else sources[0].taus((TAU_MAX, *FIXED_POINT_TAUS))
     taus, qdb2_taus = sources[0].taus(args.tau_grid), tuple(filter(math.isfinite, sources[0].taus(QDB2_TAUS)))
-    superops, kraus = maps_of(sources, probes + taus + qdb2_taus)
-    p, n, h = len(probes), len(probes) + len(taus), HamiltonianSpec.stack([s.h for s in sources])
+    p, h = len(probes), HamiltonianSpec.stack([s.h for s in sources])
+    (superops, _), transitions = maps_of(sources, h, probes + taus + qdb2_taus, slice(p, p + len(taus)))
     classified = classify(sources, superops[:, :p], h)
     betas = [b if b is not None and math.isfinite(b) else None for _, b, _ in classified]
     qdb1 = _balance(check_qdb1, h, betas, [s.generator for s in sources], args)
     # time reversal is complex conjugation in H's eigenbasis
-    qdb2 = _balance(check_qdb2, h, betas, superops[:, n:] if qdb2_taus else [None] * len(sources), args)
+    qdb2 = _balance(check_qdb2, h, betas, superops[:, p:] if qdb2_taus else [None] * len(sources), args)
     classification = [{"kind": k, "beta_f": _json_float(b), "gamma_min": _json_float(g)} for k, b, g in classified]
     sections = [{"classification": c, "qdb1": q1, "qdb2": q2 and {**q2, "taus": list(qdb2_taus)}}
                 for c, q1, q2 in zip(classification, qdb1, qdb2)]
-    return sections, betas, taus, (superops[:, p:n], kraus if kraus is None else kraus[:, p:n]), h
+    return sections, betas, taus, transitions, h
 
 
 def build_report(analysis: tuple, args, beta_i, beta_f) -> list:
@@ -218,11 +218,12 @@ def build_report(analysis: tuple, args, beta_i, beta_f) -> list:
     source, the points of ``beta_i`` and ``beta_f``, a number that every
     point shares or an array of one per point; ``beta_f`` counts where the
     analysis infers none.  The points share a dimension and their gap
-    clusters' pairs; a source that every point shares gives its maps once.
+    clusters' pairs; a source that every point shares gives its transitions
+    once.
     The first point that fails a check raises."""
-    sections, betas, taus, maps, h = analysis
+    sections, betas, taus, transitions, h = analysis
     beta_i, beta_f, inferred = np.broadcast_arrays(beta_i, beta_f, [math.nan if b is None else b for b in betas])
-    grid = exchange_grid(maps, h, beta_i)
+    grid = exchange_grid(transitions, h, beta_i)
     defined, ratio, predicted, deviation = ratios(*grid, beta_i - np.where(np.isnan(inferred), beta_f, inferred))
     energies, p_plus, p_minus, recorded = np.broadcast_to(grid[0], predicted.shape), *grid[1:]
     reports = []

@@ -1,7 +1,9 @@
 """CPTP dynamics: Lindblad generators, superoperator matrices, the GKLS
 test of generators and ``Dynamics``, whose maps at one time tuple come, from
 ``maps_of``, as stacks that every check, ``classify`` of a channel family
-too, reads; no map is evolved, applied or made Kraus alone.
+too, reads, with their level transitions on the tau grid, which an exactly
+secular semigroup takes from its d x d rate block alone; no map is evolved,
+applied or made Kraus alone.
 
 A map is a plain Schroedinger-picture ``d^2 x d^2`` matrix acting on
 column-stacked operators, a Kraus family a zero-padded stack ``(t, j, d,
@@ -21,6 +23,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cache
 from typing import Callable
 
 import numpy as np
@@ -269,14 +272,118 @@ class Dynamics:
         return tuple(grid) if self.tau is None else (self.tau,)
 
 
-def maps_of(sources: list, taus: tuple) -> tuple:
-    """The maps of the sources, of one kind and dimension, at every time of
-    ``taus``, stacked over the sources in order: the stack ``(k, t, d^2,
-    d^2)`` of their matrices and the zero-padded stack ``(k, t, j, d, d)`` of
-    their Kraus operators, None for semigroups.  The semigroups take one
-    exponential over (source, tau); the channel families, of one Kraus
-    count, are each built once and checked as one stack, the first failing
-    source and slice first."""
-    if sources[0].generator is not None:
-        return matlin.expm(np.array([s.generator for s in sources]), taus), None
-    return _kraus_stacks(np.array([s.family(taus) for s in sources], dtype=complex), sources[0].h)
+def transitions_of(superops: np.ndarray, kraus, h: HamiltonianSpec) -> tuple:
+    """The level transitions of the map stacks ``(superops, kraus)`` of
+    :func:`maps_of`, or of stacks ``(p, t, ...)`` of them with h's
+    eigenvectors stacked ``(p, d, d)``, as ``(probs, finite, route_gap)``:
+    ``probs[..., t, m, n] = <n| Map_t[|m><m|] |n>`` in h's eigenbasis, and
+    over ``(..., t)`` whether a map's entries are all finite and by how much
+    the Kraus route ``sum_j |<n|G_j|m>|^2`` differs from the superoperator
+    route (0 without Kraus operators)."""
+    d = h.dim
+    v = h.eigenvectors[..., None, :, :]  # one eigenframe for every map
+    # column m of q is vec(|m><m|), so (q^dag S q)[n, m] = <n| S[|m><m|] |n>
+    q = (v.conj()[..., :, None, :] * v[..., None, :, :]).reshape(v.shape[:-2] + (d * d, d))
+    with np.errstate(invalid="ignore"):  # inf entries give nan, which the checks judge
+        probs = np.real(q.conj().swapaxes(-1, -2) @ require_superop_dim(superops, h) @ q).swapaxes(-1, -2)
+    route_gap = np.zeros(probs.shape[:-2])
+    if kraus is not None:
+        # (V^dag G V)^T = (G V)^T conj(V), two products over the whole stack of each point
+        lead, v = kraus.shape[:-4], h.eigenvectors
+        gv = (kraus.reshape(lead + (-1, d)) @ v).reshape(kraus.shape).swapaxes(-1, -2)
+        kraus_probs = np.abs((gv.reshape(lead + (-1, d)) @ v.conj()).reshape(kraus.shape)) ** 2
+        route_gap = np.abs(kraus_probs.sum(axis=-3) - probs).max(axis=(-2, -1))
+    return probs, np.isfinite(superops).all(axis=(-2, -1)), route_gap
+
+
+@cache
+def _frame_units(d: int) -> tuple:
+    """The column-stacking indices of the population units ``|m><m|`` and of
+    the coherence units ``|i><j|``, ``i != j``, of M_d, and the mask of the
+    entries of a ``d^2 x d^2`` matrix that couple a population unit to a
+    coherence unit, or two different coherence units."""
+    units = np.arange(d) * (d + 1)  # vec(|m><m|) is the unit vector at m (d + 1)
+    coherent = np.ones(d * d, dtype=bool)
+    coherent[units] = False
+    return units, np.flatnonzero(coherent), (coherent[:, None] | coherent) & ~np.eye(d * d, dtype=bool)
+
+
+def _secular(generators: np.ndarray, q: np.ndarray) -> tuple:
+    """The generators of a stack ``(k, d^2, d^2)`` in the eigenframes ``Q =
+    conj(V) (x) V`` of a stack ``q`` ``(k, d^2, d^2)``, ``Q^dag L Q``, as
+    ``(secular, frames)``: whether each is exactly secular, with every entry
+    that couples a population unit ``|m><m|`` to a coherence unit, or two
+    different coherence units, exactly 0 (a structural test, with no
+    tolerance), and the stack of them.  A secular generator is its Pauli
+    rate block ``W`` on the populations plus one decay rate per coherence
+    (Davies 1974), so its map at ``tau`` is ``exp(tau W)`` on the
+    populations and ``exp(tau lambda_c)`` on each coherence."""
+    couplings = _frame_units(math.isqrt(q.shape[-1]))[2]
+    with np.errstate(over="ignore", invalid="ignore"):  # a non-finite coupling is not 0
+        frames = dag(q) @ generators @ q
+    return ~frames[:, couplings].any(axis=-1), frames
+
+
+def maps_of(sources: list, h: HamiltonianSpec, times: tuple, grid: slice = slice(0)) -> tuple:
+    """The level transitions of the sources, of one kind and dimension, with
+    their Hamiltonians' stack ``h``, at the times of the slice ``grid`` of
+    ``times``, and their maps at the others, stacked over the sources in
+    order, as ``((superops, kraus), transitions)``: the stack ``(k, t, d^2,
+    d^2)`` of the maps' matrices, the zero-padded stack ``(k, t, j, d, d)``
+    of their Kraus operators, None for semigroups, and the stacks ``(probs,
+    finite, route_gap)`` of :func:`transitions_of`.
+
+    The channel families, of one Kraus count, are each built once over
+    ``times`` and checked as one stack, the first failing source and slice
+    first.  The semigroups that :func:`_secular` finds exactly secular take
+    one exponential of their rate blocks ``W`` over (source, time):
+    ``exp(tau W)`` is their transition matrix on the grid, and their map is
+    ``exp(tau W) (+) diag(exp(tau lambda_c))``, taken back from the
+    eigenframe.  The other semigroups take one exponential of their
+    generators over (source, time), so each source's route depends on its
+    own generator only."""
+    if sources[0].generator is None:
+        superops, kraus = _kraus_stacks(np.array([s.family(times) for s in sources], dtype=complex), h)
+        maps = np.delete(superops, grid, axis=1), np.delete(kraus, grid, axis=1)
+        return maps, transitions_of(superops[:, grid], kraus[:, grid], h)
+    generators = np.array([s.generator for s in sources])
+    q = kron(h.eigenvectors.conj(), h.eigenvectors)
+    secular, frames = _secular(generators, q)
+    if secular.all():
+        superops, probs, finite = _population_route(frames, q, times, grid)
+    elif not secular.any():
+        superops, probs, finite = _full_route(generators, h, times, grid)
+    else:  # each source on its own route, then back in order
+        routes = (_full_route(generators[~secular], h[~secular], times, grid),
+                  _population_route(frames[secular], q[secular], times, grid))
+        back = np.argsort(np.argsort(secular, kind="stable"))
+        superops, probs, finite = (np.concatenate(parts)[back] for parts in zip(*routes))
+    return (superops, None), (probs, finite, np.zeros(finite.shape))
+
+
+def _full_route(generators: np.ndarray, h: HamiltonianSpec, times: tuple, grid: slice) -> tuple:
+    """``(superops, probs, finite)`` of :func:`maps_of` from one exponential
+    of the generators over (source, time)."""
+    maps = matlin.expm(generators, times)
+    probs, finite, _ = transitions_of(maps[:, grid], None, h)
+    return np.delete(maps, grid, axis=1), probs, finite
+
+
+def _population_route(frames: np.ndarray, q: np.ndarray, times: tuple, grid: slice) -> tuple:
+    """``(superops, probs, finite)`` of :func:`maps_of` for exactly secular
+    generators, from their eigenframe matrices and eigenframes of
+    :func:`_secular`, with one exponential of their rate blocks
+    ``W[n, m]``, the entries from ``|m><m|`` to ``|n><n|``, over (source,
+    time)."""
+    d = math.isqrt(q.shape[-1])
+    units, coherent, _ = _frame_units(d)
+    populations = matlin.expm(frames[:, units[:, None], units], times)
+    taus = np.delete(np.asarray(times, dtype=float), grid)
+    # exp(tau W) (+) diag(exp(tau lambda_c)) in the eigenframe, then Q G Q^dag
+    g = np.zeros((len(frames), len(taus), d * d, d * d), dtype=complex)
+    g[..., units[:, None], units] = np.delete(populations, grid, axis=1)
+    with np.errstate(over="ignore", under="ignore", invalid="ignore"):
+        g[..., coherent, coherent] = np.exp(taus[:, None] * frames[:, None, coherent, coherent])
+        superops = q[:, None] @ g @ dag(q[:, None])
+    grid_maps = populations[:, grid]
+    return superops, grid_maps.real.swapaxes(-1, -2), np.isfinite(grid_maps).all(axis=(-2, -1))

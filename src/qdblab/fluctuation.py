@@ -1,8 +1,9 @@
 """Level transition probabilities, energy-exchange statistics, the
 forward-forward ratio law, and thermalization classification.
 
-Results are plain values: ``exchange_grid`` returns the arrays of a map
-stack's exchange statistics, which ``ratios`` compares with the ratio law,
+Results are plain values: ``exchange_grid`` returns the arrays of the
+exchange statistics of a stack of level transitions, a map's or a secular
+semigroup's ``exp(tau W)``, which ``ratios`` compares with the ratio law,
 and ``classify`` a ``(kind, beta_f, gamma_min)`` tuple per source.  The
 initial thermal state enters only through its level populations.  ``classify``
 reads a channel family from its probe maps, a superoperator stack that the
@@ -16,7 +17,6 @@ import math
 
 import numpy as np
 
-from .dynamics import require_superop_dim
 from .errors import DimensionMismatch, InconclusiveHorizon, InternalCheckError, NotAState, NotTracePreserving
 from .matlin import dag, unvec, vec
 from .states import STATE_ATOL, HamiltonianSpec, infer_beta, thermal_populations
@@ -28,28 +28,15 @@ STOCHASTIC_ATOL = 1e-9
 PROBABILITY_FLOOR = 1e-15  # below this both-sided, a gap record is roundoff
 
 
-def _transition_stack(superops: np.ndarray, kraus, h: HamiltonianSpec):
-    """Transition probabilities ``probs[..., t, m, n] = <n| Map_t[|m><m|]
-    |n>`` in h's eigenbasis of the stacks of :func:`maps_of`, or of
-    stacks ``(p, t, ...)`` of them with h's eigenvectors stacked ``(p, d,
-    d)``, with their checks as ``(mask, error)`` pairs over ``(..., t)`` in
+def _transition_checks(probs: np.ndarray, finite: np.ndarray, route_gap: np.ndarray) -> list:
+    """The checks of the transitions ``(probs, finite, route_gap)`` of
+    :func:`transitions_of` as ``(mask, error)`` pairs over ``(..., t)``, in
     the order one map is checked: its entries are finite, the Kraus and
     superoperator routes agree, and each row is a probability vector."""
-    d = h.dim
-    v = h.eigenvectors[..., None, :, :]  # one eigenframe for every map
-    # column m of q is vec(|m><m|), so (q^dag S q)[n, m] = <n| S[|m><m|] |n>
-    q = (v.conj()[..., :, None, :] * v[..., None, :, :]).reshape(v.shape[:-2] + (d * d, d))
-    with np.errstate(invalid="ignore"):  # inf entries give nan, which the checks judge
-        probs = np.real(q.conj().swapaxes(-1, -2) @ superops @ q).swapaxes(-1, -2)
-    route_gap = np.zeros(probs.shape[:-2])
-    if kraus is not None:
-        v = v[..., None, :, :]  # and for every Kraus operator
-        kraus_probs = (np.abs(v.conj().swapaxes(-1, -2) @ kraus @ v) ** 2).sum(axis=-3).swapaxes(-1, -2)
-        route_gap = np.abs(kraus_probs - probs).max(axis=(-2, -1))
     low = probs.min(axis=(-2, -1))
     rows = np.abs(probs.sum(axis=-1) - 1.0).max(axis=-1)
-    checks = [
-        (~np.isfinite(superops).all(axis=(-2, -1)), lambda *i: InternalCheckError("a map has a non-finite entry")),
+    return [
+        (~finite, lambda *i: InternalCheckError("a map has a non-finite entry")),
         (
             route_gap > ROUTE_AGREEMENT_ATOL,
             lambda *i: InternalCheckError(f"Kraus and superoperator transition routes disagree by {route_gap[i]:.3e}"),
@@ -60,7 +47,6 @@ def _transition_stack(superops: np.ndarray, kraus, h: HamiltonianSpec):
             lambda *i: NotTracePreserving(f"transition rows sum to 1 only within {rows[i]:.3e}"),
         ),
     ]
-    return probs, checks
 
 
 def _raise_first(checks: list) -> None:
@@ -137,10 +123,11 @@ def _exp(x: float) -> float:
         return math.inf
 
 
-def exchange_grid(maps, h: HamiltonianSpec, beta_i) -> tuple:
-    """Energy-exchange statistics of the maps ``(superops, kraus)`` of
-    :func:`maps_of` applied to the thermal state at a finite ``beta_i
-    >= 0``, as ``(energies, p_plus, p_minus, recorded)``.
+def exchange_grid(transitions, h: HamiltonianSpec, beta_i) -> tuple:
+    """Energy-exchange statistics of maps applied to the thermal state at a
+    finite ``beta_i >= 0``, from their level transitions ``(probs, finite,
+    route_gap)``, as :func:`maps_of` or :func:`transitions_of` gives them,
+    as ``(energies, p_plus, p_minus, recorded)``.
 
     Ordered level pairs are grouped by their gap ``E_n - E_m`` (within
     ``1e-9 * max|E|``); degenerate gaps accumulate into one record.  Row
@@ -149,20 +136,20 @@ def exchange_grid(maps, h: HamiltonianSpec, beta_i) -> tuple:
     transitions by the thermal populations and ``p_minus`` the reversed
     ones, and ``recorded`` marks the records with a probability of at least
     ``PROBABILITY_FLOOR`` on either side.  Points lead every shape: stacks
-    ``(p, t, ...)`` of maps, h's eigenvalues and eigenvectors stacked ``(p,
-    d)`` and ``(p, d, d)`` and an array ``beta_i`` broadcast together, so
-    that maps shared by every point are given, and judged, once.  The points'
-    levels must share their gap clusters' pairs, else ``DimensionMismatch``.
+    ``(p, t, ...)`` of transitions, h's eigenvalues and eigenvectors
+    stacked ``(p, d)`` and ``(p, d, d)`` and an array ``beta_i`` broadcast
+    together, so that transitions shared by every point are given, and
+    judged, once.  The points' levels must share their gap clusters' pairs,
+    else ``DimensionMismatch``.
     The first point, and in it the first map, that fails a check raises, with
     the checks at that map in this order: the transition checks of
-    :func:`_transition_stack`, then the records, which must sum to 1 and lie
+    :func:`_transition_checks`, then the records, which must sum to 1 and lie
     in [0, 1].
     """
     beta_i = np.asarray(beta_i, dtype=float)
     if not np.all((0 <= beta_i) & (beta_i < math.inf)):
         raise ValueError("beta_i must be finite and nonnegative")
-    superops, kraus = maps
-    probs, checks = _transition_stack(require_superop_dim(superops, h), kraus, h)
+    probs, checks = transitions[0], _transition_checks(*transitions)
     p_init = thermal_populations(h, beta_i)[..., None, :]  # [..., t, m]
     e = h.eigenvalues
     energies, clusters = _gap_clusters(e.reshape(-1, h.dim))

@@ -11,12 +11,14 @@ import pytest
 
 from qdblab import matlin
 from qdblab.dynamics import (
+    Dynamics,
     LindbladGenerator,
     _kraus_stacks,
     _kraus_superops,
     choi_matrix,
     maps_of,
     require_superop_dim,
+    transitions_of,
 )
 from qdblab.examples import (
     _PAULI_STACK,
@@ -42,7 +44,7 @@ from qdblab.fluctuation import (
     UNIT_EIG_ATOL,
     ZERO_EIG_ATOL,
     _raise_first,
-    _transition_stack,
+    _transition_checks,
     classify,
     exchange_grid,
     ratios,
@@ -111,6 +113,33 @@ def random_lindblad(rng, d, rate=1.0) -> LindbladGenerator:
     a = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
     c = rate * (a @ a.conj().T) / n
     return LindbladGenerator.canonical(h, c)
+
+
+def davies_generator(rng, dim: int, circulating: bool) -> LindbladGenerator:
+    """A Davies-type level-jump generator at beta = 1, in detailed balance,
+    or with a cyclic current around its levels that keeps the Gibbs state
+    stationary and breaks the balance (as the benchmark's fixtures)."""
+    energies = np.concatenate([[0.0], np.cumsum(rng.uniform(0.4, 1.2, dim - 1))])
+    pops = np.exp(-(energies - energies[0]))
+    pops /= pops.sum()
+    rates = np.zeros((dim, dim))  # rates[m, n] is the rate of m -> n
+    for m in range(dim):
+        for n in range(m + 1, dim):
+            rates[n, m] = rng.uniform(0.2, 1.0)
+            rates[m, n] = rates[n, m] * math.exp(-(energies[n] - energies[m]))
+    if circulating:
+        for level in range(dim):
+            rates[level, (level + 1) % dim] += 0.3 * pops.min() / pops[level]
+    jumps = [math.sqrt(rates[m, n]) * np.eye(dim)[:, [n]] @ np.eye(dim)[[m]] for m in range(dim) for n in range(dim)
+             if rates[m, n] > 0]
+    h = HamiltonianSpec.from_matrix(np.diag(energies).astype(complex))
+    return LindbladGenerator.from_jump_operators(h, jumps)
+
+
+def davies_source(rng, dim: int, circulating: bool) -> Dynamics:
+    """The semigroup of :func:`davies_generator`."""
+    gen = davies_generator(rng, dim, circulating)
+    return Dynamics.semigroup(gen.hamiltonian, gen)
 
 
 def level_unit(d, i, j):
@@ -232,6 +261,66 @@ def per_source(maps) -> list:
     return list(zip(superops, [None] * len(superops) if kraus is None else kraus))
 
 
+def stacked_h(sources) -> HamiltonianSpec:
+    """The stacked Hamiltonians of ``sources``, as ``cli.analyse`` passes
+    them to :func:`qdblab.dynamics.maps_of`."""
+    return HamiltonianSpec.stack([s.h for s in sources])
+
+
+def grid_of(sources, taus) -> list:
+    """The level transitions ``(probs, finite, route_gap)`` of each source of
+    ``sources`` on the grid ``taus``, from one :func:`qdblab.dynamics.maps_of`
+    call."""
+    _, transitions = maps_of(sources, stacked_h(sources), tuple(taus), slice(None))
+    return list(zip(*transitions))
+
+
+def expm_shapes(monkeypatch) -> list:
+    """The shapes of the generator stacks that ``matlin.expm`` receives
+    from now on, in call order."""
+    shapes, expm = [], matlin.expm
+
+    def recorded(generators, taus):
+        shapes.append(np.shape(generators))
+        return expm(generators, taus)
+
+    monkeypatch.setattr(matlin, "expm", recorded)
+    return shapes
+
+
+def reference_transition_stack(superops: np.ndarray, kraus, h: HamiltonianSpec) -> tuple:
+    """The level transitions ``(probs, finite, route_gap)`` of map stacks as
+    the full route takes them, the reference for the population route of
+    secular semigroups and for the two-product Kraus route: ``q^dag S q``
+    with the columns of q the vectors vec(|m><m|), and the Kraus route as
+    one broadcast product ``v^dag G v``."""
+    d = h.dim
+    v = h.eigenvectors[..., None, :, :]
+    q = (v.conj()[..., :, None, :] * v[..., None, :, :]).reshape(v.shape[:-2] + (d * d, d))
+    with np.errstate(invalid="ignore"):
+        probs = np.real(q.conj().swapaxes(-1, -2) @ require_superop_dim(superops, h) @ q).swapaxes(-1, -2)
+    route_gap = np.zeros(probs.shape[:-2])
+    if kraus is not None:
+        v = v[..., None, :, :]
+        kraus_probs = (np.abs(v.conj().swapaxes(-1, -2) @ kraus @ v) ** 2).sum(axis=-3).swapaxes(-1, -2)
+        route_gap = np.abs(kraus_probs - probs).max(axis=(-2, -1))
+    return probs, np.isfinite(superops).all(axis=(-2, -1)), route_gap
+
+
+def reference_maps_of(sources: list, h: HamiltonianSpec, times: tuple, grid: slice = slice(0)) -> tuple:
+    """:func:`qdblab.dynamics.maps_of` with every source on the full route:
+    a semigroup's maps are one exponential of its ``d^2 x d^2`` generator
+    over every time, and every source's transitions on the grid come from
+    its maps by :func:`reference_transition_stack`."""
+    if sources[0].generator is None:
+        superops, kraus = _kraus_stacks(np.array([s.family(times) for s in sources], dtype=complex), h)
+    else:
+        superops, kraus = matlin.expm(np.array([s.generator for s in sources]), times), None
+    rest = None if kraus is None else np.delete(kraus, grid, axis=1)
+    transitions = reference_transition_stack(superops[:, grid], None if kraus is None else kraus[:, grid], h)
+    return (np.delete(superops, grid, axis=1), rest), transitions
+
+
 def stacks_of(g, h):
     """The ``(superops, kraus)`` stacks of ``Dynamics.maps``, one map deep, of
     Kraus operators ``(j, d, d)`` or a superoperator ``(d^2, d^2)`` ``g``."""
@@ -241,7 +330,7 @@ def stacks_of(g, h):
 
 def exchange_at(g, h, beta_i):
     """Exchange statistics ``(energies, p_plus, p_minus, recorded)`` of the one map ``g``."""
-    return exchange_grid(stacks_of(g, h), h, beta_i)
+    return exchange_grid(transitions_of(*stacks_of(g, h), h), h, beta_i)
 
 
 def gap_records(grid, t=0):
@@ -572,9 +661,9 @@ def transition_matrix(g, h: HamiltonianSpec) -> np.ndarray:
     evaluated as well and the two must agree; the probabilities must be
     nonnegative and each row must sum to 1.
     """
-    probs, checks = _transition_stack(*stacks_of(g, h), h)
-    _raise_first(checks)
-    return probs[0]
+    transitions = transitions_of(*stacks_of(g, h), h)
+    _raise_first(_transition_checks(*transitions))
+    return transitions[0][0]
 
 
 def check_pairwise_condition(channel_or_superop, h: HamiltonianSpec, beta_f: float) -> float:
@@ -612,7 +701,7 @@ def classify_one(source) -> tuple:
     h = HamiltonianSpec.stack([source.h])
     if source.generator is not None:
         return classify([source], None, h)[0]
-    return classify([source], maps_of([source], source.taus((TAU_MAX, *FIXED_POINT_TAUS)))[0], h)[0]
+    return classify([source], maps_of([source], h, source.taus((TAU_MAX, *FIXED_POINT_TAUS)))[0][0], h)[0]
 
 
 def reference_classify_single_map(kraus_ops, h: HamiltonianSpec) -> tuple:
@@ -755,7 +844,7 @@ def reference_classify_family(source) -> tuple:
     through its Kraus maps: the reference for the family branch of
     :func:`qdblab.fluctuation.classify`, which reads the superoperator stack."""
     h = source.h
-    _, (kraus,) = maps_of([source], (TAU_MAX, *FIXED_POINT_TAUS))
+    (_, (kraus,)), _ = maps_of([source], stacked_h([source]), (TAU_MAX, *FIXED_POINT_TAUS))
     finals = [apply(kraus[0], p) for p in _probe_states(h.dim)]
     mean = sum(finals) / len(finals)
     mean = (mean + dag(mean)) / 2

@@ -11,7 +11,7 @@ import pytest
 
 import qdblab
 
-from conftest import inverted_qubit, random_complex, random_lindblad, thermal_circulation_qutrit
+from conftest import expm_shapes, inverted_qubit, random_complex, random_lindblad, thermal_circulation_qutrit
 from qdblab.cli import (
     EXIT_CONFIG,
     EXIT_INTERNAL,
@@ -503,9 +503,11 @@ class TestSweepCommand:
             ("b", "beta_f", "0.5:2:40"),
             # omega = 5e-324 halves to a degenerate H, whose gap clusters no other point of the block shares
             ("c", "omega", "5e-324:1:3"),
+            # the middle point is nu = alpha, whose exactly secular generator takes the population route
+            ("c", "nu", "0.3647852285573807:0.7647852285573807:5"),
         ],
         ids=["b-gamma-two-blocks", "b-gamma-repeated", "a-beta-i", "c-nu", "model-beta-i", "a-omega", "b-beta-f",
-             "c-omega-degenerate-point"],
+             "c-omega-degenerate-point", "c-nu-both-routes"],
     )
     def test_a_sweep_writes_the_bytes_of_its_points_run_one_at_a_time(
         self, tmp_path, capsys, target, parameter, values
@@ -520,6 +522,13 @@ class TestSweepCommand:
             lines += [header, row] if not lines else [row]
         assert (tmp_path / "sweep" / name).read_bytes() == b"".join(lines)
         capsys.readouterr()
+
+    def test_a_block_through_nu_alpha_takes_both_routes(self, tmp_path, monkeypatch):
+        # one exponential of the four 4 x 4 generators, one of the balanced point's 2 x 2 rate block
+        shapes = expm_shapes(monkeypatch)
+        argv = ("sweep", "c", "--parameter", "nu", "--range", "0.3647852285573807:0.7647852285573807:5")
+        assert run(tmp_path, *argv) == EXIT_OK
+        assert sorted(shapes) == [(1, 2, 2), (4, 4, 4)]
 
     @pytest.mark.parametrize("parameter", ["beta_i", "gamma"])
     def test_a_sweep_checks_its_settings_once(self, tmp_path, monkeypatch, parameter):

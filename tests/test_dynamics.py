@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from conftest import (
+    stacked_h,
     commutator_superop,
     evolve_grid,
     per_source,
@@ -430,11 +431,12 @@ class TestDynamicsSources:
             Dynamics.single_map(h, [np.eye(2)], 1.0)
         family = Dynamics.channel_family(h, lambda taus: np.array([[np.eye(2)]] * len(taus)))
         with pytest.raises(DimensionMismatch, match="channel dimension"):
-            maps_of([family], (0.5, 1.0))
+            maps_of([family], stacked_h([family]), (0.5, 1.0))
 
     def test_single_map_repeats_its_channel(self, rng):
         ops = [np.eye(2) / np.sqrt(2), SIGMA_X / np.sqrt(2)]
-        (superops,), (kraus,) = maps_of([Dynamics.single_map(qubit_hamiltonian(1.0), ops, 1.0)], (1.0, 1.0))
+        source = Dynamics.single_map(qubit_hamiltonian(1.0), ops, 1.0)
+        ((superops,), (kraus,)), _ = maps_of([source], stacked_h([source]), (1.0, 1.0))
         assert np.array_equal(kraus, [ops] * 2)
         assert np.array_equal(superops, [superop_from_channel(ops)] * 2)
 
@@ -449,7 +451,8 @@ class TestMapsOf:
     @pytest.mark.parametrize("d", [2, 3, 4])
     def test_semigroups_slice_their_own_exponentials(self, rng, d):
         sources = [Dynamics.semigroup(g.hamiltonian, g) for g in (random_lindblad(rng, d) for _ in range(3))]
-        for (superops, kraus), source in zip(per_source(maps_of(sources, sum(TIME_PARTS, ()))), sources):
+        maps, _ = maps_of(sources, stacked_h(sources), sum(TIME_PARTS, ()))
+        for (superops, kraus), source in zip(per_source(maps), sources):
             assert kraus is None
             assert np.array_equal(superops, np.concatenate([evolve_grid(source.generator, t) for t in TIME_PARTS]))
 
@@ -457,7 +460,8 @@ class TestMapsOf:
         params = [ExampleAParams.default(0.5, 1.0), ExampleAParams.default(2.0, 3.0)]
         params.append(ExampleAParams.fixed_point(1.0, 0.3))
         sources = [Dynamics.channel_family(qubit_hamiltonian(p.omega), partial(example_a_channel, p)) for p in params]
-        for (superops, kraus), p, source in zip(per_source(maps_of(sources, sum(TIME_PARTS, ()))), params, sources):
+        maps, _ = maps_of(sources, stacked_h(sources), sum(TIME_PARTS, ()))
+        for (superops, kraus), p, source in zip(per_source(maps), params, sources):
             own = [_kraus_stacks(np.asarray(example_a_channel(p, t), dtype=complex), source.h) for t in TIME_PARTS]
             assert np.array_equal(superops, np.concatenate([m for m, _ in own]))
             assert np.array_equal(kraus, np.concatenate([k for _, k in own]))
@@ -468,7 +472,7 @@ class TestMapsOf:
         source = Dynamics.single_map(h, ops, 1.0)
         taus = sum((source.taus(t) for t in TIME_PARTS), ())
         assert taus == (1.0,) * 3
-        (superops,), (kraus,) = maps_of([source], taus)
+        ((superops,), (kraus,)), _ = maps_of([source], stacked_h([source]), taus)
         own_superops, own_kraus = _kraus_stacks(np.array([ops]), h)
         assert np.array_equal(superops, np.repeat(own_superops, 3, axis=0))
         assert np.array_equal(kraus, np.repeat(own_kraus, 3, axis=0))

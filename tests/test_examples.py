@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from conftest import (
+    stacked_h,
     evolve_grid,
     BlochVector,
     a_channel,
@@ -118,7 +119,7 @@ class TestScenarioA:
 
         source = Dynamics.channel_family(self.h, family)
         with pytest.raises(NotTracePreserving, match=r"^sum G\^dag G differs from identity by 2\.100e-01$"):
-            maps_of([source], (0.5, 1.0, 2.0))
+            maps_of([source], stacked_h([source]), (0.5, 1.0, 2.0))
 
     def test_start_is_identity_channel(self, rng):
         rho0 = bloch_to_density(BlochVector(0.2, -0.3, 0.4))

@@ -18,6 +18,7 @@ from conftest import (
     example_qdb_family,
     exchange_at,
     fpt_stationarity_identity,
+    grid_of,
     gamma_bar,
     gap_records,
     level_projector,
@@ -31,7 +32,7 @@ from conftest import (
 )
 from qdblab import dynamics, fluctuation, matlin
 from qdblab.cli import main
-from qdblab.dynamics import Dynamics, LindbladGenerator, lindblad_superop, maps_of
+from qdblab.dynamics import Dynamics, LindbladGenerator, lindblad_superop, maps_of, transitions_of
 from qdblab.errors import DimensionMismatch, InconclusiveHorizon, InternalCheckError, NotTracePreserving
 from qdblab.examples import (
     ExampleAParams,
@@ -522,9 +523,9 @@ class TestExchangeGridAgainstReference:
     def test_diagonal_semigroup_is_bitwise_equal(self, rng, d, equally_spaced):
         h = diagonal_hamiltonian(rng, d, equally_spaced)
         gen = LindbladGenerator.canonical(h, random_lindblad(rng, d).kossakowski)
-        (maps,) = per_source(maps_of([Dynamics.semigroup(h, gen)], TAUS))
+        (maps,) = per_source(maps_of([Dynamics.semigroup(h, gen)], HamiltonianSpec.stack([h]), TAUS)[0])
         assert maps[1] is None
-        grid = exchange_grid(maps, h, 1.3)
+        grid = exchange_grid(transitions_of(*maps, h), h, 1.3)
         assert all(len(a) == len(TAUS) for a in grid[1:])
         for t, g in enumerate(maps[0]):
             assert np.array_equal(transition_matrix(g, h), reference_transition_matrix(g, h))
@@ -540,10 +541,11 @@ class TestExchangeGridAgainstReference:
         padded = np.zeros((len(family), 4, d, d), dtype=complex)
         for t, g in enumerate(family):
             padded[t, : len(g)] = g
-        (superops,), (kraus,) = maps_of([Dynamics.channel_family(h, lambda taus: padded)], range(4))
+        source = Dynamics.channel_family(h, lambda taus: padded)
+        ((superops,), (kraus,)), _ = maps_of([source], HamiltonianSpec.stack([h]), range(4))
         assert np.array_equal(kraus, padded)
         assert np.array_equal(superops, [reference_superop_from_channel(g) for g in family])
-        grid = exchange_grid((superops, kraus), h, 0.8)
+        grid = exchange_grid(transitions_of(superops, kraus, h), h, 0.8)
         for t, g in enumerate(family):
             assert np.array_equal(transition_matrix(g, h), reference_transition_matrix(g, h))
             records = reference_exchange_records(g, h, 0.8)
@@ -557,8 +559,8 @@ class TestExchangeGridAgainstReference:
         taus = TAUS[1:]
         channel = random_channel(rng, d, 3)
         grids = (
-            exchange_grid(*per_source(maps_of([Dynamics.semigroup(h, gen)], taus)), h, 1.3),
-            exchange_grid(*per_source(maps_of([Dynamics.single_map(h, channel, 1.0)], (1.0,))), h, 1.3),
+            exchange_grid(*grid_of([Dynamics.semigroup(h, gen)], taus), h, 1.3),
+            exchange_grid(*grid_of([Dynamics.single_map(h, channel, 1.0)], (1.0,)), h, 1.3),
         )
         maps = [*evolve_grid(lindblad_superop(gen), taus), channel]
         records = [(grids[0], t) for t in range(len(taus))] + [(grids[1], 0)]
@@ -584,10 +586,10 @@ class TestExchangeGridAgainstReference:
             return s
 
         monkeypatch.setattr(dynamics, "_kraus_superops", skewed)
-        (maps,) = per_source(maps_of([Dynamics.channel_family(h, lambda taus: family)], (0.1, 0.2, 0.3)))
+        (transitions,) = grid_of([Dynamics.channel_family(h, lambda taus: family)], (0.1, 0.2, 0.3))
         message = r"^Kraus and superoperator transition routes disagree by 3\.000e-09$"
         with pytest.raises(InternalCheckError, match=message):
-            exchange_grid(maps, h, 1.0)
+            exchange_grid(transitions, h, 1.0)
 
 
 def _failing_maps(h):
@@ -638,7 +640,7 @@ def test_grid_raises_what_the_per_map_loop_raised_first(names, beta_i):
         for g in maps:
             reference_exchange_records(g, h, beta_i)
     with pytest.raises(want.type) as got:
-        exchange_grid((np.array(maps), None), h, beta_i)
+        exchange_grid(transitions_of(np.array(maps), None, h), h, beta_i)
     assert str(got.value) == str(want.value)
 
 
@@ -648,7 +650,7 @@ def test_grid_rejects_a_stack_of_another_dimension():
     with pytest.raises(DimensionMismatch) as want:
         reference_exchange_records(g, h, 1.0)
     with pytest.raises(DimensionMismatch) as got:
-        exchange_grid((np.array([g, g]), None), h, 1.0)
+        exchange_grid(transitions_of(np.array([g, g]), None, h), h, 1.0)
     assert str(got.value) == str(want.value)
 
 
@@ -690,7 +692,7 @@ def _davies(rng, energies, beta=1.0):
 
 
 def _points(case, rng):
-    """Six points of one kind, as ``(maps, h)`` pairs."""
+    """Six points of one kind, as ``(transitions, h)`` pairs."""
     if case == "b":
         gens = [example_b_generator(ExampleBParams(omega, 1.0, 1.0)) for omega in np.linspace(0.5, 2.0, 6)]
         sources = [Dynamics.semigroup(g.hamiltonian, g) for g in gens]
@@ -700,15 +702,14 @@ def _points(case, rng):
     else:
         energies = {"davies3": [-0.7, 0.1, 1.3], "davies4": [-1.0, -0.2, 0.5, 1.6]}[case]
         sources = [Dynamics.semigroup(h, g) for h, g in (_davies(rng, energies) for _ in range(6))]
-    return [(maps, s.h) for maps, s in zip(per_source(maps_of(sources, TAUS)), sources)]
+    return [(transitions, s.h) for transitions, s in zip(grid_of(sources, TAUS), sources)]
 
 
 def _stack(points):
-    maps, hs = zip(*points)
-    kraus = None if maps[0][1] is None else np.array([k for _, k in maps])
+    transitions, hs = zip(*points)
     fields = ("matrix", "eigenvalues", "eigenvectors")
     h = HamiltonianSpec(*(np.array([getattr(h, f) for h in hs]) for f in fields))
-    return (np.array([s for s, _ in maps]), kraus), h
+    return tuple(map(np.array, zip(*transitions))), h
 
 
 BETA_IS = np.linspace(0.2, 3.0, 6)
@@ -719,17 +720,20 @@ def test_a_grid_over_points_is_bitwise_the_per_point_grids(rng, case):
     points = _points(case, rng)
     stacked = exchange_grid(*_stack(points), BETA_IS)
     assert stacked[1].shape == (6, len(TAUS), len(stacked[0][0]))
-    for k, ((maps, h), beta_i) in enumerate(zip(points, BETA_IS)):
-        for got, want in zip(stacked, exchange_grid(maps, h, beta_i)):
+    for k, ((transitions, h), beta_i) in enumerate(zip(points, BETA_IS)):
+        for got, want in zip(stacked, exchange_grid(transitions, h, beta_i)):
             assert np.array_equal(got[k], want)
 
 
 @pytest.mark.parametrize("shared", [True, False], ids=["given-once", "repeated"])
 def test_one_source_along_the_point_axis_is_bitwise_the_per_point_grids(rng, shared):
-    ((maps, h),) = _points("davies3", rng)[:1]
-    grid = exchange_grid(maps, h, BETA_IS) if shared else exchange_grid(*_stack([(maps, h)] * 6), BETA_IS)
+    ((transitions, h),) = _points("davies3", rng)[:1]
+    if shared:
+        grid = exchange_grid(transitions, h, BETA_IS)
+    else:
+        grid = exchange_grid(*_stack([(transitions, h)] * 6), BETA_IS)
     for k, beta_i in enumerate(BETA_IS):
-        for got, want in zip(grid, exchange_grid(maps, h, beta_i)):
+        for got, want in zip(grid, exchange_grid(transitions, h, beta_i)):
             assert np.array_equal(np.broadcast_to(got, (6, *want.shape))[k], want)
 
 
@@ -741,6 +745,6 @@ def test_one_source_along_the_point_axis_is_bitwise_the_per_point_grids(rng, sha
 def test_points_with_other_gap_clusters_are_rejected(levels):
     # as a package error, so that a sweep block of such points replays them one at a time
     hs = [HamiltonianSpec.from_matrix(np.diag(e).astype(complex)) for e in levels]
-    points = [((np.eye(9, dtype=complex)[None], None), h) for h in hs]
+    points = [(transitions_of(np.eye(9, dtype=complex)[None], None, h), h) for h in hs]
     with pytest.raises(DimensionMismatch, match="^the level sets differ in their gap clusters$"):
         exchange_grid(*_stack(points), 1.0)

@@ -16,11 +16,13 @@ import numpy as np
 import pytest
 
 from conftest import (
+    stacked_h,
     per_source,
     LOWERING,
     RAISING,
     NotThermal,
     ZeroPopulation,
+    davies_source,
     gibbs,
     random_density,
     random_hamiltonian,
@@ -48,30 +50,11 @@ from qdblab.states import HamiltonianSpec, infer_beta
 PROBES = (TAU_MAX, *FIXED_POINT_TAUS)
 
 
-def davies_source(rng, dim: int, circulating: bool) -> Dynamics:
-    """A Davies-type level-jump semigroup at beta = 1, in detailed balance,
-    or with a cyclic current around its levels that keeps the Gibbs state
-    stationary and breaks the balance (as the benchmark's fixtures)."""
-    energies = np.concatenate([[0.0], np.cumsum(rng.uniform(0.4, 1.2, dim - 1))])
-    pops = np.exp(-(energies - energies[0]))
-    pops /= pops.sum()
-    rates = np.zeros((dim, dim))  # rates[m, n] is the rate of m -> n
-    for m in range(dim):
-        for n in range(m + 1, dim):
-            rates[n, m] = rng.uniform(0.2, 1.0)
-            rates[m, n] = rates[n, m] * math.exp(-(energies[n] - energies[m]))
-    if circulating:
-        for level in range(dim):
-            rates[level, (level + 1) % dim] += 0.3 * pops.min() / pops[level]
-    jumps = [math.sqrt(rates[m, n]) * np.eye(dim)[:, [n]] @ np.eye(dim)[[m]] for m in range(dim) for n in range(dim)
-             if rates[m, n] > 0]
-    h = HamiltonianSpec.from_matrix(np.diag(energies).astype(complex))
-    return Dynamics.semigroup(h, LindbladGenerator.from_jump_operators(h, jumps))
-
-
 def probes_of(sources):
     """classify's probe maps of a block of Kraus sources, as ``cli.analyse`` takes them."""
-    return None if sources[0].generator is not None else maps_of(sources, sources[0].taus(PROBES))[0]
+    if sources[0].generator is not None:
+        return None
+    return maps_of(sources, stacked_h(sources), sources[0].taus(PROBES))[0][0]
 
 
 def classified(sources):
@@ -223,7 +206,8 @@ class TestScenarioBuilds:
         hs = qubit_hamiltonian([p.omega for p in params])
         sources = [Dynamics.channel_family(h, partial(example_a_channel, p)) for h, p in zip(hs, params)]
         taus = (*PROBES, 0.05, 0.4, 2.0, 9.0)
-        for (superops, kraus), source, p in zip(per_source(maps_of(sources, taus)), sources, params):
+        maps, _ = maps_of(sources, stacked_h(sources), taus)
+        for (superops, kraus), source, p in zip(per_source(maps), sources, params):
             want_superops, want_kraus = _kraus_stacks(example_a_channel(p, taus), source.h)
             assert np.array_equal(superops, want_superops) and np.array_equal(kraus, want_kraus)
             assert np.array_equal(superops, [superop_from_channel(k) for k in kraus])

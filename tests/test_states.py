@@ -19,6 +19,7 @@ from conftest import (
 )
 from qdblab import matlin
 from qdblab.errors import NotAState
+from qdblab.dynamics import transitions_of
 from qdblab.fluctuation import exchange_grid
 from qdblab.states import HamiltonianSpec, infer_beta, thermal_populations
 
@@ -66,10 +67,10 @@ class TestGibbs:
 
     def test_rejects_negative_beta(self):
         # the exchange statistics take a finite beta_i >= 0 only
-        maps = np.eye(4, dtype=complex)[None], None
+        transitions = transitions_of(np.eye(4, dtype=complex)[None], None, QUBIT_H)
         for beta_i in (-0.1, math.inf, math.nan):
             with pytest.raises(ValueError, match="^beta_i must be finite and nonnegative$"):
-                exchange_grid(maps, QUBIT_H, beta_i)
+                exchange_grid(transitions, QUBIT_H, beta_i)
 
     @pytest.mark.parametrize("beta", [0.0, 0.5, 5.0, 49.0])
     def test_valid_state_and_commutes_with_h(self, rng, beta):
