@@ -181,29 +181,29 @@ def _balance(check, h: HamiltonianSpec, betas: list, operators: list, args) -> l
 def analyse(sources: list, args) -> tuple:
     """The stages that do not depend on beta_i, each stacked over ``sources``
     (of one kind and dimension, and single maps of one tau), in a source's
-    order: the GKLS test of the semigroups' generators; the maps at
-    classify's probe times and at the finite qdb2 times, with the level
-    transitions on the tau grid, from one :func:`maps_of` call; classify;
-    qdb1; and qdb2; one analysis ``(sections, betas, taus, transitions, h)``
-    of them all, with a list of each source's sections and beta_f, the
-    stacks of their transitions on the tau grid and their Hamiltonians'
-    stack.  A failing stage raises, for whichever source fails it."""
-    generators = [s.generator for s in sources if s.generator is not None]
-    if generators:
-        cp, tp = gkls_defects(np.array(generators))
+    order: the generators in H's eigenframe, the maps at classify's probe
+    times and at the finite qdb2 times, with the level transitions on the tau
+    grid, from one :func:`maps_of` call; the GKLS test of the semigroups'
+    generators; classify; qdb1; and qdb2; one analysis ``(sections, betas,
+    taus, transitions, h)`` of them all, with a list of each source's
+    sections and beta_f, the stacks of their transitions on the tau grid and
+    their Hamiltonians' stack.  A failing stage raises, for whichever source
+    fails it."""
+    probes = () if sources[0].generator is not None else sources[0].taus((TAU_MAX, *FIXED_POINT_TAUS))
+    taus, qdb2_taus = sources[0].taus(args.tau_grid), tuple(filter(math.isfinite, sources[0].taus(QDB2_TAUS)))
+    p, h, none = len(probes), HamiltonianSpec.stack([s.h for s in sources]), [None] * len(sources)
+    # every stage from here reads the eigenframe matrices of maps_of
+    generators, (superops, _), transitions = maps_of(sources, h, probes + taus + qdb2_taus, slice(p, p + len(taus)))
+    if generators is not None:
+        cp, tp = gkls_defects(generators)
         for k in np.flatnonzero(~(np.maximum(cp, tp) < args.tol_cptp))[:1]:  # a nan defect fails too
             raise NotCPTP(
                 f"the generator is not of GKLS form: cp={cp[k]:.3e}, tp={tp[k]:.3e} relative to its 1-norm"
             )
-    probes = () if generators else sources[0].taus((TAU_MAX, *FIXED_POINT_TAUS))
-    taus, qdb2_taus = sources[0].taus(args.tau_grid), tuple(filter(math.isfinite, sources[0].taus(QDB2_TAUS)))
-    p, h = len(probes), HamiltonianSpec.stack([s.h for s in sources])
-    (superops, _), transitions = maps_of(sources, h, probes + taus + qdb2_taus, slice(p, p + len(taus)))
-    classified = classify(sources, superops[:, :p], h)
+    classified = classify(sources, superops[:, :p] if generators is None else generators, h)
     betas = [b if b is not None and math.isfinite(b) else None for _, b, _ in classified]
-    qdb1 = _balance(check_qdb1, h, betas, [s.generator for s in sources], args)
-    # time reversal is complex conjugation in H's eigenbasis
-    qdb2 = _balance(check_qdb2, h, betas, superops[:, p:] if qdb2_taus else [None] * len(sources), args)
+    qdb1 = _balance(check_qdb1, h, betas, none if generators is None else generators, args)
+    qdb2 = _balance(check_qdb2, h, betas, superops[:, p:] if qdb2_taus else none, args)
     classification = [{"kind": k, "beta_f": _json_float(b), "gamma_min": _json_float(g)} for k, b, g in classified]
     sections = [{"classification": c, "qdb1": q1, "qdb2": q2 and {**q2, "taus": list(qdb2_taus)}}
                 for c, q1, q2 in zip(classification, qdb1, qdb2)]

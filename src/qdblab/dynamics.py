@@ -1,9 +1,18 @@
 """CPTP dynamics: Lindblad generators, superoperator matrices, the GKLS
-test of generators and ``Dynamics``, whose maps at one time tuple come, from
-``maps_of``, as stacks that every check, ``classify`` of a channel family
-too, reads, with their level transitions on the tau grid, which an exactly
-secular semigroup takes from its d x d rate block alone; no map is evolved,
-applied or made Kraus alone.
+test of generators and ``Dynamics``, whose generators, maps at one time
+tuple and level transitions on the tau grid come, from ``maps_of``, as
+stacks that every check, ``classify`` of a channel family too, reads; an
+exactly secular semigroup takes its transitions from its d x d rate block
+alone, and no map is evolved, applied or made Kraus alone.
+
+``maps_of`` takes H's eigenframe once per block, and it is the only place
+the package reads H's eigenvectors ``V``: the generators, maps and Kraus
+operators it hands on, and the states the later stages take from them, are
+held in that frame, ``Q^dag L Q`` with ``Q = conj(V) (x) V`` and ``V^dag G
+V``.  There the Gibbs state is diagonal, time reversal is complex
+conjugation, and the level transitions are the maps' population block.  The
+trace dual, ``vec(I)``, complete positivity, spectra and singular values
+are the same in either frame.
 
 A map is a plain Schroedinger-picture ``d^2 x d^2`` matrix acting on
 column-stacked operators, a Kraus family a zero-padded stack ``(t, j, d,
@@ -173,10 +182,9 @@ def _kraus_superops(kraus: np.ndarray) -> np.ndarray:
     return kron(kraus.conj(), kraus).sum(axis=-3, initial=0.0)
 
 
-def _kraus_stacks(kraus: np.ndarray, h: HamiltonianSpec) -> tuple:
-    """The ``(superops, kraus)`` stacks of a zero-padded Kraus stack ``(...,
-    t, j, d, d)``, checked for ``sum_j G^dag G == I``, first failing slice
-    first, and then for h's dimension."""
+def _kraus_stacks(kraus: np.ndarray, h: HamiltonianSpec) -> np.ndarray:
+    """A zero-padded Kraus stack ``(..., t, j, d, d)``, checked for ``sum_j
+    G^dag G == I``, first failing slice first, and then for h's dimension."""
     with np.errstate(over="ignore", invalid="ignore"):  # an inf or nan residual fails below
         gram = np.einsum("...jai,...jak->...ik", kraus.conj(), kraus)
     res = np.abs(gram - np.eye(kraus.shape[-1])).max(axis=(-2, -1)).reshape(-1)
@@ -185,7 +193,7 @@ def _kraus_stacks(kraus: np.ndarray, h: HamiltonianSpec) -> tuple:
         raise NotTracePreserving(f"sum G^dag G differs from identity by {res[failing[0]]:.3e}")
     if kraus.shape[-2:] != (h.dim,) * 2:
         raise DimensionMismatch("channel dimension does not match the Hamiltonian")
-    return _kraus_superops(kraus), kraus
+    return kraus
 
 
 def require_superop_dim(superops: np.ndarray, h: HamiltonianSpec) -> np.ndarray:
@@ -205,12 +213,13 @@ def choi_matrix(s: np.ndarray) -> np.ndarray:
 
 def gkls_defects(generators: np.ndarray) -> tuple:
     """The defects ``(cp, tp)`` of every generator of a stack ``(p, d^2,
-    d^2)`` from the GKLS form, each relative to the generator's 1-norm, as
-    arrays, from one stacked ``eigvalsh``: the most negative eigenvalue of
-    its Choi matrix projected orthogonally to ``vec(I)`` (0 if none), and
-    the Euclidean norm of ``vec(I)^dag L``.  A Hermiticity-preserving
-    generator generates CPTP maps exactly when both are 0 (Lindblad 1976;
-    Wolf & Cirac 2008)."""
+    d^2)``, in H's eigenframe, from the GKLS form, each relative to the
+    generator's 1-norm in that frame, as arrays, from one stacked
+    ``eigvalsh``: the most negative eigenvalue of its Choi matrix projected
+    orthogonally to ``vec(I)`` (0 if none), and the Euclidean norm of
+    ``vec(I)^dag L``.  A Hermiticity-preserving generator generates CPTP maps
+    exactly when both are 0 (Lindblad 1976; Wolf & Cirac 2008), in any frame
+    ``Q^dag L Q``."""
     d = math.isqrt(generators.shape[-1])
     norms = np.abs(generators).sum(axis=-2).max(axis=-1)
     scaled = generators / np.where(norms > 0, norms, 1.0)[:, None, None]
@@ -263,7 +272,7 @@ class Dynamics:
             raise NotTracePreserving("empty Kraus family cannot preserve the trace")
         if any(g.ndim != 2 or g.shape != (len(ops[0]),) * 2 for g in ops):
             raise DimensionMismatch("all Kraus operators must be square with equal size")
-        _, kraus = _kraus_stacks(np.array([ops]), h)
+        kraus = _kraus_stacks(np.array([ops]), h)
         return cls(h, None, lambda taus: np.repeat(kraus, len(taus), axis=0), tau)
 
     def taus(self, grid) -> tuple:
@@ -272,27 +281,19 @@ class Dynamics:
         return tuple(grid) if self.tau is None else (self.tau,)
 
 
-def transitions_of(superops: np.ndarray, kraus, h: HamiltonianSpec) -> tuple:
-    """The level transitions of the map stacks ``(superops, kraus)`` of
-    :func:`maps_of`, or of stacks ``(p, t, ...)`` of them with h's
-    eigenvectors stacked ``(p, d, d)``, as ``(probs, finite, route_gap)``:
-    ``probs[..., t, m, n] = <n| Map_t[|m><m|] |n>`` in h's eigenbasis, and
-    over ``(..., t)`` whether a map's entries are all finite and by how much
-    the Kraus route ``sum_j |<n|G_j|m>|^2`` differs from the superoperator
-    route (0 without Kraus operators)."""
-    d = h.dim
-    v = h.eigenvectors[..., None, :, :]  # one eigenframe for every map
-    # column m of q is vec(|m><m|), so (q^dag S q)[n, m] = <n| S[|m><m|] |n>
-    q = (v.conj()[..., :, None, :] * v[..., None, :, :]).reshape(v.shape[:-2] + (d * d, d))
-    with np.errstate(invalid="ignore"):  # inf entries give nan, which the checks judge
-        probs = np.real(q.conj().swapaxes(-1, -2) @ require_superop_dim(superops, h) @ q).swapaxes(-1, -2)
+def transitions_of(superops: np.ndarray, kraus) -> tuple:
+    """The level transitions of the eigenframe map stacks ``(superops,
+    kraus)`` of :func:`maps_of`, or of stacks ``(p, t, ...)`` of them, as
+    ``(probs, finite, route_gap)``: ``probs[..., t, m, n] = <n| Map_t[|m><m|]
+    |n>``, read from the maps' population block, and over ``(..., t)``
+    whether a map's entries are all finite and by how much the Kraus route
+    ``sum_j |<n|G_j|m>|^2`` differs from the superoperator route (0 without
+    Kraus operators)."""
+    units = _frame_units(math.isqrt(superops.shape[-1]))[0]
+    probs = superops[..., units, units[:, None]].real  # the entry from |m><m| to |n><n| at [m, n]
     route_gap = np.zeros(probs.shape[:-2])
     if kraus is not None:
-        # (V^dag G V)^T = (G V)^T conj(V), two products over the whole stack of each point
-        lead, v = kraus.shape[:-4], h.eigenvectors
-        gv = (kraus.reshape(lead + (-1, d)) @ v).reshape(kraus.shape).swapaxes(-1, -2)
-        kraus_probs = np.abs((gv.reshape(lead + (-1, d)) @ v.conj()).reshape(kraus.shape)) ** 2
-        route_gap = np.abs(kraus_probs.sum(axis=-3) - probs).max(axis=(-2, -1))
+        route_gap = np.abs((np.abs(kraus) ** 2).sum(axis=-3).swapaxes(-1, -2) - probs).max(axis=(-2, -1))
     return probs, np.isfinite(superops).all(axis=(-2, -1)), route_gap
 
 
@@ -308,82 +309,73 @@ def _frame_units(d: int) -> tuple:
     return units, np.flatnonzero(coherent), (coherent[:, None] | coherent) & ~np.eye(d * d, dtype=bool)
 
 
-def _secular(generators: np.ndarray, q: np.ndarray) -> tuple:
-    """The generators of a stack ``(k, d^2, d^2)`` in the eigenframes ``Q =
-    conj(V) (x) V`` of a stack ``q`` ``(k, d^2, d^2)``, ``Q^dag L Q``, as
-    ``(secular, frames)``: whether each is exactly secular, with every entry
-    that couples a population unit ``|m><m|`` to a coherence unit, or two
-    different coherence units, exactly 0 (a structural test, with no
-    tolerance), and the stack of them.  A secular generator is its Pauli
-    rate block ``W`` on the populations plus one decay rate per coherence
-    (Davies 1974), so its map at ``tau`` is ``exp(tau W)`` on the
-    populations and ``exp(tau lambda_c)`` on each coherence."""
-    couplings = _frame_units(math.isqrt(q.shape[-1]))[2]
-    with np.errstate(over="ignore", invalid="ignore"):  # a non-finite coupling is not 0
-        frames = dag(q) @ generators @ q
-    return ~frames[:, couplings].any(axis=-1), frames
-
-
 def maps_of(sources: list, h: HamiltonianSpec, times: tuple, grid: slice = slice(0)) -> tuple:
-    """The level transitions of the sources, of one kind and dimension, with
-    their Hamiltonians' stack ``h``, at the times of the slice ``grid`` of
-    ``times``, and their maps at the others, stacked over the sources in
-    order, as ``((superops, kraus), transitions)``: the stack ``(k, t, d^2,
-    d^2)`` of the maps' matrices, the zero-padded stack ``(k, t, j, d, d)``
-    of their Kraus operators, None for semigroups, and the stacks ``(probs,
+    """The generators, maps and level transitions of the sources, of one
+    kind and dimension, with their Hamiltonians' stack ``h``, all in H's
+    eigenframe, the only place the package takes it: the level transitions
+    at the times of the slice ``grid`` of ``times`` and the maps at the
+    others, stacked over the sources in order, as ``(generators, (superops,
+    kraus), transitions)``: the stack ``(k, d^2, d^2)`` of the semigroups'
+    generators ``Q^dag L Q``, with ``Q = conj(V) (x) V`` for h's eigenvectors
+    ``V`` (None for channel families), the stack ``(k, t, d^2, d^2)`` of the
+    maps' matrices, the zero-padded stack ``(k, t, j, d, d)`` of their Kraus
+    operators ``V^dag G V`` (None for semigroups), and the stacks ``(probs,
     finite, route_gap)`` of :func:`transitions_of`.
 
     The channel families, of one Kraus count, are each built once over
     ``times`` and checked as one stack, the first failing source and slice
-    first.  The semigroups that :func:`_secular` finds exactly secular take
-    one exponential of their rate blocks ``W`` over (source, time):
-    ``exp(tau W)`` is their transition matrix on the grid, and their map is
-    ``exp(tau W) (+) diag(exp(tau lambda_c))``, taken back from the
-    eigenframe.  The other semigroups take one exponential of their
-    generators over (source, time), so each source's route depends on its
-    own generator only."""
+    first.  A semigroup is exactly secular when every entry of its eigenframe
+    generator that couples a population unit ``|m><m|`` to a coherence unit,
+    or two different coherence units, is exactly 0 (a structural test, with
+    no tolerance): it is its Pauli rate block ``W`` on the populations plus
+    one decay rate ``lambda_c`` per coherence (Davies 1974).  The secular
+    semigroups take one exponential of their rate blocks over (source,
+    time): ``exp(tau W)`` is their transition matrix on the grid, and their
+    map is ``exp(tau W) (+) diag(exp(tau lambda_c))``.  The others take one
+    exponential of their generators over (source, time), so each source's
+    route depends on its own generator only."""
+    v, d = h.eigenvectors, h.dim
     if sources[0].generator is None:
-        superops, kraus = _kraus_stacks(np.array([s.family(times) for s in sources], dtype=complex), h)
+        kraus = _kraus_stacks(np.array([s.family(times) for s in sources], dtype=complex), h)
+        # V^dag G V = ((G V)^T conj(V))^T, two products over the whole stack of each source
+        gv = (kraus.reshape(len(sources), -1, d) @ v).reshape(kraus.shape).swapaxes(-1, -2)
+        kraus = (gv.reshape(len(sources), -1, d) @ v.conj()).reshape(kraus.shape).swapaxes(-1, -2)
+        superops = _kraus_superops(kraus)
         maps = np.delete(superops, grid, axis=1), np.delete(kraus, grid, axis=1)
-        return maps, transitions_of(superops[:, grid], kraus[:, grid], h)
-    generators = np.array([s.generator for s in sources])
-    q = kron(h.eigenvectors.conj(), h.eigenvectors)
-    secular, frames = _secular(generators, q)
-    if secular.all():
-        superops, probs, finite = _population_route(frames, q, times, grid)
-    elif not secular.any():
-        superops, probs, finite = _full_route(generators, h, times, grid)
-    else:  # each source on its own route, then back in order
-        routes = (_full_route(generators[~secular], h[~secular], times, grid),
-                  _population_route(frames[secular], q[secular], times, grid))
-        back = np.argsort(np.argsort(secular, kind="stable"))
-        superops, probs, finite = (np.concatenate(parts)[back] for parts in zip(*routes))
-    return (superops, None), (probs, finite, np.zeros(finite.shape))
+        return None, maps, transitions_of(superops[:, grid], kraus[:, grid])
+    q = kron(v.conj(), v)
+    with np.errstate(over="ignore", invalid="ignore"):  # a non-finite coupling is not 0
+        generators = dag(q) @ np.array([s.generator for s in sources]) @ q
+    secular = ~generators[:, _frame_units(d)[2]].any(axis=-1)
+    k, n = len(sources), len(range(len(times))[grid])
+    superops = np.empty((k, len(times) - n, d * d, d * d), dtype=complex)
+    probs, finite = np.empty((k, n, d, d)), np.empty((k, n), dtype=bool)
+    for route, picked in ((_full_route, ~secular), (_population_route, secular)):
+        if picked.any():
+            superops[picked], probs[picked], finite[picked] = route(generators[picked], times, grid)
+    return generators, (superops, None), (probs, finite, np.zeros(finite.shape))
 
 
-def _full_route(generators: np.ndarray, h: HamiltonianSpec, times: tuple, grid: slice) -> tuple:
+def _full_route(generators: np.ndarray, times: tuple, grid: slice) -> tuple:
     """``(superops, probs, finite)`` of :func:`maps_of` from one exponential
-    of the generators over (source, time)."""
+    of the eigenframe generators over (source, time)."""
     maps = matlin.expm(generators, times)
-    probs, finite, _ = transitions_of(maps[:, grid], None, h)
+    probs, finite, _ = transitions_of(maps[:, grid], None)
     return np.delete(maps, grid, axis=1), probs, finite
 
 
-def _population_route(frames: np.ndarray, q: np.ndarray, times: tuple, grid: slice) -> tuple:
+def _population_route(generators: np.ndarray, times: tuple, grid: slice) -> tuple:
     """``(superops, probs, finite)`` of :func:`maps_of` for exactly secular
-    generators, from their eigenframe matrices and eigenframes of
-    :func:`_secular`, with one exponential of their rate blocks
+    eigenframe generators, with one exponential of their rate blocks
     ``W[n, m]``, the entries from ``|m><m|`` to ``|n><n|``, over (source,
     time)."""
-    d = math.isqrt(q.shape[-1])
+    d = math.isqrt(generators.shape[-1])
     units, coherent, _ = _frame_units(d)
-    populations = matlin.expm(frames[:, units[:, None], units], times)
+    populations = matlin.expm(generators[:, units[:, None], units], times)
     taus = np.delete(np.asarray(times, dtype=float), grid)
-    # exp(tau W) (+) diag(exp(tau lambda_c)) in the eigenframe, then Q G Q^dag
-    g = np.zeros((len(frames), len(taus), d * d, d * d), dtype=complex)
-    g[..., units[:, None], units] = np.delete(populations, grid, axis=1)
+    superops = np.zeros((len(generators), len(taus), d * d, d * d), dtype=complex)
+    superops[..., units[:, None], units] = np.delete(populations, grid, axis=1)
     with np.errstate(over="ignore", under="ignore", invalid="ignore"):
-        g[..., coherent, coherent] = np.exp(taus[:, None] * frames[:, None, coherent, coherent])
-        superops = q[:, None] @ g @ dag(q[:, None])
+        superops[..., coherent, coherent] = np.exp(taus[:, None] * generators[:, None, coherent, coherent])
     grid_maps = populations[:, grid]
     return superops, grid_maps.real.swapaxes(-1, -2), np.isfinite(grid_maps).all(axis=(-2, -1))

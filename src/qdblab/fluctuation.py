@@ -2,14 +2,16 @@
 forward-forward ratio law, and thermalization classification.
 
 Results are plain values: ``exchange_grid`` returns the arrays of the
-exchange statistics of a stack of level transitions, a map's or a secular
-semigroup's ``exp(tau W)``, which ``ratios`` compares with the ratio law,
-and ``classify`` a ``(kind, beta_f, gamma_min)`` tuple per source.  The
-initial thermal state enters only through its level populations.  ``classify``
-reads a channel family from its probe maps, a superoperator stack that the
-caller takes with the rest of its maps: its map at ``TAU_MAX`` against
-``vec(sigma) vec(I)^dag``, with ``sigma`` its image of ``I/d``, and every
-map against ``sigma``."""
+exchange statistics of a stack of level transitions, a map's population
+block or a secular semigroup's ``exp(tau W)``, which ``ratios`` compares
+with the ratio law, and ``classify`` a ``(kind, beta_f, gamma_min)`` tuple
+per source.  The initial thermal state enters only through its level
+populations.  Every generator and map is read in H's eigenframe, as
+``dynamics.maps_of`` hands them on, and so is every state taken from them.
+``classify`` reads a semigroup from its generator and a channel family from
+its probe maps, a superoperator stack that the caller takes with the rest of
+its maps: its map at ``TAU_MAX`` against ``vec(sigma) vec(I)^dag``, with
+``sigma`` its image of ``I/d``, and every map against ``sigma``."""
 
 from __future__ import annotations
 
@@ -63,13 +65,14 @@ def _raise_first(checks: list) -> None:
 
 def _gap_clusters(e: np.ndarray) -> tuple:
     """Ordered level pairs ``(m, n)`` with ``E_n >= E_m`` of a stack ``(p,
-    d)`` of ascending levels, grouped by their gap (within ``1e-9 * max|E|``
-    of each level set) into clusters of ascending energy, as ``(energies,
+    d)`` of ascending levels, grouped by their gap (within ``1e-9 (E_max -
+    E_min)`` of each level set, which no shift of the zero of energy moves)
+    into clusters of ascending energy, as ``(energies,
     pairs)``: the energies ``(p, c)`` of each set's clusters, and a list of
     each cluster's pairs, which every set must share, else
     ``DimensionMismatch``; the zero-gap cluster has energy exactly 0."""
     p, d = e.shape
-    atol = GAP_GROUP_RTOL * np.abs(e).max(axis=1)
+    atol = GAP_GROUP_RTOL * (e[:, -1] - e[:, 0])
     gaps = (e[:, None, :] - e[:, :, None]).reshape(p, -1)  # gaps[:, m d + n] = E_n - E_m
     # ascending gaps that reach -atol, equal ones in (m, n) order, then nan for the others
     g = np.where(gaps >= -atol[:, None], np.maximum(gaps, 0.0), math.nan)
@@ -130,17 +133,16 @@ def exchange_grid(transitions, h: HamiltonianSpec, beta_i) -> tuple:
     as ``(energies, p_plus, p_minus, recorded)``.
 
     Ordered level pairs are grouped by their gap ``E_n - E_m`` (within
-    ``1e-9 * max|E|``); degenerate gaps accumulate into one record.  Row
-    ``t`` of ``p_plus`` and ``p_minus`` belongs to map ``t`` and column
+    ``1e-9 (E_max - E_min)``); degenerate gaps accumulate into one record.
+    Row ``t`` of ``p_plus`` and ``p_minus`` belongs to map ``t`` and column
     ``c`` to the gap ``energies[..., c] >= 0``: ``p_plus`` weights forward
     transitions by the thermal populations and ``p_minus`` the reversed
     ones, and ``recorded`` marks the records with a probability of at least
     ``PROBABILITY_FLOOR`` on either side.  Points lead every shape: stacks
-    ``(p, t, ...)`` of transitions, h's eigenvalues and eigenvectors
-    stacked ``(p, d)`` and ``(p, d, d)`` and an array ``beta_i`` broadcast
-    together, so that transitions shared by every point are given, and
-    judged, once.  The points' levels must share their gap clusters' pairs,
-    else ``DimensionMismatch``.
+    ``(p, t, ...)`` of transitions, h's eigenvalues stacked ``(p, d)`` and
+    an array ``beta_i`` broadcast together, so that transitions shared by
+    every point are given, and judged, once.  The points' levels must share
+    their gap clusters' pairs, else ``DimensionMismatch``.
     The first point, and in it the first map, that fails a check raises, with
     the checks at that map in this order: the transition checks of
     :func:`_transition_checks`, then the records, which must sum to 1 and lie
@@ -199,13 +201,13 @@ def classify(sources: list, probes: np.ndarray, h: HamiltonianSpec) -> list:
     """Classify each dynamics of ``sources``, of one kind and dimension, in
     order, as fixed-point thermalizing, thermalizing, or neither, as ``(kind,
     beta_f, gamma_min)``, from h, their Hamiltonians stacked, and
-    ``probes``, each source's maps at its probe times as one superoperator
-    stack ``(k, t, d^2, d^2)``: a channel family's at ``TAU_MAX`` and then
-    ``FIXED_POINT_TAUS``, a single map's at its own ``tau``; a semigroup has
-    none.  The semigroups share one batched eigendecomposition of their
-    generators, the single maps one of their maps, and the channel families
-    one pass over their maps; every kind then takes its fixed points'
-    inverse temperatures in one pass.
+    ``probes``, in H's eigenframe: the semigroups' generators ``(k, d^2,
+    d^2)``, or each source's maps at its probe times as one superoperator
+    stack ``(k, t, d^2, d^2)``, a channel family's at ``TAU_MAX`` and then
+    ``FIXED_POINT_TAUS``, a single map's at its own ``tau``.  The semigroups
+    share one batched eigendecomposition of their generators, the single maps
+    one of their maps, and the channel families one pass over their maps;
+    every kind then takes its fixed points' inverse temperatures in one pass.
 
     ``kind`` is ``"fpt"``, ``"thermalizing"`` or ``"non_thermalizing"``, or
     ``"single_map"`` for one Kraus map, which is probed only for a thermal
@@ -242,7 +244,7 @@ def classify(sources: list, probes: np.ndarray, h: HamiltonianSpec) -> list:
         drifts = np.linalg.svd(moved, compute_uv=False).sum(axis=2).max(axis=1)
         kinds, picked = ["fpt" if x < FIXED_POINT_ATOL else "thermalizing" for x in drifts.tolist()], np.ones(k, bool)
     else:
-        eigs, vecs = np.linalg.eig(np.array([s.generator for s in sources]) if semigroups else probes[:, 0])
+        eigs, vecs = np.linalg.eig(probes if semigroups else probes[:, 0])
         # a simple eigenvalue 0 of a generator, or 1 of a map, and its eigenvector
         near = np.abs(eigs - (0.0 if semigroups else 1.0)) < (ZERO_EIG_ATOL if semigroups else UNIT_EIG_ATOL)
         picked = near.sum(axis=1) == 1

@@ -2,8 +2,9 @@
 inference, plus the standard Pauli matrices.
 
 A thermal state enters only through its level populations in the
-Hamiltonian's eigenbasis, and a state is a plain Hermitian matrix.  Level
-indices always follow the Hamiltonian's ascending eigenvalue order, so
+Hamiltonian's eigenbasis, and a state is a plain Hermitian matrix, held in
+H's eigenframe, as ``dynamics.maps_of`` hands on the maps it comes from.
+Level indices always follow the Hamiltonian's ascending eigenvalue order, so
 index 0 is the ground level.
 """
 
@@ -15,7 +16,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import matlin
-from .matlin import dag
 
 SIGMA_X = np.array([[0, 1], [1, 0]], dtype=complex)
 SIGMA_Y = np.array([[0, -1j], [1j, 0]], dtype=complex)
@@ -73,27 +73,25 @@ def thermal_populations(h: HamiltonianSpec, beta) -> np.ndarray:
 
 def infer_beta(rho: np.ndarray, h: HamiltonianSpec) -> tuple:
     """Inverse temperatures of the thermal states of a stack ``rho`` ``(k, d,
-    d)``, each in the eigenbasis of its point of h's stack ``(k, ...)``, as
+    d)``, each in the eigenframe of its point of h's stack ``(k, ...)``, as
     ``(beta, low)``: an array of them, nan for a state that is not thermal,
     and each state's lowest eigenvalue.
 
     Each ``rho`` is a Hermitian unit-trace matrix; one whose lowest
     eigenvalue is below ``-STATE_ATOL`` is no state, and not thermal.
-    A thermal state is diagonal in its (nondegenerate) eigenbasis, within
+    A thermal state is diagonal in that (nondegenerate) eigenframe, within
     ``THERMAL_OFFDIAG_ATOL``.  The estimate comes from the largest-gap level
     pair; every other pair must agree within ``BETA_AGREE_RTOL`` (relative,
     with an absolute floor of the same size so beta = 0 is recognized).
     Vanishing populations are accepted only for an effectively beta = inf
     profile, reported as ``inf``.
     """
-    low = np.linalg.eigvalsh(rho)[:, 0]
-    e, v = h.eigenvalues, h.eigenvectors
+    low, e = np.linalg.eigvalsh(rho)[:, 0], h.eigenvalues
     gaps = e[:, 1:] - e[:, :-1]  # of adjacent levels
-    a = dag(v) @ rho @ v
-    p = a.diagonal(axis1=1, axis2=2).real
+    p = rho.diagonal(axis1=1, axis2=2).real
     # no state, degenerate levels, or off-diagonal weight; a nan passes each test
     bad = (low < -STATE_ATOL) | (gaps.min(axis=1, initial=math.inf) <= DEGENERACY_ATOL)
-    bad |= np.abs(a - a * np.eye(h.dim)).max(axis=(1, 2)) > THERMAL_OFFDIAG_ATOL
+    bad |= np.abs(rho - rho * np.eye(h.dim)).max(axis=(1, 2)) > THERMAL_OFFDIAG_ATOL
     beta = np.where(~bad & (p[:, 0] >= 1.0 - 1e-10) & (p[:, 1:].max(axis=1, initial=0.0) < 1e-14), math.inf, math.nan)
     ok = ~(bad | (p.min(axis=1) < 1e-14))
     p, e, gaps = p[ok], e[ok], gaps[ok]

@@ -84,6 +84,20 @@ def random_density(rng, d) -> np.ndarray:
     return m / np.trace(m)
 
 
+def eigenframe(x, h: HamiltonianSpec) -> np.ndarray:
+    """``x``, an operator ``(..., d, d)`` or superoperator ``(..., d^2,
+    d^2)`` matrix or stack in the basis of H's matrix, in H's eigenframe,
+    where the package's stages read it: ``V^dag X V``, or ``Q^dag S Q`` with
+    ``Q = np.kron(conj(V), V)`` of each point; h's leading axes lead
+    ``x``'s.  The one place the tests take the frame, for the inputs of the
+    stages and the outputs of original-frame oracles."""
+    x, v, d = np.asarray(x, dtype=complex), h.eigenvectors, h.dim
+    if x.shape[-1] != d:
+        v = np.array([np.kron(w.conj(), w) for w in v.reshape(-1, d, d)]).reshape(v.shape[:-2] + (d * d, d * d))
+    v = v.reshape(v.shape[:-2] + (1,) * (x.ndim - v.ndim) + v.shape[-2:])
+    return dag(v) @ x @ v
+
+
 def level_projector(h: HamiltonianSpec, m: int) -> np.ndarray:
     """Eigenprojector of h's m-th (ascending) level."""
     return np.outer(h.eigenvectors[:, m], h.eigenvectors[:, m].conj())
@@ -271,7 +285,7 @@ def grid_of(sources, taus) -> list:
     """The level transitions ``(probs, finite, route_gap)`` of each source of
     ``sources`` on the grid ``taus``, from one :func:`qdblab.dynamics.maps_of`
     call."""
-    _, transitions = maps_of(sources, stacked_h(sources), tuple(taus), slice(None))
+    *_, transitions = maps_of(sources, stacked_h(sources), tuple(taus), slice(None))
     return list(zip(*transitions))
 
 
@@ -289,11 +303,12 @@ def expm_shapes(monkeypatch) -> list:
 
 
 def reference_transition_stack(superops: np.ndarray, kraus, h: HamiltonianSpec) -> tuple:
-    """The level transitions ``(probs, finite, route_gap)`` of map stacks as
-    the full route takes them, the reference for the population route of
-    secular semigroups and for the two-product Kraus route: ``q^dag S q``
-    with the columns of q the vectors vec(|m><m|), and the Kraus route as
-    one broadcast product ``v^dag G v``."""
+    """The level transitions ``(probs, finite, route_gap)`` of map stacks in
+    the basis of H's matrix, the reference for the population route of
+    secular semigroups, for the population block that the package reads from
+    eigenframe maps and for the two-product Kraus route: ``q^dag S q`` with
+    the columns of q the vectors vec(|m><m|), and the Kraus route as one
+    broadcast product ``v^dag G v``."""
     d = h.dim
     v = h.eigenvectors[..., None, :, :]
     q = (v.conj()[..., :, None, :] * v[..., None, :, :]).reshape(v.shape[:-2] + (d * d, d))
@@ -308,29 +323,52 @@ def reference_transition_stack(superops: np.ndarray, kraus, h: HamiltonianSpec) 
 
 
 def reference_maps_of(sources: list, h: HamiltonianSpec, times: tuple, grid: slice = slice(0)) -> tuple:
-    """:func:`qdblab.dynamics.maps_of` with every source on the full route:
-    a semigroup's maps are one exponential of its ``d^2 x d^2`` generator
-    over every time, and every source's transitions on the grid come from
-    its maps by :func:`reference_transition_stack`."""
+    """:func:`qdblab.dynamics.maps_of` with every source on the full route
+    in the basis of H's matrix: a semigroup's maps are one exponential of
+    its ``d^2 x d^2`` generator over every time, every source's transitions
+    on the grid come from its maps by :func:`reference_transition_stack`,
+    and the generators and maps are then taken to H's eigenframe by
+    :func:`eigenframe`."""
+    generators, kraus = None, None
     if sources[0].generator is None:
-        superops, kraus = _kraus_stacks(np.array([s.family(times) for s in sources], dtype=complex), h)
+        kraus = _kraus_stacks(np.array([s.family(times) for s in sources], dtype=complex), h)
+        superops = _kraus_superops(kraus)
     else:
-        superops, kraus = matlin.expm(np.array([s.generator for s in sources]), times), None
-    rest = None if kraus is None else np.delete(kraus, grid, axis=1)
+        generators = np.array([s.generator for s in sources])
+        superops = matlin.expm(generators, times)
+        generators = eigenframe(generators, h)
+    rest = None if kraus is None else eigenframe(np.delete(kraus, grid, axis=1), h)
     transitions = reference_transition_stack(superops[:, grid], None if kraus is None else kraus[:, grid], h)
-    return (np.delete(superops, grid, axis=1), rest), transitions
+    return generators, (eigenframe(np.delete(superops, grid, axis=1), h), rest), transitions
+
+
+def reference_frame_route(sources: list, h: HamiltonianSpec, times: tuple, grid: slice = slice(0)) -> tuple:
+    """:func:`qdblab.dynamics.maps_of` with every semigroup on the full route
+    in H's eigenframe: one exponential of its generator, taken to the frame
+    by :func:`eigenframe`, over every time, and its transitions on the grid
+    read from its maps by :func:`reference_transition_stack` in the frame's
+    own basis."""
+    generators = eigenframe(np.array([s.generator for s in sources]), h)
+    superops = matlin.expm(generators, times)
+    units = HamiltonianSpec(h.matrix, h.eigenvalues, np.broadcast_to(np.eye(h.dim), h.eigenvectors.shape))
+    transitions = reference_transition_stack(superops[:, grid], None, units)
+    return generators, (np.delete(superops, grid, axis=1), None), transitions
 
 
 def stacks_of(g, h):
-    """The ``(superops, kraus)`` stacks of ``Dynamics.maps``, one map deep, of
-    Kraus operators ``(j, d, d)`` or a superoperator ``(d^2, d^2)`` ``g``."""
+    """The eigenframe ``(superops, kraus)`` stacks of :func:`maps_of`, one
+    map deep, of Kraus operators ``(j, d, d)`` or a superoperator ``(d^2,
+    d^2)`` ``g`` in the basis of H's matrix."""
     g = np.asarray(g, dtype=complex)
-    return _kraus_stacks(g[None], h) if g.ndim == 3 else (require_superop_dim(g[None], h), None)
+    if g.ndim == 3:
+        kraus = eigenframe(_kraus_stacks(g[None], h), h)
+        return _kraus_superops(kraus), kraus
+    return eigenframe(require_superop_dim(g[None], h), h), None
 
 
 def exchange_at(g, h, beta_i):
     """Exchange statistics ``(energies, p_plus, p_minus, recorded)`` of the one map ``g``."""
-    return exchange_grid(transitions_of(*stacks_of(g, h), h), h, beta_i)
+    return exchange_grid(transitions_of(*stacks_of(g, h)), h, beta_i)
 
 
 def gap_records(grid, t=0):
@@ -661,7 +699,7 @@ def transition_matrix(g, h: HamiltonianSpec) -> np.ndarray:
     evaluated as well and the two must agree; the probabilities must be
     nonnegative and each row must sum to 1.
     """
-    transitions = transitions_of(*stacks_of(g, h), h)
+    transitions = transitions_of(*stacks_of(g, h))
     _raise_first(_transition_checks(*transitions))
     return transitions[0][0]
 
@@ -699,16 +737,15 @@ def classify_one(source) -> tuple:
     gamma_min)``, from the probe maps that ``cli.analyse`` takes for it, none
     for a semigroup."""
     h = HamiltonianSpec.stack([source.h])
-    if source.generator is not None:
-        return classify([source], None, h)[0]
-    return classify([source], maps_of([source], h, source.taus((TAU_MAX, *FIXED_POINT_TAUS)))[0][0], h)[0]
+    generators, (superops, _), _ = maps_of([source], h, source.taus((TAU_MAX, *FIXED_POINT_TAUS)))
+    return classify([source], superops if generators is None else generators, h)[0]
 
 
 def reference_classify_single_map(kraus_ops, h: HamiltonianSpec) -> tuple:
     """``(kind, beta_f)`` of one Kraus map from its own superoperator: the
     reference for the single-map branch of :func:`qdblab.fluctuation.classify`,
     which takes the map from its one-point family."""
-    eigs, vecs = np.linalg.eig(superop_from_channel(kraus_ops))
+    eigs, vecs = np.linalg.eig(superop_from_channel(eigenframe(kraus_ops, h)))
     one = np.abs(eigs - 1.0) < UNIT_EIG_ATOL
     if int(np.sum(one)) != 1:
         return "single_map", None
@@ -844,7 +881,7 @@ def reference_classify_family(source) -> tuple:
     through its Kraus maps: the reference for the family branch of
     :func:`qdblab.fluctuation.classify`, which reads the superoperator stack."""
     h = source.h
-    (_, (kraus,)), _ = maps_of([source], stacked_h([source]), (TAU_MAX, *FIXED_POINT_TAUS))
+    _, (_, (kraus,)), _ = maps_of([source], stacked_h([source]), (TAU_MAX, *FIXED_POINT_TAUS))
     finals = [apply(kraus[0], p) for p in _probe_states(h.dim)]
     mean = sum(finals) / len(finals)
     mean = (mean + dag(mean)) / 2
@@ -922,18 +959,17 @@ class ZeroPopulation(QdblabError):
 
 
 def reference_infer_beta(rho: np.ndarray, h: HamiltonianSpec) -> float:
-    """Inverse temperature of one thermal state, or raise ``NotThermal``
-    (``ZeroPopulation`` for a vanishing population that is no ground
-    projector, ``NotAState`` for a negative eigenvalue): the per-state
-    reference for :func:`qdblab.states.infer_beta`."""
+    """Inverse temperature of one thermal state in H's eigenframe, or raise
+    ``NotThermal`` (``ZeroPopulation`` for a vanishing population that is no
+    ground projector, ``NotAState`` for a negative eigenvalue): the
+    per-state reference for :func:`qdblab.states.infer_beta`."""
     lo = float(np.min(np.linalg.eigvalsh(rho)))
     if lo < -STATE_ATOL:
         raise NotAState(f"state has negative eigenvalue {lo:.3e}")
     e = h.eigenvalues
     if float(np.min(np.diff(e), initial=math.inf)) <= DEGENERACY_ATOL:
         raise NotThermal("Hamiltonian spectrum is degenerate, beta inference undefined")
-    v = h.eigenvectors
-    a = dag(v) @ rho @ v
+    a = rho
     off = a - np.diag(np.diag(a))
     if float(np.max(np.abs(off))) > THERMAL_OFFDIAG_ATOL:
         raise NotThermal(f"state has off-diagonal weight {np.max(np.abs(off)):.3e} in the energy eigenbasis")
@@ -953,7 +989,7 @@ def reference_infer_beta(rho: np.ndarray, h: HamiltonianSpec) -> float:
 
 
 def reference_fixed_beta(col: np.ndarray, h: HamiltonianSpec):
-    """Inverse temperature of one fixed-point vector, None when it is
+    """Inverse temperature of one fixed-point vector in H's eigenframe, None when it is
     traceless or its state is not thermal; one that is no state raises
     ``NotAState``."""
     mat = unvec(col, h.dim, h.dim)
@@ -975,8 +1011,8 @@ def _reference_simple_eigenvector(eigs, vecs, value: float, atol: float) -> tupl
 
 def reference_classify(sources: list, probes) -> list:
     """``(kind, beta_f, gamma_min)`` of each source, one source at a time,
-    from the same batched spectra and probe maps as
-    :func:`qdblab.fluctuation.classify`."""
+    from the same batched spectra and eigenframe probes (the generators of
+    semigroups) as :func:`qdblab.fluctuation.classify`."""
     if sources[0].generator is None and sources[0].tau is None:
         out = []
         for superops, source in zip(probes, sources):
@@ -1002,7 +1038,7 @@ def reference_classify(sources: list, probes) -> list:
                 out.append(("single_map", None, None))
         return out
     out = []
-    for eigs, vecs, s in zip(*np.linalg.eig(np.array([s.generator for s in sources])), sources):
+    for eigs, vecs, s in zip(*np.linalg.eig(probes), sources):
         rest, col = _reference_simple_eigenvector(eigs, vecs, 0.0, ZERO_EIG_ATOL)
         if col is None or (rest.size and float(np.max(np.real(rest))) >= -ZERO_EIG_ATOL):
             out.append(("non_thermalizing", None, None))
@@ -1029,7 +1065,7 @@ def reference_gap_clusters(e: np.ndarray) -> tuple:
     """``(energies, pairs)`` of one level set's gap clusters, grouped one
     pair at a time: the per-set reference for ``fluctuation._gap_clusters``."""
     d = len(e)
-    atol = GAP_GROUP_RTOL * float(np.max(np.abs(e))) if e.size else 0.0
+    atol = GAP_GROUP_RTOL * float(e[-1] - e[0]) if e.size else 0.0
     gaps = ((float(e[n] - e[m]), m, n) for m in range(d) for n in range(d))
     groups = []
     for item in sorted((max(gap, 0.0), m, n) for gap, m, n in gaps if gap >= -atol):

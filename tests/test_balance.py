@@ -17,6 +17,7 @@ from conftest import (
     check_qdb1_invariance,
     decompose,
     dual_superop,
+    eigenframe,
     evolve,
     example_qdb_family,
     gibbs,
@@ -174,7 +175,8 @@ class TestQdb1:
 
     def test_generic_generator_fails_at_every_s(self, rng):
         gen = random_lindblad(rng, 3)
-        assert np.all(check_qdb1(gen.hamiltonian, 0.8, S_GRID, lindblad_superop(gen)) > 1e-3)
+        h = gen.hamiltonian
+        assert np.all(check_qdb1(h, 0.8, S_GRID, eigenframe(lindblad_superop(gen), h)) > 1e-3)
 
     def test_s_grid_verdicts_identical_for_balanced_family(self, rng):
         for _ in range(5):
@@ -196,7 +198,8 @@ class TestQdb1:
             beta = rng.uniform(0.2, 2.0)
             sigma = gibbs(h, beta)
             want = [reference_qdb1(WeightedSpace(sigma, s), dual_superop(gen), h) for s in S_GRID]
-            np.testing.assert_allclose(check_qdb1(h, beta, S_GRID, lindblad_superop(gen)), want, rtol=1e-10, atol=0)
+            got = check_qdb1(h, beta, S_GRID, eigenframe(lindblad_superop(gen), h))
+            np.testing.assert_allclose(got, want, rtol=1e-10, atol=0)
 
     def test_inverted_populations_pass(self):
         # no Gibbs state exists for beta < 0, but the weight does
@@ -252,7 +255,8 @@ class TestQdb1:
 
 def test_rotated_model_keeps_the_residuals_of_the_unrotated_one(rng):
     # the residuals are taken over H's eigenbasis units, so a change of the
-    # storage basis leaves them as they are
+    # storage basis leaves them as they are; each model enters the checks in
+    # its own eigenframe
     gen, h = thermal_circulation_qutrit(rng, 1.0)
     q, _ = np.linalg.qr(random_complex(rng, 3))
     rot = np.kron(q.conj(), q)  # vec(q X q^dag) == rot @ vec(X)
@@ -261,8 +265,8 @@ def test_rotated_model_keeps_the_residuals_of_the_unrotated_one(rng):
     h_rot = HamiltonianSpec.from_matrix(q @ h.matrix @ dag(q))
 
     def residuals(model_h, model_l):
-        maps = evolve_grid(model_l, (0.1, 0.5, 1.0, 5.0))
-        return check_qdb1(model_h, 1.0, S_GRID, model_l), check_qdb2(model_h, 1.0, S_GRID, maps)
+        maps = eigenframe(evolve_grid(model_l, (0.1, 0.5, 1.0, 5.0)), model_h)
+        return check_qdb1(model_h, 1.0, S_GRID, eigenframe(model_l, model_h)), check_qdb2(model_h, 1.0, S_GRID, maps)
 
     want1, want2 = residuals(h, l)
     got1, got2 = residuals(h_rot, l_rot)
@@ -352,7 +356,7 @@ class TestQdb2:
         maps = [random_complex(rng, d * d), evolve(lindblad_superop(gen), 0.7)]
         duals = [k_t @ maps[0].T @ k_t, evolve(dual_superop(gen), 0.7)]
         s_grid = (0.0, 0.3, 1.0)
-        per_map = [check_qdb2(h, beta, s_grid, g[None]) for g in maps]
+        per_map = [check_qdb2(h, beta, s_grid, eigenframe(g[None], h)) for g in maps]
         for k, s in enumerate(s_grid):
             space = WeightedSpace(sigma, s)
             for g, residuals in zip(duals, per_map):
@@ -366,7 +370,7 @@ class TestQdb2:
                 )
                 assert residuals[k] == pytest.approx(literal, rel=1e-12)
         # a stack's residual is the largest of its maps'
-        stack = np.array(maps)
+        stack = eigenframe(np.array(maps), h)
         np.testing.assert_allclose(check_qdb2(h, beta, s_grid, stack), np.maximum(*per_map), rtol=1e-14, atol=0)
 
     def test_stack_keeps_a_nan_residual(self, rng):

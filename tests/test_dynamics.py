@@ -15,6 +15,7 @@ from conftest import (
     apply_matrix,
     channel_from_superop,
     dual_superop,
+    eigenframe,
     evolve,
     gibbs,
     is_cptp,
@@ -35,6 +36,7 @@ from qdblab.dynamics import (
     Dynamics,
     LindbladGenerator,
     _kraus_stacks,
+    _kraus_superops,
     choi_matrix,
     gell_mann_basis,
     gkls_defects,
@@ -436,7 +438,8 @@ class TestDynamicsSources:
     def test_single_map_repeats_its_channel(self, rng):
         ops = [np.eye(2) / np.sqrt(2), SIGMA_X / np.sqrt(2)]
         source = Dynamics.single_map(qubit_hamiltonian(1.0), ops, 1.0)
-        ((superops,), (kraus,)), _ = maps_of([source], stacked_h([source]), (1.0, 1.0))
+        # H is diagonal, so its eigenframe is the basis the operators are given in
+        _, ((superops,), (kraus,)), _ = maps_of([source], stacked_h([source]), (1.0, 1.0))
         assert np.array_equal(kraus, [ops] * 2)
         assert np.array_equal(superops, [superop_from_channel(ops)] * 2)
 
@@ -451,20 +454,24 @@ class TestMapsOf:
     @pytest.mark.parametrize("d", [2, 3, 4])
     def test_semigroups_slice_their_own_exponentials(self, rng, d):
         sources = [Dynamics.semigroup(g.hamiltonian, g) for g in (random_lindblad(rng, d) for _ in range(3))]
-        maps, _ = maps_of(sources, stacked_h(sources), sum(TIME_PARTS, ()))
-        for (superops, kraus), source in zip(per_source(maps), sources):
+        generators, maps, _ = maps_of(sources, stacked_h(sources), sum(TIME_PARTS, ()))
+        for generator, (superops, kraus), source in zip(generators, per_source(maps), sources):
             assert kraus is None
-            assert np.array_equal(superops, np.concatenate([evolve_grid(source.generator, t) for t in TIME_PARTS]))
+            # the generator in its random eigenframe, within the roundoff of two products
+            np.testing.assert_allclose(generator, eigenframe(source.generator, source.h), rtol=0, atol=1e-13)
+            assert np.array_equal(superops, np.concatenate([evolve_grid(generator, t) for t in TIME_PARTS]))
 
     def test_channel_families_slice_their_own_stacks(self):
         params = [ExampleAParams.default(0.5, 1.0), ExampleAParams.default(2.0, 3.0)]
         params.append(ExampleAParams.fixed_point(1.0, 0.3))
         sources = [Dynamics.channel_family(qubit_hamiltonian(p.omega), partial(example_a_channel, p)) for p in params]
-        maps, _ = maps_of(sources, stacked_h(sources), sum(TIME_PARTS, ()))
+        generators, maps, _ = maps_of(sources, stacked_h(sources), sum(TIME_PARTS, ()))
+        assert generators is None
+        # each qubit H is diagonal, so its eigenframe is the basis of the channel's operators
         for (superops, kraus), p, source in zip(per_source(maps), params, sources):
             own = [_kraus_stacks(np.asarray(example_a_channel(p, t), dtype=complex), source.h) for t in TIME_PARTS]
-            assert np.array_equal(superops, np.concatenate([m for m, _ in own]))
-            assert np.array_equal(kraus, np.concatenate([k for _, k in own]))
+            assert np.array_equal(superops, np.concatenate([_kraus_superops(k) for k in own]))
+            assert np.array_equal(kraus, np.concatenate(own))
 
     def test_single_map_slices_its_own_stack(self, rng):
         h, l = random_hamiltonian(rng, 3), lindblad_superop(random_lindblad(rng, 3))
@@ -472,10 +479,12 @@ class TestMapsOf:
         source = Dynamics.single_map(h, ops, 1.0)
         taus = sum((source.taus(t) for t in TIME_PARTS), ())
         assert taus == (1.0,) * 3
-        ((superops,), (kraus,)), _ = maps_of([source], stacked_h([source]), taus)
-        own_superops, own_kraus = _kraus_stacks(np.array([ops]), h)
-        assert np.array_equal(superops, np.repeat(own_superops, 3, axis=0))
-        assert np.array_equal(kraus, np.repeat(own_kraus, 3, axis=0))
+        _, ((superops,), (kraus,)), _ = maps_of([source], stacked_h([source]), taus)
+        # the operators V^dag G V in the random eigenframe, within the roundoff of two products
+        np.testing.assert_allclose(kraus, np.repeat(eigenframe(_kraus_stacks(np.array([ops]), h), h), 3, axis=0),
+                                   rtol=0, atol=1e-14)
+        assert np.array_equal(kraus, np.repeat(kraus[:1], 3, axis=0))
+        assert np.array_equal(superops, _kraus_superops(kraus))
 
 
 def test_superoperator_validates_shape():

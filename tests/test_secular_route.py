@@ -5,13 +5,18 @@ to a coherence unit and no two coherence units takes its transition
 probabilities from ``exp(tau W)``, the exponential of its d x d Pauli rate
 block, and its qdb2 maps from ``exp(tau W) (+) diag(exp(tau lambda_c))``;
 every other source keeps the full route, the exponential of its d^2 x d^2
-generator.  The reference is ``conftest.reference_maps_of``, which puts
-every source on the full route.
+generator, both in H's eigenframe.  The reference is
+``conftest.reference_maps_of``, which puts every source on the full route
+in the basis of H's matrix and takes its maps to the eigenframe after.
 
 On secular inputs the transition probabilities agree with the reference
 within ``P_RTOL`` of each entry, or ``P_ATOL`` for entries near 0, and every
 report keeps the reference's classification, pass flags, beta_f and row
-keys.  On other inputs the rows and verdicts are bitwise the reference's.
+keys.  On other inputs the rows and verdicts are bitwise the reference's
+where H is diagonal, so that both frames are one; for a rotated model they
+are bitwise those of the full route taken in the eigenframe
+(``conftest.reference_frame_route``), and within roundoff of the
+reference's.
 """
 
 import dataclasses
@@ -21,7 +26,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from conftest import davies_generator, davies_source, expm_shapes, reference_maps_of, stacked_h
+from conftest import davies_generator, davies_source, expm_shapes, reference_frame_route, reference_maps_of, stacked_h
 from qdblab import cli
 from qdblab.cli import EXIT_OK, _build_parser, _example_sources, main, save_model
 from qdblab.dynamics import Dynamics, LindbladGenerator, lindblad_superop, maps_of
@@ -62,11 +67,12 @@ def _secular_sources(rng, case) -> list:
 def test_secular_sources_take_exp_tau_w_within_roundoff_of_the_full_route(rng, monkeypatch, case):
     sources = _secular_sources(rng, case)
     shapes = expm_shapes(monkeypatch)
-    (superops, _), (probs, finite, gap) = maps_of(sources, stacked_h(sources), TIMES, GRID)
+    generators, (superops, _), (probs, finite, gap) = maps_of(sources, stacked_h(sources), TIMES, GRID)
     d = sources[0].h.dim
     assert shapes == [(len(sources), d, d)]  # the rate blocks only
-    (want_superops, _), want = reference_maps_of(sources, stacked_h(sources), TIMES, GRID)
+    want_generators, (want_superops, _), want = reference_maps_of(sources, stacked_h(sources), TIMES, GRID)
     want_probs, want_finite, want_gap = want
+    assert np.array_equal(generators, want_generators)  # H is diagonal: its eigenframe is its own basis
     np.testing.assert_allclose(probs, want_probs, rtol=P_RTOL, atol=P_ATOL)
     np.testing.assert_allclose(superops, want_superops, rtol=0, atol=P_RTOL)
     assert np.array_equal(finite, want_finite) and np.array_equal(gap, want_gap)
@@ -94,15 +100,38 @@ def _bloch4_model(path: Path, nu_scale: float) -> Path:
     return path
 
 
-def _reports(tmp_path, monkeypatch, argv, reference: bool) -> dict:
+def _reports(tmp_path, monkeypatch, argv, reference=None) -> dict:
     """The files one command writes, by name, on the route of the package
-    or, with ``reference``, with every source on the full route."""
-    out = tmp_path / ("reference" if reference else "routed")
+    or with ``reference`` in place of ``maps_of``."""
+    out = tmp_path / (reference.__name__ if reference else "routed")
     with monkeypatch.context() as patch:
         if reference:
-            patch.setattr(cli, "maps_of", reference_maps_of)
+            patch.setattr(cli, "maps_of", reference)
         assert main([*argv, "--out", str(out)]) == EXIT_OK
     return {p.name: p.read_bytes() for p in sorted(out.iterdir())}
+
+
+def _assert_same_verdicts_and_row_keys(got: dict, want: dict, deviation_atol=1e-13) -> None:
+    """The reports ``got`` and ``want`` have the same files, classifications,
+    beta_f, pass flags and row keys, and their other cells agree within
+    roundoff: p_plus, p_minus, R and predicted within 1e-12 of each entry,
+    the deviation within ``deviation_atol``."""
+    assert got.keys() == want.keys()
+    for name in got:
+        if name.endswith("_verdict.json"):
+            g, w = json.loads(got[name]), json.loads(want[name])
+            assert g["classification"]["kind"] == w["classification"]["kind"]
+            assert g["classification"]["beta_f"] == pytest.approx(w["classification"]["beta_f"], rel=1e-13)
+            for section in ("qdb1", "qdb2"):
+                assert (g[section] and g[section]["passes"]) == (w[section] and w[section]["passes"])
+            assert g["qfr_passes"] == w["qfr_passes"]
+        else:
+            rows = [[line.split(",") for line in files[name].decode().splitlines()] for files in (got, want)]
+            assert [r[:2] for r in rows[0]] == [r[:2] for r in rows[1]]  # the header and every (tau, E) key
+            cells = [np.array([[float(x) if x else np.nan for x in r[2:]] for r in rs[1:]]) for rs in rows]
+            # p_plus, p_minus, R and predicted; a deviation |R / predicted - 1| moves by R's roundoff
+            np.testing.assert_allclose(cells[0][:, :4], cells[1][:, :4], rtol=1e-12, atol=1e-15)
+            np.testing.assert_allclose(cells[0][:, 4:], cells[1][:, 4:], rtol=0, atol=deviation_atol)
 
 
 def _secular_argv(tmp_path, rng, case):
@@ -121,23 +150,11 @@ def _secular_argv(tmp_path, rng, case):
 )
 def test_secular_reports_keep_the_full_routes_verdicts_and_row_keys(tmp_path, rng, monkeypatch, case):
     argv = _secular_argv(tmp_path, rng, case)
-    got, want = (_reports(tmp_path, monkeypatch, argv, reference) for reference in (False, True))
-    assert got.keys() == want.keys()
+    got, want = _reports(tmp_path, monkeypatch, argv), _reports(tmp_path, monkeypatch, argv, reference_maps_of)
     for name in got:
-        if name.endswith("_verdict.json"):
-            g, w = json.loads(got[name]), json.loads(want[name])
-            assert g["classification"]["kind"] == w["classification"]["kind"]
-            assert g["classification"]["beta_f"] == w["classification"]["beta_f"]
-            for section in ("qdb1", "qdb2"):
-                assert (g[section] and g[section]["passes"]) == (w[section] and w[section]["passes"])
-            assert g["qfr_passes"] == w["qfr_passes"]
-        else:
-            rows = [[line.split(",") for line in files[name].decode().splitlines()] for files in (got, want)]
-            assert [r[:2] for r in rows[0]] == [r[:2] for r in rows[1]]  # the header and every (tau, E) key
-            cells = [np.array([[float(x) if x else np.nan for x in r[2:]] for r in rs[1:]]) for rs in rows]
-            # p_plus, p_minus, R and predicted; a deviation |R / predicted - 1| moves by R's roundoff
-            np.testing.assert_allclose(cells[0][:, :4], cells[1][:, :4], rtol=1e-12, atol=1e-15)
-            np.testing.assert_allclose(cells[0][:, 4:], cells[1][:, 4:], rtol=0, atol=1e-13)
+        if name.endswith("_verdict.json"):  # H is diagonal: beta_f is read from the same generator
+            assert json.loads(got[name])["classification"] == json.loads(want[name])["classification"]
+    _assert_same_verdicts_and_row_keys(got, want)
 
 
 @pytest.mark.parametrize("case", ["example-a", "c-nu-scale-1.1", "check-rotated-davies", "check-bloch4-nu-not-alpha"])
@@ -149,10 +166,26 @@ def test_other_sources_write_the_full_routes_bytes(tmp_path, rng, monkeypatch, c
         "check-bloch4-nu-not-alpha": lambda: ["check", str(_bloch4_model(tmp_path / "bloch4.json", 1.1))],
     }[case]()
     shapes = expm_shapes(monkeypatch)
-    got = _reports(tmp_path, monkeypatch, argv, False)
+    got = _reports(tmp_path, monkeypatch, argv)
     d = 2 if case != "check-rotated-davies" else 3
     assert all(shape[-1] == d * d for shape in shapes)  # no rate block took an exponential
-    assert got == _reports(tmp_path, monkeypatch, argv, True)
+    # a rotated model's maps are exp(tau Q^dag L Q), which are Q^dag exp(tau L) Q only up to roundoff
+    reference = reference_frame_route if case == "check-rotated-davies" else reference_maps_of
+    assert got == _reports(tmp_path, monkeypatch, argv, reference)
+
+
+@pytest.mark.parametrize("d, circulating", [(3, False), (3, True), (4, False), (4, True)])
+def test_rotated_models_keep_the_verdicts_and_row_keys_of_the_original_frame_route(tmp_path, rng, monkeypatch, d,
+                                                                                   circulating):
+    # the full route in the eigenframe against exp(tau L) in the basis of H's matrix, taken to the frame after;
+    # a deviation |R / predicted - 1| near 1 moves by R's relative roundoff, 1e-12
+    gen = davies_generator(rng, d, circulating)
+    u, _ = np.linalg.qr(rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d)))
+    h = HamiltonianSpec.from_matrix(u @ gen.hamiltonian.matrix @ dag(u))
+    model = _model_file(tmp_path / "rotated.json", LindbladGenerator(h, gen.kossakowski, u @ gen.basis @ dag(u)))
+    argv = ["check", str(model)]
+    _assert_same_verdicts_and_row_keys(_reports(tmp_path, monkeypatch, argv),
+                                       _reports(tmp_path, monkeypatch, argv, reference_maps_of), deviation_atol=1e-12)
 
 
 @pytest.mark.parametrize("coupling, route", [(-0.0, "population"), (1e-300, "full")])

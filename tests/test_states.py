@@ -11,6 +11,7 @@ from conftest import (
     ZeroPopulation,
     bloch_to_density,
     density_to_bloch,
+    eigenframe,
     gibbs,
     level_projector,
     random_density,
@@ -27,14 +28,15 @@ QUBIT_H = HamiltonianSpec.from_matrix(np.diag([-0.5, 0.5]))
 
 
 def beta_of(rho, h: HamiltonianSpec) -> float:
-    """:func:`infer_beta` of one state, as a stack of one; nan when it is not thermal."""
-    return float(infer_beta(np.asarray(rho, dtype=complex)[None], h[None])[0][0])
+    """:func:`infer_beta` of one state in the basis of H's matrix, taken to
+    H's eigenframe, as a stack of one; nan when it is not thermal."""
+    return float(infer_beta(eigenframe(rho, h)[None], h[None])[0][0])
 
 
 def not_thermal(rho, h: HamiltonianSpec, error=NotThermal, match=None) -> bool:
     """The state reads nan, and the per-state reference raises ``error``."""
     with pytest.raises(error, match=match):
-        reference_infer_beta(np.asarray(rho, dtype=complex), h)
+        reference_infer_beta(eigenframe(rho, h), h)
     return math.isnan(beta_of(rho, h))
 
 
@@ -67,7 +69,7 @@ class TestGibbs:
 
     def test_rejects_negative_beta(self):
         # the exchange statistics take a finite beta_i >= 0 only
-        transitions = transitions_of(np.eye(4, dtype=complex)[None], None, QUBIT_H)
+        transitions = transitions_of(np.eye(4, dtype=complex)[None], None)
         for beta_i in (-0.1, math.inf, math.nan):
             with pytest.raises(ValueError, match="^beta_i must be finite and nonnegative$"):
                 exchange_grid(transitions, QUBIT_H, beta_i)
