@@ -178,28 +178,33 @@ def _balance(check, h: HamiltonianSpec, betas: list, operators: list, args) -> l
     return sections
 
 
+def _require_gkls(tol_cptp: float, generators: np.ndarray) -> None:
+    """Raise ``NotCPTP`` for the first of the eigenframe ``generators``
+    whose GKLS defect, relative to its 1-norm in that frame, is not below
+    ``tol_cptp``."""
+    cp, tp = gkls_defects(generators)
+    for k in np.flatnonzero(~(np.maximum(cp, tp) < tol_cptp))[:1]:  # a nan defect fails too
+        raise NotCPTP(f"the generator is not of GKLS form: cp={cp[k]:.3e}, tp={tp[k]:.3e} relative to its 1-norm")
+
+
 def analyse(sources: list, args) -> tuple:
     """The stages that do not depend on beta_i, each stacked over ``sources``
     (of one kind and dimension, and single maps of one tau), in a source's
-    order: the generators in H's eigenframe, the maps at classify's probe
-    times and at the finite qdb2 times, with the level transitions on the tau
-    grid, from one :func:`maps_of` call; the GKLS test of the semigroups'
-    generators; classify; qdb1; and qdb2; one analysis ``(sections, betas,
-    taus, transitions, h)`` of them all, with a list of each source's
-    sections and beta_f, the stacks of their transitions on the tau grid and
-    their Hamiltonians' stack.  A failing stage raises, for whichever source
-    fails it."""
+    order: the generators in H's eigenframe, with the GKLS test of the
+    semigroups' generators before any exponential, the maps at classify's
+    probe times and at the finite qdb2 times, with the level transitions on
+    the tau grid, from one :func:`maps_of` call; classify; qdb1; and qdb2;
+    one analysis ``(sections, betas, taus, transitions, h)`` of them all,
+    with a list of each source's sections and beta_f, the stacks of their
+    transitions on the tau grid and their Hamiltonians' stack.  A failing
+    stage raises, for whichever source fails it."""
     probes = () if sources[0].generator is not None else sources[0].taus((TAU_MAX, *FIXED_POINT_TAUS))
     taus, qdb2_taus = sources[0].taus(args.tau_grid), tuple(filter(math.isfinite, sources[0].taus(QDB2_TAUS)))
     p, h, none = len(probes), HamiltonianSpec.stack([s.h for s in sources]), [None] * len(sources)
     # every stage from here reads the eigenframe matrices of maps_of
-    generators, (superops, _), transitions = maps_of(sources, h, probes + taus + qdb2_taus, slice(p, p + len(taus)))
-    if generators is not None:
-        cp, tp = gkls_defects(generators)
-        for k in np.flatnonzero(~(np.maximum(cp, tp) < args.tol_cptp))[:1]:  # a nan defect fails too
-            raise NotCPTP(
-                f"the generator is not of GKLS form: cp={cp[k]:.3e}, tp={tp[k]:.3e} relative to its 1-norm"
-            )
+    generators, (superops, _), transitions = maps_of(
+        sources, h, probes + taus + qdb2_taus, slice(p, p + len(taus)), partial(_require_gkls, args.tol_cptp)
+    )
     classified = classify(sources, superops[:, :p] if generators is None else generators, h)
     betas = [b if b is not None and math.isfinite(b) else None for _, b, _ in classified]
     qdb1 = _balance(check_qdb1, h, betas, none if generators is None else generators, args)

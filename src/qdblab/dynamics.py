@@ -288,8 +288,13 @@ def transitions_of(superops: np.ndarray, kraus) -> tuple:
     |n>``, read from the maps' population block, and over ``(..., t)``
     whether a map's entries are all finite and by how much the Kraus route
     ``sum_j |<n|G_j|m>|^2`` differs from the superoperator route (0 without
-    Kraus operators)."""
-    units = _frame_units(math.isqrt(superops.shape[-1]))[0]
+    Kraus operators); both routes read the same eigenframe operators, so
+    their gap checks the superoperator build, not the frame change.  A map
+    stack whose matrices are not ``d^2 x d^2`` raises ``DimensionMismatch``."""
+    d = math.isqrt(superops.shape[-1])
+    if superops.shape[-2:] != (d * d,) * 2:
+        raise DimensionMismatch("superoperator dimension is not the square of a level count")
+    units = _frame_units(d)[0]
     probs = superops[..., units, units[:, None]].real  # the entry from |m><m| to |n><n| at [m, n]
     route_gap = np.zeros(probs.shape[:-2])
     if kraus is not None:
@@ -309,7 +314,7 @@ def _frame_units(d: int) -> tuple:
     return units, np.flatnonzero(coherent), (coherent[:, None] | coherent) & ~np.eye(d * d, dtype=bool)
 
 
-def maps_of(sources: list, h: HamiltonianSpec, times: tuple, grid: slice = slice(0)) -> tuple:
+def maps_of(sources: list, h: HamiltonianSpec, times: tuple, grid: slice = slice(0), admit=None) -> tuple:
     """The generators, maps and level transitions of the sources, of one
     kind and dimension, with their Hamiltonians' stack ``h``, all in H's
     eigenframe, the only place the package takes it: the level transitions
@@ -333,7 +338,9 @@ def maps_of(sources: list, h: HamiltonianSpec, times: tuple, grid: slice = slice
     time): ``exp(tau W)`` is their transition matrix on the grid, and their
     map is ``exp(tau W) (+) diag(exp(tau lambda_c))``.  The others take one
     exponential of their generators over (source, time), so each source's
-    route depends on its own generator only."""
+    route depends on its own generator only.  ``admit``, if given, is called
+    with the eigenframe generators before any exponential, so a test of them
+    that raises costs none."""
     v, d = h.eigenvectors, h.dim
     if sources[0].generator is None:
         kraus = _kraus_stacks(np.array([s.family(times) for s in sources], dtype=complex), h)
@@ -346,6 +353,8 @@ def maps_of(sources: list, h: HamiltonianSpec, times: tuple, grid: slice = slice
     q = kron(v.conj(), v)
     with np.errstate(over="ignore", invalid="ignore"):  # a non-finite coupling is not 0
         generators = dag(q) @ np.array([s.generator for s in sources]) @ q
+    if admit is not None:
+        admit(generators)
     secular = ~generators[:, _frame_units(d)[2]].any(axis=-1)
     k, n = len(sources), len(range(len(times))[grid])
     superops = np.empty((k, len(times) - n, d * d, d * d), dtype=complex)

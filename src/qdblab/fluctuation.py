@@ -146,8 +146,11 @@ def exchange_grid(transitions, h: HamiltonianSpec, beta_i) -> tuple:
     The first point, and in it the first map, that fails a check raises, with
     the checks at that map in this order: the transition checks of
     :func:`_transition_checks`, then the records, which must sum to 1 and lie
-    in [0, 1].
+    in [0, 1].  Transitions of another level count than h's raise
+    ``DimensionMismatch`` before any of these.
     """
+    if transitions[0].shape[-1] != h.dim:
+        raise DimensionMismatch("superoperator dimension does not match the Hamiltonian")
     beta_i = np.asarray(beta_i, dtype=float)
     if not np.all((0 <= beta_i) & (beta_i < math.inf)):
         raise ValueError("beta_i must be finite and nonnegative")

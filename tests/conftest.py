@@ -322,33 +322,37 @@ def reference_transition_stack(superops: np.ndarray, kraus, h: HamiltonianSpec) 
     return probs, np.isfinite(superops).all(axis=(-2, -1)), route_gap
 
 
-def reference_maps_of(sources: list, h: HamiltonianSpec, times: tuple, grid: slice = slice(0)) -> tuple:
+def reference_maps_of(sources: list, h: HamiltonianSpec, times: tuple, grid: slice = slice(0), admit=None) -> tuple:
     """:func:`qdblab.dynamics.maps_of` with every source on the full route
     in the basis of H's matrix: a semigroup's maps are one exponential of
     its ``d^2 x d^2`` generator over every time, every source's transitions
     on the grid come from its maps by :func:`reference_transition_stack`,
     and the generators and maps are then taken to H's eigenframe by
-    :func:`eigenframe`."""
+    :func:`eigenframe`; ``admit`` sees the eigenframe generators first."""
     generators, kraus = None, None
     if sources[0].generator is None:
         kraus = _kraus_stacks(np.array([s.family(times) for s in sources], dtype=complex), h)
         superops = _kraus_superops(kraus)
     else:
-        generators = np.array([s.generator for s in sources])
-        superops = matlin.expm(generators, times)
-        generators = eigenframe(generators, h)
+        original = np.array([s.generator for s in sources])
+        generators = eigenframe(original, h)
+        if admit is not None:
+            admit(generators)
+        superops = matlin.expm(original, times)
     rest = None if kraus is None else eigenframe(np.delete(kraus, grid, axis=1), h)
     transitions = reference_transition_stack(superops[:, grid], None if kraus is None else kraus[:, grid], h)
     return generators, (eigenframe(np.delete(superops, grid, axis=1), h), rest), transitions
 
 
-def reference_frame_route(sources: list, h: HamiltonianSpec, times: tuple, grid: slice = slice(0)) -> tuple:
+def reference_frame_route(sources: list, h: HamiltonianSpec, times: tuple, grid: slice = slice(0), admit=None) -> tuple:
     """:func:`qdblab.dynamics.maps_of` with every semigroup on the full route
     in H's eigenframe: one exponential of its generator, taken to the frame
     by :func:`eigenframe`, over every time, and its transitions on the grid
     read from its maps by :func:`reference_transition_stack` in the frame's
-    own basis."""
+    own basis; ``admit`` sees the eigenframe generators first."""
     generators = eigenframe(np.array([s.generator for s in sources]), h)
+    if admit is not None:
+        admit(generators)
     superops = matlin.expm(generators, times)
     units = HamiltonianSpec(h.matrix, h.eigenvalues, np.broadcast_to(np.eye(h.dim), h.eigenvectors.shape))
     transitions = reference_transition_stack(superops[:, grid], None, units)

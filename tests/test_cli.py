@@ -949,6 +949,19 @@ def test_a_sweep_takes_each_stage_once_per_block(tmp_path, monkeypatch, argv, ca
     assert counts == calls
 
 
+def test_a_generator_that_fails_the_gkls_test_is_never_exponentiated(tmp_path, capsys, monkeypatch):
+    # the block of 5 sources fails its GKLS test before its exponential; of the points it
+    # replays, the three before the first failing one take one each, and that one none
+    from qdblab import matlin
+
+    sources = []
+    original = matlin.expm
+    monkeypatch.setattr(matlin, "expm", lambda *args: sources.append(len(args[0])) or original(*args))
+    assert run(tmp_path, "sweep", "c", "--parameter", "nu", "--range=0.9:0.1:5") == EXIT_MODEL
+    assert capsys.readouterr().err.startswith("NotCPTP: ")
+    assert sources == [1, 1, 1]
+
+
 def _fresh_interpreter(*args, stdout=subprocess.PIPE, **env):
     """``python *args`` in a new process, with this checkout's ``src`` on the
     path and ``env`` added to the environment."""

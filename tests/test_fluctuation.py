@@ -28,7 +28,6 @@ from conftest import (
     reference_classify_single_map,
     random_lindblad,
     ratio_records,
-    stacks_of,
     thermal_circulation_qutrit,
     transition_matrix,
 )
@@ -648,15 +647,22 @@ def test_grid_raises_what_the_per_map_loop_raised_first(names, beta_i):
 
 
 def test_grid_rejects_a_stack_of_another_dimension():
-    # the stages read eigenframe stacks that were checked against H when they were
-    # taken, so a stack of another dimension is rejected before its transitions
     h = FAILING_H
     g = _failing_maps(h)["dimension"]
     with pytest.raises(DimensionMismatch) as want:
         reference_exchange_records(g, h, 1.0)
     with pytest.raises(DimensionMismatch) as got:
-        exchange_grid(transitions_of(*stacks_of(g, h)), h, 1.0)
+        exchange_grid(transitions_of(np.array([g, g]), None), h, 1.0)
     assert str(got.value) == str(want.value)
+    # before beta_i is judged, as when the transitions were taken against h
+    with pytest.raises(DimensionMismatch):
+        exchange_grid(transitions_of(np.array([g, g]), None), h, -1.0)
+
+
+@pytest.mark.parametrize("shape", [(2, 5, 5), (2, 4, 9)], ids=["not-a-square", "not-square"])
+def test_transitions_reject_a_map_stack_of_no_level_count(shape):
+    with pytest.raises(DimensionMismatch, match="not the square of a level count"):
+        transitions_of(np.zeros(shape, dtype=complex), None)
 
 
 def test_build_report_takes_thermal_populations_once_per_source(tmp_path, monkeypatch):
