@@ -1,76 +1,37 @@
-"""Command-line interface.
+"""Command-line interface: a thin shell around :mod:`qdblab.report`.
 
-Runs the built-in scenarios, verifies user-supplied models (JSON), sweeps a
-named parameter, and writes machine-readable reports.  Reports are
-byte-deterministic for a fixed configuration: CSV floats are printed with 17
-significant digits, JSON floats as their shortest round-trip ``repr``, and
-rows are ordered by (tau, gap).
+Parses a command line and checks its settings, builds the sources of a
+built-in scenario (:mod:`qdblab.examples`) or of a user-supplied model file
+(JSON), runs the report stages on them, one scenario parameter swept or
+none, and writes machine-readable reports.  Reports are byte-deterministic
+for a fixed configuration: CSV floats are printed with 17 significant
+digits, JSON floats as their shortest round-trip ``repr``, and rows are
+ordered by (tau, gap).
 
-Exit codes: 0 success, 2 usage or configuration error, 3 model invariant
-violation, 4 internal consistency failure.
+Exit codes: 0 success, 2 a usage error; a package error exits with its
+class's ``exit_code`` (:mod:`qdblab.errors`): 2 for a configuration error,
+3 for a violated model invariant, 4 for a failed internal check.
 """
 
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import json
 import math
 import os
 import sys
-from functools import cache, partial
+from functools import cache
 from pathlib import Path
 
 import numpy as np
 
-from .balance import check_qdb1, check_qdb2
-from .dynamics import Dynamics, LindbladGenerator, gkls_defects, lindblad_superop, maps_of
-from .errors import (
-    ConfigError,
-    DimensionMismatch,
-    InconclusiveHorizon,
-    InternalCheckError,
-    KossakowskiNotPSD,
-    NoConvergence,
-    NotAState,
-    NotCPTP,
-    NotHermitian,
-    NotTracePreserving,
-    QdblabError,
-    ScheduleOutOfRange,
-    UnknownParameter,
-)
-from .examples import (
-    ExampleAParams,
-    ExampleBParams,
-    bloch4_to_superop,
-    example_a_channel,
-    example_a_f_factor,
-    example_b_generator,
-    example_c_generator,
-    example_c_qdb_point,
-    qubit_hamiltonian,
-)
-from .fluctuation import FIXED_POINT_TAUS, TAU_MAX, classify, exchange_grid, ratios
+from .dynamics import Dynamics, LindbladGenerator, bloch4_to_superop
+from .errors import ConfigError, QdblabError, UnknownParameter
+from .examples import SCENARIOS, ExampleBParams, example_b_generator, scenario_sources
+from .report import analyse, build_report, fmt_float, json_float
 from .states import HamiltonianSpec
 
 EXIT_OK = 0
-EXIT_CONFIG = 2
-EXIT_MODEL = 3
-EXIT_INTERNAL = 4
-
-QDB2_TAUS = (0.1, 0.5, 1.0, 5.0)
-
-MODEL_ERRORS = (
-    NotAState,
-    NotHermitian,
-    KossakowskiNotPSD,
-    NotTracePreserving,
-    NotCPTP,
-    ScheduleOutOfRange,
-    DimensionMismatch,
-    NoConvergence,
-)
 
 
 # ---------------------------------------------------------------------------
@@ -146,112 +107,15 @@ def _finite_bounds(lo: str, hi: str) -> tuple:
 
 
 # ---------------------------------------------------------------------------
-# report pipeline
-
-
-def _json_float(x):
-    """``float(x)``, with a non-finite value as the text ``inf``, ``-inf`` or ``nan``; None and bools stay."""
-    return x if x is None or type(x) is bool else float(x) if math.isfinite(x) else str(float(x))
-
-
-def fmt_float(x) -> str:
-    if x is None:
-        return ""
-    if isinstance(x, bool):
-        return "true" if x else "false"
-    return format(float(x), ".17g")
-
-
-def _balance(check, h: HamiltonianSpec, betas: list, operators: list, args) -> list:
-    """The verdict section of ``check`` over the s grid for each source, of
-    h's stack, with a beta and an operator, else None, from one broadcast
-    over those sources."""
-    picked = [i for i, (b, o) in enumerate(zip(betas, operators)) if b is not None and o is not None]
-    sections = [None] * len(betas)
-    if picked:
-        residuals = check(h[picked], [betas[i] for i in picked], args.s_grid, np.array([operators[i] for i in picked]))
-        keys = [fmt_float(s) for s in args.s_grid]
-        for i, r in zip(picked, residuals):
-            per_s = dict(zip(keys, r.tolist()))
-            worst = max(per_s.values())
-            sections[i] = {"passes": bool(worst < args.tol_qdb), "max_residual": worst, "per_s": per_s}
-    return sections
-
-
-def _require_gkls(tol_cptp: float, generators: np.ndarray) -> None:
-    """Raise ``NotCPTP`` for the first of the eigenframe ``generators``
-    whose GKLS defect, relative to its 1-norm in that frame, is not below
-    ``tol_cptp``."""
-    cp, tp = gkls_defects(generators)
-    for k in np.flatnonzero(~(np.maximum(cp, tp) < tol_cptp))[:1]:  # a nan defect fails too
-        raise NotCPTP(f"the generator is not of GKLS form: cp={cp[k]:.3e}, tp={tp[k]:.3e} relative to its 1-norm")
-
-
-def analyse(sources: list, args) -> tuple:
-    """The stages that do not depend on beta_i, each stacked over ``sources``
-    (of one kind and dimension, and single maps of one tau), in a source's
-    order: the generators in H's eigenframe, with the GKLS test of the
-    semigroups' generators before any exponential, the maps at classify's
-    probe times and at the finite qdb2 times, with the level transitions on
-    the tau grid, from one :func:`maps_of` call; classify; qdb1; and qdb2;
-    one analysis ``(sections, betas, taus, transitions, h)`` of them all,
-    with a list of each source's sections and beta_f, the stacks of their
-    transitions on the tau grid and their Hamiltonians' stack.  A failing
-    stage raises, for whichever source fails it."""
-    probes = () if sources[0].generator is not None else sources[0].taus((TAU_MAX, *FIXED_POINT_TAUS))
-    taus, qdb2_taus = sources[0].taus(args.tau_grid), tuple(filter(math.isfinite, sources[0].taus(QDB2_TAUS)))
-    p, h, none = len(probes), HamiltonianSpec.stack([s.h for s in sources]), [None] * len(sources)
-    # every stage from here reads the eigenframe matrices of maps_of
-    generators, (superops, _), transitions = maps_of(
-        sources, h, probes + taus + qdb2_taus, slice(p, p + len(taus)), partial(_require_gkls, args.tol_cptp)
-    )
-    classified = classify(sources, superops[:, :p] if generators is None else generators, h)
-    betas = [b if b is not None and math.isfinite(b) else None for _, b, _ in classified]
-    qdb1 = _balance(check_qdb1, h, betas, none if generators is None else generators, args)
-    qdb2 = _balance(check_qdb2, h, betas, superops[:, p:] if qdb2_taus else none, args)
-    classification = [{"kind": k, "beta_f": _json_float(b), "gamma_min": _json_float(g)} for k, b, g in classified]
-    sections = [{"classification": c, "qdb1": q1, "qdb2": q2 and {**q2, "taus": list(qdb2_taus)}}
-                for c, q1, q2 in zip(classification, qdb1, qdb2)]
-    return sections, betas, taus, transitions, h
-
-
-def build_report(analysis: tuple, args, beta_i, beta_f) -> list:
-    """The report of each point of the analysis of :func:`analyse`, from
-    one exchange grid over the points, as ``(verdict, records)``: the
-    sections of :func:`analyse` and the ratio law's, and the arrays the rows
-    are read from.  The points are the analysis's sources, or, for one
-    source, the points of ``beta_i`` and ``beta_f``, a number that every
-    point shares or an array of one per point; ``beta_f`` counts where the
-    analysis infers none.  The points share a dimension and their gap
-    clusters' pairs; a source that every point shares gives its transitions
-    once.
-    The first point that fails a check raises."""
-    sections, betas, taus, transitions, h = analysis
-    beta_i, beta_f, inferred = np.broadcast_arrays(beta_i, beta_f, [math.nan if b is None else b for b in betas])
-    grid = exchange_grid(transitions, h, beta_i)
-    defined, ratio, predicted, deviation = ratios(*grid, beta_i - np.where(np.isnan(inferred), beta_f, inferred))
-    energies, p_plus, p_minus, recorded = np.broadcast_to(grid[0], predicted.shape), *grid[1:]
-    reports = []
-    for sections, *records in zip(
-        sections * (len(beta_i) // len(sections)), energies, predicted, recorded, p_plus, p_minus, defined, ratio,
-        deviation,
-    ):
-        devs = records[-1][records[-3]]  # the deviations of the records with a ratio, in row order
-        # their max() as a running max over the rows takes it: a nan counts only when it comes first
-        worst = None if not devs.size else devs[0] if math.isnan(devs[0]) else np.nanmax(devs)
-        passes = None if worst is None else bool(worst < args.tol_qfr)
-        verdict = {**sections, "qfr_max_deviation": _json_float(worst), "qfr_passes": passes}
-        reports.append((verdict, (taus, *records)))
-    return reports
-
-
-# ---------------------------------------------------------------------------
 # output
 
 
 def _write_text(path: Path, text: str) -> None:
-    path.parent.mkdir(parents=True, exist_ok=True)
-    path.write_text(text, encoding="utf-8")
+    try:
+        path.parent.mkdir(parents=True, exist_ok=True)
+        path.write_text(text, encoding="utf-8")
+    except OSError as exc:
+        raise ConfigError(f"cannot write {path}: {exc}") from exc
 
 
 def write_rows(path: Path, header, columns, fmt: str) -> None:
@@ -262,7 +126,7 @@ def write_rows(path: Path, header, columns, fmt: str) -> None:
     ``values[index]`` with a blank (None) cell at index -1.  A column of
     finite floats is formatted at C level, as ``%.17g`` in CSV and as
     ``repr`` in JSON; any other column cell by cell, as :func:`fmt_float` or
-    :func:`_json_float` reads it."""
+    :func:`json_float` reads it."""
     cells = [_cells(column, fmt) for column in columns]
     if fmt == "csv":
         _write_text(path, "\n".join([",".join(header), *map(",".join, zip(*cells))]) + "\n")
@@ -282,7 +146,7 @@ def _cells(column, fmt: str) -> list:
     elif fmt == "csv":
         text = [x if isinstance(x, str) else fmt_float(x) for x in values]
     else:
-        text = [json.dumps(x if isinstance(x, str) else _json_float(x)) for x in values]
+        text = [json.dumps(x if isinstance(x, str) else json_float(x)) for x in values]
     if index is None:
         return text
     return np.array([*text, "" if fmt == "csv" else "null"], dtype=object)[index].tolist()
@@ -304,7 +168,7 @@ def _complex_to_pairs(m: np.ndarray):
 def _pairs_to_complex(data) -> np.ndarray:
     try:
         arr = np.asarray(data, dtype=float)
-    except (ValueError, TypeError) as exc:
+    except (ValueError, TypeError, OverflowError) as exc:
         raise ConfigError(f"malformed matrix entry: {exc}") from exc
     if not np.all(np.isfinite(arr)):
         raise ConfigError("matrix entries must be finite")
@@ -332,7 +196,7 @@ def load_model(path: Path):
     path = Path(path)
     try:
         obj = json.loads(path.read_text(encoding="utf-8"))
-    except (OSError, json.JSONDecodeError) as exc:
+    except (OSError, ValueError, RecursionError) as exc:  # ValueError: not UTF-8 JSON, or past int()'s digit limit
         raise ConfigError(f"cannot read model file {path}: {exc}") from exc
     if not isinstance(obj, dict):
         raise ConfigError(f"model file {path} must hold a JSON object")
@@ -371,7 +235,7 @@ def load_model(path: Path):
             source = Dynamics.semigroup(h, bloch4_to_superop(l4.real))
     except KeyError as exc:
         raise ConfigError(f"model file misses required field {exc}") from exc
-    except ValueError as exc:
+    except (ValueError, OverflowError) as exc:
         raise ConfigError(f"model file {path}: {exc}") from exc
     # a lindblad generator of such an H overflows already; a Kraus map or bloch4 generator need not
     if not math.isfinite(float(h.eigenvalues[-1]) - float(h.eigenvalues[0])):
@@ -383,11 +247,22 @@ def load_model(path: Path):
 # commands
 
 
+def _analyse(sources: list, args) -> tuple:
+    """:func:`report.analyse` of ``sources`` under the run's settings ``args``."""
+    return analyse(sources, args.tau_grid, args.s_grid, args.tol_qdb, args.tol_cptp)
+
+
+def _scenario(name: str, args, points: list) -> list:
+    """:func:`examples.scenario_sources` of scenario ``name`` at ``points`` under the scenario flags ``args``."""
+    return scenario_sources(name, points, args.beta_f, args.omega, args.gamma, args.mu, args.eta, args.nu_scale,
+                            args.q_schedule)
+
+
 def _emit(label: str, source: Dynamics, args, f_factor=None, **extra) -> None:
     """Write the rows and verdict, with ``extra`` entries, of one source: a
     row per tau and Bohr gap, with scenario A's ``f_factor`` at tau."""
     ((sections, (taus, energies, predicted, recorded, p_plus, p_minus, defined, ratio, deviation)),) = build_report(
-        analyse([source], args), args, args.beta_i, args.beta_f
+        _analyse([source], args), args.tol_qfr, args.beta_i, args.beta_f
     )
     header = "tau E p_plus p_minus R predicted deviation".split() + ([] if f_factor is None else ["F_tau"])
     t, g = np.nonzero(recorded)  # the kept records, in (tau, gap) order
@@ -411,44 +286,12 @@ def _emit(label: str, source: Dynamics, args, f_factor=None, **extra) -> None:
     print(f"wrote {rows_path} and {verdict_path}")
 
 
-def _example_sources(name: str, args, points: list) -> list:
-    """Scenario ``name`` of the flags ``args`` at each point of ``points``, a
-    dict of the parameters that the point sets in place of the flags, as a
-    dynamics source with scenario A's correction factor (None for the
-    others); the points' Hamiltonians, and scenarios B's and C's generators,
-    are built as one stack.  An invalid parameter raises ``ConfigError``."""
-    try:
-        if name == "a":
-            builder = ExampleAParams.fixed_point if args.q_schedule == "fpt" else ExampleAParams.default
-            params = [builder(**{"omega": args.omega, "beta_f": args.beta_f, **p}) for p in points]
-            return [(Dynamics.channel_family(h, partial(example_a_channel, p)), partial(example_a_f_factor, p))
-                    for p, h in zip(params, qubit_hamiltonian([p.omega for p in params]))]
-        if name == "b":
-            flags = {"omega": args.omega, "gamma": args.gamma, "beta_f": args.beta_f}
-            params = [ExampleBParams(**{**flags, **p}) for p in points]
-            if getattr(args, "save_model", None):  # an example's one generator
-                save_model(example_b_generator(params[0]), Path(args.save_model))
-            # H is the generator's, which keeps H's one eigendecomposition
-            gen = example_b_generator(params)
-            return [(Dynamics.semigroup(h, l), None) for l, h in zip(lindblad_superop(gen), gen.hamiltonian)]
-        flags, params = {"mu": args.mu, "eta": args.eta, "omega": args.omega, "beta_f": args.beta_f}, []
-        for p in points:
-            base = example_c_qdb_point(**{k: p.get(k, v) for k, v in flags.items()})
-            if not math.isfinite(args.nu_scale):
-                raise ValueError(f"nu-scale must be finite, got {args.nu_scale}")
-            # a swept coefficient takes the place of the balanced point's
-            swept = {k: p[k] for k in p.keys() - flags}
-            params.append(dataclasses.replace(base, **{"nu": base.nu * args.nu_scale, **swept}))
-        hs = qubit_hamiltonian([p.omega for p in params])
-        return [(Dynamics.semigroup(h, l), None) for l, h in zip(example_c_generator(params), hs)]
-    except ValueError as exc:
-        raise ConfigError(f"scenario {name}: {exc}") from exc
-
-
 def cmd_example(args) -> int:
     if args.save_model and args.name != "b":
         raise ConfigError(f"--save-model writes only scenario b, not scenario {args.name}")
-    ((source, f_factor),) = _example_sources(args.name, args, [{}])
+    ((source, f_factor),) = _scenario(args.name, args, [{}])
+    if args.save_model:
+        save_model(example_b_generator(ExampleBParams(args.omega, args.gamma, args.beta_f)), Path(args.save_model))
     _emit(f"example_{args.name}", source, args, f_factor, example=args.name)
     return EXIT_OK
 
@@ -458,27 +301,19 @@ def cmd_check(args) -> int:
     return EXIT_OK
 
 
-_SWEEPABLE = {
-    "a": ("beta_i", "beta_f", "omega"),
-    "b": ("beta_i", "beta_f", "omega", "gamma"),
-    "c": ("beta_i", "beta_f", "omega", "mu", "eta", "nu", "alpha", "chi", "zeta"),
-    "model": ("beta_i",),
-}
-
-
 SWEEP_BLOCK = 32  # points stacked per pass, so that a sweep's memory does not grow with its range
 
 
 def cmd_sweep(args) -> int:
     values = parse_range(args.range)
-    header = ["parameter", "value", "classification", "beta_f", "qdb1_passes", "qdb1_max_residual"]
-    header += ["qdb2_passes", "qdb2_max_residual", "qfr_max_deviation"]
-    allowed = _SWEEPABLE.get(args.target, _SWEEPABLE["model"])
+    header = ("parameter value classification beta_f qdb1_passes qdb1_max_residual qdb2_passes qdb2_max_residual"
+              " qfr_max_deviation").split()
+    allowed = SCENARIOS.get(args.target, ("beta_i",))  # a model file sweeps beta_i alone
     if args.parameter not in allowed:
         raise UnknownParameter(
             f"parameter {args.parameter!r} is not sweepable for {args.target!r}; choose from {allowed}"
         )
-    model = None if args.target in ("a", "b", "c") else load_model(args.target)
+    model = None if args.target in SCENARIOS else load_model(args.target)
     shared = []  # a beta_i sweep's one analysis, of the source that all its points share
 
     def block(values: tuple) -> list:
@@ -488,17 +323,17 @@ def cmd_sweep(args) -> int:
         first failing check."""
         try:
             if args.parameter != "beta_i":
-                sources = _example_sources(args.target, args, [{args.parameter: v} for v in values])
-                analysis = analyse([source for source, _ in sources], args)
+                sources = _scenario(args.target, args, [{args.parameter: v} for v in values])
+                analysis = _analyse([source for source, _ in sources], args)
             elif min(values) < 0:  # the one setting that a point changes and _run has not checked
                 raise ConfigError("beta-i must be nonnegative")
             else:
                 if not shared:
-                    shared.append(analyse([model or _example_sources(args.target, args, [{}])[0][0]], args))
+                    shared.append(_analyse([model or _scenario(args.target, args, [{}])[0][0]], args))
                 analysis = shared[0]
             # a swept beta_i or beta_f takes its value per point
             betas = {"beta_i": args.beta_i, "beta_f": args.beta_f, args.parameter: values}
-            return [verdict for verdict, _ in build_report(analysis, args, betas["beta_i"], betas["beta_f"])]
+            return [verdict for verdict, _ in build_report(analysis, args.tol_qfr, betas["beta_i"], betas["beta_f"])]
         except QdblabError:
             if len(values) == 1:
                 raise
@@ -510,8 +345,8 @@ def cmd_sweep(args) -> int:
     balance = [[v[q] and v[q][key] for v in verdicts] for q in ("qdb1", "qdb2") for key in ("passes", "max_residual")]
     columns = [[args.parameter] * len(values), list(values), [c["kind"] for c in cls], [c["beta_f"] for c in cls],
                *balance, [verdict["qfr_max_deviation"] for verdict in verdicts]]
-    target_tag = args.target if model is None else Path(args.target).stem
-    path = args.out / f"sweep_{target_tag}_{args.parameter}.{args.format}"
+    # a scenario's name is its own stem
+    path = args.out / f"sweep_{Path(args.target).stem}_{args.parameter}.{args.format}"
     write_rows(path, header, columns, args.format)
     print(f"wrote {path} ({len(values)} rows)")
     return EXIT_OK
@@ -558,7 +393,7 @@ def _build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_example = sub.add_parser("example", help="run a built-in scenario")
-    p_example.add_argument("name", choices=("a", "b", "c"))
+    p_example.add_argument("name", choices=SCENARIOS)
     p_example.add_argument("--save-model", default=None, help="also write the model as JSON")
     _add_example_params(p_example)
     _add_common(p_example)
@@ -588,15 +423,9 @@ def _run(argv) -> int:
     try:
         args.tau_grid, args.s_grid = parse_grid(args.tau_grid), parse_grid(args.s_grid)
         return args.func(check_settings(args))
-    except (ConfigError, UnknownParameter) as exc:
+    except QdblabError as exc:
         print(f"{type(exc).__name__}: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
-    except MODEL_ERRORS as exc:
-        print(f"{type(exc).__name__}: {exc}", file=sys.stderr)
-        return EXIT_MODEL
-    except (InternalCheckError, InconclusiveHorizon) as exc:
-        print(f"{type(exc).__name__}: {exc}", file=sys.stderr)
-        return EXIT_INTERNAL
+        return exc.exit_code
 
 
 def main(argv=None) -> int:

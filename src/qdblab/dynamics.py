@@ -1,7 +1,8 @@
-"""CPTP dynamics: Lindblad generators, superoperator matrices, the GKLS
-test of generators and ``Dynamics``, whose generators, maps at one time
-tuple and level transitions on the tau grid come, from ``maps_of``, as
-stacks that every check, ``classify`` of a channel family too, reads; an
+"""CPTP dynamics: Lindblad generators, superoperator matrices (of Lindblad
+and of qubit Bloch-coordinate generators), the GKLS test of generators and
+``Dynamics``, whose generators, maps at one time tuple and level
+transitions on the tau grid come, from ``maps_of``, as stacks that every
+check, ``classify`` of a channel family too, reads; an
 exactly secular semigroup takes its transitions from its d x d rate block
 alone, and no map is evolved, applied or made Kraus alone.
 
@@ -39,8 +40,8 @@ import numpy as np
 
 from . import matlin
 from .errors import ConfigError, DimensionMismatch, KossakowskiNotPSD, NotTracePreserving
-from .matlin import dag, kron
-from .states import HamiltonianSpec
+from .matlin import dag, kron, vec
+from .states import SIGMA_X, SIGMA_Y, SIGMA_Z, HamiltonianSpec
 
 TP_ATOL = 1e-10
 PSD_ATOL = 1e-10
@@ -174,6 +175,27 @@ def lindblad_superop(gen: LindbladGenerator) -> np.ndarray:
         return -1j * (kron(eye, h) - kron(h.swapaxes(-1, -2), eye)) + jumps - 0.5 * (
             kron(eye, a) + kron(a.swapaxes(-1, -2), eye)
         )
+
+
+_PAULI_STACK = np.column_stack(
+    [vec(np.eye(2, dtype=complex)), vec(SIGMA_X), vec(SIGMA_Y), vec(SIGMA_Z)]
+)
+
+
+def bloch4_to_superop(l4: np.ndarray) -> np.ndarray:
+    """Density-matrix generator from a Bloch-coordinate generator, or a
+    stack ``(p, 4, 4)`` of them from a stack of Bloch generators.
+
+    With ``vec(rho) = P b / 2`` for the Pauli column stack ``P`` and
+    ``db/dtau = -2 LL b``, the vectorized generator is ``-P LL P^dag``
+    (``P^dag P = 2 I``).  An entry that overflows reads inf or nan, which
+    ``Dynamics.semigroup`` rejects.
+    """
+    l4 = np.asarray(l4, dtype=complex)
+    if l4.shape[-2:] != (4, 4):
+        raise DimensionMismatch(f"Bloch generator must be 4x4, got {l4.shape}")
+    with np.errstate(over="ignore", invalid="ignore"):
+        return -_PAULI_STACK @ l4 @ dag(_PAULI_STACK)
 
 
 def _kraus_superops(kraus: np.ndarray) -> np.ndarray:

@@ -18,20 +18,24 @@ test oracles and live with the tests.
   on a one-parameter slice, separating the ratio law from detailed balance.
   It is completely positive only where its transverse damping is large
   enough against its longitudinal damping.
+
+``SCENARIOS`` names the three and the parameters a sweep of each may set;
+``scenario_sources`` builds one of them, by name, as dynamics sources at a
+list of parameter points.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
+from functools import partial
 from typing import Callable
 
 import numpy as np
 
-from .dynamics import LindbladGenerator
-from .errors import DimensionMismatch, ScheduleOutOfRange
-from .matlin import dag, vec
-from .states import SIGMA_X, SIGMA_Y, SIGMA_Z, HamiltonianSpec
+from .dynamics import Dynamics, LindbladGenerator, bloch4_to_superop, lindblad_superop
+from .errors import ConfigError, ScheduleOutOfRange
+from .states import HamiltonianSpec
 
 HORIZON_TAU = 1e12
 
@@ -63,6 +67,11 @@ def thermal_bias(omega: float, beta_f: float) -> float:
 
 # ---------------------------------------------------------------------------
 # Scenario A: thermalizing but not fixed-point thermalizing
+
+
+def _saturation(tau: float) -> float:
+    """``1 - e^{-tau}``, the schedules' saturation from 0 at tau = 0 to 1."""
+    return 1.0 - math.exp(-tau)
 
 
 @dataclass(frozen=True)
@@ -102,23 +111,13 @@ class ExampleAParams:
     def default(cls, omega: float, beta_f: float) -> "ExampleAParams":
         """Smooth exponential saturation for both schedules."""
         q_inf = thermal_bias(omega, beta_f)
-        return cls(
-            omega=omega,
-            beta_f=beta_f,
-            q_schedule=lambda tau: q_inf * (1.0 - math.exp(-tau)),
-            xi_schedule=lambda tau: 1.0 - math.exp(-tau),
-        )
+        return cls(omega, beta_f, lambda tau: q_inf * _saturation(tau), _saturation)
 
     @classmethod
     def fixed_point(cls, omega: float, beta_f: float) -> "ExampleAParams":
         """Constant ``q = q_inf``: the family becomes fixed-point thermalizing."""
         q_inf = thermal_bias(omega, beta_f)
-        return cls(
-            omega=omega,
-            beta_f=beta_f,
-            q_schedule=lambda tau: q_inf,
-            xi_schedule=lambda tau: 1.0 - math.exp(-tau),
-        )
+        return cls(omega, beta_f, lambda tau: q_inf, _saturation)
 
 
 def example_a_channel(p: ExampleAParams, taus) -> np.ndarray:
@@ -266,27 +265,6 @@ def example_c_bloch_matrix(p: ExampleCParams) -> np.ndarray:
     )
 
 
-_PAULI_STACK = np.column_stack(
-    [vec(np.eye(2, dtype=complex)), vec(SIGMA_X), vec(SIGMA_Y), vec(SIGMA_Z)]
-)
-
-
-def bloch4_to_superop(l4: np.ndarray) -> np.ndarray:
-    """Density-matrix generator from a Bloch-coordinate generator, or a
-    stack ``(p, 4, 4)`` of them from a stack of Bloch generators.
-
-    With ``vec(rho) = P b / 2`` for the Pauli column stack ``P`` and
-    ``db/dtau = -2 LL b``, the vectorized generator is ``-P LL P^dag``
-    (``P^dag P = 2 I``).  An entry that overflows reads inf or nan, which
-    ``Dynamics.semigroup`` rejects.
-    """
-    l4 = np.asarray(l4, dtype=complex)
-    if l4.shape[-2:] != (4, 4):
-        raise DimensionMismatch(f"Bloch generator must be 4x4, got {l4.shape}")
-    with np.errstate(over="ignore", invalid="ignore"):
-        return -_PAULI_STACK @ l4 @ dag(_PAULI_STACK)
-
-
 def example_c_generator(p) -> np.ndarray:
     """Schroedinger-picture generator of the parameters ``p``, or the stack
     ``(n, 4, 4)`` of those of a sequence of them; a generator whose 1-norm
@@ -297,3 +275,47 @@ def example_c_generator(p) -> np.ndarray:
         if not np.isfinite(np.abs(s).sum(axis=1).max()):  # also for a non-finite entry
             raise ValueError("the generator overflows: its 1-norm is not finite")
     return s if params is p else s[0]
+
+
+# ---------------------------------------------------------------------------
+# the scenarios by name
+
+# each scenario's name and the parameters that a sweep of it may set
+SCENARIOS = {
+    "a": ("beta_i", "beta_f", "omega"),
+    "b": ("beta_i", "beta_f", "omega", "gamma"),
+    "c": ("beta_i", "beta_f", "omega", "mu", "eta", "nu", "alpha", "chi", "zeta"),
+}
+
+
+def scenario_sources(name: str, points: list, beta_f, omega, gamma, mu, eta, nu_scale, q_schedule) -> list:
+    """Scenario ``name`` at each point of ``points``, a dict of the
+    parameters that the point sets in place of the others, as a dynamics
+    source with scenario A's correction factor (None for the others): A with
+    ``q_schedule`` "fpt" (constant bias) or "default", B with ``gamma``, C at
+    its balanced point of ``mu`` and ``eta`` with nu scaled by ``nu_scale``.
+    The points' Hamiltonians, and scenarios B's and C's generators, are built
+    as one stack.  An invalid parameter raises ``ConfigError``."""
+    try:
+        if name == "a":
+            builder = ExampleAParams.fixed_point if q_schedule == "fpt" else ExampleAParams.default
+            params = [builder(**{"omega": omega, "beta_f": beta_f, **p}) for p in points]
+            return [(Dynamics.channel_family(h, partial(example_a_channel, p)), partial(example_a_f_factor, p))
+                    for p, h in zip(params, qubit_hamiltonian([p.omega for p in params]))]
+        if name == "b":
+            # H is the generator's, which keeps H's one eigendecomposition
+            gen = example_b_generator([ExampleBParams(**{"omega": omega, "gamma": gamma, "beta_f": beta_f, **p})
+                                       for p in points])
+            return [(Dynamics.semigroup(h, l), None) for l, h in zip(lindblad_superop(gen), gen.hamiltonian)]
+        flags, params = {"mu": mu, "eta": eta, "omega": omega, "beta_f": beta_f}, []
+        for p in points:
+            base = example_c_qdb_point(**{k: p.get(k, v) for k, v in flags.items()})
+            if not math.isfinite(nu_scale):
+                raise ValueError(f"nu-scale must be finite, got {nu_scale}")
+            # a swept coefficient takes the place of the balanced point's
+            swept = {k: p[k] for k in p.keys() - flags}
+            params.append(replace(base, **{"nu": base.nu * nu_scale, **swept}))
+        hs = qubit_hamiltonian([p.omega for p in params])
+        return [(Dynamics.semigroup(h, l), None) for l, h in zip(example_c_generator(params), hs)]
+    except ValueError as exc:
+        raise ConfigError(f"scenario {name}: {exc}") from exc

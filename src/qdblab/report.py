@@ -1,0 +1,123 @@
+"""The report pipeline: the paper's chain of checks on plain settings.
+
+:func:`analyse` takes a block of dynamics sources through the stages that do
+not depend on beta_i: the GKLS test of the generators, classification, and
+the generator-level (qdb1) and map-level (qdb2) detailed-balance checks.
+:func:`build_report` adds the exchange distribution and the forward-only
+ratio law at each point of beta_i and beta_f, and returns the verdict
+sections and the arrays that report rows are read from.  Each stage takes
+only the values it reads (sources, grids, tolerances, beta values), so it can
+be called, compared or timed on its own.
+"""
+
+from __future__ import annotations
+
+import math
+from functools import partial
+
+import numpy as np
+
+from .balance import check_qdb1, check_qdb2
+from .dynamics import gkls_defects, maps_of
+from .errors import NotCPTP
+from .fluctuation import FIXED_POINT_TAUS, TAU_MAX, classify, exchange_grid, ratios
+from .states import HamiltonianSpec
+
+QDB2_TAUS = (0.1, 0.5, 1.0, 5.0)
+
+
+def json_float(x):
+    """``float(x)``, with a non-finite value as the text ``inf``, ``-inf`` or ``nan``; None and bools stay."""
+    return x if x is None or type(x) is bool else float(x) if math.isfinite(x) else str(float(x))
+
+
+def fmt_float(x) -> str:
+    if x is None:
+        return ""
+    if isinstance(x, bool):
+        return "true" if x else "false"
+    return format(float(x), ".17g")
+
+
+def _balance(check, h: HamiltonianSpec, betas: list, operators: list, s_grid: tuple, tol_qdb: float) -> list:
+    """The verdict section of ``check`` over ``s_grid`` for each source, of
+    h's stack, with a beta and an operator, else None, from one broadcast
+    over those sources."""
+    picked = [i for i, (b, o) in enumerate(zip(betas, operators)) if b is not None and o is not None]
+    sections = [None] * len(betas)
+    if picked:
+        residuals = check(h[picked], [betas[i] for i in picked], s_grid, np.array([operators[i] for i in picked]))
+        keys = [fmt_float(s) for s in s_grid]
+        for i, r in zip(picked, residuals):
+            per_s = dict(zip(keys, r.tolist()))
+            worst = max(per_s.values())
+            sections[i] = {"passes": bool(worst < tol_qdb), "max_residual": worst, "per_s": per_s}
+    return sections
+
+
+def _require_gkls(tol_cptp: float, generators: np.ndarray) -> None:
+    """Raise ``NotCPTP`` for the first of the eigenframe ``generators``
+    whose GKLS defect, relative to its 1-norm in that frame, is not below
+    ``tol_cptp``."""
+    cp, tp = gkls_defects(generators)
+    for k in np.flatnonzero(~(np.maximum(cp, tp) < tol_cptp))[:1]:  # a nan defect fails too
+        raise NotCPTP(f"the generator is not of GKLS form: cp={cp[k]:.3e}, tp={tp[k]:.3e} relative to its 1-norm")
+
+
+def analyse(sources: list, tau_grid: tuple, s_grid: tuple, tol_qdb: float, tol_cptp: float) -> tuple:
+    """The stages that do not depend on beta_i, each stacked over ``sources``
+    (of one kind and dimension, and single maps of one tau), in a source's
+    order: the generators in H's eigenframe, with the GKLS test of the
+    semigroups' generators against ``tol_cptp`` before any exponential, the
+    maps at classify's probe times and at the finite qdb2 times, with the
+    level transitions on ``tau_grid``, from one :func:`maps_of` call;
+    classify; and qdb1 and qdb2 over ``s_grid``, which pass below
+    ``tol_qdb``; one analysis ``(sections, betas, taus, transitions, h)`` of
+    them all, with a list of each source's sections and beta_f, the stacks
+    of their transitions on the tau grid and their Hamiltonians' stack.  A
+    failing stage raises, for whichever source fails it."""
+    probes = () if sources[0].generator is not None else sources[0].taus((TAU_MAX, *FIXED_POINT_TAUS))
+    taus, qdb2_taus = sources[0].taus(tau_grid), tuple(filter(math.isfinite, sources[0].taus(QDB2_TAUS)))
+    p, h, none = len(probes), HamiltonianSpec.stack([s.h for s in sources]), [None] * len(sources)
+    # every stage from here reads the eigenframe matrices of maps_of
+    generators, (superops, _), transitions = maps_of(
+        sources, h, probes + taus + qdb2_taus, slice(p, p + len(taus)), partial(_require_gkls, tol_cptp)
+    )
+    classified = classify(sources, superops[:, :p] if generators is None else generators, h)
+    betas = [b if b is not None and math.isfinite(b) else None for _, b, _ in classified]
+    qdb1 = _balance(check_qdb1, h, betas, none if generators is None else generators, s_grid, tol_qdb)
+    qdb2 = _balance(check_qdb2, h, betas, superops[:, p:] if qdb2_taus else none, s_grid, tol_qdb)
+    classification = [{"kind": k, "beta_f": json_float(b), "gamma_min": json_float(g)} for k, b, g in classified]
+    sections = [{"classification": c, "qdb1": q1, "qdb2": q2 and {**q2, "taus": list(qdb2_taus)}}
+                for c, q1, q2 in zip(classification, qdb1, qdb2)]
+    return sections, betas, taus, transitions, h
+
+
+def build_report(analysis: tuple, tol_qfr: float, beta_i, beta_f) -> list:
+    """The report of each point of the analysis of :func:`analyse`, from
+    one exchange grid over the points, as ``(verdict, records)``: the
+    sections of :func:`analyse` and the ratio law's, which passes below
+    ``tol_qfr``, and the arrays the rows are read from.  The points are the
+    analysis's sources, or, for one source, the points of ``beta_i`` and
+    ``beta_f``, a number that every point shares or an array of one per
+    point; ``beta_f`` counts where the analysis infers none.  The points
+    share a dimension and their gap clusters' pairs; a source that every
+    point shares gives its transitions once.
+    The first point that fails a check raises."""
+    sections, betas, taus, transitions, h = analysis
+    beta_i, beta_f, inferred = np.broadcast_arrays(beta_i, beta_f, [math.nan if b is None else b for b in betas])
+    grid = exchange_grid(transitions, h, beta_i)
+    defined, ratio, predicted, deviation = ratios(*grid, beta_i - np.where(np.isnan(inferred), beta_f, inferred))
+    energies, p_plus, p_minus, recorded = np.broadcast_to(grid[0], predicted.shape), *grid[1:]
+    reports = []
+    for sections, *records in zip(
+        sections * (len(beta_i) // len(sections)), energies, predicted, recorded, p_plus, p_minus, defined, ratio,
+        deviation,
+    ):
+        devs = records[-1][records[-3]]  # the deviations of the records with a ratio, in row order
+        # their max() as a running max over the rows takes it: a nan counts only when it comes first
+        worst = None if not devs.size else devs[0] if math.isnan(devs[0]) else np.nanmax(devs)
+        passes = None if worst is None else bool(worst < tol_qfr)
+        verdict = {**sections, "qfr_max_deviation": json_float(worst), "qfr_passes": passes}
+        reports.append((verdict, (taus, *records)))
+    return reports

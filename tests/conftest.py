@@ -11,6 +11,7 @@ import pytest
 
 from qdblab import matlin
 from qdblab.dynamics import (
+    _PAULI_STACK,
     Dynamics,
     LindbladGenerator,
     _kraus_stacks,
@@ -21,7 +22,6 @@ from qdblab.dynamics import (
     transitions_of,
 )
 from qdblab.examples import (
-    _PAULI_STACK,
     LOWERING,
     ExampleAParams,
     ExampleBParams,
@@ -276,7 +276,7 @@ def per_source(maps) -> list:
 
 
 def stacked_h(sources) -> HamiltonianSpec:
-    """The stacked Hamiltonians of ``sources``, as ``cli.analyse`` passes
+    """The stacked Hamiltonians of ``sources``, as ``report.analyse`` passes
     them to :func:`qdblab.dynamics.maps_of`."""
     return HamiltonianSpec.stack([s.h for s in sources])
 
@@ -655,7 +655,7 @@ def example_qdb_family(mu: float, eta: float, omega: float, beta_f: float) -> Li
 
 
 def superop_to_bloch4(s: np.ndarray) -> np.ndarray:
-    """Inverse of :func:`qdblab.examples.bloch4_to_superop` for qubit superoperators."""
+    """Inverse of :func:`qdblab.dynamics.bloch4_to_superop` for qubit superoperators."""
     if s.shape != (4, 4):
         raise DimensionMismatch("Bloch coordinates are defined for qubits only")
     return -0.25 * dag(_PAULI_STACK) @ s @ _PAULI_STACK
@@ -738,7 +738,7 @@ def default_tau_max(gamma_min) -> float:
 
 def classify_one(source) -> tuple:
     """:func:`qdblab.fluctuation.classify` of one source: its ``(kind, beta_f,
-    gamma_min)``, from the probe maps that ``cli.analyse`` takes for it, none
+    gamma_min)``, from the probe maps that ``report.analyse`` takes for it, none
     for a semigroup."""
     h = HamiltonianSpec.stack([source.h])
     generators, (superops, _), _ = maps_of([source], h, source.taus((TAU_MAX, *FIXED_POINT_TAUS)))

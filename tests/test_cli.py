@@ -1,4 +1,3 @@
-import argparse
 import json
 import math
 import os
@@ -12,23 +11,11 @@ import pytest
 import qdblab
 
 from conftest import expm_shapes, inverted_qubit, random_complex, random_lindblad, thermal_circulation_qutrit
-from qdblab.cli import (
-    EXIT_CONFIG,
-    EXIT_INTERNAL,
-    EXIT_MODEL,
-    EXIT_OK,
-    analyse,
-    build_report,
-    fmt_float,
-    load_model,
-    main,
-    parse_grid,
-    parse_range,
-    save_model,
-)
+from qdblab.cli import EXIT_OK, load_model, main, parse_grid, parse_range, save_model
 from qdblab.dynamics import Dynamics, LindbladGenerator, lindblad_superop
-from qdblab.errors import ConfigError
+from qdblab.errors import ConfigError, InternalCheckError, QdblabError
 from qdblab.examples import ExampleBParams, example_b_generator
+from qdblab.report import analyse, build_report, fmt_float
 from qdblab.states import HamiltonianSpec
 
 FAST = ["--tau-grid", "0.3,1,3", "--s-grid", "0,0.5,1"]
@@ -153,11 +140,11 @@ class TestCheckCommand:
     @pytest.mark.parametrize(
         "basis, code, message",
         [
-            ("not a list", EXIT_CONFIG, "ConfigError: basis must be a list"),
-            ([[[1, 0, 0], [0, -1, 0], [0, 0, 0]]] * 2, EXIT_MODEL, "DimensionMismatch: dissipator basis"),
-            ([[[0, 1], [0, 0]]], EXIT_MODEL, "DimensionMismatch: Kossakowski matrix must be 1x1"),
-            ([[[0, 1], [0, 0]], [[1, 0], [0, 0]]], EXIT_CONFIG, "ConfigError: model file"),
-            ([[[0, 1], [0, 0]], 5], EXIT_CONFIG, "ConfigError: matrix must be"),
+            ("not a list", ConfigError.exit_code, "ConfigError: basis must be a list"),
+            ([[[1, 0, 0], [0, -1, 0], [0, 0, 0]]] * 2, QdblabError.exit_code, "DimensionMismatch: dissipator basis"),
+            ([[[0, 1], [0, 0]]], QdblabError.exit_code, "DimensionMismatch: Kossakowski matrix must be 1x1"),
+            ([[[0, 1], [0, 0]], [[1, 0], [0, 0]]], ConfigError.exit_code, "ConfigError: model file"),
+            ([[[0, 1], [0, 0]], 5], ConfigError.exit_code, "ConfigError: matrix must be"),
         ],
         ids=["not-a-list", "wrong-shape", "wrong-count", "traced", "not-a-matrix"],
     )
@@ -186,7 +173,7 @@ class TestCheckCommand:
     def test_bad_kraus_ops_exit_without_traceback(self, tmp_path, capsys, kraus_ops, message):
         model = {"schema": 1, "kind": "kraus", "hamiltonian": [[-0.5, 0], [0, 0.5]], "kraus_ops": kraus_ops}
         (tmp_path / "model.json").write_text(json.dumps(model))
-        assert run(tmp_path, "check", str(tmp_path / "model.json")) == EXIT_MODEL
+        assert run(tmp_path, "check", str(tmp_path / "model.json")) == QdblabError.exit_code
         assert capsys.readouterr().err == f"{message}\n"
 
     @pytest.mark.parametrize("beta_f",["20", "21.5", "22", "23.5", "26", "27", "28", "30", "32"])
@@ -214,7 +201,7 @@ class TestCheckCommand:
         obj = json.loads(model_path.read_text())
         obj["kossakowski"][0][0] = [-0.5, 0.0]
         model_path.write_text(json.dumps(obj))
-        assert run(tmp_path, "check", str(model_path)) == EXIT_MODEL
+        assert run(tmp_path, "check", str(model_path)) == QdblabError.exit_code
         assert "KossakowskiNotPSD" in capsys.readouterr().err
 
     def test_non_trace_preserving_kraus_exits_3(self, tmp_path, capsys):
@@ -230,7 +217,7 @@ class TestCheckCommand:
                 }
             )
         )
-        assert run(tmp_path, "check", str(model_path)) == EXIT_MODEL
+        assert run(tmp_path, "check", str(model_path)) == QdblabError.exit_code
         assert "NotTracePreserving" in capsys.readouterr().err
 
     def test_kraus_model_reports_single_map(self, tmp_path):
@@ -305,12 +292,12 @@ class TestCheckCommand:
         model_path.write_text(json.dumps(
             {"schema": 1, "kind": "bloch4", "hamiltonian": [[-0.5, 0], [0, 0.5]], "generator": generator}
         ))
-        assert run(tmp_path, "check", str(model_path), *FAST) == EXIT_CONFIG
+        assert run(tmp_path, "check", str(model_path), *FAST) == ConfigError.exit_code
         assert capsys.readouterr().err == "ConfigError: generator must be real: an entry has a nonzero imaginary part\n"
         assert [p.name for p in tmp_path.iterdir()] == ["complex.json"]
 
     def test_missing_file_exits_2(self, tmp_path):
-        assert run(tmp_path, "check", str(tmp_path / "missing.json")) == EXIT_CONFIG
+        assert run(tmp_path, "check", str(tmp_path / "missing.json")) == ConfigError.exit_code
 
     def test_load_model_rejects_unknown_kind(self, tmp_path):
         path = tmp_path / "weird.json"
@@ -322,7 +309,7 @@ class TestCheckCommand:
 @pytest.mark.parametrize(
     "circulation, balanced", [(0.0, True), (0.4, False)], ids=["balanced", "circulating"]
 )
-def test_qdb2_reverses_time_in_the_energy_eigenbasis(rng, tmp_path, circulation, balanced):
+def test_qdb2_reverses_time_in_the_energy_eigenbasis(rng, circulation, balanced):
     # a qutrit model with a non-diagonal H: rotate a diagonal one by a random unitary q
     gen, h = thermal_circulation_qutrit(rng, 1.0, circulation)
     q, _ = np.linalg.qr(random_complex(rng, 3))
@@ -331,11 +318,8 @@ def test_qdb2_reverses_time_in_the_energy_eigenbasis(rng, tmp_path, circulation,
         HamiltonianSpec.from_matrix(q @ h.matrix @ q.conj().T),
         rot @ lindblad_superop(gen) @ rot.conj().T,
     )
-    args = argparse.Namespace(
-        tau_grid=(0.3, 1.0, 3.0), s_grid=(0.0, 0.5, 1.0), beta_i=2.0, beta_f=1.0,
-        tol_qdb=1e-9, tol_qfr=1e-9, tol_cptp=1e-9, out=tmp_path, format="csv",
-    )
-    ((verdict, _),) = build_report(analyse([source], args), args, args.beta_i, args.beta_f)
+    analysis = analyse([source], (0.3, 1.0, 3.0), (0.0, 0.5, 1.0), tol_qdb=1e-9, tol_cptp=1e-9)
+    ((verdict, _),) = build_report(analysis, tol_qfr=1e-9, beta_i=2.0, beta_f=1.0)
     assert verdict["classification"]["kind"] == "fpt"
     assert verdict["qdb1"]["passes"] is balanced
     assert verdict["qdb2"]["passes"] is balanced
@@ -393,9 +377,9 @@ def test_kossakowski_bounds_scale_with_the_rates(tmp_path, capsys, rate):
     assert run(tmp_path, "check", str(tmp_path / "model.json"), "--tau-grid", "log:1e-12:5e-10:5") == EXIT_OK
     assert capsys.readouterr().err == ""
     # on the default grid the absolute transition-row bound still fails at large rates (ROADMAP item 3)
-    assert run(tmp_path, "check", str(tmp_path / "model.json")) == (EXIT_OK if rate == 1 else EXIT_MODEL)
+    assert run(tmp_path, "check", str(tmp_path / "model.json")) == (EXIT_OK if rate == 1 else QdblabError.exit_code)
     assert capsys.readouterr().err.startswith("" if rate == 1 else "NotTracePreserving: transition rows sum to 1")
-    assert run(tmp_path, "check", str(tmp_path / "negative.json")) == EXIT_MODEL
+    assert run(tmp_path, "check", str(tmp_path / "negative.json")) == QdblabError.exit_code
     assert capsys.readouterr().err.startswith("KossakowskiNotPSD: Kossakowski matrix has negative eigenvalue")
 
 
@@ -450,7 +434,7 @@ class TestSweepCommand:
     def test_unknown_parameter_exits_2(self, tmp_path, capsys):
         assert run(
             tmp_path, "sweep", "b", "--parameter", "zeta", "--range", "0:1:2",
-        ) == EXIT_CONFIG
+        ) == ConfigError.exit_code
         assert "UnknownParameter" in capsys.readouterr().err
 
     @pytest.mark.parametrize(
@@ -458,26 +442,26 @@ class TestSweepCommand:
     )
     def test_empty_range_still_validates_its_target(self, tmp_path, capsys, target, param):
         argv = ("sweep", str(tmp_path / target) if target.endswith(".json") else target)
-        assert run(tmp_path, *argv, "--parameter", param, "--range", "0:1:0") == EXIT_CONFIG
+        assert run(tmp_path, *argv, "--parameter", param, "--range", "0:1:0") == ConfigError.exit_code
         capsys.readouterr()
 
     @pytest.mark.parametrize(
         "target, parameter, values, code, message",
         [
             # point 0 fails its transition checks, a late stage, and point 1 cannot be built
-            ("b", "beta_f", "1e-12:1e-310:2", EXIT_MODEL,
+            ("b", "beta_f", "1e-12:1e-310:2", QdblabError.exit_code,
              "NotTracePreserving: transition rows sum to 1 only within 2.310e-07"),
-            ("b", "beta_f", "1e-310:1e-12:2", EXIT_CONFIG,
+            ("b", "beta_f", "1e-310:1e-12:2", ConfigError.exit_code,
              "ConfigError: scenario b: n_bar = 1/(e^(beta_f omega) - 1) overflows at beta_f omega = 1e-310"),
             # only the last of 40 points, in the second block, fails
-            ("b", "beta_f", "3:1e-12:40", EXIT_MODEL,
+            ("b", "beta_f", "3:1e-12:40", QdblabError.exit_code,
              "NotTracePreserving: transition rows sum to 1 only within 2.310e-07"),
             # each point's arguments are checked as a run's are
-            ("b", "beta_i", "-1:1:3", EXIT_CONFIG, "ConfigError: beta-i must be nonnegative"),
+            ("b", "beta_i", "-1:1:3", ConfigError.exit_code, "ConfigError: beta-i must be nonnegative"),
             # the third point fails after two valid ones
-            ("b", "beta_i", "1:-1:3", EXIT_CONFIG, "ConfigError: beta-i must be nonnegative"),
+            ("b", "beta_i", "1:-1:3", ConfigError.exit_code, "ConfigError: beta-i must be nonnegative"),
             # points 3 and 4 fail the stacked GKLS test, point 3 with the smaller defect
-            ("c", "nu", "0.9:0.1:5", EXIT_MODEL,
+            ("c", "nu", "0.9:0.1:5", QdblabError.exit_code,
              "NotCPTP: the generator is not of GKLS form: cp=2.383e-02, tp=0.000e+00 relative to its 1-norm"),
         ],
         ids=["late-check-first", "construction-first", "second-block", "settings-first", "settings-third",
@@ -569,7 +553,7 @@ class TestSweepCommand:
 
 class TestConfigValidation:
     def test_decreasing_grid_rejected(self, tmp_path):
-        assert run(tmp_path, "example", "b", "--tau-grid", "2,1") == EXIT_CONFIG
+        assert run(tmp_path, "example", "b", "--tau-grid", "2,1") == ConfigError.exit_code
 
     @pytest.mark.parametrize(
         "argv",
@@ -636,6 +620,12 @@ class TestConfigValidation:
             ("example", "c", "--omega", "-1"),
             ("example", "c", "--omega", "0"),
             ("sweep", "c", "--parameter", "omega", "--range=-1:1:3"),
+            # malformed files: each ends in one ConfigError line, not a traceback
+            ("check", "NOT_UTF8"),
+            ("check", "LINDBLAD_H_INT_BEYOND_FLOAT"),
+            ("check", "KRAUS_TAU_INT_BEYOND_FLOAT"),
+            ("check", "NESTED_100000_DEEP"),
+            ("check", "INT_OF_5001_DIGITS"),
         ],
         ids=["s-outside-unit", "beta-f-inf", "beta-i-nan", "gamma-negative", "omega-negative",
              "sweep-gamma-negative", "model-not-object", "tau-negative", "tau-inf", "tau-nan",
@@ -650,7 +640,8 @@ class TestConfigValidation:
              "tau-grid-count-huge", "sweep-count-huge", "tau-grid-log-negative", "tau-grid-log-inf",
              "sweep-range-inf", "kraus-h-range", "kraus-h-range-beta-i-0", "sweep-beta-i-step-overflow",
              "sweep-beta-f-step-overflow", "sweep-omega-step-overflow", "c-omega-negative", "c-omega-zero",
-             "sweep-c-omega-through-zero"],
+             "sweep-c-omega-through-zero", "not-utf8", "lindblad-h-int-beyond-float", "kraus-tau-int-beyond-float",
+             "nested-100000-deep", "int-of-5001-digits"],
     )
     def test_out_of_range_input_exits_2(self, tmp_path, capsys, argv):
         kraus = {
@@ -686,13 +677,26 @@ class TestConfigValidation:
             "BLOCH4_HUGE_NORM": {**kraus, "kind": "bloch4", "generator": [[0] * 4, [0, 1e308, 0, 0], [0] * 4, [0] * 4]},
             # finite energies whose range E_max - E_min overflows
             "KRAUS_H_RANGE": {**kraus, "hamiltonian": [[-1e308, 0], [0, 1e308]]},
+            # integers that json reads exactly, but that no float holds
+            "LINDBLAD_H_INT_BEYOND_FLOAT": {**lindblad, "hamiltonian": [[10**400, 0], [0, 0.5]]},
+            "KRAUS_TAU_INT_BEYOND_FLOAT": {**kraus, "tau": 10**400},
         }
         for name, obj in models.items():
             (tmp_path / f"{name}.json").write_text(json.dumps(obj))
-        argv = [str(tmp_path / f"{a}.json") if a in models else a for a in argv]
-        assert run(tmp_path, *argv) == EXIT_CONFIG
+        # files that json.dumps does not write
+        files = {
+            "NOT_UTF8": b'{"schema": 1, "kind": "lindblad\xff"}',
+            "NESTED_100000_DEEP": b"[" * 100000 + b"]" * 100000,
+            # past the digit limit of int(str), where it has one
+            "INT_OF_5001_DIGITS": b'{"schema": 1, "kind": "lindblad", "hamiltonian": [[' + b"1" * 5001 + b"]]}",
+        }
+        for name, data in files.items():
+            (tmp_path / f"{name}.json").write_bytes(data)
+        argv = [str(tmp_path / f"{a}.json") if a in models or a in files else a for a in argv]
+        assert run(tmp_path, *argv) == ConfigError.exit_code
         err = capsys.readouterr().err
         assert err.startswith("ConfigError: ")
+        assert err.count("\n") == 1 and err.endswith("\n")
         # scenario c's errors name the flag, not a derived coefficient
         flag = next((a[2:] for a in argv if a in ("--mu", "--eta", "--nu-scale")), None)
         if flag is not None:
@@ -724,19 +728,37 @@ class TestConfigValidation:
         ids=["example-eta", "sweep-eta", "sweep-nu", "example-mu"],
     )
     def test_scenario_c_overflow_exits_2_before_its_cptp_check(self, tmp_path, capsys, argv, message):
-        assert run(tmp_path, *argv) == EXIT_CONFIG
+        assert run(tmp_path, *argv) == ConfigError.exit_code
         assert capsys.readouterr().err == f"ConfigError: {message}\n"
 
     @pytest.mark.parametrize("name", ["a", "c"])
     def test_save_model_writes_only_scenario_b(self, tmp_path, capsys, name):
         model = tmp_path / "model.json"
-        assert run(tmp_path / "reports", "example", name, "--save-model", str(model)) == EXIT_CONFIG
+        assert run(tmp_path / "reports", "example", name, "--save-model", str(model)) == ConfigError.exit_code
         assert capsys.readouterr().err == f"ConfigError: --save-model writes only scenario b, not scenario {name}\n"
         assert list(tmp_path.iterdir()) == []
 
+    @pytest.mark.parametrize(
+        "flag, target, written",
+        [
+            ("--out", "file", "file/example_b_rows.csv"),
+            ("--out", "file/sub", "file/sub/example_b_rows.csv"),
+            ("--save-model", "file/model.json", "file/model.json"),
+        ],
+        ids=["out-a-file", "out-below-a-file", "save-model-below-a-file"],
+    )
+    def test_an_unwritable_path_exits_2(self, tmp_path, capsys, flag, target, written):
+        (tmp_path / "file").write_text("")
+        argv = ["example", "b", *FAST, "--out", str(tmp_path / "reports"), flag, str(tmp_path / target)]
+        assert main(argv) == ConfigError.exit_code
+        err = capsys.readouterr().err
+        assert err.startswith(f"ConfigError: cannot write {tmp_path / written}: ")
+        assert err.count("\n") == 1 and err.endswith("\n")
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["file"]
+
     def test_scenario_c_at_low_temperature_is_not_cptp(self, tmp_path, capsys):
         # e^(beta omega) and the generator's 1-norm, 8.2e307, are finite; the generator's CP defect is 3.1e-4 of that
-        assert run(tmp_path, "example", "c", "--beta-f", "709") == EXIT_MODEL
+        assert run(tmp_path, "example", "c", "--beta-f", "709") == QdblabError.exit_code
         assert capsys.readouterr().err.startswith("NotCPTP: ")
 
     @pytest.mark.parametrize(
@@ -757,7 +779,7 @@ class TestConfigValidation:
         model.write_text(json.dumps({"schema": 1, "kind": "bloch4", "hamiltonian": [[-0.5, 0], [0, 0.5]],
                                      "generator": generator}))
         argv = [str(model) if a == "SLOW_DEPHASING" else a for a in argv]
-        assert run(tmp_path / "out", *argv) == EXIT_MODEL
+        assert run(tmp_path / "out", *argv) == QdblabError.exit_code
         assert capsys.readouterr().err == (
             f"NotCPTP: the generator is not of GKLS form: cp={cp}, tp=0.000e+00 relative to its 1-norm\n"
         )
@@ -768,7 +790,7 @@ class TestConfigValidation:
     def test_huge_tau_fails_a_check_without_traceback(self, tmp_path, capsys, name, tau):
         # the maps overflow to nan, and the rows fail their probability checks,
         # except scenario b's at 1e200, whose squarings stay finite
-        codes = (EXIT_OK,) if (name, tau) == ("b", "1e200") else (EXIT_MODEL, EXIT_INTERNAL)
+        codes = (EXIT_OK,) if (name, tau) == ("b", "1e200") else (QdblabError.exit_code, InternalCheckError.exit_code)
         assert run(tmp_path, "example", name, "--tau-grid", tau) in codes
         assert "Traceback" not in capsys.readouterr().err
 
@@ -778,19 +800,19 @@ class TestConfigValidation:
             (("example", "b", "--tau-grid", "1e200"), EXIT_OK, None),
             (("example", "b", "--tau-grid", "0.1,1e200"), EXIT_OK, None),
             # the map at 1e308 overflows to nan, which the first check at each map rejects
-            (("example", "c", "--tau-grid", "1e308"), EXIT_INTERNAL,
+            (("example", "c", "--tau-grid", "1e308"), InternalCheckError.exit_code,
              "InternalCheckError: a map has a non-finite entry"),
-            (("example", "b", "--gamma", "1e6"), EXIT_MODEL,
+            (("example", "b", "--gamma", "1e6"), QdblabError.exit_code,
              "NotTracePreserving: transition rows sum to 1 only within 1.250e-09"),
             # its maps' trace defect is roundoff, but its generator is not CP
-            (("example", "c", "--beta-f", "16"), EXIT_MODEL,
+            (("example", "c", "--beta-f", "16"), QdblabError.exit_code,
              "NotCPTP: the generator is not of GKLS form: cp=3.122e-04, tp=0.000e+00 relative to its 1-norm"),
             # some maps of the grid have inf entries; their transition probabilities are nan, without a warning
-            (("example", "b", "--beta-f", "1e-20"), EXIT_MODEL,
+            (("example", "b", "--beta-f", "1e-20"), QdblabError.exit_code,
              "NotTracePreserving: transition rows sum to 1 only within 8.886e+06"),
             # model entries near the float range fail their checks without a warning
-            (("check", "KRAUS_HUGE_OP"), EXIT_MODEL, "NotTracePreserving: sum G^dag G differs from identity by inf"),
-            (("check", "LINDBLAD_H_SKEW"), EXIT_MODEL, "NotHermitian: max |m - m^dag| entry exceeds 1e-12"),
+            (("check", "KRAUS_HUGE_OP"), QdblabError.exit_code, "NotTracePreserving: sum G^dag G differs from identity by inf"),
+            (("check", "LINDBLAD_H_SKEW"), QdblabError.exit_code, "NotHermitian: max |m - m^dag| entry exceeds 1e-12"),
             # beta_i (E_1 - E_0) overflows, and the excited level's weight is 0
             (("check", "KRAUS_H_1E303", "--beta-i", "1e6"), EXIT_OK, None),
         ],
@@ -822,13 +844,13 @@ class TestConfigValidation:
         assert float(last[0]["R"]) == pytest.approx(math.e, rel=1e-15)
 
     def test_bad_tolerance_rejected(self, tmp_path):
-        assert run(tmp_path, "example", "b", "--tol-qdb", "0") == EXIT_CONFIG
+        assert run(tmp_path, "example", "b", "--tol-qdb", "0") == ConfigError.exit_code
 
     def test_usage_error_exits_2(self, tmp_path, capsys):
-        assert main(["example", "zzz"]) == EXIT_CONFIG
+        assert main(["example", "zzz"]) == ConfigError.exit_code
         capsys.readouterr()
         # argparse's choices reject a format, before any report is written
-        assert run(tmp_path, "example", "b", "--format", "xml") == EXIT_CONFIG
+        assert run(tmp_path, "example", "b", "--format", "xml") == ConfigError.exit_code
         assert "invalid choice: 'xml'" in capsys.readouterr().err
         assert list(tmp_path.iterdir()) == []
 
@@ -957,7 +979,7 @@ def test_a_generator_that_fails_the_gkls_test_is_never_exponentiated(tmp_path, c
     sources = []
     original = matlin.expm
     monkeypatch.setattr(matlin, "expm", lambda *args: sources.append(len(args[0])) or original(*args))
-    assert run(tmp_path, "sweep", "c", "--parameter", "nu", "--range=0.9:0.1:5") == EXIT_MODEL
+    assert run(tmp_path, "sweep", "c", "--parameter", "nu", "--range=0.9:0.1:5") == QdblabError.exit_code
     assert capsys.readouterr().err.startswith("NotCPTP: ")
     assert sources == [1, 1, 1]
 

@@ -30,13 +30,13 @@ from conftest import (
 )
 from qdblab import matlin
 from qdblab.balance import _trace_dual
-from qdblab.cli import QDB2_TAUS
 from qdblab.dynamics import (
     PSD_ATOL,
     Dynamics,
     LindbladGenerator,
     _kraus_stacks,
     _kraus_superops,
+    bloch4_to_superop,
     choi_matrix,
     gell_mann_basis,
     gkls_defects,
@@ -46,8 +46,9 @@ from qdblab.dynamics import (
 )
 from qdblab.errors import ConfigError, DimensionMismatch, KossakowskiNotPSD, NotTracePreserving
 from qdblab.matlin import dag, kron, unvec
-from qdblab.examples import ExampleAParams, bloch4_to_superop, example_a_channel, qubit_hamiltonian
+from qdblab.examples import ExampleAParams, example_a_channel, qubit_hamiltonian
 from qdblab.fluctuation import FIXED_POINT_TAUS, TAU_MAX
+from qdblab.report import QDB2_TAUS
 from qdblab.states import SIGMA_X
 
 
@@ -444,7 +445,7 @@ class TestDynamicsSources:
         assert np.array_equal(superops, [superop_from_channel(ops)] * 2)
 
 
-# classify's probe times, a tau grid and the qdb2 times, which cli.analyse takes as one tuple
+# classify's probe times, a tau grid and the qdb2 times, which report.analyse takes as one tuple
 TIME_PARTS = ((TAU_MAX, *FIXED_POINT_TAUS), (0.01, 0.3, 2.0, 50.0), QDB2_TAUS)
 
 

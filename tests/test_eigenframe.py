@@ -91,9 +91,9 @@ def test_the_report_does_not_depend_on_the_zero_of_energy(tmp_path):
 
 
 def _kron_calls(monkeypatch) -> list:
-    """The names of the functions that call ``kron`` inside ``cli.analyse``
-    from now on, one per call, leaving out the builders of generator and
-    Kraus superoperators."""
+    """The names of the functions that call ``kron`` inside the
+    ``report.analyse`` calls of ``cli`` from now on, one per call, leaving
+    out the builders of generator and Kraus superoperators."""
     callers, analysing, kron, analyse = [], [], matlin.kron, cli.analyse
 
     def counted(*args):

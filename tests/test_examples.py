@@ -1,4 +1,3 @@
-import argparse
 import dataclasses
 import math
 
@@ -28,14 +27,12 @@ from conftest import (
 )
 from qdblab import matlin
 from qdblab.balance import check_qdb1, check_qdb2
-from qdblab.cli import analyse
-from qdblab.dynamics import Dynamics, gkls_defects, lindblad_superop, maps_of
+from qdblab.dynamics import Dynamics, bloch4_to_superop, gkls_defects, lindblad_superop, maps_of
 from qdblab.errors import NotCPTP, NotTracePreserving, ScheduleOutOfRange
 from qdblab.examples import (
     ExampleAParams,
     ExampleBParams,
     ExampleCParams,
-    bloch4_to_superop,
     LOWERING,
     RAISING,
     example_a_channel,
@@ -47,10 +44,9 @@ from qdblab.examples import (
     qubit_hamiltonian,
     thermal_bias,
 )
+from qdblab.report import analyse
 
 OMEGA, BETA_F, BETA_I = 1.0, 1.0, 2.0
-# the settings that cli.analyse reads, at their defaults but for short grids
-ANALYSE_ARGS = argparse.Namespace(tau_grid=(0.5,), s_grid=(0.0, 0.5), tol_qdb=1e-9, tol_cptp=1e-9)
 S_GRID = (0.0, 0.25, 0.5, 0.75, 1.0)
 TAU_GRID = np.geomspace(0.01, 50.0, 12)
 
@@ -353,7 +349,8 @@ class TestScenarioC:
         cp, tp = gkls_defects(example_c_generator(bad)[None])
         assert cp[0] > 1e-2 and tp[0] < 1e-15
         with pytest.raises(NotCPTP):
-            analyse([Dynamics.semigroup(self.h, example_c_generator(bad))], ANALYSE_ARGS)
+            # short grids, the tolerances at their defaults
+            analyse([Dynamics.semigroup(self.h, example_c_generator(bad))], (0.5,), (0.0, 0.5), 1e-9, 1e-9)
 
     def test_stacked_generators_and_cptp_residuals_are_the_per_point_ones(self):
         # nu = 0.35 lies below the CP boundary near 0.364 (nu-scale 0.645), the other points above it
@@ -379,7 +376,8 @@ class TestScenarioC:
             params[1] = dataclasses.replace(self.base, nu=1e308, alpha=1e308)
 
         def build_and_analyse(params):
-            return analyse([Dynamics.semigroup(self.h, g) for g in example_c_generator(params)], ANALYSE_ARGS)
+            sources = [Dynamics.semigroup(self.h, g) for g in example_c_generator(params)]
+            return analyse(sources, (0.5,), (0.0, 0.5), tol_qdb=1e-9, tol_cptp=1e-9)
 
         with pytest.raises(error) as want:
             build_and_analyse(params[first : first + 1])

@@ -260,12 +260,12 @@ class TestClassify:
             classify_one(Dynamics.channel_family(h, rotation_family))
 
     def test_unitary_family_exits_4(self, tmp_path, monkeypatch, capsys):
-        from qdblab import cli
+        from qdblab import examples
 
         def rotation_family(p, taus):
             return matlin.expm(-1j * np.array([[0, 0.5], [0.5, 0]]), taus)[:, None]
 
-        monkeypatch.setattr(cli, "example_a_channel", rotation_family)
+        monkeypatch.setattr(examples, "example_a_channel", rotation_family)
         assert main(["example", "a", "--out", str(tmp_path)]) == 4
         # a unitary map moves pure states; the bound sqrt(2) |U - vec(I/2) vec(I)^dag|_2 is sqrt(2)
         message = (

@@ -9,17 +9,16 @@ from hypothesis import strategies as st
 
 from conftest import is_cptp, random_complex, random_hermitian, random_lindblad, trace_norm, transpose_superop
 from qdblab import matlin
-from qdblab.cli import QDB2_TAUS
-from qdblab.dynamics import LindbladGenerator, lindblad_superop
+from qdblab.dynamics import LindbladGenerator, bloch4_to_superop, lindblad_superop
 from qdblab.errors import DimensionMismatch, NotHermitian
 from qdblab.examples import (
     ExampleBParams,
-    bloch4_to_superop,
     example_b_generator,
     example_c_bloch_matrix,
     example_c_generator,
     example_c_qdb_point,
 )
+from qdblab.report import QDB2_TAUS
 from qdblab.states import HamiltonianSpec
 
 

@@ -27,8 +27,8 @@ import numpy as np
 import pytest
 
 from conftest import davies_generator, davies_source, expm_shapes, reference_frame_route, reference_maps_of, stacked_h
-from qdblab import cli
-from qdblab.cli import EXIT_OK, _build_parser, _example_sources, main, save_model
+from qdblab import cli, report
+from qdblab.cli import EXIT_OK, _build_parser, main, save_model
 from qdblab.dynamics import Dynamics, LindbladGenerator, lindblad_superop, maps_of
 from qdblab.examples import example_c_bloch_matrix, example_c_qdb_point
 from qdblab.matlin import dag
@@ -37,14 +37,14 @@ from qdblab.states import HamiltonianSpec
 # over 1200 random Davies models at d = 2-4 (seeds 0-39) the worst entry read 1.2e-14 past P_ATOL
 P_RTOL = 2e-14
 P_ATOL = 1e-15
-TIMES = (*np.geomspace(0.01, 50.0, 40), *cli.QDB2_TAUS)
+TIMES = (*np.geomspace(0.01, 50.0, 40), *report.QDB2_TAUS)
 GRID = slice(0, 40)
 GOLDEN_MODEL = Path(__file__).parent / "golden" / "davies3_circulating.json"
 
 
 def _scenario(name, *flags):
     args = _build_parser().parse_args(["example", name, *flags])
-    return [source for source, _ in _example_sources(name, args, [{}])]
+    return [source for source, _ in cli._scenario(name, args, [{}])]
 
 
 SECULAR = {
@@ -106,7 +106,7 @@ def _reports(tmp_path, monkeypatch, argv, reference=None) -> dict:
     out = tmp_path / (reference.__name__ if reference else "routed")
     with monkeypatch.context() as patch:
         if reference:
-            patch.setattr(cli, "maps_of", reference)
+            patch.setattr(report, "maps_of", reference)
         assert main([*argv, "--out", str(out)]) == EXIT_OK
     return {p.name: p.read_bytes() for p in sorted(out.iterdir())}
 

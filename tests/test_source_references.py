@@ -1,6 +1,6 @@
 """Every definition under ``src/qdblab`` is used by the package itself,
-every name a module imports is read there, and every package error that the
-package raises has a handler.
+every name a module imports is read there, only the command shell parses
+arguments, and every package error exits with its class's code.
 
 A top-level function, class or module constant, or a method, that nothing
 under ``src/qdblab`` refers to outside its own definition is code that only
@@ -8,14 +8,17 @@ the tests run; it belongs in ``tests/conftest.py``.  References are matched
 by name: a bare name or an attribute of that name anywhere in the package
 counts, so this is a cheap lower bound on dead code, not a call graph.  An
 imported name that its module never reads is what a deletion left behind.
-The error classes of ``errors.py`` map to exit codes through the except
-clauses of ``cli._run``; a class constructed under ``src/qdblab`` that no
-except clause names would end in a traceback, and a class in those clauses
-that nothing constructs is a stale entry.
+The report stages take plain settings: only ``cli`` imports ``argparse``,
+and no function of ``report`` takes ``args``.  Each error class of ``errors.py`` carries its exit code, which the one
+except clause of ``cli._run`` for ``QdblabError`` returns; the class to code
+table is pinned here, and a class that nothing under ``src/qdblab``
+constructs is a stale entry.
 """
 
 import ast
 from pathlib import Path
+
+from qdblab import errors
 
 SRC = Path(__file__).resolve().parents[1] / "src" / "qdblab"
 # the package version and the console-script entry point have callers outside the package
@@ -85,45 +88,78 @@ def test_every_import_is_read():
     assert unread_imports() == []
 
 
-def _caught(handler: ast.ExceptHandler, constants: dict) -> set:
-    """Names of the classes an except clause catches, with a module-level
-    tuple constant such as ``cli.MODEL_ERRORS`` read as its elements."""
-    names = {node.id for node in ast.walk(handler.type) if isinstance(node, ast.Name)} if handler.type else set()
-    return set().union(*(constants.get(name, {name}) for name in names))
-
-
-def exit_code_map() -> tuple:
-    """``(raised, run_caught, caught_elsewhere)``: the ``errors.py`` classes
-    constructed or raised under ``src/qdblab``, those the except clauses of
-    ``cli._run`` catch, and those any other except clause catches."""
-    errors = {node.name for node in ast.parse((SRC / "errors.py").read_text()).body if isinstance(node, ast.ClassDef)}
-    raised, run_caught, elsewhere = set(), set(), set()
+def test_only_the_command_shell_parses_arguments():
+    # the report stages take plain settings, never a parsed command line
+    importers, report_args = [], []
     for path in sorted(SRC.glob("*.py")):
-        tree = ast.parse(path.read_text(), str(path))
-        constants = {
-            target.id: {elt.id for elt in node.value.elts if isinstance(elt, ast.Name)}
-            for node in tree.body
-            if isinstance(node, ast.Assign) and isinstance(node.value, ast.Tuple)
-            for target in node.targets
-            if isinstance(target, ast.Name)
-        }
-        run = next((node for node in tree.body if isinstance(node, ast.FunctionDef) and node.name == "_run"), None)
-        in_run = {id(node) for node in ast.walk(run)} if path.stem == "cli" and run else set()
-        for node in ast.walk(tree):
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, ast.Import) and any(alias.name == "argparse" for alias in node.names):
+                importers.append(path.stem)
+            elif isinstance(node, ast.ImportFrom) and node.module == "argparse":
+                importers.append(path.stem)
+            elif path.stem == "report" and isinstance(node, (ast.FunctionDef, ast.Lambda)):
+                report_args += [a.arg for a in ast.walk(node.args) if isinstance(a, ast.arg) and a.arg == "args"]
+    assert importers == ["cli"]
+    assert report_args == []
+
+
+def error_classes() -> dict:
+    """The classes that ``errors.py`` defines, by name."""
+    return {name: cls for name, cls in vars(errors).items() if isinstance(cls, type) and cls.__module__ == errors.__name__}
+
+
+# 2 for a usage or configuration error, 4 for a failed internal check, 3 for every other package error
+EXIT_CODES = {
+    "QdblabError": 3,
+    "ConfigError": 2,
+    "UnknownParameter": 2,
+    "InternalCheckError": 4,
+    "InconclusiveHorizon": 4,
+    "DimensionMismatch": 3,
+    "KossakowskiNotPSD": 3,
+    "NoConvergence": 3,
+    "NotAState": 3,
+    "NotCPTP": 3,
+    "NotHermitian": 3,
+    "NotTracePreserving": 3,
+    "ScheduleOutOfRange": 3,
+}
+
+
+def test_every_error_class_has_its_exit_code():
+    assert {name: cls.exit_code for name, cls in error_classes().items()} == EXIT_CODES
+
+
+def run_handlers() -> list:
+    """The set of names that each except clause of ``cli._run`` catches."""
+    tree = ast.parse((SRC / "cli.py").read_text())
+    run = next(node for node in tree.body if isinstance(node, ast.FunctionDef) and node.name == "_run")
+    return [
+        {node.id for node in ast.walk(handler.type) if isinstance(node, ast.Name)} if handler.type else set()
+        for handler in ast.walk(run)
+        if isinstance(handler, ast.ExceptHandler)
+    ]
+
+
+def test_every_raised_error_has_a_handler():
+    # every package error is a QdblabError; besides argparse's SystemExit, _run has one clause, which catches
+    # that base class and exits with the error's own code
+    assert all(issubclass(cls, errors.QdblabError) for cls in error_classes().values())
+    assert [names for names in run_handlers() if names != {"SystemExit"}] == [{"QdblabError"}]
+
+
+def raised_names() -> set:
+    """The names called or raised anywhere under ``src/qdblab``."""
+    raised = set()
+    for path in sorted(SRC.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
             if isinstance(node, ast.Call) and isinstance(node.func, ast.Name):
                 raised.add(node.func.id)
             elif isinstance(node, ast.Raise) and isinstance(node.exc, ast.Name):
                 raised.add(node.exc.id)
-            elif isinstance(node, ast.ExceptHandler):
-                (run_caught if id(node) in in_run else elsewhere).update(_caught(node, constants))
-    return raised & errors, run_caught & errors, elsewhere & errors
-
-
-def test_every_raised_error_has_a_handler():
-    raised, run_caught, elsewhere = exit_code_map()
-    assert sorted(raised - run_caught - elsewhere) == []
+    return raised
 
 
 def test_every_error_of_the_exit_code_map_is_raised():
-    raised, run_caught, _ = exit_code_map()
-    assert run_caught and sorted(run_caught - raised) == []
+    # the base class is only caught
+    assert sorted(error_classes().keys() - {"QdblabError"} - raised_names()) == []

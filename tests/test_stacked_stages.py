@@ -52,7 +52,7 @@ PROBES = (TAU_MAX, *FIXED_POINT_TAUS)
 
 
 def probes_of(sources):
-    """classify's eigenframe probes of a block, as ``cli.analyse`` takes them:
+    """classify's eigenframe probes of a block, as ``report.analyse`` takes them:
     the generators of semigroups, the probe maps of Kraus sources."""
     times = () if sources[0].generator is not None else sources[0].taus(PROBES)
     generators, (superops, _), _ = maps_of(sources, stacked_h(sources), times)
