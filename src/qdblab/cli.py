@@ -260,7 +260,7 @@ def _scenario(name: str, args, points: list) -> list:
 
 def _emit(label: str, source: Dynamics, args, f_factor=None, **extra) -> None:
     """Write the rows and verdict, with ``extra`` entries, of one source: a
-    row per tau and Bohr gap, with scenario A's ``f_factor`` at tau."""
+    row per tau and Bohr gap, with scenario A's ``f_factor`` of the taus."""
     ((sections, (taus, energies, predicted, recorded, p_plus, p_minus, defined, ratio, deviation)),) = build_report(
         _analyse([source], args), args.tol_qfr, args.beta_i, args.beta_f
     )
@@ -272,7 +272,7 @@ def _emit(label: str, source: Dynamics, args, f_factor=None, **extra) -> None:
     columns = [(taus, t), (energies, g), p_plus[t, g], p_minus[t, g],
                (ratio[t, g][has], k), (predicted, np.where(has, g, -1)), (deviation[t, g][has], k)]
     if f_factor is not None:
-        columns.append(([f_factor(tau) for tau in taus], t))
+        columns.append((f_factor(taus), t))
     tolerances = {"qdb_pass": args.tol_qdb, "qfr_pass": args.tol_qfr, "cptp": args.tol_cptp}
     grids = {"tau_grid": list(args.tau_grid), "s_grid": list(args.s_grid), "tolerances": tolerances}
     run = {**grids, "beta_i": args.beta_i, "beta_f": args.beta_f}
@@ -407,7 +407,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p_sweep = sub.add_parser("sweep", help="sweep one parameter of a scenario or model")
     p_sweep.add_argument("target", help="a, b, c, or a model file path")
     p_sweep.add_argument("--parameter", required=True)
-    p_sweep.add_argument("--range", required=True, help="START:STOP:COUNT")
+    p_sweep.add_argument("--range", required=True,
+                         help="START:STOP:COUNT; a negative START needs the = form, as in --range=-1:1:3")
     _add_example_params(p_sweep)
     _add_common(p_sweep)
     p_sweep.set_defaults(func=cmd_sweep)

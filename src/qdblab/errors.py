@@ -38,10 +38,6 @@ class NotCPTP(QdblabError):
     pass
 
 
-class ScheduleOutOfRange(QdblabError):
-    pass
-
-
 class InconclusiveHorizon(QdblabError):
     """State convergence was not reached within the probing horizon."""
 

@@ -265,7 +265,12 @@ Ratio = namedtuple("Ratio", "energy ratio predicted deviation")
 
 def a_channel(p, tau):
     """Scenario A's Kraus operators ``(4, 2, 2)`` at ``tau``."""
-    return example_a_channel(p, (tau,))[0]
+    return example_a_channel(*p.schedules((tau,)))[0]
+
+
+def a_family(p):
+    """Scenario A's channel family ``taus -> (t, 4, 2, 2)`` of the parameters ``p``."""
+    return lambda taus: example_a_channel(*p.schedules(taus))
 
 
 def per_source(maps) -> list:
@@ -611,7 +616,7 @@ def example_a_ratio_oracle(p: ExampleAParams, tau: float, energy: float, beta_i:
     """Closed-form exchange ratio ``F(tau) e^{(beta_i - beta_f) E}`` at the qubit gap."""
     if abs(energy - p.omega) > 1e-9:
         raise ValueError(f"the closed form holds at the qubit gap {p.omega:g}, got {energy:g}")
-    return example_a_f_factor(p, tau) * math.exp((beta_i - p.beta_f) * energy)
+    return example_a_f_factor(p, (tau,))[0] * math.exp((beta_i - p.beta_f) * energy)
 
 
 def example_b_closed_form(p: ExampleBParams, rho0: np.ndarray, tau: float) -> np.ndarray:

@@ -47,6 +47,7 @@ from qdblab.dynamics import Dynamics, gkls_defects, lindblad_superop
 from qdblab.examples import (
     ExampleAParams,
     ExampleBParams,
+    example_a_channel,
     example_a_f_factor,
     example_b_generator,
     example_c_generator,
@@ -72,28 +73,23 @@ def _ratio_at_gap(map_at_tau, h, tau, energy, beta_i=BETA_I, beta_f=BETA_F):
 
 
 def test_criterion_1_exact_ratio_law_scenario_a():
-    p = ExampleAParams.default(OMEGA, BETA_F)
+    p = ExampleAParams(OMEGA, BETA_F)
     h = qubit_hamiltonian(OMEGA)
     scale = math.exp((BETA_I - BETA_F) * OMEGA)
     for tau in TAU_GRID:
         ratio = _ratio_at_gap(a_channel(p, tau), h, tau, OMEGA)
-        assert abs(ratio / scale - example_a_f_factor(p, tau)) < 1e-10
-    assert abs(example_a_f_factor(p, TAU_GRID[-1]) - 1.0) < 1e-6
+        assert abs(ratio / scale - example_a_f_factor(p, (tau,))[0]) < 1e-10
+    assert abs(example_a_f_factor(p, TAU_GRID[-1:])[0] - 1.0) < 1e-6
     _report(1, "scenario-a ratio law with explicit correction factor")
 
 
 def test_criterion_2_mixing_schedule_independence():
-    p1 = ExampleAParams.default(OMEGA, BETA_F)
-    p2 = ExampleAParams(
-        omega=OMEGA,
-        beta_f=BETA_F,
-        q_schedule=p1.q_schedule,
-        xi_schedule=lambda tau: tau / (1.0 + tau),
-    )
+    taus = np.array(TAU_GRID)
+    q, xi = ExampleAParams(OMEGA, BETA_F).schedules(taus)
     h = qubit_hamiltonian(OMEGA)
-    for tau in TAU_GRID:
-        r1 = _ratio_at_gap(a_channel(p1, tau), h, tau, OMEGA)
-        r2 = _ratio_at_gap(a_channel(p2, tau), h, tau, OMEGA)
+    for tau, g1, g2 in zip(TAU_GRID, example_a_channel(q, xi), example_a_channel(q, taus / (1.0 + taus))):
+        r1 = _ratio_at_gap(g1, h, tau, OMEGA)
+        r2 = _ratio_at_gap(g2, h, tau, OMEGA)
         assert abs(r1 - r2) < 1e-12
     _report(2, "scenario-a ratio independent of the mixing schedule")
 

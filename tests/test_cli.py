@@ -223,7 +223,7 @@ class TestCheckCommand:
     def test_kraus_model_reports_single_map(self, tmp_path):
         from qdblab.examples import ExampleAParams, example_a_channel
 
-        kraus = example_a_channel(ExampleAParams.default(1.0, 1.0), (1.0,))[0]
+        kraus = example_a_channel(*ExampleAParams(1.0, 1.0).schedules((1.0,)))[0]
         ops = [[[[x.real, x.imag] for x in row] for row in g] for g in kraus]
         model_path = tmp_path / "gad.json"
         model_path.write_text(
@@ -242,7 +242,7 @@ class TestCheckCommand:
         assert verdict["classification"]["kind"] == "single_map"
         assert verdict["qdb1"] is None
         # the fixed point holds the excited level with probability q(1); omega = 1
-        q1 = ExampleAParams.default(1.0, 1.0).q_schedule(1.0)
+        q1 = ExampleAParams(1.0, 1.0).schedules((1.0,))[0][0]
         assert verdict["classification"]["beta_f"] == pytest.approx(math.log((1 - q1) / q1), rel=1e-12)
 
     def test_identity_kraus_model_has_no_fixed_point_temperature(self, tmp_path):
@@ -376,7 +376,7 @@ def test_kossakowski_bounds_scale_with_the_rates(tmp_path, capsys, rate):
         (tmp_path / f"{name}.json").write_text(json.dumps(obj))
     assert run(tmp_path, "check", str(tmp_path / "model.json"), "--tau-grid", "log:1e-12:5e-10:5") == EXIT_OK
     assert capsys.readouterr().err == ""
-    # on the default grid the absolute transition-row bound still fails at large rates (ROADMAP item 3)
+    # on the default grid the absolute transition-row bound still fails at large rates (ROADMAP item 2)
     assert run(tmp_path, "check", str(tmp_path / "model.json")) == (EXIT_OK if rate == 1 else QdblabError.exit_code)
     assert capsys.readouterr().err.startswith("" if rate == 1 else "NotTracePreserving: transition rows sum to 1")
     assert run(tmp_path, "check", str(tmp_path / "negative.json")) == QdblabError.exit_code

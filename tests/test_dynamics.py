@@ -1,11 +1,11 @@
 import math
-from functools import partial
 
 import numpy as np
 import pytest
 
 from conftest import (
     stacked_h,
+    a_family,
     commutator_superop,
     evolve_grid,
     per_source,
@@ -463,14 +463,15 @@ class TestMapsOf:
             assert np.array_equal(superops, np.concatenate([evolve_grid(generator, t) for t in TIME_PARTS]))
 
     def test_channel_families_slice_their_own_stacks(self):
-        params = [ExampleAParams.default(0.5, 1.0), ExampleAParams.default(2.0, 3.0)]
-        params.append(ExampleAParams.fixed_point(1.0, 0.3))
-        sources = [Dynamics.channel_family(qubit_hamiltonian(p.omega), partial(example_a_channel, p)) for p in params]
+        params = [ExampleAParams(0.5, 1.0), ExampleAParams(2.0, 3.0)]
+        params.append(ExampleAParams(1.0, 0.3, fixed_point=True))
+        sources = [Dynamics.channel_family(qubit_hamiltonian(p.omega), a_family(p)) for p in params]
         generators, maps, _ = maps_of(sources, stacked_h(sources), sum(TIME_PARTS, ()))
         assert generators is None
         # each qubit H is diagonal, so its eigenframe is the basis of the channel's operators
         for (superops, kraus), p, source in zip(per_source(maps), params, sources):
-            own = [_kraus_stacks(np.asarray(example_a_channel(p, t), dtype=complex), source.h) for t in TIME_PARTS]
+            own = [_kraus_stacks(np.asarray(example_a_channel(*p.schedules(t)), dtype=complex), source.h)
+                   for t in TIME_PARTS]
             assert np.array_equal(superops, np.concatenate([_kraus_superops(k) for k in own]))
             assert np.array_equal(kraus, np.concatenate(own))
 

@@ -3,12 +3,15 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import (
     stacked_h,
     evolve_grid,
     BlochVector,
     a_channel,
+    a_family,
     apply,
     bloch_to_density,
     classify_one,
@@ -27,8 +30,8 @@ from conftest import (
 )
 from qdblab import matlin
 from qdblab.balance import check_qdb1, check_qdb2
-from qdblab.dynamics import Dynamics, bloch4_to_superop, gkls_defects, lindblad_superop, maps_of
-from qdblab.errors import NotCPTP, NotTracePreserving, ScheduleOutOfRange
+from qdblab.dynamics import Dynamics, _kraus_stacks, bloch4_to_superop, gkls_defects, lindblad_superop, maps_of
+from qdblab.errors import NotCPTP, NotTracePreserving
 from qdblab.examples import (
     ExampleAParams,
     ExampleBParams,
@@ -42,7 +45,6 @@ from qdblab.examples import (
     example_c_generator,
     example_c_qdb_point,
     qubit_hamiltonian,
-    thermal_bias,
 )
 from qdblab.report import analyse
 
@@ -52,13 +54,10 @@ TAU_GRID = np.geomspace(0.01, 50.0, 12)
 
 
 def reference_example_a_channel(p, tau):
-    """Scenario A's channel at one time, built as before the stacked family."""
-    q = float(p.q_schedule(tau))
-    xi = float(p.xi_schedule(tau))
-    if not (-1e-12 <= q <= 1 + 1e-12) or not (-1e-12 <= xi <= 1 + 1e-12):
-        raise ScheduleOutOfRange(f"schedules left [0, 1] at tau={tau:g}: q={q:g}, xi={xi:g}")
-    q = min(max(q, 0.0), 1.0)
-    xi = min(max(xi, 0.0), 1.0)
+    """Scenario A's channel at one time, its schedules and operators built
+    one float at a time, as before the stacked family."""
+    xi = 1.0 - math.exp(-tau)
+    q = p.q_inf if p.fixed_point else p.q_inf * xi
     g1 = math.sqrt(1.0 - q) * np.diag([1.0, math.sqrt(1.0 - xi)]).astype(complex)
     g2 = math.sqrt((1.0 - q) * xi) * LOWERING
     g3 = math.sqrt(q) * np.diag([math.sqrt(1.0 - xi), 1.0]).astype(complex)
@@ -66,49 +65,44 @@ def reference_example_a_channel(p, tau):
     return np.array([g1, g2, g3, g4])
 
 
+@st.composite
+def scenario_a_points(draw):
+    """``(params, taus)``: scenario A at any omega and beta_f whose thermal
+    bias does not round to 0, either schedule, at 0, 1e12 and any other
+    times up to 1e300."""
+    omega = draw(st.floats(1e-300, 1e300))
+    beta_f = draw(st.floats(0.0, 38.0)) / omega
+    taus = draw(st.lists(st.one_of(st.floats(0.0, 1e300), st.sampled_from([1e-300, 0.5, 1e300])), max_size=8))
+    return ExampleAParams(omega, beta_f, draw(st.booleans())), (0.0, 1e12, *taus)
+
+
 class TestScenarioA:
     def setup_method(self):
-        self.p = ExampleAParams.default(OMEGA, BETA_F)
+        self.p = ExampleAParams(OMEGA, BETA_F)
         self.h = qubit_hamiltonian(OMEGA)
 
-    def test_schedule_constraints_enforced(self):
-        with pytest.raises(ScheduleOutOfRange):
-            ExampleAParams(
-                omega=OMEGA,
-                beta_f=BETA_F,
-                q_schedule=lambda t: thermal_bias(OMEGA, BETA_F),
-                xi_schedule=lambda t: 0.5,  # xi(0) != 0
-            )
-        with pytest.raises(ScheduleOutOfRange):
-            ExampleAParams(
-                omega=OMEGA,
-                beta_f=BETA_F,
-                q_schedule=lambda t: 0.1 * (1 - math.exp(-t)),  # wrong asymptote
-                xi_schedule=lambda t: 1 - math.exp(-t),
-            )
+    @settings(max_examples=200, deadline=None, derandomize=True, database=None)
+    @given(point=scenario_a_points())
+    def test_schedules_start_at_the_identity_reach_the_thermal_bias_and_stay_in_the_unit_interval(self, point):
+        p, taus = point
+        q, xi = p.schedules(taus)
+        assert xi[0] == 0.0 and xi[1] == 1.0 and q[1] == p.q_inf
+        assert ((0.0 <= q) & (q <= 1.0) & (0.0 <= xi) & (xi <= 1.0)).all()
+        _kraus_stacks(example_a_channel(q, xi), qubit_hamiltonian(p.omega))  # sum G^dag G == I
 
     @pytest.mark.parametrize("schedule", ["default", "fixed_point"])
     def test_stack_is_bitwise_equal_to_the_per_tau_channels(self, schedule):
-        p = getattr(ExampleAParams, schedule)(OMEGA, BETA_F)
+        p = ExampleAParams(OMEGA, BETA_F, schedule == "fixed_point")
         taus = (0.0, *np.geomspace(0.01, 50.0, 300))
-        stack = example_a_channel(p, taus)
+        stack = example_a_channel(*p.schedules(taus))
         assert stack.shape == (len(taus), 4, 2, 2)
         for tau, ops in zip(taus, stack):
             assert np.array_equal(ops, reference_example_a_channel(p, tau))
 
-    def test_schedule_leaving_the_unit_interval_quotes_the_first_tau(self):
-        p = dataclasses.replace(self.p)
-        object.__setattr__(p, "q_schedule", lambda tau: 0.5 + 0.3 * tau)
-        with pytest.raises(ScheduleOutOfRange) as got:
-            example_a_channel(p, (0.5, 2.0, 3.0))
-        with pytest.raises(ScheduleOutOfRange) as want:
-            reference_example_a_channel(p, 2.0)
-        assert str(got.value) == str(want.value) == "schedules left [0, 1] at tau=2: q=1.1, xi=0.864665"
-
     def test_family_stack_must_preserve_the_trace(self):
         # the second time's operators are scaled off trace preservation
         def family(taus):
-            stack = example_a_channel(self.p, taus)
+            stack = example_a_channel(*self.p.schedules(taus))
             stack[1] *= 1.1
             stack[2] *= 1.2
             return stack
@@ -125,7 +119,7 @@ class TestScenarioA:
     def test_population_recursion(self, rng):
         # d(tau) = (1 - xi) d(0) + (1 - q) xi, coherence shrinks by sqrt(1 - xi)
         for tau in (0.1, 1.0, 5.0):
-            q, xi = self.p.q_schedule(tau), self.p.xi_schedule(tau)
+            (q,), (xi,) = self.p.schedules((tau,))
             r = rng.normal(size=3)
             r *= 0.9 / np.linalg.norm(r)
             rho0 = bloch_to_density(BlochVector(*r))
@@ -136,16 +130,11 @@ class TestScenarioA:
 
     def test_full_mixing_erases_input(self, rng):
         # xi = 1 forces the populations to (1 - q, q) for every input
-        p = ExampleAParams(
-            omega=OMEGA,
-            beta_f=BETA_F,
-            q_schedule=lambda t: 0.3 if t < 1e11 else thermal_bias(OMEGA, BETA_F),
-            xi_schedule=lambda t: 0.0 if t == 0 else 1.0,
-        )
+        channel = example_a_channel(np.array([0.3]), np.array([1.0]))[0]
         for _ in range(3):
             r = rng.normal(size=3)
             r *= rng.uniform(0, 1) / np.linalg.norm(r)
-            out = apply(a_channel(p, 2.0), bloch_to_density(BlochVector(*r)))
+            out = apply(channel, bloch_to_density(BlochVector(*r)))
             np.testing.assert_allclose(np.diag(out).real, [0.7, 0.3], atol=1e-13)
 
     def test_ratio_dual_route(self):
@@ -157,14 +146,14 @@ class TestScenarioA:
             assert abs(rec.ratio - oracle) < 1e-10
 
     def test_correction_factor_asymptote(self):
-        assert abs(example_a_f_factor(self.p, 50.0) - 1.0) < 1e-6
-        p_const = ExampleAParams.fixed_point(OMEGA, BETA_F)
+        assert abs(example_a_f_factor(self.p, (50.0,))[0] - 1.0) < 1e-6
+        p_const = ExampleAParams(OMEGA, BETA_F, fixed_point=True)
         for tau in (0.0, 0.3, 2.0, 20.0):
-            assert example_a_f_factor(p_const, tau) == 1.0
+            assert example_a_f_factor(p_const, (tau,))[0] == 1.0
 
     def test_constant_bias_family_is_fpt(self):
-        p_const = ExampleAParams.fixed_point(OMEGA, BETA_F)
-        family = Dynamics.channel_family(self.h, lambda taus: example_a_channel(p_const, taus))
+        p_const = ExampleAParams(OMEGA, BETA_F, fixed_point=True)
+        family = Dynamics.channel_family(self.h, a_family(p_const))
         kind, beta, gamma_min = classify_one(family)
         assert kind == "fpt"
 

@@ -1,6 +1,5 @@
 import math
 import sys
-from functools import partial
 
 import numpy as np
 import pytest
@@ -9,6 +8,7 @@ from conftest import (
     evolve_grid,
     per_source,
     a_channel,
+    a_family,
     apply_matrix,
     channel_from_superop,
     check_pairwise_condition,
@@ -63,10 +63,10 @@ class TestTransitionMatrix:
         np.testing.assert_allclose(transition_matrix(np.eye(2)[None], h), np.eye(2), atol=1e-14)
 
     def test_scenario_a_literal_probabilities(self):
-        p = ExampleAParams.default(1.0, 1.0)
+        p = ExampleAParams(1.0, 1.0)
         h = qubit_hamiltonian(1.0)
         tau = 0.8
-        q, xi = p.q_schedule(tau), p.xi_schedule(tau)
+        (q,), (xi,) = p.schedules((tau,))
         probs = transition_matrix(a_channel(p, tau), h)
         assert abs(probs[0, 1] - xi * q) < 1e-13
         assert abs(probs[1, 0] - xi * (1 - q)) < 1e-13
@@ -103,7 +103,7 @@ class TestExchangeDistribution:
         assert abs(gaps[0].p_plus - 1.0) < 1e-14
 
     def test_qubit_bookkeeping(self):
-        p = ExampleAParams.default(1.0, 1.0)
+        p = ExampleAParams(1.0, 1.0)
         h = qubit_hamiltonian(1.0)
         beta_i, tau = 2.0, 0.7
         gap = gap_at(exchange_at(a_channel(p, tau), h, beta_i), 1.0)
@@ -215,11 +215,12 @@ class TestFptIdentity:
 
     def test_scenario_a_defect_quantified(self):
         # oracle: the defect equals xi_tau * (q_inf - q_tau) exactly
-        p = ExampleAParams.default(1.0, 1.0)
+        p = ExampleAParams(1.0, 1.0)
         h = qubit_hamiltonian(1.0)
         tau = 1.0
         defect = fpt_stationarity_identity(a_channel(p, tau), h, 1.0)
-        expected = p.xi_schedule(tau) * (p.q_inf - p.q_schedule(tau))
+        (q,), (xi,) = p.schedules((tau,))
+        expected = xi * (p.q_inf - q)
         assert abs(defect - expected) < 1e-12
         assert defect > 1e-3
 
@@ -233,16 +234,16 @@ class TestClassify:
         assert gamma_min > 0
 
     def test_scenario_a_family_thermalizing_not_fpt(self):
-        p = ExampleAParams.default(1.0, 1.0)
+        p = ExampleAParams(1.0, 1.0)
         h = qubit_hamiltonian(1.0)
-        kind, beta, gamma_min = classify_one(Dynamics.channel_family(h, lambda taus: example_a_channel(p, taus)))
+        kind, beta, gamma_min = classify_one(Dynamics.channel_family(h, a_family(p)))
         assert kind == "thermalizing"
         assert abs(beta - 1.0) < 1e-7
 
     def test_scenario_a_constant_bias_is_fpt(self):
-        p = ExampleAParams.fixed_point(1.0, 1.0)
+        p = ExampleAParams(1.0, 1.0, fixed_point=True)
         h = qubit_hamiltonian(1.0)
-        kind, beta, gamma_min = classify_one(Dynamics.channel_family(h, lambda taus: example_a_channel(p, taus)))
+        kind, beta, gamma_min = classify_one(Dynamics.channel_family(h, a_family(p)))
         assert kind == "fpt"
 
     def test_generic_generator_not_thermal(self, rng):
@@ -262,8 +263,8 @@ class TestClassify:
     def test_unitary_family_exits_4(self, tmp_path, monkeypatch, capsys):
         from qdblab import examples
 
-        def rotation_family(p, taus):
-            return matlin.expm(-1j * np.array([[0, 0.5], [0.5, 0]]), taus)[:, None]
+        def rotation_family(q, xi):
+            return matlin.expm(-1j * np.array([[0, 0.5], [0.5, 0]]), xi)[:, None]
 
         monkeypatch.setattr(examples, "example_a_channel", rotation_family)
         assert main(["example", "a", "--out", str(tmp_path)]) == 4
@@ -277,8 +278,8 @@ class TestClassify:
     @pytest.mark.parametrize("omega", [0.5, 1.0, 2.0])
     @pytest.mark.parametrize("beta_f", [0.3, 1.0, 3.0])
     def test_scenario_a_matches_the_probe_state_reference(self, schedule, omega, beta_f):
-        p = getattr(ExampleAParams, schedule)(omega, beta_f)
-        source = Dynamics.channel_family(qubit_hamiltonian(omega), lambda taus: example_a_channel(p, taus))
+        p = ExampleAParams(omega, beta_f, schedule == "fixed_point")
+        source = Dynamics.channel_family(qubit_hamiltonian(omega), a_family(p))
         (kind, beta, _), (want_kind, want_beta) = classify_one(source), reference_classify_family(source)
         assert kind == want_kind == ("fpt" if schedule == "fixed_point" else "thermalizing")
         assert beta == pytest.approx(want_beta, rel=1e-14, abs=0)
@@ -308,7 +309,7 @@ class TestClassify:
 
     def test_family_is_read_from_one_map_stack(self, monkeypatch):
         # one call of the family, and no probe state per map
-        p = ExampleAParams.default(1.0, 1.0)
+        p = ExampleAParams(1.0, 1.0)
         calls, inferred = [], []
         original = fluctuation.infer_beta
 
@@ -320,7 +321,7 @@ class TestClassify:
 
         def family(taus):
             calls.append(taus)
-            return example_a_channel(p, taus)
+            return example_a_channel(*p.schedules(taus))
 
         assert classify_one(Dynamics.channel_family(qubit_hamiltonian(1.0), family))[0] == "thermalizing"
         assert len(calls) == 1
@@ -351,7 +352,7 @@ class TestClassify:
         # the map's own superoperator reads
         h = qubit_hamiltonian(1.0)
         if name.startswith("a-"):
-            channel = a_channel(ExampleAParams.default(1.0, 1.0), float(name[2:]))
+            channel = a_channel(ExampleAParams(1.0, 1.0), float(name[2:]))
         elif name == "identity":
             channel = np.eye(2)[None]
         elif name == "bit-flip":
@@ -708,8 +709,8 @@ def _points(case, rng):
         gens = [example_b_generator(ExampleBParams(omega, 1.0, 1.0)) for omega in np.linspace(0.5, 2.0, 6)]
         sources = [Dynamics.semigroup(g.hamiltonian, g) for g in gens]
     elif case == "a":
-        params = [ExampleAParams.default(omega, 1.0) for omega in np.linspace(0.5, 2.0, 6)]
-        sources = [Dynamics.channel_family(qubit_hamiltonian(p.omega), partial(example_a_channel, p)) for p in params]
+        params = [ExampleAParams(omega, 1.0) for omega in np.linspace(0.5, 2.0, 6)]
+        sources = [Dynamics.channel_family(qubit_hamiltonian(p.omega), a_family(p)) for p in params]
     else:
         energies = {"davies3": [-0.7, 0.1, 1.3], "davies4": [-1.0, -0.2, 0.5, 1.6]}[case]
         sources = [Dynamics.semigroup(h, g) for h, g in (_davies(rng, energies) for _ in range(6))]

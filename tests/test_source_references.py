@@ -122,7 +122,6 @@ EXIT_CODES = {
     "NotCPTP": 3,
     "NotHermitian": 3,
     "NotTracePreserving": 3,
-    "ScheduleOutOfRange": 3,
 }
 
 

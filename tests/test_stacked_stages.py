@@ -10,13 +10,13 @@ the last place fails.
 """
 
 import math
-from functools import partial
 
 import numpy as np
 import pytest
 
 from conftest import (
     stacked_h,
+    a_family,
     per_source,
     LOWERING,
     RAISING,
@@ -104,25 +104,26 @@ class TestClassifyIsTheReference:
         mixed = Dynamics.semigroup(h, LindbladGenerator.canonical(h, kossakowski @ kossakowski.conj().T / 8))
         assert_classified_as_reference([pure, mixed, davies_source(rng, 3, False)])
 
-    @pytest.mark.parametrize("builder", [ExampleAParams.default, ExampleAParams.fixed_point], ids=["default", "fpt"])
-    def test_scenario_a(self, builder):
+    @pytest.mark.parametrize("fixed_point", [False, True], ids=["default", "fpt"])
+    def test_scenario_a(self, fixed_point):
         # beta_f = 38 puts the excited population below the floor
-        params = [builder(omega, beta_f) for omega, beta_f in [(0.5, 1.0), (1.0, 0.2), (2.0, 3.0), (1.0, 38.0)]]
+        params = [ExampleAParams(omega, beta_f, fixed_point)
+                  for omega, beta_f in [(0.5, 1.0), (1.0, 0.2), (2.0, 3.0), (1.0, 38.0)]]
         hs = qubit_hamiltonian([p.omega for p in params])
-        assert_classified_as_reference([Dynamics.channel_family(h, partial(example_a_channel, p))
+        assert_classified_as_reference([Dynamics.channel_family(h, a_family(p))
                                         for h, p in zip(hs, params)])
 
     @pytest.mark.parametrize("tau", [0.5, 1.0, 5.0])
     def test_single_map(self, tau):
-        params = ExampleAParams.default(1.0, 1.0)
-        source = Dynamics.single_map(qubit_hamiltonian(1.0), example_a_channel(params, [tau])[0], tau)
+        params = ExampleAParams(1.0, 1.0)
+        source = Dynamics.single_map(qubit_hamiltonian(1.0), example_a_channel(*params.schedules([tau]))[0], tau)
         assert_classified_as_reference([source])
 
     def test_a_fixed_point_that_is_no_state_drops_only_its_own_single_maps_beta(self, rng, monkeypatch):
         # a CPTP map's simple fixed point is a state up to roundoff, so the state check is made to fail for the
         # second of three maps: that map alone reads no beta, and a semigroup's fixed point that is no state raises
         h = qubit_hamiltonian(1.0)
-        maps = [Dynamics.single_map(h, example_a_channel(ExampleAParams.default(omega, 1.0), [1.0])[0], 1.0)
+        maps = [Dynamics.single_map(h, example_a_channel(*ExampleAParams(omega, 1.0).schedules([1.0]))[0], 1.0)
                 for omega in (1.0, 2.0, 0.5)]
         want = classified(maps)
         assert all(beta is not None for _, beta, _ in want)
@@ -203,16 +204,16 @@ class TestScenarioBuilds:
             want_w, want_v = reference_herm_eig(m)
             assert np.array_equal(w[i], want_w) and np.array_equal(v[i], want_v)
 
-    @pytest.mark.parametrize("builder", [ExampleAParams.default, ExampleAParams.fixed_point], ids=["default", "fpt"])
-    def test_scenario_a_kraus_and_superoperator_stacks_are_the_per_point_ones(self, builder):
-        params = [builder(omega, 1.0) for omega in np.linspace(0.5, 2.0, 6)]
+    @pytest.mark.parametrize("fixed_point", [False, True], ids=["default", "fpt"])
+    def test_scenario_a_kraus_and_superoperator_stacks_are_the_per_point_ones(self, fixed_point):
+        params = [ExampleAParams(omega, 1.0, fixed_point) for omega in np.linspace(0.5, 2.0, 6)]
         hs = qubit_hamiltonian([p.omega for p in params])
-        sources = [Dynamics.channel_family(h, partial(example_a_channel, p)) for h, p in zip(hs, params)]
+        sources = [Dynamics.channel_family(h, a_family(p)) for h, p in zip(hs, params)]
         taus = (*PROBES, 0.05, 0.4, 2.0, 9.0)
         _, maps, _ = maps_of(sources, stacked_h(sources), taus)
         # each qubit H is diagonal, so its eigenframe is the basis of the channel's operators
         for (superops, kraus), source, p in zip(per_source(maps), sources, params):
-            assert np.array_equal(kraus, _kraus_stacks(example_a_channel(p, taus), source.h))
+            assert np.array_equal(kraus, _kraus_stacks(example_a_channel(*p.schedules(taus)), source.h))
             assert np.array_equal(superops, [superop_from_channel(k) for k in kraus])
 
 
