@@ -45,6 +45,7 @@ from qdblab.examples import (
     example_c_generator,
     example_c_qdb_point,
     qubit_hamiltonian,
+    scenario_sources,
 )
 from qdblab.report import analyse
 
@@ -150,6 +151,18 @@ class TestScenarioA:
         p_const = ExampleAParams(OMEGA, BETA_F, fixed_point=True)
         for tau in (0.0, 0.3, 2.0, 20.0):
             assert example_a_f_factor(p_const, (tau,))[0] == 1.0
+
+    @pytest.mark.parametrize("q_schedule", ["default", "fpt"])
+    def test_sources_hold_each_points_own_family_and_correction_factor(self, q_schedule):
+        points = [{"omega": 0.5}, {"beta_f": 3.0}, {"omega": 2.0, "beta_f": 0.1}]
+        sources = scenario_sources("a", points, BETA_F, OMEGA, None, None, None, None, q_schedule)
+        taus = (0.0, 0.3, 2.0, 20.0)
+        assert len(sources) == len(points)
+        for point, (source, f_factor) in zip(points, sources):
+            p = ExampleAParams(**{"omega": OMEGA, "beta_f": BETA_F, **point}, fixed_point=q_schedule == "fpt")
+            assert np.array_equal(source.h.eigenvalues, qubit_hamiltonian(p.omega).eigenvalues)
+            assert np.array_equal(source.family(taus), example_a_channel(*p.schedules(taus)))
+            assert np.array_equal(f_factor(taus), example_a_f_factor(p, taus))
 
     def test_constant_bias_family_is_fpt(self):
         p_const = ExampleAParams(OMEGA, BETA_F, fixed_point=True)
