@@ -27,7 +27,7 @@ import numpy as np
 
 from .dynamics import Dynamics, LindbladGenerator, bloch4_to_superop
 from .errors import ConfigError, QdblabError, UnknownParameter
-from .examples import SCENARIOS, ExampleBParams, example_b_generator, scenario_sources
+from .examples import ExampleBParams, example_b_generator, scenario_sources
 from .report import analyse, build_report, fmt_float, json_float
 from .states import HamiltonianSpec
 
@@ -245,6 +245,13 @@ def load_model(path: Path):
 
 # ---------------------------------------------------------------------------
 # commands
+
+# each built-in scenario's name and the parameters that a sweep of it may set
+SCENARIOS = {
+    "a": ("beta_i", "beta_f", "omega"),
+    "b": ("beta_i", "beta_f", "omega", "gamma"),
+    "c": ("beta_i", "beta_f", "omega", "mu", "eta", "nu", "alpha", "chi", "zeta"),
+}
 
 
 def _analyse(sources: list, args) -> tuple:

@@ -32,9 +32,7 @@ entangled vector.  Both conventions interlock with the column-stacking
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from functools import cache
-from typing import Callable
 
 import numpy as np
 
@@ -87,7 +85,6 @@ def _operator_stack(ops, d: int, what: str) -> np.ndarray:
     return ops
 
 
-@dataclass(frozen=True)
 class LindbladGenerator:
     """Hamiltonian plus Kossakowski matrix over traceless operators, or a
     stack of them.
@@ -101,15 +98,10 @@ class LindbladGenerator:
     scale, and the first that fails raises.
     """
 
-    hamiltonian: HamiltonianSpec
-    kossakowski: np.ndarray
-    basis: np.ndarray
-
-    def __post_init__(self):
-        c = np.asarray(self.kossakowski, dtype=complex)
-        object.__setattr__(self, "kossakowski", c)
-        basis = _operator_stack(self.basis, self.dim, "dissipator basis matrix")
-        object.__setattr__(self, "basis", basis)
+    def __init__(self, hamiltonian: HamiltonianSpec, kossakowski, basis):
+        self.hamiltonian = hamiltonian
+        self.kossakowski = c = np.asarray(kossakowski, dtype=complex)
+        self.basis = basis = _operator_stack(basis, self.dim, "dissipator basis matrix")
         n = basis.shape[-3]
         if c.shape[-2:] != (n, n):
             raise DimensionMismatch(f"Kossakowski matrix must be {n}x{n}, got {c.shape}")
@@ -252,7 +244,6 @@ def gkls_defects(generators: np.ndarray) -> tuple:
     return np.maximum(-lo, 0.0), np.linalg.norm(trace @ scaled, axis=-1)
 
 
-@dataclass(frozen=True)
 class Dynamics:
     """One dynamics to verify: a semigroup or a Kraus channel family.
 
@@ -264,10 +255,8 @@ class Dynamics:
     :meth:`single_map`.
     """
 
-    h: HamiltonianSpec
-    generator: np.ndarray | None
-    family: Callable[[tuple], np.ndarray] | None
-    tau: float | None
+    def __init__(self, h: HamiltonianSpec, generator, family, tau):
+        self.h, self.generator, self.family, self.tau = h, generator, family, tau
 
     @classmethod
     def semigroup(cls, h: HamiltonianSpec, generator: np.ndarray | LindbladGenerator) -> "Dynamics":
@@ -283,7 +272,7 @@ class Dynamics:
         return cls(h, generator, None, None)
 
     @classmethod
-    def channel_family(cls, h: HamiltonianSpec, family: Callable[[tuple], np.ndarray]) -> "Dynamics":
+    def channel_family(cls, h: HamiltonianSpec, family) -> "Dynamics":
         return cls(h, None, family, None)
 
     @classmethod

@@ -19,7 +19,6 @@ test oracles and live with the tests.
   It is completely positive only where its transverse damping is large
   enough against its longitudinal damping.
 
-``SCENARIOS`` names the three and the parameters a sweep of each may set;
 ``scenario_sources`` builds one of them, by name, as dynamics sources at a
 list of parameter points.
 """
@@ -27,7 +26,6 @@ list of parameter points.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
 from functools import partial
 
 import numpy as np
@@ -66,7 +64,6 @@ def thermal_bias(omega: float, beta_f: float) -> float:
 # Scenario A: thermalizing but not fixed-point thermalizing
 
 
-@dataclass(frozen=True)
 class ExampleAParams:
     """Channel family of the mixing schedule ``xi_tau = 1 - e^{-tau}`` and
     the bias schedule ``q_tau = q_inf xi_tau``, or the constant ``q_tau =
@@ -75,11 +72,8 @@ class ExampleAParams:
     1`` (initial data is forgotten) and ``q_inf`` is the thermal bias for
     ``beta_f``."""
 
-    omega: float
-    beta_f: float
-    fixed_point: bool = False
-
-    def __post_init__(self):
+    def __init__(self, omega, beta_f, fixed_point=False):
+        self.omega, self.beta_f, self.fixed_point = omega, beta_f, fixed_point
         _require_finite(self, ("omega", "beta_f"))
         if self.omega <= 0 or self.beta_f < 0:
             raise ValueError("need omega > 0 and beta_f >= 0")
@@ -129,13 +123,12 @@ def example_a_f_factor(p: ExampleAParams, taus) -> np.ndarray:
 # Scenario B: damped qubit in a thermal bosonic bath
 
 
-@dataclass(frozen=True)
 class ExampleBParams:
-    omega: float
-    gamma: float
-    beta_f: float
+    """Qubit of frequency ``omega``, damped at rate ``gamma`` by a bosonic
+    bath at inverse temperature ``beta_f``."""
 
-    def __post_init__(self):
+    def __init__(self, omega, gamma, beta_f):
+        self.omega, self.gamma, self.beta_f = omega, gamma, beta_f
         # beta_f = inf is the zero-temperature limit, with n_bar = 0
         _require_finite(self, ("omega", "gamma"))
         if not (self.omega > 0 and self.gamma > 0 and self.beta_f > 0):
@@ -185,7 +178,6 @@ def _require_rates(mu: float, eta: float) -> None:
 # Scenario C: Bloch-coordinate generator family
 
 
-@dataclass(frozen=True)
 class ExampleCParams:
     """Coefficients of the 4x4 Bloch-coordinate generator.
 
@@ -194,18 +186,17 @@ class ExampleCParams:
     asymptotic Bloch vector is ``(0, 0, -chi/zeta)``.
     """
 
-    omega: float
-    nu: float
-    alpha: float
-    chi: float
-    zeta: float
-
-    def __post_init__(self):
+    def __init__(self, omega, nu, alpha, chi, zeta):
+        self.omega, self.nu, self.alpha, self.chi, self.zeta = omega, nu, alpha, chi, zeta
         _require_finite(self, ("omega", "nu", "alpha", "chi", "zeta"))
         if self.zeta <= 0:
             raise ValueError("zeta must be positive")
         if abs(self.chi / self.zeta) > 1.0 + 1e-12:
             raise ValueError("asymptotic Bloch vector would leave the ball")
+
+    def replace(self, **changes) -> "ExampleCParams":
+        """These parameters with ``changes`` in place of some, checked again."""
+        return type(self)(**{**vars(self), **changes})
 
 
 def example_c_qdb_point(mu: float, eta: float, omega: float, beta_f: float) -> ExampleCParams:
@@ -250,13 +241,6 @@ def example_c_generator(p) -> np.ndarray:
 # ---------------------------------------------------------------------------
 # the scenarios by name
 
-# each scenario's name and the parameters that a sweep of it may set
-SCENARIOS = {
-    "a": ("beta_i", "beta_f", "omega"),
-    "b": ("beta_i", "beta_f", "omega", "gamma"),
-    "c": ("beta_i", "beta_f", "omega", "mu", "eta", "nu", "alpha", "chi", "zeta"),
-}
-
 
 def scenario_sources(name: str, points: list, beta_f, omega, gamma, mu, eta, nu_scale, q_schedule) -> list:
     """Scenario ``name`` at each point of ``points``, a dict of the
@@ -285,7 +269,7 @@ def scenario_sources(name: str, points: list, beta_f, omega, gamma, mu, eta, nu_
                 raise ValueError(f"nu-scale must be finite, got {nu_scale}")
             # a swept coefficient takes the place of the balanced point's
             swept = {k: p[k] for k in p.keys() - flags}
-            params.append(replace(base, **{"nu": base.nu * nu_scale, **swept}))
+            params.append(base.replace(**{"nu": base.nu * nu_scale, **swept}))
         hs = qubit_hamiltonian([p.omega for p in params])
         return [(Dynamics.semigroup(h, l), None) for l, h in zip(example_c_generator(params), hs)]
     except ValueError as exc:

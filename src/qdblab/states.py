@@ -11,7 +11,6 @@ index 0 is the ground level.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -27,15 +26,13 @@ THERMAL_OFFDIAG_ATOL = 1e-8
 BETA_AGREE_RTOL = 1e-6
 
 
-@dataclass(frozen=True)
 class HamiltonianSpec:
     """Hermitian Hamiltonian with its ascending eigenstructure, or a stack of
     them: indexing a stack gives the spec of its points, so iterating it
     gives each point's."""
 
-    matrix: np.ndarray
-    eigenvalues: np.ndarray
-    eigenvectors: np.ndarray
+    def __init__(self, matrix, eigenvalues, eigenvectors):
+        self.matrix, self.eigenvalues, self.eigenvectors = matrix, eigenvalues, eigenvectors
 
     @classmethod
     def from_matrix(cls, matrix: np.ndarray) -> "HamiltonianSpec":
@@ -46,8 +43,8 @@ class HamiltonianSpec:
 
     @classmethod
     def stack(cls, hs) -> "HamiltonianSpec":
-        """One spec stacked over the specs ``hs`` (the fields of each, in order)."""
-        return cls(*map(np.array, zip(*(vars(h).values() for h in hs))))
+        """One spec stacked over the specs ``hs``."""
+        return cls(*map(np.array, zip(*((h.matrix, h.eigenvalues, h.eigenvectors) for h in hs))))
 
     def __getitem__(self, index) -> "HamiltonianSpec":
         return HamiltonianSpec(self.matrix[index], self.eigenvalues[index], self.eigenvectors[index])

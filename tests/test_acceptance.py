@@ -4,7 +4,6 @@ One test per release criterion, each at its stated tolerance; a pass/fail
 line per criterion is printed (visible with ``pytest -s``).
 """
 
-import dataclasses
 import json
 import math
 
@@ -125,9 +124,9 @@ def test_criterion_3_scenario_b_closed_form_balance_and_ratio(rng):
 def test_criterion_4_scenario_c_regimes_and_nonequivalence(rng):
     h = qubit_hamiltonian(OMEGA)
     base = example_c_qdb_point(0.5, 0.1, OMEGA, BETA_F)
-    perturbed = dataclasses.replace(base, nu=base.nu * 1.1)
+    perturbed = base.replace(nu=base.nu * 1.1)
     overdamped_base = example_c_qdb_point(0.5, 0.3, 0.1, BETA_F)
-    overdamped = dataclasses.replace(overdamped_base, nu=overdamped_base.nu + 0.4)
+    overdamped = overdamped_base.replace(nu=overdamped_base.nu + 0.4)
     assert OMEGA**2 > (perturbed.alpha - perturbed.nu) ** 2
     assert overdamped.omega**2 < (overdamped.alpha - overdamped.nu) ** 2
     for params in (perturbed, overdamped):
@@ -178,8 +177,7 @@ def test_criterion_6_thermalizing_maps_asymptotic_ratio_law():
             base = example_c_qdb_point(
                 rng.uniform(0.1, 1.0), rng.uniform(0.0, 0.5), OMEGA, rng.uniform(0.2, 1.5)
             )
-            params = dataclasses.replace(
-                base,
+            params = base.replace(
                 nu=base.nu * (1 + rng.uniform(-0.1, 0.3)),
                 alpha=base.alpha * (1 + rng.uniform(-0.1, 0.3)),
             )
@@ -207,8 +205,7 @@ def test_criterion_7_fixed_point_qubit_maps_ratio_law_all_times():
         base = example_c_qdb_point(
             rng.uniform(0.1, 1.0), rng.uniform(0.0, 0.5), OMEGA, beta_f
         )
-        params = dataclasses.replace(
-            base,
+        params = base.replace(
             nu=base.nu * (1 + rng.uniform(-0.15, 0.3)),
             alpha=base.alpha * (1 + rng.uniform(-0.15, 0.3)),
         )

@@ -1,4 +1,3 @@
-import dataclasses
 import math
 
 import numpy as np
@@ -228,7 +227,7 @@ class TestQdb1:
         # H and L scaled by c = 2^k and beta by 1/c: the squares of the entries
         # over- or underflow at |k| = 600, but the residuals stay bitwise equal
         base = example_c_qdb_point(0.5, 0.1, 1.0, 1.0)
-        p = dataclasses.replace(base, nu=base.nu * nu_scale)
+        p = base.replace(nu=base.nu * nu_scale)
         h, l = qubit_hamiltonian(p.omega), example_c_generator(p)
         want = check_qdb1(h, 1.0, S_GRID, l)
         assert want.max() > 1e-2 if nu_scale != 1.0 else want.max() < 1e-12

@@ -1011,6 +1011,16 @@ def test_cli_import_leaves_scipy_out():
     assert proc.returncode == 0, proc.stderr
 
 
+@pytest.mark.parametrize("argv", [("check", str(Path(__file__).parent / "golden" / "davies3_circulating.json")),
+                                  ("example", "b")], ids=["check", "example"])
+def test_a_run_leaves_dataclasses_out(tmp_path, argv):
+    # the package's value classes are plain classes, so a cold run never imports dataclasses
+    run = f"import sys; from qdblab.cli import main; code = main({[*argv, '--out', str(tmp_path)]!r})"
+    proc = _fresh_interpreter("-c", run + "; print(code, 'dataclasses' in sys.modules)")
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1] == f"{EXIT_OK} False"
+
+
 @pytest.mark.parametrize("unbuffered", ["", "1"], ids=["buffered", "unbuffered"])
 @pytest.mark.parametrize(
     "argv, written",

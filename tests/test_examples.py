@@ -1,4 +1,3 @@
-import dataclasses
 import math
 
 import numpy as np
@@ -267,7 +266,7 @@ class TestBalancedFamily:
 class TestScenarioC:
     def setup_method(self):
         self.base = example_c_qdb_point(0.5, 0.1, OMEGA, BETA_F)
-        self.perturbed = dataclasses.replace(self.base, nu=self.base.nu * 1.1)
+        self.perturbed = self.base.replace(nu=self.base.nu * 1.1)
         self.h = qubit_hamiltonian(OMEGA)
 
     def test_qdb_point_matches_family_superoperator(self):
@@ -302,8 +301,7 @@ class TestScenarioC:
         "params",
         [
             example_c_qdb_point(0.5, 0.1, 1.0, 1.0),  # oscillatory
-            dataclasses.replace(
-                example_c_qdb_point(0.5, 0.3, 0.1, 1.0),
+            example_c_qdb_point(0.5, 0.3, 0.1, 1.0).replace(
                 nu=example_c_qdb_point(0.5, 0.3, 0.1, 1.0).nu + 0.4,
             ),  # overdamped
             example_c_qdb_point(0.5, 0.1, 1.0, 200.0),  # rates ~1e86: every map is finite
@@ -356,7 +354,7 @@ class TestScenarioC:
 
     def test_stacked_generators_and_cptp_residuals_are_the_per_point_ones(self):
         # nu = 0.35 lies below the CP boundary near 0.364 (nu-scale 0.645), the other points above it
-        params = [dataclasses.replace(self.base, nu=nu) for nu in np.linspace(0.35, 0.9, 6)]
+        params = [self.base.replace(nu=nu) for nu in np.linspace(0.35, 0.9, 6)]
         stacked = example_c_generator(params)
         assert np.array_equal(stacked, [example_c_generator(p) for p in params])
         defects = gkls_defects(stacked)
@@ -373,9 +371,9 @@ class TestScenarioC:
     )
     def test_a_stack_raises_its_first_failing_point(self, first, error):
         # points 3 and 4 are not CP; in the second case point 1 overflows first, when it is built
-        params = [dataclasses.replace(self.base, nu=nu) for nu in np.linspace(0.9, 0.1, 5)]
+        params = [self.base.replace(nu=nu) for nu in np.linspace(0.9, 0.1, 5)]
         if error is ValueError:
-            params[1] = dataclasses.replace(self.base, nu=1e308, alpha=1e308)
+            params[1] = self.base.replace(nu=1e308, alpha=1e308)
 
         def build_and_analyse(params):
             sources = [Dynamics.semigroup(self.h, g) for g in example_c_generator(params)]
@@ -396,7 +394,7 @@ class TestScenarioC:
         # the boundaries lie near beta_f 7.38 at nu-scale 1.1 and near nu-scale 0.645 at beta_f 1;
         # to first order in tau, the Choi matrix of exp(tau L) off vec(I) is tau times that of L
         base = example_c_qdb_point(0.5, 0.1, OMEGA, beta_f)
-        generator = example_c_generator(dataclasses.replace(base, nu=base.nu * nu_scale))
+        generator = example_c_generator(base.replace(nu=base.nu * nu_scale))
         norm = np.linalg.norm(generator, 1)
         (defect,), (tp,) = gkls_defects(generator[None])
         assert bool(defect > 1e-9) is defective and tp < 1e-15

@@ -1,4 +1,3 @@
-import dataclasses
 import functools
 
 import numpy as np
@@ -165,7 +164,7 @@ class TestExpmAgainstScipy:
     def test_critically_damped_scenario_c(self):
         # omega^2 == (alpha - nu)^2: the transverse block has one double eigenvalue
         base = example_c_qdb_point(0.5, 0.1, 0.25, 1.0)
-        p = dataclasses.replace(base, nu=base.alpha + base.omega)
+        p = base.replace(nu=base.alpha + base.omega)
         assert p.omega**2 == (p.alpha - p.nu) ** 2
         l = example_c_generator(p)
         taus = np.geomspace(0.01, 50.0, 12)
@@ -209,7 +208,7 @@ def davies_superop(d: int, circulating: bool) -> np.ndarray:
 
 def _critically_damped_c() -> np.ndarray:
     base = example_c_qdb_point(0.5, 0.1, 0.25, 1.0)
-    return example_c_generator(dataclasses.replace(base, nu=base.alpha + base.omega))
+    return example_c_generator(base.replace(nu=base.alpha + base.omega))
 
 
 GENERATORS = {
@@ -219,7 +218,7 @@ GENERATORS = {
     "b-cold-slow": lambda: lindblad_superop(example_b_generator(ExampleBParams(1.0, 0.05, 5.0))),
     "c": lambda: example_c_generator(example_c_qdb_point(0.5, 0.1, 1.0, 1.0)),
     "c-critically-damped": _critically_damped_c,
-    "c-off-balance": lambda: example_c_generator(dataclasses.replace(example_c_qdb_point(0.5, 0.1, 1.0, 1.0), nu=0.8)),
+    "c-off-balance": lambda: example_c_generator(example_c_qdb_point(0.5, 0.1, 1.0, 1.0).replace(nu=0.8)),
 }
 # tau = 0, a log grid over six decades and the qdb2 times
 GRID = np.concatenate([[0.0], np.geomspace(1e-3, 1e3, 31), QDB2_TAUS])

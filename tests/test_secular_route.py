@@ -19,7 +19,6 @@ are bitwise those of the full route taken in the eigenframe
 reference's.
 """
 
-import dataclasses
 import json
 from pathlib import Path
 
@@ -94,7 +93,7 @@ def _rotated_davies(rng) -> LindbladGenerator:
 
 def _bloch4_model(path: Path, nu_scale: float) -> Path:
     p = example_c_qdb_point(0.5, 0.1, 1.0, 1.0)
-    l4 = example_c_bloch_matrix(dataclasses.replace(p, nu=p.nu * nu_scale))
+    l4 = example_c_bloch_matrix(p.replace(nu=p.nu * nu_scale))
     model = {"schema": 1, "kind": "bloch4", "hamiltonian": [[-0.5, 0], [0, 0.5]], "generator": l4.tolist()}
     path.write_text(json.dumps(model))
     return path

@@ -9,10 +9,13 @@ by name: a bare name or an attribute of that name anywhere in the package
 counts, so this is a cheap lower bound on dead code, not a call graph.  An
 imported name that its module never reads is what a deletion left behind.
 The report stages take plain settings: only ``cli`` imports ``argparse``,
-and no function of ``report`` takes ``args``.  Each error class of ``errors.py`` carries its exit code, which the one
-except clause of ``cli._run`` for ``QdblabError`` returns; the class to code
-table is pinned here, and a class that nothing under ``src/qdblab``
-constructs is a stale entry.
+and no function of ``report`` takes ``args``.  The value classes are plain
+classes: no module imports ``dataclasses``, and only an ``__init__`` sets an
+attribute, apart from the command shell's parsed ``args``.  Each error class
+of ``errors.py`` carries its exit code, which the one except clause of
+``cli._run`` for ``QdblabError`` returns; the class to code table is pinned
+here, and a class that nothing under ``src/qdblab`` constructs is a stale
+entry.
 """
 
 import ast
@@ -88,19 +91,60 @@ def test_every_import_is_read():
     assert unread_imports() == []
 
 
-def test_only_the_command_shell_parses_arguments():
-    # the report stages take plain settings, never a parsed command line
-    importers, report_args = [], []
+def importers(module: str) -> list:
+    """The modules under ``src/qdblab`` that import ``module``, once per import."""
+    found = []
     for path in sorted(SRC.glob("*.py")):
         for node in ast.walk(ast.parse(path.read_text(), str(path))):
-            if isinstance(node, ast.Import) and any(alias.name == "argparse" for alias in node.names):
-                importers.append(path.stem)
-            elif isinstance(node, ast.ImportFrom) and node.module == "argparse":
-                importers.append(path.stem)
-            elif path.stem == "report" and isinstance(node, (ast.FunctionDef, ast.Lambda)):
-                report_args += [a.arg for a in ast.walk(node.args) if isinstance(a, ast.arg) and a.arg == "args"]
-    assert importers == ["cli"]
+            if isinstance(node, ast.Import) and any(alias.name == module for alias in node.names):
+                found.append(path.stem)
+            elif isinstance(node, ast.ImportFrom) and node.module == module:
+                found.append(path.stem)
+    return found
+
+
+def test_only_the_command_shell_parses_arguments():
+    # the report stages take plain settings, never a parsed command line
+    report_args = []
+    for node in ast.walk(ast.parse((SRC / "report.py").read_text())):
+        if isinstance(node, (ast.FunctionDef, ast.Lambda)):
+            report_args += [a.arg for a in ast.walk(node.args) if isinstance(a, ast.arg) and a.arg == "args"]
+    assert importers("argparse") == ["cli"]
     assert report_args == []
+
+
+def test_no_module_imports_dataclasses():
+    # the value classes are plain classes: a cold start neither imports dataclasses nor generates their methods
+    assert importers("dataclasses") == []
+
+
+def attribute_writes() -> list:
+    """``module:line`` of every statement under ``src/qdblab`` outside an
+    ``__init__`` that sets or deletes an attribute, other than one of a
+    command's parsed ``args``, or that calls ``setattr``, ``__setattr__`` or
+    ``__delattr__``."""
+    found = []
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text(), str(path))
+        inits = {id(node) for init in ast.walk(tree) if isinstance(init, ast.FunctionDef) and init.name == "__init__"
+                 for node in ast.walk(init)}
+        for node in ast.walk(tree):
+            if id(node) in inits:
+                continue
+            if isinstance(node, ast.Attribute) and not isinstance(node.ctx, ast.Load):
+                if not (isinstance(node.value, ast.Name) and node.value.id == "args"):
+                    found.append(f"{path.stem}:{node.lineno}")
+            elif isinstance(node, ast.Call) and (
+                isinstance(node.func, ast.Name) and node.func.id == "setattr"
+                or isinstance(node.func, ast.Attribute) and node.func.attr in ("__setattr__", "__delattr__")
+            ):
+                found.append(f"{path.stem}:{node.lineno}")
+    return found
+
+
+def test_fields_are_set_only_in_constructors():
+    # a value's fields are set once, by its __init__; this stands in for the guard of a frozen dataclass
+    assert attribute_writes() == []
 
 
 def error_classes() -> dict:
