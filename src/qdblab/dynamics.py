@@ -37,7 +37,7 @@ from functools import cache
 import numpy as np
 
 from . import matlin
-from .errors import ConfigError, DimensionMismatch, KossakowskiNotPSD, NotTracePreserving
+from .errors import ConfigError, DimensionMismatch, KossakowskiNotPSD, NotCPTP, NotTracePreserving
 from .matlin import dag, kron, vec
 from .states import SIGMA_X, SIGMA_Y, SIGMA_Z, HamiltonianSpec
 
@@ -325,77 +325,78 @@ def _frame_units(d: int) -> tuple:
     return units, np.flatnonzero(coherent), (coherent[:, None] | coherent) & ~np.eye(d * d, dtype=bool)
 
 
-def maps_of(sources: list, h: HamiltonianSpec, times: tuple, grid: slice = slice(0), admit=None) -> tuple:
+def maps_of(sources: list, h: HamiltonianSpec, times: tuple, grid: tuple, tol_cptp: float) -> tuple:
     """The generators, maps and level transitions of the sources, of one
     kind and dimension, with their Hamiltonians' stack ``h``, all in H's
-    eigenframe, the only place the package takes it: the level transitions
-    at the times of the slice ``grid`` of ``times`` and the maps at the
-    others, stacked over the sources in order, as ``(generators, (superops,
-    kraus), transitions)``: the stack ``(k, d^2, d^2)`` of the semigroups'
-    generators ``Q^dag L Q``, with ``Q = conj(V) (x) V`` for h's eigenvectors
-    ``V`` (None for channel families), the stack ``(k, t, d^2, d^2)`` of the
-    maps' matrices, the zero-padded stack ``(k, t, j, d, d)`` of their Kraus
-    operators ``V^dag G V`` (None for semigroups), and the stacks ``(probs,
-    finite, route_gap)`` of :func:`transitions_of`.
+    eigenframe, the only place the package takes it: the maps at ``times``
+    and the level transitions on ``grid``, stacked over the sources in
+    order, as ``(generators, (superops, kraus), transitions)``: the stack
+    ``(k, d^2, d^2)`` of the semigroups' generators ``Q^dag L Q``, with ``Q =
+    conj(V) (x) V`` for h's eigenvectors ``V`` (None for channel families),
+    the stack ``(k, t, d^2, d^2)`` of the maps' matrices, the zero-padded
+    stack ``(k, t, j, d, d)`` of their Kraus operators ``V^dag G V`` (None
+    for semigroups), and the stacks ``(probs, finite, route_gap)`` of
+    :func:`transitions_of`.  One family call, or one exponential, covers
+    ``times + grid``.
 
-    The channel families, of one Kraus count, are each built once over
-    ``times`` and checked as one stack, the first failing source and slice
-    first.  A semigroup is exactly secular when every entry of its eigenframe
-    generator that couples a population unit ``|m><m|`` to a coherence unit,
-    or two different coherence units, is exactly 0 (a structural test, with
-    no tolerance): it is its Pauli rate block ``W`` on the populations plus
-    one decay rate ``lambda_c`` per coherence (Davies 1974).  The secular
-    semigroups take one exponential of their rate blocks over (source,
-    time): ``exp(tau W)`` is their transition matrix on the grid, and their
-    map is ``exp(tau W) (+) diag(exp(tau lambda_c))``.  The others take one
-    exponential of their generators over (source, time), so each source's
-    route depends on its own generator only.  ``admit``, if given, is called
-    with the eigenframe generators before any exponential, so a test of them
-    that raises costs none."""
-    v, d = h.eigenvectors, h.dim
+    The channel families, of one Kraus count, are each built once and
+    checked as one stack, the first failing source and slice first.  The
+    semigroups' eigenframe generators take the GKLS test of
+    :func:`gkls_defects` before any exponential: the first whose defect is
+    not below ``tol_cptp`` raises ``NotCPTP``.  A semigroup is exactly
+    secular when every entry of its eigenframe generator that couples a
+    population unit ``|m><m|`` to a coherence unit, or two different
+    coherence units, is exactly 0 (a structural test, with no tolerance): it
+    is its Pauli rate block ``W`` on the populations plus one decay rate
+    ``lambda_c`` per coherence (Davies 1974).  The secular semigroups take
+    one exponential of their rate blocks over (source, time): ``exp(tau W)``
+    is their transition matrix on the grid, and their map is ``exp(tau W)
+    (+) diag(exp(tau lambda_c))``.  The others take one exponential of their
+    generators over (source, time), so each source's route depends on its
+    own generator only."""
+    v, d, t = h.eigenvectors, h.dim, len(times)
     if sources[0].generator is None:
-        kraus = _kraus_stacks(np.array([s.family(times) for s in sources], dtype=complex), h)
+        kraus = _kraus_stacks(np.array([s.family(times + grid) for s in sources], dtype=complex), h)
         # V^dag G V = ((G V)^T conj(V))^T, two products over the whole stack of each source
         gv = (kraus.reshape(len(sources), -1, d) @ v).reshape(kraus.shape).swapaxes(-1, -2)
         kraus = (gv.reshape(len(sources), -1, d) @ v.conj()).reshape(kraus.shape).swapaxes(-1, -2)
         superops = _kraus_superops(kraus)
-        maps = np.delete(superops, grid, axis=1), np.delete(kraus, grid, axis=1)
-        return None, maps, transitions_of(superops[:, grid], kraus[:, grid])
+        return None, (superops[:, :t], kraus[:, :t]), transitions_of(superops[:, t:], kraus[:, t:])
     q = kron(v.conj(), v)
     with np.errstate(over="ignore", invalid="ignore"):  # a non-finite coupling is not 0
         generators = dag(q) @ np.array([s.generator for s in sources]) @ q
-    if admit is not None:
-        admit(generators)
+    cp, tp = gkls_defects(generators)
+    for k in np.flatnonzero(~(np.maximum(cp, tp) < tol_cptp))[:1]:  # a nan defect fails too
+        raise NotCPTP(f"the generator is not of GKLS form: cp={cp[k]:.3e}, tp={tp[k]:.3e} relative to its 1-norm")
     secular = ~generators[:, _frame_units(d)[2]].any(axis=-1)
-    k, n = len(sources), len(range(len(times))[grid])
-    superops = np.empty((k, len(times) - n, d * d, d * d), dtype=complex)
-    probs, finite = np.empty((k, n, d, d)), np.empty((k, n), dtype=bool)
+    superops = np.empty((len(sources), t, d * d, d * d), dtype=complex)
+    probs, finite = np.empty((len(sources), len(grid), d, d)), np.empty((len(sources), len(grid)), dtype=bool)
     for route, picked in ((_full_route, ~secular), (_population_route, secular)):
         if picked.any():
             superops[picked], probs[picked], finite[picked] = route(generators[picked], times, grid)
     return generators, (superops, None), (probs, finite, np.zeros(finite.shape))
 
 
-def _full_route(generators: np.ndarray, times: tuple, grid: slice) -> tuple:
+def _full_route(generators: np.ndarray, times: tuple, grid: tuple) -> tuple:
     """``(superops, probs, finite)`` of :func:`maps_of` from one exponential
     of the eigenframe generators over (source, time)."""
-    maps = matlin.expm(generators, times)
-    probs, finite, _ = transitions_of(maps[:, grid], None)
-    return np.delete(maps, grid, axis=1), probs, finite
+    maps = matlin.expm(generators, times + grid)
+    probs, finite, _ = transitions_of(maps[:, len(times):], None)
+    return maps[:, : len(times)], probs, finite
 
 
-def _population_route(generators: np.ndarray, times: tuple, grid: slice) -> tuple:
+def _population_route(generators: np.ndarray, times: tuple, grid: tuple) -> tuple:
     """``(superops, probs, finite)`` of :func:`maps_of` for exactly secular
     eigenframe generators, with one exponential of their rate blocks
     ``W[n, m]``, the entries from ``|m><m|`` to ``|n><n|``, over (source,
     time)."""
-    d = math.isqrt(generators.shape[-1])
+    d, t = math.isqrt(generators.shape[-1]), len(times)
     units, coherent, _ = _frame_units(d)
-    populations = matlin.expm(generators[:, units[:, None], units], times)
-    taus = np.delete(np.asarray(times, dtype=float), grid)
-    superops = np.zeros((len(generators), len(taus), d * d, d * d), dtype=complex)
-    superops[..., units[:, None], units] = np.delete(populations, grid, axis=1)
+    populations = matlin.expm(generators[:, units[:, None], units], times + grid)
+    superops = np.zeros((len(generators), t, d * d, d * d), dtype=complex)
+    superops[..., units[:, None], units] = populations[:, :t]
+    taus = np.asarray(times, dtype=float)
     with np.errstate(over="ignore", under="ignore", invalid="ignore"):
         superops[..., coherent, coherent] = np.exp(taus[:, None] * generators[:, None, coherent, coherent])
-    grid_maps = populations[:, grid]
+    grid_maps = populations[:, t:]
     return superops, grid_maps.real.swapaxes(-1, -2), np.isfinite(grid_maps).all(axis=(-2, -1))

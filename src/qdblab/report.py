@@ -13,13 +13,11 @@ be called, compared or timed on its own.
 from __future__ import annotations
 
 import math
-from functools import partial
 
 import numpy as np
 
 from .balance import check_qdb1, check_qdb2
-from .dynamics import gkls_defects, maps_of
-from .errors import NotCPTP
+from .dynamics import maps_of
 from .fluctuation import FIXED_POINT_TAUS, TAU_MAX, classify, exchange_grid, ratios
 from .states import HamiltonianSpec
 
@@ -39,29 +37,20 @@ def fmt_float(x) -> str:
     return format(float(x), ".17g")
 
 
-def _balance(check, h: HamiltonianSpec, betas: list, operators: list, s_grid: tuple, tol_qdb: float) -> list:
+def _balance(check, h: HamiltonianSpec, betas: np.ndarray, operators, s_grid: tuple, tol_qdb: float) -> list:
     """The verdict section of ``check`` over ``s_grid`` for each source, of
-    h's stack, with a beta and an operator, else None, from one broadcast
-    over those sources."""
-    picked = [i for i, (b, o) in enumerate(zip(betas, operators)) if b is not None and o is not None]
-    sections = [None] * len(betas)
-    if picked:
-        residuals = check(h[picked], [betas[i] for i in picked], s_grid, np.array([operators[i] for i in picked]))
+    h's stack, with a beta in ``betas`` (nan for none) and operators in the
+    stack ``operators`` (None for none), else None, from one broadcast over
+    those sources."""
+    picked, sections = np.flatnonzero(~np.isnan(betas)), [None] * len(betas)
+    if operators is not None and picked.size:
+        residuals = check(h[picked], betas[picked], s_grid, operators[picked])
         keys = [fmt_float(s) for s in s_grid]
         for i, r in zip(picked, residuals):
             per_s = dict(zip(keys, r.tolist()))
             worst = max(per_s.values())
             sections[i] = {"passes": bool(worst < tol_qdb), "max_residual": worst, "per_s": per_s}
     return sections
-
-
-def _require_gkls(tol_cptp: float, generators: np.ndarray) -> None:
-    """Raise ``NotCPTP`` for the first of the eigenframe ``generators``
-    whose GKLS defect, relative to its 1-norm in that frame, is not below
-    ``tol_cptp``."""
-    cp, tp = gkls_defects(generators)
-    for k in np.flatnonzero(~(np.maximum(cp, tp) < tol_cptp))[:1]:  # a nan defect fails too
-        raise NotCPTP(f"the generator is not of GKLS form: cp={cp[k]:.3e}, tp={tp[k]:.3e} relative to its 1-norm")
 
 
 def analyse(sources: list, tau_grid: tuple, s_grid: tuple, tol_qdb: float, tol_cptp: float) -> tuple:
@@ -73,20 +62,19 @@ def analyse(sources: list, tau_grid: tuple, s_grid: tuple, tol_qdb: float, tol_c
     level transitions on ``tau_grid``, from one :func:`maps_of` call;
     classify; and qdb1 and qdb2 over ``s_grid``, which pass below
     ``tol_qdb``; one analysis ``(sections, betas, taus, transitions, h)`` of
-    them all, with a list of each source's sections and beta_f, the stacks
-    of their transitions on the tau grid and their Hamiltonians' stack.  A
-    failing stage raises, for whichever source fails it."""
+    them all, with a list of each source's sections, the array of their
+    beta_f (nan where there is none), the stacks of their transitions on the
+    tau grid and their Hamiltonians' stack.  A failing stage raises, for
+    whichever source fails it."""
     probes = () if sources[0].generator is not None else sources[0].taus((TAU_MAX, *FIXED_POINT_TAUS))
     taus, qdb2_taus = sources[0].taus(tau_grid), tuple(filter(math.isfinite, sources[0].taus(QDB2_TAUS)))
-    p, h, none = len(probes), HamiltonianSpec.stack([s.h for s in sources]), [None] * len(sources)
+    p, h = len(probes), HamiltonianSpec.stack([s.h for s in sources])
     # every stage from here reads the eigenframe matrices of maps_of
-    generators, (superops, _), transitions = maps_of(
-        sources, h, probes + taus + qdb2_taus, slice(p, p + len(taus)), partial(_require_gkls, tol_cptp)
-    )
+    generators, (superops, _), transitions = maps_of(sources, h, probes + qdb2_taus, taus, tol_cptp)
     classified = classify(sources, superops[:, :p] if generators is None else generators, h)
-    betas = [b if b is not None and math.isfinite(b) else None for _, b, _ in classified]
-    qdb1 = _balance(check_qdb1, h, betas, none if generators is None else generators, s_grid, tol_qdb)
-    qdb2 = _balance(check_qdb2, h, betas, superops[:, p:] if qdb2_taus else none, s_grid, tol_qdb)
+    betas = np.array([b if b is not None and math.isfinite(b) else math.nan for _, b, _ in classified])
+    qdb1 = _balance(check_qdb1, h, betas, generators, s_grid, tol_qdb)
+    qdb2 = _balance(check_qdb2, h, betas, superops[:, p:] if qdb2_taus else None, s_grid, tol_qdb)
     classification = [{"kind": k, "beta_f": json_float(b), "gamma_min": json_float(g)} for k, b, g in classified]
     sections = [{"classification": c, "qdb1": q1, "qdb2": q2 and {**q2, "taus": list(qdb2_taus)}}
                 for c, q1, q2 in zip(classification, qdb1, qdb2)]
@@ -105,7 +93,7 @@ def build_report(analysis: tuple, tol_qfr: float, beta_i, beta_f) -> list:
     point shares gives its transitions once.
     The first point that fails a check raises."""
     sections, betas, taus, transitions, h = analysis
-    beta_i, beta_f, inferred = np.broadcast_arrays(beta_i, beta_f, [math.nan if b is None else b for b in betas])
+    beta_i, beta_f, inferred = np.broadcast_arrays(beta_i, beta_f, betas)
     grid = exchange_grid(transitions, h, beta_i)
     defined, ratio, predicted, deviation = ratios(*grid, beta_i - np.where(np.isnan(inferred), beta_f, inferred))
     energies, p_plus, p_minus, recorded = np.broadcast_to(grid[0], predicted.shape), *grid[1:]

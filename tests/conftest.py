@@ -17,6 +17,7 @@ from qdblab.dynamics import (
     _kraus_stacks,
     _kraus_superops,
     choi_matrix,
+    gkls_defects,
     maps_of,
     require_superop_dim,
     transitions_of,
@@ -33,7 +34,7 @@ from qdblab.examples import (
     qubit_hamiltonian,
 )
 from qdblab.errors import DimensionMismatch, InconclusiveHorizon, InternalCheckError, NotAState
-from qdblab.errors import NotTracePreserving, QdblabError
+from qdblab.errors import NotCPTP, NotTracePreserving, QdblabError
 from qdblab.matlin import dag, kron, unvec, vec
 from qdblab.fluctuation import (
     CONVERGENCE_ATOL,
@@ -62,6 +63,8 @@ from qdblab.states import (
 )
 
 SEED = int(os.environ.get("QDBLAB_SEED", "20260810"))
+# the GKLS tolerance of direct maps_of calls: the command line's --tol-cptp default
+TOL_CPTP = 1e-9
 
 
 @pytest.fixture
@@ -290,7 +293,7 @@ def grid_of(sources, taus) -> list:
     """The level transitions ``(probs, finite, route_gap)`` of each source of
     ``sources`` on the grid ``taus``, from one :func:`qdblab.dynamics.maps_of`
     call."""
-    *_, transitions = maps_of(sources, stacked_h(sources), tuple(taus), slice(None))
+    *_, transitions = maps_of(sources, stacked_h(sources), (), tuple(taus), TOL_CPTP)
     return list(zip(*transitions))
 
 
@@ -327,41 +330,48 @@ def reference_transition_stack(superops: np.ndarray, kraus, h: HamiltonianSpec) 
     return probs, np.isfinite(superops).all(axis=(-2, -1)), route_gap
 
 
-def reference_maps_of(sources: list, h: HamiltonianSpec, times: tuple, grid: slice = slice(0), admit=None) -> tuple:
+def reference_gkls_test(generators: np.ndarray, tol_cptp: float) -> None:
+    """The GKLS test that :func:`qdblab.dynamics.maps_of` runs on the
+    eigenframe ``generators``: ``NotCPTP`` for the first whose defect is not
+    below ``tol_cptp``."""
+    cp, tp = gkls_defects(generators)
+    for k in np.flatnonzero(~(np.maximum(cp, tp) < tol_cptp))[:1]:
+        raise NotCPTP(f"the generator is not of GKLS form: cp={cp[k]:.3e}, tp={tp[k]:.3e} relative to its 1-norm")
+
+
+def reference_maps_of(sources: list, h: HamiltonianSpec, times: tuple, grid: tuple, tol_cptp: float) -> tuple:
     """:func:`qdblab.dynamics.maps_of` with every source on the full route
     in the basis of H's matrix: a semigroup's maps are one exponential of
     its ``d^2 x d^2`` generator over every time, every source's transitions
     on the grid come from its maps by :func:`reference_transition_stack`,
     and the generators and maps are then taken to H's eigenframe by
-    :func:`eigenframe`; ``admit`` sees the eigenframe generators first."""
-    generators, kraus = None, None
+    :func:`eigenframe`; the eigenframe generators take the GKLS test first."""
+    generators, kraus, n = None, None, len(times)
     if sources[0].generator is None:
-        kraus = _kraus_stacks(np.array([s.family(times) for s in sources], dtype=complex), h)
+        kraus = _kraus_stacks(np.array([s.family(times + grid) for s in sources], dtype=complex), h)
         superops = _kraus_superops(kraus)
     else:
         original = np.array([s.generator for s in sources])
         generators = eigenframe(original, h)
-        if admit is not None:
-            admit(generators)
-        superops = matlin.expm(original, times)
-    rest = None if kraus is None else eigenframe(np.delete(kraus, grid, axis=1), h)
-    transitions = reference_transition_stack(superops[:, grid], None if kraus is None else kraus[:, grid], h)
-    return generators, (eigenframe(np.delete(superops, grid, axis=1), h), rest), transitions
+        reference_gkls_test(generators, tol_cptp)
+        superops = matlin.expm(original, times + grid)
+    rest = None if kraus is None else eigenframe(kraus[:, :n], h)
+    transitions = reference_transition_stack(superops[:, n:], None if kraus is None else kraus[:, n:], h)
+    return generators, (eigenframe(superops[:, :n], h), rest), transitions
 
 
-def reference_frame_route(sources: list, h: HamiltonianSpec, times: tuple, grid: slice = slice(0), admit=None) -> tuple:
+def reference_frame_route(sources: list, h: HamiltonianSpec, times: tuple, grid: tuple, tol_cptp: float) -> tuple:
     """:func:`qdblab.dynamics.maps_of` with every semigroup on the full route
     in H's eigenframe: one exponential of its generator, taken to the frame
     by :func:`eigenframe`, over every time, and its transitions on the grid
     read from its maps by :func:`reference_transition_stack` in the frame's
-    own basis; ``admit`` sees the eigenframe generators first."""
+    own basis; the eigenframe generators take the GKLS test first."""
     generators = eigenframe(np.array([s.generator for s in sources]), h)
-    if admit is not None:
-        admit(generators)
-    superops = matlin.expm(generators, times)
+    reference_gkls_test(generators, tol_cptp)
+    superops = matlin.expm(generators, times + grid)
     units = HamiltonianSpec(h.matrix, h.eigenvalues, np.broadcast_to(np.eye(h.dim), h.eigenvectors.shape))
-    transitions = reference_transition_stack(superops[:, grid], None, units)
-    return generators, (np.delete(superops, grid, axis=1), None), transitions
+    transitions = reference_transition_stack(superops[:, len(times):], None, units)
+    return generators, (superops[:, : len(times)], None), transitions
 
 
 def stacks_of(g, h):
@@ -746,7 +756,7 @@ def classify_one(source) -> tuple:
     gamma_min)``, from the probe maps that ``report.analyse`` takes for it, none
     for a semigroup."""
     h = HamiltonianSpec.stack([source.h])
-    generators, (superops, _), _ = maps_of([source], h, source.taus((TAU_MAX, *FIXED_POINT_TAUS)))
+    generators, (superops, _), _ = maps_of([source], h, source.taus((TAU_MAX, *FIXED_POINT_TAUS)), (), TOL_CPTP)
     return classify([source], superops if generators is None else generators, h)[0]
 
 
@@ -890,7 +900,7 @@ def reference_classify_family(source) -> tuple:
     through its Kraus maps: the reference for the family branch of
     :func:`qdblab.fluctuation.classify`, which reads the superoperator stack."""
     h = source.h
-    _, (_, (kraus,)), _ = maps_of([source], stacked_h([source]), (TAU_MAX, *FIXED_POINT_TAUS))
+    _, (_, (kraus,)), _ = maps_of([source], stacked_h([source]), (TAU_MAX, *FIXED_POINT_TAUS), (), TOL_CPTP)
     finals = [apply(kraus[0], p) for p in _probe_states(h.dim)]
     mean = sum(finals) / len(finals)
     mean = (mean + dag(mean)) / 2

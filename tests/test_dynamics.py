@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from conftest import (
+    TOL_CPTP,
     stacked_h,
     a_family,
     commutator_superop,
@@ -434,13 +435,13 @@ class TestDynamicsSources:
             Dynamics.single_map(h, [np.eye(2)], 1.0)
         family = Dynamics.channel_family(h, lambda taus: np.array([[np.eye(2)]] * len(taus)))
         with pytest.raises(DimensionMismatch, match="channel dimension"):
-            maps_of([family], stacked_h([family]), (0.5, 1.0))
+            maps_of([family], stacked_h([family]), (0.5, 1.0), (), TOL_CPTP)
 
     def test_single_map_repeats_its_channel(self, rng):
         ops = [np.eye(2) / np.sqrt(2), SIGMA_X / np.sqrt(2)]
         source = Dynamics.single_map(qubit_hamiltonian(1.0), ops, 1.0)
         # H is diagonal, so its eigenframe is the basis the operators are given in
-        _, ((superops,), (kraus,)), _ = maps_of([source], stacked_h([source]), (1.0, 1.0))
+        _, ((superops,), (kraus,)), _ = maps_of([source], stacked_h([source]), (1.0, 1.0), (), TOL_CPTP)
         assert np.array_equal(kraus, [ops] * 2)
         assert np.array_equal(superops, [superop_from_channel(ops)] * 2)
 
@@ -455,7 +456,7 @@ class TestMapsOf:
     @pytest.mark.parametrize("d", [2, 3, 4])
     def test_semigroups_slice_their_own_exponentials(self, rng, d):
         sources = [Dynamics.semigroup(g.hamiltonian, g) for g in (random_lindblad(rng, d) for _ in range(3))]
-        generators, maps, _ = maps_of(sources, stacked_h(sources), sum(TIME_PARTS, ()))
+        generators, maps, _ = maps_of(sources, stacked_h(sources), sum(TIME_PARTS, ()), (), TOL_CPTP)
         for generator, (superops, kraus), source in zip(generators, per_source(maps), sources):
             assert kraus is None
             # the generator in its random eigenframe, within the roundoff of two products
@@ -466,7 +467,7 @@ class TestMapsOf:
         params = [ExampleAParams(0.5, 1.0), ExampleAParams(2.0, 3.0)]
         params.append(ExampleAParams(1.0, 0.3, fixed_point=True))
         sources = [Dynamics.channel_family(qubit_hamiltonian(p.omega), a_family(p)) for p in params]
-        generators, maps, _ = maps_of(sources, stacked_h(sources), sum(TIME_PARTS, ()))
+        generators, maps, _ = maps_of(sources, stacked_h(sources), sum(TIME_PARTS, ()), (), TOL_CPTP)
         assert generators is None
         # each qubit H is diagonal, so its eigenframe is the basis of the channel's operators
         for (superops, kraus), p, source in zip(per_source(maps), params, sources):
@@ -481,7 +482,7 @@ class TestMapsOf:
         source = Dynamics.single_map(h, ops, 1.0)
         taus = sum((source.taus(t) for t in TIME_PARTS), ())
         assert taus == (1.0,) * 3
-        _, ((superops,), (kraus,)), _ = maps_of([source], stacked_h([source]), taus)
+        _, ((superops,), (kraus,)), _ = maps_of([source], stacked_h([source]), taus, (), TOL_CPTP)
         # the operators V^dag G V in the random eigenframe, within the roundoff of two products
         np.testing.assert_allclose(kraus, np.repeat(eigenframe(_kraus_stacks(np.array([ops]), h), h), 3, axis=0),
                                    rtol=0, atol=1e-14)

@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import (
+    TOL_CPTP,
     stacked_h,
     evolve_grid,
     BlochVector,
@@ -109,7 +110,7 @@ class TestScenarioA:
 
         source = Dynamics.channel_family(self.h, family)
         with pytest.raises(NotTracePreserving, match=r"^sum G\^dag G differs from identity by 2\.100e-01$"):
-            maps_of([source], stacked_h([source]), (0.5, 1.0, 2.0))
+            maps_of([source], stacked_h([source]), (0.5, 1.0, 2.0), (), TOL_CPTP)
 
     def test_start_is_identity_channel(self, rng):
         rho0 = bloch_to_density(BlochVector(0.2, -0.3, 0.4))

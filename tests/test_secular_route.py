@@ -25,7 +25,15 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from conftest import davies_generator, davies_source, expm_shapes, reference_frame_route, reference_maps_of, stacked_h
+from conftest import (
+    TOL_CPTP,
+    davies_generator,
+    davies_source,
+    expm_shapes,
+    reference_frame_route,
+    reference_maps_of,
+    stacked_h,
+)
 from qdblab import cli, report
 from qdblab.cli import EXIT_OK, _build_parser, main, save_model
 from qdblab.dynamics import Dynamics, LindbladGenerator, lindblad_superop, maps_of
@@ -36,8 +44,8 @@ from qdblab.states import HamiltonianSpec
 # over 1200 random Davies models at d = 2-4 (seeds 0-39) the worst entry read 1.2e-14 past P_ATOL
 P_RTOL = 2e-14
 P_ATOL = 1e-15
-TIMES = (*np.geomspace(0.01, 50.0, 40), *report.QDB2_TAUS)
-GRID = slice(0, 40)
+TIMES = report.QDB2_TAUS
+GRID = tuple(np.geomspace(0.01, 50.0, 40))
 GOLDEN_MODEL = Path(__file__).parent / "golden" / "davies3_circulating.json"
 
 
@@ -66,10 +74,10 @@ def _secular_sources(rng, case) -> list:
 def test_secular_sources_take_exp_tau_w_within_roundoff_of_the_full_route(rng, monkeypatch, case):
     sources = _secular_sources(rng, case)
     shapes = expm_shapes(monkeypatch)
-    generators, (superops, _), (probs, finite, gap) = maps_of(sources, stacked_h(sources), TIMES, GRID)
+    generators, (superops, _), (probs, finite, gap) = maps_of(sources, stacked_h(sources), TIMES, GRID, TOL_CPTP)
     d = sources[0].h.dim
     assert shapes == [(len(sources), d, d)]  # the rate blocks only
-    want_generators, (want_superops, _), want = reference_maps_of(sources, stacked_h(sources), TIMES, GRID)
+    want_generators, (want_superops, _), want = reference_maps_of(sources, stacked_h(sources), TIMES, GRID, TOL_CPTP)
     want_probs, want_finite, want_gap = want
     assert np.array_equal(generators, want_generators)  # H is diagonal: its eigenframe is its own basis
     np.testing.assert_allclose(probs, want_probs, rtol=P_RTOL, atol=P_ATOL)
@@ -196,5 +204,5 @@ def test_the_secular_test_is_structural(rng, monkeypatch, coupling, route):
     assert l[1, 0] == 0
     l[1, 0] = coupling
     shapes = expm_shapes(monkeypatch)
-    maps_of([Dynamics.semigroup(gen.hamiltonian, l)], HamiltonianSpec.stack([gen.hamiltonian]), TIMES, GRID)
+    maps_of([Dynamics.semigroup(gen.hamiltonian, l)], HamiltonianSpec.stack([gen.hamiltonian]), TIMES, GRID, TOL_CPTP)
     assert shapes == [(1, 3, 3) if route == "population" else (1, 9, 9)]

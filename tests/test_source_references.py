@@ -9,7 +9,9 @@ by name: a bare name or an attribute of that name anywhere in the package
 counts, so this is a cheap lower bound on dead code, not a call graph.  An
 imported name that its module never reads is what a deletion left behind.
 The report stages take plain settings: only ``cli`` imports ``argparse``,
-and no function of ``report`` takes ``args``.  The value classes are plain
+and no function of ``report`` takes ``args``.  ``dynamics.maps_of`` takes
+plain time tuples and runs the GKLS test itself, so ``report`` hands it no
+slice or callback.  The value classes are plain
 classes: no module imports ``dataclasses``, and only an ``__init__`` sets an
 attribute, apart from the command shell's parsed ``args``.  Each error class
 of ``errors.py`` carries its exit code, which the one except clause of
@@ -19,9 +21,11 @@ entry.
 """
 
 import ast
+import inspect
 from pathlib import Path
 
 from qdblab import errors
+from qdblab.dynamics import maps_of
 
 SRC = Path(__file__).resolve().parents[1] / "src" / "qdblab"
 # the package version and the console-script entry point have callers outside the package
@@ -116,6 +120,18 @@ def test_only_the_command_shell_parses_arguments():
 def test_no_module_imports_dataclasses():
     # the value classes are plain classes: a cold start neither imports dataclasses nor generates their methods
     assert importers("dataclasses") == []
+
+
+def test_maps_of_takes_time_tuples_and_runs_the_gkls_test():
+    # the map times and the grid are two tuples, and the GKLS test runs inside maps_of, on its tolerance
+    params = inspect.signature(maps_of).parameters.values()
+    assert [p.name for p in params] == ["sources", "h", "times", "grid", "tol_cptp"]
+    assert all(p.default is p.empty and p.kind is p.POSITIONAL_OR_KEYWORD for p in params)
+    report = ast.parse((SRC / "report.py").read_text())
+    names = {alias.name for node in ast.walk(report) if isinstance(node, (ast.Import, ast.ImportFrom))
+             for alias in node.names}
+    assert "report" not in importers("functools")
+    assert "gkls_defects" not in names
 
 
 def attribute_writes() -> list:

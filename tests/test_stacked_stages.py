@@ -15,6 +15,7 @@ import numpy as np
 import pytest
 
 from conftest import (
+    TOL_CPTP,
     stacked_h,
     a_family,
     per_source,
@@ -55,7 +56,7 @@ def probes_of(sources):
     """classify's eigenframe probes of a block, as ``report.analyse`` takes them:
     the generators of semigroups, the probe maps of Kraus sources."""
     times = () if sources[0].generator is not None else sources[0].taus(PROBES)
-    generators, (superops, _), _ = maps_of(sources, stacked_h(sources), times)
+    generators, (superops, _), _ = maps_of(sources, stacked_h(sources), times, (), TOL_CPTP)
     return superops if generators is None else generators
 
 
@@ -210,7 +211,7 @@ class TestScenarioBuilds:
         hs = qubit_hamiltonian([p.omega for p in params])
         sources = [Dynamics.channel_family(h, a_family(p)) for h, p in zip(hs, params)]
         taus = (*PROBES, 0.05, 0.4, 2.0, 9.0)
-        _, maps, _ = maps_of(sources, stacked_h(sources), taus)
+        _, maps, _ = maps_of(sources, stacked_h(sources), taus, (), TOL_CPTP)
         # each qubit H is diagonal, so its eigenframe is the basis of the channel's operators
         for (superops, kraus), source, p in zip(per_source(maps), sources, params):
             assert np.array_equal(kraus, _kraus_stacks(example_a_channel(*p.schedules(taus)), source.h))
