@@ -1,9 +1,9 @@
 """Command-line interface: a thin shell around :mod:`qdblab.report`.
 
-Parses a command line and checks its settings, builds the sources of a
-built-in scenario (:mod:`qdblab.examples`) or of a user-supplied model file
-(JSON), runs the report stages on them, one scenario parameter swept or
-none, and writes machine-readable reports.  Reports are byte-deterministic
+Parses a command line and checks its settings, builds the dynamics block of
+a built-in scenario (:mod:`qdblab.examples`) or of a user-supplied model file
+(JSON), runs the report stages on it, one scenario parameter swept or none,
+and writes machine-readable reports.  Reports are byte-deterministic
 for a fixed configuration: CSV floats are printed with 17 significant
 digits, JSON floats as their shortest round-trip ``repr``, and rows are
 ordered by (tau, gap).
@@ -192,7 +192,7 @@ def save_model(gen: LindbladGenerator, path: Path) -> None:
 
 
 def load_model(path: Path):
-    """Parse a model file into a dynamics source (validating invariants)."""
+    """Parse a model file into a block of one point (validating invariants)."""
     path = Path(path)
     try:
         obj = json.loads(path.read_text(encoding="utf-8"))
@@ -254,22 +254,23 @@ SCENARIOS = {
 }
 
 
-def _analyse(sources: list, args) -> tuple:
-    """:func:`report.analyse` of ``sources`` under the run's settings ``args``."""
-    return analyse(sources, args.tau_grid, args.s_grid, args.tol_qdb, args.tol_cptp)
+def _analyse(block: Dynamics, args) -> tuple:
+    """:func:`report.analyse` of ``block`` under the run's settings ``args``."""
+    return analyse(block, args.tau_grid, args.s_grid, args.tol_qdb, args.tol_cptp)
 
 
-def _scenario(name: str, args, points: list) -> list:
+def _scenario(name: str, args, points: list) -> tuple:
     """:func:`examples.scenario_sources` of scenario ``name`` at ``points`` under the scenario flags ``args``."""
     return scenario_sources(name, points, args.beta_f, args.omega, args.gamma, args.mu, args.eta, args.nu_scale,
                             args.q_schedule)
 
 
-def _emit(label: str, source: Dynamics, args, f_factor=None, **extra) -> None:
-    """Write the rows and verdict, with ``extra`` entries, of one source: a
-    row per tau and Bohr gap, with scenario A's ``f_factor`` of the taus."""
+def _emit(label: str, block: Dynamics, args, f_factor=None, **extra) -> None:
+    """Write the rows and verdict, with ``extra`` entries, of a block of one
+    point: a row per tau and Bohr gap, with scenario A's ``f_factor`` of the
+    taus."""
     ((sections, (taus, energies, predicted, recorded, p_plus, p_minus, defined, ratio, deviation)),) = build_report(
-        _analyse([source], args), args.tol_qfr, args.beta_i, args.beta_f
+        _analyse(block, args), args.tol_qfr, args.beta_i, args.beta_f
     )
     header = "tau E p_plus p_minus R predicted deviation".split() + ([] if f_factor is None else ["F_tau"])
     t, g = np.nonzero(recorded)  # the kept records, in (tau, gap) order
@@ -279,7 +280,7 @@ def _emit(label: str, source: Dynamics, args, f_factor=None, **extra) -> None:
     columns = [(taus, t), (energies, g), p_plus[t, g], p_minus[t, g],
                (ratio[t, g][has], k), (predicted, np.where(has, g, -1)), (deviation[t, g][has], k)]
     if f_factor is not None:
-        columns.append((f_factor(taus), t))
+        columns.append((f_factor(taus)[0], t))
     tolerances = {"qdb_pass": args.tol_qdb, "qfr_pass": args.tol_qfr, "cptp": args.tol_cptp}
     grids = {"tau_grid": list(args.tau_grid), "s_grid": list(args.s_grid), "tolerances": tolerances}
     run = {**grids, "beta_i": args.beta_i, "beta_f": args.beta_f}
@@ -296,10 +297,10 @@ def _emit(label: str, source: Dynamics, args, f_factor=None, **extra) -> None:
 def cmd_example(args) -> int:
     if args.save_model and args.name != "b":
         raise ConfigError(f"--save-model writes only scenario b, not scenario {args.name}")
-    ((source, f_factor),) = _scenario(args.name, args, [{}])
+    block, f_factor = _scenario(args.name, args, [{}])
     if args.save_model:
         save_model(example_b_generator(ExampleBParams(args.omega, args.gamma, args.beta_f)), Path(args.save_model))
-    _emit(f"example_{args.name}", source, args, f_factor, example=args.name)
+    _emit(f"example_{args.name}", block, args, f_factor, example=args.name)
     return EXIT_OK
 
 
@@ -321,7 +322,7 @@ def cmd_sweep(args) -> int:
             f"parameter {args.parameter!r} is not sweepable for {args.target!r}; choose from {allowed}"
         )
     model = None if args.target in SCENARIOS else load_model(args.target)
-    shared = []  # a beta_i sweep's one analysis, of the source that all its points share
+    shared = []  # a beta_i sweep's one analysis, of the one-point block that all its points share
 
     def block(values: tuple) -> list:
         """The verdicts of the points ``values``, from one exchange grid.
@@ -330,13 +331,12 @@ def cmd_sweep(args) -> int:
         first failing check."""
         try:
             if args.parameter != "beta_i":
-                sources = _scenario(args.target, args, [{args.parameter: v} for v in values])
-                analysis = _analyse([source for source, _ in sources], args)
+                analysis = _analyse(_scenario(args.target, args, [{args.parameter: v} for v in values])[0], args)
             elif min(values) < 0:  # the one setting that a point changes and _run has not checked
                 raise ConfigError("beta-i must be nonnegative")
             else:
                 if not shared:
-                    shared.append(_analyse([model or _scenario(args.target, args, [{}])[0][0]], args))
+                    shared.append(_analyse(model or _scenario(args.target, args, [{}])[0], args))
                 analysis = shared[0]
             # a swept beta_i or beta_f takes its value per point
             betas = {"beta_i": args.beta_i, "beta_f": args.beta_f, args.parameter: values}

@@ -1,8 +1,10 @@
 """CPTP dynamics: Lindblad generators, superoperator matrices (of Lindblad
-and of qubit Bloch-coordinate generators), the GKLS test of generators and
-``Dynamics``, whose generators, maps at one time tuple and level
-transitions on the tau grid come, from ``maps_of``, as stacks that every
-check, ``classify`` of a channel family too, reads; an
+and of qubit Bloch-coordinate generators), the GKLS test of generators, and
+``Dynamics``, a block of dynamics stacked over its points: one stacked
+Hamiltonian with one generator stack or one Kraus family of stacks.  Every
+stage takes the block whole: ``maps_of`` gives its generators, its maps at
+one time tuple and its level transitions on the tau grid as stacks over the
+points, which every check, ``classify`` of a channel family too, reads; an
 exactly secular semigroup takes its transitions from its d x d rate block
 alone, and no map is evolved, applied or made Kraus alone.
 
@@ -41,8 +43,12 @@ from .errors import ConfigError, DimensionMismatch, KossakowskiNotPSD, NotCPTP, 
 from .matlin import dag, kron, vec
 from .states import SIGMA_X, SIGMA_Y, SIGMA_Z, HamiltonianSpec
 
+# absolute, because sum_j G_j^dag G_j is compared with I, whose entries are 0 or 1 whatever the map
 TP_ATOL = 1e-10
+# relative to max|C|, with a floor of 1: the Kossakowski matrix's roundoff scales with its largest entry
 PSD_ATOL = 1e-10
+# absolute, because a basis operator's trace is read on the scale of entries of order 1, as the Gell-Mann
+# basis and the traceless parts of jumps at unit rate have them
 BASIS_ATOL = 1e-12
 
 
@@ -245,31 +251,42 @@ def gkls_defects(generators: np.ndarray) -> tuple:
 
 
 class Dynamics:
-    """One dynamics to verify: a semigroup or a Kraus channel family.
+    """A block of dynamics to verify, stacked over its points: semigroups or
+    Kraus channel families, of one kind and dimension.
 
-    Exactly one of ``generator`` (the Schroedinger-picture generator matrix)
-    and ``family`` (a callable ``taus -> (t, j, d, d)`` Kraus stack,
-    zero-padded) is set.  A single map is a family at one time: its ``tau``
-    is set, and its family repeats the map at every requested time.  Build a
+    ``h`` is the points' stacked ``HamiltonianSpec`` ``(k, d, d)``.  Exactly
+    one of ``generator`` (the stack ``(k, d^2, d^2)`` of Schroedinger-picture
+    generator matrices) and ``family`` (a callable ``taus -> (k, t, j, d,
+    d)`` Kraus stack, zero-padded) is set.  A single map is a family at one
+    time: its ``tau`` is set, and its family repeats the map at every
+    requested time.  A one-point, unstacked ``h`` ``(d, d)``, with its
+    generator ``(d^2, d^2)`` or family ``taus -> (t, j, d, d)``, is a block
+    of one point; the point axis is added here and nowhere else.  Build a
     value with :meth:`semigroup`, :meth:`channel_family` or
     :meth:`single_map`.
     """
 
     def __init__(self, h: HamiltonianSpec, generator, family, tau):
+        if h.matrix.ndim == 2:  # one point
+            h, generator = h[None], None if generator is None else generator[None]
+            family = family and (lambda taus, one=family: one(taus)[None])
         self.h, self.generator, self.family, self.tau = h, generator, family, tau
 
     @classmethod
     def semigroup(cls, h: HamiltonianSpec, generator: np.ndarray | LindbladGenerator) -> "Dynamics":
-        """Semigroup of a generator matrix or of a ``LindbladGenerator``,
-        whose matrix is built here, once; a generator with a non-finite
-        entry or 1-norm, one that overflowed, raises ``ConfigError``."""
+        """Semigroup of a generator matrix or of a ``LindbladGenerator``, or
+        the block of a stack of them, whose matrices are built here, once; the
+        first point whose generator has a non-finite entry or 1-norm, one that
+        overflowed, raises ``ConfigError``."""
         if isinstance(generator, LindbladGenerator):
             generator = lindblad_superop(generator)
+        block = cls(h, require_superop_dim(generator, h), None, None)
         with np.errstate(over="ignore"):  # finite entries whose sum overflows would give nan maps
-            if not np.isfinite(np.abs(require_superop_dim(generator, h)).sum(axis=0).max()):
-                what = "'s 1-norm is not finite" if np.all(np.isfinite(generator)) else " has a non-finite entry"
-                raise ConfigError(f"the model overflows: its generator{what}")
-        return cls(h, generator, None, None)
+            norms = np.abs(block.generator).sum(axis=-2).max(axis=-1)
+        for g in block.generator[~np.isfinite(norms)][:1]:
+            what = "'s 1-norm is not finite" if np.all(np.isfinite(g)) else " has a non-finite entry"
+            raise ConfigError(f"the model overflows: its generator{what}")
+        return block
 
     @classmethod
     def channel_family(cls, h: HamiltonianSpec, family) -> "Dynamics":
@@ -277,7 +294,8 @@ class Dynamics:
 
     @classmethod
     def single_map(cls, h: HamiltonianSpec, kraus_ops, tau: float) -> "Dynamics":
-        """The one map of the Kraus operators ``kraus_ops``, taken at ``tau``."""
+        """The one-point block of the one map of the Kraus operators
+        ``kraus_ops``, taken at ``tau``, with h unstacked."""
         ops = [np.asarray(g, dtype=complex) for g in kraus_ops]
         if not ops:
             raise NotTracePreserving("empty Kraus family cannot preserve the trace")
@@ -325,23 +343,21 @@ def _frame_units(d: int) -> tuple:
     return units, np.flatnonzero(coherent), (coherent[:, None] | coherent) & ~np.eye(d * d, dtype=bool)
 
 
-def maps_of(sources: list, h: HamiltonianSpec, times: tuple, grid: tuple, tol_cptp: float) -> tuple:
-    """The generators, maps and level transitions of the sources, of one
-    kind and dimension, with their Hamiltonians' stack ``h``, all in H's
-    eigenframe, the only place the package takes it: the maps at ``times``
-    and the level transitions on ``grid``, stacked over the sources in
-    order, as ``(generators, (superops, kraus), transitions)``: the stack
-    ``(k, d^2, d^2)`` of the semigroups' generators ``Q^dag L Q``, with ``Q =
-    conj(V) (x) V`` for h's eigenvectors ``V`` (None for channel families),
-    the stack ``(k, t, d^2, d^2)`` of the maps' matrices, the zero-padded
-    stack ``(k, t, j, d, d)`` of their Kraus operators ``V^dag G V`` (None
-    for semigroups), and the stacks ``(probs, finite, route_gap)`` of
-    :func:`transitions_of`.  One family call, or one exponential, covers
-    ``times + grid``.
+def maps_of(block: Dynamics, times: tuple, grid: tuple, tol_cptp: float) -> tuple:
+    """The generators, maps and level transitions of the points of
+    ``block``, all in H's eigenframe, the only place the package takes it:
+    the maps at ``times`` and the level transitions on ``grid``, stacked
+    over the points in order, as ``(generators, (superops, kraus),
+    transitions)``: the stack ``(k, d^2, d^2)`` of the semigroups'
+    generators ``Q^dag L Q``, with ``Q = conj(V) (x) V`` for the eigenvectors
+    ``V`` of the block's ``h`` (None for channel families), the stack ``(k,
+    t, d^2, d^2)`` of the maps' matrices, the zero-padded stack ``(k, t, j,
+    d, d)`` of their Kraus operators ``V^dag G V`` (None for semigroups),
+    and the stacks ``(probs, finite, route_gap)`` of :func:`transitions_of`.
+    One family call, or one exponential, covers ``times + grid``.
 
-    The channel families, of one Kraus count, are each built once and
-    checked as one stack, the first failing source and slice first.  The
-    semigroups' eigenframe generators take the GKLS test of
+    A family's stack is checked as one, the first failing point and slice
+    first.  The semigroups' eigenframe generators take the GKLS test of
     :func:`gkls_defects` before any exponential: the first whose defect is
     not below ``tol_cptp`` raises ``NotCPTP``.  A semigroup is exactly
     secular when every entry of its eigenframe generator that couples a
@@ -349,28 +365,29 @@ def maps_of(sources: list, h: HamiltonianSpec, times: tuple, grid: tuple, tol_cp
     coherence units, is exactly 0 (a structural test, with no tolerance): it
     is its Pauli rate block ``W`` on the populations plus one decay rate
     ``lambda_c`` per coherence (Davies 1974).  The secular semigroups take
-    one exponential of their rate blocks over (source, time): ``exp(tau W)``
+    one exponential of their rate blocks over (point, time): ``exp(tau W)``
     is their transition matrix on the grid, and their map is ``exp(tau W)
     (+) diag(exp(tau lambda_c))``.  The others take one exponential of their
-    generators over (source, time), so each source's route depends on its
-    own generator only."""
-    v, d, t = h.eigenvectors, h.dim, len(times)
-    if sources[0].generator is None:
-        kraus = _kraus_stacks(np.array([s.family(times + grid) for s in sources], dtype=complex), h)
-        # V^dag G V = ((G V)^T conj(V))^T, two products over the whole stack of each source
-        gv = (kraus.reshape(len(sources), -1, d) @ v).reshape(kraus.shape).swapaxes(-1, -2)
-        kraus = (gv.reshape(len(sources), -1, d) @ v.conj()).reshape(kraus.shape).swapaxes(-1, -2)
+    generators over (point, time), so each point's route depends on its own
+    generator only."""
+    h = block.h
+    v, d, k, t = h.eigenvectors, h.dim, len(h.matrix), len(times)
+    if block.generator is None:
+        kraus = _kraus_stacks(np.asarray(block.family(times + grid), dtype=complex), h)
+        # V^dag G V = ((G V)^T conj(V))^T, two products over the whole stack of each point
+        gv = (kraus.reshape(k, -1, d) @ v).reshape(kraus.shape).swapaxes(-1, -2)
+        kraus = (gv.reshape(k, -1, d) @ v.conj()).reshape(kraus.shape).swapaxes(-1, -2)
         superops = _kraus_superops(kraus)
         return None, (superops[:, :t], kraus[:, :t]), transitions_of(superops[:, t:], kraus[:, t:])
     q = kron(v.conj(), v)
     with np.errstate(over="ignore", invalid="ignore"):  # a non-finite coupling is not 0
-        generators = dag(q) @ np.array([s.generator for s in sources]) @ q
+        generators = dag(q) @ block.generator @ q
     cp, tp = gkls_defects(generators)
-    for k in np.flatnonzero(~(np.maximum(cp, tp) < tol_cptp))[:1]:  # a nan defect fails too
-        raise NotCPTP(f"the generator is not of GKLS form: cp={cp[k]:.3e}, tp={tp[k]:.3e} relative to its 1-norm")
+    for i in np.flatnonzero(~(np.maximum(cp, tp) < tol_cptp))[:1]:  # a nan defect fails too
+        raise NotCPTP(f"the generator is not of GKLS form: cp={cp[i]:.3e}, tp={tp[i]:.3e} relative to its 1-norm")
     secular = ~generators[:, _frame_units(d)[2]].any(axis=-1)
-    superops = np.empty((len(sources), t, d * d, d * d), dtype=complex)
-    probs, finite = np.empty((len(sources), len(grid), d, d)), np.empty((len(sources), len(grid)), dtype=bool)
+    superops = np.empty((k, t, d * d, d * d), dtype=complex)
+    probs, finite = np.empty((k, len(grid), d, d)), np.empty((k, len(grid)), dtype=bool)
     for route, picked in ((_full_route, ~secular), (_population_route, secular)):
         if picked.any():
             superops[picked], probs[picked], finite[picked] = route(generators[picked], times, grid)
@@ -379,7 +396,7 @@ def maps_of(sources: list, h: HamiltonianSpec, times: tuple, grid: tuple, tol_cp
 
 def _full_route(generators: np.ndarray, times: tuple, grid: tuple) -> tuple:
     """``(superops, probs, finite)`` of :func:`maps_of` from one exponential
-    of the eigenframe generators over (source, time)."""
+    of the eigenframe generators over (point, time)."""
     maps = matlin.expm(generators, times + grid)
     probs, finite, _ = transitions_of(maps[:, len(times):], None)
     return maps[:, : len(times)], probs, finite
@@ -388,7 +405,7 @@ def _full_route(generators: np.ndarray, times: tuple, grid: tuple) -> tuple:
 def _population_route(generators: np.ndarray, times: tuple, grid: tuple) -> tuple:
     """``(superops, probs, finite)`` of :func:`maps_of` for exactly secular
     eigenframe generators, with one exponential of their rate blocks
-    ``W[n, m]``, the entries from ``|m><m|`` to ``|n><n|``, over (source,
+    ``W[n, m]``, the entries from ``|m><m|`` to ``|n><n|``, over (point,
     time)."""
     d, t = math.isqrt(generators.shape[-1]), len(times)
     units, coherent, _ = _frame_units(d)

@@ -19,18 +19,17 @@ test oracles and live with the tests.
   It is completely positive only where its transverse damping is large
   enough against its longitudinal damping.
 
-``scenario_sources`` builds one of them, by name, as dynamics sources at a
-list of parameter points.
+``scenario_sources`` builds one of them, by name, as one ``Dynamics`` block
+stacked over a list of parameter points.
 """
 
 from __future__ import annotations
 
 import math
-from functools import partial
 
 import numpy as np
 
-from .dynamics import Dynamics, LindbladGenerator, bloch4_to_superop, lindblad_superop
+from .dynamics import Dynamics, LindbladGenerator, bloch4_to_superop
 from .errors import ConfigError
 from .states import HamiltonianSpec
 
@@ -242,26 +241,29 @@ def example_c_generator(p) -> np.ndarray:
 # the scenarios by name
 
 
-def scenario_sources(name: str, points: list, beta_f, omega, gamma, mu, eta, nu_scale, q_schedule) -> list:
-    """Scenario ``name`` at each point of ``points``, a dict of the
-    parameters that the point sets in place of the others, as a dynamics
-    source with scenario A's correction factor (None for the others): A with
-    ``q_schedule`` "fpt" (constant bias) or "default", B with ``gamma``, C at
-    its balanced point of ``mu`` and ``eta`` with nu scaled by ``nu_scale``.
-    The points' Hamiltonians, and scenarios B's and C's generators, are built
-    as one stack.  An invalid parameter raises ``ConfigError``."""
+def scenario_sources(name: str, points: list, beta_f, omega, gamma, mu, eta, nu_scale, q_schedule) -> tuple:
+    """Scenario ``name`` stacked over ``points``, each a dict of the
+    parameters that the point sets in place of the others, as ``(block,
+    f_factor)``: one ``Dynamics`` block of the points, in order, and scenario
+    A's correction factor ``taus -> (k, t)`` of each point (None for the
+    others): A with ``q_schedule`` "fpt" (constant bias) or "default", B with
+    ``gamma``, C at its balanced point of ``mu`` and ``eta`` with nu scaled
+    by ``nu_scale``.  The points' Hamiltonians, and scenarios B's and C's
+    generators, are built as one stack.  An invalid parameter raises
+    ``ConfigError``."""
     try:
         if name == "a":
             params = [ExampleAParams(**{"omega": omega, "beta_f": beta_f, **p}, fixed_point=q_schedule == "fpt")
                       for p in points]
             hs = qubit_hamiltonian([p.omega for p in params])
-            return [(Dynamics.channel_family(h, lambda taus, p=p: example_a_channel(*p.schedules(taus))),
-                     partial(example_a_f_factor, p)) for p, h in zip(params, hs)]
+            block = Dynamics.channel_family(
+                hs, lambda taus: np.array([example_a_channel(*p.schedules(taus)) for p in params]))
+            return block, lambda taus: np.array([example_a_f_factor(p, taus) for p in params])
         if name == "b":
             # H is the generator's, which keeps H's one eigendecomposition
             gen = example_b_generator([ExampleBParams(**{"omega": omega, "gamma": gamma, "beta_f": beta_f, **p})
                                        for p in points])
-            return [(Dynamics.semigroup(h, l), None) for l, h in zip(lindblad_superop(gen), gen.hamiltonian)]
+            return Dynamics.semigroup(gen.hamiltonian, gen), None
         flags, params = {"mu": mu, "eta": eta, "omega": omega, "beta_f": beta_f}, []
         for p in points:
             base = example_c_qdb_point(**{k: p.get(k, v) for k, v in flags.items()})
@@ -270,7 +272,6 @@ def scenario_sources(name: str, points: list, beta_f, omega, gamma, mu, eta, nu_
             # a swept coefficient takes the place of the balanced point's
             swept = {k: p[k] for k in p.keys() - flags}
             params.append(base.replace(**{"nu": base.nu * nu_scale, **swept}))
-        hs = qubit_hamiltonian([p.omega for p in params])
-        return [(Dynamics.semigroup(h, l), None) for l, h in zip(example_c_generator(params), hs)]
+        return Dynamics.semigroup(qubit_hamiltonian([p.omega for p in params]), example_c_generator(params)), None
     except ValueError as exc:
         raise ConfigError(f"scenario {name}: {exc}") from exc

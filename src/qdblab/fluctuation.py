@@ -5,13 +5,14 @@ Results are plain values: ``exchange_grid`` returns the arrays of the
 exchange statistics of a stack of level transitions, a map's population
 block or a secular semigroup's ``exp(tau W)``, which ``ratios`` compares
 with the ratio law, and ``classify`` a ``(kind, beta_f, gamma_min)`` tuple
-per source.  The initial thermal state enters only through its level
-populations.  Every generator and map is read in H's eigenframe, as
-``dynamics.maps_of`` hands them on, and so is every state taken from them.
-``classify`` reads a semigroup from its generator and a channel family from
-its probe maps, a superoperator stack that the caller takes with the rest of
-its maps: its map at ``TAU_MAX`` against ``vec(sigma) vec(I)^dag``, with
-``sigma`` its image of ``I/d``, and every map against ``sigma``."""
+per point of a ``dynamics.Dynamics`` block.  The initial thermal state
+enters only through its level populations.  Every generator and map is read
+in H's eigenframe, as ``dynamics.maps_of`` hands them on, and so is every
+state taken from them.  ``classify`` reads a block of semigroups from their
+generators and a block of channel families from their probe maps, a
+superoperator stack that the caller takes with the rest of the block's
+maps: each point's map at ``TAU_MAX`` against ``vec(sigma) vec(I)^dag``,
+with ``sigma`` its image of ``I/d``, and every map against ``sigma``."""
 
 from __future__ import annotations
 
@@ -19,15 +20,21 @@ import math
 
 import numpy as np
 
+from .dynamics import Dynamics
 from .errors import DimensionMismatch, InconclusiveHorizon, InternalCheckError, NotAState, NotTracePreserving
 from .matlin import dag, unvec, vec
 from .states import STATE_ATOL, HamiltonianSpec, infer_beta, thermal_populations
 
+# a population: the release probability P(-E) below which a record has no ratio
 RATIO_FLOOR = 1e-13
+# relative to H's spectral range E_max - E_min, which no shift of the zero of energy moves
 GAP_GROUP_RTOL = 1e-9
+# a population: both routes give transition probabilities, which lie in [0, 1]
 ROUTE_AGREEMENT_ATOL = 1e-10
+# absolute, because a transition row sums to 1 whatever the map; a map's roundoff u tau |L|_1 can exceed it
 STOCHASTIC_ATOL = 1e-9
-PROBABILITY_FLOOR = 1e-15  # below this both-sided, a gap record is roundoff
+# a population: below this on both sides, a gap record is roundoff
+PROBABILITY_FLOOR = 1e-15
 
 
 def _transition_checks(probs: np.ndarray, finite: np.ndarray, route_gap: np.ndarray) -> list:
@@ -192,21 +199,28 @@ def exchange_grid(transitions, h: HamiltonianSpec, beta_i) -> tuple:
     return energies, p_plus, p_minus, recorded
 
 
+# absolute, in the generator's rate units, where |L|_1 would be its scale: a gap slower than it reads as a second zero
 ZERO_EIG_ATOL = 1e-10
+# absolute, because a map's eigenvalues lie in the unit disk whatever its rates
 UNIT_EIG_ATOL = 1e-8
+# a trace-norm distance between states, absolute, because states have trace norm 1
 CONVERGENCE_ATOL = 1e-7
+# a trace-norm drift of the fixed point, absolute, not relative to the fixed point's populations, so the drift of
+# a population e^{-beta_f E} far below it does not count
 FIXED_POINT_ATOL = 1e-8
-TAU_MAX = 100.0  # probing horizon of a channel family
+# the probing horizon of a channel family, in the family's own time units: absolute, because a family has no
+# generator whose gap would set its relaxation time
+TAU_MAX = 100.0
 FIXED_POINT_TAUS = tuple(np.geomspace(0.01, TAU_MAX, 9))
 
 
-def classify(sources: list, probes: np.ndarray, h: HamiltonianSpec) -> list:
-    """Classify each dynamics of ``sources``, of one kind and dimension, in
-    order, as fixed-point thermalizing, thermalizing, or neither, as ``(kind,
-    beta_f, gamma_min)``, from h, their Hamiltonians stacked, and
-    ``probes``, in H's eigenframe: the semigroups' generators ``(k, d^2,
-    d^2)``, or each source's maps at its probe times as one superoperator
-    stack ``(k, t, d^2, d^2)``, a channel family's at ``TAU_MAX`` and then
+def classify(block: Dynamics, probes: np.ndarray) -> list:
+    """Classify each point of ``block``, in order, as fixed-point
+    thermalizing, thermalizing, or neither, as ``(kind, beta_f,
+    gamma_min)``, from the block's stacked Hamiltonian and ``probes``, in
+    H's eigenframe: the semigroups' generators ``(k, d^2, d^2)``, or each
+    point's maps at its probe times as one superoperator stack ``(k, t,
+    d^2, d^2)``, a channel family's at ``TAU_MAX`` and then
     ``FIXED_POINT_TAUS``, a single map's at its own ``tau``.  The semigroups
     share one batched eigendecomposition of their generators, the single maps
     one of their maps, and the channel families one pass over their maps;
@@ -230,9 +244,9 @@ def classify(sources: list, probes: np.ndarray, h: HamiltonianSpec) -> list:
     ``sigma`` is thermal and, in trace norm, a fixed point at
     ``FIXED_POINT_TAUS``.
     """
-    d, k, semigroups = h.dim, len(sources), sources[0].generator is not None
-    gaps = [None] * k
-    if not semigroups and sources[0].tau is None:
+    h, k, semigroups = block.h, len(probes), block.generator is not None
+    d, gaps = h.dim, [None] * k
+    if not semigroups and block.tau is None:
         vec_eye = vec(np.eye(d))
         fixed = probes[:, 0] @ (vec_eye / d)
         # The map sends a state rho to fixed + delta vec(rho), and

@@ -19,6 +19,8 @@ import numpy as np
 
 from .errors import DimensionMismatch, NoConvergence, NotHermitian
 
+# absolute, in the entries' own units: the asymmetry of a matrix that is Hermitian up to the roundoff of
+# entries of order 1; it does not scale with H's spectral range
 HERMITICITY_ATOL = 1e-12
 
 # Degree-13 Pade coefficients (Higham 2005, SIAM J. Matrix Anal. Appl. 26:1179),

@@ -1,13 +1,13 @@
 """The report pipeline: the paper's chain of checks on plain settings.
 
-:func:`analyse` takes a block of dynamics sources through the stages that do
-not depend on beta_i: the GKLS test of the generators, classification, and
-the generator-level (qdb1) and map-level (qdb2) detailed-balance checks.
-:func:`build_report` adds the exchange distribution and the forward-only
-ratio law at each point of beta_i and beta_f, and returns the verdict
-sections and the arrays that report rows are read from.  Each stage takes
-only the values it reads (sources, grids, tolerances, beta values), so it can
-be called, compared or timed on its own.
+:func:`analyse` takes one ``dynamics.Dynamics`` block, stacked over its
+points, through the stages that do not depend on beta_i: the GKLS test of
+the generators, classification, and the generator-level (qdb1) and
+map-level (qdb2) detailed-balance checks.  :func:`build_report` adds the
+exchange distribution and the forward-only ratio law at each point of beta_i
+and beta_f, and returns the verdict sections and the arrays that report rows
+are read from.  Each stage takes only the values it reads (the block, grids,
+tolerances, beta values), so it can be called, compared or timed on its own.
 """
 
 from __future__ import annotations
@@ -17,10 +17,12 @@ import math
 import numpy as np
 
 from .balance import check_qdb1, check_qdb2
-from .dynamics import maps_of
+from .dynamics import Dynamics, maps_of
 from .fluctuation import FIXED_POINT_TAUS, TAU_MAX, classify, exchange_grid, ratios
 from .states import HamiltonianSpec
 
+# absolute times, in the model's own time units, not in units of its relaxation time 1/gamma_min, so a change
+# of units moves what qdb2 sees
 QDB2_TAUS = (0.1, 0.5, 1.0, 5.0)
 
 
@@ -38,10 +40,10 @@ def fmt_float(x) -> str:
 
 
 def _balance(check, h: HamiltonianSpec, betas: np.ndarray, operators, s_grid: tuple, tol_qdb: float) -> list:
-    """The verdict section of ``check`` over ``s_grid`` for each source, of
-    h's stack, with a beta in ``betas`` (nan for none) and operators in the
+    """The verdict section of ``check`` over ``s_grid`` for each point of
+    h's stack with a beta in ``betas`` (nan for none) and operators in the
     stack ``operators`` (None for none), else None, from one broadcast over
-    those sources."""
+    those points."""
     picked, sections = np.flatnonzero(~np.isnan(betas)), [None] * len(betas)
     if operators is not None and picked.size:
         residuals = check(h[picked], betas[picked], s_grid, operators[picked])
@@ -53,25 +55,24 @@ def _balance(check, h: HamiltonianSpec, betas: np.ndarray, operators, s_grid: tu
     return sections
 
 
-def analyse(sources: list, tau_grid: tuple, s_grid: tuple, tol_qdb: float, tol_cptp: float) -> tuple:
-    """The stages that do not depend on beta_i, each stacked over ``sources``
-    (of one kind and dimension, and single maps of one tau), in a source's
-    order: the generators in H's eigenframe, with the GKLS test of the
-    semigroups' generators against ``tol_cptp`` before any exponential, the
-    maps at classify's probe times and at the finite qdb2 times, with the
-    level transitions on ``tau_grid``, from one :func:`maps_of` call;
-    classify; and qdb1 and qdb2 over ``s_grid``, which pass below
-    ``tol_qdb``; one analysis ``(sections, betas, taus, transitions, h)`` of
-    them all, with a list of each source's sections, the array of their
-    beta_f (nan where there is none), the stacks of their transitions on the
-    tau grid and their Hamiltonians' stack.  A failing stage raises, for
-    whichever source fails it."""
-    probes = () if sources[0].generator is not None else sources[0].taus((TAU_MAX, *FIXED_POINT_TAUS))
-    taus, qdb2_taus = sources[0].taus(tau_grid), tuple(filter(math.isfinite, sources[0].taus(QDB2_TAUS)))
-    p, h = len(probes), HamiltonianSpec.stack([s.h for s in sources])
+def analyse(block: Dynamics, tau_grid: tuple, s_grid: tuple, tol_qdb: float, tol_cptp: float) -> tuple:
+    """The stages that do not depend on beta_i, each stacked over the points
+    of ``block``, in order: the generators in H's eigenframe, with the GKLS
+    test of the semigroups' generators against ``tol_cptp`` before any
+    exponential, the maps at classify's probe times and at the finite qdb2
+    times, with the level transitions on ``tau_grid``, from one
+    :func:`maps_of` call; classify; and qdb1 and qdb2 over ``s_grid``, which
+    pass below ``tol_qdb``; one analysis ``(sections, betas, taus,
+    transitions, h)`` of them all, with a list of each point's sections, the
+    array of their beta_f (nan where there is none), the stacks of their
+    transitions on the tau grid and the block's stacked Hamiltonian.  A
+    failing stage raises, for whichever point fails it."""
+    probes = () if block.generator is not None else block.taus((TAU_MAX, *FIXED_POINT_TAUS))
+    taus, qdb2_taus = block.taus(tau_grid), tuple(filter(math.isfinite, block.taus(QDB2_TAUS)))
+    p, h = len(probes), block.h
     # every stage from here reads the eigenframe matrices of maps_of
-    generators, (superops, _), transitions = maps_of(sources, h, probes + qdb2_taus, taus, tol_cptp)
-    classified = classify(sources, superops[:, :p] if generators is None else generators, h)
+    generators, (superops, _), transitions = maps_of(block, probes + qdb2_taus, taus, tol_cptp)
+    classified = classify(block, superops[:, :p] if generators is None else generators)
     betas = np.array([b if b is not None and math.isfinite(b) else math.nan for _, b, _ in classified])
     qdb1 = _balance(check_qdb1, h, betas, generators, s_grid, tol_qdb)
     qdb2 = _balance(check_qdb2, h, betas, superops[:, p:] if qdb2_taus else None, s_grid, tol_qdb)
@@ -86,11 +87,11 @@ def build_report(analysis: tuple, tol_qfr: float, beta_i, beta_f) -> list:
     one exchange grid over the points, as ``(verdict, records)``: the
     sections of :func:`analyse` and the ratio law's, which passes below
     ``tol_qfr``, and the arrays the rows are read from.  The points are the
-    analysis's sources, or, for one source, the points of ``beta_i`` and
-    ``beta_f``, a number that every point shares or an array of one per
-    point; ``beta_f`` counts where the analysis infers none.  The points
-    share a dimension and their gap clusters' pairs; a source that every
-    point shares gives its transitions once.
+    analysis's points, or, for a block of one point, the points of
+    ``beta_i`` and ``beta_f``, a number that every point shares or an array
+    of one per point; ``beta_f`` counts where the analysis infers none.  The
+    points share a dimension and their gap clusters' pairs; a block of one
+    point that every point shares gives its transitions once.
     The first point that fails a check raises."""
     sections, betas, taus, transitions, h = analysis
     beta_i, beta_f, inferred = np.broadcast_arrays(beta_i, beta_f, betas)

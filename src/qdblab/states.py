@@ -20,9 +20,14 @@ SIGMA_X = np.array([[0, 1], [1, 0]], dtype=complex)
 SIGMA_Y = np.array([[0, -1j], [1j, 0]], dtype=complex)
 SIGMA_Z = np.array([[1, 0], [0, -1]], dtype=complex)
 
+# a population: the eigenvalues of a unit-trace state are its populations in its eigenbasis
 STATE_ATOL = 1e-10
+# absolute, in H's energy units: an adjacent-level gap at or below it is a degeneracy, where beta is undefined;
+# it does not scale with H's spectral range, so a change of units can move it
 DEGENERACY_ATOL = 1e-12
+# a population: an off-diagonal entry |rho_mn| of a state is at most sqrt(p_m p_n)
 THERMAL_OFFDIAG_ATOL = 1e-8
+# relative to the estimate |beta|, floored at 1 in H's inverse energy units, on each pair's gap
 BETA_AGREE_RTOL = 1e-6
 
 
@@ -40,11 +45,6 @@ class HamiltonianSpec:
         matrix = np.asarray(matrix, dtype=complex)
         w, v = matlin.herm_eig(matrix)
         return cls(matrix=matrix, eigenvalues=w, eigenvectors=v)
-
-    @classmethod
-    def stack(cls, hs) -> "HamiltonianSpec":
-        """One spec stacked over the specs ``hs``."""
-        return cls(*map(np.array, zip(*((h.matrix, h.eigenvalues, h.eigenvectors) for h in hs))))
 
     def __getitem__(self, index) -> "HamiltonianSpec":
         return HamiltonianSpec(self.matrix[index], self.eigenvalues[index], self.eigenvectors[index])
@@ -89,6 +89,7 @@ def infer_beta(rho: np.ndarray, h: HamiltonianSpec) -> tuple:
     # no state, degenerate levels, or off-diagonal weight; a nan passes each test
     bad = (low < -STATE_ATOL) | (gaps.min(axis=1, initial=math.inf) <= DEGENERACY_ATOL)
     bad |= np.abs(rho - rho * np.eye(h.dim)).max(axis=(1, 2)) > THERMAL_OFFDIAG_ATOL
+    # 1e-14 is a population: below it a level's population is read as vanishing, so its log is not taken
     beta = np.where(~bad & (p[:, 0] >= 1.0 - 1e-10) & (p[:, 1:].max(axis=1, initial=0.0) < 1e-14), math.inf, math.nan)
     ok = ~(bad | (p.min(axis=1) < 1e-14))
     p, e, gaps = p[ok], e[ok], gaps[ok]

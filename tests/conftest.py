@@ -277,23 +277,32 @@ def a_family(p):
 
 
 def per_source(maps) -> list:
-    """The ``(superops, kraus)`` stacks of each source of the block stacks
+    """The ``(superops, kraus)`` stacks of each point of the block stacks
     ``maps`` of :func:`qdblab.dynamics.maps_of`."""
     superops, kraus = maps
     return list(zip(superops, [None] * len(superops) if kraus is None else kraus))
 
 
-def stacked_h(sources) -> HamiltonianSpec:
-    """The stacked Hamiltonians of ``sources``, as ``report.analyse`` passes
-    them to :func:`qdblab.dynamics.maps_of`."""
-    return HamiltonianSpec.stack([s.h for s in sources])
+def stack_specs(hs) -> HamiltonianSpec:
+    """One spec stacked over the unstacked specs ``hs``."""
+    return HamiltonianSpec(*map(np.array, zip(*((h.matrix, h.eigenvalues, h.eigenvectors) for h in hs))))
+
+
+def block(sources) -> Dynamics:
+    """One :class:`qdblab.dynamics.Dynamics` block stacked over the blocks
+    ``sources``, of one kind, dimension and Kraus count, their points in
+    order, as the package's stages take it."""
+    h = stack_specs([point for source in sources for point in source.h])
+    if sources[0].generator is not None:
+        return Dynamics(h, np.concatenate([source.generator for source in sources]), None, None)
+    return Dynamics(h, None, lambda taus: np.concatenate([source.family(taus) for source in sources]), sources[0].tau)
 
 
 def grid_of(sources, taus) -> list:
-    """The level transitions ``(probs, finite, route_gap)`` of each source of
-    ``sources`` on the grid ``taus``, from one :func:`qdblab.dynamics.maps_of`
-    call."""
-    *_, transitions = maps_of(sources, stacked_h(sources), (), tuple(taus), TOL_CPTP)
+    """The level transitions ``(probs, finite, route_gap)`` of each point of
+    the blocks ``sources`` on the grid ``taus``, from one
+    :func:`qdblab.dynamics.maps_of` call over their one block."""
+    *_, transitions = maps_of(block(sources), (), tuple(taus), TOL_CPTP)
     return list(zip(*transitions))
 
 
@@ -339,19 +348,20 @@ def reference_gkls_test(generators: np.ndarray, tol_cptp: float) -> None:
         raise NotCPTP(f"the generator is not of GKLS form: cp={cp[k]:.3e}, tp={tp[k]:.3e} relative to its 1-norm")
 
 
-def reference_maps_of(sources: list, h: HamiltonianSpec, times: tuple, grid: tuple, tol_cptp: float) -> tuple:
-    """:func:`qdblab.dynamics.maps_of` with every source on the full route
-    in the basis of H's matrix: a semigroup's maps are one exponential of
-    its ``d^2 x d^2`` generator over every time, every source's transitions
-    on the grid come from its maps by :func:`reference_transition_stack`,
-    and the generators and maps are then taken to H's eigenframe by
-    :func:`eigenframe`; the eigenframe generators take the GKLS test first."""
-    generators, kraus, n = None, None, len(times)
-    if sources[0].generator is None:
-        kraus = _kraus_stacks(np.array([s.family(times + grid) for s in sources], dtype=complex), h)
+def reference_maps_of(block: Dynamics, times: tuple, grid: tuple, tol_cptp: float) -> tuple:
+    """:func:`qdblab.dynamics.maps_of` with every point of ``block`` on the
+    full route in the basis of H's matrix: a semigroup's maps are one
+    exponential of its ``d^2 x d^2`` generator over every time, every
+    point's transitions on the grid come from its maps by
+    :func:`reference_transition_stack`, and the generators and maps are then
+    taken to H's eigenframe by :func:`eigenframe`; the eigenframe generators
+    take the GKLS test first."""
+    generators, kraus, n, h = None, None, len(times), block.h
+    if block.generator is None:
+        kraus = _kraus_stacks(np.asarray(block.family(times + grid), dtype=complex), h)
         superops = _kraus_superops(kraus)
     else:
-        original = np.array([s.generator for s in sources])
+        original = block.generator
         generators = eigenframe(original, h)
         reference_gkls_test(generators, tol_cptp)
         superops = matlin.expm(original, times + grid)
@@ -360,13 +370,15 @@ def reference_maps_of(sources: list, h: HamiltonianSpec, times: tuple, grid: tup
     return generators, (eigenframe(superops[:, :n], h), rest), transitions
 
 
-def reference_frame_route(sources: list, h: HamiltonianSpec, times: tuple, grid: tuple, tol_cptp: float) -> tuple:
-    """:func:`qdblab.dynamics.maps_of` with every semigroup on the full route
-    in H's eigenframe: one exponential of its generator, taken to the frame
-    by :func:`eigenframe`, over every time, and its transitions on the grid
-    read from its maps by :func:`reference_transition_stack` in the frame's
-    own basis; the eigenframe generators take the GKLS test first."""
-    generators = eigenframe(np.array([s.generator for s in sources]), h)
+def reference_frame_route(block: Dynamics, times: tuple, grid: tuple, tol_cptp: float) -> tuple:
+    """:func:`qdblab.dynamics.maps_of` with every semigroup point of
+    ``block`` on the full route in H's eigenframe: one exponential of its
+    generator, taken to the frame by :func:`eigenframe`, over every time,
+    and its transitions on the grid read from its maps by
+    :func:`reference_transition_stack` in the frame's own basis; the
+    eigenframe generators take the GKLS test first."""
+    h = block.h
+    generators = eigenframe(block.generator, h)
     reference_gkls_test(generators, tol_cptp)
     superops = matlin.expm(generators, times + grid)
     units = HamiltonianSpec(h.matrix, h.eigenvalues, np.broadcast_to(np.eye(h.dim), h.eigenvectors.shape))
@@ -752,12 +764,11 @@ def default_tau_max(gamma_min) -> float:
 
 
 def classify_one(source) -> tuple:
-    """:func:`qdblab.fluctuation.classify` of one source: its ``(kind, beta_f,
-    gamma_min)``, from the probe maps that ``report.analyse`` takes for it, none
-    for a semigroup."""
-    h = HamiltonianSpec.stack([source.h])
-    generators, (superops, _), _ = maps_of([source], h, source.taus((TAU_MAX, *FIXED_POINT_TAUS)), (), TOL_CPTP)
-    return classify([source], superops if generators is None else generators, h)[0]
+    """:func:`qdblab.fluctuation.classify` of a block of one point: its
+    ``(kind, beta_f, gamma_min)``, from the probe maps that
+    ``report.analyse`` takes for it, none for a semigroup."""
+    generators, (superops, _), _ = maps_of(source, source.taus((TAU_MAX, *FIXED_POINT_TAUS)), (), TOL_CPTP)
+    return classify(source, superops if generators is None else generators)[0]
 
 
 def reference_classify_single_map(kraus_ops, h: HamiltonianSpec) -> tuple:
@@ -898,9 +909,10 @@ def _probe_states(d: int) -> list:
 def reference_classify_family(source) -> tuple:
     """``(kind, beta_f)`` of a channel family from eight probe states sent
     through its Kraus maps: the reference for the family branch of
-    :func:`qdblab.fluctuation.classify`, which reads the superoperator stack."""
-    h = source.h
-    _, (_, (kraus,)), _ = maps_of([source], stacked_h([source]), (TAU_MAX, *FIXED_POINT_TAUS), (), TOL_CPTP)
+    :func:`qdblab.fluctuation.classify`, which reads the superoperator stack.
+    ``source`` is a block of one point."""
+    h = source.h[0]
+    _, (_, (kraus,)), _ = maps_of(source, (TAU_MAX, *FIXED_POINT_TAUS), (), TOL_CPTP)
     finals = [apply(kraus[0], p) for p in _probe_states(h.dim)]
     mean = sum(finals) / len(finals)
     mean = (mean + dag(mean)) / 2
@@ -966,7 +978,7 @@ def reference_emit_rows(taus, energies, predicted, recorded, p_plus, p_minus, de
 
 # ---------------------------------------------------------------------------
 # Classify, one source at a time: the bitwise reference for
-# ``fluctuation.classify``, which takes every step over a stack of sources.
+# ``fluctuation.classify``, which takes every step over a block's points.
 
 
 class NotThermal(QdblabError):
@@ -1028,14 +1040,14 @@ def _reference_simple_eigenvector(eigs, vecs, value: float, atol: float) -> tupl
     return eigs[~near], col
 
 
-def reference_classify(sources: list, probes) -> list:
-    """``(kind, beta_f, gamma_min)`` of each source, one source at a time,
-    from the same batched spectra and eigenframe probes (the generators of
-    semigroups) as :func:`qdblab.fluctuation.classify`."""
-    if sources[0].generator is None and sources[0].tau is None:
+def reference_classify(block: Dynamics, probes) -> list:
+    """``(kind, beta_f, gamma_min)`` of each point of ``block``, one point
+    at a time, from the same batched spectra and eigenframe probes (the
+    generators of semigroups) as :func:`qdblab.fluctuation.classify`."""
+    if block.generator is None and block.tau is None:
         out = []
-        for superops, source in zip(probes, sources):
-            d = source.h.dim
+        for superops, h in zip(probes, block.h):
+            d = h.dim
             vec_eye = vec(np.eye(d))
             sigma = superops[0] @ (vec_eye / d)
             spread = math.sqrt(d) * np.linalg.svd(superops[0] - sigma[:, None] * vec_eye, compute_uv=False).max()
@@ -1043,27 +1055,27 @@ def reference_classify(sources: list, probes) -> list:
                 raise InconclusiveHorizon(f"spread {spread:.3e}")
             moved = (superops[1:] @ sigma[:, None] - sigma[:, None]).reshape(-1, d, d)
             drift = np.linalg.svd(moved, compute_uv=False).sum(axis=1).max()
-            beta = reference_fixed_beta(sigma, source.h)
+            beta = reference_fixed_beta(sigma, h)
             out.append(("non_thermalizing", None, None) if beta is None else (
                 "fpt" if drift < FIXED_POINT_ATOL else "thermalizing", beta, None))
         return out
-    if sources[0].generator is None:
+    if block.generator is None:
         out = []
-        for eigs, vecs, s in zip(*np.linalg.eig(probes[:, 0]), sources):
+        for eigs, vecs, h in zip(*np.linalg.eig(probes[:, 0]), block.h):
             _, col = _reference_simple_eigenvector(eigs, vecs, 1.0, UNIT_EIG_ATOL)
             try:
-                out.append(("single_map", None if col is None else reference_fixed_beta(col, s.h), None))
+                out.append(("single_map", None if col is None else reference_fixed_beta(col, h), None))
             except NotAState:
                 out.append(("single_map", None, None))
         return out
     out = []
-    for eigs, vecs, s in zip(*np.linalg.eig(probes), sources):
+    for eigs, vecs, h in zip(*np.linalg.eig(probes), block.h):
         rest, col = _reference_simple_eigenvector(eigs, vecs, 0.0, ZERO_EIG_ATOL)
         if col is None or (rest.size and float(np.max(np.real(rest))) >= -ZERO_EIG_ATOL):
             out.append(("non_thermalizing", None, None))
             continue
         gamma_min = float(np.min(-np.real(rest))) if rest.size else None
-        beta = reference_fixed_beta(col, s.h)
+        beta = reference_fixed_beta(col, h)
         out.append(("non_thermalizing" if beta is None else "fpt", beta, gamma_min))
     return out
 

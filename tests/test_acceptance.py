@@ -190,7 +190,7 @@ def test_criterion_6_thermalizing_maps_asymptotic_ratio_law():
         assert kind in ("fpt", "thermalizing"), "draw must satisfy the spectral criterion"
         tau_max = default_tau_max(gamma_min)
         beta_i = rng.uniform(0.0, 1.8)
-        grid = exchange_at(evolve(dynamics.generator, tau_max), h, beta_i)
+        grid = exchange_at(evolve(dynamics.generator[0], tau_max), h, beta_i)
         defined, _, _, deviation = ratios(*grid, beta_i - beta)
         assert np.all(deviation[defined & (grid[2] > 1e-12)] < 1e-6)
         drawn += 1

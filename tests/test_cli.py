@@ -126,7 +126,7 @@ class TestCheckCommand:
         gen = LindbladGenerator.from_jump_operators(h, jumps)
         save_model(gen, tmp_path / "jumps.json")
         loaded = load_model(tmp_path / "jumps.json")
-        assert np.array_equal(loaded.generator, lindblad_superop(gen))
+        assert np.array_equal(loaded.generator[0], lindblad_superop(gen))
 
     def test_model_without_basis_is_canonical(self, rng, tmp_path):
         gen = random_lindblad(rng, 2)
@@ -135,7 +135,7 @@ class TestCheckCommand:
         del obj["basis"]
         (tmp_path / "canonical.json").write_text(json.dumps(obj))
         loaded = load_model(tmp_path / "canonical.json")
-        assert np.array_equal(loaded.generator, lindblad_superop(gen))
+        assert np.array_equal(loaded.generator[0], lindblad_superop(gen))
 
     @pytest.mark.parametrize(
         "basis, code, message",
@@ -321,7 +321,7 @@ def test_qdb2_reverses_time_in_the_energy_eigenbasis(rng, circulation, balanced)
         HamiltonianSpec.from_matrix(q @ h.matrix @ q.conj().T),
         rot @ lindblad_superop(gen) @ rot.conj().T,
     )
-    analysis = analyse([source], (0.3, 1.0, 3.0), (0.0, 0.5, 1.0), tol_qdb=1e-9, tol_cptp=1e-9)
+    analysis = analyse(source, (0.3, 1.0, 3.0), (0.0, 0.5, 1.0), tol_qdb=1e-9, tol_cptp=1e-9)
     ((verdict, _),) = build_report(analysis, tol_qfr=1e-9, beta_i=2.0, beta_f=1.0)
     assert verdict["classification"]["kind"] == "fpt"
     assert verdict["qdb1"]["passes"] is balanced

@@ -5,8 +5,8 @@ import pytest
 
 from conftest import (
     TOL_CPTP,
-    stacked_h,
     a_family,
+    block,
     commutator_superop,
     evolve_grid,
     per_source,
@@ -420,6 +420,34 @@ class TestDynamicsSources:
         with pytest.raises(ConfigError, match="the model overflows"):
             Dynamics.semigroup(gen.hamiltonian, l)
 
+    @pytest.mark.parametrize("order", [(0, 1), (1, 0)], ids=["norm-first", "entry-first"])
+    def test_a_stacked_semigroup_raises_its_first_overflowing_points_own_message(self, order):
+        # point "norm" has finite entries whose column sum overflows; point "entry" has an inf entry
+        norm, entry = np.zeros((4, 4), dtype=complex), np.zeros((4, 4), dtype=complex)
+        norm[0, 1] = norm[3, 1] = 1e308
+        entry[2, 2] = np.inf
+        with np.errstate(over="ignore"):
+            assert np.all(np.isfinite(norm)) and not np.isfinite(np.abs(norm).sum(axis=0)).all()
+        messages = ["the model overflows: its generator's 1-norm is not finite",
+                    "the model overflows: its generator has a non-finite entry"]
+        stack = np.array([(norm, entry)[i] for i in order])
+        with pytest.raises(ConfigError) as got:
+            Dynamics.semigroup(qubit_hamiltonian([1.0, 2.0]), stack)
+        assert str(got.value) == messages[order[0]]
+        with pytest.raises(ConfigError) as own:  # the first point, alone and unstacked
+            Dynamics.semigroup(qubit_hamiltonian(1.0), stack[0])
+        assert str(own.value) == messages[order[0]]
+
+    def test_an_unstacked_point_is_a_block_of_one(self, rng):
+        gen = random_lindblad(rng, 3)
+        semigroup = Dynamics.semigroup(gen.hamiltonian, gen)
+        assert len(semigroup.h.matrix) == 1 and semigroup.generator.shape == (1, 9, 9)
+        assert np.array_equal(semigroup.h.eigenvectors[0], gen.hamiltonian.eigenvectors)
+        family = Dynamics.channel_family(qubit_hamiltonian(1.0), a_family(ExampleAParams(1.0, 1.0)))
+        assert len(family.h.matrix) == 1 and family.family((0.5, 1.0)).shape == (1, 2, 4, 2, 2)
+        single = Dynamics.single_map(qubit_hamiltonian(1.0), [np.eye(2)], 1.0)
+        assert len(single.h.matrix) == 1 and single.family((1.0,) * 3).shape == (1, 3, 1, 2, 2)
+
     def test_single_map_checks_its_operators(self, rng):
         h = random_hamiltonian(rng, 2)
         with pytest.raises(NotTracePreserving, match="empty"):
@@ -435,13 +463,13 @@ class TestDynamicsSources:
             Dynamics.single_map(h, [np.eye(2)], 1.0)
         family = Dynamics.channel_family(h, lambda taus: np.array([[np.eye(2)]] * len(taus)))
         with pytest.raises(DimensionMismatch, match="channel dimension"):
-            maps_of([family], stacked_h([family]), (0.5, 1.0), (), TOL_CPTP)
+            maps_of(family, (0.5, 1.0), (), TOL_CPTP)
 
     def test_single_map_repeats_its_channel(self, rng):
         ops = [np.eye(2) / np.sqrt(2), SIGMA_X / np.sqrt(2)]
         source = Dynamics.single_map(qubit_hamiltonian(1.0), ops, 1.0)
         # H is diagonal, so its eigenframe is the basis the operators are given in
-        _, ((superops,), (kraus,)), _ = maps_of([source], stacked_h([source]), (1.0, 1.0), (), TOL_CPTP)
+        _, ((superops,), (kraus,)), _ = maps_of(source, (1.0, 1.0), (), TOL_CPTP)
         assert np.array_equal(kraus, [ops] * 2)
         assert np.array_equal(superops, [superop_from_channel(ops)] * 2)
 
@@ -456,18 +484,18 @@ class TestMapsOf:
     @pytest.mark.parametrize("d", [2, 3, 4])
     def test_semigroups_slice_their_own_exponentials(self, rng, d):
         sources = [Dynamics.semigroup(g.hamiltonian, g) for g in (random_lindblad(rng, d) for _ in range(3))]
-        generators, maps, _ = maps_of(sources, stacked_h(sources), sum(TIME_PARTS, ()), (), TOL_CPTP)
+        generators, maps, _ = maps_of(block(sources), sum(TIME_PARTS, ()), (), TOL_CPTP)
         for generator, (superops, kraus), source in zip(generators, per_source(maps), sources):
             assert kraus is None
             # the generator in its random eigenframe, within the roundoff of two products
-            np.testing.assert_allclose(generator, eigenframe(source.generator, source.h), rtol=0, atol=1e-13)
+            np.testing.assert_allclose(generator, eigenframe(source.generator[0], source.h[0]), rtol=0, atol=1e-13)
             assert np.array_equal(superops, np.concatenate([evolve_grid(generator, t) for t in TIME_PARTS]))
 
     def test_channel_families_slice_their_own_stacks(self):
         params = [ExampleAParams(0.5, 1.0), ExampleAParams(2.0, 3.0)]
         params.append(ExampleAParams(1.0, 0.3, fixed_point=True))
         sources = [Dynamics.channel_family(qubit_hamiltonian(p.omega), a_family(p)) for p in params]
-        generators, maps, _ = maps_of(sources, stacked_h(sources), sum(TIME_PARTS, ()), (), TOL_CPTP)
+        generators, maps, _ = maps_of(block(sources), sum(TIME_PARTS, ()), (), TOL_CPTP)
         assert generators is None
         # each qubit H is diagonal, so its eigenframe is the basis of the channel's operators
         for (superops, kraus), p, source in zip(per_source(maps), params, sources):
@@ -482,7 +510,7 @@ class TestMapsOf:
         source = Dynamics.single_map(h, ops, 1.0)
         taus = sum((source.taus(t) for t in TIME_PARTS), ())
         assert taus == (1.0,) * 3
-        _, ((superops,), (kraus,)), _ = maps_of([source], stacked_h([source]), taus, (), TOL_CPTP)
+        _, ((superops,), (kraus,)), _ = maps_of(source, taus, (), TOL_CPTP)
         # the operators V^dag G V in the random eigenframe, within the roundoff of two products
         np.testing.assert_allclose(kraus, np.repeat(eigenframe(_kraus_stacks(np.array([ops]), h), h), 3, axis=0),
                                    rtol=0, atol=1e-14)

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from conftest import (
     TOL_CPTP,
-    stacked_h,
+    block,
     evolve_grid,
     BlochVector,
     a_channel,
@@ -110,7 +110,7 @@ class TestScenarioA:
 
         source = Dynamics.channel_family(self.h, family)
         with pytest.raises(NotTracePreserving, match=r"^sum G\^dag G differs from identity by 2\.100e-01$"):
-            maps_of([source], stacked_h([source]), (0.5, 1.0, 2.0), (), TOL_CPTP)
+            maps_of(source, (0.5, 1.0, 2.0), (), TOL_CPTP)
 
     def test_start_is_identity_channel(self, rng):
         rho0 = bloch_to_density(BlochVector(0.2, -0.3, 0.4))
@@ -155,14 +155,14 @@ class TestScenarioA:
     @pytest.mark.parametrize("q_schedule", ["default", "fpt"])
     def test_sources_hold_each_points_own_family_and_correction_factor(self, q_schedule):
         points = [{"omega": 0.5}, {"beta_f": 3.0}, {"omega": 2.0, "beta_f": 0.1}]
-        sources = scenario_sources("a", points, BETA_F, OMEGA, None, None, None, None, q_schedule)
+        stacked, f_factor = scenario_sources("a", points, BETA_F, OMEGA, None, None, None, None, q_schedule)
         taus = (0.0, 0.3, 2.0, 20.0)
-        assert len(sources) == len(points)
-        for point, (source, f_factor) in zip(points, sources):
+        assert len(stacked.h.matrix) == len(points)
+        for i, point in enumerate(points):
             p = ExampleAParams(**{"omega": OMEGA, "beta_f": BETA_F, **point}, fixed_point=q_schedule == "fpt")
-            assert np.array_equal(source.h.eigenvalues, qubit_hamiltonian(p.omega).eigenvalues)
-            assert np.array_equal(source.family(taus), example_a_channel(*p.schedules(taus)))
-            assert np.array_equal(f_factor(taus), example_a_f_factor(p, taus))
+            assert np.array_equal(stacked.h.eigenvalues[i], qubit_hamiltonian(p.omega).eigenvalues)
+            assert np.array_equal(stacked.family(taus)[i], example_a_channel(*p.schedules(taus)))
+            assert np.array_equal(f_factor(taus)[i], example_a_f_factor(p, taus))
 
     def test_constant_bias_family_is_fpt(self):
         p_const = ExampleAParams(OMEGA, BETA_F, fixed_point=True)
@@ -351,7 +351,7 @@ class TestScenarioC:
         assert cp[0] > 1e-2 and tp[0] < 1e-15
         with pytest.raises(NotCPTP):
             # short grids, the tolerances at their defaults
-            analyse([Dynamics.semigroup(self.h, example_c_generator(bad))], (0.5,), (0.0, 0.5), 1e-9, 1e-9)
+            analyse(Dynamics.semigroup(self.h, example_c_generator(bad)), (0.5,), (0.0, 0.5), 1e-9, 1e-9)
 
     def test_stacked_generators_and_cptp_residuals_are_the_per_point_ones(self):
         # nu = 0.35 lies below the CP boundary near 0.364 (nu-scale 0.645), the other points above it
@@ -378,7 +378,7 @@ class TestScenarioC:
 
         def build_and_analyse(params):
             sources = [Dynamics.semigroup(self.h, g) for g in example_c_generator(params)]
-            return analyse(sources, (0.5,), (0.0, 0.5), tol_qdb=1e-9, tol_cptp=1e-9)
+            return analyse(block(sources), (0.5,), (0.0, 0.5), tol_qdb=1e-9, tol_cptp=1e-9)
 
         with pytest.raises(error) as want:
             build_and_analyse(params[first : first + 1])

@@ -527,7 +527,7 @@ class TestExchangeGridAgainstReference:
         h = diagonal_hamiltonian(rng, d, equally_spaced)
         gen = LindbladGenerator.canonical(h, random_lindblad(rng, d).kossakowski)
         # H is diagonal, so its eigenframe is the basis of the maps that the references read
-        (maps,) = per_source(maps_of([Dynamics.semigroup(h, gen)], HamiltonianSpec.stack([h]), TAUS, (), TOL_CPTP)[1])
+        (maps,) = per_source(maps_of(Dynamics.semigroup(h, gen), TAUS, (), TOL_CPTP)[1])
         assert maps[1] is None
         grid = exchange_grid(transitions_of(*maps), h, 1.3)
         assert all(len(a) == len(TAUS) for a in grid[1:])
@@ -546,7 +546,7 @@ class TestExchangeGridAgainstReference:
         for t, g in enumerate(family):
             padded[t, : len(g)] = g
         source = Dynamics.channel_family(h, lambda taus: padded)
-        _, ((superops,), (kraus,)), _ = maps_of([source], HamiltonianSpec.stack([h]), tuple(range(4)), (), TOL_CPTP)
+        _, ((superops,), (kraus,)), _ = maps_of(source, tuple(range(4)), (), TOL_CPTP)
         assert np.array_equal(kraus, padded)
         assert np.array_equal(superops, [reference_superop_from_channel(g) for g in family])
         grid = exchange_grid(transitions_of(superops, kraus), h, 0.8)
@@ -715,7 +715,7 @@ def _points(case, rng):
     else:
         energies = {"davies3": [-0.7, 0.1, 1.3], "davies4": [-1.0, -0.2, 0.5, 1.6]}[case]
         sources = [Dynamics.semigroup(h, g) for h, g in (_davies(rng, energies) for _ in range(6))]
-    return [(transitions, s.h) for transitions, s in zip(grid_of(sources, TAUS), sources)]
+    return [(transitions, s.h[0]) for transitions, s in zip(grid_of(sources, TAUS), sources)]
 
 
 def _stack(points):

@@ -80,14 +80,15 @@ def test_an_empty_table_keeps_its_columns(tmp_path, fmt):
 
 def _emit_text(directory: Path, fmt: str, taus, records, f_factor=None) -> str:
     """The rows file ``cli._emit`` writes for a report of ``records``, with
-    the factor column of ``f_factor`` at each tau."""
+    the factor column of ``f_factor`` at each tau, as the one point of a
+    block's factor ``taus -> (1, t)``."""
     sections = {"classification": {"kind": "fpt", "beta_f": 1.0, "gamma_min": 1.0}, "qdb1": None, "qdb2": None,
                 "qfr_max_deviation": None, "qfr_passes": None}
     args = argparse.Namespace(tau_grid=tuple(taus), s_grid=(0.5,), tol_qdb=1e-9, tol_qfr=1e-9, tol_cptp=1e-9,
                               beta_i=2.0, beta_f=1.0, out=directory, format=fmt)
     with mock.patch.object(cli, "analyse", return_value=[None]), \
             mock.patch.object(cli, "build_report", return_value=[(sections, (tuple(taus), *records))]):
-        cli._emit("report", None, args, f_factor and (lambda taus: [f_factor(tau) for tau in taus]))
+        cli._emit("report", None, args, f_factor and (lambda taus: [[f_factor(tau) for tau in taus]]))
     return (directory / f"report_rows.{fmt}").read_text()
 
 

@@ -27,12 +27,12 @@ import pytest
 
 from conftest import (
     TOL_CPTP,
+    block,
     davies_generator,
     davies_source,
     expm_shapes,
     reference_frame_route,
     reference_maps_of,
-    stacked_h,
 )
 from qdblab import cli, report
 from qdblab.cli import EXIT_OK, _build_parser, main, save_model
@@ -51,7 +51,7 @@ GOLDEN_MODEL = Path(__file__).parent / "golden" / "davies3_circulating.json"
 
 def _scenario(name, *flags):
     args = _build_parser().parse_args(["example", name, *flags])
-    return [source for source, _ in cli._scenario(name, args, [{}])]
+    return [cli._scenario(name, args, [{}])[0]]
 
 
 SECULAR = {
@@ -74,10 +74,10 @@ def _secular_sources(rng, case) -> list:
 def test_secular_sources_take_exp_tau_w_within_roundoff_of_the_full_route(rng, monkeypatch, case):
     sources = _secular_sources(rng, case)
     shapes = expm_shapes(monkeypatch)
-    generators, (superops, _), (probs, finite, gap) = maps_of(sources, stacked_h(sources), TIMES, GRID, TOL_CPTP)
+    generators, (superops, _), (probs, finite, gap) = maps_of(block(sources), TIMES, GRID, TOL_CPTP)
     d = sources[0].h.dim
     assert shapes == [(len(sources), d, d)]  # the rate blocks only
-    want_generators, (want_superops, _), want = reference_maps_of(sources, stacked_h(sources), TIMES, GRID, TOL_CPTP)
+    want_generators, (want_superops, _), want = reference_maps_of(block(sources), TIMES, GRID, TOL_CPTP)
     want_probs, want_finite, want_gap = want
     assert np.array_equal(generators, want_generators)  # H is diagonal: its eigenframe is its own basis
     np.testing.assert_allclose(probs, want_probs, rtol=P_RTOL, atol=P_ATOL)
@@ -204,5 +204,5 @@ def test_the_secular_test_is_structural(rng, monkeypatch, coupling, route):
     assert l[1, 0] == 0
     l[1, 0] = coupling
     shapes = expm_shapes(monkeypatch)
-    maps_of([Dynamics.semigroup(gen.hamiltonian, l)], HamiltonianSpec.stack([gen.hamiltonian]), TIMES, GRID, TOL_CPTP)
+    maps_of(Dynamics.semigroup(gen.hamiltonian, l), TIMES, GRID, TOL_CPTP)
     assert shapes == [(1, 3, 3) if route == "population" else (1, 9, 9)]

@@ -9,9 +9,12 @@ by name: a bare name or an attribute of that name anywhere in the package
 counts, so this is a cheap lower bound on dead code, not a call graph.  An
 imported name that its module never reads is what a deletion left behind.
 The report stages take plain settings: only ``cli`` imports ``argparse``,
-and no function of ``report`` takes ``args``.  ``dynamics.maps_of`` takes
-plain time tuples and runs the GKLS test itself, so ``report`` hands it no
-slice or callback.  The value classes are plain
+and no function of ``report`` takes ``args``.  Every stage takes one
+``dynamics.Dynamics`` block, stacked over its points, never a list of
+per-point sources: no function has a parameter named ``sources``.
+``dynamics.maps_of`` takes the block and plain time tuples and runs the GKLS
+test itself, so ``report`` hands it no slice or callback.  Each named
+threshold states its scale in the comment above it.  The value classes are plain
 classes: no module imports ``dataclasses``, and only an ``__init__`` sets an
 attribute, apart from the command shell's parsed ``args``.  Each error class
 of ``errors.py`` carries its exit code, which the one except clause of
@@ -26,6 +29,7 @@ from pathlib import Path
 
 from qdblab import errors
 from qdblab.dynamics import maps_of
+from qdblab.fluctuation import classify
 
 SRC = Path(__file__).resolve().parents[1] / "src" / "qdblab"
 # the package version and the console-script entry point have callers outside the package
@@ -123,15 +127,64 @@ def test_no_module_imports_dataclasses():
 
 
 def test_maps_of_takes_time_tuples_and_runs_the_gkls_test():
-    # the map times and the grid are two tuples, and the GKLS test runs inside maps_of, on its tolerance
+    # one block, whose stacked h it reads; the map times and the grid are two tuples, and the GKLS test runs
+    # inside maps_of, on its tolerance
     params = inspect.signature(maps_of).parameters.values()
-    assert [p.name for p in params] == ["sources", "h", "times", "grid", "tol_cptp"]
+    assert [p.name for p in params] == ["block", "times", "grid", "tol_cptp"]
     assert all(p.default is p.empty and p.kind is p.POSITIONAL_OR_KEYWORD for p in params)
     report = ast.parse((SRC / "report.py").read_text())
     names = {alias.name for node in ast.walk(report) if isinstance(node, (ast.Import, ast.ImportFrom))
              for alias in node.names}
     assert "report" not in importers("functools")
     assert "gkls_defects" not in names
+
+
+def parameters_named(name: str) -> list:
+    """``module.function`` of every function or lambda under ``src/qdblab``
+    with a parameter called ``name``."""
+    found = []
+    for path in sorted(SRC.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, (ast.FunctionDef, ast.Lambda)):
+                if name in {a.arg for a in ast.walk(node.args) if isinstance(a, ast.arg)}:
+                    found.append(f"{path.stem}.{getattr(node, 'name', 'lambda')}")
+    return found
+
+
+def test_the_stages_take_one_block_not_a_list_of_sources():
+    # a sweep block is one Dynamics stacked over its points, which every stage takes whole
+    assert parameters_named("sources") == []
+    assert list(inspect.signature(classify).parameters) == ["block", "probes"]
+
+
+# the named thresholds: each states its scale (H's spectral range, |L|_1, max|C|, a map's roundoff, a population,
+# or why it is absolute) in the comment above it
+THRESHOLDS = {
+    "dynamics": ["TP_ATOL", "PSD_ATOL", "BASIS_ATOL"],
+    "fluctuation": ["RATIO_FLOOR", "GAP_GROUP_RTOL", "ROUTE_AGREEMENT_ATOL", "STOCHASTIC_ATOL", "PROBABILITY_FLOOR",
+                    "ZERO_EIG_ATOL", "UNIT_EIG_ATOL", "CONVERGENCE_ATOL", "FIXED_POINT_ATOL", "TAU_MAX"],
+    "states": ["STATE_ATOL", "DEGENERACY_ATOL", "THERMAL_OFFDIAG_ATOL", "BETA_AGREE_RTOL"],
+    "matlin": ["HERMITICITY_ATOL"],
+    "report": ["QDB2_TAUS"],
+}
+
+
+def test_every_named_threshold_states_its_scale():
+    unstated = []
+    for module, names in THRESHOLDS.items():
+        lines = (SRC / f"{module}.py").read_text().splitlines()
+        for name in names:
+            (line,) = [i for i, text in enumerate(lines) if text.startswith(f"{name} = ")]
+            if not lines[line - 1].startswith("# "):
+                unstated.append(f"{module}.{name}")
+    assert unstated == []
+    # and no other module-level threshold is left without one
+    for path in sorted(SRC.glob("*.py")):
+        for node in ast.parse(path.read_text()).body:
+            if isinstance(node, ast.Assign) and isinstance(node.targets[0], ast.Name):
+                name = node.targets[0].id
+                if name.endswith(("_ATOL", "_RTOL", "_FLOOR")):
+                    assert name in THRESHOLDS.get(path.stem, []), f"{path.stem}.{name}"
 
 
 def attribute_writes() -> list:

@@ -16,8 +16,8 @@ import pytest
 
 from conftest import (
     TOL_CPTP,
-    stacked_h,
     a_family,
+    block,
     per_source,
     LOWERING,
     RAISING,
@@ -32,6 +32,7 @@ from conftest import (
     reference_gap_clusters,
     reference_herm_eig,
     reference_infer_beta,
+    stack_specs,
     superop_from_channel,
 )
 from qdblab import fluctuation, matlin
@@ -47,26 +48,28 @@ from qdblab.examples import (
     qubit_hamiltonian,
 )
 from qdblab.fluctuation import FIXED_POINT_TAUS, TAU_MAX, _gap_clusters, classify
-from qdblab.states import HamiltonianSpec, infer_beta
+from qdblab.states import infer_beta
 
 PROBES = (TAU_MAX, *FIXED_POINT_TAUS)
 
 
-def probes_of(sources):
+def probes_of(block):
     """classify's eigenframe probes of a block, as ``report.analyse`` takes them:
     the generators of semigroups, the probe maps of Kraus sources."""
-    times = () if sources[0].generator is not None else sources[0].taus(PROBES)
-    generators, (superops, _), _ = maps_of(sources, stacked_h(sources), times, (), TOL_CPTP)
+    times = () if block.generator is not None else block.taus(PROBES)
+    generators, (superops, _), _ = maps_of(block, times, (), TOL_CPTP)
     return superops if generators is None else generators
 
 
 def classified(sources):
-    """:func:`classify` of a block of sources, with their probe maps and stacked Hamiltonians."""
-    return classify(sources, probes_of(sources), HamiltonianSpec.stack([s.h for s in sources]))
+    """:func:`classify` of the block of sources, with its probe maps."""
+    stacked = block(sources)
+    return classify(stacked, probes_of(stacked))
 
 
 def assert_classified_as_reference(sources):
-    got, want = classified(sources), reference_classify(sources, probes_of(sources))
+    stacked = block(sources)
+    got, want = classified(sources), reference_classify(stacked, probes_of(stacked))
     assert len(got) == len(want)
     for (kind, beta, gamma), (want_kind, want_beta, want_gamma) in zip(got, want):
         assert kind == want_kind
@@ -160,8 +163,8 @@ class TestInferBeta:
                    3: lambda: h.eigenvectors @ np.diag([0.5, 0.5, 0.0]) @ h.eigenvectors.conj().T}[kind]()
             states.append(rho)
             hs.append(h)
-        states = eigenframe(np.array(states), HamiltonianSpec.stack(hs))
-        got, low = infer_beta(states, HamiltonianSpec.stack(hs))
+        states = eigenframe(np.array(states), stack_specs(hs))
+        got, low = infer_beta(states, stack_specs(hs))
         want = [_reference_or_nan(rho, h) for rho, h in zip(states, hs)]
         assert np.array_equal(got, want, equal_nan=True)
         assert np.isinf(got[2]) and np.isnan(got[3])
@@ -169,7 +172,7 @@ class TestInferBeta:
 
     def test_a_state_that_is_no_state_reads_nan_with_its_lowest_eigenvalue(self):
         # whatever its diagonal; the states beside it keep their beta
-        h = HamiltonianSpec.stack([qubit_hamiltonian(1.0)] * 3)
+        h = stack_specs([qubit_hamiltonian(1.0)] * 3)
         states = np.array([np.eye(2) / 2, np.diag([1.2, -0.2]), np.diag([0.7, 0.3])], dtype=complex)
         beta, low = infer_beta(states, h)
         assert np.array_equal(beta, [0.0, math.nan, math.log(0.7 / 0.3)], equal_nan=True)
@@ -211,7 +214,7 @@ class TestScenarioBuilds:
         hs = qubit_hamiltonian([p.omega for p in params])
         sources = [Dynamics.channel_family(h, a_family(p)) for h, p in zip(hs, params)]
         taus = (*PROBES, 0.05, 0.4, 2.0, 9.0)
-        _, maps, _ = maps_of(sources, stacked_h(sources), taus, (), TOL_CPTP)
+        _, maps, _ = maps_of(block(sources), taus, (), TOL_CPTP)
         # each qubit H is diagonal, so its eigenframe is the basis of the channel's operators
         for (superops, kraus), source, p in zip(per_source(maps), sources, params):
             assert np.array_equal(kraus, _kraus_stacks(example_a_channel(*p.schedules(taus)), source.h))
