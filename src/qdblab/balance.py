@@ -96,7 +96,9 @@ def check_qdb2(h: HamiltonianSpec, beta, s_grid, maps: np.ndarray) -> np.ndarray
     units exactly when ``W G`` is symmetric there.  Returns, per ``s`` of
     ``s_grid``, the largest entry of ``|W G - (W G)^T|`` over every map; a
     nan entry makes it nan.  A stacked ``h``, ``beta`` and ``maps`` ``(p, t,
-    d^2, d^2)`` give a row per point.
+    d^2, d^2)`` give a row per point.  For a semigroup ``G = exp(tau L)``,
+    ``W G`` is symmetric at every tau exactly when ``W L#`` is, so a
+    generator in place of the maps checks every tau at once.
     """
     d2, log_w = h.dim**2, _log_weights(h, beta, s_grid)
     g = _trace_dual(require_superop_dim(maps, h)).reshape(*log_w.shape[:-2], -1, d2, d2)

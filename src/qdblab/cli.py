@@ -326,9 +326,10 @@ def cmd_sweep(args) -> int:
 
     def block(values: tuple) -> list:
         """The verdicts of the points ``values``, from one exchange grid.
-        When a point raises a ``QdblabError``, whatever its stage, the points
-        run again one at a time, so that the first failing point raises its
-        first failing check."""
+        When a point raises a ``QdblabError``, whatever its stage, the left
+        half of the points runs again and then the right half, down to one
+        point, so that the first failing point raises its first failing
+        check."""
         try:
             if args.parameter != "beta_i":
                 analysis = _analyse(_scenario(args.target, args, [{args.parameter: v} for v in values])[0], args)
@@ -344,7 +345,7 @@ def cmd_sweep(args) -> int:
         except QdblabError:
             if len(values) == 1:
                 raise
-            return [verdict for value in values for verdict in block((value,))]
+            return block(values[: len(values) // 2]) + block(values[len(values) // 2 :])
 
     verdicts = [verdict for start in range(0, len(values), SWEEP_BLOCK)
                 for verdict in block(values[start : start + SWEEP_BLOCK])]

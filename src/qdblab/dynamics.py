@@ -2,11 +2,12 @@
 and of qubit Bloch-coordinate generators), the GKLS test of generators, and
 ``Dynamics``, a block of dynamics stacked over its points: one stacked
 Hamiltonian with one generator stack or one Kraus family of stacks.  Every
-stage takes the block whole: ``maps_of`` gives its generators, its maps at
-one time tuple and its level transitions on the tau grid as stacks over the
-points, which every check, ``classify`` of a channel family too, reads; an
-exactly secular semigroup takes its transitions from its d x d rate block
-alone, and no map is evolved, applied or made Kraus alone.
+stage takes the block whole: ``maps_of`` gives its generators, a channel
+family's maps at one time tuple and its level transitions on the tau grid as
+stacks over the points, which every check, ``classify`` of a channel family
+too, reads; a semigroup has no maps, and an exactly secular one takes its
+transitions from its d x d rate block alone; no map is evolved, applied or
+made Kraus alone.
 
 ``maps_of`` takes H's eigenframe once per block, and it is the only place
 the package reads H's eigenvectors ``V``: the generators, maps and Kraus
@@ -240,9 +241,7 @@ def gkls_defects(generators: np.ndarray) -> tuple:
     ``vec(I)^dag L``.  A Hermiticity-preserving generator generates CPTP maps
     exactly when both are 0 (Lindblad 1976; Wolf & Cirac 2008), in any frame
     ``Q^dag L Q``."""
-    d = math.isqrt(generators.shape[-1])
-    norms = np.abs(generators).sum(axis=-2).max(axis=-1)
-    scaled = generators / np.where(norms > 0, norms, 1.0)[:, None, None]
+    d, scaled = math.isqrt(generators.shape[-1]), matlin.unit_norm1(generators)
     trace = np.eye(d).reshape(-1)  # vec(I)
     proj = np.eye(d * d) - np.outer(trace, trace) / d
     choi = choi_matrix(scaled)
@@ -282,7 +281,7 @@ class Dynamics:
             generator = lindblad_superop(generator)
         block = cls(h, require_superop_dim(generator, h), None, None)
         with np.errstate(over="ignore"):  # finite entries whose sum overflows would give nan maps
-            norms = np.abs(block.generator).sum(axis=-2).max(axis=-1)
+            norms = matlin.norm1(block.generator)
         for g in block.generator[~np.isfinite(norms)][:1]:
             what = "'s 1-norm is not finite" if np.all(np.isfinite(g)) else " has a non-finite entry"
             raise ConfigError(f"the model overflows: its generator{what}")
@@ -333,14 +332,14 @@ def transitions_of(superops: np.ndarray, kraus) -> tuple:
 
 @cache
 def _frame_units(d: int) -> tuple:
-    """The column-stacking indices of the population units ``|m><m|`` and of
-    the coherence units ``|i><j|``, ``i != j``, of M_d, and the mask of the
-    entries of a ``d^2 x d^2`` matrix that couple a population unit to a
-    coherence unit, or two different coherence units."""
+    """The column-stacking indices of the population units ``|m><m|`` of
+    M_d, and the mask of the entries of a ``d^2 x d^2`` matrix that couple a
+    population unit to a coherence unit ``|i><j|``, ``i != j``, or two
+    different coherence units."""
     units = np.arange(d) * (d + 1)  # vec(|m><m|) is the unit vector at m (d + 1)
     coherent = np.ones(d * d, dtype=bool)
     coherent[units] = False
-    return units, np.flatnonzero(coherent), (coherent[:, None] | coherent) & ~np.eye(d * d, dtype=bool)
+    return units, (coherent[:, None] | coherent) & ~np.eye(d * d, dtype=bool)
 
 
 def maps_of(block: Dynamics, times: tuple, grid: tuple, tol_cptp: float) -> tuple:
@@ -351,10 +350,12 @@ def maps_of(block: Dynamics, times: tuple, grid: tuple, tol_cptp: float) -> tupl
     transitions)``: the stack ``(k, d^2, d^2)`` of the semigroups'
     generators ``Q^dag L Q``, with ``Q = conj(V) (x) V`` for the eigenvectors
     ``V`` of the block's ``h`` (None for channel families), the stack ``(k,
-    t, d^2, d^2)`` of the maps' matrices, the zero-padded stack ``(k, t, j,
-    d, d)`` of their Kraus operators ``V^dag G V`` (None for semigroups),
-    and the stacks ``(probs, finite, route_gap)`` of :func:`transitions_of`.
-    One family call, or one exponential, covers ``times + grid``.
+    t, d^2, d^2)`` of a channel family's maps' matrices and the zero-padded
+    stack ``(k, t, j, d, d)`` of their Kraus operators ``V^dag G V``, and
+    the stacks ``(probs, finite, route_gap)`` of :func:`transitions_of`.
+    A semigroup has no maps: it takes no ``times``, and its ``(superops,
+    kraus)`` are ``(None, None)``.  One family call covers ``times + grid``,
+    and one exponential per route a semigroup's grid.
 
     A family's stack is checked as one, the first failing point and slice
     first.  The semigroups' eigenframe generators take the GKLS test of
@@ -364,12 +365,12 @@ def maps_of(block: Dynamics, times: tuple, grid: tuple, tol_cptp: float) -> tupl
     population unit ``|m><m|`` to a coherence unit, or two different
     coherence units, is exactly 0 (a structural test, with no tolerance): it
     is its Pauli rate block ``W`` on the populations plus one decay rate
-    ``lambda_c`` per coherence (Davies 1974).  The secular semigroups take
-    one exponential of their rate blocks over (point, time): ``exp(tau W)``
-    is their transition matrix on the grid, and their map is ``exp(tau W)
-    (+) diag(exp(tau lambda_c))``.  The others take one exponential of their
-    generators over (point, time), so each point's route depends on its own
-    generator only."""
+    per coherence (Davies 1974).  The secular semigroups take one
+    exponential of their rate blocks over (point, time): ``exp(tau W)`` is
+    their transition matrix on the grid.  The others take one exponential
+    of their generators over (point, time), whose population block the
+    transitions are, so each point's route depends on its own generator
+    only."""
     h = block.h
     v, d, k, t = h.eigenvectors, h.dim, len(h.matrix), len(times)
     if block.generator is None:
@@ -385,35 +386,13 @@ def maps_of(block: Dynamics, times: tuple, grid: tuple, tol_cptp: float) -> tupl
     cp, tp = gkls_defects(generators)
     for i in np.flatnonzero(~(np.maximum(cp, tp) < tol_cptp))[:1]:  # a nan defect fails too
         raise NotCPTP(f"the generator is not of GKLS form: cp={cp[i]:.3e}, tp={tp[i]:.3e} relative to its 1-norm")
-    secular = ~generators[:, _frame_units(d)[2]].any(axis=-1)
-    superops = np.empty((k, t, d * d, d * d), dtype=complex)
+    units, couplings = _frame_units(d)
+    secular = ~generators[:, couplings].any(axis=-1)
     probs, finite = np.empty((k, len(grid), d, d)), np.empty((k, len(grid)), dtype=bool)
-    for route, picked in ((_full_route, ~secular), (_population_route, secular)):
-        if picked.any():
-            superops[picked], probs[picked], finite[picked] = route(generators[picked], times, grid)
-    return generators, (superops, None), (probs, finite, np.zeros(finite.shape))
-
-
-def _full_route(generators: np.ndarray, times: tuple, grid: tuple) -> tuple:
-    """``(superops, probs, finite)`` of :func:`maps_of` from one exponential
-    of the eigenframe generators over (point, time)."""
-    maps = matlin.expm(generators, times + grid)
-    probs, finite, _ = transitions_of(maps[:, len(times):], None)
-    return maps[:, : len(times)], probs, finite
-
-
-def _population_route(generators: np.ndarray, times: tuple, grid: tuple) -> tuple:
-    """``(superops, probs, finite)`` of :func:`maps_of` for exactly secular
-    eigenframe generators, with one exponential of their rate blocks
-    ``W[n, m]``, the entries from ``|m><m|`` to ``|n><n|``, over (point,
-    time)."""
-    d, t = math.isqrt(generators.shape[-1]), len(times)
-    units, coherent, _ = _frame_units(d)
-    populations = matlin.expm(generators[:, units[:, None], units], times + grid)
-    superops = np.zeros((len(generators), t, d * d, d * d), dtype=complex)
-    superops[..., units[:, None], units] = populations[:, :t]
-    taus = np.asarray(times, dtype=float)
-    with np.errstate(over="ignore", under="ignore", invalid="ignore"):
-        superops[..., coherent, coherent] = np.exp(taus[:, None] * generators[:, None, coherent, coherent])
-    grid_maps = populations[:, t:]
-    return superops, grid_maps.real.swapaxes(-1, -2), np.isfinite(grid_maps).all(axis=(-2, -1))
+    if not secular.all():
+        probs[~secular], finite[~secular], _ = transitions_of(matlin.expm(generators[~secular], grid), None)
+    if secular.any():
+        # the rate blocks W[n, m], the entries from |m><m| to |n><n|
+        rates = matlin.expm(generators[secular][:, units[:, None], units], grid)
+        probs[secular], finite[secular] = rates.real.swapaxes(-1, -2), np.isfinite(rates).all(axis=(-2, -1))
+    return generators, (None, None), (probs, finite, np.zeros(finite.shape))

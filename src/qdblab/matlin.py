@@ -113,7 +113,7 @@ def expm(generators: np.ndarray, taus) -> np.ndarray:
     b = _PADE13
     eye = np.eye(n)
     with np.errstate(over="ignore", under="ignore", invalid="ignore", divide="ignore"):
-        norm = _norm1(g)
+        norm = norm1(g)
         finite = np.isfinite(taus * norm[:, None])
         if not finite.all():  # a generator with a non-finite entry is analysed as 0
             ok = np.isfinite(norm)
@@ -125,7 +125,7 @@ def expm(generators: np.ndarray, taus) -> np.ndarray:
         b2 = b1 @ b1
         b4 = b2 @ b2
         b6 = b4 @ b2
-        d6, d8, d10 = _norm1(np.stack([b6, b4 @ b4, b4 @ b6])) ** np.array([[1 / 6], [1 / 8], [1 / 10]])
+        d6, d8, d10 = norm1(np.stack([b6, b4 @ b4, b4 @ b6])) ** np.array([[1 / 6], [1 / 8], [1 / 10]])
         eta = np.minimum(np.maximum(d6, d8), np.maximum(d8, d10))
         # q = || |B|^27 ||, the largest entry of the row 1^T |B|^27 as |B| >= 0
         p = np.abs(b1)
@@ -163,9 +163,15 @@ def expm(generators: np.ndarray, taus) -> np.ndarray:
     return x.reshape(l.shape[:-2] + taus.shape + (n, n))
 
 
-def _norm1(a: np.ndarray) -> np.ndarray:
+def norm1(a: np.ndarray) -> np.ndarray:
     """1-norm (largest absolute column sum) of every slice of a stack."""
     return np.abs(a).sum(axis=-2).max(axis=-1, initial=0.0)
+
+
+def unit_norm1(a: np.ndarray) -> np.ndarray:
+    """Every slice of a stack over its 1-norm; a zero slice stays 0."""
+    norms = norm1(a)[..., None, None]
+    return a / np.where(norms > 0, norms, 1.0)
 
 
 def _scale(a: np.ndarray, m, k) -> np.ndarray:

@@ -3,7 +3,8 @@
 :func:`analyse` takes one ``dynamics.Dynamics`` block, stacked over its
 points, through the stages that do not depend on beta_i: the GKLS test of
 the generators, classification, and the generator-level (qdb1) and
-map-level (qdb2) detailed-balance checks.  :func:`build_report` adds the
+map-level (qdb2) detailed-balance checks, a semigroup's qdb2 at every tau
+from its generator.  :func:`build_report` adds the
 exchange distribution and the forward-only ratio law at each point of beta_i
 and beta_f, and returns the verdict sections and the arrays that report rows
 are read from.  Each stage takes only the values it reads (the block, grids,
@@ -19,10 +20,11 @@ import numpy as np
 from .balance import check_qdb1, check_qdb2
 from .dynamics import Dynamics, maps_of
 from .fluctuation import FIXED_POINT_TAUS, TAU_MAX, classify, exchange_grid, ratios
+from .matlin import unit_norm1
 from .states import HamiltonianSpec
 
-# absolute times, in the model's own time units, not in units of its relaxation time 1/gamma_min, so a change
-# of units moves what qdb2 sees
+# absolute times, in the model's own time units, for channel families and single maps only, which have no
+# generator: a change of their units moves what qdb2 sees; a semigroup's qdb2 holds at every tau or none
 QDB2_TAUS = (0.1, 0.5, 1.0, 5.0)
 
 
@@ -59,25 +61,34 @@ def analyse(block: Dynamics, tau_grid: tuple, s_grid: tuple, tol_qdb: float, tol
     """The stages that do not depend on beta_i, each stacked over the points
     of ``block``, in order: the generators in H's eigenframe, with the GKLS
     test of the semigroups' generators against ``tol_cptp`` before any
-    exponential, the maps at classify's probe times and at the finite qdb2
-    times, with the level transitions on ``tau_grid``, from one
-    :func:`maps_of` call; classify; and qdb1 and qdb2 over ``s_grid``, which
-    pass below ``tol_qdb``; one analysis ``(sections, betas, taus,
-    transitions, h)`` of them all, with a list of each point's sections, the
-    array of their beta_f (nan where there is none), the stacks of their
-    transitions on the tau grid and the block's stacked Hamiltonian.  A
-    failing stage raises, for whichever point fails it."""
-    probes = () if block.generator is not None else block.taus((TAU_MAX, *FIXED_POINT_TAUS))
-    taus, qdb2_taus = block.taus(tau_grid), tuple(filter(math.isfinite, block.taus(QDB2_TAUS)))
-    p, h = len(probes), block.h
+    exponential, a family's or single map's maps at classify's probe times
+    and at the finite qdb2 times, with the level transitions on
+    ``tau_grid``, from one :func:`maps_of` call; classify; and qdb1 and qdb2
+    over ``s_grid``, which pass below ``tol_qdb``; one analysis ``(sections,
+    betas, taus, transitions, h)`` of them all, with a list of each point's
+    sections, the array of their beta_f (nan where there is none), the
+    stacks of their transitions on the tau grid and the block's stacked
+    Hamiltonian.  A semigroup's qdb2 holds at every tau exactly when ``W
+    L#`` is symmetric, its derivative at tau = 0, so it is ``check_qdb2`` of
+    the eigenframe generator over its 1-norm (largest absolute column sum),
+    at the taus ``"all"``.  A failing stage raises, for whichever point
+    fails it."""
+    semigroup = block.generator is not None
+    probes = () if semigroup else block.taus((TAU_MAX, *FIXED_POINT_TAUS))
+    qdb2_taus = () if semigroup else tuple(filter(math.isfinite, block.taus(QDB2_TAUS)))
+    taus, p, h = block.taus(tau_grid), len(probes), block.h
     # every stage from here reads the eigenframe matrices of maps_of
     generators, (superops, _), transitions = maps_of(block, probes + qdb2_taus, taus, tol_cptp)
-    classified = classify(block, superops[:, :p] if generators is None else generators)
+    if semigroup:
+        probes, maps, qdb2_taus = generators, unit_norm1(generators)[:, None], "all"
+    else:
+        probes, maps, qdb2_taus = superops[:, :p], superops[:, p:] if qdb2_taus else None, list(qdb2_taus)
+    classified = classify(block, probes)
     betas = np.array([b if b is not None and math.isfinite(b) else math.nan for _, b, _ in classified])
     qdb1 = _balance(check_qdb1, h, betas, generators, s_grid, tol_qdb)
-    qdb2 = _balance(check_qdb2, h, betas, superops[:, p:] if qdb2_taus else None, s_grid, tol_qdb)
+    qdb2 = _balance(check_qdb2, h, betas, maps, s_grid, tol_qdb)
     classification = [{"kind": k, "beta_f": json_float(b), "gamma_min": json_float(g)} for k, b, g in classified]
-    sections = [{"classification": c, "qdb1": q1, "qdb2": q2 and {**q2, "taus": list(qdb2_taus)}}
+    sections = [{"classification": c, "qdb1": q1, "qdb2": q2 and {**q2, "taus": qdb2_taus}}
                 for c, q1, q2 in zip(classification, qdb1, qdb2)]
     return sections, betas, taus, transitions, h
 

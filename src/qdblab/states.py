@@ -3,7 +3,8 @@ inference, plus the standard Pauli matrices.
 
 A thermal state enters only through its level populations in the
 Hamiltonian's eigenbasis, and a state is a plain Hermitian matrix, held in
-H's eigenframe, as ``dynamics.maps_of`` hands on the maps it comes from.
+H's eigenframe, as ``dynamics.maps_of`` hands on the generators and maps
+it comes from.
 Level indices always follow the Hamiltonian's ascending eigenvalue order, so
 index 0 is the ground level.
 """
@@ -22,8 +23,8 @@ SIGMA_Z = np.array([[1, 0], [0, -1]], dtype=complex)
 
 # a population: the eigenvalues of a unit-trace state are its populations in its eigenbasis
 STATE_ATOL = 1e-10
-# absolute, in H's energy units: an adjacent-level gap at or below it is a degeneracy, where beta is undefined;
-# it does not scale with H's spectral range, so a change of units can move it
+# relative to H's spectral range E_max - E_min: an adjacent-level gap at or below that fraction of it is a
+# degeneracy, where beta is undefined; a change of units scales both alike
 DEGENERACY_ATOL = 1e-12
 # a population: an off-diagonal entry |rho_mn| of a state is at most sqrt(p_m p_n)
 THERMAL_OFFDIAG_ATOL = 1e-8
@@ -87,7 +88,7 @@ def infer_beta(rho: np.ndarray, h: HamiltonianSpec) -> tuple:
     gaps = e[:, 1:] - e[:, :-1]  # of adjacent levels
     p = rho.diagonal(axis1=1, axis2=2).real
     # no state, degenerate levels, or off-diagonal weight; a nan passes each test
-    bad = (low < -STATE_ATOL) | (gaps.min(axis=1, initial=math.inf) <= DEGENERACY_ATOL)
+    bad = (low < -STATE_ATOL) | (gaps.min(axis=1, initial=math.inf) <= DEGENERACY_ATOL * (e[:, -1] - e[:, 0]))
     bad |= np.abs(rho - rho * np.eye(h.dim)).max(axis=(1, 2)) > THERMAL_OFFDIAG_ATOL
     # 1e-14 is a population: below it a level's population is read as vanishing, so its log is not taken
     beta = np.where(~bad & (p[:, 0] >= 1.0 - 1e-10) & (p[:, 1:].max(axis=1, initial=0.0) < 1e-14), math.inf, math.nan)

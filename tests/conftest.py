@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 
 from qdblab import matlin
+from qdblab.balance import check_qdb2
 from qdblab.dynamics import (
     _PAULI_STACK,
     Dynamics,
@@ -50,6 +51,7 @@ from qdblab.fluctuation import (
     exchange_grid,
     ratios,
 )
+from qdblab.report import QDB2_TAUS
 from qdblab.states import (
     BETA_AGREE_RTOL,
     DEGENERACY_ATOL,
@@ -278,9 +280,8 @@ def a_family(p):
 
 def per_source(maps) -> list:
     """The ``(superops, kraus)`` stacks of each point of the block stacks
-    ``maps`` of :func:`qdblab.dynamics.maps_of`."""
-    superops, kraus = maps
-    return list(zip(superops, [None] * len(superops) if kraus is None else kraus))
+    ``maps`` that :func:`qdblab.dynamics.maps_of` gives a channel family."""
+    return list(zip(*maps))
 
 
 def stack_specs(hs) -> HamiltonianSpec:
@@ -350,40 +351,46 @@ def reference_gkls_test(generators: np.ndarray, tol_cptp: float) -> None:
 
 def reference_maps_of(block: Dynamics, times: tuple, grid: tuple, tol_cptp: float) -> tuple:
     """:func:`qdblab.dynamics.maps_of` with every point of ``block`` on the
-    full route in the basis of H's matrix: a semigroup's maps are one
-    exponential of its ``d^2 x d^2`` generator over every time, every
+    full route in the basis of H's matrix: a semigroup takes one exponential
+    of its ``d^2 x d^2`` generator over the grid and no map times, every
     point's transitions on the grid come from its maps by
-    :func:`reference_transition_stack`, and the generators and maps are then
-    taken to H's eigenframe by :func:`eigenframe`; the eigenframe generators
-    take the GKLS test first."""
-    generators, kraus, n, h = None, None, len(times), block.h
+    :func:`reference_transition_stack`, and the generators and a family's
+    maps are then taken to H's eigenframe by :func:`eigenframe`; the
+    eigenframe generators take the GKLS test first."""
+    h, n = block.h, len(times)
     if block.generator is None:
         kraus = _kraus_stacks(np.asarray(block.family(times + grid), dtype=complex), h)
         superops = _kraus_superops(kraus)
-    else:
-        original = block.generator
-        generators = eigenframe(original, h)
-        reference_gkls_test(generators, tol_cptp)
-        superops = matlin.expm(original, times + grid)
-    rest = None if kraus is None else eigenframe(kraus[:, :n], h)
-    transitions = reference_transition_stack(superops[:, n:], None if kraus is None else kraus[:, n:], h)
-    return generators, (eigenframe(superops[:, :n], h), rest), transitions
+        transitions = reference_transition_stack(superops[:, n:], kraus[:, n:], h)
+        return None, (eigenframe(superops[:, :n], h), eigenframe(kraus[:, :n], h)), transitions
+    generators = eigenframe(block.generator, h)
+    reference_gkls_test(generators, tol_cptp)
+    return generators, (None, None), reference_transition_stack(matlin.expm(block.generator, grid), None, h)
 
 
 def reference_frame_route(block: Dynamics, times: tuple, grid: tuple, tol_cptp: float) -> tuple:
     """:func:`qdblab.dynamics.maps_of` with every semigroup point of
     ``block`` on the full route in H's eigenframe: one exponential of its
-    generator, taken to the frame by :func:`eigenframe`, over every time,
-    and its transitions on the grid read from its maps by
+    generator, taken to the frame by :func:`eigenframe`, over the grid, and
+    its transitions read from those maps by
     :func:`reference_transition_stack` in the frame's own basis; the
     eigenframe generators take the GKLS test first."""
     h = block.h
     generators = eigenframe(block.generator, h)
     reference_gkls_test(generators, tol_cptp)
-    superops = matlin.expm(generators, times + grid)
     units = HamiltonianSpec(h.matrix, h.eigenvalues, np.broadcast_to(np.eye(h.dim), h.eigenvectors.shape))
-    transitions = reference_transition_stack(superops[:, len(times):], None, units)
-    return generators, (superops[:, : len(times)], None), transitions
+    return generators, (None, None), reference_transition_stack(matlin.expm(generators, grid), None, units)
+
+
+def reference_map_qdb2(block: Dynamics, betas, s_grid, taus=QDB2_TAUS) -> np.ndarray:
+    """Map-level qdb2 of each semigroup point of ``block`` at the sampled
+    ``taus``: :func:`qdblab.balance.check_qdb2` of the maps ``exp(tau F)``
+    of its eigenframe generator F, the point's beta in ``betas``, a row of
+    residuals over ``s_grid`` per point.  It is the qdb2 that
+    ``report.analyse`` took before it judged a semigroup by the generator
+    identity, kept as the oracle the identity's verdict must agree with."""
+    generators = maps_of(block, (), (), TOL_CPTP)[0]
+    return check_qdb2(block.h, betas, s_grid, matlin.expm(generators, taus))
 
 
 def stacks_of(g, h):
@@ -763,12 +770,18 @@ def default_tau_max(gamma_min) -> float:
     return TAU_MAX
 
 
+def probes_of(block: Dynamics) -> np.ndarray:
+    """classify's eigenframe probes of a block, as ``report.analyse`` takes
+    them: the generators of semigroups, the probe maps of Kraus sources."""
+    times = () if block.generator is not None else block.taus((TAU_MAX, *FIXED_POINT_TAUS))
+    generators, (superops, _), _ = maps_of(block, times, (), TOL_CPTP)
+    return superops if generators is None else generators
+
+
 def classify_one(source) -> tuple:
     """:func:`qdblab.fluctuation.classify` of a block of one point: its
-    ``(kind, beta_f, gamma_min)``, from the probe maps that
-    ``report.analyse`` takes for it, none for a semigroup."""
-    generators, (superops, _), _ = maps_of(source, source.taus((TAU_MAX, *FIXED_POINT_TAUS)), (), TOL_CPTP)
-    return classify(source, superops if generators is None else generators)[0]
+    ``(kind, beta_f, gamma_min)``, from the probes of :func:`probes_of`."""
+    return classify(source, probes_of(source))[0]
 
 
 def reference_classify_single_map(kraus_ops, h: HamiltonianSpec) -> tuple:
@@ -998,7 +1011,7 @@ def reference_infer_beta(rho: np.ndarray, h: HamiltonianSpec) -> float:
     if lo < -STATE_ATOL:
         raise NotAState(f"state has negative eigenvalue {lo:.3e}")
     e = h.eigenvalues
-    if float(np.min(np.diff(e), initial=math.inf)) <= DEGENERACY_ATOL:
+    if float(np.min(np.diff(e), initial=math.inf)) <= DEGENERACY_ATOL * (e[-1] - e[0]):
         raise NotThermal("Hamiltonian spectrum is degenerate, beta inference undefined")
     a = rho
     off = a - np.diag(np.diag(a))

@@ -985,8 +985,8 @@ def test_a_sweep_takes_each_stage_once_per_block(tmp_path, monkeypatch, argv, ca
 
 
 def test_a_generator_that_fails_the_gkls_test_is_never_exponentiated(tmp_path, capsys, monkeypatch):
-    # the block of 5 sources fails its GKLS test before its exponential; of the points it
-    # replays, the three before the first failing one take one each, and that one none
+    # the block of 5 points fails its GKLS test before its exponential, and so do the halves that hold point 3,
+    # the first failing one: of the replays, only the left half (2 points) and point 2 take an exponential
     from qdblab import matlin
 
     sources = []
@@ -994,7 +994,35 @@ def test_a_generator_that_fails_the_gkls_test_is_never_exponentiated(tmp_path, c
     monkeypatch.setattr(matlin, "expm", lambda *args: sources.append(len(args[0])) or original(*args))
     assert run(tmp_path, "sweep", "c", "--parameter", "nu", "--range=0.9:0.1:5") == QdblabError.exit_code
     assert capsys.readouterr().err.startswith("NotCPTP: ")
-    assert sources == [1, 1, 1]
+    assert sources == [2, 1]
+
+
+@pytest.mark.parametrize("values", ["0.9:0.35:32", "0.35:0.9:32"], ids=["bad-last", "bad-first"])
+def test_a_failing_block_replays_by_halves(tmp_path, capsys, monkeypatch, values):
+    # one point of 32 (nu = 0.35) is not CP: the block and then, per level, the two halves, left first, run again
+    # until the one point raises, which costs 1 + 2 log2 32 = 11 analyses at most, not 33
+    import qdblab.cli
+
+    sizes, original = [], qdblab.cli.analyse
+    monkeypatch.setattr(qdblab.cli, "analyse", lambda block, *args: sizes.append(len(block.h.matrix))
+                        or original(block, *args))
+    assert run(tmp_path, "sweep", "c", "--parameter", "nu", f"--range={values}") == QdblabError.exit_code
+    err = capsys.readouterr().err
+    assert len(sizes) <= 11 and sizes[0] == 32 and sizes[-1] == 1
+    assert run(tmp_path, "sweep", "c", "--parameter", "nu", "--range=0.35:0.35:1") == QdblabError.exit_code
+    assert err == capsys.readouterr().err and err.count("\n") == 1
+    assert not list(tmp_path.iterdir())
+
+
+@pytest.mark.parametrize("omega, beta_f, beta_i", [("1e-11", "1e11", "2e11"), ("1e-12", "1e12", "2e12")])
+def test_a_level_spacing_alone_does_not_make_a_degeneracy(tmp_path, omega, beta_f, beta_i):
+    # beta_f omega = 1 at both spacings, so the same thermal populations: the degeneracy cut is relative to H's
+    # spectral range, so neither gap reads as a degeneracy
+    assert run(tmp_path, "example", "b", "--omega", omega, "--beta-f", beta_f, "--beta-i", beta_i,
+               "--tau-grid", "1") == EXIT_OK
+    verdict = json.loads((tmp_path / "example_b_verdict.json").read_text())
+    assert verdict["classification"]["kind"] == "fpt"
+    assert verdict["qdb1"]["passes"] is True and verdict["qdb2"]["passes"] is True
 
 
 def _fresh_interpreter(*args, stdout=subprocess.PIPE, **env):

@@ -44,6 +44,7 @@ from qdblab.dynamics import (
     lindblad_superop,
     maps_of,
     require_superop_dim,
+    transitions_of,
 )
 from qdblab.errors import ConfigError, DimensionMismatch, KossakowskiNotPSD, NotTracePreserving
 from qdblab.matlin import dag, kron, unvec
@@ -474,7 +475,7 @@ class TestDynamicsSources:
         assert np.array_equal(superops, [superop_from_channel(ops)] * 2)
 
 
-# classify's probe times, a tau grid and the qdb2 times, which report.analyse takes as one tuple
+# classify's probe times, a tau grid and the qdb2 times, which report.analyse takes as one tuple for a family
 TIME_PARTS = ((TAU_MAX, *FIXED_POINT_TAUS), (0.01, 0.3, 2.0, 50.0), QDB2_TAUS)
 
 
@@ -483,13 +484,15 @@ class TestMapsOf:
 
     @pytest.mark.parametrize("d", [2, 3, 4])
     def test_semigroups_slice_their_own_exponentials(self, rng, d):
+        # a semigroup has no maps: its transitions on the grid are the population blocks of its own exponentials
         sources = [Dynamics.semigroup(g.hamiltonian, g) for g in (random_lindblad(rng, d) for _ in range(3))]
-        generators, maps, _ = maps_of(block(sources), sum(TIME_PARTS, ()), (), TOL_CPTP)
-        for generator, (superops, kraus), source in zip(generators, per_source(maps), sources):
-            assert kraus is None
+        generators, maps, (probs, finite, _) = maps_of(block(sources), (), sum(TIME_PARTS, ()), TOL_CPTP)
+        assert maps == (None, None) and finite.all()
+        for generator, p, source in zip(generators, probs, sources):
             # the generator in its random eigenframe, within the roundoff of two products
             np.testing.assert_allclose(generator, eigenframe(source.generator[0], source.h[0]), rtol=0, atol=1e-13)
-            assert np.array_equal(superops, np.concatenate([evolve_grid(generator, t) for t in TIME_PARTS]))
+            own = [transitions_of(evolve_grid(generator, t), None)[0] for t in TIME_PARTS]
+            assert np.array_equal(p, np.concatenate(own))
 
     def test_channel_families_slice_their_own_stacks(self):
         params = [ExampleAParams(0.5, 1.0), ExampleAParams(2.0, 3.0)]

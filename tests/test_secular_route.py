@@ -3,9 +3,9 @@
 A semigroup whose generator, in H's eigenframe, couples no population unit
 to a coherence unit and no two coherence units takes its transition
 probabilities from ``exp(tau W)``, the exponential of its d x d Pauli rate
-block, and its qdb2 maps from ``exp(tau W) (+) diag(exp(tau lambda_c))``;
-every other source keeps the full route, the exponential of its d^2 x d^2
-generator, both in H's eigenframe.  The reference is
+block; every other source keeps the full route, the exponential of its d^2 x
+d^2 generator, both in H's eigenframe.  Neither forms a semigroup's maps,
+whose qdb2 is a generator identity.  The reference is
 ``conftest.reference_maps_of``, which puts every source on the full route
 in the basis of H's matrix and takes its maps to the eigenframe after.
 
@@ -44,8 +44,8 @@ from qdblab.states import HamiltonianSpec
 # over 1200 random Davies models at d = 2-4 (seeds 0-39) the worst entry read 1.2e-14 past P_ATOL
 P_RTOL = 2e-14
 P_ATOL = 1e-15
-TIMES = report.QDB2_TAUS
-GRID = tuple(np.geomspace(0.01, 50.0, 40))
+# the default tau grid, then the times at which qdb2 once took a semigroup's maps
+GRID = tuple(np.geomspace(0.01, 50.0, 40)) + report.QDB2_TAUS
 GOLDEN_MODEL = Path(__file__).parent / "golden" / "davies3_circulating.json"
 
 
@@ -74,14 +74,14 @@ def _secular_sources(rng, case) -> list:
 def test_secular_sources_take_exp_tau_w_within_roundoff_of_the_full_route(rng, monkeypatch, case):
     sources = _secular_sources(rng, case)
     shapes = expm_shapes(monkeypatch)
-    generators, (superops, _), (probs, finite, gap) = maps_of(block(sources), TIMES, GRID, TOL_CPTP)
+    generators, maps, (probs, finite, gap) = maps_of(block(sources), (), GRID, TOL_CPTP)
     d = sources[0].h.dim
     assert shapes == [(len(sources), d, d)]  # the rate blocks only
-    want_generators, (want_superops, _), want = reference_maps_of(block(sources), TIMES, GRID, TOL_CPTP)
+    want_generators, want_maps, want = reference_maps_of(block(sources), (), GRID, TOL_CPTP)
     want_probs, want_finite, want_gap = want
+    assert maps == want_maps == (None, None)
     assert np.array_equal(generators, want_generators)  # H is diagonal: its eigenframe is its own basis
     np.testing.assert_allclose(probs, want_probs, rtol=P_RTOL, atol=P_ATOL)
-    np.testing.assert_allclose(superops, want_superops, rtol=0, atol=P_RTOL)
     assert np.array_equal(finite, want_finite) and np.array_equal(gap, want_gap)
 
 
@@ -204,5 +204,5 @@ def test_the_secular_test_is_structural(rng, monkeypatch, coupling, route):
     assert l[1, 0] == 0
     l[1, 0] = coupling
     shapes = expm_shapes(monkeypatch)
-    maps_of(Dynamics.semigroup(gen.hamiltonian, l), TIMES, GRID, TOL_CPTP)
+    maps_of(Dynamics.semigroup(gen.hamiltonian, l), (), GRID, TOL_CPTP)
     assert shapes == [(1, 3, 3) if route == "population" else (1, 9, 9)]

@@ -13,7 +13,8 @@ and no function of ``report`` takes ``args``.  Every stage takes one
 ``dynamics.Dynamics`` block, stacked over its points, never a list of
 per-point sources: no function has a parameter named ``sources``.
 ``dynamics.maps_of`` takes the block and plain time tuples and runs the GKLS
-test itself, so ``report`` hands it no slice or callback.  Each named
+test itself, so ``report`` hands it no slice or callback, and no map times
+for a semigroup, whose qdb2 is a generator identity.  Each named
 threshold states its scale in the comment above it.  The value classes are plain
 classes: no module imports ``dataclasses``, and only an ``__init__`` sets an
 attribute, apart from the command shell's parsed ``args``.  Each error class
@@ -28,8 +29,9 @@ import inspect
 from pathlib import Path
 
 from qdblab import errors
+from qdblab.cli import _build_parser, _scenario
 from qdblab.dynamics import maps_of
-from qdblab.fluctuation import classify
+from qdblab.fluctuation import FIXED_POINT_TAUS, TAU_MAX, classify
 
 SRC = Path(__file__).resolve().parents[1] / "src" / "qdblab"
 # the package version and the console-script entry point have callers outside the package
@@ -137,6 +139,22 @@ def test_maps_of_takes_time_tuples_and_runs_the_gkls_test():
              for alias in node.names}
     assert "report" not in importers("functools")
     assert "gkls_defects" not in names
+
+
+def test_analyse_hands_maps_of_no_map_times_for_a_semigroup(monkeypatch):
+    # a family's maps at classify's probe times and the qdb2 times; a semigroup's classify and qdb2 read its
+    # generator, so it asks for no map, only the transitions on the tau grid
+    from qdblab import report
+
+    asked, original = [], report.maps_of
+    monkeypatch.setattr(report, "maps_of", lambda block, times, grid, tol: asked.append((times, grid))
+                        or original(block, times, grid, tol))
+    parser = _build_parser()
+    for name in "abc":
+        block = _scenario(name, parser.parse_args(["example", name]), [{}])[0]
+        report.analyse(block, (0.5, 2.0), (0.0, 1.0), 1e-9, 1e-9)
+    assert asked == [((TAU_MAX, *FIXED_POINT_TAUS, *report.QDB2_TAUS), (0.5, 2.0)), ((), (0.5, 2.0)),
+                     ((), (0.5, 2.0))]
 
 
 def parameters_named(name: str) -> list:

@@ -19,6 +19,7 @@ from conftest import (
     a_family,
     block,
     per_source,
+    probes_of,
     LOWERING,
     RAISING,
     NotThermal,
@@ -51,14 +52,6 @@ from qdblab.fluctuation import FIXED_POINT_TAUS, TAU_MAX, _gap_clusters, classif
 from qdblab.states import infer_beta
 
 PROBES = (TAU_MAX, *FIXED_POINT_TAUS)
-
-
-def probes_of(block):
-    """classify's eigenframe probes of a block, as ``report.analyse`` takes them:
-    the generators of semigroups, the probe maps of Kraus sources."""
-    times = () if block.generator is not None else block.taus(PROBES)
-    generators, (superops, _), _ = maps_of(block, times, (), TOL_CPTP)
-    return superops if generators is None else generators
 
 
 def classified(sources):
