@@ -7,7 +7,9 @@ family's maps at one time tuple and its level transitions on the tau grid as
 stacks over the points, which every check, ``classify`` of a channel family
 too, reads; a semigroup has no maps, and an exactly secular one takes its
 transitions from its d x d rate block alone; no map is evolved, applied or
-made Kraus alone.
+made Kraus alone.  The transitions leave ``maps_of`` judged: finite, the
+Kraus route agreeing with the superoperator route, and stochastic; the
+later stages take them as bare probabilities.
 
 ``maps_of`` takes H's eigenframe once per block, and it is the only place
 the package reads H's eigenvectors ``V``: the generators, maps and Kraus
@@ -40,7 +42,8 @@ from functools import cache
 import numpy as np
 
 from . import matlin
-from .errors import ConfigError, DimensionMismatch, KossakowskiNotPSD, NotCPTP, NotTracePreserving
+from .errors import ConfigError, DimensionMismatch, InternalCheckError, KossakowskiNotPSD, NotCPTP
+from .errors import NotTracePreserving
 from .matlin import dag, kron, vec
 from .states import SIGMA_X, SIGMA_Y, SIGMA_Z, HamiltonianSpec
 
@@ -51,6 +54,10 @@ PSD_ATOL = 1e-10
 # absolute, because a basis operator's trace is read on the scale of entries of order 1, as the Gell-Mann
 # basis and the traceless parts of jumps at unit rate have them
 BASIS_ATOL = 1e-12
+# a population: both routes give transition probabilities, which lie in [0, 1]
+ROUTE_AGREEMENT_ATOL = 1e-10
+# absolute, because a transition row sums to 1 whatever the map; a map's roundoff u tau |L|_1 can exceed it
+STOCHASTIC_ATOL = 1e-9
 
 
 def gell_mann_basis(d: int) -> list:
@@ -309,13 +316,12 @@ class Dynamics:
         return tuple(grid) if self.tau is None else (self.tau,)
 
 
-def transitions_of(superops: np.ndarray, kraus) -> tuple:
-    """The level transitions of the eigenframe map stacks ``(superops,
-    kraus)`` of :func:`maps_of`, or of stacks ``(p, t, ...)`` of them, as
-    ``(probs, finite, route_gap)``: ``probs[..., t, m, n] = <n| Map_t[|m><m|]
-    |n>``, read from the maps' population block, and over ``(..., t)``
-    whether a map's entries are all finite and by how much the Kraus route
-    ``sum_j |<n|G_j|m>|^2`` differs from the superoperator route (0 without
+def transitions_of(superops: np.ndarray, kraus) -> np.ndarray:
+    """The level transitions ``probs[..., t, m, n] = <n| Map_t[|m><m|] |n>``
+    of the eigenframe map stacks ``(superops, kraus)`` of :func:`maps_of`,
+    or of stacks ``(p, t, ...)`` of them, read from the maps' population
+    block and judged by :func:`_judged`, with the Kraus route ``sum_j
+    |<n|G_j|m>|^2`` against the superoperator route (a gap of 0 without
     Kraus operators); both routes read the same eigenframe operators, so
     their gap checks the superoperator build, not the frame change.  A map
     stack whose matrices are not ``d^2 x d^2`` raises ``DimensionMismatch``."""
@@ -327,7 +333,28 @@ def transitions_of(superops: np.ndarray, kraus) -> tuple:
     route_gap = np.zeros(probs.shape[:-2])
     if kraus is not None:
         route_gap = np.abs((np.abs(kraus) ** 2).sum(axis=-3).swapaxes(-1, -2) - probs).max(axis=(-2, -1))
-    return probs, np.isfinite(superops).all(axis=(-2, -1)), route_gap
+    return _judged(probs, np.isfinite(superops).all(axis=(-2, -1)), route_gap)
+
+
+def _judged(probs: np.ndarray, finite: np.ndarray, route_gap: np.ndarray) -> np.ndarray:
+    """``probs``, a stack ``(..., t, d, d)`` of level transitions, once its
+    maps pass the transition checks: the first map, in point and then time
+    order, that fails one raises, with the checks at that map in this order:
+    its entries are ``finite``, the Kraus and superoperator routes agree
+    within ``ROUTE_AGREEMENT_ATOL`` (``route_gap``), no probability is
+    negative, and each row sums to 1."""
+    low = probs.min(axis=(-2, -1))
+    rows = np.abs(probs.sum(axis=-1) - 1.0).max(axis=-1)
+    failing = np.array([~finite, route_gap > ROUTE_AGREEMENT_ATOL, low < -1e-12, rows > STOCHASTIC_ATOL])
+    if failing.any():
+        i = tuple(np.argwhere(failing.any(axis=0))[0])
+        raise [
+            InternalCheckError("a map has a non-finite entry"),
+            InternalCheckError(f"Kraus and superoperator transition routes disagree by {route_gap[i]:.3e}"),
+            NotTracePreserving(f"negative transition probability {low[i]:.3e}"),
+            NotTracePreserving(f"transition rows sum to 1 only within {rows[i]:.3e}"),
+        ][int(np.argmax(failing[(slice(None), *i)]))]
+    return probs
 
 
 @cache
@@ -352,13 +379,15 @@ def maps_of(block: Dynamics, times: tuple, grid: tuple, tol_cptp: float) -> tupl
     ``V`` of the block's ``h`` (None for channel families), the stack ``(k,
     t, d^2, d^2)`` of a channel family's maps' matrices and the zero-padded
     stack ``(k, t, j, d, d)`` of their Kraus operators ``V^dag G V``, and
-    the stacks ``(probs, finite, route_gap)`` of :func:`transitions_of`.
-    A semigroup has no maps: it takes no ``times``, and its ``(superops,
+    the stack ``probs`` ``(k, t, d, d)`` of :func:`transitions_of`.  A
+    semigroup has no maps: it takes no ``times``, and its ``(superops,
     kraus)`` are ``(None, None)``.  One family call covers ``times + grid``,
     and one exponential per route a semigroup's grid.
 
     A family's stack is checked as one, the first failing point and slice
-    first.  The semigroups' eigenframe generators take the GKLS test of
+    first, and so are the transitions on the grid of either kind, by the
+    checks of :func:`_judged`, which both semigroup routes take together.
+    The semigroups' eigenframe generators take the GKLS test of
     :func:`gkls_defects` before any exponential: the first whose defect is
     not below ``tol_cptp`` raises ``NotCPTP``.  A semigroup is exactly
     secular when every entry of its eigenframe generator that couples a
@@ -389,10 +418,10 @@ def maps_of(block: Dynamics, times: tuple, grid: tuple, tol_cptp: float) -> tupl
     units, couplings = _frame_units(d)
     secular = ~generators[:, couplings].any(axis=-1)
     probs, finite = np.empty((k, len(grid), d, d)), np.empty((k, len(grid)), dtype=bool)
-    if not secular.all():
-        probs[~secular], finite[~secular], _ = transitions_of(matlin.expm(generators[~secular], grid), None)
-    if secular.any():
-        # the rate blocks W[n, m], the entries from |m><m| to |n><n|
-        rates = matlin.expm(generators[secular][:, units[:, None], units], grid)
-        probs[secular], finite[secular] = rates.real.swapaxes(-1, -2), np.isfinite(rates).all(axis=(-2, -1))
-    return generators, (None, None), (probs, finite, np.zeros(finite.shape))
+    # the population block of the full route's exponentials, and exp(tau W) of the rate blocks W[n, m], the
+    # entries from |m><m| to |n><n|, each read at [m, n]
+    for points, part, at in ((~secular, slice(None), units), (secular, units, np.arange(d))):
+        if points.any():
+            maps = matlin.expm(generators[points][:, part][..., part], grid)
+            probs[points], finite[points] = maps[..., at, at[:, None]].real, np.isfinite(maps).all(axis=(-2, -1))
+    return generators, (None, None), _judged(probs, finite, np.zeros(finite.shape))

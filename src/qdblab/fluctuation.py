@@ -1,18 +1,20 @@
-"""Level transition probabilities, energy-exchange statistics, the
-forward-forward ratio law, and thermalization classification.
+"""Energy-exchange statistics, the forward-forward ratio law, and
+thermalization classification.
 
 Results are plain values: ``exchange_grid`` returns the arrays of the
 exchange statistics of a stack of level transitions, a map's population
-block or a secular semigroup's ``exp(tau W)``, which ``ratios`` compares
-with the ratio law, and ``classify`` a ``(kind, beta_f, gamma_min)`` tuple
-per point of a ``dynamics.Dynamics`` block.  The initial thermal state
-enters only through its level populations.  Every generator and map is read
-in H's eigenframe, as ``dynamics.maps_of`` hands them on, and so is every
-state taken from them.  ``classify`` reads a block of semigroups from their
-generators and a block of channel families from their probe maps, a
-superoperator stack that the caller takes with the rest of the block's
-maps: each point's map at ``TAU_MAX`` against ``vec(sigma) vec(I)^dag``,
-with ``sigma`` its image of ``I/d``, and every map against ``sigma``."""
+block or a secular semigroup's ``exp(tau W)``, bare probabilities that
+``dynamics.maps_of`` judged as it made them, so that it judges only its
+own records; ``ratios`` compares them with the ratio law, and ``classify``
+returns a ``(kind, beta_f, gamma_min)`` tuple per point of a
+``dynamics.Dynamics`` block.  The initial thermal state enters only through
+its level populations.  Every generator and map is read in H's eigenframe,
+as ``dynamics.maps_of`` hands them on, and so is every state taken from
+them.  ``classify`` reads a block of semigroups from their generators and a
+block of channel families from their probe maps, a superoperator stack that
+the caller takes with the rest of the block's maps: each point's map at
+``TAU_MAX`` against ``vec(sigma) vec(I)^dag``, with ``sigma`` its image of
+``I/d``, and every map against ``sigma``."""
 
 from __future__ import annotations
 
@@ -21,7 +23,7 @@ import math
 import numpy as np
 
 from .dynamics import Dynamics
-from .errors import DimensionMismatch, InconclusiveHorizon, InternalCheckError, NotAState, NotTracePreserving
+from .errors import DimensionMismatch, InconclusiveHorizon, InternalCheckError, NotAState
 from .matlin import dag, unvec, vec
 from .states import STATE_ATOL, HamiltonianSpec, infer_beta, thermal_populations
 
@@ -29,45 +31,8 @@ from .states import STATE_ATOL, HamiltonianSpec, infer_beta, thermal_populations
 RATIO_FLOOR = 1e-13
 # relative to H's spectral range E_max - E_min, which no shift of the zero of energy moves
 GAP_GROUP_RTOL = 1e-9
-# a population: both routes give transition probabilities, which lie in [0, 1]
-ROUTE_AGREEMENT_ATOL = 1e-10
-# absolute, because a transition row sums to 1 whatever the map; a map's roundoff u tau |L|_1 can exceed it
-STOCHASTIC_ATOL = 1e-9
 # a population: below this on both sides, a gap record is roundoff
 PROBABILITY_FLOOR = 1e-15
-
-
-def _transition_checks(probs: np.ndarray, finite: np.ndarray, route_gap: np.ndarray) -> list:
-    """The checks of the transitions ``(probs, finite, route_gap)`` of
-    :func:`transitions_of` as ``(mask, error)`` pairs over ``(..., t)``, in
-    the order one map is checked: its entries are finite, the Kraus and
-    superoperator routes agree, and each row is a probability vector."""
-    low = probs.min(axis=(-2, -1))
-    rows = np.abs(probs.sum(axis=-1) - 1.0).max(axis=-1)
-    return [
-        (~finite, lambda *i: InternalCheckError("a map has a non-finite entry")),
-        (
-            route_gap > ROUTE_AGREEMENT_ATOL,
-            lambda *i: InternalCheckError(f"Kraus and superoperator transition routes disagree by {route_gap[i]:.3e}"),
-        ),
-        (low < -1e-12, lambda *i: NotTracePreserving(f"negative transition probability {low[i]:.3e}")),
-        (
-            rows > STOCHASTIC_ATOL,
-            lambda *i: NotTracePreserving(f"transition rows sum to 1 only within {rows[i]:.3e}"),
-        ),
-    ]
-
-
-def _raise_first(checks: list) -> None:
-    """Raise the exception of the first map that fails a check, taking the
-    checks at that map in list order.  The masks broadcast over ``(...,
-    t)``, and ``error(*i)`` gets the map's index ``i`` in its own mask."""
-    if any(mask.any() for mask, _ in checks):
-        masks = np.array(np.broadcast_arrays(*(mask for mask, _ in checks)))
-        i = np.argwhere(masks.any(axis=0))[0]
-        mask, error = checks[int(np.argmax(masks[(slice(None), *i)]))]
-        # a mask's axes of length 1 broadcast, so their index is 0
-        raise error(*np.minimum(i[i.size - mask.ndim :], np.array(mask.shape) - 1))
 
 
 def _gap_clusters(e: np.ndarray) -> tuple:
@@ -133,11 +98,11 @@ def _exp(x: float) -> float:
         return math.inf
 
 
-def exchange_grid(transitions, h: HamiltonianSpec, beta_i) -> tuple:
+def exchange_grid(probs: np.ndarray, h: HamiltonianSpec, beta_i) -> tuple:
     """Energy-exchange statistics of maps applied to the thermal state at a
-    finite ``beta_i >= 0``, from their level transitions ``(probs, finite,
-    route_gap)``, as :func:`maps_of` or :func:`transitions_of` gives them,
-    as ``(energies, p_plus, p_minus, recorded)``.
+    finite ``beta_i >= 0``, from their level transitions ``probs``, judged
+    already, as :func:`maps_of` or :func:`transitions_of` gives them, as
+    ``(energies, p_plus, p_minus, recorded)``.
 
     Ordered level pairs are grouped by their gap ``E_n - E_m`` (within
     ``1e-9 (E_max - E_min)``); degenerate gaps accumulate into one record.
@@ -146,22 +111,20 @@ def exchange_grid(transitions, h: HamiltonianSpec, beta_i) -> tuple:
     transitions by the thermal populations and ``p_minus`` the reversed
     ones, and ``recorded`` marks the records with a probability of at least
     ``PROBABILITY_FLOOR`` on either side.  Points lead every shape: stacks
-    ``(p, t, ...)`` of transitions, h's eigenvalues stacked ``(p, d)`` and
+    ``(p, t, d, d)`` of transitions, h's eigenvalues stacked ``(p, d)`` and
     an array ``beta_i`` broadcast together, so that transitions shared by
-    every point are given, and judged, once.  The points' levels must share
-    their gap clusters' pairs, else ``DimensionMismatch``.
-    The first point, and in it the first map, that fails a check raises, with
-    the checks at that map in this order: the transition checks of
-    :func:`_transition_checks`, then the records, which must sum to 1 and lie
-    in [0, 1].  Transitions of another level count than h's raise
-    ``DimensionMismatch`` before any of these.
+    every point are given once.  The points' levels must share their gap
+    clusters' pairs, else ``DimensionMismatch``.
+    The first point, and in it the first map, whose records fail a check
+    raises: the records must sum to 1, and then each must lie in [0, 1].
+    Transitions of another level count than h's raise ``DimensionMismatch``
+    before any of these.
     """
-    if transitions[0].shape[-1] != h.dim:
+    if probs.shape[-1] != h.dim:
         raise DimensionMismatch("superoperator dimension does not match the Hamiltonian")
     beta_i = np.asarray(beta_i, dtype=float)
     if not np.all((0 <= beta_i) & (beta_i < math.inf)):
         raise ValueError("beta_i must be finite and nonnegative")
-    probs, checks = transitions[0], _transition_checks(*transitions)
     p_init = thermal_populations(h, beta_i)[..., None, :]  # [..., t, m]
     e = h.eigenvalues
     energies, clusters = _gap_clusters(e.reshape(-1, h.dim))
@@ -177,25 +140,16 @@ def exchange_grid(transitions, h: HamiltonianSpec, beta_i) -> tuple:
     # summed record by record, in record order
     released = recorded & (energies[..., None, :] > 0)
     total = (sum(np.where(recorded, p_plus, 0.0).T) + sum(np.where(released, p_minus, 0.0).T)).T
-
-    def outside(p):
-        return (p < -1e-12) | (p > 1.0 + 1e-12)
-
-    stray = recorded & (outside(p_plus) | outside(p_minus))
-
-    def stray_error(*i):
+    unsummed = np.abs(total - 1.0) > 1e-9
+    outside = [recorded & ((p < -1e-12) | (p > 1.0 + 1e-12)) for p in (p_plus, p_minus)]
+    stray = outside[0] | outside[1]
+    failing = unsummed | stray.any(axis=-1)
+    if failing.any():
+        i = tuple(np.argwhere(failing)[0])
+        if unsummed[i]:
+            raise InternalCheckError(f"exchange probabilities sum to {total[i]:.12g}")
         c = int(np.argmax(stray[i]))
-        p = p_plus[(*i, c)] if outside(p_plus[(*i, c)]) else p_minus[(*i, c)]
-        return InternalCheckError(f"probability {p:.12g} outside [0, 1]")
-
-    checks += [
-        (
-            np.abs(total - 1.0) > 1e-9,
-            lambda *i: InternalCheckError(f"exchange probabilities sum to {total[i]:.12g}"),
-        ),
-        (stray.any(axis=-1), stray_error),
-    ]
-    _raise_first(checks)
+        raise InternalCheckError(f"probability {(p_plus if outside[0][i][c] else p_minus)[i][c]:.12g} outside [0, 1]")
     return energies, p_plus, p_minus, recorded
 
 

@@ -2,13 +2,15 @@
 
 :func:`analyse` takes one ``dynamics.Dynamics`` block, stacked over its
 points, through the stages that do not depend on beta_i: the GKLS test of
-the generators, classification, and the generator-level (qdb1) and
-map-level (qdb2) detailed-balance checks, a semigroup's qdb2 at every tau
-from its generator.  :func:`build_report` adds the
-exchange distribution and the forward-only ratio law at each point of beta_i
-and beta_f, and returns the verdict sections and the arrays that report rows
-are read from.  Each stage takes only the values it reads (the block, grids,
-tolerances, beta values), so it can be called, compared or timed on its own.
+the generators and the level transitions on the tau grid, which
+``dynamics.maps_of`` judges as it makes them, classification, and the
+generator-level (qdb1) and map-level (qdb2) detailed-balance checks, a
+semigroup's qdb2 at every tau from its generator.  :func:`build_report`
+adds the exchange distribution, whose records it judges, and the
+forward-only ratio law at each point of beta_i and beta_f, and returns the
+verdict sections and the arrays that report rows are read from.  Each stage
+takes only the values it reads (the block, grids, tolerances, beta values),
+so it can be called, compared or timed on its own.
 """
 
 from __future__ import annotations
@@ -63,12 +65,12 @@ def analyse(block: Dynamics, tau_grid: tuple, s_grid: tuple, tol_qdb: float, tol
     test of the semigroups' generators against ``tol_cptp`` before any
     exponential, a family's or single map's maps at classify's probe times
     and at the finite qdb2 times, with the level transitions on
-    ``tau_grid``, from one :func:`maps_of` call; classify; and qdb1 and qdb2
-    over ``s_grid``, which pass below ``tol_qdb``; one analysis ``(sections,
-    betas, taus, transitions, h)`` of them all, with a list of each point's
-    sections, the array of their beta_f (nan where there is none), the
-    stacks of their transitions on the tau grid and the block's stacked
-    Hamiltonian.  A semigroup's qdb2 holds at every tau exactly when ``W
+    ``tau_grid``, judged, from one :func:`maps_of` call; classify; and qdb1
+    and qdb2 over ``s_grid``, which pass below ``tol_qdb``; one analysis
+    ``(sections, betas, taus, probs, h)`` of them all, with a list of each
+    point's sections, the array of their beta_f (nan where there is none),
+    the stack of their transition probabilities on the tau grid and the
+    block's stacked Hamiltonian.  A semigroup's qdb2 holds at every tau exactly when ``W
     L#`` is symmetric, its derivative at tau = 0, so it is ``check_qdb2`` of
     the eigenframe generator over its 1-norm (largest absolute column sum),
     at the taus ``"all"``.  A failing stage raises, for whichever point
@@ -78,7 +80,7 @@ def analyse(block: Dynamics, tau_grid: tuple, s_grid: tuple, tol_qdb: float, tol
     qdb2_taus = () if semigroup else tuple(filter(math.isfinite, block.taus(QDB2_TAUS)))
     taus, p, h = block.taus(tau_grid), len(probes), block.h
     # every stage from here reads the eigenframe matrices of maps_of
-    generators, (superops, _), transitions = maps_of(block, probes + qdb2_taus, taus, tol_cptp)
+    generators, (superops, _), probs = maps_of(block, probes + qdb2_taus, taus, tol_cptp)
     if semigroup:
         probes, maps, qdb2_taus = generators, unit_norm1(generators)[:, None], "all"
     else:
@@ -90,7 +92,7 @@ def analyse(block: Dynamics, tau_grid: tuple, s_grid: tuple, tol_qdb: float, tol
     classification = [{"kind": k, "beta_f": json_float(b), "gamma_min": json_float(g)} for k, b, g in classified]
     sections = [{"classification": c, "qdb1": q1, "qdb2": q2 and {**q2, "taus": qdb2_taus}}
                 for c, q1, q2 in zip(classification, qdb1, qdb2)]
-    return sections, betas, taus, transitions, h
+    return sections, betas, taus, probs, h
 
 
 def build_report(analysis: tuple, tol_qfr: float, beta_i, beta_f) -> list:
@@ -103,10 +105,10 @@ def build_report(analysis: tuple, tol_qfr: float, beta_i, beta_f) -> list:
     of one per point; ``beta_f`` counts where the analysis infers none.  The
     points share a dimension and their gap clusters' pairs; a block of one
     point that every point shares gives its transitions once.
-    The first point that fails a check raises."""
-    sections, betas, taus, transitions, h = analysis
+    The first point whose records fail a check raises."""
+    sections, betas, taus, probs, h = analysis
     beta_i, beta_f, inferred = np.broadcast_arrays(beta_i, beta_f, betas)
-    grid = exchange_grid(transitions, h, beta_i)
+    grid = exchange_grid(probs, h, beta_i)
     defined, ratio, predicted, deviation = ratios(*grid, beta_i - np.where(np.isnan(inferred), beta_f, inferred))
     energies, p_plus, p_minus, recorded = np.broadcast_to(grid[0], predicted.shape), *grid[1:]
     reports = []

@@ -720,12 +720,13 @@ class TestConfigValidation:
     @pytest.mark.parametrize(
         "argv, message",
         [
-            (("example", "c", "--eta", "1e308"), "scenario c: the generator overflows: its 1-norm is not finite"),
+            # judged by Dynamics.semigroup, as every generator is
+            (("example", "c", "--eta", "1e308"), "the model overflows: its generator has a non-finite entry"),
             (("sweep", "c", "--parameter", "eta", "--range", "1e308:1e308:1"),
-             "scenario c: the generator overflows: its 1-norm is not finite"),
+             "the model overflows: its generator has a non-finite entry"),
             # finite entries, but the 1-norm overflows
             (("sweep", "c", "--parameter", "nu", "--range", "1e308:1e308:1"),
-             "scenario c: the generator overflows: its 1-norm is not finite"),
+             "the model overflows: its generator's 1-norm is not finite"),
             (("example", "c", "--mu", "1e308"), "scenario c: mu = 1e+308 overflows the rates at beta_f omega = 1"),
         ],
         ids=["example-eta", "sweep-eta", "sweep-nu", "example-mu"],
@@ -831,9 +832,9 @@ class TestConfigValidation:
              "b-omega-1e-300", "kraus-huge-op", "lindblad-h-skew", "kraus-h-1e303", "schema-2", "bloch4-3x3"],
     )
     def test_failing_checks_keep_their_exit_code_and_message(self, tmp_path, capsys, argv, code, first_line):
-        # non-finite maps pass the transition checks (every comparison with nan
-        # is false) and leave no gap record, so the records sum to 0; a run
-        # that passes (first_line None) writes nothing to stderr
+        # a map with a non-finite entry fails the first transition check that
+        # maps_of runs at each map; a run that passes (first_line None) writes
+        # nothing to stderr
         kraus = {"schema": 1, "kind": "kraus", "hamiltonian": [[-0.5, 0], [0, 0.5]], "kraus_ops": [np.eye(2).tolist()]}
         skew = [[0, 1e308], [-1e308, 0]]
         models = {
@@ -982,6 +983,19 @@ def test_a_sweep_takes_each_stage_once_per_block(tmp_path, monkeypatch, argv, ca
                     monkeypatch.setattr(mod, name, counted)
     assert run(tmp_path, *argv, *FAST) == EXIT_OK
     assert counts == calls
+
+
+def test_a_map_that_is_not_finite_stops_the_run_before_classify(tmp_path, capsys, monkeypatch):
+    # maps_of judges the transitions it makes: the map at tau = 1e308 overflows to nan, and the run stops there,
+    # before any later stage reads the block
+    from qdblab import fluctuation, report
+
+    calls, original = [], fluctuation.classify
+    for module in (fluctuation, report):
+        monkeypatch.setattr(module, "classify", lambda *args: calls.append(args) or original(*args))
+    assert run(tmp_path, "example", "c", "--tau-grid", "1e308") == InternalCheckError.exit_code
+    assert capsys.readouterr().err == "InternalCheckError: a map has a non-finite entry\n"
+    assert calls == []
 
 
 def test_a_generator_that_fails_the_gkls_test_is_never_exponentiated(tmp_path, capsys, monkeypatch):

@@ -31,7 +31,7 @@ from conftest import (
 from qdblab import matlin
 from qdblab.balance import check_qdb1, check_qdb2
 from qdblab.dynamics import Dynamics, _kraus_stacks, bloch4_to_superop, gkls_defects, lindblad_superop, maps_of
-from qdblab.errors import NotCPTP, NotTracePreserving
+from qdblab.errors import ConfigError, NotCPTP, NotTracePreserving
 from qdblab.examples import (
     ExampleAParams,
     ExampleBParams,
@@ -367,13 +367,13 @@ class TestScenarioC:
 
     @pytest.mark.parametrize(
         "first, error",
-        [(3, NotCPTP), (1, ValueError)],
+        [(3, NotCPTP), (1, ConfigError)],
         ids=["cp-defect", "overflow"],
     )
     def test_a_stack_raises_its_first_failing_point(self, first, error):
-        # points 3 and 4 are not CP; in the second case point 1 overflows first, when it is built
+        # points 3 and 4 are not CP; in the second case point 1 overflows first, when its semigroup is built
         params = [self.base.replace(nu=nu) for nu in np.linspace(0.9, 0.1, 5)]
-        if error is ValueError:
+        if error is ConfigError:
             params[1] = self.base.replace(nu=1e308, alpha=1e308)
 
         def build_and_analyse(params):

@@ -33,7 +33,15 @@ from conftest import (
 )
 from qdblab import dynamics, fluctuation, matlin
 from qdblab.cli import main
-from qdblab.dynamics import Dynamics, LindbladGenerator, lindblad_superop, maps_of, transitions_of
+from qdblab.dynamics import (
+    ROUTE_AGREEMENT_ATOL,
+    STOCHASTIC_ATOL,
+    Dynamics,
+    LindbladGenerator,
+    lindblad_superop,
+    maps_of,
+    transitions_of,
+)
 from qdblab.errors import DimensionMismatch, InconclusiveHorizon, InternalCheckError, NotTracePreserving
 from qdblab.examples import (
     ExampleAParams,
@@ -42,12 +50,7 @@ from qdblab.examples import (
     example_b_generator,
     qubit_hamiltonian,
 )
-from qdblab.fluctuation import (
-    ROUTE_AGREEMENT_ATOL,
-    STOCHASTIC_ATOL,
-    exchange_grid,
-    ratios,
-)
+from qdblab.fluctuation import exchange_grid, ratios
 from qdblab.matlin import dag
 from qdblab.states import HamiltonianSpec, thermal_populations
 
@@ -590,10 +593,9 @@ class TestExchangeGridAgainstReference:
             return s
 
         monkeypatch.setattr(dynamics, "_kraus_superops", skewed)
-        (transitions,) = grid_of([Dynamics.channel_family(h, lambda taus: family)], (0.1, 0.2, 0.3))
         message = r"^Kraus and superoperator transition routes disagree by 3\.000e-09$"
         with pytest.raises(InternalCheckError, match=message):
-            exchange_grid(transitions, h, 1.0)
+            grid_of([Dynamics.channel_family(h, lambda taus: family)], (0.1, 0.2, 0.3))
 
 
 def _failing_maps(h):
@@ -636,11 +638,13 @@ FAILING_H = HamiltonianSpec.from_matrix(np.diag([0.0, 0.6, 1.5]).astype(complex)
     ids=lambda case: "-".join(case) if isinstance(case, tuple) else f"beta_i={case}",
 )
 def test_grid_raises_what_the_per_map_loop_raised_first(names, beta_i):
-    # the loop checked one map fully before the next; the grid must raise the
-    # same exception, with the same message, although it checks all maps at once
+    # the loops checked one map fully before the next, every map's transitions before any map's records; the
+    # grid must raise the same exception, with the same message, although it checks all maps at once
     h = FAILING_H
     maps = [_failing_maps(h)[name] for name in names]
     with pytest.raises(Exception) as want:
+        for g in maps:
+            reference_transition_matrix(g, h)
         for g in maps:
             reference_exchange_records(g, h, beta_i)
     with pytest.raises(want.type) as got:
@@ -705,7 +709,7 @@ def _davies(rng, energies, beta=1.0):
 
 
 def _points(case, rng):
-    """Six points of one kind, as ``(transitions, h)`` pairs."""
+    """Six points of one kind, as ``(probs, h)`` pairs."""
     if case == "b":
         gens = [example_b_generator(ExampleBParams(omega, 1.0, 1.0)) for omega in np.linspace(0.5, 2.0, 6)]
         sources = [Dynamics.semigroup(g.hamiltonian, g) for g in gens]
@@ -715,14 +719,14 @@ def _points(case, rng):
     else:
         energies = {"davies3": [-0.7, 0.1, 1.3], "davies4": [-1.0, -0.2, 0.5, 1.6]}[case]
         sources = [Dynamics.semigroup(h, g) for h, g in (_davies(rng, energies) for _ in range(6))]
-    return [(transitions, s.h[0]) for transitions, s in zip(grid_of(sources, TAUS), sources)]
+    return [(probs, s.h[0]) for probs, s in zip(grid_of(sources, TAUS), sources)]
 
 
 def _stack(points):
-    transitions, hs = zip(*points)
+    probs, hs = zip(*points)
     fields = ("matrix", "eigenvalues", "eigenvectors")
     h = HamiltonianSpec(*(np.array([getattr(h, f) for h in hs]) for f in fields))
-    return tuple(map(np.array, zip(*transitions))), h
+    return np.array(probs), h
 
 
 BETA_IS = np.linspace(0.2, 3.0, 6)
@@ -733,20 +737,20 @@ def test_a_grid_over_points_is_bitwise_the_per_point_grids(rng, case):
     points = _points(case, rng)
     stacked = exchange_grid(*_stack(points), BETA_IS)
     assert stacked[1].shape == (6, len(TAUS), len(stacked[0][0]))
-    for k, ((transitions, h), beta_i) in enumerate(zip(points, BETA_IS)):
-        for got, want in zip(stacked, exchange_grid(transitions, h, beta_i)):
+    for k, ((probs, h), beta_i) in enumerate(zip(points, BETA_IS)):
+        for got, want in zip(stacked, exchange_grid(probs, h, beta_i)):
             assert np.array_equal(got[k], want)
 
 
 @pytest.mark.parametrize("shared", [True, False], ids=["given-once", "repeated"])
 def test_one_source_along_the_point_axis_is_bitwise_the_per_point_grids(rng, shared):
-    ((transitions, h),) = _points("davies3", rng)[:1]
+    ((probs, h),) = _points("davies3", rng)[:1]
     if shared:
-        grid = exchange_grid(transitions, h, BETA_IS)
+        grid = exchange_grid(probs, h, BETA_IS)
     else:
-        grid = exchange_grid(*_stack([(transitions, h)] * 6), BETA_IS)
+        grid = exchange_grid(*_stack([(probs, h)] * 6), BETA_IS)
     for k, beta_i in enumerate(BETA_IS):
-        for got, want in zip(grid, exchange_grid(transitions, h, beta_i)):
+        for got, want in zip(grid, exchange_grid(probs, h, beta_i)):
             assert np.array_equal(np.broadcast_to(got, (6, *want.shape))[k], want)
 
 
@@ -756,7 +760,7 @@ def test_one_source_along_the_point_axis_is_bitwise_the_per_point_grids(rng, sha
     ids=["gap-order", "degenerate"],
 )
 def test_points_with_other_gap_clusters_are_rejected(levels):
-    # as a package error, so that a sweep block of such points replays them one at a time
+    # as a package error, so that a sweep block of such points replays them by halves
     hs = [HamiltonianSpec.from_matrix(np.diag(e).astype(complex)) for e in levels]
     points = [(transitions_of(np.eye(9, dtype=complex)[None], None), h) for h in hs]
     with pytest.raises(DimensionMismatch, match="^the level sets differ in their gap clusters$"):

@@ -3,7 +3,12 @@
 The expected files under ``golden/`` pin the reports; a change that moves
 a report must regenerate them and say why.  Regenerate with
 
-    PYTHONPATH=src python tests/test_golden_reports.py
+    PYTHONPATH=src python tests/test_golden_reports.py [CASE ...]
+
+which reruns the named cases, or all of them when none is named, and
+rewrites only the files whose fresh content fails the comparison that the
+test makes, so a rerun that moves no value, or moves one in the last bits
+only, leaves the committed files as they are.
 
 Exit codes, headers, the key of every row (``(tau, E)``, or ``(parameter,
 value)`` for a sweep), classifications and pass flags must match exactly.  Floats must match to a relative 1e-13:
@@ -25,7 +30,9 @@ channel at omega = 1, beta_f = 1 and tau = 1 as a ``kind: kraus`` model.
 
 import json
 import math
+import shutil
 import sys
+import tempfile
 from pathlib import Path
 
 import pytest
@@ -122,6 +129,19 @@ def _assert_layout(path: Path) -> None:
                 assert cell == format(float(cell), ".17g"), f"{path.name}: {cell!r}"
 
 
+def _assert_matches(got: Path, want: Path) -> None:
+    """The report file ``got`` against the golden file ``want``: a verdict
+    value by value, and rows by their keys and values."""
+    if got.name.endswith("_verdict.json"):
+        _assert_close(json.loads(got.read_text()), json.loads(want.read_text()), got.name)
+    elif got.suffix == ".csv":
+        _assert_rows_match(_csv_rows(got), _csv_rows(want), got.name)
+    else:
+        got_rows, want_rows = json.loads(got.read_text()), json.loads(want.read_text())
+        assert got_rows["schema"] == want_rows["schema"]
+        _assert_rows_match(got_rows, want_rows, got.name)
+
+
 @pytest.mark.parametrize("name", sorted(CASES))
 def test_report_matches_golden(tmp_path, name):
     _, code = CASES[name]
@@ -130,26 +150,33 @@ def test_report_matches_golden(tmp_path, name):
     written = sorted(p.name for p in tmp_path.iterdir())
     assert written == sorted(p.name for p in expected.iterdir())
     for file_name in written:
-        got, want = tmp_path / file_name, expected / file_name
-        _assert_layout(got)
-        if file_name.endswith("_verdict.json"):
-            _assert_close(json.loads(got.read_text()), json.loads(want.read_text()), file_name)
-        elif file_name.endswith(".csv"):
-            _assert_rows_match(_csv_rows(got), _csv_rows(want), file_name)
-        else:
-            got_rows, want_rows = json.loads(got.read_text()), json.loads(want.read_text())
-            assert got_rows["schema"] == want_rows["schema"]
-            _assert_rows_match(got_rows, want_rows, file_name)
+        _assert_layout(tmp_path / file_name)
+        _assert_matches(tmp_path / file_name, expected / file_name)
 
 
-def regenerate() -> None:
-    for name, (_, code) in CASES.items():
-        out = GOLDEN / name
-        for old in out.glob("*"):
-            old.unlink()
-        if _run(name, out) != code:
-            sys.exit(f"{name} did not exit {code}")
+def regenerate(names) -> None:
+    """Rerun the cases ``names``, all of them when there are none, and
+    write each fresh file over its golden file only where it does not match
+    it, removing the golden files that a case no longer writes."""
+    unknown = sorted(set(names) - CASES.keys())
+    if unknown:
+        sys.exit(f"unknown cases: {', '.join(unknown)}; the cases are {', '.join(CASES)}")
+    for name in names or CASES:
+        with tempfile.TemporaryDirectory() as tmp:
+            fresh = Path(tmp)
+            if _run(name, fresh) != CASES[name][1]:
+                sys.exit(f"{name} did not exit {CASES[name][1]}")
+            out = GOLDEN / name
+            out.mkdir(exist_ok=True)
+            for old in out.iterdir():
+                if not (fresh / old.name).exists():
+                    old.unlink()
+            for new in fresh.iterdir():
+                try:
+                    _assert_matches(new, out / new.name)
+                except (AssertionError, OSError, ValueError):  # a mismatch, or a golden file missing or unreadable
+                    shutil.copyfile(new, out / new.name)
 
 
 if __name__ == "__main__":
-    regenerate()
+    regenerate(sys.argv[1:])

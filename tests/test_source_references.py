@@ -14,7 +14,9 @@ and no function of ``report`` takes ``args``.  Every stage takes one
 per-point sources: no function has a parameter named ``sources``.
 ``dynamics.maps_of`` takes the block and plain time tuples and runs the GKLS
 test itself, so ``report`` hands it no slice or callback, and no map times
-for a semigroup, whose qdb2 is a generator identity.  Each named
+for a semigroup, whose qdb2 is a generator identity.  It judges the level
+transitions it makes too, so ``exchange_grid`` takes bare ``probs`` and no
+module that imports ``dynamics`` reads a ``finite`` or ``route_gap``.  Each named
 threshold states its scale in the comment above it.  The value classes are plain
 classes: no module imports ``dataclasses``, and only an ``__init__`` sets an
 attribute, apart from the command shell's parsed ``args``.  Each error class
@@ -31,7 +33,7 @@ from pathlib import Path
 from qdblab import errors
 from qdblab.cli import _build_parser, _scenario
 from qdblab.dynamics import maps_of
-from qdblab.fluctuation import FIXED_POINT_TAUS, TAU_MAX, classify
+from qdblab.fluctuation import FIXED_POINT_TAUS, TAU_MAX, classify, exchange_grid
 
 SRC = Path(__file__).resolve().parents[1] / "src" / "qdblab"
 # the package version and the console-script entry point have callers outside the package
@@ -157,6 +159,16 @@ def test_analyse_hands_maps_of_no_map_times_for_a_semigroup(monkeypatch):
                      ((), (0.5, 2.0))]
 
 
+def test_only_dynamics_judges_the_level_transitions():
+    # maps_of judges the transitions as it makes them and hands on bare probabilities: no module that takes them
+    # reads whether a map was finite or how far its two routes lay apart, and exchange_grid takes probs alone
+    assert list(inspect.signature(exchange_grid).parameters) == ["probs", "h", "beta_i"]
+    readers = {module for module in importers("dynamics")
+               for name, _ in _references(ast.parse((SRC / f"{module}.py").read_text()))
+               if name in ("finite", "route_gap")}
+    assert sorted(readers) == []
+
+
 def parameters_named(name: str) -> list:
     """``module.function`` of every function or lambda under ``src/qdblab``
     with a parameter called ``name``."""
@@ -178,9 +190,9 @@ def test_the_stages_take_one_block_not_a_list_of_sources():
 # the named thresholds: each states its scale (H's spectral range, |L|_1, max|C|, a map's roundoff, a population,
 # or why it is absolute) in the comment above it
 THRESHOLDS = {
-    "dynamics": ["TP_ATOL", "PSD_ATOL", "BASIS_ATOL"],
-    "fluctuation": ["RATIO_FLOOR", "GAP_GROUP_RTOL", "ROUTE_AGREEMENT_ATOL", "STOCHASTIC_ATOL", "PROBABILITY_FLOOR",
-                    "ZERO_EIG_ATOL", "UNIT_EIG_ATOL", "CONVERGENCE_ATOL", "FIXED_POINT_ATOL", "TAU_MAX"],
+    "dynamics": ["TP_ATOL", "PSD_ATOL", "BASIS_ATOL", "ROUTE_AGREEMENT_ATOL", "STOCHASTIC_ATOL"],
+    "fluctuation": ["RATIO_FLOOR", "GAP_GROUP_RTOL", "PROBABILITY_FLOOR", "ZERO_EIG_ATOL", "UNIT_EIG_ATOL",
+                    "CONVERGENCE_ATOL", "FIXED_POINT_ATOL", "TAU_MAX"],
     "states": ["STATE_ATOL", "DEGENERACY_ATOL", "THERMAL_OFFDIAG_ATOL", "BETA_AGREE_RTOL"],
     "matlin": ["HERMITICITY_ATOL"],
     "report": ["QDB2_TAUS"],
