@@ -301,13 +301,10 @@ class Dynamics:
     @classmethod
     def single_map(cls, h: HamiltonianSpec, kraus_ops, tau: float) -> "Dynamics":
         """The one-point block of the one map of the Kraus operators
-        ``kraus_ops``, taken at ``tau``, with h unstacked."""
-        ops = [np.asarray(g, dtype=complex) for g in kraus_ops]
-        if not ops:
-            raise NotTracePreserving("empty Kraus family cannot preserve the trace")
-        if any(g.ndim != 2 or g.shape != (len(ops[0]),) * 2 for g in ops):
-            raise DimensionMismatch("all Kraus operators must be square with equal size")
-        kraus = _kraus_stacks(np.array([ops]), h)
+        ``kraus_ops``, taken at ``tau``, with h unstacked, judged as every
+        family's stack is: each operator must be h's size, and ``sum G^dag G
+        == I``."""
+        kraus = _kraus_stacks(_operator_stack(kraus_ops, h.dim, "Kraus operator")[None], h)
         return cls(h, None, lambda taus: np.repeat(kraus, len(taus), axis=0), tau)
 
     def taus(self, grid) -> tuple:
@@ -345,6 +342,7 @@ def _judged(probs: np.ndarray, finite: np.ndarray, route_gap: np.ndarray) -> np.
     negative, and each row sums to 1."""
     low = probs.min(axis=(-2, -1))
     rows = np.abs(probs.sum(axis=-1) - 1.0).max(axis=-1)
+    # -1e-12 is a population, absolute, because a transition probability lies in [0, 1] whatever the map
     failing = np.array([~finite, route_gap > ROUTE_AGREEMENT_ATOL, low < -1e-12, rows > STOCHASTIC_ATOL])
     if failing.any():
         i = tuple(np.argwhere(failing.any(axis=0))[0])

@@ -190,6 +190,7 @@ class ExampleCParams:
         _require_finite(self, ("omega", "nu", "alpha", "chi", "zeta"))
         if self.zeta <= 0:
             raise ValueError("zeta must be positive")
+        # relative to the unit ball's radius 1: 1e-12 forgives the quotient's roundoff
         if abs(self.chi / self.zeta) > 1.0 + 1e-12:
             raise ValueError("asymptotic Bloch vector would leave the ball")
 

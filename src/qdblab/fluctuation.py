@@ -4,17 +4,19 @@ thermalization classification.
 Results are plain values: ``exchange_grid`` returns the arrays of the
 exchange statistics of a stack of level transitions, a map's population
 block or a secular semigroup's ``exp(tau W)``, bare probabilities that
-``dynamics.maps_of`` judged as it made them, so that it judges only its
-own records; ``ratios`` compares them with the ratio law, and ``classify``
-returns a ``(kind, beta_f, gamma_min)`` tuple per point of a
-``dynamics.Dynamics`` block.  The initial thermal state enters only through
-its level populations.  Every generator and map is read in H's eigenframe,
-as ``dynamics.maps_of`` hands them on, and so is every state taken from
-them.  ``classify`` reads a block of semigroups from their generators and a
-block of channel families from their probe maps, a superoperator stack that
-the caller takes with the rest of the block's maps: each point's map at
-``TAU_MAX`` against ``vec(sigma) vec(I)^dag``, with ``sigma`` its image of
-``I/d``, and every map against ``sigma``."""
+``dynamics.maps_of`` judged as it made them, so that it judges its records
+by one check, their sum, within the transitions' own row bound
+``dynamics.STOCHASTIC_ATOL``; ``ratios`` compares them with the ratio law,
+and ``classify`` returns a ``(kind, beta_f, gamma_min)`` tuple per point of
+a ``dynamics.Dynamics`` block.  The initial thermal state enters only
+through its level populations.  Every generator and map is read in H's
+eigenframe, as ``dynamics.maps_of`` hands them on, and so is every state
+taken from them.  ``classify`` reads a block of semigroups from their
+generators and a block of channel families from their probe maps at
+``FIXED_POINT_TAUS``, a superoperator stack that the caller takes with the
+rest of the block's maps: each point's last map, at ``TAU_MAX``, against
+``vec(sigma) vec(I)^dag``, with ``sigma`` its image of ``I/d``, and every
+map against ``sigma``."""
 
 from __future__ import annotations
 
@@ -22,7 +24,7 @@ import math
 
 import numpy as np
 
-from .dynamics import Dynamics
+from .dynamics import STOCHASTIC_ATOL, Dynamics
 from .errors import DimensionMismatch, InconclusiveHorizon, InternalCheckError, NotAState
 from .matlin import dag, unvec, vec
 from .states import STATE_ATOL, HamiltonianSpec, infer_beta, thermal_populations
@@ -115,10 +117,13 @@ def exchange_grid(probs: np.ndarray, h: HamiltonianSpec, beta_i) -> tuple:
     an array ``beta_i`` broadcast together, so that transitions shared by
     every point are given once.  The points' levels must share their gap
     clusters' pairs, else ``DimensionMismatch``.
-    The first point, and in it the first map, whose records fail a check
-    raises: the records must sum to 1, and then each must lie in [0, 1].
+    The records of every ordered level pair, all of ``p_plus`` and the
+    positive gaps' ``p_minus``, recorded or not, must sum to 1 within
+    ``STOCHASTIC_ATOL``, the transitions' own row bound, else the first
+    point, and in it the first map, that fails raises; a record needs no
+    check of its own, as every transition is at least ``-1e-12``.
     Transitions of another level count than h's raise ``DimensionMismatch``
-    before any of these.
+    before this check.
     """
     if probs.shape[-1] != h.dim:
         raise DimensionMismatch("superoperator dimension does not match the Hamiltonian")
@@ -135,21 +140,12 @@ def exchange_grid(probs: np.ndarray, h: HamiltonianSpec, beta_i) -> tuple:
         for m, n in pairs:
             p_plus[..., c] += p_init[..., m] * probs[..., m, n]
             p_minus[..., c] += p_init[..., n] * probs[..., n, m]
+    # every ordered level pair once: all of p_plus, and p_minus past the zero-gap cluster 0
+    total = p_plus.sum(axis=-1) + p_minus[..., 1:].sum(axis=-1)
+    for x in total[np.abs(total - 1.0) > STOCHASTIC_ATOL][:1]:
+        raise InternalCheckError(f"exchange probabilities sum to {x:.12g}")
     # max(p_plus, p_minus) as Python takes it: p_plus unless p_minus is larger
     recorded = np.where(p_minus > p_plus, p_minus, p_plus) >= PROBABILITY_FLOOR
-    # summed record by record, in record order
-    released = recorded & (energies[..., None, :] > 0)
-    total = (sum(np.where(recorded, p_plus, 0.0).T) + sum(np.where(released, p_minus, 0.0).T)).T
-    unsummed = np.abs(total - 1.0) > 1e-9
-    outside = [recorded & ((p < -1e-12) | (p > 1.0 + 1e-12)) for p in (p_plus, p_minus)]
-    stray = outside[0] | outside[1]
-    failing = unsummed | stray.any(axis=-1)
-    if failing.any():
-        i = tuple(np.argwhere(failing)[0])
-        if unsummed[i]:
-            raise InternalCheckError(f"exchange probabilities sum to {total[i]:.12g}")
-        c = int(np.argmax(stray[i]))
-        raise InternalCheckError(f"probability {(p_plus if outside[0][i][c] else p_minus)[i][c]:.12g} outside [0, 1]")
     return energies, p_plus, p_minus, recorded
 
 
@@ -174,8 +170,8 @@ def classify(block: Dynamics, probes: np.ndarray) -> list:
     gamma_min)``, from the block's stacked Hamiltonian and ``probes``, in
     H's eigenframe: the semigroups' generators ``(k, d^2, d^2)``, or each
     point's maps at its probe times as one superoperator stack ``(k, t,
-    d^2, d^2)``, a channel family's at ``TAU_MAX`` and then
-    ``FIXED_POINT_TAUS``, a single map's at its own ``tau``.  The semigroups
+    d^2, d^2)``, a channel family's at ``FIXED_POINT_TAUS``, which end at
+    ``TAU_MAX``, a single map's at its own ``tau``.  The semigroups
     share one batched eigendecomposition of their generators, the single maps
     one of their maps, and the channel families one pass over their maps;
     every kind then takes its fixed points' inverse temperatures in one pass.
@@ -202,16 +198,17 @@ def classify(block: Dynamics, probes: np.ndarray) -> list:
     d, gaps = h.dim, [None] * k
     if not semigroups and block.tau is None:
         vec_eye = vec(np.eye(d))
-        fixed = probes[:, 0] @ (vec_eye / d)
+        last = probes[:, -1]  # the map at TAU_MAX, the last of FIXED_POINT_TAUS
+        fixed = last @ (vec_eye / d)
         # The map sends a state rho to fixed + delta vec(rho), and
         # |delta vec(rho)|_1 <= sqrt(d) |delta vec(rho)|_2 <= sqrt(d) |delta|_2.
-        spreads = math.sqrt(d) * np.linalg.svd(probes[:, 0] - fixed[:, :, None] * vec_eye, compute_uv=False).max(axis=1)
+        spreads = math.sqrt(d) * np.linalg.svd(last - fixed[:, :, None] * vec_eye, compute_uv=False).max(axis=1)
         for spread in spreads[spreads > CONVERGENCE_ATOL][:1]:
             raise InconclusiveHorizon(
                 f"the map at tau={TAU_MAX:g} sends states up to {spread:.3e} in trace norm from its image of I/d"
             )
         # the singular values of unvec(x) are those of its transpose x.reshape(d, d)
-        moved = (probes[:, 1:] @ fixed[:, None, :, None] - fixed[:, None, :, None]).reshape(k, -1, d, d)
+        moved = (probes @ fixed[:, None, :, None] - fixed[:, None, :, None]).reshape(k, -1, d, d)
         drifts = np.linalg.svd(moved, compute_uv=False).sum(axis=2).max(axis=1)
         kinds, picked = ["fpt" if x < FIXED_POINT_ATOL else "thermalizing" for x in drifts.tolist()], np.ones(k, bool)
     else:
@@ -229,6 +226,7 @@ def classify(block: Dynamics, probes: np.ndarray) -> list:
     mat = unvec(fixed, d, d)
     mat = (mat + dag(mat)) / 2
     tr = mat.trace(axis1=1, axis2=2).real
+    # a trace, absolute: a unit-norm eigenvector's is at most sqrt(d), and the image of I/d's is 1
     picked &= ~(np.abs(tr) < 1e-12)
     betas, low = infer_beta(mat / np.where(picked, tr, 1.0)[:, None, None], h)
     if kinds[0] != "single_map":  # a single map's fixed point that is no state only has no beta

@@ -3,11 +3,12 @@
 :func:`analyse` takes one ``dynamics.Dynamics`` block, stacked over its
 points, through the stages that do not depend on beta_i: the GKLS test of
 the generators and the level transitions on the tau grid, which
-``dynamics.maps_of`` judges as it makes them, classification, and the
-generator-level (qdb1) and map-level (qdb2) detailed-balance checks, a
+``dynamics.maps_of`` judges as it makes them, classification, from a
+channel family's maps at ``FIXED_POINT_TAUS``, which end at ``TAU_MAX``, and
+the generator-level (qdb1) and map-level (qdb2) detailed-balance checks, a
 semigroup's qdb2 at every tau from its generator.  :func:`build_report`
-adds the exchange distribution, whose records it judges, and the
-forward-only ratio law at each point of beta_i and beta_f, and returns the
+adds the exchange distribution, whose records it judges by their sum, and
+the forward-only ratio law at each point of beta_i and beta_f, and returns the
 verdict sections and the arrays that report rows are read from.  Each stage
 takes only the values it reads (the block, grids, tolerances, beta values),
 so it can be called, compared or timed on its own.
@@ -21,7 +22,7 @@ import numpy as np
 
 from .balance import check_qdb1, check_qdb2
 from .dynamics import Dynamics, maps_of
-from .fluctuation import FIXED_POINT_TAUS, TAU_MAX, classify, exchange_grid, ratios
+from .fluctuation import FIXED_POINT_TAUS, classify, exchange_grid, ratios
 from .matlin import unit_norm1
 from .states import HamiltonianSpec
 
@@ -76,7 +77,7 @@ def analyse(block: Dynamics, tau_grid: tuple, s_grid: tuple, tol_qdb: float, tol
     at the taus ``"all"``.  A failing stage raises, for whichever point
     fails it."""
     semigroup = block.generator is not None
-    probes = () if semigroup else block.taus((TAU_MAX, *FIXED_POINT_TAUS))
+    probes = () if semigroup else block.taus(FIXED_POINT_TAUS)
     qdb2_taus = () if semigroup else tuple(filter(math.isfinite, block.taus(QDB2_TAUS)))
     taus, p, h = block.taus(tau_grid), len(probes), block.h
     # every stage from here reads the eigenframe matrices of maps_of
@@ -105,7 +106,7 @@ def build_report(analysis: tuple, tol_qfr: float, beta_i, beta_f) -> list:
     of one per point; ``beta_f`` counts where the analysis infers none.  The
     points share a dimension and their gap clusters' pairs; a block of one
     point that every point shares gives its transitions once.
-    The first point whose records fail a check raises."""
+    The first point whose records fail their sum check raises."""
     sections, betas, taus, probs, h = analysis
     beta_i, beta_f, inferred = np.broadcast_arrays(beta_i, beta_f, betas)
     grid = exchange_grid(probs, h, beta_i)

@@ -90,8 +90,10 @@ def infer_beta(rho: np.ndarray, h: HamiltonianSpec) -> tuple:
     # no state, degenerate levels, or off-diagonal weight; a nan passes each test
     bad = (low < -STATE_ATOL) | (gaps.min(axis=1, initial=math.inf) <= DEGENERACY_ATOL * (e[:, -1] - e[:, 0]))
     bad |= np.abs(rho - rho * np.eye(h.dim)).max(axis=(1, 2)) > THERMAL_OFFDIAG_ATOL
-    # 1e-14 is a population: below it a level's population is read as vanishing, so its log is not taken
+    # populations: from 1 - 1e-10 the ground level holds the whole state, and below 1e-14 a level's population
+    # is read as vanishing, so its log is not taken
     beta = np.where(~bad & (p[:, 0] >= 1.0 - 1e-10) & (p[:, 1:].max(axis=1, initial=0.0) < 1e-14), math.inf, math.nan)
+    # the same population floor 1e-14: a state with a vanishing level has no finite beta
     ok = ~(bad | (p.min(axis=1) < 1e-14))
     p, e, gaps = p[ok], e[ok], gaps[ok]
     # math.log, whose last bit numpy's log need not match, for the estimate that is reported

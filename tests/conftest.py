@@ -769,7 +769,7 @@ def default_tau_max(gamma_min) -> float:
 def probes_of(block: Dynamics) -> np.ndarray:
     """classify's eigenframe probes of a block, as ``report.analyse`` takes
     them: the generators of semigroups, the probe maps of Kraus sources."""
-    times = () if block.generator is not None else block.taus((TAU_MAX, *FIXED_POINT_TAUS))
+    times = () if block.generator is not None else block.taus(FIXED_POINT_TAUS)
     generators, (superops, _), _ = maps_of(block, times, (), TOL_CPTP)
     return superops if generators is None else generators
 
@@ -1058,11 +1058,11 @@ def reference_classify(block: Dynamics, probes) -> list:
         for superops, h in zip(probes, block.h):
             d = h.dim
             vec_eye = vec(np.eye(d))
-            sigma = superops[0] @ (vec_eye / d)
-            spread = math.sqrt(d) * np.linalg.svd(superops[0] - sigma[:, None] * vec_eye, compute_uv=False).max()
+            sigma = superops[-1] @ (vec_eye / d)  # the map at TAU_MAX, the last probe time
+            spread = math.sqrt(d) * np.linalg.svd(superops[-1] - sigma[:, None] * vec_eye, compute_uv=False).max()
             if spread > CONVERGENCE_ATOL:
                 raise InconclusiveHorizon(f"spread {spread:.3e}")
-            moved = (superops[1:] @ sigma[:, None] - sigma[:, None]).reshape(-1, d, d)
+            moved = (superops @ sigma[:, None] - sigma[:, None]).reshape(-1, d, d)
             drift = np.linalg.svd(moved, compute_uv=False).sum(axis=1).max()
             beta = reference_fixed_beta(sigma, h)
             out.append(("non_thermalizing", None, None) if beta is None else (

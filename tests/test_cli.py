@@ -11,10 +11,16 @@ import pytest
 import qdblab
 
 from conftest import expm_shapes, inverted_qubit, random_complex, random_lindblad, thermal_circulation_qutrit
-from qdblab.cli import EXIT_OK, load_model, main, parse_grid, parse_range, save_model
+from qdblab.cli import EXIT_OK, _build_parser, load_model, main, parse_grid, parse_range, save_model
 from qdblab.dynamics import Dynamics, LindbladGenerator, lindblad_superop
 from qdblab.errors import ConfigError, InternalCheckError, QdblabError
-from qdblab.examples import ExampleBParams, example_b_generator
+from qdblab.examples import (
+    ExampleBParams,
+    example_b_generator,
+    example_c_bloch_matrix,
+    example_c_qdb_point,
+    qubit_hamiltonian,
+)
 from qdblab.report import analyse, build_report, fmt_float
 from qdblab.states import HamiltonianSpec
 
@@ -109,14 +115,22 @@ class TestExampleCommand:
 
 class TestCheckCommand:
     def test_roundtrip_preserves_verdicts(self, tmp_path):
-        model_path = tmp_path / "model_b.json"
-        save_model(example_b_generator(ExampleBParams(1.0, 1.0, 1.0)), model_path)
-        assert run(tmp_path, "example", "b", *FAST) == EXIT_OK
-        assert run(tmp_path, "check", str(model_path), *FAST) == EXIT_OK
-        v1 = json.loads((tmp_path / "example_b_verdict.json").read_text())
-        v2 = json.loads((tmp_path / "check_model_b_verdict.json").read_text())
-        for key in ("classification", "qdb1", "qdb2", "qfr_max_deviation"):
-            assert v1[key] == v2[key]
+        # scenario B written by --save-model as a lindblad file, and scenario C at its defaults written as a bloch4
+        # file, report what the scenarios report: the rows byte for byte, and every verdict key but the names
+        assert run(tmp_path, "example", "b", *FAST, "--save-model", str(tmp_path / "model_b.json")) == EXIT_OK
+        assert run(tmp_path, "example", "c", *FAST) == EXIT_OK
+        args = _build_parser().parse_args(["example", "c"])
+        p = example_c_qdb_point(args.mu, args.eta, args.omega, args.beta_f)
+        model = {"schema": 1, "kind": "bloch4", "hamiltonian": qubit_hamiltonian(args.omega).matrix.real.tolist(),
+                 "generator": example_c_bloch_matrix(p.replace(nu=p.nu * args.nu_scale)).tolist()}
+        (tmp_path / "model_c.json").write_text(json.dumps(model))
+        for name in "bc":
+            assert run(tmp_path, "check", str(tmp_path / f"model_{name}.json"), *FAST) == EXIT_OK
+            scenario, check = tmp_path / f"example_{name}", tmp_path / f"check_model_{name}"
+            assert Path(f"{scenario}_rows.csv").read_bytes() == Path(f"{check}_rows.csv").read_bytes()
+            v1, v2 = (json.loads(Path(f"{stem}_verdict.json").read_text()) for stem in (scenario, check))
+            names = ("source", "example", "model")
+            assert {k: v for k, v in v1.items() if k not in names} == {k: v for k, v in v2.items() if k not in names}
 
     @pytest.mark.parametrize("n_jumps", [0, 2])
     def test_jump_generator_roundtrip_is_bitwise(self, rng, tmp_path, n_jumps):
@@ -163,13 +177,14 @@ class TestCheckCommand:
     @pytest.mark.parametrize(
         "kraus_ops, message",
         [
-            ([], "NotTracePreserving: empty Kraus family cannot preserve the trace"),
+            # no operator sums to 0, not to I
+            ([], "NotTracePreserving: sum G^dag G differs from identity by 1.000e+00"),
             (
                 [np.eye(2).tolist(), np.eye(3).tolist()],
-                "DimensionMismatch: all Kraus operators must be square with equal size",
+                "DimensionMismatch: Kraus operator shape does not match the Hamiltonian",
             ),
-            ([[[1, 0, 0], [0, 1, 0]]], "DimensionMismatch: all Kraus operators must be square with equal size"),
-            ([np.eye(3).tolist()], "DimensionMismatch: channel dimension does not match the Hamiltonian"),
+            ([[[1, 0, 0], [0, 1, 0]]], "DimensionMismatch: Kraus operator shape does not match the Hamiltonian"),
+            ([np.eye(3).tolist()], "DimensionMismatch: Kraus operator shape does not match the Hamiltonian"),
         ],
         ids=["empty", "ragged", "not-square", "wrong-dimension"],
     )
@@ -188,6 +203,16 @@ class TestCheckCommand:
         verdict = json.loads((tmp_path / "example_b_verdict.json").read_text())
         assert verdict["qdb1"]["passes"] is True
         assert verdict["qdb2"]["passes"] is True
+
+    @pytest.mark.parametrize("beta", ["25", "30", "33"])
+    @pytest.mark.parametrize("gamma", ["1e4", "3e4", "1e5", "3e5"])
+    def test_scenario_b_at_fast_rates_and_low_temperature_has_a_verdict(self, tmp_path, gamma, beta):
+        # on the default grids the rows sum to 1 only within up to 2.3e-10, and a record near 1 reads up to
+        # 1 + 1.2e-10 (1 + 7.1e-12 at gamma 1e4, beta 30): the records are judged by their sum, within the rows'
+        # own bound STOCHASTIC_ATOL, not each against 1 + 1e-12
+        assert run(tmp_path, "example", "b", "--gamma", gamma, "--beta-f", beta, "--beta-i", beta) == EXIT_OK
+        verdict = json.loads((tmp_path / "example_b_verdict.json").read_text())
+        assert verdict["classification"]["kind"] == "fpt"
 
     def test_inverted_populations_pass_both_balance_checks(self, tmp_path):
         gen, beta_f = inverted_qubit()

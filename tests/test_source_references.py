@@ -17,17 +17,20 @@ test itself, so ``report`` hands it no slice or callback, and no map times
 for a semigroup, whose qdb2 is a generator identity.  It judges the level
 transitions it makes too, so ``exchange_grid`` takes bare ``probs`` and no
 module that imports ``dynamics`` reads a ``finite`` or ``route_gap``.  Each named
-threshold states its scale in the comment above it.  The value classes are plain
-classes: no module imports ``dataclasses``, and only an ``__init__`` sets an
-attribute, apart from the command shell's parsed ``args``.  Each error class
-of ``errors.py`` carries its exit code, which the one except clause of
-``cli._run`` for ``QdblabError`` returns; the class to code table is pinned
-here, and a class that nothing under ``src/qdblab`` constructs is a stale
-entry.
+threshold states its scale in the comment above it, and each small float
+literal in a comparison in a comment on its line or the line above.  The
+value classes are plain classes: no module imports ``dataclasses``, and
+only an ``__init__`` sets an attribute, apart from the command shell's
+parsed ``args``.  Each error class of ``errors.py`` carries its exit code,
+which the one except clause of ``cli._run`` for ``QdblabError`` returns; the
+class to code table is pinned here, and a class that nothing under
+``src/qdblab`` constructs is a stale entry.
 """
 
 import ast
 import inspect
+import io
+import tokenize
 from pathlib import Path
 
 from qdblab import errors
@@ -155,7 +158,7 @@ def test_analyse_hands_maps_of_no_map_times_for_a_semigroup(monkeypatch):
     for name in "abc":
         block = _scenario(name, parser.parse_args(["example", name]), [{}])[0]
         report.analyse(block, (0.5, 2.0), (0.0, 1.0), 1e-9, 1e-9)
-    assert asked == [((TAU_MAX, *FIXED_POINT_TAUS, *report.QDB2_TAUS), (0.5, 2.0)), ((), (0.5, 2.0)),
+    assert asked == [((*FIXED_POINT_TAUS, *report.QDB2_TAUS), (0.5, 2.0)), ((), (0.5, 2.0)),
                      ((), (0.5, 2.0))]
 
 
@@ -215,6 +218,24 @@ def test_every_named_threshold_states_its_scale():
                 name = node.targets[0].id
                 if name.endswith(("_ATOL", "_RTOL", "_FLOOR")):
                     assert name in THRESHOLDS.get(path.stem, []), f"{path.stem}.{name}"
+    # and a small float literal in a comparison is a threshold too: a comment on its line or the line above
+    # states its scale
+    for path in sorted(SRC.glob("*.py")):
+        text = path.read_text()
+        comments = {token.start[0] for token in tokenize.generate_tokens(io.StringIO(text).readline)
+                    if token.type == tokenize.COMMENT}
+        for node in ast.walk(ast.parse(text)):
+            if isinstance(node, ast.Compare):
+                for c in ast.walk(node):
+                    if type(getattr(c, "value", None)) is float and 0 < abs(c.value) < 1e-6:
+                        if not comments & {c.lineno, c.lineno - 1}:
+                            unstated.append(f"{path.stem}:{c.lineno}")
+    assert unstated == []
+
+
+def test_the_fixed_point_taus_end_at_tau_max():
+    # classify reads a channel family's last probe map as its map at TAU_MAX
+    assert FIXED_POINT_TAUS[-1] == TAU_MAX
 
 
 def attribute_writes() -> list:

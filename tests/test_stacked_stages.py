@@ -48,10 +48,8 @@ from qdblab.examples import (
     example_c_qdb_point,
     qubit_hamiltonian,
 )
-from qdblab.fluctuation import FIXED_POINT_TAUS, TAU_MAX, _gap_clusters, classify
+from qdblab.fluctuation import FIXED_POINT_TAUS, _gap_clusters, classify
 from qdblab.states import infer_beta
-
-PROBES = (TAU_MAX, *FIXED_POINT_TAUS)
 
 
 def classified(sources):
@@ -206,7 +204,7 @@ class TestScenarioBuilds:
         params = [ExampleAParams(omega, 1.0, fixed_point) for omega in np.linspace(0.5, 2.0, 6)]
         hs = qubit_hamiltonian([p.omega for p in params])
         sources = [Dynamics.channel_family(h, a_family(p)) for h, p in zip(hs, params)]
-        taus = (*PROBES, 0.05, 0.4, 2.0, 9.0)
+        taus = (*FIXED_POINT_TAUS, 0.05, 0.4, 2.0, 9.0)
         _, maps, _ = maps_of(block(sources), taus, (), TOL_CPTP)
         # each qubit H is diagonal, so its eigenframe is the basis of the channel's operators
         for (superops, kraus), source, p in zip(per_source(maps), sources, params):
