@@ -2,23 +2,24 @@
 and of qubit Bloch-coordinate generators), the GKLS test of generators, and
 ``Dynamics``, a block of dynamics stacked over its points: one stacked
 Hamiltonian with one generator stack or one Kraus family of stacks.  Every
-stage takes the block whole: ``maps_of`` gives its generators, a channel
-family's maps at one time tuple and its level transitions on the tau grid as
-stacks over the points, which every check, ``classify`` of a channel family
-too, reads; a semigroup has no maps, and an exactly secular one takes its
-transitions from its d x d rate block alone; no map is evolved, applied or
-made Kraus alone.  The transitions leave ``maps_of`` judged: finite, the
-Kraus route agreeing with the superoperator route, and stochastic; the
-later stages take them as bare probabilities.
+stage takes the block whole: ``maps_of`` gives three plain stacks over the
+points, ``(generators, superops, probs)``: a semigroup's generators, a
+channel family's maps at one time tuple, and the level transitions on the
+tau grid, which every check, ``classify`` of a channel family too, reads; a
+semigroup has no maps, and an exactly secular one takes its transitions
+from its d x d rate block alone; no map is evolved, applied or made Kraus
+alone.  The transitions leave ``maps_of`` judged: finite, a family's Kraus
+route agreeing with its superoperator route, and stochastic; the later
+stages take them as bare probabilities.
 
 ``maps_of`` takes H's eigenframe once per block, and it is the only place
-the package reads H's eigenvectors ``V``: the generators, maps and Kraus
-operators it hands on, and the states the later stages take from them, are
-held in that frame, ``Q^dag L Q`` with ``Q = conj(V) (x) V`` and ``V^dag G
-V``.  There the Gibbs state is diagonal, time reversal is complex
-conjugation, and the level transitions are the maps' population block.  The
-trace dual, ``vec(I)``, complete positivity, spectra and singular values
-are the same in either frame.
+the package reads H's eigenvectors ``V``: the generators and maps it hands
+on, and the states the later stages take from them, are held in that frame,
+``Q^dag L Q`` with ``Q = conj(V) (x) V``, a map built from the Kraus
+operators ``V^dag G V``.  There the Gibbs state is diagonal, time reversal
+is complex conjugation, and the level transitions are the maps' population
+block.  The trace dual, ``vec(I)``, complete positivity, spectra and
+singular values are the same in either frame.
 
 A map is a plain Schroedinger-picture ``d^2 x d^2`` matrix acting on
 column-stacked operators, a Kraus family a zero-padded stack ``(t, j, d,
@@ -313,26 +314,6 @@ class Dynamics:
         return tuple(grid) if self.tau is None else (self.tau,)
 
 
-def transitions_of(superops: np.ndarray, kraus) -> np.ndarray:
-    """The level transitions ``probs[..., t, m, n] = <n| Map_t[|m><m|] |n>``
-    of the eigenframe map stacks ``(superops, kraus)`` of :func:`maps_of`,
-    or of stacks ``(p, t, ...)`` of them, read from the maps' population
-    block and judged by :func:`_judged`, with the Kraus route ``sum_j
-    |<n|G_j|m>|^2`` against the superoperator route (a gap of 0 without
-    Kraus operators); both routes read the same eigenframe operators, so
-    their gap checks the superoperator build, not the frame change.  A map
-    stack whose matrices are not ``d^2 x d^2`` raises ``DimensionMismatch``."""
-    d = math.isqrt(superops.shape[-1])
-    if superops.shape[-2:] != (d * d,) * 2:
-        raise DimensionMismatch("superoperator dimension is not the square of a level count")
-    units = _frame_units(d)[0]
-    probs = superops[..., units, units[:, None]].real  # the entry from |m><m| to |n><n| at [m, n]
-    route_gap = np.zeros(probs.shape[:-2])
-    if kraus is not None:
-        route_gap = np.abs((np.abs(kraus) ** 2).sum(axis=-3).swapaxes(-1, -2) - probs).max(axis=(-2, -1))
-    return _judged(probs, np.isfinite(superops).all(axis=(-2, -1)), route_gap)
-
-
 def _judged(probs: np.ndarray, finite: np.ndarray, route_gap: np.ndarray) -> np.ndarray:
     """``probs``, a stack ``(..., t, d, d)`` of level transitions, once its
     maps pass the transition checks: the first map, in point and then time
@@ -371,20 +352,24 @@ def maps_of(block: Dynamics, times: tuple, grid: tuple, tol_cptp: float) -> tupl
     """The generators, maps and level transitions of the points of
     ``block``, all in H's eigenframe, the only place the package takes it:
     the maps at ``times`` and the level transitions on ``grid``, stacked
-    over the points in order, as ``(generators, (superops, kraus),
-    transitions)``: the stack ``(k, d^2, d^2)`` of the semigroups'
-    generators ``Q^dag L Q``, with ``Q = conj(V) (x) V`` for the eigenvectors
-    ``V`` of the block's ``h`` (None for channel families), the stack ``(k,
-    t, d^2, d^2)`` of a channel family's maps' matrices and the zero-padded
-    stack ``(k, t, j, d, d)`` of their Kraus operators ``V^dag G V``, and
-    the stack ``probs`` ``(k, t, d, d)`` of :func:`transitions_of`.  A
-    semigroup has no maps: it takes no ``times``, and its ``(superops,
-    kraus)`` are ``(None, None)``.  One family call covers ``times + grid``,
-    and one exponential per route a semigroup's grid.
+    over the points in order, as three plain values ``(generators, superops,
+    probs)``: the stack ``(k, d^2, d^2)`` of the semigroups' generators
+    ``Q^dag L Q``, with ``Q = conj(V) (x) V`` for the eigenvectors ``V`` of
+    the block's ``h`` (None for channel families), the stack ``(k, t, d^2,
+    d^2)`` of a channel family's maps' matrices, built from its Kraus
+    operators ``V^dag G V`` (None for semigroups, which have no maps and
+    take no ``times``), and the stack ``(k, t, d, d)`` of the level
+    transitions ``probs[..., m, n] = <n| Map[|m><m|] |n>``, the maps'
+    population block.  One family call covers ``times + grid``, and one
+    exponential per route a semigroup's grid.
 
-    A family's stack is checked as one, the first failing point and slice
-    first, and so are the transitions on the grid of either kind, by the
-    checks of :func:`_judged`, which both semigroup routes take together.
+    A family's Kraus stack is checked as one, the first failing point and
+    slice first, and so are the transitions on the grid of either kind, by
+    the checks of :func:`_judged`, which both semigroup routes take
+    together.  A family's transitions are also read by the Kraus route
+    ``sum_j |<n|G_j|m>|^2``, which must agree with the population block:
+    both routes read the same eigenframe operators, so their gap checks the
+    superoperator build, not the frame change.
     The semigroups' eigenframe generators take the GKLS test of
     :func:`gkls_defects` before any exponential: the first whose defect is
     not below ``tol_cptp`` raises ``NotCPTP``.  A semigroup is exactly
@@ -400,20 +385,23 @@ def maps_of(block: Dynamics, times: tuple, grid: tuple, tol_cptp: float) -> tupl
     only."""
     h = block.h
     v, d, k, t = h.eigenvectors, h.dim, len(h.matrix), len(times)
+    units, couplings = _frame_units(d)
     if block.generator is None:
         kraus = _kraus_stacks(np.asarray(block.family(times + grid), dtype=complex), h)
         # V^dag G V = ((G V)^T conj(V))^T, two products over the whole stack of each point
         gv = (kraus.reshape(k, -1, d) @ v).reshape(kraus.shape).swapaxes(-1, -2)
         kraus = (gv.reshape(k, -1, d) @ v.conj()).reshape(kraus.shape).swapaxes(-1, -2)
         superops = _kraus_superops(kraus)
-        return None, (superops[:, :t], kraus[:, :t]), transitions_of(superops[:, t:], kraus[:, t:])
+        # the entry from |m><m| to |n><n| at [m, n], against the Kraus route sum_j |<n|G_j|m>|^2
+        probs = superops[:, t:, units, units[:, None]].real
+        route_gap = np.abs((np.abs(kraus[:, t:]) ** 2).sum(axis=-3).swapaxes(-1, -2) - probs).max(axis=(-2, -1))
+        return None, superops[:, :t], _judged(probs, np.isfinite(superops[:, t:]).all(axis=(-2, -1)), route_gap)
     q = kron(v.conj(), v)
     with np.errstate(over="ignore", invalid="ignore"):  # a non-finite coupling is not 0
         generators = dag(q) @ block.generator @ q
     cp, tp = gkls_defects(generators)
     for i in np.flatnonzero(~(np.maximum(cp, tp) < tol_cptp))[:1]:  # a nan defect fails too
         raise NotCPTP(f"the generator is not of GKLS form: cp={cp[i]:.3e}, tp={tp[i]:.3e} relative to its 1-norm")
-    units, couplings = _frame_units(d)
     secular = ~generators[:, couplings].any(axis=-1)
     probs, finite = np.empty((k, len(grid), d, d)), np.empty((k, len(grid)), dtype=bool)
     # the population block of the full route's exponentials, and exp(tau W) of the rate blocks W[n, m], the
@@ -422,4 +410,4 @@ def maps_of(block: Dynamics, times: tuple, grid: tuple, tol_cptp: float) -> tupl
         if points.any():
             maps = matlin.expm(generators[points][:, part][..., part], grid)
             probs[points], finite[points] = maps[..., at, at[:, None]].real, np.isfinite(maps).all(axis=(-2, -1))
-    return generators, (None, None), _judged(probs, finite, np.zeros(finite.shape))
+    return generators, None, _judged(probs, finite, np.zeros(finite.shape))

@@ -146,9 +146,7 @@ class ExampleBParams:
 
     @property
     def n_bar(self) -> float:
-        """Bosonic occupation ``1 / (e^{beta omega} - 1)``."""
-        if math.isinf(self.beta_f):
-            return 0.0
+        """Bosonic occupation ``1 / (e^{beta omega} - 1)``, 0 at beta = inf."""
         return 1.0 / math.expm1(self.beta_f * self.omega)
 
 

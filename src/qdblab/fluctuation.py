@@ -103,8 +103,8 @@ def _exp(x: float) -> float:
 def exchange_grid(probs: np.ndarray, h: HamiltonianSpec, beta_i) -> tuple:
     """Energy-exchange statistics of maps applied to the thermal state at a
     finite ``beta_i >= 0``, from their level transitions ``probs``, judged
-    already, as :func:`maps_of` or :func:`transitions_of` gives them, as
-    ``(energies, p_plus, p_minus, recorded)``.
+    already, as ``dynamics.maps_of`` gives them, as ``(energies, p_plus,
+    p_minus, recorded)``.
 
     Ordered level pairs are grouped by their gap ``E_n - E_m`` (within
     ``1e-9 (E_max - E_min)``); degenerate gaps accumulate into one record.

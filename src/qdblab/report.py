@@ -81,7 +81,7 @@ def analyse(block: Dynamics, tau_grid: tuple, s_grid: tuple, tol_qdb: float, tol
     qdb2_taus = () if semigroup else tuple(filter(math.isfinite, block.taus(QDB2_TAUS)))
     taus, p, h = block.taus(tau_grid), len(probes), block.h
     # every stage from here reads the eigenframe matrices of maps_of
-    generators, (superops, _), probs = maps_of(block, probes + qdb2_taus, taus, tol_cptp)
+    generators, superops, probs = maps_of(block, probes + qdb2_taus, taus, tol_cptp)
     if semigroup:
         probes, maps, qdb2_taus = generators, unit_norm1(generators)[:, None], "all"
     else:

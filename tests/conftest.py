@@ -16,13 +16,14 @@ from qdblab.dynamics import (
     _PAULI_STACK,
     Dynamics,
     LindbladGenerator,
+    _frame_units,
+    _judged,
     _kraus_stacks,
     _kraus_superops,
     choi_matrix,
     gkls_defects,
     maps_of,
     require_superop_dim,
-    transitions_of,
 )
 from qdblab.examples import (
     LOWERING,
@@ -277,12 +278,6 @@ def a_family(p):
     return lambda taus: example_a_channel(*p.schedules(taus))
 
 
-def per_source(maps) -> list:
-    """The ``(superops, kraus)`` stacks of each point of the block stacks
-    ``maps`` that :func:`qdblab.dynamics.maps_of` gives a channel family."""
-    return list(zip(*maps))
-
-
 def stack_specs(hs) -> HamiltonianSpec:
     """One spec stacked over the unstacked specs ``hs``."""
     return HamiltonianSpec(*map(np.array, zip(*((h.matrix, h.eigenvalues, h.eigenvectors) for h in hs))))
@@ -360,10 +355,10 @@ def reference_maps_of(block: Dynamics, times: tuple, grid: tuple, tol_cptp: floa
         kraus = _kraus_stacks(np.asarray(block.family(times + grid), dtype=complex), h)
         superops = _kraus_superops(kraus)
         transitions = reference_transition_stack(superops[:, n:], kraus[:, n:], h)
-        return None, (eigenframe(superops[:, :n], h), eigenframe(kraus[:, :n], h)), transitions
+        return None, eigenframe(superops[:, :n], h), transitions
     generators = eigenframe(block.generator, h)
     reference_gkls_test(generators, tol_cptp)
-    return generators, (None, None), reference_transition_stack(matlin.expm(block.generator, grid), None, h)
+    return generators, None, reference_transition_stack(matlin.expm(block.generator, grid), None, h)
 
 
 def reference_frame_route(block: Dynamics, times: tuple, grid: tuple, tol_cptp: float) -> tuple:
@@ -377,7 +372,7 @@ def reference_frame_route(block: Dynamics, times: tuple, grid: tuple, tol_cptp: 
     generators = eigenframe(block.generator, h)
     reference_gkls_test(generators, tol_cptp)
     units = HamiltonianSpec(h.matrix, h.eigenvalues, np.broadcast_to(np.eye(h.dim), h.eigenvectors.shape))
-    return generators, (None, None), reference_transition_stack(matlin.expm(generators, grid), None, units)
+    return generators, None, reference_transition_stack(matlin.expm(generators, grid), None, units)
 
 
 def reference_map_qdb2(block: Dynamics, betas, s_grid, taus=QDB2_TAUS) -> np.ndarray:
@@ -391,20 +386,30 @@ def reference_map_qdb2(block: Dynamics, betas, s_grid, taus=QDB2_TAUS) -> np.nda
     return check_qdb2(block.h, betas, s_grid, matlin.expm(generators, taus))
 
 
-def stacks_of(g, h):
-    """The eigenframe ``(superops, kraus)`` stacks of :func:`maps_of`, one
-    map deep, of Kraus operators ``(j, d, d)`` or a superoperator ``(d^2,
-    d^2)`` ``g`` in the basis of H's matrix."""
+def superop_stack(g, h):
+    """The eigenframe superoperator stack ``(1, d^2, d^2)``, one map deep,
+    of Kraus operators ``(j, d, d)`` or a superoperator ``(d^2, d^2)``
+    ``g`` in the basis of H's matrix."""
     g = np.asarray(g, dtype=complex)
     if g.ndim == 3:
-        kraus = eigenframe(_kraus_stacks(g[None], h), h)
-        return _kraus_superops(kraus), kraus
-    return eigenframe(require_superop_dim(g[None], h), h), None
+        return _kraus_superops(eigenframe(_kraus_stacks(g[None], h), h))
+    return eigenframe(require_superop_dim(g[None], h), h)
+
+
+def judged_transitions(superops: np.ndarray) -> np.ndarray:
+    """The level transitions ``probs[..., t, m, n] = <n| Map_t[|m><m|] |n>``
+    of a bare stack ``(..., t, d^2, d^2)`` of eigenframe maps: the gather of
+    their population block, judged by :func:`qdblab.dynamics._judged` as
+    :func:`qdblab.dynamics.maps_of` judges its own, with no Kraus route to
+    compare."""
+    units = _frame_units(math.isqrt(superops.shape[-1]))[0]
+    probs = superops[..., units, units[:, None]].real
+    return _judged(probs, np.isfinite(superops).all(axis=(-2, -1)), np.zeros(probs.shape[:-2]))
 
 
 def exchange_at(g, h, beta_i):
     """Exchange statistics ``(energies, p_plus, p_minus, recorded)`` of the one map ``g``."""
-    return exchange_grid(transitions_of(*stacks_of(g, h)), h, beta_i)
+    return exchange_grid(judged_transitions(superop_stack(g, h)), h, beta_i)
 
 
 def gap_records(grid, t=0):
@@ -729,13 +734,11 @@ def example_c_solution(p: ExampleCParams, r0: BlochVector, tau: float) -> BlochV
 
 def transition_matrix(g, h: HamiltonianSpec) -> np.ndarray:
     """``p[m, n] = <n| Map[|m><m|] |n>`` over h's ascending eigenbasis, for
-    one map ``g``, Kraus operators or a Schroedinger-picture superoperator.
-
-    For Kraus operators the equivalent route ``sum_j |<n|G_j|m>|^2`` is
-    evaluated as well and the two must agree; the probabilities must be
+    one map ``g``, Kraus operators or a Schroedinger-picture superoperator,
+    from its eigenframe superoperator; the probabilities must be finite and
     nonnegative and each row must sum to 1.
     """
-    return transitions_of(*stacks_of(g, h))[0]
+    return judged_transitions(superop_stack(g, h))[0]
 
 
 def check_pairwise_condition(channel_or_superop, h: HamiltonianSpec, beta_f: float) -> float:
@@ -770,7 +773,7 @@ def probes_of(block: Dynamics) -> np.ndarray:
     """classify's eigenframe probes of a block, as ``report.analyse`` takes
     them: the generators of semigroups, the probe maps of Kraus sources."""
     times = () if block.generator is not None else block.taus(FIXED_POINT_TAUS)
-    generators, (superops, _), _ = maps_of(block, times, (), TOL_CPTP)
+    generators, superops, _ = maps_of(block, times, (), TOL_CPTP)
     return superops if generators is None else generators
 
 
@@ -921,7 +924,7 @@ def reference_classify_family(source) -> tuple:
     :func:`qdblab.fluctuation.classify`, which reads the superoperator stack.
     ``source`` is a block of one point."""
     h = source.h[0]
-    _, (_, (kraus,)), _ = maps_of(source, (TAU_MAX, *FIXED_POINT_TAUS), (), TOL_CPTP)
+    (kraus,) = eigenframe(_kraus_stacks(source.family((TAU_MAX, *FIXED_POINT_TAUS)), source.h), h)
     finals = [apply(kraus[0], p) for p in _probe_states(h.dim)]
     mean = sum(finals) / len(finals)
     mean = (mean + dag(mean)) / 2

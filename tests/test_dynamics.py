@@ -9,7 +9,6 @@ from conftest import (
     block,
     commutator_superop,
     evolve_grid,
-    per_source,
     NotCompletelyPositive,
     _partial_trace_out,
     apply,
@@ -20,6 +19,7 @@ from conftest import (
     evolve,
     gibbs,
     is_cptp,
+    judged_transitions,
     level_unit,
     random_complex,
     random_density,
@@ -44,7 +44,6 @@ from qdblab.dynamics import (
     lindblad_superop,
     maps_of,
     require_superop_dim,
-    transitions_of,
 )
 from qdblab.errors import ConfigError, DimensionMismatch, KossakowskiNotPSD, NotTracePreserving
 from qdblab.matlin import dag, kron, unvec
@@ -471,8 +470,7 @@ class TestDynamicsSources:
         ops = [np.eye(2) / np.sqrt(2), SIGMA_X / np.sqrt(2)]
         source = Dynamics.single_map(qubit_hamiltonian(1.0), ops, 1.0)
         # H is diagonal, so its eigenframe is the basis the operators are given in
-        _, ((superops,), (kraus,)), _ = maps_of(source, (1.0, 1.0), (), TOL_CPTP)
-        assert np.array_equal(kraus, [ops] * 2)
+        _, (superops,), _ = maps_of(source, (1.0, 1.0), (), TOL_CPTP)
         assert np.array_equal(superops, [superop_from_channel(ops)] * 2)
 
 
@@ -487,26 +485,25 @@ class TestMapsOf:
     def test_semigroups_slice_their_own_exponentials(self, rng, d):
         # a semigroup has no maps: its transitions on the grid are the population blocks of its own exponentials
         sources = [Dynamics.semigroup(g.hamiltonian, g) for g in (random_lindblad(rng, d) for _ in range(3))]
-        generators, maps, probs = maps_of(block(sources), (), sum(TIME_PARTS, ()), TOL_CPTP)
-        assert maps == (None, None)
+        generators, superops, probs = maps_of(block(sources), (), sum(TIME_PARTS, ()), TOL_CPTP)
+        assert superops is None
         for generator, p, source in zip(generators, probs, sources):
             # the generator in its random eigenframe, within the roundoff of two products
             np.testing.assert_allclose(generator, eigenframe(source.generator[0], source.h[0]), rtol=0, atol=1e-13)
-            own = [transitions_of(evolve_grid(generator, t), None) for t in TIME_PARTS]
+            own = [judged_transitions(evolve_grid(generator, t)) for t in TIME_PARTS]
             assert np.array_equal(p, np.concatenate(own))
 
     def test_channel_families_slice_their_own_stacks(self):
         params = [ExampleAParams(0.5, 1.0), ExampleAParams(2.0, 3.0)]
         params.append(ExampleAParams(1.0, 0.3, fixed_point=True))
         sources = [Dynamics.channel_family(qubit_hamiltonian(p.omega), a_family(p)) for p in params]
-        generators, maps, _ = maps_of(block(sources), sum(TIME_PARTS, ()), (), TOL_CPTP)
-        assert generators is None
+        generators, stacks, _ = maps_of(block(sources), sum(TIME_PARTS, ()), (), TOL_CPTP)
+        assert generators is None and stacks.shape == (3, len(sum(TIME_PARTS, ())), 4, 4)
         # each qubit H is diagonal, so its eigenframe is the basis of the channel's operators
-        for (superops, kraus), p, source in zip(per_source(maps), params, sources):
+        for superops, p, source in zip(stacks, params, sources):
             own = [_kraus_stacks(np.asarray(example_a_channel(*p.schedules(t)), dtype=complex), source.h)
                    for t in TIME_PARTS]
             assert np.array_equal(superops, np.concatenate([_kraus_superops(k) for k in own]))
-            assert np.array_equal(kraus, np.concatenate(own))
 
     def test_single_map_slices_its_own_stack(self, rng):
         h, l = random_hamiltonian(rng, 3), lindblad_superop(random_lindblad(rng, 3))
@@ -514,12 +511,11 @@ class TestMapsOf:
         source = Dynamics.single_map(h, ops, 1.0)
         taus = sum((source.taus(t) for t in TIME_PARTS), ())
         assert taus == (1.0,) * 3
-        _, ((superops,), (kraus,)), _ = maps_of(source, taus, (), TOL_CPTP)
-        # the operators V^dag G V in the random eigenframe, within the roundoff of two products
-        np.testing.assert_allclose(kraus, np.repeat(eigenframe(_kraus_stacks(np.array([ops]), h), h), 3, axis=0),
-                                   rtol=0, atol=1e-14)
-        assert np.array_equal(kraus, np.repeat(kraus[:1], 3, axis=0))
-        assert np.array_equal(superops, _kraus_superops(kraus))
+        _, (superops,), _ = maps_of(source, taus, (), TOL_CPTP)
+        # the map of the operators V^dag G V in the random eigenframe, within the roundoff of two products
+        want = _kraus_superops(eigenframe(_kraus_stacks(np.array([ops]), h), h))
+        np.testing.assert_allclose(superops, np.repeat(want, 3, axis=0), rtol=0, atol=1e-14)
+        assert np.array_equal(superops, np.repeat(superops[:1], 3, axis=0))
 
 
 def test_superoperator_validates_shape():

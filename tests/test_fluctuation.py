@@ -1,5 +1,6 @@
 import math
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -24,6 +25,7 @@ from conftest import (
     grid_of,
     gamma_bar,
     gap_records,
+    judged_transitions,
     level_projector,
     random_hamiltonian,
     reference_classify_family,
@@ -42,7 +44,6 @@ from qdblab.dynamics import (
     LindbladGenerator,
     lindblad_superop,
     maps_of,
-    transitions_of,
 )
 from qdblab.errors import DimensionMismatch, InconclusiveHorizon, InternalCheckError, NotTracePreserving
 from qdblab.examples import (
@@ -531,7 +532,7 @@ class TestExchangeGridAgainstReference:
         # maps are exp(tau F) of its eigenframe generator F, which maps_of does not form
         (generator,) = maps_of(Dynamics.semigroup(h, gen), (), (), TOL_CPTP)[0]
         maps = matlin.expm(generator, TAUS)
-        grid = exchange_grid(transitions_of(maps, None), h, 1.3)
+        grid = exchange_grid(judged_transitions(maps), h, 1.3)
         assert all(len(a) == len(TAUS) for a in grid[1:])
         for t, g in enumerate(maps):
             assert np.array_equal(transition_matrix(g, h), reference_transition_matrix(g, h))
@@ -548,10 +549,9 @@ class TestExchangeGridAgainstReference:
         for t, g in enumerate(family):
             padded[t, : len(g)] = g
         source = Dynamics.channel_family(h, lambda taus: padded)
-        _, ((superops,), (kraus,)), _ = maps_of(source, tuple(range(4)), (), TOL_CPTP)
-        assert np.array_equal(kraus, padded)
+        _, (superops,), _ = maps_of(source, tuple(range(4)), (), TOL_CPTP)
         assert np.array_equal(superops, [reference_superop_from_channel(g) for g in family])
-        grid = exchange_grid(transitions_of(superops, kraus), h, 0.8)
+        grid = exchange_grid(judged_transitions(superops), h, 0.8)
         for t, g in enumerate(family):
             assert np.array_equal(transition_matrix(g, h), reference_transition_matrix(g, h))
             records = reference_exchange_records(g, h, 0.8)
@@ -595,6 +595,22 @@ class TestExchangeGridAgainstReference:
         message = r"^Kraus and superoperator transition routes disagree by 3\.000e-09$"
         with pytest.raises(InternalCheckError, match=message):
             grid_of([Dynamics.channel_family(h, lambda taus: family)], (0.1, 0.2, 0.3))
+
+    def test_route_disagreement_of_a_single_map_exits_4(self, tmp_path, monkeypatch, capsys):
+        # a single map's maps_of call takes its map at classify's probe time, at its qdb2 time and on the grid,
+        # one slice each; skew the grid slice's population entry, which only the transitions read
+        exact = dynamics._kraus_superops
+
+        def skewed(kraus):
+            s = exact(kraus)
+            s[..., 2, 0, 0] += 3e-9
+            return s
+
+        monkeypatch.setattr(dynamics, "_kraus_superops", skewed)
+        model = Path(__file__).parent / "golden" / "scenario_a_tau1.json"
+        assert main(["check", str(model), "--out", str(tmp_path)]) == 4
+        message = "InternalCheckError: Kraus and superoperator transition routes disagree by 3.000e-09"
+        assert capsys.readouterr().err.splitlines() == [message]
 
 
 def _failing_maps(h):
@@ -647,7 +663,7 @@ def test_grid_raises_what_the_per_map_loop_raised_first(names, beta_i):
         for g in maps:
             reference_exchange_records(g, h, beta_i)
     with pytest.raises(want.type) as got:
-        exchange_grid(transitions_of(eigenframe(np.array(maps), h), None), h, beta_i)
+        exchange_grid(judged_transitions(eigenframe(np.array(maps), h)), h, beta_i)
     assert str(got.value) == str(want.value)
 
 
@@ -657,11 +673,11 @@ def test_grid_rejects_a_stack_of_another_dimension():
     with pytest.raises(DimensionMismatch) as want:
         reference_exchange_records(g, h, 1.0)
     with pytest.raises(DimensionMismatch) as got:
-        exchange_grid(transitions_of(np.array([g, g]), None), h, 1.0)
+        exchange_grid(judged_transitions(np.array([g, g])), h, 1.0)
     assert str(got.value) == str(want.value)
     # before beta_i is judged, as when the transitions were taken against h
     with pytest.raises(DimensionMismatch):
-        exchange_grid(transitions_of(np.array([g, g]), None), h, -1.0)
+        exchange_grid(judged_transitions(np.array([g, g])), h, -1.0)
 
 
 @st.composite
@@ -687,12 +703,6 @@ def test_transitions_that_pass_their_checks_give_records_that_pass(case):
     # the records of every level pair sum to what the rows do, within the rows' own bound; no record is judged
     # against a tighter one, such as a zero-gap record of 1 + 5e-10 from rows that sum to it
     exchange_grid(*case)
-
-
-@pytest.mark.parametrize("shape", [(2, 5, 5), (2, 4, 9)], ids=["not-a-square", "not-square"])
-def test_transitions_reject_a_map_stack_of_no_level_count(shape):
-    with pytest.raises(DimensionMismatch, match="not the square of a level count"):
-        transitions_of(np.zeros(shape, dtype=complex), None)
 
 
 def test_build_report_takes_thermal_populations_once_per_source(tmp_path, monkeypatch):
@@ -786,6 +796,6 @@ def test_one_source_along_the_point_axis_is_bitwise_the_per_point_grids(rng, sha
 def test_points_with_other_gap_clusters_are_rejected(levels):
     # as a package error, so that a sweep block of such points replays them by halves
     hs = [HamiltonianSpec.from_matrix(np.diag(e).astype(complex)) for e in levels]
-    points = [(transitions_of(np.eye(9, dtype=complex)[None], None), h) for h in hs]
+    points = [(judged_transitions(np.eye(9, dtype=complex)[None]), h) for h in hs]
     with pytest.raises(DimensionMismatch, match="^the level sets differ in their gap clusters$"):
         exchange_grid(*_stack(points), 1.0)

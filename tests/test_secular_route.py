@@ -78,7 +78,7 @@ def test_secular_sources_take_exp_tau_w_within_roundoff_of_the_full_route(rng, m
     d = sources[0].h.dim
     assert shapes == [(len(sources), d, d)]  # the rate blocks only
     want_generators, want_maps, want_probs = reference_maps_of(block(sources), (), GRID, TOL_CPTP)
-    assert maps == want_maps == (None, None)
+    assert maps is want_maps is None
     assert np.array_equal(generators, want_generators)  # H is diagonal: its eigenframe is its own basis
     np.testing.assert_allclose(probs, want_probs, rtol=P_RTOL, atol=P_ATOL)
 

@@ -170,6 +170,12 @@ def test_only_dynamics_judges_the_level_transitions():
                for name, _ in _references(ast.parse((SRC / f"{module}.py").read_text()))
                if name in ("finite", "route_gap")}
     assert sorted(readers) == []
+    # and maps_of is their one producer: no second entry point reaches the transition checks
+    tree = ast.parse((SRC / "dynamics.py").read_text())
+    functions = [node for node in tree.body if isinstance(node, ast.FunctionDef)]
+    assert "transitions_of" not in {node.name for node in functions}
+    callers = {node.name for node in functions for name, _ in _references(node) if name == "_judged"}
+    assert callers == {"maps_of"}
 
 
 def parameters_named(name: str) -> list:

@@ -18,7 +18,6 @@ from conftest import (
     TOL_CPTP,
     a_family,
     block,
-    per_source,
     probes_of,
     LOWERING,
     RAISING,
@@ -205,10 +204,10 @@ class TestScenarioBuilds:
         hs = qubit_hamiltonian([p.omega for p in params])
         sources = [Dynamics.channel_family(h, a_family(p)) for h, p in zip(hs, params)]
         taus = (*FIXED_POINT_TAUS, 0.05, 0.4, 2.0, 9.0)
-        _, maps, _ = maps_of(block(sources), taus, (), TOL_CPTP)
+        _, stacks, _ = maps_of(block(sources), taus, (), TOL_CPTP)
         # each qubit H is diagonal, so its eigenframe is the basis of the channel's operators
-        for (superops, kraus), source, p in zip(per_source(maps), sources, params):
-            assert np.array_equal(kraus, _kraus_stacks(example_a_channel(*p.schedules(taus)), source.h))
+        for superops, source, p in zip(stacks, sources, params):
+            kraus = _kraus_stacks(example_a_channel(*p.schedules(taus)), source.h)
             assert np.array_equal(superops, [superop_from_channel(k) for k in kraus])
 
 

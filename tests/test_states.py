@@ -13,6 +13,7 @@ from conftest import (
     density_to_bloch,
     eigenframe,
     gibbs,
+    judged_transitions,
     level_projector,
     random_density,
     random_hamiltonian,
@@ -20,7 +21,6 @@ from conftest import (
 )
 from qdblab import matlin
 from qdblab.errors import NotAState
-from qdblab.dynamics import transitions_of
 from qdblab.fluctuation import exchange_grid
 from qdblab.states import HamiltonianSpec, infer_beta, thermal_populations
 
@@ -69,7 +69,7 @@ class TestGibbs:
 
     def test_rejects_negative_beta(self):
         # the exchange statistics take a finite beta_i >= 0 only
-        transitions = transitions_of(np.eye(4, dtype=complex)[None], None)
+        transitions = judged_transitions(np.eye(4, dtype=complex)[None])
         for beta_i in (-0.1, math.inf, math.nan):
             with pytest.raises(ValueError, match="^beta_i must be finite and nonnegative$"):
                 exchange_grid(transitions, QUBIT_H, beta_i)
