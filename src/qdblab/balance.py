@@ -21,7 +21,6 @@ import math
 
 import numpy as np
 
-from .dynamics import require_superop_dim
 from .matlin import frobenius
 from .states import HamiltonianSpec
 
@@ -62,7 +61,7 @@ def check_qdb1(h: HamiltonianSpec, beta, s_grid, generator: np.ndarray) -> np.nd
     do not matter; a defect past the float range reads inf.  A stacked ``h``,
     ``beta`` and ``generator`` give a row per point.
     """
-    l = _trace_dual(require_superop_dim(generator, h))
+    l = _trace_dual(generator)
     log_w = _log_weights(h, beta, s_grid)
     e = h.eigenvalues
     commutator = (e[..., None, :] - e[..., :, None]).reshape(log_w.shape[:-2] + (1, 1, -1))  # E_i - E_j at i + d j
@@ -101,6 +100,6 @@ def check_qdb2(h: HamiltonianSpec, beta, s_grid, maps: np.ndarray) -> np.ndarray
     generator in place of the maps checks every tau at once.
     """
     d2, log_w = h.dim**2, _log_weights(h, beta, s_grid)
-    g = _trace_dual(require_superop_dim(maps, h)).reshape(*log_w.shape[:-2], -1, d2, d2)
+    g = _trace_dual(maps).reshape(*log_w.shape[:-2], -1, d2, d2)
     wg = np.exp(log_w)[..., :, None, :, None] * g[..., None, :, :, :]
     return np.max(np.abs(wg - wg.swapaxes(-1, -2)), axis=(-3, -2, -1))

@@ -211,17 +211,17 @@ def _kraus_superops(kraus: np.ndarray) -> np.ndarray:
     return kron(kraus.conj(), kraus).sum(axis=-3, initial=0.0)
 
 
-def _kraus_stacks(kraus: np.ndarray, h: HamiltonianSpec) -> np.ndarray:
+def _kraus_stacks(kraus: np.ndarray) -> np.ndarray:
     """A zero-padded Kraus stack ``(..., t, j, d, d)``, checked for ``sum_j
-    G^dag G == I``, first failing slice first, and then for h's dimension."""
+    G^dag G == I``, the first failing point, and in it the first failing
+    slice, first.  Its shape is trusted: ``_operator_stack`` shaped a single
+    map's operators to h, and a family's are the package's own."""
     with np.errstate(over="ignore", invalid="ignore"):  # an inf or nan residual fails below
         gram = np.einsum("...jai,...jak->...ik", kraus.conj(), kraus)
     res = np.abs(gram - np.eye(kraus.shape[-1])).max(axis=(-2, -1)).reshape(-1)
     failing = np.flatnonzero(~(res <= TP_ATOL))  # a nan residual fails too
     if failing.size:
         raise NotTracePreserving(f"sum G^dag G differs from identity by {res[failing[0]]:.3e}")
-    if kraus.shape[-2:] != (h.dim,) * 2:
-        raise DimensionMismatch("channel dimension does not match the Hamiltonian")
     return kraus
 
 
@@ -297,15 +297,17 @@ class Dynamics:
 
     @classmethod
     def channel_family(cls, h: HamiltonianSpec, family) -> "Dynamics":
-        return cls(h, None, family, None)
+        """The block of the Kraus channel family ``family``, whose every
+        stack is judged by :func:`_kraus_stacks` as the family returns it."""
+        return cls(h, None, lambda taus: _kraus_stacks(np.asarray(family(taus), dtype=complex)), None)
 
     @classmethod
     def single_map(cls, h: HamiltonianSpec, kraus_ops, tau: float) -> "Dynamics":
         """The one-point block of the one map of the Kraus operators
-        ``kraus_ops``, taken at ``tau``, with h unstacked, judged as every
-        family's stack is: each operator must be h's size, and ``sum G^dag G
-        == I``."""
-        kraus = _kraus_stacks(_operator_stack(kraus_ops, h.dim, "Kraus operator")[None], h)
+        ``kraus_ops``, taken at ``tau``, with h unstacked, judged once, here:
+        each operator must be h's size, and ``sum G^dag G == I``; the
+        family repeats the judged stack."""
+        kraus = _kraus_stacks(_operator_stack(kraus_ops, h.dim, "Kraus operator")[None])
         return cls(h, None, lambda taus: np.repeat(kraus, len(taus), axis=0), tau)
 
     def taus(self, grid) -> tuple:
@@ -363,11 +365,13 @@ def maps_of(block: Dynamics, times: tuple, grid: tuple, tol_cptp: float) -> tupl
     population block.  One family call covers ``times + grid``, and one
     exponential per route a semigroup's grid.
 
-    A family's Kraus stack is checked as one, the first failing point and
-    slice first, and so are the transitions on the grid of either kind, by
-    the checks of :func:`_judged`, which both semigroup routes take
-    together.  A family's transitions are also read by the Kraus route
-    ``sum_j |<n|G_j|m>|^2``, which must agree with the population block:
+    A family's Kraus stack comes judged from the family, as
+    :meth:`Dynamics.channel_family` and :meth:`Dynamics.single_map` judge
+    it; the transitions on the grid of either kind are checked as one, the
+    first failing point and time first, by the checks of :func:`_judged`,
+    which both semigroup routes take together.  A family's transitions are
+    also read by the Kraus route ``sum_j |<n|G_j|m>|^2``, which must agree
+    with the population block:
     both routes read the same eigenframe operators, so their gap checks the
     superoperator build, not the frame change.
     The semigroups' eigenframe generators take the GKLS test of
@@ -387,7 +391,7 @@ def maps_of(block: Dynamics, times: tuple, grid: tuple, tol_cptp: float) -> tupl
     v, d, k, t = h.eigenvectors, h.dim, len(h.matrix), len(times)
     units, couplings = _frame_units(d)
     if block.generator is None:
-        kraus = _kraus_stacks(np.asarray(block.family(times + grid), dtype=complex), h)
+        kraus = block.family(times + grid)
         # V^dag G V = ((G V)^T conj(V))^T, two products over the whole stack of each point
         gv = (kraus.reshape(k, -1, d) @ v).reshape(kraus.shape).swapaxes(-1, -2)
         kraus = (gv.reshape(k, -1, d) @ v.conj()).reshape(kraus.shape).swapaxes(-1, -2)

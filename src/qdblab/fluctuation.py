@@ -104,7 +104,9 @@ def exchange_grid(probs: np.ndarray, h: HamiltonianSpec, beta_i) -> tuple:
     """Energy-exchange statistics of maps applied to the thermal state at a
     finite ``beta_i >= 0``, from their level transitions ``probs``, judged
     already, as ``dynamics.maps_of`` gives them, as ``(energies, p_plus,
-    p_minus, recorded)``.
+    p_minus, recorded)``.  It trusts what entered the package before it:
+    ``probs`` has h's level count, as ``maps_of`` made it from the same
+    block's h, and ``beta_i`` was checked as a setting, a swept one too.
 
     Ordered level pairs are grouped by their gap ``E_n - E_m`` (within
     ``1e-9 (E_max - E_min)``); degenerate gaps accumulate into one record.
@@ -122,14 +124,7 @@ def exchange_grid(probs: np.ndarray, h: HamiltonianSpec, beta_i) -> tuple:
     ``STOCHASTIC_ATOL``, the transitions' own row bound, else the first
     point, and in it the first map, that fails raises; a record needs no
     check of its own, as every transition is at least ``-1e-12``.
-    Transitions of another level count than h's raise ``DimensionMismatch``
-    before this check.
     """
-    if probs.shape[-1] != h.dim:
-        raise DimensionMismatch("superoperator dimension does not match the Hamiltonian")
-    beta_i = np.asarray(beta_i, dtype=float)
-    if not np.all((0 <= beta_i) & (beta_i < math.inf)):
-        raise ValueError("beta_i must be finite and nonnegative")
     p_init = thermal_populations(h, beta_i)[..., None, :]  # [..., t, m]
     e = h.eigenvalues
     energies, clusters = _gap_clusters(e.reshape(-1, h.dim))

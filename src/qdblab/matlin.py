@@ -106,8 +106,6 @@ def expm(generators: np.ndarray, taus) -> np.ndarray:
     """
     l = np.asarray(generators, dtype=complex)
     taus = np.asarray(taus, dtype=float)
-    if l.ndim < 2 or l.shape[-1] != l.shape[-2] or taus.ndim != 1:
-        raise DimensionMismatch(f"expm: expected square matrices and a 1-D grid, got shapes {l.shape}, {taus.shape}")
     n = l.shape[-1]
     g = l.reshape(-1, n, n)
     b = _PADE13
@@ -202,7 +200,5 @@ def vec(m: np.ndarray) -> np.ndarray:
 def unvec(v: np.ndarray, rows: int, cols: int) -> np.ndarray:
     """Inverse of :func:`vec`, for a vector or every vector of a stack."""
     v = np.asarray(v, dtype=complex)
-    if v.shape[-1] != rows * cols:
-        raise DimensionMismatch(f"unvec: {v.size} entries cannot fill a {rows}x{cols} matrix")
     return v.reshape(*v.shape[:-1], cols, rows).swapaxes(-1, -2)
 

@@ -352,7 +352,7 @@ def reference_maps_of(block: Dynamics, times: tuple, grid: tuple, tol_cptp: floa
     eigenframe generators take the GKLS test first."""
     h, n = block.h, len(times)
     if block.generator is None:
-        kraus = _kraus_stacks(np.asarray(block.family(times + grid), dtype=complex), h)
+        kraus = _kraus_stacks(np.asarray(block.family(times + grid), dtype=complex))
         superops = _kraus_superops(kraus)
         transitions = reference_transition_stack(superops[:, n:], kraus[:, n:], h)
         return None, eigenframe(superops[:, :n], h), transitions
@@ -392,7 +392,7 @@ def superop_stack(g, h):
     ``g`` in the basis of H's matrix."""
     g = np.asarray(g, dtype=complex)
     if g.ndim == 3:
-        return _kraus_superops(eigenframe(_kraus_stacks(g[None], h), h))
+        return _kraus_superops(eigenframe(_kraus_stacks(g[None]), h))
     return eigenframe(require_superop_dim(g[None], h), h)
 
 
@@ -924,7 +924,7 @@ def reference_classify_family(source) -> tuple:
     :func:`qdblab.fluctuation.classify`, which reads the superoperator stack.
     ``source`` is a block of one point."""
     h = source.h[0]
-    (kraus,) = eigenframe(_kraus_stacks(source.family((TAU_MAX, *FIXED_POINT_TAUS)), source.h), h)
+    (kraus,) = eigenframe(_kraus_stacks(source.family((TAU_MAX, *FIXED_POINT_TAUS))), h)
     finals = [apply(kraus[0], p) for p in _probe_states(h.dim)]
     mean = sum(finals) / len(finals)
     mean = (mean + dag(mean)) / 2

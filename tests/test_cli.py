@@ -25,6 +25,9 @@ from qdblab.report import analyse, build_report, fmt_float
 from qdblab.states import HamiltonianSpec
 
 FAST = ["--tau-grid", "0.3,1,3", "--s-grid", "0,0.5,1"]
+# Kraus operators that sum to diag(2.21, 0), not to I, and the line that a model file of them exits with as it loads
+NON_TP_OPS = [[[1.1, 0], [0, 0]], [[0, 0], [1, 0]]]
+NON_TP_KRAUS = "NotTracePreserving: sum G^dag G differs from identity by 1.210e+00"
 
 
 def run(tmp_path, *argv):
@@ -466,12 +469,22 @@ class TestSweepCommand:
         assert "UnknownParameter" in capsys.readouterr().err
 
     @pytest.mark.parametrize(
-        "target, param", [("b", "zeta"), ("missing.json", "beta_i")], ids=["unknown-parameter", "missing-model"]
+        "target, param, values, code, start",
+        [
+            ("b", "zeta", "0:1:0", ConfigError.exit_code, "UnknownParameter: "),
+            ("missing.json", "beta_i", "0:1:0", ConfigError.exit_code, "ConfigError: cannot read model file"),
+            # a Kraus file's operators are judged as it loads, before any point of the range
+            ("kraus_not_tp.json", "beta_i", "1:0:0", QdblabError.exit_code, NON_TP_KRAUS + "\n"),
+        ],
+        ids=["unknown-parameter", "missing-model", "kraus-not-tp"],
     )
-    def test_empty_range_still_validates_its_target(self, tmp_path, capsys, target, param):
+    def test_empty_range_still_validates_its_target(self, tmp_path, capsys, target, param, values, code, start):
+        model = json.loads((Path(__file__).parent / "golden" / "scenario_a_tau1.json").read_text())
+        (tmp_path / "kraus_not_tp.json").write_text(json.dumps({**model, "kraus_ops": NON_TP_OPS}))
         argv = ("sweep", str(tmp_path / target) if target.endswith(".json") else target)
-        assert run(tmp_path, *argv, "--parameter", param, "--range", "0:1:0") == ConfigError.exit_code
-        capsys.readouterr()
+        assert run(tmp_path, *argv, "--parameter", param, "--range", values) == code
+        err = capsys.readouterr().err
+        assert err.startswith(start) and err.count("\n") == 1
 
     @pytest.mark.parametrize(
         "target, parameter, values, code, message",
@@ -852,9 +865,26 @@ class TestConfigValidation:
             (("check", "SCHEMA_2"), ConfigError.exit_code, "ConfigError: unsupported model schema 2"),
             (("check", "BLOCH4_3X3"), QdblabError.exit_code,
              "DimensionMismatch: Bloch generator must be 4x4, got (3, 3)"),
+            # a Kraus file's operators are judged before its tau, which is no number here
+            (("check", "KRAUS_TWO_FAULTS"), QdblabError.exit_code, NON_TP_KRAUS),
+            # each check at the boundary where a value enters the package: a model file's kind, its generator's
+            # dimension against its H, its H's shape and its Kossakowski matrix, and a swept coefficient of C
+            (("check", "QUTIP"), ConfigError.exit_code, "ConfigError: unknown model kind 'qutip'"),
+            (("check", "BLOCH4_QUTRIT_H"), QdblabError.exit_code,
+             "DimensionMismatch: superoperator dimension does not match the Hamiltonian"),
+            (("check", "LINDBLAD_H_3X2"), QdblabError.exit_code,
+             "DimensionMismatch: herm_eig: expected a square matrix, got shape (3, 2)"),
+            (("check", "LINDBLAD_C_SKEW"), QdblabError.exit_code,
+             "KossakowskiNotPSD: Kossakowski matrix is not Hermitian"),
+            (("sweep", "c", "--parameter", "zeta", "--range=-1:0:2"), ConfigError.exit_code,
+             "ConfigError: scenario c: zeta must be positive"),
+            (("sweep", "c", "--parameter", "chi", "--range", "10:10:1"), ConfigError.exit_code,
+             "ConfigError: scenario c: asymptotic Bloch vector would leave the ball"),
         ],
         ids=["b-tau-1e200", "b-tau-0.1-and-1e200", "c-tau-1e308", "b-gamma-1e6", "c-beta-f-16", "b-beta-f-1e-20",
-             "b-omega-1e-300", "kraus-huge-op", "lindblad-h-skew", "kraus-h-1e303", "schema-2", "bloch4-3x3"],
+             "b-omega-1e-300", "kraus-huge-op", "lindblad-h-skew", "kraus-h-1e303", "schema-2", "bloch4-3x3",
+             "kraus-two-faults", "unknown-kind", "bloch4-qutrit-h", "lindblad-h-3x2", "lindblad-c-skew",
+             "c-zeta-negative", "c-chi-outside-the-ball"],
     )
     def test_failing_checks_keep_their_exit_code_and_message(self, tmp_path, capsys, argv, code, first_line):
         # a map with a non-finite entry fails the first transition check that
@@ -868,6 +898,14 @@ class TestConfigValidation:
             "KRAUS_H_1E303": {**kraus, "hamiltonian": [[-1e303, 0], [0, 1e303]]},
             "SCHEMA_2": {**kraus, "schema": 2},
             "BLOCH4_3X3": {**kraus, "kind": "bloch4", "generator": np.zeros((3, 3)).tolist()},
+            "KRAUS_TWO_FAULTS": {**kraus, "kraus_ops": NON_TP_OPS, "tau": "x"},
+            "QUTIP": {**kraus, "kind": "qutip"},
+            "BLOCH4_QUTRIT_H": {**kraus, "kind": "bloch4", "hamiltonian": np.diag([0.0, 1.0, 2.0]).tolist(),
+                                "generator": np.zeros((4, 4)).tolist()},
+            "LINDBLAD_H_3X2": {"schema": 1, "kind": "lindblad", "hamiltonian": [[0, 0], [0, 1], [1, 0]],
+                               "kossakowski": []},
+            "LINDBLAD_C_SKEW": {"schema": 1, "kind": "lindblad", "hamiltonian": [[-0.5, 0], [0, 0.5]],
+                                "kossakowski": [[1, 1], [0, 1]], "basis": [[[0, 1], [0, 0]], [[0, 0], [1, 0]]]},
         }
         for name, obj in models.items():
             (tmp_path / f"{name}.json").write_text(json.dumps(obj))
@@ -980,9 +1018,8 @@ _FAMILY_BLOCK = {"gkls_defects": 0, "expm": 0, "classify": 1, "check_qdb1": 0, "
         (("sweep", "a", "--parameter", "beta_i", "--range", "0:3:3"), _FAMILY_BLOCK),
         # one family shared by two blocks is analysed once
         (("sweep", "a", "--parameter", "beta_i", "--range", "0:3:40"), {**_FAMILY_BLOCK, "exchange_grid": 2}),
-        # a single map's stack is built once when the model loads and once for its maps
-        (("check", str(Path(__file__).parent / "golden" / "scenario_a_tau1.json")),
-         {**_FAMILY_BLOCK, "_kraus_stacks": 2}),
+        # a single map's stack is judged once, when the model loads; its family repeats the judged stack
+        (("check", str(Path(__file__).parent / "golden" / "scenario_a_tau1.json")), _FAMILY_BLOCK),
     ],
     ids=["model-beta-i", "b-gamma", "b-beta-i", "model-beta-i-two-blocks", "c-nu", "c-nu-two-blocks", "a-omega",
          "a-beta-i", "a-beta-i-two-blocks", "check-kraus"],

@@ -459,12 +459,10 @@ class TestDynamicsSources:
             Dynamics.single_map(h, [np.diag([1.0, 0.8])], 1.0)
 
     def test_kraus_sources_need_the_hamiltonian_dimension(self, rng):
+        # a file's operators are shaped to its H as they load; a family's are the package's own
         h = random_hamiltonian(rng, 3)
         with pytest.raises(DimensionMismatch, match="Kraus operator shape"):
             Dynamics.single_map(h, [np.eye(2)], 1.0)
-        family = Dynamics.channel_family(h, lambda taus: np.array([[np.eye(2)]] * len(taus)))
-        with pytest.raises(DimensionMismatch, match="channel dimension"):
-            maps_of(family, (0.5, 1.0), (), TOL_CPTP)
 
     def test_single_map_repeats_its_channel(self, rng):
         ops = [np.eye(2) / np.sqrt(2), SIGMA_X / np.sqrt(2)]
@@ -501,7 +499,7 @@ class TestMapsOf:
         assert generators is None and stacks.shape == (3, len(sum(TIME_PARTS, ())), 4, 4)
         # each qubit H is diagonal, so its eigenframe is the basis of the channel's operators
         for superops, p, source in zip(stacks, params, sources):
-            own = [_kraus_stacks(np.asarray(example_a_channel(*p.schedules(t)), dtype=complex), source.h)
+            own = [_kraus_stacks(np.asarray(example_a_channel(*p.schedules(t)), dtype=complex))
                    for t in TIME_PARTS]
             assert np.array_equal(superops, np.concatenate([_kraus_superops(k) for k in own]))
 
@@ -513,7 +511,7 @@ class TestMapsOf:
         assert taus == (1.0,) * 3
         _, (superops,), _ = maps_of(source, taus, (), TOL_CPTP)
         # the map of the operators V^dag G V in the random eigenframe, within the roundoff of two products
-        want = _kraus_superops(eigenframe(_kraus_stacks(np.array([ops]), h), h))
+        want = _kraus_superops(eigenframe(_kraus_stacks(np.array([ops])), h))
         np.testing.assert_allclose(superops, np.repeat(want, 3, axis=0), rtol=0, atol=1e-14)
         assert np.array_equal(superops, np.repeat(superops[:1], 3, axis=0))
 

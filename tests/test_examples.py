@@ -91,7 +91,7 @@ class TestScenarioA:
         q, xi = p.schedules(taus)
         assert xi[0] == 0.0 and xi[1] == 1.0 and q[1] == p.q_inf
         assert ((0.0 <= q) & (q <= 1.0) & (0.0 <= xi) & (xi <= 1.0)).all()
-        _kraus_stacks(example_a_channel(q, xi), qubit_hamiltonian(p.omega))  # sum G^dag G == I
+        _kraus_stacks(example_a_channel(q, xi))  # sum G^dag G == I
 
     @pytest.mark.parametrize("schedule", ["default", "fixed_point"])
     def test_stack_is_bitwise_equal_to_the_per_tau_channels(self, schedule):

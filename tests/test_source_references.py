@@ -16,10 +16,14 @@ per-point sources: no function has a parameter named ``sources``.
 test itself, so ``report`` hands it no slice or callback, and no map times
 for a semigroup, whose qdb2 is a generator identity.  It judges the level
 transitions it makes too, so ``exchange_grid`` takes bare ``probs`` and no
-module that imports ``dynamics`` reads a ``finite`` or ``route_gap``.  Each named
-threshold states its scale in the comment above it, and each small float
-literal in a comparison in a comment on its line or the line above.  The
-value classes are plain classes: no module imports ``dataclasses``, and
+module that imports ``dynamics`` reads a ``finite`` or ``route_gap``.  A
+precondition is judged once, where its value enters the package: a Kraus
+stack as it loads or as its family returns it, not again in ``maps_of``,
+and the stages behind that boundary raise no check of shapes or settings.
+Each named threshold states its scale in the comment above it, and each
+small float literal in a comparison in a comment on its line or the line
+above.  The value classes are plain classes: no module imports
+``dataclasses``, and
 only an ``__init__`` sets an attribute, apart from the command shell's
 parsed ``args``.  Each error class of ``errors.py`` carries its exit code,
 which the one except clause of ``cli._run`` for ``QdblabError`` returns; the
@@ -176,6 +180,30 @@ def test_only_dynamics_judges_the_level_transitions():
     assert "transitions_of" not in {node.name for node in functions}
     callers = {node.name for node in functions for name, _ in _references(node) if name == "_judged"}
     assert callers == {"maps_of"}
+
+
+def function_named(module: str, name: str) -> ast.FunctionDef:
+    """The definition of the function ``name`` of ``module``."""
+    tree = ast.parse((SRC / f"{module}.py").read_text())
+    return next(node for node in ast.walk(tree) if isinstance(node, ast.FunctionDef) and node.name == name)
+
+
+def raised_classes(tree: ast.AST) -> set:
+    """The names of the classes that the raise statements in ``tree`` raise."""
+    return {ast.unparse(node.exc.func if isinstance(node.exc, ast.Call) else node.exc)
+            for node in ast.walk(tree) if isinstance(node, ast.Raise)}
+
+
+def test_each_precondition_is_judged_where_its_value_enters():
+    # a Kraus stack is judged as a single map loads or as a family returns it, not again in maps_of; behind the
+    # boundary, the stages trust the shapes the package built and the settings it checked
+    assert "_kraus_stacks" not in {name for name, _ in _references(function_named("dynamics", "maps_of"))}
+    assert raised_classes(function_named("dynamics", "_kraus_stacks")) == {"NotTracePreserving"}
+    assert raised_classes(function_named("fluctuation", "exchange_grid")) == {"InternalCheckError"}
+    balance = ast.parse((SRC / "balance.py").read_text())
+    assert raised_classes(balance) == set()
+    assert "require_superop_dim" not in {name for name, _ in _references(balance)}
+    assert [raised_classes(function_named("matlin", name)) for name in ("expm", "unvec")] == [set(), set()]
 
 
 def parameters_named(name: str) -> list:

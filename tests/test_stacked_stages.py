@@ -207,7 +207,7 @@ class TestScenarioBuilds:
         _, stacks, _ = maps_of(block(sources), taus, (), TOL_CPTP)
         # each qubit H is diagonal, so its eigenframe is the basis of the channel's operators
         for superops, source, p in zip(stacks, sources, params):
-            kraus = _kraus_stacks(example_a_channel(*p.schedules(taus)), source.h)
+            kraus = _kraus_stacks(example_a_channel(*p.schedules(taus)))
             assert np.array_equal(superops, [superop_from_channel(k) for k in kraus])
 
 

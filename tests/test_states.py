@@ -13,7 +13,6 @@ from conftest import (
     density_to_bloch,
     eigenframe,
     gibbs,
-    judged_transitions,
     level_projector,
     random_density,
     random_hamiltonian,
@@ -21,7 +20,6 @@ from conftest import (
 )
 from qdblab import matlin
 from qdblab.errors import NotAState
-from qdblab.fluctuation import exchange_grid
 from qdblab.states import HamiltonianSpec, infer_beta, thermal_populations
 
 QUBIT_H = HamiltonianSpec.from_matrix(np.diag([-0.5, 0.5]))
@@ -66,13 +64,6 @@ class TestGibbs:
     def test_boltzmann_weights(self):
         # p1/p2 = e^{beta omega} = 4 for beta = ln 4, omega = 1
         np.testing.assert_allclose(thermal_populations(QUBIT_H, math.log(4)), [0.8, 0.2], atol=1e-14)
-
-    def test_rejects_negative_beta(self):
-        # the exchange statistics take a finite beta_i >= 0 only
-        transitions = judged_transitions(np.eye(4, dtype=complex)[None])
-        for beta_i in (-0.1, math.inf, math.nan):
-            with pytest.raises(ValueError, match="^beta_i must be finite and nonnegative$"):
-                exchange_grid(transitions, QUBIT_H, beta_i)
 
     @pytest.mark.parametrize("beta", [0.0, 0.5, 5.0, 49.0])
     def test_valid_state_and_commutes_with_h(self, rng, beta):
