@@ -21,6 +21,7 @@ import math
 import os
 import sys
 from functools import cache
+from json.encoder import encode_basestring_ascii
 from pathlib import Path
 
 import numpy as np
@@ -44,11 +45,11 @@ def check_settings(args: argparse.Namespace) -> argparse.Namespace:
     for name, grid in (("tau-grid", args.tau_grid), ("s-grid", args.s_grid)):
         if not grid:
             raise ConfigError(f"{name} must be nonempty")
-        if any(b <= a for a, b in zip(grid, grid[1:])):
+        if any(map(float.__ge__, grid, grid[1:])):  # the grids are parsed floats
             raise ConfigError(f"{name} must be strictly increasing")
     if not all(0.0 <= s <= 1.0 for s in args.s_grid):
         raise ConfigError("s-grid values must lie in [0, 1]")
-    if not all(_is_tau(t) for t in args.tau_grid):
+    if not (all(map(math.isfinite, args.tau_grid)) and min(args.tau_grid) >= 0):
         raise ConfigError("tau-grid values must be finite and nonnegative")
     tols = (("tol-qdb", args.tol_qdb), ("tol-qfr", args.tol_qfr), ("tol-cptp", args.tol_cptp))
     for name, x in (("beta-i", args.beta_i), ("beta-f", args.beta_f), *tols):
@@ -76,7 +77,7 @@ def parse_grid(spec: str) -> tuple:
             lo, hi = _finite_bounds(lo, hi)
             if min(lo, hi) <= 0:
                 raise ValueError("log bounds must be positive")
-            return tuple(float(x) for x in np.geomspace(lo, hi, int(n)))
+            return tuple(np.geomspace(lo, hi, int(n)).tolist())
         return tuple(float(x) for x in spec.split(",") if x.strip())
     except (ValueError, TypeError, MemoryError) as exc:
         raise ConfigError(f"cannot parse grid spec {spec!r}: {exc}") from exc
@@ -140,8 +141,9 @@ def write_rows(path: Path, header, columns, fmt: str) -> None:
 def _cells(column, fmt: str) -> list:
     """The text of each cell of one column of :func:`write_rows`."""
     values, index = column if isinstance(column, tuple) else (column, None)
+    floats = getattr(values, "dtype", None) == float  # a float64 array's cells are floats
     values = values.tolist() if isinstance(values, np.ndarray) else list(values)
-    if set(map(type, values)) <= {float} and all(map(math.isfinite, values)):
+    if (floats or set(map(type, values)) <= {float}) and all(map(math.isfinite, values)):
         text = list(map("%.17g".__mod__ if fmt == "csv" else float.__repr__, values))
     elif fmt == "csv":
         text = [x if isinstance(x, str) else fmt_float(x) for x in values]
@@ -152,8 +154,27 @@ def _cells(column, fmt: str) -> list:
     return np.array([*text, "" if fmt == "csv" else "null"], dtype=object)[index].tolist()
 
 
+def _json(x, pad: str) -> str:
+    """``x`` laid out as ``json.dumps(x, sort_keys=True, indent=2)`` lays it
+    out, with ``pad``, a newline and the indent, before each of its lines
+    but the first: strings as ``encode_basestring_ascii``, finite floats as
+    ``repr`` and a list of finite floats in one join, all at C level; ints,
+    bools, None and non-finite floats as ``json.dumps``."""
+    inner = pad + "  "
+    if isinstance(x, dict):
+        items, ends = [f"{encode_basestring_ascii(k)}: {_json(v, inner)}" for k, v in sorted(x.items())], "{}"
+    elif isinstance(x, (list, tuple)):
+        floats = set(map(type, x)) <= {float} and all(map(math.isfinite, x))
+        items, ends = list(map(float.__repr__, x)) if floats else [_json(v, inner) for v in x], "[]"
+    elif isinstance(x, str):
+        return encode_basestring_ascii(x)
+    else:
+        return float.__repr__(x) if isinstance(x, float) and math.isfinite(x) else json.dumps(x)
+    return ends[0] + inner + ("," + inner).join(items) + pad + ends[1] if items else ends
+
+
 def write_verdict(path: Path, verdict: dict) -> None:
-    _write_text(path, json.dumps(verdict, sort_keys=True, indent=2) + "\n")
+    _write_text(path, _json(verdict, "\n") + "\n")
 
 
 # ---------------------------------------------------------------------------
@@ -188,7 +209,7 @@ def save_model(gen: LindbladGenerator, path: Path) -> None:
         "kossakowski": _complex_to_pairs(gen.kossakowski),
         "basis": [_complex_to_pairs(f) for f in gen.basis],
     }
-    _write_text(Path(path), json.dumps(obj, sort_keys=True, indent=2) + "\n")
+    _write_text(Path(path), _json(obj, "\n") + "\n")
 
 
 def load_model(path: Path):

@@ -211,6 +211,14 @@ def _kraus_superops(kraus: np.ndarray) -> np.ndarray:
     return kron(kraus.conj(), kraus).sum(axis=-3, initial=0.0)
 
 
+def _kraus_populations(kraus: np.ndarray) -> np.ndarray:
+    """The population block ``[..., m, n]`` of :func:`_kraus_superops`, its
+    entry from ``|m><m|`` to ``|n><n|``: the same products ``conj(G_j[n, m])
+    G_j[n, m]``, summed over ``j`` in order from 0, so bit for bit the
+    entries a full map holds there."""
+    return (kraus.conj() * kraus).sum(axis=-3, initial=0.0).swapaxes(-1, -2)
+
+
 def _kraus_stacks(kraus: np.ndarray) -> np.ndarray:
     """A zero-padded Kraus stack ``(..., t, j, d, d)``, checked for ``sum_j
     G^dag G == I``, the first failing point, and in it the first failing
@@ -363,7 +371,9 @@ def maps_of(block: Dynamics, times: tuple, grid: tuple, tol_cptp: float) -> tupl
     take no ``times``), and the stack ``(k, t, d, d)`` of the level
     transitions ``probs[..., m, n] = <n| Map[|m><m|] |n>``, the maps'
     population block.  One family call covers ``times + grid``, and one
-    exponential per route a semigroup's grid.
+    exponential per route a semigroup's grid; a family's full maps are
+    built at ``times`` only, and its grid transitions from their population
+    entries alone, by :func:`_kraus_populations`.
 
     A family's Kraus stack comes judged from the family, as
     :meth:`Dynamics.channel_family` and :meth:`Dynamics.single_map` judge
@@ -389,17 +399,19 @@ def maps_of(block: Dynamics, times: tuple, grid: tuple, tol_cptp: float) -> tupl
     only."""
     h = block.h
     v, d, k, t = h.eigenvectors, h.dim, len(h.matrix), len(times)
-    units, couplings = _frame_units(d)
     if block.generator is None:
         kraus = block.family(times + grid)
         # V^dag G V = ((G V)^T conj(V))^T, two products over the whole stack of each point
         gv = (kraus.reshape(k, -1, d) @ v).reshape(kraus.shape).swapaxes(-1, -2)
         kraus = (gv.reshape(k, -1, d) @ v.conj()).reshape(kraus.shape).swapaxes(-1, -2)
-        superops = _kraus_superops(kraus)
-        # the entry from |m><m| to |n><n| at [m, n], against the Kraus route sum_j |<n|G_j|m>|^2
-        probs = superops[:, t:, units, units[:, None]].real
+        # the full maps at times only; on the grid, their population block, against the Kraus route sum_j
+        # |<n|G_j|m>|^2; a map of a judged stack is finite exactly when these entries are
+        populations = _kraus_populations(kraus[:, t:])
+        probs = populations.real
         route_gap = np.abs((np.abs(kraus[:, t:]) ** 2).sum(axis=-3).swapaxes(-1, -2) - probs).max(axis=(-2, -1))
-        return None, superops[:, :t], _judged(probs, np.isfinite(superops[:, t:]).all(axis=(-2, -1)), route_gap)
+        finite = np.isfinite(populations).all(axis=(-2, -1))
+        return None, _kraus_superops(kraus[:, :t]), _judged(probs, finite, route_gap)
+    units, couplings = _frame_units(d)
     q = kron(v.conj(), v)
     with np.errstate(over="ignore", invalid="ignore"):  # a non-finite coupling is not 0
         generators = dag(q) @ block.generator @ q

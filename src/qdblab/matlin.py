@@ -189,7 +189,7 @@ def kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     is the single product ``np.kron`` takes."""
     a, b = np.asarray(a, dtype=complex), np.asarray(b)  # b is promoted to complex in the product
     out = a[..., :, None, :, None] * b[..., None, :, None, :]
-    return out.reshape(*out.shape[:-4], a.shape[-2] * b.shape[-2], -1)
+    return out.reshape(*out.shape[:-4], a.shape[-2] * b.shape[-2], a.shape[-1] * b.shape[-1])
 
 
 def vec(m: np.ndarray) -> np.ndarray:

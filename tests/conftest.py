@@ -349,10 +349,13 @@ def reference_maps_of(block: Dynamics, times: tuple, grid: tuple, tol_cptp: floa
     point's transitions on the grid come from its maps by
     :func:`reference_transition_stack`, and the generators and a family's
     maps are then taken to H's eigenframe by :func:`eigenframe`; the
-    eigenframe generators take the GKLS test first."""
+    eigenframe generators take the GKLS test first.  A family's full maps
+    are built on the grid too, and their population block read, so the
+    reference stays independent of :func:`qdblab.dynamics._kraus_populations`;
+    its Kraus stacks come judged from the family, as the package's do."""
     h, n = block.h, len(times)
     if block.generator is None:
-        kraus = _kraus_stacks(np.asarray(block.family(times + grid), dtype=complex))
+        kraus = block.family(times + grid)
         superops = _kraus_superops(kraus)
         transitions = reference_transition_stack(superops[:, n:], kraus[:, n:], h)
         return None, eigenframe(superops[:, :n], h), transitions
@@ -924,7 +927,7 @@ def reference_classify_family(source) -> tuple:
     :func:`qdblab.fluctuation.classify`, which reads the superoperator stack.
     ``source`` is a block of one point."""
     h = source.h[0]
-    (kraus,) = eigenframe(_kraus_stacks(source.family((TAU_MAX, *FIXED_POINT_TAUS))), h)
+    (kraus,) = eigenframe(source.family((TAU_MAX, *FIXED_POINT_TAUS)), h)
     finals = [apply(kraus[0], p) for p in _probe_states(h.dim)]
     mean = sum(finals) / len(finals)
     mean = (mean + dag(mean)) / 2

@@ -597,6 +597,32 @@ class TestConfigValidation:
         assert run(tmp_path, "example", "b", "--tau-grid", "2,1") == ConfigError.exit_code
 
     @pytest.mark.parametrize(
+        "grid, message",
+        [
+            (("--tau-grid", "1,1"), "tau-grid must be strictly increasing"),
+            (("--tau-grid=0,nan",), "tau-grid values must be finite and nonnegative"),
+            (("--tau-grid=nan",), "tau-grid values must be finite and nonnegative"),
+            # inf >= inf, so the order fails first
+            (("--tau-grid=inf,inf",), "tau-grid must be strictly increasing"),
+            # nan compares false with both neighbours, so the order passes and the values fail
+            (("--tau-grid=1,nan,0",), "tau-grid values must be finite and nonnegative"),
+            (("--tau-grid=-1,1",), "tau-grid values must be finite and nonnegative"),
+            (("--s-grid", "0.5,0.5"), "s-grid must be strictly increasing"),
+        ],
+        ids=["tau-equal", "tau-nan-last", "tau-nan-alone", "tau-inf-equal", "tau-nan-between", "tau-negative",
+             "s-equal"],
+    )
+    def test_a_grid_setting_out_of_range_names_its_check(self, tmp_path, capsys, grid, message):
+        assert run(tmp_path, "example", "b", *grid) == ConfigError.exit_code
+        assert capsys.readouterr().err.splitlines() == [f"ConfigError: {message}"]
+        assert not any(tmp_path.iterdir())
+
+    def test_a_tau_grid_from_negative_zero_runs(self, tmp_path, capsys):
+        # -0.0 >= 0, as a tau of 0 is
+        assert run(tmp_path, "example", "b", "--tau-grid=-0.0,1") == EXIT_OK
+        assert capsys.readouterr().err == ""
+
+    @pytest.mark.parametrize(
         "argv",
         [
             ("example", "b", "--s-grid", "0,2"),

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import (
     TOL_CPTP,
@@ -35,6 +37,7 @@ from qdblab.dynamics import (
     PSD_ATOL,
     Dynamics,
     LindbladGenerator,
+    _kraus_populations,
     _kraus_stacks,
     _kraus_superops,
     bloch4_to_superop,
@@ -514,6 +517,33 @@ class TestMapsOf:
         want = _kraus_superops(eigenframe(_kraus_stacks(np.array([ops])), h))
         np.testing.assert_allclose(superops, np.repeat(want, 3, axis=0), rtol=0, atol=1e-14)
         assert np.array_equal(superops, np.repeat(superops[:1], 3, axis=0))
+
+
+# Kraus entries with signed and subnormal zeros among them
+KRAUS_ENTRIES = st.one_of(st.floats(-2, 2), st.sampled_from([0.0, -0.0, 5e-324, -5e-324]))
+
+
+@st.composite
+def kraus_stacks(draw):
+    """A zero-padded Kraus stack ``(k, t, j, d, d)``, d = 2 to 4, the time
+    axis possibly empty, its operators past a drawn count all zero."""
+    k, t, j, d = draw(st.integers(1, 2)), draw(st.integers(0, 3)), draw(st.integers(1, 4)), draw(st.integers(2, 4))
+    ops = np.empty((k, t, j, d, d), dtype=complex)
+    for part in (ops.real, ops.imag):
+        part[...] = np.reshape(draw(st.lists(KRAUS_ENTRIES, min_size=ops.size, max_size=ops.size)), ops.shape)
+    ops[:, :, draw(st.integers(1, j)):] = 0
+    return ops
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(kraus=kraus_stacks())
+def test_kraus_populations_are_the_population_block_bit_for_bit(kraus):
+    # the entry from |m><m| to |n><n| of a family's full maps, at [m, n], also for a stack of no times
+    d = kraus.shape[-1]
+    units = np.arange(d) * (d + 1)
+    want, got = _kraus_superops(kraus)[..., units, units[:, None]], _kraus_populations(kraus)
+    assert got.shape == want.shape == kraus.shape[:2] + (d, d)
+    assert np.array_equal(np.ascontiguousarray(got).view(np.uint64), np.ascontiguousarray(want).view(np.uint64))
 
 
 def test_superoperator_validates_shape():

@@ -574,10 +574,10 @@ class TestExchangeGridAgainstReference:
 
     def test_route_disagreement_quotes_the_first_failing_tau(self, rng, monkeypatch):
         # the two routes agree for any Kraus family, so skew the superoperator
-        # route at the second and third time; the second time's gap is quoted
+        # route's population entries at the second and third time; the second time's gap is quoted
         h = diagonal_hamiltonian(rng, 2, False)
         family = np.array([random_channel(rng, 2, 2) for _ in range(3)])
-        exact = dynamics._kraus_superops
+        exact = dynamics._kraus_populations
 
         def skewed(kraus):
             s = exact(kraus)
@@ -585,22 +585,22 @@ class TestExchangeGridAgainstReference:
             s[..., 2, 0, 0] += 5e-8
             return s
 
-        monkeypatch.setattr(dynamics, "_kraus_superops", skewed)
+        monkeypatch.setattr(dynamics, "_kraus_populations", skewed)
         message = r"^Kraus and superoperator transition routes disagree by 3\.000e-09$"
         with pytest.raises(InternalCheckError, match=message):
             grid_of([Dynamics.channel_family(h, lambda taus: family)], (0.1, 0.2, 0.3))
 
     def test_route_disagreement_of_a_single_map_exits_4(self, tmp_path, monkeypatch, capsys):
-        # a single map's maps_of call takes its map at classify's probe time, at its qdb2 time and on the grid,
-        # one slice each; skew the grid slice's population entry, which only the transitions read
-        exact = dynamics._kraus_superops
+        # a single map's maps_of call takes its full maps at classify's probe time and at its qdb2 time, and the
+        # population entries of its one grid slice, an array of its own; skew that slice's entry
+        exact = dynamics._kraus_populations
 
         def skewed(kraus):
             s = exact(kraus)
-            s[..., 2, 0, 0] += 3e-9
+            s[..., 0, 0, 0] += 3e-9
             return s
 
-        monkeypatch.setattr(dynamics, "_kraus_superops", skewed)
+        monkeypatch.setattr(dynamics, "_kraus_populations", skewed)
         model = Path(__file__).parent / "golden" / "scenario_a_tau1.json"
         assert main(["check", str(model), "--out", str(tmp_path)]) == 4
         message = "InternalCheckError: Kraus and superoperator transition routes disagree by 3.000e-09"

@@ -289,6 +289,11 @@ class TestKronVec:
         assert out.dtype == complex
         assert np.array_equal(out, np.kron(a, b))
 
+    def test_kron_of_empty_stacks_keeps_their_shape(self):
+        # a family's maps at no time: the Kraus stack (points, times, operators, d, d) has an empty time axis
+        out = matlin.kron(np.zeros((1, 0, 4, 2, 2)), np.zeros((1, 0, 4, 2, 2)))
+        assert out.shape == (1, 0, 4, 4, 4) and out.dtype == complex
+
     def test_vec_is_column_stacking(self):
         m = np.array([[1, 3], [2, 4]])
         np.testing.assert_array_equal(matlin.vec(m), [1, 2, 3, 4])

@@ -6,10 +6,13 @@ bytes must equal those of ``reference_rows_text`` (the CSV ``%.17g`` join
 and ``json.dumps(payload, sort_keys=True, indent=2)``).  ``cli._emit``
 selects the kept records by index arrays; its rows must equal those of the
 nested loop in ``reference_emit_rows``, also where a ratio cell is not
-finite, which no CLI input reaches.
+finite, which no CLI input reaches.  The verdict and model files are laid
+out by ``cli._json``, whose text must equal ``json.dumps(value,
+sort_keys=True, indent=2)`` for any nested value.
 """
 
 import argparse
+import json
 import math
 from pathlib import Path
 from unittest import mock
@@ -134,3 +137,38 @@ def reports(draw):
 def test_emit_rows_match_the_nested_loop(tmp_path, capsys, report, fmt):
     taus, records, f_factor = report
     assert _emit_text(tmp_path, fmt, taus, records, f_factor) == _expected(fmt, taus, records, f_factor)
+
+
+# nested values of every kind json writes: escaped and non-ASCII strings, edge and non-finite floats, ints, bools,
+# None, and empty containers
+TEXT = st.text(alphabet=st.sampled_from(['a', 'é', '☃', '\U0001f600', '"', '\\', '\n', '\x00', '\x1f', ' ']),
+               max_size=5)
+SCALARS = st.one_of(FLOATS, st.integers(), st.booleans(), st.none(), TEXT)
+NESTED = st.recursive(SCALARS, lambda inner: st.one_of(st.lists(inner, max_size=4),
+                                                       st.dictionaries(TEXT, inner, max_size=4)), max_leaves=20)
+GOLDEN = Path(__file__).parent / "golden"
+
+
+@DERANDOMIZED
+@given(value=NESTED)
+def test_the_json_writer_lays_out_what_json_dumps_does(value):
+    assert cli._json(value, "\n") == json.dumps(value, sort_keys=True, indent=2)
+
+
+@pytest.mark.parametrize("value", [[], {}, [[]], {"a": {}}, [0.5, -0.0, 5e-324], [0.5, math.nan], [1, 2.0],
+                                   [True, 1.0], (0.25, 1e300), {"z": 1, "a": [math.inf, -math.inf]}])
+def test_the_json_writer_lays_out_edge_values_as_json_dumps(value):
+    assert cli._json(value, "\n") == json.dumps(value, sort_keys=True, indent=2)
+
+
+@pytest.mark.parametrize("path", sorted(GOLDEN.glob("*/*_verdict.json")), ids=lambda p: p.parent.name)
+def test_every_golden_verdict_is_written_back_byte_for_byte(tmp_path, path):
+    cli.write_verdict(tmp_path / "verdict.json", json.loads(path.read_text()))
+    assert (tmp_path / "verdict.json").read_bytes() == path.read_bytes()
+
+
+def test_a_saved_model_is_laid_out_as_json_dumps(tmp_path):
+    assert cli.main(["example", "b", "--tau-grid", "0.5,1", "--out", str(tmp_path),
+                     "--save-model", str(tmp_path / "model.json")]) == cli.EXIT_OK
+    text = (tmp_path / "model.json").read_text()
+    assert text == json.dumps(json.loads(text), sort_keys=True, indent=2) + "\n"

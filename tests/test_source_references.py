@@ -20,6 +20,9 @@ module that imports ``dynamics`` reads a ``finite`` or ``route_gap``.  A
 precondition is judged once, where its value enters the package: a Kraus
 stack as it loads or as its family returns it, not again in ``maps_of``,
 and the stages behind that boundary raise no check of shapes or settings.
+A channel family's full maps are built at its ``times`` alone, and its grid
+transitions from their population entries.  The verdict and model files
+are laid out by ``cli._json``, not by json's pure-Python indenting encoder.
 Each named threshold states its scale in the comment above it, and each
 small float literal in a comparison in a comment on its line or the line
 above.  The value classes are plain classes: no module imports
@@ -180,6 +183,29 @@ def test_only_dynamics_judges_the_level_transitions():
     assert "transitions_of" not in {node.name for node in functions}
     callers = {node.name for node in functions for name, _ in _references(node) if name == "_judged"}
     assert callers == {"maps_of"}
+
+
+def calls_in(tree: ast.AST) -> list:
+    """``(function, arguments)`` of every call in ``tree`` to a bare name or
+    an attribute, as source text, in source order."""
+    return [(ast.unparse(node.func), [ast.unparse(a) for a in (*node.args, *node.keywords)])
+            for node in ast.walk(tree) if isinstance(node, ast.Call)]
+
+
+def test_a_family_builds_full_maps_at_its_times_and_populations_on_its_grid():
+    # the grid transitions need only the maps' population entries, so maps_of builds the full d^2 x d^2 maps on
+    # the times slice alone, the one the stages read whole
+    calls = calls_in(function_named("dynamics", "maps_of"))
+    assert [args for name, args in calls if name == "_kraus_superops"] == [["kraus[:, :t]"]]
+    assert [args for name, args in calls if name == "_kraus_populations"] == [["kraus[:, t:]"]]
+
+
+def test_the_report_files_are_laid_out_by_the_one_writer():
+    # json's indenting encoder is pure Python; the verdict and model files go through cli._json instead
+    for name in ("write_verdict", "save_model"):
+        calls = calls_in(function_named("cli", name))
+        assert not [args for f, args in calls if f.endswith("dumps") and any(a.startswith("indent=") for a in args)]
+        assert "_json" in {f for f, _ in calls}
 
 
 def function_named(module: str, name: str) -> ast.FunctionDef:
