@@ -8,9 +8,9 @@ channel family's maps at one time tuple, and the level transitions on the
 tau grid, which every check, ``classify`` of a channel family too, reads; a
 semigroup has no maps, and an exactly secular one takes its transitions
 from its d x d rate block alone; no map is evolved, applied or made Kraus
-alone.  The transitions leave ``maps_of`` judged: finite, a family's Kraus
-route agreeing with its superoperator route, and stochastic; the later
-stages take them as bare probabilities.
+alone.  The transitions leave ``maps_of`` judged: finite and stochastic;
+the later stages take them as bare probabilities.  A family's maps are
+checked against its Kraus route where they are built, at the times.
 
 ``maps_of`` takes H's eigenframe once per block, and it is the only place
 the package reads H's eigenvectors ``V``: the generators and maps it hands
@@ -324,22 +324,20 @@ class Dynamics:
         return tuple(grid) if self.tau is None else (self.tau,)
 
 
-def _judged(probs: np.ndarray, finite: np.ndarray, route_gap: np.ndarray) -> np.ndarray:
-    """``probs``, a stack ``(..., t, d, d)`` of level transitions, once its
-    maps pass the transition checks: the first map, in point and then time
-    order, that fails one raises, with the checks at that map in this order:
-    its entries are ``finite``, the Kraus and superoperator routes agree
-    within ``ROUTE_AGREEMENT_ATOL`` (``route_gap``), no probability is
-    negative, and each row sums to 1."""
+def _judged(probs: np.ndarray) -> np.ndarray:
+    """``probs``, a stack ``(..., t, d, d)`` of level transitions, once they
+    pass the transition checks, each read from ``probs`` itself: the first
+    map, in point and then time order, that fails one raises, with the
+    checks at that map in this order: its transitions are finite, no
+    probability is negative, and each row sums to 1."""
     low = probs.min(axis=(-2, -1))
     rows = np.abs(probs.sum(axis=-1) - 1.0).max(axis=-1)
     # -1e-12 is a population, absolute, because a transition probability lies in [0, 1] whatever the map
-    failing = np.array([~finite, route_gap > ROUTE_AGREEMENT_ATOL, low < -1e-12, rows > STOCHASTIC_ATOL])
+    failing = np.array([~np.isfinite(probs).all(axis=(-2, -1)), low < -1e-12, rows > STOCHASTIC_ATOL])
     if failing.any():
         i = tuple(np.argwhere(failing.any(axis=0))[0])
         raise [
             InternalCheckError("a map has a non-finite entry"),
-            InternalCheckError(f"Kraus and superoperator transition routes disagree by {route_gap[i]:.3e}"),
             NotTracePreserving(f"negative transition probability {low[i]:.3e}"),
             NotTracePreserving(f"transition rows sum to 1 only within {rows[i]:.3e}"),
         ][int(np.argmax(failing[(slice(None), *i)]))]
@@ -377,13 +375,15 @@ def maps_of(block: Dynamics, times: tuple, grid: tuple, tol_cptp: float) -> tupl
 
     A family's Kraus stack comes judged from the family, as
     :meth:`Dynamics.channel_family` and :meth:`Dynamics.single_map` judge
-    it; the transitions on the grid of either kind are checked as one, the
-    first failing point and time first, by the checks of :func:`_judged`,
-    which both semigroup routes take together.  A family's transitions are
-    also read by the Kraus route ``sum_j |<n|G_j|m>|^2``, which must agree
-    with the population block:
-    both routes read the same eigenframe operators, so their gap checks the
-    superoperator build, not the frame change.
+    it.  Its maps at ``times`` are checked first: their population block
+    must agree within ``ROUTE_AGREEMENT_ATOL`` with the Kraus route
+    ``sum_j |<n|G_j|m>|^2`` of the same operators, else the first failing
+    point and time raises ``InternalCheckError``; both routes read the same
+    eigenframe operators, so their gap checks the superoperator build, not
+    the frame change.  The transitions on the grid of either kind are then
+    checked as one, the first failing point and time first, by
+    :func:`_judged`, which reads them alone; both semigroup routes take it
+    together.
     The semigroups' eigenframe generators take the GKLS test of
     :func:`gkls_defects` before any exponential: the first whose defect is
     not below ``tol_cptp`` raises ``NotCPTP``.  A semigroup is exactly
@@ -399,19 +399,18 @@ def maps_of(block: Dynamics, times: tuple, grid: tuple, tol_cptp: float) -> tupl
     only."""
     h = block.h
     v, d, k, t = h.eigenvectors, h.dim, len(h.matrix), len(times)
+    units, couplings = _frame_units(d)
     if block.generator is None:
         kraus = block.family(times + grid)
         # V^dag G V = ((G V)^T conj(V))^T, two products over the whole stack of each point
         gv = (kraus.reshape(k, -1, d) @ v).reshape(kraus.shape).swapaxes(-1, -2)
         kraus = (gv.reshape(k, -1, d) @ v.conj()).reshape(kraus.shape).swapaxes(-1, -2)
-        # the full maps at times only; on the grid, their population block, against the Kraus route sum_j
-        # |<n|G_j|m>|^2; a map of a judged stack is finite exactly when these entries are
-        populations = _kraus_populations(kraus[:, t:])
-        probs = populations.real
-        route_gap = np.abs((np.abs(kraus[:, t:]) ** 2).sum(axis=-3).swapaxes(-1, -2) - probs).max(axis=(-2, -1))
-        finite = np.isfinite(populations).all(axis=(-2, -1))
-        return None, _kraus_superops(kraus[:, :t]), _judged(probs, finite, route_gap)
-    units, couplings = _frame_units(d)
+        # the full maps at times only, whose population block the Kraus route of the same operators must give
+        superops = _kraus_superops(kraus[:, :t])
+        gap = np.abs(superops[..., units, units[:, None]] - _kraus_populations(kraus[:, :t])).max(axis=(-2, -1))
+        for x in gap[~(gap <= ROUTE_AGREEMENT_ATOL)][:1]:  # a nan gap fails too
+            raise InternalCheckError(f"Kraus and superoperator transition routes disagree by {x:.3e}")
+        return None, superops, _judged(_kraus_populations(kraus[:, t:]).real)
     q = kron(v.conj(), v)
     with np.errstate(over="ignore", invalid="ignore"):  # a non-finite coupling is not 0
         generators = dag(q) @ block.generator @ q
@@ -419,11 +418,10 @@ def maps_of(block: Dynamics, times: tuple, grid: tuple, tol_cptp: float) -> tupl
     for i in np.flatnonzero(~(np.maximum(cp, tp) < tol_cptp))[:1]:  # a nan defect fails too
         raise NotCPTP(f"the generator is not of GKLS form: cp={cp[i]:.3e}, tp={tp[i]:.3e} relative to its 1-norm")
     secular = ~generators[:, couplings].any(axis=-1)
-    probs, finite = np.empty((k, len(grid), d, d)), np.empty((k, len(grid)), dtype=bool)
+    probs = np.empty((k, len(grid), d, d))
     # the population block of the full route's exponentials, and exp(tau W) of the rate blocks W[n, m], the
     # entries from |m><m| to |n><n|, each read at [m, n]
     for points, part, at in ((~secular, slice(None), units), (secular, units, np.arange(d))):
         if points.any():
-            maps = matlin.expm(generators[points][:, part][..., part], grid)
-            probs[points], finite[points] = maps[..., at, at[:, None]].real, np.isfinite(maps).all(axis=(-2, -1))
-    return generators, None, _judged(probs, finite, np.zeros(finite.shape))
+            probs[points] = matlin.expm(generators[points][:, part][..., part], grid)[..., at, at[:, None]].real
+    return generators, None, _judged(probs)

@@ -81,7 +81,7 @@ def ratios(energies: np.ndarray, p_plus: np.ndarray, p_minus: np.ndarray, record
     and ``predicted`` holds one value per gap (and point of an array
     ``dbeta`` or of stacked ``energies``), computed only for the gaps that
     have a ratio."""
-    defined = recorded & ~(p_minus <= RATIO_FLOOR)
+    defined = recorded & (p_minus > RATIO_FLOOR)
     predicted = np.full(defined.shape[:-2] + defined.shape[-1:], math.nan)
     energies, dbeta = np.broadcast_arrays(energies, np.asarray(dbeta, dtype=float)[..., None])
     for i in zip(*np.nonzero(defined.any(axis=-2))):
@@ -139,8 +139,7 @@ def exchange_grid(probs: np.ndarray, h: HamiltonianSpec, beta_i) -> tuple:
     total = p_plus.sum(axis=-1) + p_minus[..., 1:].sum(axis=-1)
     for x in total[np.abs(total - 1.0) > STOCHASTIC_ATOL][:1]:
         raise InternalCheckError(f"exchange probabilities sum to {x:.12g}")
-    # max(p_plus, p_minus) as Python takes it: p_plus unless p_minus is larger
-    recorded = np.where(p_minus > p_plus, p_minus, p_plus) >= PROBABILITY_FLOOR
+    recorded = np.maximum(p_plus, p_minus) >= PROBABILITY_FLOOR
     return energies, p_plus, p_minus, recorded
 
 

@@ -403,11 +403,9 @@ def judged_transitions(superops: np.ndarray) -> np.ndarray:
     """The level transitions ``probs[..., t, m, n] = <n| Map_t[|m><m|] |n>``
     of a bare stack ``(..., t, d^2, d^2)`` of eigenframe maps: the gather of
     their population block, judged by :func:`qdblab.dynamics._judged` as
-    :func:`qdblab.dynamics.maps_of` judges its own, with no Kraus route to
-    compare."""
+    :func:`qdblab.dynamics.maps_of` judges its own."""
     units = _frame_units(math.isqrt(superops.shape[-1]))[0]
-    probs = superops[..., units, units[:, None]].real
-    return _judged(probs, np.isfinite(superops).all(axis=(-2, -1)), np.zeros(probs.shape[:-2]))
+    return _judged(superops[..., units, units[:, None]].real)
 
 
 def exchange_at(g, h, beta_i):

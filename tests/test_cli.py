@@ -1,3 +1,4 @@
+import ast
 import json
 import math
 import os
@@ -25,6 +26,8 @@ from qdblab.report import analyse, build_report, fmt_float
 from qdblab.states import HamiltonianSpec
 
 FAST = ["--tau-grid", "0.3,1,3", "--s-grid", "0,0.5,1"]
+# a generalized amplitude-damping channel stored as a Kraus model without tau
+GAD_NO_TAU = Path(__file__).parent / "golden" / "gad_no_tau.json"
 # Kraus operators that sum to diag(2.21, 0), not to I, and the line that a model file of them exits with as it loads
 NON_TP_OPS = [[[1.1, 0], [0, 0]], [[0, 0], [1, 0]]]
 NON_TP_KRAUS = "NotTracePreserving: sum G^dag G differs from identity by 1.210e+00"
@@ -196,6 +199,19 @@ class TestCheckCommand:
         (tmp_path / "model.json").write_text(json.dumps(model))
         assert run(tmp_path, "check", str(tmp_path / "model.json")) == QdblabError.exit_code
         assert capsys.readouterr().err == f"{message}\n"
+
+    def test_kraus_model_without_tau_is_one_map_at_no_time(self, tmp_path, capsys):
+        # a generalized amplitude-damping channel, q = 0.2 and gamma = 0.36, stored without tau: its rows are
+        # written at tau = nan, its fixed point reads beta_f = ln 4, and neither balance check reads it. This pins
+        # the present behaviour; a single map's qdb2 does not depend on tau, yet it reads n/a here
+        assert run(tmp_path, "check", str(GAD_NO_TAU)) == EXIT_OK
+        assert capsys.readouterr().err == ""
+        verdict = json.loads((tmp_path / "check_gad_no_tau_verdict.json").read_text())
+        assert verdict["classification"]["kind"] == "single_map"
+        assert verdict["classification"]["beta_f"] == pytest.approx(math.log(4), rel=1e-12)
+        assert verdict["qdb1"] is None and verdict["qdb2"] is None
+        rows = (tmp_path / "check_gad_no_tau_rows.csv").read_text().splitlines()[1:]
+        assert rows and {row.split(",")[0] for row in rows} == {"nan"}
 
     @pytest.mark.parametrize("beta_f",["20", "21.5", "22", "23.5", "26", "27", "28", "30", "32"])
     def test_scenario_b_passes_both_balance_checks_at_low_temperature(self, tmp_path, beta_f):
@@ -1152,6 +1168,23 @@ def test_package_import_imports_no_module():
 def test_cli_import_leaves_scipy_out():
     proc = _fresh_interpreter("-c", "import sys, qdblab.cli; sys.exit(int('scipy' in sys.modules))")
     assert proc.returncode == 0, proc.stderr
+
+
+def test_cli_import_loads_every_module_the_benchmark_tracer_wraps():
+    # perfbench's tracer looks up the modules of its SPANS and COUNTED tables, and those install names, in
+    # sys.modules, so a module that qdblab.cli stops importing at module level would end a traced run in KeyError
+    tree = ast.parse((Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py").read_text())
+    tables = [node.value for node in tree.body if isinstance(node, ast.Assign)
+              and [ast.unparse(t) for t in node.targets] in (["SPANS"], ["COUNTED"])]
+    install = next(node for node in tree.body if isinstance(node, ast.FunctionDef) and node.name == "install")
+    modules = {value.elts[0].value for table in tables for value in table.values}
+    modules |= {node.slice.value for node in ast.walk(install)
+                if isinstance(node, ast.Subscript) and ast.unparse(node.value) == "sys.modules"
+                and isinstance(node.slice, ast.Constant)}
+    assert len(tables) == 2 and {"qdblab.balance", "qdblab.errors", "qdblab.examples"} <= modules
+    proc = _fresh_interpreter("-c", f"import sys, qdblab.cli; print(*sorted({sorted(modules)!r} - sys.modules.keys()))")
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == []
 
 
 @pytest.mark.parametrize("argv", [("check", str(Path(__file__).parent / "golden" / "davies3_circulating.json")),

@@ -573,11 +573,12 @@ class TestExchangeGridAgainstReference:
             np.testing.assert_allclose(np.array(got)[:, 1:], np.array(want)[:, 1:], rtol=1e-13, atol=0)
 
     def test_route_disagreement_quotes_the_first_failing_tau(self, rng, monkeypatch):
-        # the two routes agree for any Kraus family, so skew the superoperator
-        # route's population entries at the second and third time; the second time's gap is quoted
+        # the two routes agree for any Kraus family, so skew the built maps' population entries at the second and
+        # third of three times; the second time's gap is quoted. The routes meet on the maps at the times, which
+        # grid_of does not ask for
         h = diagonal_hamiltonian(rng, 2, False)
         family = np.array([random_channel(rng, 2, 2) for _ in range(3)])
-        exact = dynamics._kraus_populations
+        exact = dynamics._kraus_superops
 
         def skewed(kraus):
             s = exact(kraus)
@@ -585,14 +586,15 @@ class TestExchangeGridAgainstReference:
             s[..., 2, 0, 0] += 5e-8
             return s
 
-        monkeypatch.setattr(dynamics, "_kraus_populations", skewed)
+        monkeypatch.setattr(dynamics, "_kraus_superops", skewed)
         message = r"^Kraus and superoperator transition routes disagree by 3\.000e-09$"
         with pytest.raises(InternalCheckError, match=message):
-            grid_of([Dynamics.channel_family(h, lambda taus: family)], (0.1, 0.2, 0.3))
+            maps_of(Dynamics.channel_family(h, lambda taus: family), (0.1, 0.2, 0.3), (), TOL_CPTP)
 
     def test_route_disagreement_of_a_single_map_exits_4(self, tmp_path, monkeypatch, capsys):
-        # a single map's maps_of call takes its full maps at classify's probe time and at its qdb2 time, and the
-        # population entries of its one grid slice, an array of its own; skew that slice's entry
+        # a single map's maps_of call builds its full maps at classify's probe time and at its qdb2 time, and
+        # checks their population block against the Kraus route of the same operators before it reads the grid;
+        # skew the Kraus route's entry at the first time of each call, so the gap at the maps' first time is quoted
         exact = dynamics._kraus_populations
 
         def skewed(kraus):
@@ -605,6 +607,21 @@ class TestExchangeGridAgainstReference:
         assert main(["check", str(model), "--out", str(tmp_path)]) == 4
         message = "InternalCheckError: Kraus and superoperator transition routes disagree by 3.000e-09"
         assert capsys.readouterr().err.splitlines() == [message]
+
+    @pytest.mark.parametrize(
+        "argv", [("example", "a"), ("check", "scenario_a_tau1.json"), ("check", "gad_no_tau.json")],
+        ids=["example-a", "check-kraus", "check-kraus-without-tau"],
+    )
+    def test_a_fault_in_the_built_maps_exits_4(self, tmp_path, monkeypatch, capsys, argv):
+        # the maps _kraus_superops builds, transposed, move their population block off the Kraus route's; a
+        # Kraus file without tau is checked at its one time, nan
+        exact = dynamics._kraus_superops
+        monkeypatch.setattr(dynamics, "_kraus_superops", lambda kraus: exact(kraus).swapaxes(-1, -2))
+        command, name = argv
+        target = str(Path(__file__).parent / "golden" / name) if command == "check" else name
+        assert main([command, target, "--out", str(tmp_path)]) == InternalCheckError.exit_code
+        (err,) = capsys.readouterr().err.splitlines()
+        assert err.startswith("InternalCheckError: Kraus and superoperator transition routes disagree by ")
 
 
 def _failing_maps(h):
@@ -683,6 +700,16 @@ def test_transitions_that_pass_their_checks_give_records_that_pass(case):
     # the records of every level pair sum to what the rows do, within the rows' own bound; no record is judged
     # against a tighter one, such as a zero-gap record of 1 + 5e-10 from rows that sum to it
     exchange_grid(*case)
+
+
+def test_records_whose_sum_misses_1_raise_at_the_first_failing_point_and_map():
+    # the records' sum check judges bare transitions: rows that sum to 1 + 3e-9 at map 2 and 1 + 5e-9 at map 3 of
+    # point 1 give records that sum to the same, and the first of them is quoted
+    probs = np.tile([[0.9, 0.1], [0.2, 0.8]], (2, 4, 1, 1))
+    probs[1, 2, :, 0] += 3e-9
+    probs[1, 3, :, 0] += 5e-9
+    with pytest.raises(InternalCheckError, match=r"^exchange probabilities sum to 1\.000000003$"):
+        exchange_grid(probs, qubit_hamiltonian([1.0, 1.3]), 0.7)
 
 
 def test_build_report_takes_thermal_populations_once_per_source(tmp_path, monkeypatch):

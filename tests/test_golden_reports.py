@@ -25,7 +25,9 @@ current drawn first from ``numpy.random.default_rng(5)`` by
 both balance checks.  It was written before model files carried a ``basis``,
 so it also covers a file that loads in the canonical Gell-Mann basis.
 ``golden/scenario_a_tau1.json`` is scenario A's default
-channel at omega = 1, beta_f = 1 and tau = 1 as a ``kind: kraus`` model.
+channel at omega = 1, beta_f = 1 and tau = 1 as a ``kind: kraus`` model, and
+``golden/gad_no_tau.json`` a generalized amplitude-damping channel, q = 0.2
+and gamma = 0.36, as one without ``tau``, which the CLI tests check.
 """
 
 import json

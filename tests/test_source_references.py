@@ -16,7 +16,9 @@ per-point sources: no function has a parameter named ``sources``.
 test itself, so ``report`` hands it no slice or callback, and no map times
 for a semigroup, whose qdb2 is a generator identity.  It judges the level
 transitions it makes too, so ``exchange_grid`` takes bare ``probs`` and no
-module that imports ``dynamics`` reads a ``finite`` or ``route_gap``.  A
+module that imports ``dynamics`` reads a ``finite`` or ``route_gap``;
+``_judged`` reads all it checks from ``probs``, and the Kraus and
+superoperator routes meet on a family's maps at the times, not on the grid.  A
 precondition is judged once, where its value enters the package: a Kraus
 stack as it loads or as its family returns it, not again in ``maps_of``,
 and the stages behind that boundary raise no check of shapes or settings.
@@ -42,7 +44,7 @@ from pathlib import Path
 
 from qdblab import errors
 from qdblab.cli import _build_parser, _scenario
-from qdblab.dynamics import maps_of
+from qdblab.dynamics import _judged, maps_of
 from qdblab.fluctuation import FIXED_POINT_TAUS, TAU_MAX, classify, exchange_grid
 
 SRC = Path(__file__).resolve().parents[1] / "src" / "qdblab"
@@ -187,7 +189,8 @@ def test_only_dynamics_judges_the_level_transitions():
 
 def calls_in(tree: ast.AST) -> list:
     """``(function, arguments)`` of every call in ``tree`` to a bare name or
-    an attribute, as source text, in source order."""
+    an attribute, as source text, in the breadth-first order of
+    ``ast.walk``."""
     return [(ast.unparse(node.func), [ast.unparse(a) for a in (*node.args, *node.keywords)])
             for node in ast.walk(tree) if isinstance(node, ast.Call)]
 
@@ -197,7 +200,18 @@ def test_a_family_builds_full_maps_at_its_times_and_populations_on_its_grid():
     # the times slice alone, the one the stages read whole
     calls = calls_in(function_named("dynamics", "maps_of"))
     assert [args for name, args in calls if name == "_kraus_superops"] == [["kraus[:, :t]"]]
-    assert [args for name, args in calls if name == "_kraus_populations"] == [["kraus[:, t:]"]]
+    assert sorted(args for name, args in calls if name == "_kraus_populations") == [["kraus[:, :t]"], ["kraus[:, t:]"]]
+
+
+def test_the_judge_reads_the_transitions_alone():
+    # _judged reads finiteness, sign and row sums from probs itself, and maps_of hands it the grid transitions of
+    # either kind straight: no whole-map finiteness mask and no route gap on the grid; the routes meet on the maps
+    # at the times, the ones _kraus_superops builds
+    assert list(inspect.signature(_judged).parameters) == ["probs"]
+    maps = function_named("dynamics", "maps_of")
+    assert sorted(args for name, args in calls_in(maps) if name == "_judged") == [
+        ["_kraus_populations(kraus[:, t:]).real"], ["probs"]]
+    assert not {name for name, _ in _references(maps)} & {"isfinite", "finite", "route_gap"}
 
 
 def test_the_report_files_are_laid_out_by_the_one_writer():
