@@ -365,8 +365,9 @@ def maps_of(block: Dynamics, times: tuple, grid: tuple, tol_cptp: float) -> tupl
     ``Q^dag L Q``, with ``Q = conj(V) (x) V`` for the eigenvectors ``V`` of
     the block's ``h`` (None for channel families), the stack ``(k, t, d^2,
     d^2)`` of a channel family's maps' matrices, built from its Kraus
-    operators ``V^dag G V`` (None for semigroups, which have no maps and
-    take no ``times``), and the stack ``(k, t, d, d)`` of the level
+    operators ``V^dag G V``, the one map stack that classification and the
+    map-level balance check both read (None for semigroups, which have no
+    maps and take no ``times``), and the stack ``(k, t, d, d)`` of the level
     transitions ``probs[..., m, n] = <n| Map[|m><m|] |n>``, the maps'
     population block.  One family call covers ``times + grid``, and one
     exponential per route a semigroup's grid; a family's full maps are

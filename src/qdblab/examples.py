@@ -86,7 +86,7 @@ class ExampleAParams:
     def schedules(self, taus) -> tuple:
         """The arrays ``(q, xi)`` of the two schedules at the times ``taus``."""
         # libm's exp, as infer_beta takes libm's log: numpy's differs from it in the last bit at some tau, and by CPU
-        xi = 1.0 - np.array([math.exp(-tau) for tau in taus])
+        xi = 1.0 - np.array([*map(math.exp, np.negative(taus).tolist())])
         return np.full_like(xi, self.q_inf) if self.fixed_point else self.q_inf * xi, xi
 
 

@@ -13,10 +13,10 @@ through its level populations.  Every generator and map is read in H's
 eigenframe, as ``dynamics.maps_of`` hands them on, and so is every state
 taken from them.  ``classify`` reads a block of semigroups from their
 generators and a block of channel families from their probe maps at
-``FIXED_POINT_TAUS``, a superoperator stack that the caller takes with the
-rest of the block's maps: each point's last map, at ``TAU_MAX``, against
-``vec(sigma) vec(I)^dag``, with ``sigma`` its image of ``I/d``, and every
-map against ``sigma``."""
+``FIXED_POINT_TAUS``, the one superoperator stack that the caller takes
+from ``dynamics.maps_of`` and that the map-level balance check reads too:
+each point's last map, at ``TAU_MAX``, against ``vec(sigma) vec(I)^dag``,
+with ``sigma`` its image of ``I/d``, and every map against ``sigma``."""
 
 from __future__ import annotations
 
@@ -155,7 +155,7 @@ FIXED_POINT_ATOL = 1e-8
 # the probing horizon of a channel family, in the family's own time units: absolute, because a family has no
 # generator whose gap would set its relaxation time
 TAU_MAX = 100.0
-FIXED_POINT_TAUS = tuple(np.geomspace(0.01, TAU_MAX, 9))
+FIXED_POINT_TAUS = tuple(np.geomspace(0.01, TAU_MAX, 9).tolist())
 
 
 def classify(block: Dynamics, probes: np.ndarray) -> list:

@@ -6,12 +6,14 @@ the generators and the level transitions on the tau grid, which
 ``dynamics.maps_of`` judges as it makes them, classification, from a
 channel family's maps at ``FIXED_POINT_TAUS``, which end at ``TAU_MAX``, and
 the generator-level (qdb1) and map-level (qdb2) detailed-balance checks, a
-semigroup's qdb2 at every tau from its generator.  :func:`build_report`
-adds the exchange distribution, whose records it judges by their sum, and
-the forward-only ratio law at each point of beta_i and beta_f, and returns the
-verdict sections and the arrays that report rows are read from.  Each stage
-takes only the values it reads (the block, grids, tolerances, beta values),
-so it can be called, compared or timed on its own.
+semigroup's qdb2 at every tau from its generator, a family's on the maps
+that classification reads, and a single map's on its one map.
+:func:`build_report` adds the exchange distribution, whose records it
+judges by their sum, and the forward-only ratio law at each point of beta_i
+and beta_f, and returns the verdict sections and the arrays that report
+rows are read from.  Each stage takes only the values it reads (the block,
+grids, tolerances, beta values), so it can be called, compared or timed on
+its own.
 """
 
 from __future__ import annotations
@@ -25,10 +27,6 @@ from .dynamics import Dynamics, maps_of
 from .fluctuation import FIXED_POINT_TAUS, classify, exchange_grid, ratios
 from .matlin import unit_norm1
 from .states import HamiltonianSpec
-
-# absolute times, in the model's own time units, for channel families and single maps only, which have no
-# generator: a change of their units moves what qdb2 sees; a semigroup's qdb2 holds at every tau or none
-QDB2_TAUS = (0.1, 0.5, 1.0, 5.0)
 
 
 def json_float(x):
@@ -64,10 +62,12 @@ def analyse(block: Dynamics, tau_grid: tuple, s_grid: tuple, tol_qdb: float, tol
     """The stages that do not depend on beta_i, each stacked over the points
     of ``block``, in order: the generators in H's eigenframe, with the GKLS
     test of the semigroups' generators against ``tol_cptp`` before any
-    exponential, a family's or single map's maps at classify's probe times
-    and at the finite qdb2 times, with the level transitions on
-    ``tau_grid``, judged, from one :func:`maps_of` call; classify; and qdb1
-    and qdb2 over ``s_grid``, which pass below ``tol_qdb``; one analysis
+    exponential, a family's maps at classify's probe times
+    ``FIXED_POINT_TAUS`` or a single map's one map, with the level
+    transitions on ``tau_grid``, judged, from one :func:`maps_of` call;
+    classify; and qdb1 and qdb2 over ``s_grid``, which pass below
+    ``tol_qdb``, qdb2 of a family or single map on those same maps, at the
+    taus they were taken at, as the JSON writer writes a tau; one analysis
     ``(sections, betas, taus, probs, h)`` of them all, with a list of each
     point's sections, the array of their beta_f (nan where there is none),
     the stack of their transition probabilities on the tau grid and the
@@ -77,16 +77,14 @@ def analyse(block: Dynamics, tau_grid: tuple, s_grid: tuple, tol_qdb: float, tol
     at the taus ``"all"``.  A failing stage raises, for whichever point
     fails it."""
     semigroup = block.generator is not None
-    probes = () if semigroup else block.taus(FIXED_POINT_TAUS)
-    qdb2_taus = () if semigroup else tuple(filter(math.isfinite, block.taus(QDB2_TAUS)))
-    taus, p, h = block.taus(tau_grid), len(probes), block.h
+    times, taus, h = () if semigroup else block.taus(FIXED_POINT_TAUS), block.taus(tau_grid), block.h
     # every stage from here reads the eigenframe matrices of maps_of
-    generators, superops, probs = maps_of(block, probes + qdb2_taus, taus, tol_cptp)
+    generators, superops, probs = maps_of(block, times, taus, tol_cptp)
     if semigroup:
-        probes, maps, qdb2_taus = generators, unit_norm1(generators)[:, None], "all"
+        maps, qdb2_taus = unit_norm1(generators)[:, None], "all"
     else:
-        probes, maps, qdb2_taus = superops[:, :p], superops[:, p:] if qdb2_taus else None, list(qdb2_taus)
-    classified = classify(block, probes)
+        maps, qdb2_taus = superops, list(map(json_float, times))
+    classified = classify(block, generators if semigroup else superops)
     betas = np.array([b if b is not None and math.isfinite(b) else math.nan for _, b, _ in classified])
     qdb1 = _balance(check_qdb1, h, betas, generators, s_grid, tol_qdb)
     qdb2 = _balance(check_qdb2, h, betas, maps, s_grid, tol_qdb)

@@ -51,7 +51,6 @@ from qdblab.fluctuation import (
     exchange_grid,
     ratios,
 )
-from qdblab.report import QDB2_TAUS
 from qdblab.states import (
     BETA_AGREE_RTOL,
     DEGENERACY_ATOL,
@@ -378,7 +377,7 @@ def reference_frame_route(block: Dynamics, times: tuple, grid: tuple, tol_cptp: 
     return generators, None, reference_transition_stack(matlin.expm(generators, grid), None, units)
 
 
-def reference_map_qdb2(block: Dynamics, betas, s_grid, taus=QDB2_TAUS) -> np.ndarray:
+def reference_map_qdb2(block: Dynamics, betas, s_grid, taus=(0.1, 0.5, 1.0, 5.0)) -> np.ndarray:
     """Map-level qdb2 of each semigroup point of ``block`` at the sampled
     ``taus``: :func:`qdblab.balance.check_qdb2` of the maps ``exp(tau F)``
     of its eigenframe generator F, the point's beta in ``betas``, a row of

@@ -202,14 +202,15 @@ class TestCheckCommand:
 
     def test_kraus_model_without_tau_is_one_map_at_no_time(self, tmp_path, capsys):
         # a generalized amplitude-damping channel, q = 0.2 and gamma = 0.36, stored without tau: its rows are
-        # written at tau = nan, its fixed point reads beta_f = ln 4, and neither balance check reads it. This pins
-        # the present behaviour; a single map's qdb2 does not depend on tau, yet it reads n/a here
+        # written at tau = nan and its fixed point reads beta_f = ln 4. A map has no generator, so qdb1 reads n/a;
+        # its qdb2 does not depend on tau and passes on its one map, taken at tau = nan
         assert run(tmp_path, "check", str(GAD_NO_TAU)) == EXIT_OK
         assert capsys.readouterr().err == ""
         verdict = json.loads((tmp_path / "check_gad_no_tau_verdict.json").read_text())
         assert verdict["classification"]["kind"] == "single_map"
         assert verdict["classification"]["beta_f"] == pytest.approx(math.log(4), rel=1e-12)
-        assert verdict["qdb1"] is None and verdict["qdb2"] is None
+        assert verdict["qdb1"] is None
+        assert verdict["qdb2"]["passes"] is True and verdict["qdb2"]["taus"] == ["nan"]
         rows = (tmp_path / "check_gad_no_tau_rows.csv").read_text().splitlines()[1:]
         assert rows and {row.split(",")[0] for row in rows} == {"nan"}
 
@@ -1055,7 +1056,7 @@ _FAMILY_BLOCK = {"gkls_defects": 0, "expm": 0, "classify": 1, "check_qdb1": 0, "
         # 40 sources in two blocks: each block analyses its own
         (("sweep", "c", "--parameter", "nu", "--range", "0.5:0.9:40"),
          {stage: 2 * n for stage, n in _SEMIGROUP_BLOCK.items()}),
-        # the block's families are built once each, at the probe, grid and qdb2 times together, and checked as one stack
+        # the block's families are built once each, at the probe and grid times together, and checked as one stack
         (("sweep", "a", "--parameter", "omega", "--range", "0.5:1.5:3"), _FAMILY_BLOCK),
         (("sweep", "a", "--parameter", "beta_i", "--range", "0:3:3"), _FAMILY_BLOCK),
         # one family shared by two blocks is analysed once

@@ -52,7 +52,6 @@ from qdblab.errors import ConfigError, DimensionMismatch, KossakowskiNotPSD, Not
 from qdblab.matlin import dag, kron, unvec
 from qdblab.examples import ExampleAParams, example_a_channel, qubit_hamiltonian
 from qdblab.fluctuation import FIXED_POINT_TAUS
-from qdblab.report import QDB2_TAUS
 from qdblab.states import SIGMA_X
 
 
@@ -475,8 +474,8 @@ class TestDynamicsSources:
         assert np.array_equal(superops, [superop_from_channel(ops)] * 2)
 
 
-# classify's probe times, a tau grid and the qdb2 times, which report.analyse takes as one tuple for a family
-TIME_PARTS = (FIXED_POINT_TAUS, (0.01, 0.3, 2.0, 50.0), QDB2_TAUS)
+# classify's probe times, a tau grid and the times at which qdb2 once took a family's maps
+TIME_PARTS = (FIXED_POINT_TAUS, (0.01, 0.3, 2.0, 50.0), (0.1, 0.5, 1.0, 5.0))
 
 
 class TestMapsOf:

@@ -102,6 +102,15 @@ class TestScenarioA:
         for tau, ops in zip(taus, stack):
             assert np.array_equal(ops, reference_example_a_channel(p, tau))
 
+    @pytest.mark.parametrize("stack", [tuple, np.array])
+    def test_mixing_schedule_takes_libm_exp(self, stack):
+        # xi = 1 - e^{-tau} with e^{-tau} from libm's exp, bit for bit, from underflow to the largest exponent, and
+        # on a 300-point grid, where numpy's exp differs from libm's in the last bit at some tau on some CPUs
+        taus = stack([0.0, 5e-324, 1e-300, 1.0, 709.0, 1e300, *np.geomspace(0.01, 50.0, 300)])
+        for fixed_point in (False, True):
+            _, xi = ExampleAParams(OMEGA, BETA_F, fixed_point).schedules(taus)
+            assert xi.tobytes() == (1.0 - np.array([math.exp(-t) for t in taus])).tobytes()
+
     def test_family_stack_must_preserve_the_trace(self):
         # the second time's operators are scaled off trace preservation
         def family(taus):

@@ -592,9 +592,9 @@ class TestExchangeGridAgainstReference:
             maps_of(Dynamics.channel_family(h, lambda taus: family), (0.1, 0.2, 0.3), (), TOL_CPTP)
 
     def test_route_disagreement_of_a_single_map_exits_4(self, tmp_path, monkeypatch, capsys):
-        # a single map's maps_of call builds its full maps at classify's probe time and at its qdb2 time, and
-        # checks their population block against the Kraus route of the same operators before it reads the grid;
-        # skew the Kraus route's entry at the first time of each call, so the gap at the maps' first time is quoted
+        # a single map's maps_of call builds its one full map, which classify and qdb2 read, and checks its
+        # population block against the Kraus route of the same operators before it reads the grid; skew the Kraus
+        # route's entry at the first time of each call, so the gap at the map's time is quoted
         exact = dynamics._kraus_populations
 
         def skewed(kraus):

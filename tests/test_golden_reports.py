@@ -27,7 +27,7 @@ so it also covers a file that loads in the canonical Gell-Mann basis.
 ``golden/scenario_a_tau1.json`` is scenario A's default
 channel at omega = 1, beta_f = 1 and tau = 1 as a ``kind: kraus`` model, and
 ``golden/gad_no_tau.json`` a generalized amplitude-damping channel, q = 0.2
-and gamma = 0.36, as one without ``tau``, which the CLI tests check.
+and gamma = 0.36, as one without ``tau``, which the CLI tests check too.
 """
 
 import json
@@ -44,6 +44,7 @@ from qdblab.cli import EXIT_OK, main
 GOLDEN = Path(__file__).parent / "golden"
 MODEL = GOLDEN / "davies3_circulating.json"
 KRAUS_MODEL = GOLDEN / "scenario_a_tau1.json"
+GAD_NO_TAU = GOLDEN / "gad_no_tau.json"
 KEYS = (("tau", "E"), ("parameter", "value"))
 
 CASES = {
@@ -57,6 +58,8 @@ CASES = {
     "check_davies3_json": (("check", str(MODEL), "--format", "json"), EXIT_OK),
     "example_a_fpt": (("example", "a", "--q-schedule", "fpt"), EXIT_OK),
     "check_kraus_a": (("check", str(KRAUS_MODEL)), EXIT_OK),
+    # a single map without tau: its rows and its qdb2 taus read nan
+    "check_gad_no_tau": (("check", str(GAD_NO_TAU)), EXIT_OK),
     "sweep_a_omega": (("sweep", "a", "--parameter", "omega", "--range", "0.8:1.6:4"), EXIT_OK),
     "sweep_b_gamma": (("sweep", "b", "--parameter", "gamma", "--range", "0.5:2:4"), EXIT_OK),
     # the middle point is scenario C's balanced nu = alpha, within roundoff

@@ -17,7 +17,6 @@ from qdblab.examples import (
     example_c_generator,
     example_c_qdb_point,
 )
-from qdblab.report import QDB2_TAUS
 from qdblab.states import HamiltonianSpec
 
 
@@ -214,8 +213,8 @@ GENERATORS = {
     "c-critically-damped": _critically_damped_c,
     "c-off-balance": lambda: example_c_generator(example_c_qdb_point(0.5, 0.1, 1.0, 1.0).replace(nu=0.8)),
 }
-# tau = 0, a log grid over six decades and the qdb2 times
-GRID = np.concatenate([[0.0], np.geomspace(1e-3, 1e3, 31), QDB2_TAUS])
+# tau = 0, a log grid over six decades and the times at which qdb2 once took a family's maps
+GRID = np.concatenate([[0.0], np.geomspace(1e-3, 1e3, 31), (0.1, 0.5, 1.0, 5.0)])
 
 
 class TestExpmOnAGrid:

@@ -11,6 +11,10 @@ The map-level check at sampled tau, ``conftest.reference_map_qdb2``, is the
 oracle: on the Davies fixtures and scenarios B and C both pass or both
 fail.  A change of units leaves the residual alone, and a semigroup's run
 exponentiates nothing but its tau grid.
+
+A channel family has no generator: its qdb2 is ``check_qdb2`` of the maps
+that classify reads, at ``FIXED_POINT_TAUS``, and a single map's of its one
+map, whatever its tau, stored or not; neither builds a map for qdb2 alone.
 """
 
 import json
@@ -19,21 +23,24 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from conftest import TOL_CPTP, block, davies_source, reference_map_qdb2
-from qdblab import cli, matlin
+from conftest import TOL_CPTP, block, davies_source, reference_map_qdb2, reference_maps_of
+from qdblab import cli, dynamics, matlin
+from qdblab.balance import check_qdb2
 from qdblab.cli import EXIT_OK, _build_parser, main
 from qdblab.errors import NotTracePreserving
+from qdblab.fluctuation import FIXED_POINT_TAUS
 from qdblab.report import analyse
 
-GOLDEN_MODEL = Path(__file__).parent / "golden" / "davies3_circulating.json"
+GOLDEN = Path(__file__).parent / "golden"
+GOLDEN_MODEL = GOLDEN / "davies3_circulating.json"
 TAU_GRID = tuple(np.geomspace(0.01, 50.0, 40))
 S_GRID = (0.0, 0.25, 0.5, 0.75, 1.0)
 TOL_QDB = 1e-9
 
 
-def _scenario(name, *flags):
+def _scenario(name, *flags, points=({},)):
     args = _build_parser().parse_args(["example", name, *flags])
-    return cli._scenario(name, args, [{}])[0]
+    return cli._scenario(name, args, list(points))[0]
 
 
 # each case's block and whether its dynamics is balanced
@@ -105,3 +112,72 @@ def test_qdb2_fails_where_qdb1_fails_once_the_maps_have_relaxed(tmp_path):
     assert verdict["qdb1"]["passes"] is False and verdict["qdb2"]["passes"] is False
     assert verdict["qdb2"]["taus"] == "all"
 
+
+# scenario A's flags and points: either schedule, and a block of three of its points
+FAMILIES = {
+    "a": ((), [{}]),
+    "a-fpt": (("--q-schedule", "fpt"), [{}]),
+    "a-omega": ((), [{"omega": 0.8}, {"omega": 1.2}, {"omega": 1.6}]),
+}
+
+
+@pytest.mark.parametrize("case", sorted(FAMILIES))
+def test_a_familys_qdb2_reads_the_maps_that_classify_reads(case):
+    flags, points = FAMILIES[case]
+    family = _scenario("a", *flags, points=points)
+    sections, betas, *_ = analyse(family, TAU_GRID, S_GRID, TOL_QDB, TOL_CPTP)
+    _, maps, _ = reference_maps_of(family, FIXED_POINT_TAUS, (), TOL_CPTP)
+    want = check_qdb2(family.h, betas, S_GRID, maps)
+    # H is diagonal, so the reference's maps, taken to the eigenframe after, are the package's bit for bit
+    assert len(sections) == len(points)
+    for section, residuals in zip(sections, want.tolist()):
+        assert section["qdb2"]["taus"] == list(FIXED_POINT_TAUS)
+        assert list(section["qdb2"]["per_s"].values()) == residuals
+
+
+def _circulating_map(path: Path, tau) -> Path:
+    """A d = 3 Kraus file, stored at ``tau`` (without one for None), of one
+    dephasing map whose level transitions keep the Gibbs state at beta 1
+    with a current around the levels: a thermal fixed point, and no detailed
+    balance."""
+    e, flux = np.array([0.0, 0.7, 1.6]), 0.05
+    p = np.exp(-e) / np.exp(-e).sum()
+    moves = np.eye(3)
+    for m in range(3):  # m -> m + 1 at the rate flux / p[m], so every level's inflow is its outflow
+        n = (m + 1) % 3
+        moves[n, m] += flux / p[m]
+        moves[m, m] -= flux / p[m]
+    ops = [(np.sqrt(moves[n, m]) * np.outer(np.eye(3)[n], np.eye(3)[m])).tolist() for n in range(3) for m in range(3)]
+    model = {"schema": 1, "kind": "kraus", "hamiltonian": np.diag(e).tolist(), "kraus_ops": ops}
+    path.write_text(json.dumps(model if tau is None else {**model, "tau": tau}))
+    return path
+
+
+def test_a_single_maps_qdb2_does_not_depend_on_its_tau(tmp_path):
+    verdicts = {}
+    for tau in (1.0, 7.0, None):
+        model = _circulating_map(tmp_path / f"map_{tau}.json", tau)
+        assert main(["check", str(model), "--out", str(tmp_path)]) == EXIT_OK
+        verdicts[tau] = json.loads((tmp_path / f"check_map_{tau}_verdict.json").read_text())
+    assert [v["qdb2"]["taus"] for v in verdicts.values()] == [[1.0], [7.0], ["nan"]]
+    per_s = [v["qdb2"]["per_s"] for v in verdicts.values()]
+    assert per_s[0] == per_s[1] == per_s[2] and min(per_s[0].values()) > TOL_QDB
+    assert [v["classification"]["beta_f"] for v in verdicts.values()] == pytest.approx([1.0] * 3, rel=1e-12)
+
+
+@pytest.mark.parametrize(
+    "argv, shapes",
+    [
+        (("example", "a"), [(1, len(FIXED_POINT_TAUS))]),
+        (("sweep", "a", "--parameter", "omega", "--range", "0.8:1.6:3"), [(3, len(FIXED_POINT_TAUS))]),
+        (("check", str(GOLDEN / "scenario_a_tau1.json")), [(1, 1)]),
+        (("check", str(GOLDEN / "gad_no_tau.json")), [(1, 1)]),
+    ],
+    ids=["example-a", "sweep-a-omega", "check-kraus", "check-kraus-without-tau"],
+)
+def test_a_map_is_built_once_for_classify_and_qdb2(tmp_path, monkeypatch, argv, shapes):
+    # per point, a family's full maps are those at FIXED_POINT_TAUS and a single map's is its one map
+    seen, build = [], dynamics._kraus_superops
+    monkeypatch.setattr(dynamics, "_kraus_superops", lambda kraus: seen.append(kraus.shape[:2]) or build(kraus))
+    assert main([*argv, "--out", str(tmp_path)]) == EXIT_OK
+    assert seen == shapes

@@ -45,7 +45,7 @@ from qdblab.states import HamiltonianSpec
 P_RTOL = 2e-14
 P_ATOL = 1e-15
 # the default tau grid, then the times at which qdb2 once took a semigroup's maps
-GRID = tuple(np.geomspace(0.01, 50.0, 40)) + report.QDB2_TAUS
+GRID = tuple(np.geomspace(0.01, 50.0, 40)) + (0.1, 0.5, 1.0, 5.0)
 GOLDEN_MODEL = Path(__file__).parent / "golden" / "davies3_circulating.json"
 
 

@@ -156,8 +156,8 @@ def test_maps_of_takes_time_tuples_and_runs_the_gkls_test():
 
 
 def test_analyse_hands_maps_of_no_map_times_for_a_semigroup(monkeypatch):
-    # a family's maps at classify's probe times and the qdb2 times; a semigroup's classify and qdb2 read its
-    # generator, so it asks for no map, only the transitions on the tau grid
+    # a family's maps at classify's probe times, which its qdb2 reads too; a semigroup's classify and qdb2 read
+    # its generator, so it asks for no map, only the transitions on the tau grid
     from qdblab import report
 
     asked, original = [], report.maps_of
@@ -167,7 +167,7 @@ def test_analyse_hands_maps_of_no_map_times_for_a_semigroup(monkeypatch):
     for name in "abc":
         block = _scenario(name, parser.parse_args(["example", name]), [{}])[0]
         report.analyse(block, (0.5, 2.0), (0.0, 1.0), 1e-9, 1e-9)
-    assert asked == [((*FIXED_POINT_TAUS, *report.QDB2_TAUS), (0.5, 2.0)), ((), (0.5, 2.0)),
+    assert asked == [(FIXED_POINT_TAUS, (0.5, 2.0)), ((), (0.5, 2.0)),
                      ((), (0.5, 2.0))]
 
 
@@ -272,7 +272,6 @@ THRESHOLDS = {
                     "CONVERGENCE_ATOL", "FIXED_POINT_ATOL", "TAU_MAX"],
     "states": ["STATE_ATOL", "DEGENERACY_ATOL", "THERMAL_OFFDIAG_ATOL", "BETA_AGREE_RTOL"],
     "matlin": ["HERMITICITY_ATOL"],
-    "report": ["QDB2_TAUS"],
 }
 
 
